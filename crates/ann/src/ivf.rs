@@ -12,7 +12,8 @@
 //!   out of the flat store, so every returned score is bit-identical to what
 //!   the flat scan would produce for that row. The only approximation is
 //!   *which* rows get visited.
-//! * **SQ8** — probed rows are scored from 8-bit codes (see [`crate::quant`])
+//! * **SQ8** — probed rows are scored from 8-bit codes (see [`crate::quant`],
+//!   the encoder and integer kernel shared with the flat scan's prefilter)
 //!   to build a shortlist, which is then rescored exactly from the flat
 //!   store. Scores callers observe are still exact; quantization only
 //!   influences shortlist membership.
@@ -29,9 +30,7 @@ use t2v_embed::{best_first, fused_dot, Hit, IndexKind, VectorIndex};
 
 /// Below this many rows the exact flat scan beats IVF (centroid scan +
 /// heap overhead dominate) — [`IvfIndex::train`] declines to build unless
-/// the config lowers `min_rows`. Matches the flat scan's own
-/// parallelisation threshold: a corpus too small to fan out is also too
-/// small to partition.
+/// the config lowers `min_rows`.
 pub const DEFAULT_MIN_ROWS: usize = 4096;
 
 /// Lloyd iterations over the training sample. Past ~8 the centroids barely

@@ -15,7 +15,9 @@
 //! cost, and the flat-vs-IVF crossover.
 
 pub mod ivf;
-pub mod quant;
+/// The SQ8 encoder and integer dot kernel, shared with the flat scan's
+/// prefilter — they live in `t2v-embed`, next to the f32 dot.
+pub use t2v_embed::quant;
 
 pub use ivf::{auto_cells, auto_nprobe, IvfConfig, IvfIndex, IvfParts, DEFAULT_MIN_ROWS};
 

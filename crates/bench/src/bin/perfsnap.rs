@@ -176,6 +176,13 @@ impl Report {
         let _ = writeln!(s, "  \"schema_version\": 1,");
         let _ = writeln!(s, "  \"generated_unix\": {unix},");
         let _ = writeln!(s, "  \"threads\": {},", t2v_parallel::thread_count());
+        // Stamps every section this binary owns (`serving` carries its own).
+        let _ = writeln!(
+            s,
+            "  \"build\": {{ \"version\": \"{}\", \"git\": \"{}\" }},",
+            env!("CARGO_PKG_VERSION"),
+            t2v_bench::git_describe()
+        );
         s.push_str("  \"results\": {\n");
         for (i, (name, ns)) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };

@@ -554,21 +554,6 @@ fn run_obs_overhead(
     TraceReport { rows }
 }
 
-/// `git describe` of the tree that produced the numbers (falls back to the
-/// bare commit hash, then to "unknown" outside a work tree), so every
-/// report row is attributable to an exact build.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 struct ChaosReport {
     baseline: Scenario,
     storm: Scenario,
@@ -1201,7 +1186,7 @@ fn merge_report(out_path: &str, clients: usize, secs: u64, sections: MergeSectio
             "build",
             Json::obj([
                 ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-                ("git", Json::str(git_describe())),
+                ("git", Json::str(t2v_bench::git_describe())),
             ]),
         ),
     ]);

@@ -9,3 +9,18 @@ pub mod context;
 pub mod tables;
 
 pub use context::{Ctx, ModelKind};
+
+/// `git describe` of the tree that produced the numbers (falls back to the
+/// bare commit hash, then to "unknown" outside a work tree), so every
+/// `BENCH_perf.json` section is attributable to an exact build.
+pub fn git_describe() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--tags"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}

@@ -4,15 +4,21 @@
 //! stride and are **L2-normalised on insert**, so scoring a pair is a single
 //! fused dot product (cosine of the normalised pair) instead of the three
 //! passes a naive `dot / (|a|·|b|)` costs per comparison. The scan is
-//! exact — a linear pass with a bounded min-heap — and goes wide over
-//! row chunks once the index is large enough to amortise thread spawn
-//! (see DESIGN.md §5 for layout notes and measurements).
+//! exact — a linear pass with a bounded min-heap — but it is memory-bound,
+//! so it reads a quarter of the bytes: every row also has an 8-bit code
+//! sidecar, an integer dot over the codes gives a *provable upper bound* on
+//! the row's f32 score, and the f32 dot runs only on rows whose bound beats
+//! the heap floor. Skipped rows are exactly rows the f32 scan would have
+//! scored and then discarded, so ids, order and scores are unchanged by
+//! construction (see DESIGN.md §5 for the inequality and measurements).
 //!
-//! Determinism: scores are bit-exact regardless of thread count because each
-//! row's dot product is computed identically and chunk results are merged in
-//! chunk order; ties break toward lower ids everywhere.
+//! Determinism: scores are bit-exact regardless of thread count or CPU
+//! because each surviving row's dot product is computed identically, the
+//! prefilter is integer arithmetic, and chunk results are merged in chunk
+//! order; ties break toward lower ids everywhere.
 
 use crate::embedder::l2_normalize;
+use crate::quant::{self, Kernel};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -46,6 +52,56 @@ impl Ord for HeapItem {
 impl PartialOrd for HeapItem {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Bounded best-`k` accumulator for a scan that visits rows in ascending id
+/// order (`k ≥ 1`).
+struct TopK {
+    k: usize,
+    heap: BinaryHeap<HeapItem>,
+    /// Score at or below which a row cannot enter a full heap. Ids grow
+    /// with the scan, so a row that merely *ties* the current k-th best
+    /// loses the lower-id-wins tie-break and is dropped without heap
+    /// traffic — the common case once the heap is warm.
+    floor: f32,
+}
+
+impl TopK {
+    fn new(k: usize) -> TopK {
+        debug_assert!(k > 0, "the floor bookkeeping peeks a non-empty heap");
+        TopK {
+            k,
+            heap: BinaryHeap::with_capacity(k + 1),
+            floor: f32::NEG_INFINITY,
+        }
+    }
+
+    /// Whether a row scoring at most `bound` is certain to be dropped.
+    /// Written so a NaN bound (non-finite input) is never rejected.
+    #[inline]
+    fn rejects(&self, bound: f32) -> bool {
+        bound <= self.floor && self.heap.len() >= self.k
+    }
+
+    #[inline]
+    fn offer(&mut self, id: usize, score: f32) {
+        if self.rejects(score) {
+            return;
+        }
+        self.heap.push(HeapItem(Hit { id, score }));
+        if self.heap.len() > self.k {
+            self.heap.pop();
+        }
+        if self.heap.len() >= self.k {
+            self.floor = self.heap.peek().expect("heap is non-empty").0.score;
+        }
+    }
+
+    fn into_sorted(self) -> Vec<Hit> {
+        let mut hits: Vec<Hit> = self.heap.into_iter().map(|h| h.0).collect();
+        hits.sort_unstable_by(best_first);
+        hits
     }
 }
 
@@ -218,9 +274,115 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Row count below which a scan stays on the calling thread: spawn + join
-/// overhead (~tens of µs) only pays for itself past a few thousand rows.
-const PAR_SCAN_THRESHOLD: usize = 4096;
+/// Row-scans of work below which retrieval stays on the calling thread: a
+/// single query fans over row chunks from this many rows, a batch fans over
+/// queries from this many `rows × queries`. Measured on the prefiltered scan
+/// (2 vCPUs, 256 dims; DESIGN.md §5 has the table), not assumed: a scoped
+/// spawn + join costs ~70 µs here, the whole paper library (6100 rows, codes
+/// resident in L2) scans in ~0.1 ms, and two threads lose below ~16k rows
+/// (6100: 108 → 162 µs), break even near 20k and win from 25k up (32 768:
+/// 633 → 514 µs; 100k: 1.82 → 1.21 ms). Batches cross over at the same
+/// amount of work (6 queries × 6100 rows).
+const PAR_SCAN_THRESHOLD: usize = 32_768;
+
+/// Rows whose code dots are computed per kernel call. The bound is still
+/// checked row by row against the live floor; the block only amortises the
+/// kernel dispatch and keeps the integer loop free of heap traffic.
+const PREFILTER_BLOCK: usize = 64;
+
+/// Per-row constants of the prefilter bound (see [`quant::bound_terms`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RowBound {
+    /// Quantization step: decoded row `v̂ = codes · scale`.
+    scale: f32,
+    /// `‖codes‖` — `‖v̂‖` in code units.
+    code_norm: f32,
+    /// `‖v / scale − codes‖` — `‖v − v̂‖` in code units; infinite when the
+    /// row has a non-finite component.
+    residual: f32,
+}
+
+/// Encode one stored row, appending its codes to `codes`.
+fn encode_bound(row: &[f32], codes: &mut Vec<i8>) -> RowBound {
+    let start = codes.len();
+    let scale = quant::encode_row(row, codes);
+    let (code_norm, residual) = quant::bound_terms(row, &codes[start..], scale);
+    RowBound {
+        scale,
+        code_norm,
+        residual,
+    }
+}
+
+/// The query side of the prefilter: its codes plus the coefficients that
+/// turn a row's integer code dot into an upper bound on
+/// `dot(query, row).clamp(-1, 1)` **as the f32 kernel computes it**:
+///
+/// ```text
+/// ub = scale_q · scale_v · (code_dot + on_norm · ‖c_v‖ + on_residual · ‖r_v‖) + slack
+/// ```
+///
+/// where `c` are codes and `r = v / scale − c` residuals, all in code units
+/// so nothing underflows however small the vectors are. With exact
+/// arithmetic `on_norm = ‖r_q‖` and `on_residual = ‖q / scale_q‖`
+/// (Cauchy–Schwarz on the two cross terms of `q·v = q̂·v̂ + (q−q̂)·v̂ +
+/// q·(v−v̂)`). Both are inflated by a relative margin `κ = (dims + 32) · ε`
+/// of `‖q‖·(‖c_v‖ + ‖r_v‖) ≥ ‖q‖·‖v‖`, which pays for every rounding on
+/// the way: the f32 dot's own error (at most `dims · ε/2` of
+/// `Σ|qᵢvᵢ| ≤ ‖q‖‖v‖` for any summation order), the f32 norms and residuals
+/// on both sides (`≈ dims · ε/4` each), and the handful of roundings in
+/// evaluating `ub` itself — about half of `κ` in total. `slack` is absolute
+/// and covers the one place a relative margin cannot: `scale_q · scale_v`
+/// underflowing, where the whole score is below
+/// `MIN_POSITIVE · 127² · dims`. A non-finite (or denormal) query makes the
+/// coefficients infinite, so `ub` is `+∞` or NaN and `ub <= floor` is
+/// false: every row is rescored.
+struct QueryBound {
+    codes: Vec<i8>,
+    scale: f32,
+    on_norm: f32,
+    on_residual: f32,
+    slack: f32,
+}
+
+impl QueryBound {
+    fn new(query: &[f32]) -> QueryBound {
+        let mut codes = Vec::with_capacity(query.len());
+        let q = encode_bound(query, &mut codes);
+        let width = (query.len() + 32) as f32;
+        let margin = width * f32::EPSILON;
+        // ‖q/scale‖ ≤ ‖c_q‖ + ‖r_q‖: one triangle inequality is cheaper
+        // than a third pass over the query and costs the bound ~1e-4 of
+        // tightness.
+        let norm = (q.code_norm + q.residual) * (1.0 + margin);
+        QueryBound {
+            codes,
+            scale: q.scale,
+            on_norm: q.residual * (1.0 + margin) + norm * margin,
+            on_residual: norm * (1.0 + margin),
+            slack: f32::MIN_POSITIVE * 16384.0 * width,
+        }
+    }
+
+    /// Upper bound on the clamped f32 score of a row with this `code_dot`.
+    #[inline]
+    fn upper(&self, code_dot: i32, row: RowBound) -> f32 {
+        (self.scale * row.scale)
+            * (code_dot as f32 + self.on_norm * row.code_norm + self.on_residual * row.residual)
+            + self.slack
+    }
+}
+
+/// The prefilter's bound for one `(query, row)` pair, exactly as the scan
+/// evaluates it — so tests can check the inequality itself, not only its
+/// consequences for top-k.
+#[cfg(test)]
+pub(crate) fn upper_bound(query: &[f32], row: &[f32]) -> f32 {
+    let mut codes = Vec::new();
+    let row_bound = encode_bound(row, &mut codes);
+    let q = QueryBound::new(query);
+    q.upper(quant::dot_i8(&q.codes, &codes), row_bound)
+}
 
 /// An append-only exact cosine index over a contiguous row-major store.
 ///
@@ -235,6 +397,11 @@ pub struct VectorIndex {
     dims: usize,
     /// Row-major normalised vectors, `len / dims` rows.
     data: Vec<f32>,
+    /// SQ8 sidecar, derived from `data` and never persisted: row-major
+    /// codes (`dims` per row) and one [`RowBound`] per row. Every path that
+    /// grows `data` grows these in step.
+    codes: Vec<i8>,
+    bounds: Vec<RowBound>,
 }
 
 impl VectorIndex {
@@ -254,6 +421,8 @@ impl VectorIndex {
         VectorIndex {
             dims: 0,
             data: Vec::with_capacity(n.saturating_mul(dims)),
+            codes: Vec::with_capacity(n.saturating_mul(dims)),
+            bounds: Vec::with_capacity(n),
         }
     }
 
@@ -262,7 +431,9 @@ impl VectorIndex {
     /// row-major **already L2-normalised** rows of stride `dims`, exactly as
     /// a live index stores them. This is the snapshot-restore path — feeding
     /// it unnormalised rows silently skews every cosine score, so only pass
-    /// bytes that came out of `raw_rows`.
+    /// bytes that came out of `raw_rows`. The code sidecar is rebuilt here,
+    /// straight into its final buffers, so a restored index scans exactly
+    /// like the one that was captured.
     pub fn from_parts(dims: usize, data: Vec<f32>) -> Result<VectorIndex, String> {
         if data.is_empty() {
             return Ok(VectorIndex::new());
@@ -276,7 +447,17 @@ impl VectorIndex {
                 data.len()
             ));
         }
-        Ok(VectorIndex { dims, data })
+        let mut codes = Vec::with_capacity(data.len());
+        let bounds: Vec<RowBound> = data
+            .chunks_exact(dims)
+            .map(|row| encode_bound(row, &mut codes))
+            .collect();
+        Ok(VectorIndex {
+            dims,
+            data,
+            codes,
+            bounds,
+        })
     }
 
     /// The raw row-major store behind the index: `(stride, rows)`. Rows are
@@ -306,7 +487,30 @@ impl VectorIndex {
         let start = self.data.len();
         self.data.extend_from_slice(v);
         l2_normalize(&mut self.data[start..]);
+        let bound = encode_bound(&self.data[start..], &mut self.codes);
+        self.bounds.push(bound);
         start / self.dims
+    }
+
+    /// Move every row of `other` onto the end of this index, keeping their
+    /// order. Rows are already normalised and encoded, so this is three
+    /// buffer appends — bulk builders fill partial indexes on worker threads
+    /// and stitch them here.
+    ///
+    /// # Panics
+    /// If both indexes hold rows and their strides differ.
+    pub fn append(&mut self, other: VectorIndex) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            self.dims = other.dims;
+        } else {
+            assert_eq!(other.dims, self.dims, "inconsistent vector dimensionality");
+        }
+        self.data.extend_from_slice(&other.data);
+        self.codes.extend_from_slice(&other.codes);
+        self.bounds.extend_from_slice(&other.bounds);
     }
 
     pub fn len(&self) -> usize {
@@ -353,10 +557,9 @@ impl VectorIndex {
         // dominates (no merge step) when there are many of them, and nesting
         // the parallel scan inside the fan-out would spawn threads².
         t2v_parallel::par_map(queries, |q| {
-            assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
             let mut qn = q.to_vec();
             l2_normalize(&mut qn);
-            self.scan(0, &self.data, &qn, k)
+            self.top_k_with(Kernel::detect(), 1, &qn, k)
         })
     }
 
@@ -373,10 +576,7 @@ impl VectorIndex {
                 .map(|q| self.top_k_prenormalized(q, k))
                 .collect();
         }
-        t2v_parallel::par_map(queries, |q| {
-            assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
-            self.scan(0, &self.data, q, k)
-        })
+        t2v_parallel::par_map(queries, |q| self.top_k_with(Kernel::detect(), 1, q, k))
     }
 
     /// `top_k` for a query that is already L2-normalised (the embedder's
@@ -389,13 +589,25 @@ impl VectorIndex {
     /// a test seam for exercising multi-threaded chunking on any host.
     #[doc(hidden)]
     pub fn top_k_prenormalized_in(&self, threads: usize, query: &[f32], k: usize) -> Vec<Hit> {
+        self.top_k_with(Kernel::detect(), threads, query, k)
+    }
+
+    /// The one scan entry point: explicit integer kernel and worker count.
+    /// Neither can change a result — only how fast it arrives.
+    pub(crate) fn top_k_with(
+        &self,
+        kernel: Kernel,
+        threads: usize,
+        query: &[f32],
+        k: usize,
+    ) -> Vec<Hit> {
         if k == 0 || self.is_empty() {
             return Vec::new();
         }
         assert_eq!(query.len(), self.dims, "query dimensionality mismatch");
-        let rows = self.len();
-        if rows < PAR_SCAN_THRESHOLD {
-            return self.scan(0, &self.data, query, k);
+        let bound = QueryBound::new(query);
+        if threads <= 1 || self.len() < PAR_SCAN_THRESHOLD {
+            return self.scan(kernel, 0, &self.data, query, &bound, k);
         }
         // min_chunk in *elements*; granularity = the row stride, so chunk
         // boundaries always fall between rows, never through one.
@@ -407,7 +619,7 @@ impl VectorIndex {
             |offset, chunk| {
                 debug_assert_eq!(offset % self.dims, 0);
                 debug_assert_eq!(chunk.len() % self.dims, 0);
-                self.scan(offset / self.dims, chunk, query, k)
+                self.scan(kernel, offset / self.dims, chunk, query, &bound, k)
             },
             |a, b| merge_topk(a, b, k),
         )
@@ -415,38 +627,40 @@ impl VectorIndex {
     }
 
     /// Sequential heap scan over `chunk` (rows starting at `first_id`),
-    /// returning up to `k` hits sorted best-first.
-    fn scan(&self, first_id: usize, chunk: &[f32], query: &[f32], k: usize) -> Vec<Hit> {
-        if k == 0 {
-            // Callers mostly guard this, but the floor bookkeeping below
-            // would peek an empty heap for k = 0.
-            return Vec::new();
+    /// returning up to `k` hits sorted best-first. The sidecar is indexed by
+    /// global row id, so a chunk deep inside the store reads its own codes.
+    fn scan(
+        &self,
+        kernel: Kernel,
+        first_id: usize,
+        chunk: &[f32],
+        query: &[f32],
+        bound: &QueryBound,
+        k: usize,
+    ) -> Vec<Hit> {
+        let dims = self.dims;
+        let mut top = TopK::new(k);
+        let mut code_dots = [0i32; PREFILTER_BLOCK];
+        for (b, block) in chunk.chunks(PREFILTER_BLOCK * dims).enumerate() {
+            let base = first_id + b * PREFILTER_BLOCK;
+            let rows = block.len() / dims;
+            quant::dot_i8_rows_in(
+                kernel,
+                &bound.codes,
+                &self.codes[base * dims..(base + rows) * dims],
+                &mut code_dots[..rows],
+            );
+            for (j, v) in block.chunks_exact(dims).enumerate() {
+                let id = base + j;
+                // Prefilter: `score <= upper`, so a rejected `upper` is a
+                // row the exact offer below would drop anyway.
+                if top.rejects(bound.upper(code_dots[j], self.bounds[id])) {
+                    continue;
+                }
+                top.offer(id, dot(query, v).clamp(-1.0, 1.0));
+            }
         }
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(k + 1);
-        // Score below which a row cannot enter the heap. Ids grow with the
-        // scan, so a row that merely *ties* the current k-th best loses the
-        // lower-id-wins tie-break and can be skipped without heap traffic —
-        // the common case once the heap is warm.
-        let mut floor = f32::NEG_INFINITY;
-        for (row, v) in chunk.chunks_exact(self.dims).enumerate() {
-            let score = dot(query, v).clamp(-1.0, 1.0);
-            if score <= floor && heap.len() >= k {
-                continue;
-            }
-            heap.push(HeapItem(Hit {
-                id: first_id + row,
-                score,
-            }));
-            if heap.len() > k {
-                heap.pop();
-            }
-            if heap.len() >= k {
-                floor = heap.peek().expect("heap is non-empty").0.score;
-            }
-        }
-        let mut hits: Vec<Hit> = heap.into_iter().map(|h| h.0).collect();
-        hits.sort_unstable_by(best_first);
-        hits
+        top.into_sorted()
     }
 }
 
@@ -480,6 +694,25 @@ mod tests {
         let mut v = vec![0.0; dims];
         v[dir] = 1.0;
         v
+    }
+
+    /// The scan as it was before the prefilter — every row through the f32
+    /// dot, one thread — kept as the oracle the two-level scan must equal
+    /// hit for hit and bit for bit.
+    fn f32_scan(idx: &VectorIndex, query: &[f32], k: usize) -> Vec<Hit> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut top = TopK::new(k);
+        for (id, v) in idx.data.chunks_exact(idx.dims.max(1)).enumerate() {
+            top.offer(id, dot(query, v).clamp(-1.0, 1.0));
+        }
+        top.into_sorted()
+    }
+
+    fn normalized(mut q: Vec<f32>) -> Vec<f32> {
+        l2_normalize(&mut q);
+        q
     }
 
     #[test]
@@ -618,18 +851,8 @@ mod tests {
         }
         let q = vec![0.3, 0.1, 0.9, 0.0, 0.2, 0.0, 0.4, 0.6];
         let wide = idx.top_k(&q, 12);
-        // Force a single-threaded scan of the same data for comparison.
-        let seq = idx.scan(
-            0,
-            &idx.data,
-            &{
-                let mut qq = q.clone();
-                l2_normalize(&mut qq);
-                qq
-            },
-            12,
-        );
-        assert_eq!(wide, seq);
+        // The single-threaded f32 scan of the same data for comparison.
+        assert_eq!(wide, f32_scan(&idx, &normalized(q), 12));
     }
 
     #[test]
@@ -680,9 +903,8 @@ mod tests {
             idx.add(v);
         }
         let q: Vec<f32> = (0..dims).map(|i| 0.1 + (i as f32) * 0.05).collect();
-        let mut qn = q.clone();
-        l2_normalize(&mut qn);
-        let seq = idx.scan(0, &idx.data, &qn, 10);
+        let qn = normalized(q);
+        let seq = f32_scan(&idx, &qn, 10);
         for threads in [2, 3, 5, 7] {
             let par = idx.top_k_prenormalized_in(threads, &qn, 10);
             assert_eq!(par, seq, "threads={threads}");
@@ -695,12 +917,213 @@ mod tests {
         for i in 0..3000 {
             idx.add(unit(i % 3, 3));
         }
-        // Sequential, forced-parallel, and batch (2 queries × 3000 rows
-        // crosses the batch threshold) must all return empty hit lists.
+        // Sequential, forced-parallel, and batch (enough queries × 3000 rows
+        // to cross the batch threshold) must all return empty hit lists.
         assert!(idx.top_k(&unit(0, 3), 0).is_empty());
         assert!(idx.top_k_prenormalized_in(3, &unit(0, 3), 0).is_empty());
-        let batch = idx.top_k_batch(&[unit(0, 3), unit(1, 3)], 0);
-        assert_eq!(batch.len(), 2);
-        assert!(batch.iter().all(Vec::is_empty));
+        let queries: Vec<Vec<f32>> = (0..PAR_SCAN_THRESHOLD / 3000 + 1)
+            .map(|i| unit(i % 3, 3))
+            .collect();
+        assert!(idx.len() * queries.len() >= PAR_SCAN_THRESHOLD);
+        for batch in [
+            idx.top_k_batch(&queries, 0),
+            idx.top_k_batch_prenormalized(&queries, 0),
+        ] {
+            assert_eq!(batch.len(), queries.len());
+            assert!(batch.iter().all(Vec::is_empty));
+        }
+    }
+
+    /// Ids, order and score *bits* (NaN included) of two hit lists.
+    fn bits(hits: &[Hit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
+    /// Deterministic pseudo-random vectors: mostly sparse, like the hashed
+    /// embeddings the scan is built for.
+    fn scattered_rows(rows: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut s = seed | 1;
+        let mut component = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if s.is_multiple_of(4) {
+                (s >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            } else {
+                0.0
+            }
+        };
+        (0..rows)
+            .map(|_| (0..dims).map(|_| component()).collect())
+            .collect()
+    }
+
+    fn scattered(rows: usize, dims: usize, seed: u64) -> VectorIndex {
+        let mut idx = VectorIndex::with_capacity_dims(rows, dims);
+        for row in scattered_rows(rows, dims, seed) {
+            idx.add_slice(&row);
+        }
+        idx
+    }
+
+    #[test]
+    fn prefiltered_scan_equals_the_f32_scan_on_every_kernel() {
+        // Strides around every kernel width, so block loops, the 16-wide
+        // step and the scalar tail all carry real codes.
+        for dims in [1usize, 3, 15, 16, 17, 31, 33, 63, 64, 65, 100, 256] {
+            let idx = scattered(700, dims, 0xfeed ^ dims as u64);
+            for probe in [0usize, 13, 699] {
+                let q = idx.get(probe).unwrap().to_vec();
+                for k in [1usize, 10, 699, 700, 5000] {
+                    let want = bits(&f32_scan(&idx, &q, k));
+                    for kernel in [Kernel::BASELINE, Kernel::detect()] {
+                        let got = idx.top_k_with(kernel, 1, &q, k);
+                        assert_eq!(bits(&got), want, "dims={dims} k={k} {kernel:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefilter_actually_skips_rows() {
+        // Not a correctness property — the scan is exact either way — but
+        // the reason it exists: nearly every row's bound must fall below a
+        // warm floor so the f32 dot is not recomputed for it.
+        let idx = scattered(6000, 256, 7);
+        let q = idx.get(42).unwrap().to_vec();
+        let bound = QueryBound::new(&q);
+        let floor = f32_scan(&idx, &q, 10).last().unwrap().score;
+        let survivors = (0..idx.len())
+            .filter(|&id| {
+                let codes = &idx.codes[id * 256..(id + 1) * 256];
+                bound.upper(quant::dot_i8(&bound.codes, codes), idx.bounds[id]) > floor
+            })
+            .count();
+        assert!(survivors >= 10, "the top-k themselves must survive");
+        assert!(
+            survivors < idx.len() / 10,
+            "{survivors} of 6000 rows survive"
+        );
+    }
+
+    #[test]
+    fn non_finite_rows_and_queries_are_always_rescored() {
+        let dims = 24;
+        let mut idx = scattered(300, dims, 99);
+        // Rows carrying NaN / ±inf, placed after the heap is warm.
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut row = vec![0.25f32; dims];
+            row[5] = poison;
+            idx.add(row);
+        }
+        // `add` normalises, which spreads the poison; `from_parts` keeps a
+        // single bad component next to finite ones.
+        let (_, raw) = idx.raw_rows();
+        let mut raw = raw.to_vec();
+        raw[17 * dims + 3] = f32::NAN;
+        raw[130 * dims + 9] = f32::INFINITY;
+        let idx = VectorIndex::from_parts(dims, raw).unwrap();
+        assert!(idx.bounds[17].residual.is_infinite());
+        assert!(idx.bounds[130].residual.is_infinite());
+
+        let clean = idx.get(40).unwrap().to_vec();
+        let mut nan_query = clean.clone();
+        nan_query[0] = f32::NAN;
+        let mut inf_query = clean.clone();
+        inf_query[7] = f32::INFINITY;
+        for q in [&clean, &nan_query, &inf_query] {
+            for k in [1usize, 5, 400] {
+                let want = bits(&f32_scan(&idx, q, k));
+                for kernel in [Kernel::BASELINE, Kernel::detect()] {
+                    assert_eq!(bits(&idx.top_k_with(kernel, 1, q, k)), want, "k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_rows_and_zero_queries_score_positive_zero_in_id_order() {
+        let dims = 64;
+        let mut idx = VectorIndex::new();
+        for i in 0..50 {
+            idx.add(if i % 2 == 0 {
+                vec![0.0; dims]
+            } else {
+                unit(i % dims, dims)
+            });
+        }
+        let zero_query = idx.top_k_prenormalized(&vec![0.0; dims], 7);
+        assert_eq!(
+            bits(&zero_query),
+            (0..7).map(|id| (id, 0f32.to_bits())).collect::<Vec<_>>()
+        );
+        // A query orthogonal to everything but one row: the zero rows tie at
+        // +0.0 with the orthogonal ones and ids decide.
+        let hits = idx.top_k_prenormalized(&unit(1, dims), 4);
+        assert_eq!(
+            bits(&hits),
+            vec![
+                (1, 1f32.to_bits()),
+                (0, 0f32.to_bits()),
+                (2, 0f32.to_bits()),
+                (3, 0f32.to_bits())
+            ]
+        );
+        assert_eq!(bits(&hits), bits(&f32_scan(&idx, &unit(1, dims), 4)));
+    }
+
+    #[test]
+    fn chunked_scan_reads_the_sidecar_by_global_id() {
+        // The best rows sit at the very end, so a chunk that read codes from
+        // the start of the sidecar instead of its own offset would bound
+        // them with the wrong rows' constants and drop them.
+        let dims = 20;
+        let rows = PAR_SCAN_THRESHOLD + 777;
+        let mut idx = scattered(rows - 3, dims, 5);
+        let target: Vec<f32> = (0..dims).map(|i| 1.0 + i as f32 * 0.1).collect();
+        for bump in [0.0f32, 1e-3, 2e-3] {
+            let mut row = target.clone();
+            row[0] += bump;
+            idx.add(row);
+        }
+        let q = normalized(target);
+        let want = f32_scan(&idx, &q, 5);
+        assert_eq!(want[0].id, rows - 3);
+        for threads in [1usize, 2, 3, 4] {
+            for kernel in [Kernel::BASELINE, Kernel::detect()] {
+                let got = idx.top_k_with(kernel, threads, &q, 5);
+                assert_eq!(bits(&got), bits(&want), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_equals_inserting_in_order() {
+        let rows = scattered_rows(90, 12, 3);
+        let mut whole = VectorIndex::new();
+        let mut stitched = VectorIndex::new();
+        stitched.append(VectorIndex::new());
+        for part in rows.chunks(25) {
+            let mut piece = VectorIndex::new();
+            for row in part {
+                whole.add_slice(row);
+                piece.add_slice(row);
+            }
+            stitched.append(piece);
+        }
+        assert_eq!(stitched.len(), 90);
+        assert!(stitched.raw_rows() == whole.raw_rows());
+        assert!(stitched.codes == whole.codes && stitched.bounds == whole.bounds);
+        let q = whole.get(31).unwrap();
+        assert_eq!(stitched.top_k(q, 9), whole.top_k(q, 9));
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_same_sidecar() {
+        let built = scattered(300, 10, 11);
+        let (dims, raw) = built.raw_rows();
+        let restored = VectorIndex::from_parts(dims, raw.to_vec()).unwrap();
+        assert!(restored.codes == built.codes && restored.bounds == built.bounds);
     }
 }

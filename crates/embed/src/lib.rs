@@ -8,6 +8,7 @@
 
 pub mod embedder;
 pub mod index;
+pub mod quant;
 
 pub use embedder::{cosine, l2_normalize, EmbedConfig, EmbedderParts, PhraseRow, TextEmbedder};
 pub use index::{best_first, dot as fused_dot, Hit, IndexKind, VectorIndex};
@@ -15,7 +16,44 @@ pub use index::{best_first, dot as fused_dot, Hit, IndexKind, VectorIndex};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::quant::Kernel;
     use proptest::prelude::*;
+
+    /// Widest generated stride; cases cut their vectors down to a stride
+    /// drawn from [`STRIDES`], which straddle every kernel width.
+    const MAX_DIMS: usize = 100;
+    const STRIDES: [usize; 10] = [1, 7, 12, 15, 16, 17, 33, 64, 65, MAX_DIMS];
+
+    /// Reshape raw uniform components into one of the shapes the prefilter
+    /// has to survive: dense, 25 %-sparse (what hashed embeddings look
+    /// like), or saturated to {-1, 0, 1} so the codes sit at ±127.
+    fn shaped(mut v: Vec<f32>, dims: usize, shape: usize) -> Vec<f32> {
+        v.truncate(dims);
+        for (i, x) in v.iter_mut().enumerate() {
+            match shape {
+                1 if x.to_bits().wrapping_add(i as u32) % 4 != 0 => *x = 0.0,
+                2 => *x = if x.abs() < 0.4 { 0.0 } else { x.signum() },
+                _ => {}
+            }
+        }
+        v
+    }
+
+    /// Append copies of existing rows: exact duplicates (`nudge` 0) and
+    /// near-ties one ulp up or down in a single component.
+    fn plant_ties(vectors: &mut Vec<Vec<f32>>, ties: &[(usize, usize, u8)]) {
+        for &(from, at, nudge) in ties {
+            let mut row = vectors[from % vectors.len()].clone();
+            let at = at % row.len();
+            let x = &mut row[at];
+            *x = match nudge {
+                1 => f32::from_bits(x.to_bits() + 1),
+                2 if *x != 0.0 => f32::from_bits(x.to_bits() - 1),
+                _ => *x,
+            };
+            vectors.push(row);
+        }
+    }
 
     /// Reference top-k: score every row with the same fused dot the index
     /// uses (bit-identical scores), then fully sort with the documented
@@ -100,6 +138,87 @@ mod proptests {
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.id, w.id);
                 prop_assert!(g.score == w.score, "score mismatch: {:?} vs {:?}", g, w);
+            }
+        }
+
+        /// The two-level scan — integer prefilter, f32 rescore of survivors
+        /// — returns the brute-force answer bit for bit on every kernel and
+        /// worker count: ids, order and score bits, for dense, sparse and
+        /// saturated rows, exact duplicates, one-ulp near-ties, strides that
+        /// exercise every kernel tail, and k on both sides of the row count.
+        #[test]
+        fn prefiltered_scan_matches_reference(
+            vectors in prop::collection::vec(prop::collection::vec(-1f32..1.0, MAX_DIMS), 1..40),
+            query in prop::collection::vec(-1f32..1.0, MAX_DIMS),
+            stride in prop::sample::select(STRIDES.to_vec()),
+            shape in 0usize..3,
+            k in 1usize..60,
+            ties in prop::collection::vec((0usize..1000, 0usize..1000, 0u8..3), 0..8),
+        ) {
+            let mut vectors: Vec<Vec<f32>> = vectors
+                .into_iter()
+                .map(|v| shaped(v, stride, shape))
+                .collect();
+            plant_ties(&mut vectors, &ties);
+            let raw_query = shaped(query, stride, shape);
+            let mut query = raw_query.clone();
+            l2_normalize(&mut query);
+            let mut idx = VectorIndex::new();
+            for v in &vectors { idx.add_slice(v); }
+            let want = reference_topk(&vectors, &raw_query, k);
+            for kernel in [Kernel::BASELINE, Kernel::detect()] {
+                for threads in [1usize, 3] {
+                    let got = idx.top_k_with(kernel, threads, &query, k);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(g.id, w.id);
+                        prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+                    }
+                }
+            }
+        }
+
+        /// The inequality the prefilter rests on, checked directly: the
+        /// bound is never below the score the f32 kernel computes — for
+        /// unit rows as stored, and for arbitrary magnitudes (a restored
+        /// store is not re-normalised), tiny enough to underflow included.
+        /// Loosening the slack or the margin fails here, on the pair that
+        /// breaks it, rather than on a rare top-k miss.
+        #[test]
+        fn upper_bound_dominates_the_f32_dot(
+            rows in prop::collection::vec(prop::collection::vec(-1f32..1.0, MAX_DIMS), 1..12),
+            query in prop::collection::vec(-1f32..1.0, MAX_DIMS),
+            stride in prop::sample::select(STRIDES.to_vec()),
+            shape in 0usize..3,
+            row_scale in prop::sample::select(vec![1.0f32, 1e-3, 37.5, 1e-19, 1e-30]),
+            query_scale in prop::sample::select(vec![1.0f32, 1e-3, 37.5, 1e-19]),
+            ties in prop::collection::vec((0usize..1000, 0usize..1000, 0u8..3), 0..4),
+        ) {
+            let mut rows: Vec<Vec<f32>> = rows
+                .into_iter()
+                .map(|v| shaped(v, stride, shape))
+                .collect();
+            plant_ties(&mut rows, &ties);
+            let query = shaped(query, stride, shape);
+            rows.push(query.clone()); // the row that scores highest of all
+            let scaled = |v: &[f32], by: f32| -> Vec<f32> { v.iter().map(|x| x * by).collect() };
+            let mut unit_query = query.clone();
+            l2_normalize(&mut unit_query);
+            for row in &rows {
+                let mut unit_row = row.clone();
+                l2_normalize(&mut unit_row);
+                for (q, v) in [
+                    (unit_query.clone(), unit_row),
+                    (scaled(&query, query_scale), scaled(row, row_scale)),
+                ] {
+                    let score = fused_dot(&q, &v);
+                    let ub = crate::index::upper_bound(&q, &v);
+                    // A row is skipped iff `ub <= floor`, so what must never
+                    // hold is `ub < score` (a NaN bound — denormal or
+                    // non-finite input — skips nothing).
+                    let skippable = ub < score;
+                    prop_assert!(!skippable, "bound {} < score {} for {:?} · {:?}", ub, score, q, v);
+                }
             }
         }
 

@@ -2,11 +2,12 @@
 //! the nvBench training split, and the annotated database collection.
 //!
 //! Building the library is the dominant cost of `Gred::prepare` (two
-//! embeddings per training example), so it fans the embedding work across
-//! threads and shares per-database schema text via `Arc<str>` instead of
-//! cloning a full `String` into every entry. Output is byte-identical to a
-//! sequential build: results are collected in training order and inserted
-//! into the indexes in that order.
+//! embeddings per training example, each normalised and SQ8-encoded on
+//! insert), so it fans that work across threads — every worker fills partial
+//! indexes for its windows of the training split — and shares per-database
+//! schema text via `Arc<str>` instead of cloning a full `String` into every
+//! entry. Output is byte-identical to a sequential build: the partial
+//! indexes are appended in training order.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -40,6 +41,10 @@ pub struct AnnPair {
     pub dvq: IvfIndex,
 }
 
+/// Training examples embedded and indexed per work item of the parallel
+/// library build.
+const BUILD_WINDOW: usize = 256;
+
 /// The embedding vector library: every training NLQ and DVQ embedded with
 /// the pre-trained text embedding model.
 pub struct EmbeddingLibrary {
@@ -68,17 +73,31 @@ impl EmbeddingLibrary {
             .map(|db| Arc::from(db.id.as_str()))
             .collect();
 
-        // Embed NLQ and DVQ pairs across threads; order is preserved.
-        let pairs: Vec<(Vec<f32>, Vec<f32>)> = t2v_parallel::par_map(&corpus.train, |ex| {
-            (embedder.embed(&ex.nlq), embedder.embed(&ex.dvq_text))
+        // Embed and index NLQ and DVQ pairs across threads, one partial
+        // index pair per window; `par_map` preserves window order.
+        let dims = embedder.dims();
+        let windows: Vec<&[_]> = corpus.train.chunks(BUILD_WINDOW).collect();
+        let parts = t2v_parallel::par_map(&windows, |window| {
+            let mut nlq = VectorIndex::with_capacity_dims(window.len(), dims);
+            let mut dvq = VectorIndex::with_capacity_dims(window.len(), dims);
+            let mut scratch = vec![0f32; dims];
+            for ex in window.iter() {
+                embedder.embed_into(&ex.nlq, &mut scratch);
+                nlq.add_slice(&scratch);
+                embedder.embed_into(&ex.dvq_text, &mut scratch);
+                dvq.add_slice(&scratch);
+            }
+            (nlq, dvq)
         });
+        let mut nlq_index = VectorIndex::with_capacity_dims(corpus.train.len(), dims);
+        let mut dvq_index = VectorIndex::with_capacity_dims(corpus.train.len(), dims);
+        for (nlq, dvq) in parts {
+            nlq_index.append(nlq);
+            dvq_index.append(dvq);
+        }
 
         let mut entries = Vec::with_capacity(corpus.train.len());
-        let mut nlq_index = VectorIndex::with_capacity_dims(corpus.train.len(), embedder.dims());
-        let mut dvq_index = VectorIndex::with_capacity_dims(corpus.train.len(), embedder.dims());
-        for (ex, (nlq_vec, dvq_vec)) in corpus.train.iter().zip(&pairs) {
-            nlq_index.add_slice(nlq_vec);
-            dvq_index.add_slice(dvq_vec);
+        for ex in &corpus.train {
             entries.push(LibEntry {
                 db: ex.db,
                 db_id: Arc::clone(&db_ids[ex.db]),

@@ -12,9 +12,12 @@
 //! * **Contiguous chunking** — each worker owns one contiguous slice of the
 //!   input, which keeps per-item overhead at one index addition and plays
 //!   well with prefetching.
-//! * **No pool** — threads are spawned per call and joined before return.
-//!   Fan-out is only worth it for coarse work; callers gate on input size
-//!   (see `PAR_THRESHOLD` constants at the call sites).
+//! * **No pool** — threads are spawned per call and joined before return,
+//!   which costs tens of microseconds (~70 µs measured on 2 vCPUs). These
+//!   primitives never decide whether that is worth paying: each call site
+//!   owns a threshold derived from a measurement of *its* work (the flat
+//!   scan's `PAR_SCAN_THRESHOLD` is the worked example — at 4096 rows the
+//!   fan-out it used to gate bought no wall time and doubled CPU).
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;

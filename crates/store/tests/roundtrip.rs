@@ -69,12 +69,32 @@ fn roundtrip_reproduces_library_bytes_and_interning() {
         loaded.library.dvq_index.raw_rows().1,
         library.dvq_index.raw_rows().1
     );
-    for ex in corpus.dev.iter().take(10) {
-        let q = embedder.embed(&ex.nlq);
-        assert_eq!(
-            loaded.library.nlq_index.top_k_prenormalized(&q, 10),
-            library.nlq_index.top_k_prenormalized(&q, 10)
-        );
+    // The restored index rebuilt its 8-bit prefilter sidecar from those rows
+    // (it is derived state, never persisted); both retrieval directions,
+    // every dev query, k on both sides of the row count and the chunked
+    // scan must agree with the built library to the score bit.
+    let rows = library.len();
+    for (restored, built) in [
+        (&loaded.library.nlq_index, &library.nlq_index),
+        (&loaded.library.dvq_index, &library.dvq_index),
+    ] {
+        for ex in &corpus.dev {
+            for text in [&ex.nlq, &ex.dvq_text] {
+                let q = embedder.embed(text);
+                for k in [1, 10, rows + 5] {
+                    let want = built.top_k_prenormalized(&q, k);
+                    for got in [
+                        restored.top_k_prenormalized(&q, k),
+                        restored.top_k_prenormalized_in(3, &q, k),
+                    ] {
+                        assert_eq!(got.len(), want.len());
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!((g.id, g.score.to_bits()), (w.id, w.score.to_bits()));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     // The embedder reconstructs behaviourally identical.
