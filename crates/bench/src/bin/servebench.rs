@@ -37,10 +37,9 @@
 //!   one server while a small bounded set of in-flight requests sweeps
 //!   round-robin across *all* of them, so every socket carries traffic but
 //!   almost all are idle at any instant — the fleet-of-dashboards shape the
-//!   event driver exists for. Runs a connection-count grid (100 / 1 000 /
-//!   N) against both `net=event` and `net=threaded`, reporting per-cell
-//!   p50/p95/p99 under `serving.concurrency`; `--open-loop` runs *only*
-//!   this axis (the others' rows are preserved).
+//!   event loop exists for. Runs a connection-count grid (100 / 1 000 /
+//!   N), reporting per-cell p50/p95/p99 under `serving.concurrency.event`;
+//!   `--open-loop` runs *only* this axis (the others' rows are preserved).
 //!
 //! * **chaos** (`--chaos`) — a deterministic fault storm (DESIGN.md §11):
 //!   baseline traffic, then `t2v-fault` arms `backend.error` against the
@@ -140,14 +139,12 @@ fn main() {
 
     if open_loop {
         let report = run_concurrency(&corpus, clients, Duration::from_secs(secs), connections);
-        for (net, rows) in &report.nets {
-            for row in rows {
-                println!(
-                    "  {net:<8} c={:<6} {:>8.0} req/s  p50 {:>8.1} µs  p95 {:>8.1} µs  p99 {:>8.1} µs  503s {}  errors {}  conn failures {}",
-                    row.connections, row.rps, row.p50_us, row.p95_us, row.p99_us,
-                    row.rejected, row.other_errors, row.conn_failures
-                );
-            }
+        for row in &report.rows {
+            println!(
+                "  c={:<6} {:>8.0} req/s  p50 {:>8.1} µs  p95 {:>8.1} µs  p99 {:>8.1} µs  503s {}  errors {}  conn failures {}",
+                row.connections, row.rps, row.p50_us, row.p95_us, row.p99_us,
+                row.rejected, row.other_errors, row.conn_failures
+            );
         }
         merge_report(
             &out_path,
@@ -891,8 +888,8 @@ struct ConcRow {
 }
 
 struct ConcReport {
-    /// Rows per driver (`"event"`, `"threaded"`), ascending connection count.
-    nets: Vec<(String, Vec<ConcRow>)>,
+    /// One row per grid cell, ascending connection count.
+    rows: Vec<ConcRow>,
 }
 
 /// The open-loop concurrency axis: hold `connections` keep-alive sockets
@@ -900,7 +897,7 @@ struct ConcReport {
 /// one blocking request each) round-robin across all of them. Most sockets
 /// are idle at any instant — exactly the many-dashboards shape — so the
 /// measured quantity is how request latency degrades as the *open socket
-/// count* grows, for each connection driver.
+/// count* grows.
 fn run_concurrency(
     corpus: &t2v_corpus::Corpus,
     clients: usize,
@@ -934,35 +931,26 @@ fn run_concurrency(
         "servebench: open-loop concurrency axis — {} sockets grid {:?}, {clients} in flight",
         connections, grid
     );
-    let mut nets = Vec::new();
-    for net in ["event", "threaded"] {
-        let mut config = ServeConfig::default();
-        config.set("addr", "127.0.0.1:0").unwrap();
-        config.set("backends", "gred").unwrap();
-        config.set("net", net).unwrap();
-        config
-            .set("max_connections", &(connections + 128).to_string())
-            .unwrap();
-        let state = Arc::new(
-            ServerState::from_corpus(corpus, config).expect("concurrency axis state builds"),
-        );
-        let mut rows = Vec::with_capacity(grid.len());
-        for &count in &grid {
-            // Fresh server per cell: connection gauges start from zero and
-            // a straggler socket from the previous cell can't leak in.
-            let server = Server::spawn(Arc::clone(&state)).expect("bind loopback");
-            rows.push(run_concurrency_cell(
-                net, corpus, &server, clients, secs, count,
-            ));
-            server.shutdown();
-        }
-        nets.push((net.to_string(), rows));
+    let mut config = ServeConfig::default();
+    config.set("addr", "127.0.0.1:0").unwrap();
+    config.set("backends", "gred").unwrap();
+    config
+        .set("max_connections", &(connections + 128).to_string())
+        .unwrap();
+    let state =
+        Arc::new(ServerState::from_corpus(corpus, config).expect("concurrency axis state builds"));
+    let mut rows = Vec::with_capacity(grid.len());
+    for &count in &grid {
+        // Fresh server per cell: connection gauges start from zero and
+        // a straggler socket from the previous cell can't leak in.
+        let server = Server::spawn(Arc::clone(&state)).expect("bind loopback");
+        rows.push(run_concurrency_cell(corpus, &server, clients, secs, count));
+        server.shutdown();
     }
-    ConcReport { nets }
+    ConcReport { rows }
 }
 
 fn run_concurrency_cell(
-    net: &str,
     corpus: &t2v_corpus::Corpus,
     server: &Server,
     clients: usize,
@@ -993,8 +981,7 @@ fn run_concurrency_cell(
     let drivers = clients.clamp(1, connections);
     let stop = AtomicBool::new(false);
     // The timed window opens only after *every* socket is established —
-    // connect cost varies wildly between drivers (the threaded acceptor
-    // spawns a thread per socket) and must not eat into the measurement.
+    // connect cost must not eat into the measurement.
     let ready = std::sync::Barrier::new(drivers + 1);
     let all: Vec<(ClientStats, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..drivers)
@@ -1048,7 +1035,7 @@ fn run_concurrency_cell(
         conn_failures,
     };
     println!(
-        "  {net}/c{connections}: {:.0} req/s over {} sockets (p99 {:.1} µs, {} failures)",
+        "  c{connections}: {:.0} req/s over {} sockets (p99 {:.1} µs, {} failures)",
         row.rps, connections, row.p99_us, conn_failures
     );
     row
@@ -1304,29 +1291,27 @@ fn merge_report(out_path: &str, clients: usize, secs: u64, sections: MergeSectio
     match concurrency {
         Some(report) => {
             let round1 = |x: f64| (x * 10.0).round() / 10.0;
-            let mut nets = Json::Obj(Default::default());
-            for (net, rows) in &report.nets {
-                let mut cells = Json::Obj(Default::default());
-                for row in rows {
-                    cells.set(
-                        &format!("c{}", row.connections),
-                        Json::obj([
-                            ("connections", Json::Num(row.connections as f64)),
-                            ("requests", Json::Num(row.requests as f64)),
-                            ("rps", Json::Num(round1(row.rps))),
-                            ("p50_us", Json::Num(round1(row.p50_us))),
-                            ("p95_us", Json::Num(round1(row.p95_us))),
-                            ("p99_us", Json::Num(round1(row.p99_us))),
-                            ("mean_us", Json::Num(round1(row.mean_us))),
-                            ("rejected_503", Json::Num(row.rejected as f64)),
-                            ("other_errors", Json::Num(row.other_errors as f64)),
-                            ("conn_failures", Json::Num(row.conn_failures as f64)),
-                        ]),
-                    );
-                }
-                nets.set(net, cells);
+            let mut cells = Json::Obj(Default::default());
+            for row in &report.rows {
+                cells.set(
+                    &format!("c{}", row.connections),
+                    Json::obj([
+                        ("connections", Json::Num(row.connections as f64)),
+                        ("requests", Json::Num(row.requests as f64)),
+                        ("rps", Json::Num(round1(row.rps))),
+                        ("p50_us", Json::Num(round1(row.p50_us))),
+                        ("p95_us", Json::Num(round1(row.p95_us))),
+                        ("p99_us", Json::Num(round1(row.p99_us))),
+                        ("mean_us", Json::Num(round1(row.mean_us))),
+                        ("rejected_503", Json::Num(row.rejected as f64)),
+                        ("other_errors", Json::Num(row.other_errors as f64)),
+                        ("conn_failures", Json::Num(row.conn_failures as f64)),
+                    ]),
+                );
             }
-            serving.set("concurrency", nets);
+            // The whole section is replaced, under the path the rows have
+            // had since they were first recorded (`concurrency.event`).
+            serving.set("concurrency", Json::obj([("event", cells)]));
         }
         None => {
             if let Some(prior) = doc.get("serving").and_then(|s| s.get("concurrency")) {

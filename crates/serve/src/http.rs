@@ -30,6 +30,14 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The body parsed as JSON, or the 400 that says why it could not be.
+    pub fn json_body(&self) -> Result<t2v_engine::Json, Response> {
+        let text = std::str::from_utf8(&self.body)
+            .map_err(|_| Response::error(400, "body is not UTF-8"))?;
+        t2v_engine::Json::parse(text)
+            .map_err(|e| Response::error(400, &format!("invalid JSON: {e}")))
+    }
+
     /// Does the client ask to drop the connection after this exchange?
     pub fn wants_close(&self) -> bool {
         self.header("connection")
@@ -400,12 +408,7 @@ impl Response {
     /// from the [`t2v_core::TranslateError`] taxonomy plus the HTTP-level
     /// codes in [`default_error_code`].
     pub fn error_code(status: u16, code: &str, message: &str) -> Response {
-        let mut body = String::from("{\"error\": {\"code\": ");
-        t2v_engine::Json::str(code).write_compact_into(&mut body);
-        body.push_str(", \"message\": ");
-        t2v_engine::Json::str(message).write_compact_into(&mut body);
-        body.push_str("}}");
-        Response::json(status, body)
+        Response::json(status, error_body(code, message))
     }
 
     /// [`Response::error_code`] with the code derived from the status.
@@ -469,17 +472,25 @@ pub trait BodySink: Write {
     }
 }
 
-impl BodySink for std::io::BufWriter<std::net::TcpStream> {}
 impl BodySink for Vec<u8> {}
+
+/// The structured error envelope as bytes — what [`Response::error_code`]
+/// frames, and what a pool reply carries without a `Response` around it.
+pub fn error_body(code: &str, message: &str) -> Vec<u8> {
+    let mut body = String::from("{\"error\": {\"code\": ");
+    t2v_engine::Json::str(code).write_compact_into(&mut body);
+    body.push_str(", \"message\": ");
+    t2v_engine::Json::str(message).write_compact_into(&mut body);
+    body.push_str("}}");
+    body.into_bytes()
+}
 
 pub fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        308 => "Permanent Redirect",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
-        410 => "Gone",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -495,7 +506,6 @@ pub fn default_error_code(status: u16) -> &'static str {
         400 => "bad_request",
         404 => "not_found",
         405 => "method_not_allowed",
-        410 => "deprecated",
         413 => "payload_too_large",
         500 => "internal",
         503 => "overload",
@@ -525,6 +535,13 @@ pub fn write_streaming_head(
         status_text(status),
         content_type
     )?;
+    w.flush()
+}
+
+/// Write one line of a streaming (NDJSON) body and push it to the peer.
+pub fn write_line(w: &mut (impl Write + ?Sized), line: &[u8]) -> io::Result<()> {
+    w.write_all(line)?;
+    w.write_all(b"\n")?;
     w.flush()
 }
 

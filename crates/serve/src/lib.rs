@@ -27,9 +27,12 @@
 //!   hot-registration path),
 //! * `GET /healthz`, `GET /metrics` — liveness and Prometheus counters
 //!   (request counters by route, per-backend translation/cache/error
-//!   counters and pool shares, cache shard count, library provenance),
-//! * `POST /translate` — **deprecated**: answers 308 → `/v1/translate` (or
-//!   410, `legacy_translate` knob) and never translates.
+//!   counters and pool shares, cache shard count, library provenance).
+//!
+//! One epoll loop ([`event`]) is the only transport; every parsed request
+//! takes the same path through `routes::handle_request`, and every cold
+//! translation the same admission stage in [`translate`] (breaker → pool →
+//! wait under the deadline; DESIGN.md §11).
 //!
 //! Backed by a sharded bounded worker pool (503 on overload, never an
 //! unbounded queue), a sharded LRU+TTL cache keyed by `(backend,
@@ -54,6 +57,7 @@
 //! see [`ServeConfig`] and DESIGN.md §7.
 
 pub mod access_log;
+mod admin;
 pub mod batch;
 pub mod breaker;
 pub mod cache;
@@ -62,18 +66,20 @@ pub mod event;
 pub mod http;
 pub mod metrics;
 pub mod pool;
+mod routes;
 pub mod server;
+pub mod translate;
 
 pub use access_log::AccessLog;
 pub use batch::{BatchRetriever, Batcher};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{CacheStats, Lookup, ShardedTtlLruCache, TtlLruCache};
-pub use config::{ConfigError, CorpusProfile, LegacyRoute, ServeConfig, KNOWN_BACKENDS};
+pub use config::{ConfigError, CorpusProfile, ServeConfig, KNOWN_BACKENDS};
 pub use http::{Body, Request, Response};
 pub use metrics::{BackendMetrics, Metrics, Route, TenantMetrics};
 pub use pool::{OneShot, SubmitError, WorkerPool};
 pub use server::{
-    db_fingerprint, normalize_nlq, render_translation, serve, translate_body, AttachRequest,
-    CacheKey, DbEntry, Reply, Server, ServerState, StartupError, TenantAdminError, TenantRuntime,
-    TenantTable,
+    db_fingerprint, serve, AttachRequest, CacheKey, DbEntry, Server, ServerState, StartupError,
+    TenantAdminError, TenantRuntime, TenantTable,
 };
+pub use translate::{normalize_nlq, render_translation, translate_body, Reply};

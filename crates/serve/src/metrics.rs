@@ -176,19 +176,17 @@ pub enum Route {
     /// keeping route-label cardinality fixed).
     Tenant,
     Admin,
-    Legacy,
     Healthz,
     Metrics,
     Other,
 }
 
-const ROUTES: [(Route, &str); 9] = [
+const ROUTES: [(Route, &str); 8] = [
     (Route::Translate, "translate"),
     (Route::TranslateBatch, "translate_batch"),
     (Route::Backends, "backends"),
     (Route::Tenant, "tenant"),
     (Route::Admin, "admin"),
-    (Route::Legacy, "legacy"),
     (Route::Healthz, "healthz"),
     (Route::Metrics, "metrics"),
     (Route::Other, "other"),
@@ -292,8 +290,7 @@ pub struct Metrics {
     pub rejected: AtomicU64,
     pub connections_total: AtomicU64,
     pub connections_active: AtomicU64,
-    /// Keep-alive connections closed by the idle reaper (event driver) or
-    /// a socket read timeout (threaded driver).
+    /// Connections closed by the event loop's idle reaper.
     pub conn_reaped: AtomicU64,
     /// `accept(2)` failures (EMFILE/ENFILE fd exhaustion, aborted
     /// handshakes); the acceptor backs off instead of spinning.
@@ -892,7 +889,7 @@ mod tests {
         m.record_request(Route::Translate, 200);
         m.record_request(Route::Translate, 404);
         m.record_request(Route::Other, 503);
-        m.record_request(Route::Legacy, 308);
+        m.record_request(Route::Admin, 404);
         m.record_request(Route::Backends, 200);
         m.cache_shards.store(8, Ordering::Relaxed);
         m.backend(0).translations.fetch_add(2, Ordering::Relaxed);
@@ -912,7 +909,7 @@ mod tests {
         assert!(text.contains("t2v_batched_lookups_total 6"));
         assert!(text.contains("t2v_max_batch_size 4"));
         assert!(text.contains("t2v_cache_shards 8"));
-        assert!(text.contains("t2v_http_requests_total{route=\"legacy\",status=\"3xx\"} 1"));
+        assert!(text.contains("t2v_http_requests_total{route=\"admin\",status=\"4xx\"} 1"));
         assert!(text.contains("t2v_http_requests_total{route=\"backends\",status=\"2xx\"} 1"));
         assert!(text.contains("t2v_backend_translations_total{backend=\"gred\"} 2"));
         assert!(text.contains("t2v_backend_translations_total{backend=\"seq2vis\"} 0"));

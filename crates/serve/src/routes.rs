@@ -1,0 +1,403 @@
+//! One parsed request in, one response out: trace setup, routing, the
+//! response write and trace publication. The event loop's dispatch threads
+//! and the in-memory oracle both enter through [`handle_request`], which
+//! is what keeps their response bytes identical by construction. The
+//! `/v1` wire format is DESIGN.md §8.
+
+use crate::admin::{
+    admin_alerts, admin_profile, admin_snapshot_endpoint, admin_status, admin_tenants_attach,
+    admin_tenants_detach, admin_tenants_list, admin_trace_get, admin_trace_recent, admin_tsdb,
+    trace_json,
+};
+use crate::http::{self, BodySink, Request, Response};
+use crate::metrics::Route;
+use crate::server::{ServerState, Shared, TenantRuntime};
+use crate::translate::{batch_endpoint, splice_field, translate_endpoint};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use t2v_engine::Json;
+use t2v_tenant::DEFAULT_TENANT_ID;
+use t2v_trace::{FinishedTrace, Stage, Trace};
+
+/// Answer an unreadable request: a 400 for a malformed head, a 413 for an
+/// oversized body, counted under `Route::Other`. `Closed`/`Io` errors get
+/// no answer — the connection just hangs up.
+pub(crate) fn write_read_error(shared: &Shared, err: &http::ReadError, out: &mut Vec<u8>) {
+    let (status, message): (u16, &str) = match err {
+        http::ReadError::Malformed(why) => (400, why),
+        http::ReadError::BodyTooLarge => (413, "request body too large"),
+        http::ReadError::Closed | http::ReadError::Io(_) => return,
+    };
+    let resp = Response::error(status, message);
+    shared.state.metrics.record_request(Route::Other, status);
+    let _ = resp.write_to_sink(out, false);
+}
+
+/// Serve one parsed request end to end — trace setup, routing, response
+/// write, trace publication — and say whether the connection may carry
+/// another.
+pub(crate) fn handle_request<W: BodySink + ?Sized>(
+    shared: &Shared,
+    req: &Request,
+    t0: Instant,
+    read_dur: Duration,
+    writer: &mut W,
+) -> bool {
+    // Trace setup (DESIGN.md §12). Every request gets an id (it rides
+    // the `x-t2v-trace-id` header regardless); spans are recorded only
+    // when something could consume them — the client forced it, the
+    // sampler hit, the slow/error override is armed, or the access log
+    // needs per-stage timings. With `trace_sample=0
+    // trace_force_slow_ms=0` and no access log, the whole machinery is
+    // id generation plus no-op guards.
+    let config = &shared.state.config;
+    let force = req
+        .header("x-t2v-trace")
+        .is_some_and(|v| v.trim() == "1" || v.trim().eq_ignore_ascii_case("true"));
+    let trace_id = t2v_trace::new_trace_id();
+    let sampled = config.trace_sample > 0.0 && t2v_trace::sample_hit(trace_id, config.trace_sample);
+    let record = force
+        || sampled
+        || (config.trace_force_slow_ms > 0 && shared.state.recorder.is_some())
+        || shared.state.access_log.is_some();
+    let trace = Trace::start_at(trace_id, record, t0);
+    trace.add_span(Stage::ConnRead, t0, read_dur);
+    let scope = trace.scope();
+
+    let keep = !req.wants_close();
+    let tenant = request_tenant(&req.path);
+    let (route, handled) = respond(shared, req, writer);
+    match handled {
+        Handled::Reply(resp) => {
+            // Chaos seam: a `conn.write_stall` fault delays the response
+            // write, modelling a peer (or proxy) draining us slowly.
+            t2v_fault::inject_delay(t2v_fault::FaultPoint::ConnWriteStall);
+            shared.state.metrics.record_request(route, resp.status);
+            // Seal the trace before writing: request-level fields come
+            // off the response itself (headers the endpoints already
+            // set), and the inline tree — when the client asked for it
+            // — must ride in this very body. The `resp.write` span is
+            // appended to the sealed trace after the write (it cannot
+            // be inside a body that is being written), so the recorder
+            // and access log see it; the inline copy does not.
+            drop(scope);
+            let backend = resp_header(&resp, "x-t2v-backend").unwrap_or("");
+            let cache = resp_header(&resp, "x-t2v-cache").unwrap_or("bypass");
+            let degraded = resp_header(&resp, "x-t2v-degraded");
+            let mut finished = trace.finish(resp.status, tenant, backend, cache, degraded);
+            let mut resp = resp.with_header("x-t2v-trace-id", t2v_trace::format_id(trace_id));
+            if force {
+                if let Some(f) = &finished {
+                    if resp.content_type.starts_with("application/json") {
+                        let tree = trace_json(f).compact();
+                        resp.body = splice_field(resp.body.as_slice(), "trace", &tree).into();
+                    }
+                }
+            }
+            let wstart = Instant::now();
+            let ok = resp.write_to_sink(writer, keep);
+            if let Some(f) = &mut finished {
+                let wdur = wstart.elapsed();
+                f.spans.push(t2v_trace::Span {
+                    stage: Stage::Write,
+                    start_ns: wstart.duration_since(t0).as_nanos() as u64,
+                    dur_ns: wdur.as_nanos() as u64,
+                    parent: Some(0),
+                    notes: Vec::new(),
+                });
+                f.total_ns = t0.elapsed().as_nanos() as u64;
+                f.spans[0].dur_ns = f.total_ns;
+            }
+            if let Some(f) = finished {
+                publish_trace(shared, req, force, sampled, f);
+            }
+            ok.is_ok() && keep
+        }
+        // The endpoint already wrote an EOF-delimited streaming body;
+        // the connection closes to mark the end of the stream. A traced
+        // stream gets its span tree as one final NDJSON line.
+        Handled::Streamed { backend } => {
+            shared.state.metrics.record_request(route, 200);
+            drop(scope);
+            if let Some(f) = trace.finish(200, tenant, &backend, "bypass", None) {
+                if force {
+                    let line = Json::obj([("trace", trace_json(&f))]).compact();
+                    let _ = http::write_line(writer, line.as_bytes());
+                }
+                publish_trace(shared, req, force, sampled, f);
+            }
+            false
+        }
+    }
+}
+
+/// The tenant a request path addresses (`default` for unprefixed routes).
+fn request_tenant(path: &str) -> &str {
+    path.strip_prefix("/v1/t/")
+        .and_then(|rest| rest.split('/').next())
+        .filter(|id| !id.is_empty())
+        .unwrap_or(DEFAULT_TENANT_ID)
+}
+
+/// First value of a response header (the endpoints communicate per-request
+/// observability facts — backend, cache outcome, degradation — through the
+/// headers they already set for clients).
+fn resp_header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
+    resp.headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+/// Store / log / count one sealed trace according to the knobs: the
+/// recorder keeps it when the client forced it, the sampler hit, or the
+/// slow/error override fires; the access log always gets its line; a
+/// slow request also charges `t2v_slow_requests_total{stage}` with its
+/// dominant stage.
+fn publish_trace(shared: &Shared, req: &Request, force: bool, sampled: bool, f: FinishedTrace) {
+    let config = &shared.state.config;
+    let slow = config.trace_force_slow_ms > 0
+        && f.total_ns >= config.trace_force_slow_ms.saturating_mul(1_000_000);
+    let error = f.status >= 500;
+    if slow {
+        // A trace that hit the span cap lost spans — its "dominant stage"
+        // would be computed from a partial tree, silently mis-attributing
+        // the slowness. Charge those to an explicit `truncated` bucket
+        // instead (raise `trace_max_spans=` when it grows).
+        if f.dropped_spans > 0 {
+            shared.state.metrics.record_slow_truncated();
+        } else {
+            shared.state.metrics.record_slow(f.dominant_stage());
+        }
+    }
+    if let Some(log) = &shared.state.access_log {
+        log.write_line(&crate::access_log::render_line(&req.method, &req.path, &f));
+    }
+    if force || sampled || slow || error {
+        if let Some(recorder) = &shared.state.recorder {
+            // This trace is retrievable via `/v1/admin/trace/{id}`, so it
+            // can serve as the latency exemplar for its histogram bucket —
+            // the `/metrics` → flight recorder jump (DESIGN.md §15).
+            shared
+                .state
+                .metrics
+                .request_total_latency
+                .record_exemplar(f.total_ns, f.id);
+            recorder.store(Arc::new(f));
+        }
+    }
+}
+
+/// How a request was answered: a framed response to write, or a 200
+/// streaming body the endpoint already wrote itself (by which backend, for
+/// the trace record — there are no response headers left to read it from).
+pub(crate) enum Handled {
+    Reply(Response),
+    Streamed { backend: String },
+}
+
+/// Route one request. Health, metrics, backend listings, and cache hits are
+/// answered on the calling thread; translation misses go through the
+/// worker pool. Tenant-scoped traffic lives under `/v1/t/{tenant}/...`
+/// (same sub-routes as the default tenant's unprefixed `/v1/*`).
+fn respond<W: BodySink + ?Sized>(
+    shared: &Shared,
+    req: &Request,
+    writer: &mut W,
+) -> (Route, Handled) {
+    let reply = |route: Route, resp: Response| (route, Handled::Reply(resp));
+    // Tenant-scoped routes first: /v1/t/{tenant}/{sub}.
+    if let Some(rest) = req.path.strip_prefix("/v1/t/") {
+        let Some((tenant_id, sub)) = rest.split_once('/') else {
+            return reply(Route::Tenant, Response::error(404, "no such route"));
+        };
+        if !matches!(sub, "translate" | "translate/batch" | "backends") {
+            return reply(Route::Tenant, Response::error(404, "no such route"));
+        }
+        let table = shared.state.tenants();
+        let Some(tenant) = table.get(tenant_id) else {
+            return reply(
+                Route::Tenant,
+                Response::error_code(
+                    404,
+                    "unknown_tenant",
+                    &format!("unknown tenant '{tenant_id}'"),
+                ),
+            );
+        };
+        return match (req.method.as_str(), sub) {
+            ("POST", "translate") => (
+                Route::Tenant,
+                translate_endpoint(shared, req, writer, tenant),
+            ),
+            ("POST", "translate/batch") => {
+                reply(Route::Tenant, batch_endpoint(shared, req, tenant))
+            }
+            ("GET", "backends") => reply(Route::Tenant, backends_endpoint(tenant, true)),
+            _ => reply(Route::Tenant, Response::error(405, "method not allowed")),
+        };
+    }
+    // Trace admin routes: a path suffix (the id), so prefix-matched.
+    if let Some(rest) = req.path.strip_prefix("/v1/admin/trace/") {
+        if req.method != "GET" {
+            return reply(Route::Admin, Response::error(405, "method not allowed"));
+        }
+        let resp = if rest == "recent" {
+            admin_trace_recent(&shared.state, req)
+        } else {
+            admin_trace_get(&shared.state, rest)
+        };
+        return reply(Route::Admin, resp);
+    }
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => reply(Route::Healthz, healthz(&shared.state)),
+        ("GET", "/v1/admin/status") => reply(Route::Admin, admin_status(shared)),
+        ("GET", "/v1/admin/tsdb") => reply(Route::Admin, admin_tsdb(shared, req)),
+        ("GET", "/v1/admin/alerts") => reply(Route::Admin, admin_alerts(shared)),
+        ("GET", "/v1/admin/profile") => reply(Route::Admin, admin_profile(shared, req)),
+        ("GET", "/metrics") => reply(
+            Route::Metrics,
+            Response {
+                status: 200,
+                content_type: "text/plain; version=0.0.4",
+                headers: Vec::new(),
+                body: render_metrics(shared).into(),
+            },
+        ),
+        ("GET", "/v1/backends") => reply(
+            Route::Backends,
+            backends_endpoint(&shared.state.default_tenant, false),
+        ),
+        ("POST", "/v1/admin/snapshot") => {
+            reply(Route::Admin, admin_snapshot_endpoint(&shared.state, req))
+        }
+        ("GET", "/v1/admin/tenants") => reply(Route::Admin, admin_tenants_list(&shared.state)),
+        ("POST", "/v1/admin/tenants/attach") => {
+            reply(Route::Admin, admin_tenants_attach(&shared.state, req))
+        }
+        ("DELETE", "/v1/admin/tenants/detach") => {
+            reply(Route::Admin, admin_tenants_detach(&shared.state, req))
+        }
+        ("POST", "/v1/translate") => (
+            Route::Translate,
+            translate_endpoint(shared, req, writer, &shared.state.default_tenant),
+        ),
+        ("POST", "/v1/translate/batch") => reply(
+            Route::TranslateBatch,
+            batch_endpoint(shared, req, &shared.state.default_tenant),
+        ),
+        (
+            _,
+            "/healthz"
+            | "/metrics"
+            | "/v1/translate"
+            | "/v1/translate/batch"
+            | "/v1/backends"
+            | "/v1/admin/snapshot"
+            | "/v1/admin/status"
+            | "/v1/admin/tsdb"
+            | "/v1/admin/alerts"
+            | "/v1/admin/profile"
+            | "/v1/admin/tenants"
+            | "/v1/admin/tenants/attach"
+            | "/v1/admin/tenants/detach",
+        ) => reply(Route::Other, Response::error(405, "method not allowed")),
+        _ => reply(Route::Other, Response::error(404, "no such route")),
+    }
+}
+
+/// `/metrics` — the Prometheus registry, plus the SLO gauges the burn-rate
+/// engine maintains (when `slo=` objectives are configured and the sampler
+/// is running).
+fn render_metrics(shared: &Shared) -> String {
+    let mut out = shared.state.metrics.render_prometheus();
+    let Some(slo) = shared.obs.as_ref().and_then(|o| o.slo()) else {
+        return out;
+    };
+    let statuses = slo.last();
+    if statuses.is_empty() {
+        return out;
+    }
+    out.push_str("# HELP t2v_slo_burn_rate Error-budget burn rate per SLO and window (1 = spending exactly the budget).\n");
+    out.push_str("# TYPE t2v_slo_burn_rate gauge\n");
+    for s in &statuses {
+        let name = crate::metrics::escape_label(&s.name);
+        out.push_str(&format!(
+            "t2v_slo_burn_rate{{slo=\"{name}\",window=\"fast\"}} {}\n",
+            s.fast_burn
+        ));
+        out.push_str(&format!(
+            "t2v_slo_burn_rate{{slo=\"{name}\",window=\"slow\"}} {}\n",
+            s.slow_burn
+        ));
+    }
+    out.push_str("# HELP t2v_slo_error_budget_remaining Fraction of the error budget left over the slow window (negative = overspent).\n");
+    out.push_str("# TYPE t2v_slo_error_budget_remaining gauge\n");
+    for s in &statuses {
+        let name = crate::metrics::escape_label(&s.name);
+        out.push_str(&format!(
+            "t2v_slo_error_budget_remaining{{slo=\"{name}\"}} {}\n",
+            s.budget_remaining
+        ));
+    }
+    out
+}
+
+fn healthz(state: &ServerState) -> Response {
+    let body = Json::obj([
+        ("status", Json::str("ok")),
+        ("databases", Json::Num(state.dbs.len() as f64)),
+        ("library", Json::Num(state.gred.library().len() as f64)),
+        ("backends", Json::Num(state.registry.len() as f64)),
+        ("tenants", Json::Num(state.tenants().len() as f64)),
+    ]);
+    Response::json(200, body.compact())
+}
+
+/// `GET /v1/backends` (and `GET /v1/t/{tenant}/backends`): capability
+/// metadata for every backend the tenant registers. The tenant-scoped
+/// variant additionally names its tenant; the default route's body is
+/// byte-identical to the pre-tenant surface.
+fn backends_endpoint(tenant: &TenantRuntime, named: bool) -> Response {
+    let backends: Vec<Json> = tenant
+        .registry
+        .infos()
+        .into_iter()
+        .map(|(id, info)| {
+            Json::obj([
+                ("id", Json::str(id)),
+                ("name", Json::str(info.name)),
+                ("kind", Json::str(info.kind.label())),
+                (
+                    "stages",
+                    Json::Arr(info.stages.iter().map(|s| Json::str(*s)).collect()),
+                ),
+                ("deterministic", Json::Bool(info.deterministic)),
+                ("description", Json::str(info.description)),
+            ])
+        })
+        .collect();
+    let mut body = Json::obj([
+        (
+            "default",
+            Json::str(tenant.registry.default_id().unwrap_or("")),
+        ),
+        ("backends", Json::Arr(backends)),
+        (
+            "library",
+            Json::obj([
+                (
+                    "fingerprint",
+                    Json::str(format!("{:#018x}", tenant.library_fingerprint)),
+                ),
+                ("source", Json::str(tenant.library_provenance.label())),
+                ("entries", Json::Num(tenant.gred.library().len() as f64)),
+            ]),
+        ),
+    ]);
+    if named {
+        body.set("tenant", Json::str(tenant.id.as_str()));
+        body.set("corpus", Json::str(tenant.corpus_label.as_str()));
+    }
+    Response::json(200, body.compact())
+}

@@ -1,7 +1,8 @@
 //! Event-driver integration tests: slow-loris and partial-read robustness
 //! against the epoll connection layer, idle reaping, graceful drain, and the
-//! differential contract — `net=event` answers byte-identically to
-//! `net=threaded` for the same request bytes.
+//! differential contract — the event loop over loopback answers
+//! byte-identically to the blocking one-shot parser + handler
+//! (`Server::answer_in_memory`) for the same request bytes.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -30,8 +31,7 @@ impl Drop for FaultSession {
     }
 }
 
-/// Spawn a gred-only server over tiny(7); tweaks override anything
-/// (including `net=threaded`).
+/// Spawn a gred-only server over tiny(7); tweaks override anything.
 fn spawn_server(tweaks: &[(&str, &str)]) -> (t2v_corpus::Corpus, Server) {
     let corpus = generate(&CorpusConfig::tiny(7));
     let server = spawn_over(&corpus, tweaks);
@@ -274,14 +274,17 @@ fn graceful_drain_finishes_in_flight_requests() {
 }
 
 // ---------------------------------------------------------------------------
-// differential: net=event ≡ net=threaded
+// differential: event loop over loopback ≡ in-memory oracle
 // ---------------------------------------------------------------------------
 
 #[test]
-fn event_and_threaded_drivers_answer_byte_identically() {
+fn event_loop_answers_byte_identically_to_the_in_memory_oracle() {
     let corpus = generate(&CorpusConfig::tiny(7));
-    let event = spawn_over(&corpus, &[("net", "event")]);
-    let threaded = spawn_over(&corpus, &[("net", "threaded")]);
+    let event = spawn_over(&corpus, &[]);
+    // A second server over the same corpus, driven without its sockets:
+    // both see the same requests in the same order, so their caches evolve
+    // identically.
+    let oracle = spawn_over(&corpus, &[]);
     let db = db0(&corpus);
 
     let translate = Json::obj([
@@ -308,6 +311,7 @@ fn event_and_threaded_drivers_answer_byte_identically() {
     // Each case is one raw request; both servers see the identical bytes and
     // must answer with identical bytes (volatile trace id / stage timings
     // scrubbed). Order matters — cache state evolves identically on both.
+    // `legacy-redirect` pins the retired unversioned route to a plain 404.
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("healthz", request_raw("GET", "/healthz", "", true)),
         ("backends", request_raw("GET", "/v1/backends", "", true)),
@@ -343,29 +347,29 @@ fn event_and_threaded_drivers_answer_byte_identically() {
     ];
     for (name, raw) in &cases {
         let a = scrub(&roundtrip_to_eof(&event, raw));
-        let b = scrub(&roundtrip_to_eof(&threaded, raw));
+        let b = scrub(&oracle.answer_in_memory(raw));
         assert_eq!(
             a,
             b,
-            "case {name} diverged:\n--- event ---\n{}\n--- threaded ---\n{}",
+            "case {name} diverged:\n--- event ---\n{}\n--- oracle ---\n{}",
             String::from_utf8_lossy(&a),
             String::from_utf8_lossy(&b)
         );
         assert!(status_of(&a) > 0, "case {name} produced no status line");
+        if *name == "legacy-redirect" {
+            assert_eq!(status_of(&a), 404, "POST /translate is no route at all");
+        }
     }
 
-    // Truncated head: both drivers must produce the same 400 on half-close.
+    // Truncated head: a half-close must produce the blocking reader's 400.
     let truncated: &[u8] = b"POST /v1/translate HT";
-    let half_close = |server: &Server| {
-        let mut stream = connect(server);
-        stream.write_all(truncated).unwrap();
-        stream.shutdown(Shutdown::Write).unwrap();
-        let mut out = Vec::new();
-        stream.read_to_end(&mut out).expect("read");
-        out
-    };
-    let a = scrub(&half_close(&event));
-    let b = scrub(&half_close(&threaded));
+    let mut stream = connect(&event);
+    stream.write_all(truncated).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut a = Vec::new();
+    stream.read_to_end(&mut a).expect("read");
+    let a = scrub(&a);
+    let b = scrub(&oracle.answer_in_memory(truncated));
     assert_eq!(status_of(&a), 400);
     assert_eq!(a, b, "truncated-head case diverged");
 
@@ -376,15 +380,15 @@ fn event_and_threaded_drivers_answer_byte_identically() {
     pipelined.extend_from_slice(&request_raw("GET", "/v1/backends", "", false));
     pipelined.extend_from_slice(&request_raw("GET", "/healthz", "", true));
     let a = scrub(&roundtrip_to_eof(&event, &pipelined));
-    let b = scrub(&roundtrip_to_eof(&threaded, &pipelined));
+    let b = scrub(&oracle.answer_in_memory(&pipelined));
     assert_eq!(
         a,
         b,
-        "pipelined case diverged:\n--- event ---\n{}\n--- threaded ---\n{}",
+        "pipelined case diverged:\n--- event ---\n{}\n--- oracle ---\n{}",
         String::from_utf8_lossy(&a),
         String::from_utf8_lossy(&b)
     );
 
     event.shutdown();
-    threaded.shutdown();
+    oracle.shutdown();
 }

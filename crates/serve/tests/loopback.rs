@@ -463,43 +463,6 @@ fn normalized_nlq_variants_share_one_cache_entry() {
 }
 
 #[test]
-fn legacy_translate_route_is_deprecated() {
-    // Default policy: 308 Permanent Redirect at the new surface.
-    let (corpus, server) = spawn_server(&[]);
-    let ex = &corpus.dev[0];
-    let body = Json::obj([
-        ("nlq", Json::str(ex.nlq.as_str())),
-        ("db", Json::str(corpus.databases[ex.db].id.as_str())),
-    ])
-    .compact();
-    let mut c = Client::connect(&server);
-    let r = c.request("POST", "/translate", &body);
-    assert_eq!(r.status, 308);
-    assert_eq!(
-        r.headers.get("location").map(String::as_str),
-        Some("/v1/translate")
-    );
-    let (code, message) = r.error();
-    assert_eq!(code, "deprecated");
-    assert!(message.contains("/v1/translate"));
-    // The same request against /v1/translate still works.
-    assert_eq!(c.request("POST", "/v1/translate", &body).status, 200);
-    server.shutdown();
-
-    // Gone policy: 410 (Location still advertises the replacement).
-    let (_, server) = spawn_server(&[("legacy_translate", "gone")]);
-    let mut c = Client::connect(&server);
-    let r = c.request("POST", "/translate", &body);
-    assert_eq!(r.status, 410);
-    assert_eq!(r.error().0, "deprecated");
-    assert_eq!(
-        r.headers.get("location").map(String::as_str),
-        Some("/v1/translate")
-    );
-    server.shutdown();
-}
-
-#[test]
 fn batch_endpoint_preserves_order_and_inlines_item_errors() {
     let (corpus, server) = spawn_server(&[]);
     let mut c = Client::connect(&server);

@@ -296,6 +296,67 @@ fn traced_request_covers_every_stage_and_reaches_recorder_and_access_log() {
 }
 
 #[test]
+fn streamed_request_keeps_its_backend_in_the_record() {
+    let dir = std::env::temp_dir().join(format!("t2v-trace-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("access.log");
+    let (corpus, server) = spawn_server(&[
+        ("trace_sample", "1"),
+        ("trace_buffer", "64"),
+        ("access_log", log_path.to_str().unwrap()),
+    ]);
+    let ex = &corpus.dev[0];
+    let db = corpus.databases[ex.db].id.clone();
+
+    // An NDJSON stream is EOF-delimited: read until the server closes.
+    let body = Json::obj([
+        ("nlq", Json::str(&ex.nlq)),
+        ("db", Json::str(&db)),
+        ("stream", Json::Bool(true)),
+    ])
+    .compact();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    write!(
+        stream,
+        "POST /v1/translate HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut streamed = String::new();
+    stream.read_to_string(&mut streamed).expect("read to eof");
+    assert!(streamed.starts_with("HTTP/1.1 200"), "{streamed}");
+    assert!(streamed.contains("\"stage\""), "{streamed}");
+
+    // The only trace recorded so far is the stream's, and it names the
+    // backend that served it — the endpoint wrote its own body, so there
+    // was no response header to read the backend from.
+    let mut client = Client::connect(&server);
+    let recent = client.request("GET", "/v1/admin/trace/recent", "").json();
+    let traces = recent.get("traces").and_then(Json::as_arr).unwrap();
+    assert_eq!(traces.len(), 1, "{recent:?}");
+    assert_eq!(
+        traces[0].get("backend").and_then(Json::as_str),
+        Some("gred")
+    );
+    let text = std::fs::read_to_string(&log_path).expect("access log written");
+    let line = text
+        .lines()
+        .find(|l| l.contains("\"path\":\"/v1/translate\""))
+        .expect("log line for the streamed request");
+    assert_eq!(
+        Json::parse(line)
+            .expect("valid JSON")
+            .get("backend")
+            .and_then(Json::as_str),
+        Some("gred")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn admin_trace_endpoints_fail_cleanly() {
     // Recorder armed: malformed vs unknown ids are distinct failures.
     let (_corpus, server) = spawn_server(&[("trace_buffer", "16")]);
