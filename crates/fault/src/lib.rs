@@ -451,10 +451,20 @@ fn fire_slow(point: FaultPoint, backend: Option<&str>) -> Option<FaultAction> {
     action
 }
 
+/// Fire a pure-latency point without sleeping: the delay it asks for, for
+/// hook sites that fire on a thread that must not block and sleep elsewhere.
+#[inline]
+pub fn fire_delay(point: FaultPoint) -> Option<Duration> {
+    match fire(point) {
+        Some(FaultAction::Delay(d)) => Some(d),
+        _ => None,
+    }
+}
+
 /// Convenience for pure-latency hook sites: sleep if the point fires.
 #[inline]
 pub fn inject_delay(point: FaultPoint) {
-    if let Some(FaultAction::Delay(d)) = fire(point) {
+    if let Some(d) = fire_delay(point) {
         std::thread::sleep(d);
     }
 }

@@ -317,14 +317,6 @@ fn choose_tables(
         }
         // Prefer fewer tables on ties: joins must earn their keep.
         score -= 0.12 * (cand.tables.len() as f32 - 1.0);
-        if std::env::var("T2V_DEBUG_CHOICE").is_ok() {
-            let names: Vec<&str> = cand
-                .tables
-                .iter()
-                .map(|&ti| schema.tables[ti].name.as_str())
-                .collect();
-            eprintln!("choice {names:?} score {score:.3}");
-        }
         if score > best.0 {
             best = (score, ci);
         }
@@ -391,9 +383,6 @@ fn assemble(
         slots.push(b.clone());
     }
 
-    if std::env::var("T2V_DEBUG_CHOICE").is_ok() {
-        eprintln!("slots: {slots:?} table_phrase {:?}", intents.table_phrase);
-    }
     // ----- table selection -----
     let template_table = template.as_ref().map(|t| t.from.name.clone());
     let choice = choose_tables(
@@ -649,20 +638,6 @@ fn template_style(t: &Dvq) -> (Option<NullStyle>, Option<bool>) {
         key.null_styles.first().copied(),
         key.noteq_bangs.first().copied(),
     )
-}
-
-#[allow(dead_code)] // retained for template-alias diagnostics
-fn collect_alias_map(t: &Dvq) -> HashMap<String, String> {
-    let mut m = HashMap::new();
-    if let Some(a) = &t.from.alias {
-        m.insert(a.to_ascii_lowercase(), t.from.name.clone());
-    }
-    for j in &t.joins {
-        if let Some(a) = &j.table.alias {
-            m.insert(a.to_ascii_lowercase(), j.table.name.clone());
-        }
-    }
-    m
 }
 
 fn cmp_op(op: CmpIntent, bang: bool) -> CompareOp {

@@ -105,12 +105,6 @@ impl Interest {
         edge: false,
         rdhup: true,
     };
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-        edge: false,
-        rdhup: true,
-    };
     /// A parked registration: error/hangup notification only.
     pub const NONE: Interest = Interest {
         readable: false,

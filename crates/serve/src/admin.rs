@@ -228,6 +228,7 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
             Json::obj([
                 ("reading", load(&shared.event_stats.reading)),
                 ("dispatched", load(&shared.event_stats.dispatched)),
+                ("inline", load(&state.metrics.inline_responses)),
                 ("writing", load(&shared.event_stats.writing)),
                 ("keep_alive", load(&shared.event_stats.keep_alive)),
                 ("pool_buffers", load(&shared.event_stats.pool_buffers)),

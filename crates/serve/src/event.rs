@@ -3,41 +3,42 @@
 //! One loop thread owns every socket: it accepts, accumulates request
 //! bytes into pooled buffers, runs the incremental parser
 //! ([`crate::http::parse_request`]), and writes queued response segments
-//! out with vectored (`writev`) writes. It never runs request logic —
-//! parsed requests go to a small dispatch thread pool that executes
-//! `routes::handle_request` (the same function the in-memory
-//! oracle, `Server::answer_in_memory`, feeds from the blocking parser —
-//! which is what the differential test compares), and translation CPU
-//! still belongs to the [`crate::pool::WorkerPool`] beyond that. The
-//! loop's per-connection cost is a state enum, a read buffer, and an
-//! output queue — which is how tens of thousands of keep-alive sockets
-//! fit where thread-per-connection runs out of stacks.
+//! out with vectored (`writev`) writes. What a request needs decides where
+//! it runs: a single translation's early stage (`routes::early`) waits on
+//! nothing, so its validation errors and cache hits are answered right here
+//! — a hit never leaves the loop thread; whatever may block goes to a small
+//! dispatch pool running `routes::resume`, and translation CPU belongs to
+//! the [`crate::pool::WorkerPool`] beyond that. The loop's contract: it
+//! never sleeps, never touches a file, never waits on the pool or a condvar,
+//! does a bounded amount of work per request, and cannot be killed by one.
+//! Its per-connection cost is a state enum, a read buffer and an output
+//! queue — how tens of thousands of keep-alive sockets fit where
+//! thread-per-connection runs out of stacks.
 //!
 //! Per-connection state machine:
 //!
 //! ```text
-//! Reading ── parse complete ──▶ Dispatched ── response queued ──▶ Writing
-//!    ▲                              (job on dispatch thread)         │
+//!            answered inline (hit / 4xx) ─────────────────────────┐
+//! Reading ──┤                                                     ▼
+//!    ▲       needs a blocking thread ──▶ Dispatched ── sealed ──▶ Writing
 //!    └────────── KeepAlive ◀── queue drained, keep-alive ◀───────────┘
 //! ```
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
-//! without progress — which covers both idle
-//! keep-alive peers and slow-loris drip-feeders. Shutdown drains: the
-//! listener closes immediately, idle connections close, in-flight
-//! requests finish their response (bounded by a drain budget), and only
-//! then does the loop exit.
+//! without progress — idle keep-alive peers and slow-loris drip-feeders
+//! alike. Shutdown drains: the listener closes immediately, idle
+//! connections close, in-flight requests finish their response (bounded by
+//! a drain budget), and only then does the loop exit.
 //!
-//! Dispatch threads communicate readiness back through a shared ready
-//! list plus a [`t2v_net::Waker`] (an eventfd) — response bytes are
-//! produced into a per-connection [`ConnOut`] queue under a mutex the
-//! loop holds only long enough to build `IoSlice`s. A queue past
-//! [`OUT_HIGH_WATER`] blocks the *dispatch* thread (backpressure against
-//! a slow peer), never the loop.
+//! Dispatch threads hand response segments to the loop through a
+//! per-connection [`ConnOut`] queue, a shared ready list and a
+//! [`t2v_net::Waker`] (an eventfd). A queue past [`OUT_HIGH_WATER`] blocks
+//! the *dispatch* thread (backpressure against a slow peer), never the loop.
 
-use crate::http::{self, BodySink, Parse};
-use crate::routes::{handle_request, write_read_error};
+use crate::http::{self, Body, BodySink, Parse};
+use crate::routes::{self, write_read_error, Handled};
 use crate::server::Shared;
+use crate::translate::Early;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -71,6 +72,13 @@ const READ_CHUNK: usize = 64 * 1024;
 /// unparsed input; the level-triggered poller re-offers the rest.
 const SOFT_IN_CAP: usize = 256 * 1024;
 
+/// Requests served per connection per wake; then a pipelining client yields.
+const INLINE_PER_WAKE: usize = 32;
+
+/// Bodies above this always take the dispatch hop, whatever `max_body_bytes`
+/// allows — JSON parse time on the loop stays bounded.
+const INLINE_BODY_MAX: usize = 16 * 1024;
+
 /// How long shutdown waits for in-flight requests before force-closing.
 const DRAIN_BUDGET: Duration = Duration::from_secs(5);
 
@@ -81,25 +89,10 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 // Response segments: dispatch threads → loop
 // ---------------------------------------------------------------------------
 
-/// One queued run of response bytes. `Shared` is the zero-copy lane: a
-/// cached body's `Arc` rides to `writev` without duplication.
-enum Seg {
-    Owned(Vec<u8>),
-    Shared(Arc<Vec<u8>>),
-}
-
-impl Seg {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Seg::Owned(v) => v,
-            Seg::Shared(v) => v,
-        }
-    }
-}
-
 #[derive(Default)]
 struct OutState {
-    segs: VecDeque<Seg>,
+    /// Queued response bytes; a cached body's `Arc` rides to `writev` uncopied.
+    segs: VecDeque<Body>,
     /// Bytes of the front segment already written to the socket.
     front_written: usize,
     /// Total queued-but-unwritten bytes (backpressure accounting).
@@ -113,18 +106,10 @@ struct OutState {
 /// The per-connection output queue. The loop and the connection's dispatch
 /// thread share it; the condvar wakes a writer blocked on the high-water
 /// mark (or on `closed`).
+#[derive(Default)]
 struct ConnOut {
     state: Mutex<OutState>,
     cv: Condvar,
-}
-
-impl ConnOut {
-    fn new() -> Arc<ConnOut> {
-        Arc::new(ConnOut {
-            state: Mutex::new(OutState::default()),
-            cv: Condvar::new(),
-        })
-    }
 }
 
 /// What dispatch threads share with the loop: the wakeup fd plus the list
@@ -142,82 +127,81 @@ impl ReactorShared {
     }
 }
 
-/// The [`BodySink`] a dispatch thread writes a response into: bytes
-/// accumulate locally and ship to the loop as segments on flush (or when a
-/// segment's worth has built up); shared cache-hit bodies ship as their
-/// `Arc`. Dropped without [`ConnWriter::finish`] (a panicked job), it
-/// reports `done = close` so the connection can never leak.
+/// A response as the segments `pump` will `writev`: framing bytes run
+/// together, a cached body rides as its `Arc`. The loop queues the one it
+/// frames an inline answer into itself — no lock, no wake.
+#[derive(Default)]
+struct SegSink(Vec<Body>);
+
+impl Write for SegSink {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        match self.0.last_mut() {
+            Some(Body::Owned(buf)) => buf.extend_from_slice(data),
+            _ => self.0.push(data.to_vec().into()),
+        }
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl BodySink for SegSink {
+    fn write_shared(&mut self, body: &Arc<Vec<u8>>) -> io::Result<()> {
+        // Never an empty segment: `writev` of nothing reads as a closed peer.
+        if !body.is_empty() {
+            self.0.push(Arc::clone(body).into());
+        }
+        Ok(())
+    }
+}
+
+/// The [`BodySink`] of a dispatch thread: segments accumulate locally and
+/// ship on flush (a stream's lines), at a segment's worth, or — usually —
+/// with the verdict in `finish`; dropped without it (a panic), `done = close`.
 struct ConnWriter {
     out: Arc<ConnOut>,
     reactor: Arc<ReactorShared>,
     token: u64,
-    buf: Vec<u8>,
+    sink: SegSink,
     finished: bool,
 }
 
 impl ConnWriter {
-    fn new(out: Arc<ConnOut>, reactor: Arc<ReactorShared>, token: u64) -> ConnWriter {
-        ConnWriter {
-            out,
-            reactor,
-            token,
-            buf: Vec::new(),
-            finished: false,
-        }
-    }
-
-    /// Queue one segment, blocking while the connection is past the
-    /// high-water mark. Errors once the loop has closed the connection.
-    fn push(&self, seg: Seg) -> io::Result<()> {
-        let len = seg.as_slice().len();
-        if len == 0 {
+    /// Queue what has accumulated and/or the keep-alive verdict — one lock,
+    /// one wake — blocking past the high-water mark. On a connection the loop
+    /// already closed, bytes error and a verdict means close.
+    fn push(&mut self, done: Option<bool>) -> io::Result<()> {
+        let segs = std::mem::take(&mut self.sink.0);
+        let len: usize = segs.iter().map(Body::len).sum();
+        if len == 0 && done.is_none() {
             return Ok(());
         }
         let mut st = self.out.state.lock().expect("conn out poisoned");
-        loop {
-            if st.closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "connection closed",
-                ));
-            }
-            if st.bytes < OUT_HIGH_WATER {
-                break;
-            }
+        while !st.closed && len > 0 && st.bytes >= OUT_HIGH_WATER {
             st = self.out.cv.wait(st).expect("conn out poisoned");
         }
-        st.bytes += len;
-        st.segs.push_back(seg);
+        let closed = st.closed;
+        if !closed {
+            st.bytes += len;
+            st.segs.extend(segs);
+        }
+        if let Some(keep) = done {
+            st.done = Some(keep && !closed);
+        }
         drop(st);
+        if closed && done.is_none() {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
         self.reactor.notify(self.token);
         Ok(())
     }
 
-    fn flush_buf(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let seg = Seg::Owned(std::mem::take(&mut self.buf));
-        self.push(seg)
-    }
-
-    /// Seal the response: flush everything and publish the keep-alive
-    /// verdict. A write failure (peer gone) demotes `keep` to close.
+    /// Seal the response: last bytes and verdict together, one wake.
     fn finish(mut self, keep: bool) {
-        let flushed = self.flush_buf().is_ok();
-        self.seal(keep && flushed);
-    }
-
-    fn seal(&mut self, keep: bool) {
-        if self.finished {
-            return;
-        }
         self.finished = true;
-        {
-            let mut st = self.out.state.lock().expect("conn out poisoned");
-            st.done = Some(keep);
-        }
-        self.reactor.notify(self.token);
+        let _ = self.push(Some(keep));
     }
 }
 
@@ -225,28 +209,30 @@ impl Drop for ConnWriter {
     fn drop(&mut self) {
         // A job that never called `finish` (panic, dropped queue entry at
         // shutdown) still resolves the connection — as a close.
-        self.seal(false);
+        if !self.finished {
+            self.sink.0.clear();
+            let _ = self.push(Some(false));
+        }
     }
 }
 
 impl Write for ConnWriter {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        if self.buf.len() >= SEG_TARGET {
-            self.flush_buf()?;
+        self.sink.write_all(data)?;
+        if matches!(self.sink.0.last(), Some(seg) if seg.len() >= SEG_TARGET) {
+            self.flush()?;
         }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.flush_buf()
+        self.push(None)
     }
 }
 
 impl BodySink for ConnWriter {
     fn write_shared(&mut self, body: &Arc<Vec<u8>>) -> io::Result<()> {
-        self.flush_buf()?;
-        self.push(Seg::Shared(Arc::clone(body)))
+        self.sink.write_shared(body)
     }
 }
 
@@ -296,9 +282,9 @@ impl Dispatcher {
         }
     }
 
-    fn submit(&self, job: Job) {
+    fn submit(&self, job: impl FnOnce() + Send + 'static) {
         let mut q = self.inner.queue.lock().expect("dispatch queue poisoned");
-        q.push_back(job);
+        q.push_back(Box::new(job));
         drop(q);
         self.inner.cv.notify_one();
     }
@@ -333,12 +319,18 @@ fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
                 q = inner.cv.wait(q).expect("dispatch queue poisoned");
             }
         };
-        // Same containment as `pool::worker_loop`: a panicking request
-        // must not take a dispatch thread down with it.
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-            metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-        }
+        contained(metrics, job);
     }
+}
+
+/// Same containment as `pool::worker_loop`, for dispatch jobs and the loop
+/// alike: a panicking request must not take its thread down with it.
+fn contained<T>(metrics: &crate::metrics::Metrics, f: impl FnOnce() -> T) -> Option<T> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok();
+    if caught.is_none() {
+        metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+    }
+    caught
 }
 
 // ---------------------------------------------------------------------------
@@ -574,7 +566,7 @@ fn run_loop(
                             next = on_readable(&ctx, conn, &mut scratch);
                         }
                         if next == Next::Alive && ev.writable {
-                            next = pump(&ctx, conn);
+                            next = drive(&ctx, conn);
                         }
                     }
                     if next == Next::Close {
@@ -584,13 +576,14 @@ fn run_loop(
             }
         }
 
-        // -- connections whose dispatch jobs produced output or finished --
+        // -- connections whose dispatch jobs produced output or finished,
+        //    and pipelining ones that yielded their turn last wake --
         let ready = std::mem::take(&mut *reactor.ready.lock().expect("ready list poisoned"));
         for token in ready {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if pump(&ctx, conn) == Next::Close {
+            if drive(&ctx, conn) == Next::Close {
                 close_conn(&mut conns, &poller, &mut pool, shared, token, false);
             }
         }
@@ -717,7 +710,7 @@ fn accept_burst(
                 token,
                 state: ConnState::Reading,
                 inbuf: pool.take(),
-                out: ConnOut::new(),
+                out: Arc::default(),
                 t0: None,
                 last_activity: Instant::now(),
                 peer_eof: false,
@@ -771,77 +764,140 @@ fn on_readable(ctx: &Ctx<'_>, conn: &mut Conn, scratch: &mut [u8]) -> Next {
     try_advance(ctx, conn)
 }
 
-/// Parse progress on `Reading`/`KeepAlive` connections: dispatch a
-/// complete request, answer a malformed one, map peer-EOF onto the
-/// blocking reader's truncation semantics, or keep waiting.
+/// Parse progress on idle (`Reading`/`KeepAlive`) connections, a flat loop
+/// over what is buffered: serve a complete request, answer a malformed one,
+/// map peer-EOF onto the blocking reader's truncation semantics, or wait. A
+/// cursor tracks consumed bytes — one compaction per wake. While a response
+/// is pending the connection is not idle: what is buffered behind it waits.
 fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
-    if !conn.idle() {
-        return Next::Alive;
-    }
-    if !conn.inbuf.is_empty() && conn.t0.is_none() {
-        // The trace clock starts at the first byte of each request.
-        conn.t0 = Some(Instant::now());
-    }
-    match http::parse_request(&conn.inbuf, ctx.max_body) {
-        Parse::Complete(req, consumed) => {
-            conn.inbuf.drain(..consumed);
-            let t0 = conn.t0.take().unwrap_or_else(Instant::now);
-            let read_dur = t0.elapsed();
-            conn.state = ConnState::Dispatched;
-            set_interest(ctx, conn, Interest::NONE);
-            let writer =
-                ConnWriter::new(Arc::clone(&conn.out), Arc::clone(ctx.reactor), conn.token);
-            let shared = Arc::clone(ctx.shared);
-            shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
-            ctx.dispatcher.submit(Box::new(move || {
-                shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-                let mut writer = writer;
-                let keep = handle_request(&shared, &req, t0, read_dur, &mut writer);
-                writer.finish(keep);
-            }));
-            Next::Alive
-        }
-        Parse::NeedHead if conn.peer_eof => {
-            if conn.inbuf.is_empty() {
-                // Clean EOF between requests: close silently.
-                Next::Close
-            } else {
-                // Truncated head: answer the exact 400 the blocking
-                // reader produces at EOF, then close.
-                let err = http::truncation_error(&conn.inbuf);
-                queue_error_close(ctx, conn, &err)
+    let mut pos = 0;
+    let mut budget = INLINE_PER_WAKE;
+    let next = 'parse: {
+        while conn.idle() {
+            let buf = &conn.inbuf[pos..];
+            if budget == 0 && !buf.is_empty() {
+                // Yield: the ready list brings this one back after the others.
+                ctx.reactor.notify(conn.token);
+                break;
+            }
+            if !buf.is_empty() && conn.t0.is_none() {
+                // The trace clock starts at the first byte of each request.
+                conn.t0 = Some(Instant::now());
+            }
+            match http::parse_request(buf, ctx.max_body) {
+                Parse::Complete(req, consumed) => {
+                    pos += consumed;
+                    budget -= 1;
+                    let t0 = conn.t0.take().unwrap_or_else(Instant::now);
+                    // Contained like a dispatch job: a panic costs this socket.
+                    let metrics = &ctx.shared.state.metrics;
+                    if contained(metrics, || serve(ctx, conn, req, t0)) != Some(Next::Alive) {
+                        break 'parse Next::Close;
+                    }
+                }
+                Parse::NeedHead if conn.peer_eof => {
+                    if buf.is_empty() {
+                        // Clean EOF between requests: close silently.
+                        break 'parse Next::Close;
+                    }
+                    // Truncated head: the blocking reader's exact 400, then close.
+                    let err = http::truncation_error(buf);
+                    break 'parse queue_error_close(ctx, conn, &err);
+                }
+                // A short body at EOF is a transport error there: just hang up.
+                Parse::NeedBody if conn.peer_eof => break 'parse Next::Close,
+                Parse::NeedHead | Parse::NeedBody => {
+                    conn.state = ConnState::Reading;
+                    set_interest(ctx, conn, Interest::READ);
+                    break;
+                }
+                Parse::Err(err) => break 'parse queue_error_close(ctx, conn, &err),
             }
         }
-        // A short body at EOF is a transport error in the blocking
-        // reader — no response, just a hangup.
-        Parse::NeedBody if conn.peer_eof => Next::Close,
-        Parse::NeedHead | Parse::NeedBody => {
-            conn.state = ConnState::Reading;
-            set_interest(ctx, conn, Interest::READ);
+        Next::Alive
+    };
+    conn.inbuf.drain(..pos);
+    next
+}
+
+/// Serve one parsed request. A single translation's validation errors and
+/// fresh hits go straight into the output queue and `pump`: nothing on that
+/// path sleeps, touches a file or waits on the pool or a condvar, and its
+/// work is bounded ([`INLINE_BODY_MAX`]). Everything else parks in
+/// `Dispatched` while a dispatch thread runs `routes::resume`.
+fn serve(ctx: &Ctx<'_>, conn: &mut Conn, req: Box<http::Request>, t0: Instant) -> Next {
+    let shared = ctx.shared;
+    let begun = routes::begin(shared, &req, t0, t0.elapsed());
+    let routed = (req.body.len() <= INLINE_BODY_MAX)
+        .then(|| routes::early(shared, &req, &begun))
+        .flatten();
+    match routed {
+        Some((route, Early::Reply(resp), None)) => {
+            let mut sink = SegSink::default();
+            // The access-log line is file I/O: posted once the bytes are out.
+            let mut line = None;
+            let log = |file, text: String| line = Some((file, text));
+            let reply = Handled::Reply(resp);
+            let keep = routes::finish(shared, &req, begun, route, reply, &mut sink, log);
+            let metrics = &shared.state.metrics;
+            metrics.inline_responses.fetch_add(1, Ordering::Relaxed);
+            queue_response(conn, sink.0, keep);
+            let next = pump(ctx, conn);
+            if let Some((file, text)) = line {
+                ctx.dispatcher.submit(move || file.write_line(&text));
+            }
+            next
+        }
+        routed => {
+            conn.state = ConnState::Dispatched;
+            set_interest(ctx, conn, Interest::NONE);
+            let mut writer = ConnWriter {
+                out: Arc::clone(&conn.out),
+                reactor: Arc::clone(ctx.reactor),
+                token: conn.token,
+                sink: SegSink::default(),
+                finished: false,
+            };
+            let shared = Arc::clone(shared);
+            shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
+            ctx.dispatcher.submit(move || {
+                shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
+                let keep = routes::resume(&shared, &req, begun, routed, &mut writer);
+                writer.finish(keep);
+            });
             Next::Alive
         }
-        Parse::Err(err) => queue_error_close(ctx, conn, &err),
     }
 }
 
-/// Answer an unreadable request from the loop thread: queue the rendered
-/// error and seal the connection for close.
+/// Queue a whole response produced on the loop itself; the caller pumps.
+fn queue_response(conn: &mut Conn, segs: Vec<Body>, keep: bool) {
+    let mut st = conn.out.state.lock().expect("conn out poisoned");
+    st.bytes += segs.iter().map(Body::len).sum::<usize>();
+    st.segs.extend(segs);
+    st.done = Some(keep);
+    drop(st);
+    conn.state = ConnState::Writing;
+}
+
+/// Answer an unreadable request: queue the rendered error, then close.
 fn queue_error_close(ctx: &Ctx<'_>, conn: &mut Conn, err: &http::ReadError) -> Next {
     let mut bytes: Vec<u8> = Vec::new();
     write_read_error(ctx.shared, err, &mut bytes);
-    {
-        let mut st = conn.out.state.lock().expect("conn out poisoned");
-        st.bytes += bytes.len();
-        st.segs.push_back(Seg::Owned(bytes));
-        st.done = Some(false);
-    }
-    conn.state = ConnState::Writing;
+    queue_response(conn, vec![bytes.into()], false);
     pump(ctx, conn)
 }
 
+/// A wake for an existing connection: flush, then start on what is buffered.
+fn drive(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
+    match pump(ctx, conn) {
+        Next::Close => Next::Close,
+        _ => try_advance(ctx, conn),
+    }
+}
+
 /// Push queued output at the socket with vectored writes; on completion,
-/// apply the keep-alive verdict (and immediately try any pipelined
-/// follower already buffered).
+/// apply the keep-alive verdict (the connection is idle again).
 fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
     loop {
         let mut st = conn.out.state.lock().expect("conn out poisoned");
@@ -857,7 +913,6 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                     if conn.state == ConnState::Dispatched {
                         set_interest(ctx, conn, Interest::NONE);
                     }
-                    return Next::Alive;
                 }
                 Some(keep) => {
                     if !keep || ctx.draining || ctx.shared.shutdown.load(Ordering::Acquire) {
@@ -867,10 +922,9 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                     conn.t0 = None;
                     conn.last_activity = Instant::now();
                     set_interest(ctx, conn, Interest::READ);
-                    // A pipelined follower may already be buffered.
-                    return try_advance(ctx, conn);
                 }
             }
+            return Next::Alive;
         }
         if conn.state == ConnState::Dispatched && st.done.is_some() {
             conn.state = ConnState::Writing;
@@ -908,12 +962,8 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 drop(st);
-                let want = if conn.idle() {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::WRITE
-                };
-                set_interest(ctx, conn, want);
+                // Output is only ever queued on a non-idle connection.
+                set_interest(ctx, conn, Interest::WRITE);
                 return Next::Alive;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -937,7 +987,8 @@ fn close_conn(
     };
     let _ = poller.deregister(conn.stream.as_raw_fd());
     {
-        let mut st = conn.out.state.lock().expect("conn out poisoned");
+        // A contained panic may have poisoned it; closing is always valid.
+        let mut st = conn.out.state.lock().unwrap_or_else(|e| e.into_inner());
         st.closed = true;
         st.segs.clear();
         st.bytes = 0;
@@ -950,4 +1001,22 @@ fn close_conn(
     }
     metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
     // `conn.stream` drops here, closing the fd.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The containment the loop's inline stage and every dispatch job run
+    /// under: a panicking handler is counted and reported, and the thread
+    /// that ran it carries on with the next one.
+    #[test]
+    fn a_panicking_handler_is_contained_and_counted() {
+        let metrics = crate::metrics::Metrics::new();
+        let boom = contained(&metrics, || -> u32 { panic!("handler bug") });
+        assert_eq!(boom, None);
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(contained(&metrics, || 7), Some(7));
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+    }
 }

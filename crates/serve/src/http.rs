@@ -431,7 +431,8 @@ impl Response {
     /// body is handed over as its `Arc` so a zero-copy transport can queue
     /// the bytes for `writev` without duplicating them. Framing is
     /// byte-identical to `write_to` by construction (same head writer, same
-    /// body bytes).
+    /// body bytes). No flush: the sink's owner decides when bytes ship (the
+    /// event transport sends a response and its verdict in one go).
     pub fn write_to_sink<W: BodySink + ?Sized>(
         &self,
         w: &mut W,
@@ -439,10 +440,9 @@ impl Response {
     ) -> io::Result<()> {
         self.write_head(w, keep_alive)?;
         match &self.body {
-            Body::Owned(v) => w.write_all(v)?,
-            Body::Shared(v) => w.write_shared(v)?,
+            Body::Owned(v) => w.write_all(v),
+            Body::Shared(v) => w.write_shared(v),
         }
-        w.flush()
     }
 
     fn write_head(&self, w: &mut (impl Write + ?Sized), keep_alive: bool) -> io::Result<()> {

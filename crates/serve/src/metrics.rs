@@ -267,6 +267,8 @@ pub struct Metrics {
     started: Instant,
     /// requests[route][status class]
     requests: [[AtomicU64; 4]; 9],
+    /// Responses the event loop produced itself; the rest took the hop.
+    pub inline_responses: AtomicU64,
     /// Per-backend counters, in backend-registry order (the default
     /// tenant's registry — rendered unlabelled for dashboard continuity).
     backends: Vec<BackendMetrics>,
@@ -336,6 +338,7 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             requests: Default::default(),
+            inline_responses: AtomicU64::new(0),
             backends: backend_ids
                 .iter()
                 .map(|id| BackendMetrics::new(id.to_string()))
@@ -508,6 +511,12 @@ impl Metrics {
         }
 
         for (name, kind, help, v) in [
+            (
+                "t2v_inline_responses_total",
+                "counter",
+                "Responses answered on the event-loop thread (no dispatch hop).",
+                &self.inline_responses,
+            ),
             (
                 "t2v_cache_hits_total",
                 "counter",

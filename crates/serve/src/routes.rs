@@ -1,9 +1,13 @@
-//! One parsed request in, one response out: trace setup, routing, the
-//! response write and trace publication. The event loop's dispatch threads
-//! and the in-memory oracle both enter through [`handle_request`], which
-//! is what keeps their response bytes identical by construction. The
-//! `/v1` wire format is DESIGN.md §8.
+//! One parsed request in, one response out, as ordered stages: [`begin`]
+//! (trace id, sampling, `conn.read` span) → [`early`] (routing, plus what a
+//! single translation decides without waiting) → *either* [`finish`] (count,
+//! seal and publish the trace, frame the bytes), *or* [`resume`] on a thread
+//! that may block (admission → await → degrade → the same `finish`). The
+//! event loop runs the first branch in place, dispatch threads `resume`, the
+//! in-memory oracle `begin` + `resume` back to back: one `finish` keeps
+//! their bytes identical. Wire format: DESIGN.md §8.
 
+use crate::access_log::{render_line, AccessLog};
 use crate::admin::{
     admin_alerts, admin_profile, admin_snapshot_endpoint, admin_status, admin_tenants_attach,
     admin_tenants_detach, admin_tenants_list, admin_trace_get, admin_trace_recent, admin_tsdb,
@@ -12,10 +16,11 @@ use crate::admin::{
 use crate::http::{self, BodySink, Request, Response};
 use crate::metrics::Route;
 use crate::server::{ServerState, Shared, TenantRuntime};
-use crate::translate::{batch_endpoint, splice_field, translate_endpoint};
+use crate::translate::{batch_endpoint, splice_field, translate_early, Early};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use t2v_engine::Json;
+use t2v_fault::{fire_delay, FaultPoint::ConnWriteStall};
 use t2v_tenant::DEFAULT_TENANT_ID;
 use t2v_trace::{FinishedTrace, Stage, Trace};
 
@@ -33,23 +38,23 @@ pub(crate) fn write_read_error(shared: &Shared, err: &http::ReadError, out: &mut
     let _ = resp.write_to_sink(out, false);
 }
 
-/// Serve one parsed request end to end — trace setup, routing, response
-/// write, trace publication — and say whether the connection may carry
-/// another.
-pub(crate) fn handle_request<W: BodySink + ?Sized>(
-    shared: &Shared,
-    req: &Request,
+/// A request between [`begin`] and [`finish`]; its trace rides dispatch hops.
+pub(crate) struct Begun {
+    trace: Trace,
+    force: bool,
+    sampled: bool,
     t0: Instant,
-    read_dur: Duration,
-    writer: &mut W,
-) -> bool {
-    // Trace setup (DESIGN.md §12). Every request gets an id (it rides
-    // the `x-t2v-trace-id` header regardless); spans are recorded only
-    // when something could consume them — the client forced it, the
-    // sampler hit, the slow/error override is armed, or the access log
-    // needs per-stage timings. With `trace_sample=0
-    // trace_force_slow_ms=0` and no access log, the whole machinery is
-    // id generation plus no-op guards.
+}
+
+/// Route, the early stage's verdict, a fired-but-unslept write-stall delay.
+pub(crate) type Routed = (Route, Early, Option<Duration>);
+
+/// First stage: trace setup (DESIGN.md §12). Every request gets an id (the
+/// `x-t2v-trace-id` header); spans are recorded only when something could
+/// consume them — the client forced it, the sampler hit, the slow/error
+/// override is armed, or the access log needs per-stage timings. Otherwise
+/// the whole machinery is id generation plus no-op guards.
+pub(crate) fn begin(shared: &Shared, req: &Request, t0: Instant, read_dur: Duration) -> Begun {
     let config = &shared.state.config;
     let force = req
         .header("x-t2v-trace")
@@ -62,25 +67,79 @@ pub(crate) fn handle_request<W: BodySink + ?Sized>(
         || shared.state.access_log.is_some();
     let trace = Trace::start_at(trace_id, record, t0);
     trace.add_span(Stage::ConnRead, t0, read_dur);
-    let scope = trace.scope();
+    Begun {
+        trace,
+        force,
+        sampled,
+        t0,
+    }
+}
 
+/// The early stage as the event loop runs it; `None` for every route but
+/// the single-translate ones. A finished reply also *fires* the
+/// `conn.write_stall` seam (a counter, an RNG draw); [`resume`] sleeps it.
+pub(crate) fn early(shared: &Shared, req: &Request, begun: &Begun) -> Option<Routed> {
+    let single = req.path.starts_with("/v1/") && req.path.ends_with("/translate");
+    if req.method != "POST" || !single {
+        return None;
+    }
+    let _scope = begun.trace.scope();
+    let (route, early, _) = respond(shared, req);
+    let stall = matches!(early, Early::Reply(_))
+        .then(|| fire_delay(ConnWriteStall))
+        .flatten();
+    Some((route, early, stall))
+}
+
+/// Everything after [`begin`], on a thread that may block: the early stage
+/// unless the loop ran it (`routed`), the late one, the stall, [`finish`].
+pub(crate) fn resume(
+    shared: &Shared,
+    req: &Request,
+    begun: Begun,
+    routed: Option<Routed>,
+    writer: &mut dyn BodySink,
+) -> bool {
+    let scope = begun.trace.scope();
+    let (route, early, stall) = routed.unwrap_or_else(|| respond(shared, req));
+    let handled = match early {
+        Early::Reply(resp) => Handled::Reply(resp),
+        Early::Resume(late) => late(shared, writer),
+    };
+    if matches!(handled, Handled::Reply(_)) {
+        // Chaos seam: `conn.write_stall` models a peer draining us slowly.
+        if let Some(delay) = stall.or_else(|| fire_delay(ConnWriteStall)) {
+            std::thread::sleep(delay);
+        }
+    }
+    drop(scope);
+    let write_now = |log: Arc<AccessLog>, line: String| log.write_line(&line);
+    finish(shared, req, begun, route, handled, writer, write_now)
+}
+
+/// Last stage, the same on every thread that answers: count, seal the
+/// trace, frame the response into `writer`, publish; returns keep-alive.
+/// Locks and atomics only — the access-log line (file I/O) goes through `log`.
+pub(crate) fn finish<W: BodySink + ?Sized>(
+    shared: &Shared,
+    req: &Request,
+    begun: Begun,
+    route: Route,
+    handled: Handled,
+    writer: &mut W,
+    log: impl FnOnce(Arc<AccessLog>, String),
+) -> bool {
+    let (trace, force, t0) = (begun.trace, begun.force, begun.t0);
+    let trace_id = trace.id();
     let keep = !req.wants_close();
     let tenant = request_tenant(&req.path);
-    let (route, handled) = respond(shared, req, writer);
-    match handled {
+    let (keep, finished) = match handled {
         Handled::Reply(resp) => {
-            // Chaos seam: a `conn.write_stall` fault delays the response
-            // write, modelling a peer (or proxy) draining us slowly.
-            t2v_fault::inject_delay(t2v_fault::FaultPoint::ConnWriteStall);
             shared.state.metrics.record_request(route, resp.status);
-            // Seal the trace before writing: request-level fields come
-            // off the response itself (headers the endpoints already
-            // set), and the inline tree — when the client asked for it
-            // — must ride in this very body. The `resp.write` span is
-            // appended to the sealed trace after the write (it cannot
-            // be inside a body that is being written), so the recorder
-            // and access log see it; the inline copy does not.
-            drop(scope);
+            // Seal the trace before writing: request-level fields come off
+            // the response's own headers, and the inline tree — when asked
+            // for — rides in this very body. `resp.write` is appended after
+            // the write: the recorder and access log see it, the body cannot.
             let backend = resp_header(&resp, "x-t2v-backend").unwrap_or("");
             let cache = resp_header(&resp, "x-t2v-cache").unwrap_or("bypass");
             let degraded = resp_header(&resp, "x-t2v-degraded");
@@ -108,27 +167,25 @@ pub(crate) fn handle_request<W: BodySink + ?Sized>(
                 f.total_ns = t0.elapsed().as_nanos() as u64;
                 f.spans[0].dur_ns = f.total_ns;
             }
-            if let Some(f) = finished {
-                publish_trace(shared, req, force, sampled, f);
-            }
-            ok.is_ok() && keep
+            (ok.is_ok() && keep, finished)
         }
         // The endpoint already wrote an EOF-delimited streaming body;
         // the connection closes to mark the end of the stream. A traced
         // stream gets its span tree as one final NDJSON line.
         Handled::Streamed { backend } => {
             shared.state.metrics.record_request(route, 200);
-            drop(scope);
-            if let Some(f) = trace.finish(200, tenant, &backend, "bypass", None) {
-                if force {
-                    let line = Json::obj([("trace", trace_json(&f))]).compact();
-                    let _ = http::write_line(writer, line.as_bytes());
-                }
-                publish_trace(shared, req, force, sampled, f);
+            let finished = trace.finish(200, tenant, &backend, "bypass", None);
+            if let (true, Some(f)) = (force, &finished) {
+                let line = Json::obj([("trace", trace_json(f))]).compact();
+                let _ = http::write_line(writer, line.as_bytes());
             }
-            false
+            (false, finished)
         }
+    };
+    if let Some(f) = finished {
+        publish_trace(shared, req, f, force || begun.sampled, log);
     }
+    keep
 }
 
 /// The tenant a request path addresses (`default` for unprefixed routes).
@@ -150,11 +207,17 @@ fn resp_header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
 }
 
 /// Store / log / count one sealed trace according to the knobs: the
-/// recorder keeps it when the client forced it, the sampler hit, or the
-/// slow/error override fires; the access log always gets its line; a
-/// slow request also charges `t2v_slow_requests_total{stage}` with its
-/// dominant stage.
-fn publish_trace(shared: &Shared, req: &Request, force: bool, sampled: bool, f: FinishedTrace) {
+/// recorder keeps it when `wanted` (the client forced it or the sampler
+/// hit) or the slow/error override fires; the access log always gets its
+/// line; a slow request also charges `t2v_slow_requests_total{stage}` with
+/// its dominant stage.
+fn publish_trace(
+    shared: &Shared,
+    req: &Request,
+    f: FinishedTrace,
+    wanted: bool,
+    log: impl FnOnce(Arc<AccessLog>, String),
+) {
     let config = &shared.state.config;
     let slow = config.trace_force_slow_ms > 0
         && f.total_ns >= config.trace_force_slow_ms.saturating_mul(1_000_000);
@@ -170,10 +233,10 @@ fn publish_trace(shared: &Shared, req: &Request, force: bool, sampled: bool, f: 
             shared.state.metrics.record_slow(f.dominant_stage());
         }
     }
-    if let Some(log) = &shared.state.access_log {
-        log.write_line(&crate::access_log::render_line(&req.method, &req.path, &f));
+    if let Some(file) = &shared.state.access_log {
+        log(Arc::clone(file), render_line(&req.method, &req.path, &f));
     }
-    if force || sampled || slow || error {
+    if wanted || slow || error {
         if let Some(recorder) = &shared.state.recorder {
             // This trace is retrievable via `/v1/admin/trace/{id}`, so it
             // can serve as the latency exemplar for its histogram bucket —
@@ -196,16 +259,12 @@ pub(crate) enum Handled {
     Streamed { backend: String },
 }
 
-/// Route one request. Health, metrics, backend listings, and cache hits are
-/// answered on the calling thread; translation misses go through the
-/// worker pool. Tenant-scoped traffic lives under `/v1/t/{tenant}/...`
-/// (same sub-routes as the default tenant's unprefixed `/v1/*`).
-fn respond<W: BodySink + ?Sized>(
-    shared: &Shared,
-    req: &Request,
-    writer: &mut W,
-) -> (Route, Handled) {
-    let reply = |route: Route, resp: Response| (route, Handled::Reply(resp));
+/// Route one request. A single translation gets its early stage (errors and
+/// hits answered, a miss handed back as [`Early::Resume`]); every other
+/// route is answered in full, so only threads that may block route those.
+/// Tenant-scoped traffic: `/v1/t/{tenant}/...`, same sub-routes as `/v1/*`.
+fn respond(shared: &Shared, req: &Request) -> Routed {
+    let reply = |route: Route, resp: Response| (route, Early::Reply(resp), None);
     // Tenant-scoped routes first: /v1/t/{tenant}/{sub}.
     if let Some(rest) = req.path.strip_prefix("/v1/t/") {
         let Some((tenant_id, sub)) = rest.split_once('/') else {
@@ -226,10 +285,7 @@ fn respond<W: BodySink + ?Sized>(
             );
         };
         return match (req.method.as_str(), sub) {
-            ("POST", "translate") => (
-                Route::Tenant,
-                translate_endpoint(shared, req, writer, tenant),
-            ),
+            ("POST", "translate") => (Route::Tenant, translate_early(shared, req, tenant), None),
             ("POST", "translate/batch") => {
                 reply(Route::Tenant, batch_endpoint(shared, req, tenant))
             }
@@ -280,7 +336,8 @@ fn respond<W: BodySink + ?Sized>(
         }
         ("POST", "/v1/translate") => (
             Route::Translate,
-            translate_endpoint(shared, req, writer, &shared.state.default_tenant),
+            translate_early(shared, req, &shared.state.default_tenant),
+            None,
         ),
         ("POST", "/v1/translate/batch") => reply(
             Route::TranslateBatch,

@@ -3,10 +3,10 @@
 //! stops.
 //!
 //! Thread model (DESIGN.md §7, §14): one epoll loop thread owns every
-//! socket ([`crate::event`]); parsed requests run on a small dispatch pool
-//! through `routes::handle_request`, which answers
-//! health/metrics/admin/cache-hits itself and sends translation misses
-//! through the admission stage in [`crate::translate`] into the sharded
+//! socket ([`crate::event`]) and answers cache hits and validation errors
+//! of single translations itself; everything else runs `routes::resume` on
+//! a small dispatch pool, which sends translation misses through the
+//! admission stage in [`crate::translate`] into the sharded
 //! [`WorkerPool`]. Overload — full queues or too many sockets — answers
 //! 503 immediately instead of queueing unboundedly.
 
@@ -19,7 +19,7 @@ use crate::event::EventDriver;
 use crate::http;
 use crate::metrics::{Metrics, TenantMetrics};
 use crate::pool::WorkerPool;
-use crate::routes::{handle_request, write_read_error};
+use crate::routes::{begin, resume, write_read_error};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -911,7 +911,8 @@ impl Server {
             let t0 = Instant::now();
             match http::read_request(&mut reader, max_body) {
                 Ok(req) => {
-                    if !handle_request(&self.shared, &req, t0, t0.elapsed(), &mut out) {
+                    let begun = begin(&self.shared, &req, t0, t0.elapsed());
+                    if !resume(&self.shared, &req, begun, None, &mut out) {
                         break;
                     }
                 }

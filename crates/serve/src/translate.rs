@@ -2,6 +2,11 @@
 //! endpoints (`POST /v1/translate`, its NDJSON streaming variant, and
 //! `POST /v1/translate/batch`).
 //!
+//! The single endpoint is split where waiting starts: `translate_early`
+//! (parse → resolve → deadline → key → cache lookup) answers errors and
+//! fresh hits on the event loop itself; `translate_late` (admission → await
+//! → degrade, or the stream relay) continues on a dispatch thread.
+//!
 //! Every cold translation enters the worker pool through
 //! `admit_and_submit` — breaker admission, pool submission, and the
 //! half-open probe released if the pool refuses — and is collected through
@@ -581,43 +586,53 @@ fn await_reply(slot: &OneShot<Reply>, deadline: Option<Instant>) -> Option<Reply
     slot.recv_timeout(wait)
 }
 
-/// `POST /v1/translate` (and `/v1/t/{tenant}/translate`) — single
-/// translation against `tenant`, optionally streamed.
-pub(crate) fn translate_endpoint<W: BodySink + ?Sized>(
+/// What the early stage decided: answered without waiting (a validation
+/// error, a fresh hit), or a late stage for a thread that may block.
+pub(crate) enum Early {
+    Reply(Response),
+    Resume(Late),
+}
+
+/// The late stage, a continuation over what [`translate_early`] resolved —
+/// nothing is parsed, keyed, looked up or counted twice. Blocks on the pool.
+pub(crate) type Late = Box<dyn FnOnce(&Shared, &mut dyn BodySink) -> Handled + Send>;
+
+/// The early stage of `POST /v1/translate` (and `/v1/t/{tenant}/translate`):
+/// all that is decided before admission. Waits on nothing: the loop runs it.
+pub(crate) fn translate_early(
     shared: &Shared,
     req: &Request,
-    writer: &mut W,
     tenant: &Arc<TenantRuntime>,
-) -> Handled {
+) -> Early {
     let started = Instant::now();
     let state = &shared.state;
-    let reply = Handled::Reply;
 
     // ---- parse + validate ----
     let parsed = match req.json_body() {
         Ok(j) => j,
-        Err(resp) => return reply(resp),
+        Err(resp) => return Early::Reply(resp),
     };
     let stream = match parsed.get("stream") {
         None => false,
         Some(v) => match v.as_bool() {
             Some(b) => b,
-            None => return reply(Response::error(400, "field 'stream' must be a boolean")),
+            None => return Early::Reply(Response::error(400, "field 'stream' must be a boolean")),
         },
     };
     let item = match resolve_item(tenant, &parsed) {
         Ok(item) => item,
-        Err(resp) => return reply(resp),
+        Err(resp) => return Early::Reply(resp),
     };
     let deadline = request_deadline(&state.config, req, started);
-
     if stream {
-        return stream_endpoint(shared, item, writer, deadline);
+        return Early::Resume(Box::new(move |shared, writer| {
+            stream_endpoint(shared, item, writer, deadline)
+        }));
     }
 
-    // ---- cache fast path (request thread, no queueing) ----
+    // ---- cache fast path (no queueing, no hop) ----
     // `lookup` (not `get`) so an expired entry survives in place: if the
-    // breaker rejects the recompute below, `stale_degraded_body` serves it.
+    // breaker rejects the recompute later, `stale_degraded_body` serves it.
     let key = item.cache_key();
     let lookup = {
         let _span = t2v_trace::span(Stage::CacheLookup);
@@ -630,13 +645,28 @@ pub(crate) fn translate_endpoint<W: BodySink + ?Sized>(
             .request_total_latency
             .observe_ns(started.elapsed().as_nanos() as u64);
         // The Arc goes straight into the response — no body copy on a hit.
-        return reply(
+        return Early::Reply(
             Response::json(200, hit)
                 .with_header("x-t2v-cache", "hit")
-                .with_header("x-t2v-backend", item.backend_id.clone()),
+                .with_header("x-t2v-backend", item.backend_id),
         );
     }
     item.record_cache(state, false);
+    Early::Resume(Box::new(move |shared, _| {
+        translate_late(shared, item, key, deadline, started)
+    }))
+}
+
+/// The late stage of a cache miss: admission → await → degrade.
+fn translate_late(
+    shared: &Shared,
+    item: Item,
+    key: CacheKey,
+    deadline: Option<Instant>,
+    started: Instant,
+) -> Handled {
+    let state = &shared.state;
+    let reply = Handled::Reply;
 
     // ---- admission; refusal policy: stale → gred → 503, or a plain 503 ----
     let slot = match admit_and_submit(shared, &item, key.clone(), None, deadline, true) {
@@ -759,10 +789,10 @@ fn gred_fallback(shared: &Shared, item: &Item, deadline: Option<Instant>) -> Opt
 /// response object as the final line. EOF-delimited: the connection closes
 /// when the stream ends. Bypasses the cache read path (a cached body has no
 /// stages left to stream) but still populates the cache for later requests.
-fn stream_endpoint<W: BodySink + ?Sized>(
+fn stream_endpoint(
     shared: &Shared,
     item: Item,
-    writer: &mut W,
+    writer: &mut dyn BodySink,
     deadline: Option<Instant>,
 ) -> Handled {
     let state = &shared.state;

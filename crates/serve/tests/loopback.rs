@@ -411,6 +411,36 @@ fn healthz_and_metrics_reflect_traffic() {
 }
 
 #[test]
+fn the_inline_counter_says_which_thread_answered() {
+    let (corpus, server) = spawn_server(&[]);
+    let mut c = Client::connect(&server);
+    let ex = &corpus.dev[0];
+    let db = &corpus.databases[ex.db].id;
+    let inline = |c: &mut Client| -> f64 {
+        let text = String::from_utf8(c.request("GET", "/metrics", "").body).unwrap();
+        text.lines()
+            .find_map(|l| l.strip_prefix("t2v_inline_responses_total ")?.parse().ok())
+            .expect("t2v_inline_responses_total in /metrics")
+    };
+
+    // Two identical requests: the miss takes the dispatch hop (as do the
+    // scrapes themselves), the hit is answered where it was parsed.
+    let before = inline(&mut c);
+    assert_eq!(c.translate(&ex.nlq, db).cache(), Some("miss"));
+    assert_eq!(c.translate(&ex.nlq, db).cache(), Some("hit"));
+    assert_eq!(inline(&mut c) - before, 1.0);
+    let status = c.request("GET", "/v1/admin/status", "").json();
+    assert_eq!(
+        status
+            .get("event")
+            .and_then(|e| e.get("inline"))
+            .and_then(Json::as_f64),
+        Some(before + 1.0)
+    );
+    server.shutdown();
+}
+
+#[test]
 fn vegalite_responses_execute_and_cache_separately() {
     let (corpus, server) = spawn_server(&[]);
     let ex = &corpus.dev[0];

@@ -137,6 +137,43 @@ fn stages(trace: &Json) -> Vec<String> {
         .collect()
 }
 
+/// Span arithmetic of a recorded trace: the root span spans the whole
+/// request, every span fits inside it, and the direct children of the root
+/// account for the request's latency without exceeding it — whichever
+/// threads the request crossed.
+fn assert_span_arithmetic(full: &Json) {
+    let total_ms = full.get("total_ms").and_then(Json::as_f64).unwrap();
+    let spans = full.get("spans").and_then(Json::as_arr).unwrap();
+    assert_eq!(
+        spans[0].get("stage").and_then(Json::as_str),
+        Some("request")
+    );
+    assert!(spans[0].get("parent").unwrap().as_f64().is_none());
+    assert_eq!(
+        spans[0].get("dur_ms").and_then(Json::as_f64),
+        Some(total_ms)
+    );
+    let mut direct_children_ms = 0.0;
+    for s in &spans[1..] {
+        let start = s.get("start_ms").and_then(Json::as_f64).unwrap();
+        let dur = s.get("dur_ms").and_then(Json::as_f64).unwrap();
+        assert!(
+            start + dur <= total_ms * 1.05 + 0.5,
+            "span fits in the request window"
+        );
+        let parent = s.get("parent").and_then(Json::as_f64).unwrap() as usize;
+        assert!(parent < spans.len(), "parent index in range");
+        if parent == 0 {
+            direct_children_ms += dur;
+        }
+    }
+    assert!(
+        direct_children_ms <= total_ms * 1.05 + 0.5,
+        "non-overlapping stage durations sum to at most the request latency \
+         ({direct_children_ms:.3}ms of {total_ms:.3}ms)"
+    );
+}
+
 #[test]
 fn traced_request_covers_every_stage_and_reaches_recorder_and_access_log() {
     let dir = std::env::temp_dir().join(format!("t2v-trace-e2e-{}", std::process::id()));
@@ -208,39 +245,7 @@ fn traced_request_covers_every_stage_and_reaches_recorder_and_access_log() {
         );
     }
 
-    // Span arithmetic: the root span spans the whole request, every span
-    // fits inside it, and the direct children of the root account for the
-    // request's latency without exceeding it.
-    let total_ms = full.get("total_ms").and_then(Json::as_f64).unwrap();
-    let spans = full.get("spans").and_then(Json::as_arr).unwrap();
-    assert_eq!(
-        spans[0].get("stage").and_then(Json::as_str),
-        Some("request")
-    );
-    assert!(spans[0].get("parent").unwrap().as_f64().is_none());
-    assert_eq!(
-        spans[0].get("dur_ms").and_then(Json::as_f64),
-        Some(total_ms)
-    );
-    let mut direct_children_ms = 0.0;
-    for s in &spans[1..] {
-        let start = s.get("start_ms").and_then(Json::as_f64).unwrap();
-        let dur = s.get("dur_ms").and_then(Json::as_f64).unwrap();
-        assert!(
-            start + dur <= total_ms * 1.05 + 0.5,
-            "span fits in the request window"
-        );
-        let parent = s.get("parent").and_then(Json::as_f64).unwrap() as usize;
-        assert!(parent < spans.len(), "parent index in range");
-        if parent == 0 {
-            direct_children_ms += dur;
-        }
-    }
-    assert!(
-        direct_children_ms <= total_ms * 1.05 + 0.5,
-        "non-overlapping stage durations sum to at most the request latency \
-         ({direct_children_ms:.3}ms of {total_ms:.3}ms)"
-    );
+    assert_span_arithmetic(&full);
 
     // (4) `recent` lists it newest-first, and the filters hold.
     let reply = client.request("GET", "/v1/admin/trace/recent?tenant=default&min_ms=0", "");
@@ -282,16 +287,23 @@ fn traced_request_covers_every_stage_and_reaches_recorder_and_access_log() {
         "per-stage timings in the log line"
     );
 
-    // (6) a second identical query is a cache hit — visible in its trace.
+    // (6) a second identical query is a cache hit — visible in its trace,
+    // which never left the loop thread (the miss above was resumed on a
+    // dispatch thread): the same arithmetic holds for its recorded copy.
     let reply = client.translate_traced(&ex.nlq, &db);
     assert_eq!(reply.status, 200);
     let hit = reply.json();
+    let inline = hit.get("trace").expect("inline trace object");
+    assert_eq!(inline.get("cache").and_then(Json::as_str), Some("hit"));
+    let hit_id = inline.get("id").and_then(Json::as_str).unwrap();
+    let reply = client.request("GET", &format!("/v1/admin/trace/{hit_id}"), "");
+    assert_eq!(reply.status, 200);
+    let full = reply.json();
     assert_eq!(
-        hit.get("trace")
-            .and_then(|t| t.get("cache"))
-            .and_then(Json::as_str),
-        Some("hit")
+        stages(&full),
+        ["request", "conn.read", "cache.lookup", "resp.write"]
     );
+    assert_span_arithmetic(&full);
     std::fs::remove_dir_all(&dir).ok();
 }
 
