@@ -21,7 +21,7 @@ use t2v_core::{
 use t2v_corpus::{Corpus, Database};
 use t2v_embed::{EmbedConfig, TextEmbedder, VectorIndex};
 use t2v_llm::generate::{generate_dvq, GenContext};
-use t2v_llm::parse::{parse_schema, ParsedExample, ParsedGeneration, ParsedSchema};
+use t2v_llm::parse::{parse_schema, ParsedExample, ParsedGeneration};
 use t2v_llm::patterns::PatternKnowledge;
 
 /// The assembled RGVisNet reproduction.
@@ -81,14 +81,15 @@ impl RgVisNet {
 
     /// Stage 2: revise a prototype against the target schema.
     fn revise(&self, nlq: &str, db: &Database, proto_nlq: &str, proto_dvq: &str) -> Option<String> {
+        let schema_text = db.render_prompt_schema();
         let parsed = ParsedGeneration {
             examples: vec![ParsedExample {
-                schema: ParsedSchema::default(),
-                nlq: proto_nlq.to_string(),
-                dvq: proto_dvq.to_string(),
+                schema_text: "",
+                nlq: proto_nlq,
+                dvq: proto_dvq,
             }],
-            schema: parse_schema(&db.render_prompt_schema()),
-            nlq: nlq.to_string(),
+            schema: parse_schema(&schema_text),
+            nlq,
         };
         let ctx = GenContext {
             embedder: &self.embedder,

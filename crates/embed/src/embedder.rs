@@ -12,18 +12,24 @@
 //!   models the imperfect synonym knowledge of a real embedding model and is
 //!   the main quality knob exercised by the ablation benches.
 //!
-//! This is the hottest code in the repository (it runs once per library
-//! entry at prepare time and three times per translation), so the hot path
-//! is allocation-free: [`TextEmbedder::embed_into`] tokenizes over byte
-//! ranges of a reused thread-local scratch buffer, hashes features
-//! incrementally, and resolves concept phrases against a hash map
-//! precomputed at construction (including plural-stemmed forms) instead of
-//! re-joining phrase strings per probe. See DESIGN.md §5.
+//! This is the hottest code in the repository. It runs twice per library
+//! entry at prepare time, and a GRED translation calls it about 120 times:
+//! twice from the pipeline (the question, then the generated DVQ — the two
+//! [`TextEmbedder::embed_into`] calls that carry an `embed` span and poll
+//! the `embed.latency` fault point) and once per distinct phrase, slot and
+//! schema name the simulated model links, through the un-instrumented
+//! [`TextEmbedder::embed_untraced`]. So the hot path is allocation-free: it
+//! tokenizes over byte ranges of a reused thread-local scratch buffer,
+//! hashes features incrementally, resolves concept phrases against a hash
+//! map precomputed at construction (including plural-stemmed forms) instead
+//! of re-joining phrase strings per probe, and normalises only the lanes its
+//! features touched (10–60 of 256). See DESIGN.md §5.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use t2v_corpus::lexicon::Lexicon;
 
 /// Embedder configuration.
@@ -84,7 +90,54 @@ pub struct TextEmbedder {
     known: HashSet<(usize, usize)>,
     /// Phrase-hash → entries (Vec only for the astronomically unlikely hash
     /// collision; the stored phrase disambiguates).
-    phrases: HashMap<u64, Vec<PhraseEntry>>,
+    phrases: PhraseTable,
+    /// One bit per `fnv(first word) % FIRST_WORD_BITS` of every phrase the
+    /// coverage sample knows. Derived from `phrases`; a clear bit means no
+    /// feature-bearing phrase starts with that word.
+    first_words: Box<[u64]>,
+}
+
+/// Width of the first-word filter: 2 KiB for the ~1000 distinct first words
+/// of the builtin lexicon, so about one unrelated word in sixteen passes it.
+const FIRST_WORD_BITS: u64 = 1 << 14;
+
+/// A word's (word index, bit mask) in the first-word filter.
+fn first_word_bit(word: &[u8]) -> (usize, u64) {
+    let h = fnv_bytes(word) % FIRST_WORD_BITS;
+    ((h / 64) as usize, 1 << (h % 64))
+}
+
+fn first_word_filter(phrases: &PhraseTable) -> Box<[u64]> {
+    let mut bits = vec![0u64; (FIRST_WORD_BITS / 64) as usize].into_boxed_slice();
+    for entry in phrases.values().flatten().filter(|e| e.known) {
+        let first = entry.phrase.split(' ').next().unwrap_or_default();
+        let (word, mask) = first_word_bit(first.as_bytes());
+        bits[word] |= mask;
+    }
+    bits
+}
+
+/// The phrase table's keys are FNV hashes already, so the map takes them as
+/// they are instead of running SipHash over each of the up to three probes
+/// per word. The keys come from the lexicon, never from a caller's text (a
+/// probe only reads), so there is no chosen-key collision to guard against.
+type PhraseTable = HashMap<u64, Vec<PhraseEntry>, BuildHasherDefault<PhraseHash>>;
+
+#[derive(Debug, Clone, Copy, Default)]
+struct PhraseHash(u64);
+
+impl Hasher for PhraseHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the phrase table is keyed by u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
 }
 
 /// One row of the serialisable phrase-table view: a resolvable phrase
@@ -114,12 +167,14 @@ pub struct EmbedderParts {
     pub phrases: Vec<PhraseRow>,
 }
 
-/// Reused per-thread tokenizer state: a lowercase byte buffer plus the word
-/// ranges into it. Embedding allocates nothing after thread warm-up.
+/// Reused per-thread embedding state: a lowercase byte buffer, the word
+/// ranges into it, and one bit per output lane a feature landed on.
+/// Embedding allocates nothing after thread warm-up.
 #[derive(Default)]
 struct Scratch {
     buf: Vec<u8>,
     words: Vec<(u32, u32)>,
+    touched: Vec<u64>,
 }
 
 thread_local! {
@@ -141,9 +196,11 @@ impl TextEmbedder {
             cfg,
             lexicon,
             known,
-            phrases: HashMap::new(),
+            phrases: PhraseTable::default(),
+            first_words: Box::default(),
         };
         e.build_phrase_table();
+        e.first_words = first_word_filter(&e.phrases);
         e
     }
 
@@ -294,7 +351,7 @@ impl TextEmbedder {
             .into_iter()
             .map(|(ci, ai)| in_range(ci, ai))
             .collect::<Result<_, _>>()?;
-        let mut table: HashMap<u64, Vec<PhraseEntry>> = HashMap::new();
+        let mut table = PhraseTable::default();
         for row in phrases {
             let (ci, ai) = in_range(row.concept, row.alt)?;
             if row.phrase.is_empty() {
@@ -324,6 +381,7 @@ impl TextEmbedder {
             cfg,
             lexicon,
             known,
+            first_words: first_word_filter(&table),
             phrases: table,
         })
     }
@@ -352,50 +410,82 @@ impl TextEmbedder {
     /// Embed `text` into a caller-provided buffer of length
     /// [`TextEmbedder::dims`], overwriting it. Allocation-free after
     /// per-thread warm-up; byte-identical to [`TextEmbedder::embed`].
+    ///
+    /// This is the pipeline's entry: it opens a `Stage::Embed` span and
+    /// polls the `embed.latency` fault point, then does the work of
+    /// [`TextEmbedder::embed_untraced`].
     pub fn embed_into(&self, text: &str, out: &mut [f32]) {
         let _span = t2v_trace::span(t2v_trace::Stage::Embed);
         t2v_fault::inject_delay(t2v_fault::FaultPoint::EmbedLatency);
-        assert_eq!(out.len(), self.cfg.dims, "output buffer length mismatch");
-        out.fill(0.0);
+        self.embed_untraced(text, out);
+    }
 
+    /// [`TextEmbedder::embed_into`] without the span and the fault point —
+    /// for a caller whose embeddings are private to one step of the request
+    /// (the simulated model's schema linking), so that an `embed` span and
+    /// an `embed.latency` firing keep meaning one of the pipeline's own
+    /// embeddings.
+    pub fn embed_untraced(&self, text: &str, out: &mut [f32]) {
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            tokenize_into(text, scratch);
-            let Scratch { buf, words } = scratch;
-
-            // Word and trigram features.
-            for &(s, e) in words.iter() {
-                let w = &buf[s as usize..e as usize];
-                add_feature(out, b"w:", w, self.cfg.word_weight);
-                if w.len() >= 3 {
-                    for tri in w.windows(3) {
-                        add_feature(out, b"t:", tri, self.cfg.trigram_weight);
-                    }
-                }
-            }
-
-            // Concept features: greedy longest-match of word n-grams (length
-            // 3 down to 1) against the precomputed phrase table.
-            let mut i = 0usize;
-            while i < words.len() {
-                let mut matched = 0usize;
-                for len in (1..=3usize).rev() {
-                    if i + len > words.len() {
-                        continue;
-                    }
-                    if let Some(entry) = self.probe_phrase(buf, &words[i..i + len]) {
-                        if entry.known {
-                            out[entry.dim as usize] += entry.signed_weight;
-                            matched = len;
-                            break;
-                        }
-                    }
-                }
-                i += matched.max(1);
-            }
+            self.accumulate(text, out, scratch);
+            normalize_touched(out, &scratch.touched);
         });
+    }
 
-        l2_normalize(out);
+    /// Sum the feature weights of `text` into `out` (overwritten, not yet
+    /// normalised) and leave in `scratch.touched` one bit per lane a
+    /// feature landed on — every other lane is exactly `+0.0`.
+    fn accumulate(&self, text: &str, out: &mut [f32], scratch: &mut Scratch) {
+        assert_eq!(out.len(), self.cfg.dims, "output buffer length mismatch");
+        out.fill(0.0);
+        tokenize_into(text, scratch);
+        let Scratch {
+            buf,
+            words,
+            touched,
+        } = scratch;
+        touched.clear();
+        touched.resize(out.len().div_ceil(64), 0);
+
+        // Word and trigram features.
+        for &(s, e) in words.iter() {
+            let w = &buf[s as usize..e as usize];
+            add_feature(out, touched, b"w:", w, self.cfg.word_weight);
+            if w.len() >= 3 {
+                for tri in w.windows(3) {
+                    add_feature(out, touched, b"t:", tri, self.cfg.trigram_weight);
+                }
+            }
+        }
+
+        // Concept features: greedy longest-match of word n-grams against
+        // the precomputed phrase table.
+        let mut i = 0usize;
+        while i < words.len() {
+            i += match self.match_phrase(buf, &words[i..]) {
+                Some((len, entry)) => {
+                    add_weight(out, touched, entry.dim, entry.signed_weight);
+                    len
+                }
+                None => 1,
+            };
+        }
+    }
+
+    /// The longest known phrase (three words down to one) that starts at
+    /// `words[0]`, with its length in words. Most words start no known
+    /// phrase; the first-word filter spares them their three probes.
+    fn match_phrase(&self, buf: &[u8], words: &[(u32, u32)]) -> Option<(usize, &PhraseEntry)> {
+        let &(s, e) = words.first()?;
+        let (word, mask) = first_word_bit(&buf[s as usize..e as usize]);
+        if self.first_words[word] & mask == 0 {
+            return None;
+        }
+        (1..=words.len().min(3)).rev().find_map(|len| {
+            let entry = self.probe_phrase(buf, &words[..len])?;
+            entry.known.then_some((len, entry))
+        })
     }
 
     /// Look up the n-gram `words` (ranges into `buf`) in the phrase table
@@ -487,8 +577,12 @@ fn fnv_step(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
 }
 
+fn fnv_bytes(bytes: &[u8]) -> u64 {
+    bytes.iter().copied().fold(FNV_OFFSET, fnv_step)
+}
+
 fn fnv_str(s: &str) -> u64 {
-    s.bytes().fold(FNV_OFFSET, fnv_step)
+    fnv_bytes(s.as_bytes())
 }
 
 /// FNV-1a over a tagged byte string, mapped to (dimension, signed weight).
@@ -505,9 +599,44 @@ fn feature_slot(tag: &[u8], bytes: &[u8], dims: usize, weight: f32) -> (u32, f32
 
 /// FNV-1a over a tagged byte string, accumulated into the feature vector.
 #[inline]
-fn add_feature(v: &mut [f32], tag: &[u8], bytes: &[u8], weight: f32) {
+fn add_feature(v: &mut [f32], touched: &mut [u64], tag: &[u8], bytes: &[u8], weight: f32) {
     let (dim, w) = feature_slot(tag, bytes, v.len(), weight);
+    add_weight(v, touched, dim, w);
+}
+
+/// Add `w` to lane `dim` and mark the lane as touched.
+#[inline]
+fn add_weight(v: &mut [f32], touched: &mut [u64], dim: u32, w: f32) {
     v[dim as usize] += w;
+    touched[dim as usize / 64] |= 1 << (dim % 64);
+}
+
+/// Call `f` with every lane whose bit is set, in ascending lane order.
+#[inline]
+fn for_each_touched(touched: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in touched.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(wi * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// [`l2_normalize`] for a vector that is exactly `+0.0` outside the lanes
+/// marked in `touched`, with the same bits out. The dense loop adds the
+/// squares in ascending lane order and divides every lane; squaring,
+/// adding or dividing an untouched `+0.0` changes nothing (`s + 0.0 == s`,
+/// `0.0 / n == 0.0`), so walking only the touched lanes in the same order
+/// performs the same roundings. A touched lane whose features cancelled to
+/// `0.0` is still walked, as the dense loop walks it.
+fn normalize_touched(v: &mut [f32], touched: &[u64]) {
+    let mut sum = 0.0f32;
+    for_each_touched(touched, |i| sum += v[i] * v[i]);
+    let norm = sum.sqrt();
+    if norm > 0.0 {
+        for_each_touched(touched, |i| v[i] /= norm);
+    }
 }
 
 /// Normalise to unit length (no-op for the zero vector).
@@ -536,6 +665,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn model(coverage: f64) -> TextEmbedder {
         TextEmbedder::new(
@@ -641,6 +771,125 @@ mod tests {
         // Reuse without clearing: embed_into overwrites.
         m.embed_into("different text entirely", &mut buf);
         assert_eq!(buf, m.embed("different text entirely"));
+    }
+
+    /// Every stride the touched-lane bitmap has to get right: one lane, a
+    /// last word that is partial (63, 65, 300), exactly full (64, 256), and
+    /// a non-power-of-two.
+    const STRIDES: [usize; 6] = [1, 63, 64, 65, 256, 300];
+
+    fn models_by_stride() -> &'static [TextEmbedder] {
+        static MODELS: std::sync::OnceLock<Vec<TextEmbedder>> = std::sync::OnceLock::new();
+        MODELS.get_or_init(|| {
+            STRIDES
+                .iter()
+                .map(|&dims| {
+                    TextEmbedder::new(
+                        Lexicon::builtin(),
+                        EmbedConfig {
+                            dims,
+                            ..EmbedConfig::default()
+                        },
+                    )
+                })
+                .collect()
+        })
+    }
+
+    /// The oracle for the touched-lane normalise: the same feature fill,
+    /// then the dense [`l2_normalize`] over every lane.
+    fn embed_dense(m: &TextEmbedder, text: &str) -> Vec<f32> {
+        let mut v = vec![f32::NAN; m.dims()];
+        m.accumulate(text, &mut v, &mut Scratch::default());
+        l2_normalize(&mut v);
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn featureless_text_stays_all_positive_zero() {
+        for m in models_by_stride() {
+            for text in ["", " ", " \t\n ", "!?-", "数据", "\u{0301}\u{0301}", "שלום"] {
+                let v = m.embed(text);
+                assert!(v.iter().all(|x| x.to_bits() == 0), "{text:?}");
+                assert_eq!(bits(&v), bits(&embed_dense(m, text)), "{text:?}");
+            }
+        }
+    }
+
+    /// Two words whose word features land on one lane with opposite signs
+    /// cancel it to exactly `0.0`: a touched lane that holds zero, which the
+    /// sparse walk must square, add and divide like the dense loop does.
+    /// (Three letters, because FNV needs three varying bytes to reach the
+    /// sign bit; their trigram features land wherever they land.)
+    #[test]
+    fn cancelled_lanes_match_the_dense_normalise() {
+        for m in models_by_stride() {
+            let dims = m.dims();
+            let words: Vec<String> = (0..26u32.pow(3))
+                .map(|i| {
+                    let letter = |n: u32| char::from(b'a' + (n % 26) as u8);
+                    String::from_iter([letter(i / 676), letter(i / 26), letter(i)])
+                })
+                .filter(|w| m.resolve_phrase(w).is_none())
+                .collect();
+            let slot = |w: &str| feature_slot(b"w:", w.as_bytes(), dims, 1.0);
+            let (a, b) = words
+                .iter()
+                .find_map(|a| {
+                    let (dim, sign) = slot(a);
+                    let b = words.iter().find(|b| slot(b) == (dim, -sign))?;
+                    Some((a, b))
+                })
+                .unwrap_or_else(|| panic!("no cancelling pair at dims {dims}"));
+            let pair = format!("{a} {b}");
+            let mut raw = vec![0f32; dims];
+            let mut scratch = Scratch::default();
+            m.accumulate(&pair, &mut raw, &mut scratch);
+            let mut touched_zeros = 0;
+            for_each_touched(&scratch.touched, |i| {
+                touched_zeros += (raw[i] == 0.0) as usize
+            });
+            // With one lane the trigram weights share it, so it may survive.
+            assert!(touched_zeros > 0 || dims == 1, "dims {dims} {pair:?}");
+            for text in [pair, format!("{a} zq {b} {b} {a}")] {
+                assert_eq!(
+                    bits(&m.embed(&text)),
+                    bits(&embed_dense(m, &text)),
+                    "dims {dims} {text:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// `embed` (touched lanes only) and the dense oracle agree bit for
+        /// bit, lane by lane, on arbitrary text: ASCII words and lexicon
+        /// phrases, runs of separators, CJK, combining marks and RTL
+        /// letters (all separators to the byte tokenizer) — never a panic,
+        /// and the same bits on a second call.
+        #[test]
+        fn touched_lane_normalise_equals_dense(
+            text in "[a-z A-Z0-9_,.\t\n一-鿿\u{0300}-\u{036f}א-ת]{0,48}",
+            lexical in prop::sample::select(vec![
+                "", "salary", "wages by date of hire", "departments", "HIRE_DATE",
+            ]),
+            stride in 0usize..STRIDES.len(),
+        ) {
+            let m = &models_by_stride()[stride];
+            let text = format!("{lexical} {text}");
+            let got = m.embed(&text);
+            prop_assert_eq!(bits(&got), bits(&embed_dense(m, &text)));
+            prop_assert_eq!(bits(&got), bits(&m.embed(&text)));
+            let mut into = vec![7.0f32; m.dims()];
+            m.embed_untraced(&text, &mut into);
+            prop_assert_eq!(bits(&got), bits(&into));
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! | point              | action when fired                                  |
 //! |--------------------|----------------------------------------------------|
-//! | `embed.latency`    | sleep `ms` inside `TextEmbedder::embed_into`       |
+//! | `embed.latency`    | sleep `ms` inside `TextEmbedder::embed_into` — the |
+//! |                    | pipeline's embeddings (two per GRED translation),  |
+//! |                    | not the model's private `embed_untraced` lookups   |
 //! | `retrieve.latency` | sleep `ms` inside the GRED retriever seam          |
 //! | `backend.error`    | translation returns a structured `internal` error  |
 //! | `backend.panic`    | translation worker job panics                      |

@@ -210,7 +210,9 @@ impl EmbeddingLibrary {
 /// Lazily populated collection of database annotations, generated by the
 /// LLM with the C.1 prompt (`temperature=0.0`, zero penalties).
 pub struct AnnotationStore {
-    cache: Mutex<HashMap<String, String>>,
+    /// One write-once cell per database id: the map's lock is held only to
+    /// find or add a cell, never across a model call.
+    cache: Mutex<HashMap<String, Arc<OnceLock<Arc<str>>>>>,
 }
 
 impl AnnotationStore {
@@ -220,19 +222,30 @@ impl AnnotationStore {
         }
     }
 
-    /// The annotation text for `db`, generating it on first use.
-    pub fn annotation_for(&self, db: &Database, model: &dyn ChatModel) -> String {
-        if let Some(hit) = self.cache.lock().get(&db.id) {
-            return hit.clone();
-        }
-        let msgs = prompts::annotation_prompt(db);
-        let text = model.complete(&msgs, &ChatParams::annotation());
-        self.cache.lock().insert(db.id.clone(), text.clone());
-        text
+    /// The annotation text for `db`, generating it on first use. A hit is
+    /// one lock acquisition and a reference-count bump; callers that race
+    /// on a database's first use run the prompt once and share its answer.
+    pub fn annotation_for(&self, db: &Database, model: &dyn ChatModel) -> Arc<str> {
+        let cell = {
+            let mut cache = self.cache.lock();
+            match cache.get(&db.id) {
+                Some(cell) => match cell.get() {
+                    Some(text) => return Arc::clone(text),
+                    None => Arc::clone(cell),
+                },
+                None => Arc::clone(cache.entry(db.id.clone()).or_default()),
+            }
+        };
+        Arc::clone(cell.get_or_init(|| {
+            let msgs = prompts::annotation_prompt(db);
+            model.complete(&msgs, &ChatParams::annotation()).into()
+        }))
     }
 
+    /// Databases whose annotation has been generated.
     pub fn cached(&self) -> usize {
-        self.cache.lock().len()
+        let cache = self.cache.lock();
+        cache.values().filter(|cell| cell.get().is_some()).count()
     }
 }
 
@@ -245,7 +258,10 @@ impl Default for AnnotationStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use t2v_corpus::{generate, CorpusConfig};
+    use t2v_llm::api::ChatMessage;
     use t2v_llm::{LlmConfig, SimulatedChatModel};
 
     #[test]
@@ -304,8 +320,56 @@ mod tests {
         let store = AnnotationStore::new();
         let a = store.annotation_for(&corpus.databases[0], &model);
         let b = store.annotation_for(&corpus.databases[0], &model);
-        assert_eq!(a, b);
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.cached(), 1);
         assert!(a.contains("Table "));
+    }
+
+    /// Eight threads ask for one database's annotation at once: the C.1
+    /// prompt runs once and all eight hold the same allocation.
+    #[test]
+    fn racing_first_callers_run_the_annotation_prompt_once() {
+        const THREADS: usize = 8;
+        struct Counting {
+            inner: SimulatedChatModel,
+            calls: AtomicUsize,
+            /// Threads that are past the start line. A call stays in
+            /// flight until all of them are, so the rest reach the store
+            /// while the answer does not exist yet.
+            asking: AtomicUsize,
+        }
+        impl ChatModel for Counting {
+            fn complete(&self, messages: &[ChatMessage], params: &ChatParams) -> String {
+                self.calls.fetch_add(1, Ordering::SeqCst);
+                while self.asking.load(Ordering::SeqCst) < THREADS {
+                    std::thread::yield_now();
+                }
+                self.inner.complete(messages, params)
+            }
+        }
+
+        let corpus = generate(&CorpusConfig::tiny(7));
+        let model = Counting {
+            inner: SimulatedChatModel::new(LlmConfig::default()),
+            calls: AtomicUsize::new(0),
+            asking: AtomicUsize::new(0),
+        };
+        let store = AnnotationStore::new();
+        let start = Barrier::new(THREADS);
+        let texts: Vec<Arc<str>> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        model.asking.fetch_add(1, Ordering::SeqCst);
+                        store.annotation_for(&corpus.databases[0], &model)
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(model.calls.load(Ordering::SeqCst), 1);
+        assert!(texts.iter().all(|t| Arc::ptr_eq(t, &texts[0])));
+        assert_eq!(store.cached(), 1);
     }
 }

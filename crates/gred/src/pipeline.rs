@@ -317,12 +317,12 @@ impl<M: ChatModel> Gred<M> {
         };
 
         // ----- stage 3: Annotation-based Debugger -----
-        let current = dvq_rtn.clone().unwrap_or_else(|| dvq_gen.clone());
+        let current = dvq_rtn.as_deref().unwrap_or(&dvq_gen);
         let dvq_dbg = if self.config.use_debugger {
             let t2 = Instant::now();
             let annotations = self.annotations.annotation_for(db, &self.model);
             let answer = self.model.complete(
-                &prompts::debug_prompt(&schema_text, &annotations, &current),
+                &prompts::debug_prompt(&schema_text, &annotations, current),
                 &ChatParams::working(),
             );
             let dvq_dbg = extract_dvq(&answer);

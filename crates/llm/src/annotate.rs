@@ -99,18 +99,13 @@ mod tests {
     use t2v_corpus::Lexicon;
     use t2v_embed::EmbedConfig;
 
-    fn schema() -> ParsedSchema {
+    fn schema() -> ParsedSchema<'static> {
         ParsedSchema {
             tables: vec![SchemaTable {
-                name: "staff_member".into(),
-                columns: vec!["wage".into(), "Dept_ID".into(), "CITY".into()],
+                name: "staff_member",
+                columns: vec!["wage", "Dept_ID", "CITY"],
             }],
-            foreign_keys: vec![(
-                "staff_member".into(),
-                "Dept_ID".into(),
-                "division".into(),
-                "division_key".into(),
-            )],
+            foreign_keys: vec![("staff_member", "Dept_ID", "division", "division_key")],
         }
     }
 

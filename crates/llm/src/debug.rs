@@ -7,15 +7,100 @@
 //! `overcorrect` the model additionally "fixes" one column that was already
 //! valid — the over-eagerness that makes full GRED slightly *worse* than
 //! `w/o DBG` on the NLQ-only variant (paper Table 4).
+//!
+//! Most DVQs that reach the debugger name nothing stale, so the annotation
+//! lookup, the `"{column} {annotation}"` descriptors and their embeddings
+//! are built by the first name that needs repair, not up front.
 
-use crate::linker::EmbedCache;
+use crate::linker::{EmbedCache, EmbedId};
 use crate::parse::{parse_annotations, ParsedSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use t2v_dvq::ast::{ColumnRef, Dvq, Predicate, Value};
 use t2v_dvq::printer::Printer;
-use t2v_embed::{cosine, TextEmbedder};
+use t2v_embed::TextEmbedder;
+
+/// The schema's columns as repair candidates: each is scored by its name
+/// and by its descriptor, "name words + annotation".
+struct Candidates<'a> {
+    columns: Vec<&'a str>,
+    names: Vec<EmbedId>,
+    descriptors: Vec<EmbedId>,
+}
+
+/// What repairing names needs, embedded on demand into one arena.
+struct Repair<'a> {
+    schema: &'a ParsedSchema<'a>,
+    annotations: &'a str,
+    cache: EmbedCache<'a>,
+    candidates: Option<Candidates<'a>>,
+}
+
+impl<'a> Repair<'a> {
+    /// The candidate columns and, index-aligned, how similar each is to
+    /// `text`: the better of its name's and its descriptor's cosine.
+    fn column_scores(&mut self, text: &str) -> (&[&'a str], Vec<f32>) {
+        let text = self.cache.id(text);
+        let (schema, annotations, cache) = (self.schema, self.annotations, &mut self.cache);
+        let c = self.candidates.get_or_insert_with(|| {
+            let ann = parse_annotations(annotations);
+            let columns: Vec<&str> = schema.all_columns().map(|(_, c)| c).collect();
+            let names = columns.iter().map(|c| cache.id(c)).collect();
+            let descriptors = columns
+                .iter()
+                .map(
+                    |c| match ann.iter().find(|(name, _)| name.eq_ignore_ascii_case(c)) {
+                        Some((_, d)) => cache.id(&format!("{c} {d}")),
+                        None => cache.id(c),
+                    },
+                )
+                .collect();
+            Candidates {
+                columns,
+                names,
+                descriptors,
+            }
+        });
+        let scores = c
+            .names
+            .iter()
+            .zip(&c.descriptors)
+            .map(|(&name, &desc)| self.cache.cos(text, name).max(self.cache.cos(text, desc)))
+            .collect();
+        (&c.columns, scores)
+    }
+
+    /// The schema column most similar to the unknown name `bad`.
+    fn best_column(&mut self, bad: &str) -> Option<&'a str> {
+        let (columns, scores) = self.column_scores(bad);
+        let mut best = (0usize, f32::MIN);
+        for (i, &s) in scores.iter().enumerate() {
+            if s > best.1 {
+                best = (i, s);
+            }
+        }
+        columns.get(best.0).copied()
+    }
+
+    /// Replace a table name the schema does not have by its most similar one.
+    fn fix_table(&mut self, name: &mut String) {
+        let tables = &self.schema.tables;
+        if self.schema.has_table(name) || tables.is_empty() {
+            return;
+        }
+        let bad = self.cache.id(name);
+        let mut best = (0usize, f32::MIN);
+        for (i, t) in tables.iter().enumerate() {
+            let id = self.cache.id(t.name);
+            let s = self.cache.cos(bad, id);
+            if s > best.1 {
+                best = (i, s);
+            }
+        }
+        *name = tables[best.0].name.to_string();
+    }
+}
 
 /// Debug `original` against `schema` + `annotations`.
 pub fn debug_dvq(
@@ -29,86 +114,49 @@ pub fn debug_dvq(
     let Ok(mut q) = t2v_dvq::parse(original) else {
         return format!("### Revised DVQ:\n# {original}");
     };
-    let mut cache = EmbedCache::new(embedder);
-    let ann: Vec<(String, String)> = parse_annotations(annotations);
-    let ann_of = |col: &str| -> Option<&str> {
-        ann.iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(col))
-            .map(|(_, d)| d.as_str())
-    };
-
-    // Candidate descriptor per schema column: "name words + annotation".
-    let columns: Vec<String> = schema.all_columns().map(|(_, c)| c.to_string()).collect();
-    let descriptors: Vec<String> = columns
-        .iter()
-        .map(|c| match ann_of(c) {
-            Some(d) => format!("{c} {d}"),
-            None => c.clone(),
-        })
-        .collect();
-
-    let best_for = |cache: &mut EmbedCache, bad: &str| -> Option<(usize, f32)> {
-        if columns.is_empty() {
-            return None;
-        }
-        let bv = cache.get(bad);
-        let mut best = (0usize, f32::MIN);
-        for (i, (name, desc)) in columns.iter().zip(descriptors.iter()).enumerate() {
-            let s = cosine(&bv, &cache.get(name)).max(cosine(&bv, &cache.get(desc)));
-            if s > best.1 {
-                best = (i, s);
-            }
-        }
-        Some(best)
+    let mut repair = Repair {
+        schema,
+        annotations,
+        // A repair embeds every column's name and descriptor, the table
+        // names and a few stale names.
+        cache: EmbedCache::new(
+            embedder,
+            2 * schema.all_columns().count() + schema.tables.len() + 8,
+        ),
+        candidates: None,
     };
 
     // Consistent replacement per distinct bad name.
-    let mut memo: HashMap<String, String> = HashMap::new();
+    let mut memo: HashMap<String, &str> = HashMap::new();
     let aliases = alias_names(&q);
-    let mut fix_column = |cache: &mut EmbedCache, c: &mut ColumnRef| {
+    q.visit_columns_mut(&mut |c: &mut ColumnRef| {
         if schema.has_column(&c.column) || c.column == "*" {
             return;
         }
         let key = c.column.to_ascii_lowercase();
         if let Some(fixed) = memo.get(&key) {
-            c.column = fixed.clone();
+            c.column = fixed.to_string();
             return;
         }
-        if let Some((i, _)) = best_for(cache, &c.column) {
-            memo.insert(key, columns[i].clone());
-            c.column = columns[i].clone();
+        if let Some(fixed) = repair.best_column(&c.column) {
+            memo.insert(key, fixed);
+            c.column = fixed.to_string();
         }
-    };
-    q.visit_columns_mut(&mut |c: &mut ColumnRef| fix_column(&mut cache, c));
+    });
 
     // Repair unknown table references (FROM, JOIN, subqueries).
-    let table_names: Vec<String> = schema.tables.iter().map(|t| t.name.clone()).collect();
-    let fix_table = |cache: &mut EmbedCache, name: &mut String| {
-        if schema.has_table(name) || table_names.is_empty() {
-            return;
-        }
-        let bv = cache.get(name);
-        let mut best = (0usize, f32::MIN);
-        for (i, t) in table_names.iter().enumerate() {
-            let s = cosine(&bv, &cache.get(t));
-            if s > best.1 {
-                best = (i, s);
-            }
-        }
-        *name = table_names[best.0].clone();
-    };
-    fix_table(&mut cache, &mut q.from.name);
+    repair.fix_table(&mut q.from.name);
     for j in &mut q.joins {
-        fix_table(&mut cache, &mut j.table.name);
+        repair.fix_table(&mut j.table.name);
     }
     if let Some(w) = &mut q.where_clause {
         for p in w.predicates_mut() {
             match p {
-                Predicate::In { subquery, .. } => fix_table(&mut cache, &mut subquery.from),
+                Predicate::In { subquery, .. } => repair.fix_table(&mut subquery.from),
                 Predicate::Compare {
                     value: Value::Subquery(sq),
                     ..
-                } => fix_table(&mut cache, &mut sq.from),
+                } => repair.fix_table(&mut sq.from),
                 _ => {}
             }
         }
@@ -116,12 +164,9 @@ pub fn debug_dvq(
 
     // Repair stale table-name qualifiers (aliases are left alone).
     q.visit_columns_mut(&mut |c: &mut ColumnRef| {
-        if let Some(qual) = &c.qualifier {
-            let lower = qual.to_ascii_lowercase();
-            if !aliases.contains(&lower) && !schema.has_table(qual) {
-                let mut name = qual.clone();
-                fix_table(&mut cache, &mut name);
-                c.qualifier = Some(name);
+        if let Some(qual) = &mut c.qualifier {
+            if !aliases.contains(&qual.to_ascii_lowercase()) {
+                repair.fix_table(qual);
             }
         }
     });
@@ -138,22 +183,14 @@ pub fn debug_dvq(
         if !valid_refs.is_empty() {
             let victim = valid_refs[rng.gen_range(0..valid_refs.len())].clone();
             // Second-best candidate for the victim name.
-            let vv = cache.get(&victim);
-            let mut scored: Vec<(usize, f32)> = columns
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let s =
-                        cosine(&vv, &cache.get(name)).max(cosine(&vv, &cache.get(&descriptors[i])));
-                    (i, s)
-                })
-                .collect();
+            let (columns, scores) = repair.column_scores(&victim);
+            let mut scored: Vec<(usize, f32)> = scores.into_iter().enumerate().collect();
             scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
             if let Some((second, score)) = scored.get(1).copied() {
                 if score > 0.0 && !columns[second].eq_ignore_ascii_case(&victim) {
                     q.visit_columns_mut(&mut |c: &mut ColumnRef| {
                         if c.column.eq_ignore_ascii_case(&victim) {
-                            c.column = columns[second].clone();
+                            c.column = columns[second].to_string();
                         }
                     });
                 }
@@ -195,11 +232,11 @@ mod tests {
         )
     }
 
-    fn schema() -> ParsedSchema {
+    fn schema() -> ParsedSchema<'static> {
         ParsedSchema {
             tables: vec![SchemaTable {
-                name: "staff_member".into(),
-                columns: vec!["wage".into(), "Dept_ID".into(), "town".into()],
+                name: "staff_member",
+                columns: vec!["wage", "Dept_ID", "town"],
             }],
             foreign_keys: vec![],
         }

@@ -14,13 +14,14 @@
 //!    `link_threshold` are *copied verbatim from the prompt* (the stale
 //!    column-name hallucination the paper's Debugger exists to fix).
 
-use crate::linker::{link_slot, phrases, EmbedCache};
+use crate::linker::{link_slot, phrases, EmbedCache, EmbedId, LinkResult};
 use crate::parse::{ParsedGeneration, ParsedSchema};
 use crate::patterns::{CmpIntent, FilterKind, Intents, LitValue, PatternKnowledge};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use t2v_dvq::ast::*;
 use t2v_dvq::printer::Printer;
-use t2v_embed::{cosine, TextEmbedder};
+use t2v_embed::TextEmbedder;
 
 /// Generation-time knobs, shared with the mock model config.
 pub struct GenContext<'a> {
@@ -40,34 +41,39 @@ pub struct GenContext<'a> {
 /// Run generation over a parsed prompt; returns the completion text
 /// (`A: Visualize ...`).
 pub fn generate_dvq(parsed: &ParsedGeneration, ctx: &GenContext) -> String {
-    let mut cache = EmbedCache::new(ctx.embedder);
-    let qv = cache.get(&parsed.nlq);
+    // What this call can embed: the question and every example, each schema
+    // name, the question's n-grams (up to three per word) and a few slots.
+    let expected_texts = 1
+        + parsed.examples.len()
+        + parsed.schema.tables.len()
+        + parsed.schema.all_columns().count()
+        + 3 * parsed.nlq.split_whitespace().count()
+        + 8;
+    let mut cache = EmbedCache::new(ctx.embedder, expected_texts);
+    let question = cache.id(parsed.nlq);
 
     // ----- 1. template induction with recency-weighted attention -----
-    let template_text = {
+    let template = {
         let n = parsed.examples.len();
         let mut best: Option<(f32, &str)> = None;
         for (i, ex) in parsed.examples.iter().enumerate() {
-            let ev = cache.get(&ex.nlq);
+            let example = cache.id(ex.nlq);
             let frac = if n > 1 {
                 i as f32 / (n - 1) as f32
             } else {
                 1.0
             };
             let weight = 1.0 + ctx.recency_bias * frac;
-            let score = cosine(&qv, &ev) * weight;
+            let score = cache.cos(question, example) * weight;
             if best.is_none_or(|(b, _)| score > b) {
-                best = Some((score, ex.dvq.as_str()));
+                best = Some((score, ex.dvq));
             }
         }
-        best.map(|(_, d)| d.to_string())
+        best.and_then(|(_, dvq)| t2v_dvq::parse(dvq).ok())
     };
-    let template = template_text
-        .as_deref()
-        .and_then(|t| t2v_dvq::parse(t).ok());
 
     // ----- 2. intent reading -----
-    let intents = crate::patterns::detect(&parsed.nlq, ctx.knowledge);
+    let intents = crate::patterns::detect(parsed.nlq, ctx.knowledge);
 
     // ----- 3. assemble -----
     let q = assemble(parsed, template, &intents, ctx, &mut cache);
@@ -77,13 +83,18 @@ pub fn generate_dvq(parsed: &ParsedGeneration, ctx: &GenContext) -> String {
 /// Column/table linking state for one generation call, restricted to the
 /// selected table set (plus global fallbacks for subqueries).
 struct LinkState<'a> {
-    schema: &'a ParsedSchema,
-    /// Candidate columns within the selected tables.
-    columns: Vec<String>,
-    /// Owning schema-table index per entry of `columns`.
+    schema: &'a ParsedSchema<'a>,
+    /// Arena id of every schema column, per table.
+    schema_column_ids: &'a [Vec<EmbedId>],
+    /// Candidate columns within the selected tables, their arena ids and
+    /// owning schema-table indices.
+    columns: Vec<&'a str>,
+    column_ids: Vec<EmbedId>,
     column_owner: Vec<usize>,
-    tables: Vec<String>,
-    question_phrases: Vec<String>,
+    nlq: &'a str,
+    /// Arena ids of the question's n-grams, resolved by the first slot that
+    /// needs linking and shared by every later one.
+    question_phrases: OnceCell<Vec<EmbedId>>,
     threshold: f32,
     /// Lowercased identifiers demonstrated by the chosen template DVQ.
     template_tokens: std::collections::HashSet<String>,
@@ -95,8 +106,9 @@ struct LinkState<'a> {
 impl<'a> LinkState<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        schema: &'a ParsedSchema,
-        nlq: &str,
+        schema: &'a ParsedSchema<'a>,
+        schema_column_ids: &'a [Vec<EmbedId>],
+        nlq: &'a str,
         threshold: f32,
         allowed: &[usize],
         template_tokens: std::collections::HashSet<String>,
@@ -104,19 +116,21 @@ impl<'a> LinkState<'a> {
         seed: u64,
     ) -> Self {
         let mut columns = Vec::new();
+        let mut column_ids = Vec::new();
         let mut column_owner = Vec::new();
         for &ti in allowed {
-            for c in &schema.tables[ti].columns {
-                columns.push(c.clone());
-                column_owner.push(ti);
-            }
+            columns.extend_from_slice(&schema.tables[ti].columns);
+            column_ids.extend_from_slice(&schema_column_ids[ti]);
+            column_owner.resize(columns.len(), ti);
         }
         LinkState {
             schema,
+            schema_column_ids,
             columns,
+            column_ids,
             column_owner,
-            tables: schema.tables.iter().map(|t| t.name.clone()).collect(),
-            question_phrases: phrases(nlq),
+            nlq,
+            question_phrases: OnceCell::new(),
             threshold,
             template_tokens,
             copy_bias,
@@ -138,6 +152,19 @@ impl<'a> LinkState<'a> {
         ((h >> 11) as f64 / (1u64 << 53) as f64) < self.copy_bias
     }
 
+    /// Link `slot` against `candidates`, bridging through the question's
+    /// phrases; `None` when nothing scores at or above the threshold.
+    fn link(&self, cache: &mut EmbedCache, slot: &str, candidates: &[EmbedId]) -> Option<usize> {
+        let slot = cache.id(slot);
+        let question_phrases = self
+            .question_phrases
+            .get_or_init(|| phrases(self.nlq).iter().map(|p| cache.id(p)).collect());
+        match link_slot(cache, slot, question_phrases, candidates) {
+            Some(LinkResult { candidate, score }) if score >= self.threshold => Some(candidate),
+            _ => None,
+        }
+    }
+
     /// Map a template column name / question phrase to a schema column.
     /// Falls back to the slot itself (hallucination) below threshold.
     fn map_column(&mut self, cache: &mut EmbedCache, slot: &str) -> String {
@@ -154,7 +181,7 @@ impl<'a> LinkState<'a> {
         let normalized = identify(slot);
         for c in &self.columns {
             if c.eq_ignore_ascii_case(&normalized) {
-                return c.clone();
+                return c.to_string();
             }
         }
         // Lexical shortcut: an explicitly mentioned token (underscore-shaped
@@ -169,43 +196,47 @@ impl<'a> LinkState<'a> {
         if explicit && self.copies(&normalized) {
             return normalized;
         }
-        match link_slot(cache, slot, &self.question_phrases, &self.columns) {
-            Some(r) if r.score >= self.threshold => self.columns[r.candidate].clone(),
+        match self.link(cache, slot, &self.column_ids) {
+            Some(i) => self.columns[i].to_string(),
             // Hallucinate: copy the slot verbatim (underscored).
-            _ => normalized,
+            None => normalized,
         }
     }
 
     fn map_table(&self, cache: &mut EmbedCache, slot: &str) -> String {
-        for t in &self.tables {
-            if t.eq_ignore_ascii_case(slot) {
-                return t.clone();
+        let tables = &self.schema.tables;
+        for t in tables {
+            if t.name.eq_ignore_ascii_case(slot) {
+                return t.name.to_string();
             }
         }
-        match link_slot(cache, slot, &self.question_phrases, &self.tables) {
-            Some(r) if r.score >= self.threshold => self.tables[r.candidate].clone(),
-            _ => identify(slot),
+        let table_ids: Vec<EmbedId> = tables.iter().map(|t| cache.id(t.name)).collect();
+        match self.link(cache, slot, &table_ids) {
+            Some(i) => tables[i].name.to_string(),
+            None => identify(slot),
         }
     }
 
     /// Link within one table's columns (for subquery selects).
     fn map_column_in(&self, cache: &mut EmbedCache, slot: &str, table: &str) -> String {
-        let Some(t) = self
+        let Some(ti) = self
             .schema
             .tables
             .iter()
-            .find(|t| t.name.eq_ignore_ascii_case(table))
+            .position(|t| t.name.eq_ignore_ascii_case(table))
         else {
             return self.resolve_column(cache, slot);
         };
-        for c in &t.columns {
-            if c.eq_ignore_ascii_case(&identify(slot)) {
-                return c.clone();
+        let columns = &self.schema.tables[ti].columns;
+        let normalized = identify(slot);
+        for c in columns {
+            if c.eq_ignore_ascii_case(&normalized) {
+                return c.to_string();
             }
         }
-        match link_slot(cache, slot, &self.question_phrases, &t.columns) {
-            Some(r) if r.score >= self.threshold => t.columns[r.candidate].clone(),
-            _ => identify(slot),
+        match self.link(cache, slot, &self.schema_column_ids[ti]) {
+            Some(i) => columns[i].to_string(),
+            None => normalized,
         }
     }
 
@@ -220,11 +251,11 @@ impl<'a> LinkState<'a> {
 
 /// One candidate source for the query: a single table or an FK-joined pair.
 #[derive(Debug, Clone)]
-struct TableChoice {
+struct TableChoice<'a> {
     /// Schema table indices (base first).
     tables: Vec<usize>,
     /// Join edge (base column name, partner column name) for pairs.
-    join: Option<(String, String)>,
+    join: Option<(&'a str, &'a str)>,
 }
 
 /// Render a phrase as a syntactically valid DVQ identifier: every
@@ -236,24 +267,34 @@ fn identify(slot: &str) -> String {
         .collect()
 }
 
-/// Direct link score of a slot against one candidate name.
-fn slot_col_score(cache: &mut EmbedCache, slot: &str, cand: &str) -> f32 {
-    if cand.eq_ignore_ascii_case(&identify(slot)) {
-        return 1.0;
+/// How well each schema name in `names` (arena ids in `ids`) answers
+/// `slot`: the best direct link score, `1.0` for a name that is the slot's
+/// identifier form, never below `0.0`.
+fn best_direct_score(cache: &mut EmbedCache, slot: &str, names: &[&str], ids: &[EmbedId]) -> f32 {
+    let identifier = identify(slot);
+    let slot = cache.id(slot);
+    let mut best = 0.0f32;
+    for (name, &id) in names.iter().zip(ids) {
+        best = best.max(if name.eq_ignore_ascii_case(&identifier) {
+            1.0
+        } else {
+            cache.cos(slot, id)
+        });
     }
-    cosine(&cache.get(slot), &cache.get(cand))
+    best
 }
 
 /// Choose the source tables by scoring how well the question's slots are
 /// covered by each candidate table (or FK pair) — what a capable LLM does
 /// when shown the schema.
-fn choose_tables(
+fn choose_tables<'a>(
     cache: &mut EmbedCache,
-    schema: &ParsedSchema,
+    schema: &ParsedSchema<'a>,
+    column_ids: &[Vec<EmbedId>],
     slots: &[String],
     table_phrase: Option<&str>,
     template_table: Option<&str>,
-) -> TableChoice {
+) -> TableChoice<'a> {
     if schema.tables.is_empty() {
         return TableChoice {
             tables: vec![],
@@ -266,7 +307,7 @@ fn choose_tables(
             join: None,
         })
         .collect();
-    for (ft, fc, tt, tc) in &schema.foreign_keys {
+    for &(ft, fc, tt, tc) in &schema.foreign_keys {
         let (Some(fi), Some(ti)) = (
             schema
                 .tables
@@ -281,28 +322,45 @@ fn choose_tables(
         };
         candidates.push(TableChoice {
             tables: vec![fi, ti],
-            join: Some((fc.clone(), tc.clone())),
+            join: Some((fc, tc)),
         });
     }
+
+    // A table answers a slot as well as its best column does, and the table
+    // phrase as well as its name does. Scored once per table: an FK pair
+    // takes the better of its two tables.
+    let slot_scores: Vec<Vec<f32>> = slots
+        .iter()
+        .map(|slot| {
+            schema
+                .tables
+                .iter()
+                .zip(column_ids)
+                .map(|(t, ids)| best_direct_score(cache, slot, &t.columns, ids))
+                .collect()
+        })
+        .collect();
+    let phrase_scores: Option<Vec<f32>> = table_phrase.map(|tp| {
+        schema
+            .tables
+            .iter()
+            .map(|t| {
+                let id = cache.id(t.name);
+                best_direct_score(cache, tp, &[t.name], &[id])
+            })
+            .collect()
+    });
+    let best_of =
+        |scores: &[f32], tables: &[usize]| tables.iter().fold(0.0f32, |s, &ti| s.max(scores[ti]));
 
     let mut best: (f32, usize) = (f32::MIN, 0);
     for (ci, cand) in candidates.iter().enumerate() {
         let mut score = 0.0f32;
-        for slot in slots {
-            let mut s = 0.0f32;
-            for &ti in &cand.tables {
-                for col in &schema.tables[ti].columns {
-                    s = s.max(slot_col_score(cache, slot, col));
-                }
-            }
-            score += s;
+        for scores in &slot_scores {
+            score += best_of(scores, &cand.tables);
         }
-        if let Some(tp) = table_phrase {
-            let mut ts = 0.0f32;
-            for &ti in &cand.tables {
-                ts = ts.max(slot_col_score(cache, tp, &schema.tables[ti].name));
-            }
-            score += 1.5 * ts;
+        if let Some(scores) = &phrase_scores {
+            score += 1.5 * best_of(scores, &cand.tables);
         }
         // The retrieved prototype's source table is strong evidence when it
         // still exists in the target schema (same-database prototypes).
@@ -384,17 +442,24 @@ fn assemble(
     }
 
     // ----- table selection -----
-    let template_table = template.as_ref().map(|t| t.from.name.clone());
+    let column_ids: Vec<Vec<EmbedId>> = parsed
+        .schema
+        .tables
+        .iter()
+        .map(|t| t.columns.iter().map(|c| cache.id(c)).collect())
+        .collect();
     let choice = choose_tables(
         cache,
         &parsed.schema,
+        &column_ids,
         &slots,
         intents.table_phrase.as_deref(),
-        template_table.as_deref(),
+        template.as_ref().map(|t| t.from.name.as_str()),
     );
     let mut link = LinkState::new(
         &parsed.schema,
-        &parsed.nlq,
+        &column_ids,
+        parsed.nlq,
         ctx.link_threshold,
         &choice.tables,
         template_tokens,
@@ -404,7 +469,7 @@ fn assemble(
     let from_name = choice
         .tables
         .first()
-        .map(|&ti| parsed.schema.tables[ti].name.clone())
+        .map(|&ti| parsed.schema.tables[ti].name.to_string())
         .unwrap_or_else(|| "data".to_string());
 
     // ----- axes -----
@@ -467,11 +532,11 @@ fn assemble(
 
     // ----- join -----
     if choice.tables.len() == 2 {
-        if let Some((fc, tc)) = &choice.join {
+        if let Some((fc, tc)) = choice.join {
             q.joins.push(Join {
-                table: TableRef::new(parsed.schema.tables[choice.tables[1]].name.clone()),
-                left: ColumnRef::bare(fc.clone()),
-                right: ColumnRef::bare(tc.clone()),
+                table: TableRef::new(parsed.schema.tables[choice.tables[1]].name.to_string()),
+                left: ColumnRef::bare(fc.to_string()),
+                right: ColumnRef::bare(tc.to_string()),
             });
             if tmpl_aliases {
                 q.from.alias = Some("T1".into());
@@ -504,7 +569,7 @@ fn assemble(
                 FilterKind::Cmp { op, value } => Predicate::Compare {
                     col,
                     op: cmp_op(*op, bang),
-                    value: lit_value(value, &parsed.nlq),
+                    value: lit_value(value, parsed.nlq),
                 },
                 FilterKind::Between { lo, hi } => Predicate::Between {
                     col,
@@ -514,7 +579,7 @@ fn assemble(
                 FilterKind::Like { pattern } => Predicate::Like {
                     col,
                     negated: false,
-                    pattern: restore_case(&parsed.nlq, pattern),
+                    pattern: restore_case(parsed.nlq, pattern),
                 },
                 FilterKind::NotNull => Predicate::NullCheck {
                     col,
@@ -532,7 +597,7 @@ fn assemble(
                         Condition::single(Predicate::Compare {
                             col: ColumnRef::bare(link.map_column_in(cache, fc, &table)),
                             op: CompareOp::Eq,
-                            value: lit_value(fv, &parsed.nlq),
+                            value: lit_value(fv, parsed.nlq),
                         })
                     });
                     Predicate::Compare {
@@ -717,7 +782,7 @@ fn qualify(q: &mut Dvq, link: &LinkState) {
     let requalify = |c: &mut ColumnRef| {
         let owner_name = link
             .owner_of(&c.column)
-            .map(|ti| link.schema.tables[ti].name.clone())
+            .map(|ti| link.schema.tables[ti].name.to_string())
             .unwrap_or_else(|| from_name.clone());
         c.qualifier = Some(binding_of_table(&owner_name));
     };

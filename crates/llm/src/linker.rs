@@ -10,31 +10,82 @@
 //!   to the slot *and* to the candidate (`max_P sim(P, slot) · sim(P, cand)`),
 //!   which aligns each slot with "its" phrase and keeps different slots from
 //!   all collapsing onto the single best-matching column.
+//!
+//! One call of the model embeds each distinct text once, into one
+//! [`EmbedCache`] arena, and everything downstream holds [`EmbedId`]s: a
+//! similarity is one dot product over two arena rows and the two norms kept
+//! from insertion. The arena lives and dies inside one `complete`.
 
 use std::collections::HashMap;
-use t2v_embed::{cosine, TextEmbedder};
+use t2v_embed::{fused_dot, TextEmbedder};
 
-/// Embedding cache so repeated phrases are embedded once per query.
+/// A text's row in an [`EmbedCache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EmbedId(u32);
+
+/// The embedding arena of one model call: text → [`EmbedId`] over one
+/// contiguous `n × dims` store the embedder fills in place, with each
+/// vector's norm taken once, at insert.
 pub struct EmbedCache<'a> {
     embedder: &'a TextEmbedder,
-    cache: HashMap<String, Vec<f32>>,
+    /// How many texts the call expects to embed; the first one sizes the
+    /// arena for all of them, so it neither regrows (a copy of every row
+    /// so far) nor costs a call that embeds nothing an allocation.
+    expected_texts: usize,
+    ids: HashMap<Box<str>, EmbedId>,
+    rows: Vec<f32>,
+    norms: Vec<f32>,
 }
 
 impl<'a> EmbedCache<'a> {
-    pub fn new(embedder: &'a TextEmbedder) -> Self {
+    pub fn new(embedder: &'a TextEmbedder, expected_texts: usize) -> Self {
         EmbedCache {
             embedder,
-            cache: HashMap::new(),
+            expected_texts,
+            ids: HashMap::new(),
+            rows: Vec::new(),
+            norms: Vec::new(),
         }
     }
 
-    pub fn get(&mut self, text: &str) -> Vec<f32> {
-        if let Some(v) = self.cache.get(text) {
-            return v.clone();
+    /// The id of `text`, embedding it on first sight. These embeddings are
+    /// private to the model call, so they go through the embedder's
+    /// un-instrumented entry: no `embed` span, no `embed.latency` poll.
+    pub fn id(&mut self, text: &str) -> EmbedId {
+        if let Some(&id) = self.ids.get(text) {
+            return id;
         }
-        let v = self.embedder.embed(text);
-        self.cache.insert(text.to_string(), v.clone());
-        v
+        let id = EmbedId(self.norms.len() as u32);
+        let start = self.rows.len();
+        if start == 0 {
+            self.ids.reserve(self.expected_texts);
+            self.norms.reserve(self.expected_texts);
+            self.rows
+                .reserve(self.expected_texts * self.embedder.dims());
+        }
+        self.rows.resize(start + self.embedder.dims(), 0.0);
+        let row = &mut self.rows[start..];
+        self.embedder.embed_untraced(text, row);
+        self.norms.push(fused_dot(row, row).sqrt());
+        self.ids.insert(text.into(), id);
+        id
+    }
+
+    fn row(&self, id: EmbedId) -> &[f32] {
+        let dims = self.embedder.dims();
+        &self.rows[id.0 as usize * dims..][..dims]
+    }
+
+    /// Cosine similarity of two embedded texts — the operations of
+    /// [`t2v_embed::cosine`] in its order (fused dot, product of the two
+    /// `dot(v, v).sqrt()` norms, divide, clamp), so the score has the same
+    /// bits; only the norms are not derived again.
+    pub fn cos(&self, a: EmbedId, b: EmbedId) -> f32 {
+        let (na, nb) = (self.norms[a.0 as usize], self.norms[b.0 as usize]);
+        if na == 0.0 || nb == 0.0 {
+            return 0.0;
+        }
+        (fused_dot(self.row(a), self.row(b)) / (na * nb)).clamp(-1.0, 1.0)
     }
 }
 
@@ -62,35 +113,29 @@ pub struct LinkResult {
 /// Link `slot` to the best of `candidates` using the question phrases as
 /// bridges. Returns `None` for an empty candidate list.
 pub fn link_slot(
-    cache: &mut EmbedCache,
-    slot: &str,
-    question_phrases: &[String],
-    candidates: &[String],
+    cache: &EmbedCache,
+    slot: EmbedId,
+    question_phrases: &[EmbedId],
+    candidates: &[EmbedId],
 ) -> Option<LinkResult> {
     if candidates.is_empty() {
         return None;
     }
-    let slot_vec = cache.get(slot);
     // Precompute phrase similarities to the slot, keep the promising ones.
-    let mut bridge_phrases: Vec<(Vec<f32>, f32)> = Vec::new();
-    for p in question_phrases {
-        let pv = cache.get(p);
-        let s = cosine(&pv, &slot_vec);
-        if s > 0.25 {
-            bridge_phrases.push((pv, s));
-        }
-    }
+    let bridge_phrases: Vec<(EmbedId, f32)> = question_phrases
+        .iter()
+        .map(|&p| (p, cache.cos(p, slot)))
+        .filter(|&(_, s)| s > 0.25)
+        .collect();
     let mut best = LinkResult {
         candidate: 0,
         score: f32::MIN,
     };
-    for (i, cand) in candidates.iter().enumerate() {
-        let cv = cache.get(cand);
-        let direct = cosine(&cv, &slot_vec);
+    for (i, &cand) in candidates.iter().enumerate() {
+        let direct = cache.cos(cand, slot);
         let mut bridged = 0.0f32;
-        for (pv, ps) in &bridge_phrases {
-            let pc = cosine(pv, &cv);
-            bridged = bridged.max(ps * pc);
+        for &(p, ps) in &bridge_phrases {
+            bridged = bridged.max(ps * cache.cos(p, cand));
         }
         let score = direct.max(bridged);
         if score > best.score {
@@ -106,7 +151,8 @@ pub fn link_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use t2v_embed::{EmbedConfig, TextEmbedder};
+    use proptest::prelude::*;
+    use t2v_embed::{cosine, EmbedConfig, TextEmbedder};
 
     fn embedder() -> TextEmbedder {
         TextEmbedder::new(
@@ -118,12 +164,27 @@ mod tests {
         )
     }
 
+    fn ids(cache: &mut EmbedCache, texts: &[&str]) -> Vec<EmbedId> {
+        texts.iter().map(|t| cache.id(t)).collect()
+    }
+
+    fn link(
+        cache: &mut EmbedCache,
+        slot: &str,
+        question: &str,
+        candidates: &[&str],
+    ) -> Option<LinkResult> {
+        let slot = cache.id(slot);
+        let phrases: Vec<EmbedId> = phrases(question).iter().map(|p| cache.id(p)).collect();
+        let candidates = ids(cache, candidates);
+        link_slot(cache, slot, &phrases, &candidates)
+    }
+
     #[test]
     fn exact_name_links_directly() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e);
-        let candidates = vec!["SALARY".to_string(), "CITY".to_string()];
-        let r = link_slot(&mut cache, "salary", &[], &candidates).unwrap();
+        let mut cache = EmbedCache::new(&e, 8);
+        let r = link(&mut cache, "salary", "", &["SALARY", "CITY"]).unwrap();
         assert_eq!(r.candidate, 0);
         assert!(r.score > 0.9);
     }
@@ -131,21 +192,19 @@ mod tests {
     #[test]
     fn synonym_rename_links_through_concept() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e);
-        let candidates = vec!["wage".to_string(), "town".to_string()];
-        let r = link_slot(&mut cache, "SALARY", &[], &candidates).unwrap();
+        let mut cache = EmbedCache::new(&e, 8);
+        let r = link(&mut cache, "SALARY", "", &["wage", "town"]).unwrap();
         assert_eq!(r.candidate, 0, "salary should link to wage");
     }
 
     #[test]
     fn bridging_disambiguates_slots() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e);
-        let q = phrases("show the mean pay for every municipality");
+        let mut cache = EmbedCache::new(&e, 8);
+        let q = "show the mean pay for every municipality";
         // Slot "salary" should land on "wage", slot "city" on "town".
-        let candidates = vec!["wage".to_string(), "town".to_string()];
-        let r1 = link_slot(&mut cache, "salary", &q, &candidates).unwrap();
-        let r2 = link_slot(&mut cache, "city", &q, &candidates).unwrap();
+        let r1 = link(&mut cache, "salary", q, &["wage", "town"]).unwrap();
+        let r2 = link(&mut cache, "city", q, &["wage", "town"]).unwrap();
         assert_eq!(r1.candidate, 0);
         assert_eq!(r2.candidate, 1);
     }
@@ -163,7 +222,51 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e);
-        assert!(link_slot(&mut cache, "x", &[], &[]).is_none());
+        let mut cache = EmbedCache::new(&e, 8);
+        assert!(link(&mut cache, "x", "", &[]).is_none());
+    }
+
+    #[test]
+    fn a_text_is_embedded_once() {
+        let e = embedder();
+        let mut cache = EmbedCache::new(&e, 8);
+        let a = cache.id("hire date");
+        let b = cache.id("wage");
+        assert_ne!(a, b);
+        assert_eq!(cache.id("hire date"), a);
+        assert_eq!(cache.norms.len(), 2);
+        assert_eq!(cache.rows.len(), 2 * e.dims());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The arena's cosine has the bits of `t2v_embed::cosine` over
+        /// freshly embedded copies — for arbitrary pairs, a featureless
+        /// text (zero vector) on either side, and a text against itself.
+        #[test]
+        fn arena_cosine_has_the_bits_of_cosine(
+            a in "[a-zA-Z0-9_ ]{0,24}",
+            b in "[a-zA-Z0-9_ ]{0,24}",
+            lexical in prop::sample::select(vec!["", "salary", "wage", "date of hire", "HIRE_DATE"]),
+            shape in 0usize..4,
+        ) {
+            static EMBEDDER: std::sync::OnceLock<TextEmbedder> = std::sync::OnceLock::new();
+            let e = EMBEDDER.get_or_init(embedder);
+            let (a, b) = match shape {
+                0 => (a, String::new()),
+                1 => (" ,".to_string(), b),
+                2 => (format!("{lexical} {a}"), format!("{lexical} {a}")),
+                _ => (format!("{lexical} {a}"), format!("{b} {lexical}")),
+            };
+            let mut cache = EmbedCache::new(e, 2);
+            let (ia, ib) = (cache.id(&a), cache.id(&b));
+            let want = cosine(&e.embed(&a), &e.embed(&b));
+            prop_assert_eq!(cache.cos(ia, ib).to_bits(), want.to_bits());
+            prop_assert_eq!(cache.cos(ib, ia).to_bits(), cosine(&e.embed(&b), &e.embed(&a)).to_bits());
+            if shape < 2 {
+                prop_assert_eq!(want.to_bits(), 0f32.to_bits());
+            }
+        }
     }
 }

@@ -124,15 +124,15 @@ impl ChatModel for SimulatedChatModel {
         }
         if prompt.contains("mimic the style") {
             if let Some((refs, original)) = parse::parse_retune(&prompt) {
-                return retune_dvq(&refs, &original, self.config.retune_fidelity, seed);
+                return retune_dvq(&refs, original, self.config.retune_fidelity, seed);
             }
         }
         if prompt.contains("replace the column names in the Data Visualization Query") {
             if let Some((schema, annotations, original)) = parse::parse_debug(&prompt) {
                 return debug_dvq(
                     &schema,
-                    &annotations,
-                    &original,
+                    annotations,
+                    original,
                     &self.embedder,
                     self.config.debugger_overcorrect,
                     seed,

@@ -1,29 +1,32 @@
 //! Prompt parsing — how the simulated LLM "reads" its input.
 //!
 //! The model receives only the rendered prompt text (exactly what GPT-3.5
-//! would see) and recovers structure from the Appendix C layouts.
+//! would see) and recovers structure from the Appendix C layouts. Every
+//! parsed field is a slice of that text: reading a prompt copies none of
+//! it, and the schema blocks of in-context examples — which generation
+//! never consults — are kept as text, not parsed.
 
 /// A table as read from a prompt schema block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SchemaTable {
-    pub name: String,
-    pub columns: Vec<String>,
+pub struct SchemaTable<'a> {
+    pub name: &'a str,
+    pub columns: Vec<&'a str>,
 }
 
 /// A parsed `### Database Schemas:` block.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParsedSchema {
-    pub tables: Vec<SchemaTable>,
+pub struct ParsedSchema<'a> {
+    pub tables: Vec<SchemaTable<'a>>,
     /// (from_table, from_column, to_table, to_column)
-    pub foreign_keys: Vec<(String, String, String, String)>,
+    pub foreign_keys: Vec<(&'a str, &'a str, &'a str, &'a str)>,
 }
 
-impl ParsedSchema {
+impl<'a> ParsedSchema<'a> {
     /// All column names across tables.
-    pub fn all_columns(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub fn all_columns(&self) -> impl Iterator<Item = (&'a str, &'a str)> + '_ {
         self.tables
             .iter()
-            .flat_map(|t| t.columns.iter().map(move |c| (t.name.as_str(), c.as_str())))
+            .flat_map(|t| t.columns.iter().map(move |&c| (t.name, c)))
     }
 
     pub fn has_column(&self, name: &str) -> bool {
@@ -39,21 +42,20 @@ impl ParsedSchema {
 }
 
 /// Parse schema lines (`# Table X, columns = [ * , A , B ]`).
-pub fn parse_schema(text: &str) -> ParsedSchema {
+pub fn parse_schema(text: &str) -> ParsedSchema<'_> {
     let mut out = ParsedSchema::default();
     for line in text.lines() {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("# Table ") {
             if let Some((name, cols)) = rest.split_once(", columns = [") {
                 let cols = cols.trim_end_matches(']');
-                let columns: Vec<String> = cols
+                let columns: Vec<&str> = cols
                     .split(',')
                     .map(str::trim)
                     .filter(|c| !c.is_empty() && *c != "*")
-                    .map(str::to_string)
                     .collect();
                 out.tables.push(SchemaTable {
-                    name: name.trim().to_string(),
+                    name: name.trim(),
                     columns,
                 });
             }
@@ -61,11 +63,9 @@ pub fn parse_schema(text: &str) -> ParsedSchema {
             let body = rest.trim_end_matches(']');
             for pair in body.split(',') {
                 if let Some((l, r)) = pair.split_once('=') {
-                    let parse_ref = |s: &str| -> Option<(String, String)> {
-                        let (t, c) = s.trim().split_once('.')?;
-                        Some((t.to_string(), c.to_string()))
-                    };
-                    if let (Some((lt, lc)), Some((rt, rc))) = (parse_ref(l), parse_ref(r)) {
+                    if let (Some((lt, lc)), Some((rt, rc))) =
+                        (l.trim().split_once('.'), r.trim().split_once('.'))
+                    {
                         out.foreign_keys.push((lt, lc, rt, rc));
                     }
                 }
@@ -75,64 +75,59 @@ pub fn parse_schema(text: &str) -> ParsedSchema {
     out
 }
 
-/// One in-context example of a generation prompt.
+/// One in-context example of a generation prompt. Its schema block stays
+/// text ([`parse_schema`] reads it if anyone ever asks).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedExample {
-    pub schema: ParsedSchema,
-    pub nlq: String,
-    pub dvq: String,
+pub struct ParsedExample<'a> {
+    pub schema_text: &'a str,
+    pub nlq: &'a str,
+    pub dvq: &'a str,
 }
 
 /// A parsed C.2 generation prompt.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedGeneration {
-    pub examples: Vec<ParsedExample>,
-    pub schema: ParsedSchema,
-    pub nlq: String,
+pub struct ParsedGeneration<'a> {
+    pub examples: Vec<ParsedExample<'a>>,
+    pub schema: ParsedSchema<'a>,
+    pub nlq: &'a str,
 }
 
+const NLQ_HEADER: &str = "### Natural Language Question:";
+const DVQ_HEADER: &str = "### Data Visualization Query:";
+
 /// Parse the generation prompt body.
-pub fn parse_generation(text: &str) -> Option<ParsedGeneration> {
+pub fn parse_generation(text: &str) -> Option<ParsedGeneration<'_>> {
     let mut examples = Vec::new();
-    let mut final_block: Option<(ParsedSchema, String)> = None;
+    let mut final_block: Option<(&str, &str)> = None;
     for block in text.split("### Database Schemas:").skip(1) {
-        let schema = parse_schema(block);
-        let nlq = between(
-            block,
-            "### Natural Language Question:",
-            "### Data Visualization Query:",
-        )
-        .map(|s| {
-            s.trim()
-                .trim_start_matches('#')
-                .trim()
-                .trim_matches('"')
-                .to_string()
-        })?;
-        if let Some(answer) = block.split("### Data Visualization Query:").nth(1) {
-            let answer = answer.trim();
-            if let Some(dvq) = answer.strip_prefix("A:") {
-                let dvq_line = dvq.trim().lines().next().unwrap_or("").trim().to_string();
+        let (schema_text, rest) = block.split_once(NLQ_HEADER)?;
+        let nlq = rest[..rest.find(DVQ_HEADER).unwrap_or(rest.len())]
+            .trim()
+            .trim_start_matches('#')
+            .trim()
+            .trim_matches('"');
+        if let Some(answer) = block.split(DVQ_HEADER).nth(1) {
+            if let Some(dvq) = answer.trim().strip_prefix("A:") {
                 examples.push(ParsedExample {
-                    schema,
+                    schema_text,
                     nlq,
-                    dvq: dvq_line,
+                    dvq: dvq.trim().lines().next().unwrap_or("").trim(),
                 });
                 continue;
             }
         }
-        final_block = Some((schema, nlq));
+        final_block = Some((block, nlq));
     }
-    let (schema, nlq) = final_block?;
+    let (block, nlq) = final_block?;
     Some(ParsedGeneration {
         examples,
-        schema,
+        schema: parse_schema(block),
         nlq,
     })
 }
 
 /// Parse the C.3 retune prompt: reference DVQs + original DVQ.
-pub fn parse_retune(text: &str) -> Option<(Vec<String>, String)> {
+pub fn parse_retune(text: &str) -> Option<(Vec<&str>, &str)> {
     let refs_block = between(text, "### Reference DVQs:", "####")?;
     let mut refs = Vec::new();
     for line in refs_block.lines() {
@@ -140,7 +135,7 @@ pub fn parse_retune(text: &str) -> Option<(Vec<String>, String)> {
         if let Some(pos) = line.find(" - ") {
             let candidate = &line[pos + 3..];
             if candidate.starts_with("Visualize") {
-                refs.push(candidate.trim().to_string());
+                refs.push(candidate.trim());
             }
         }
     }
@@ -149,13 +144,13 @@ pub fn parse_retune(text: &str) -> Option<(Vec<String>, String)> {
 }
 
 /// Parse the C.4 debug prompt: schema, annotations, original DVQ.
-pub fn parse_debug(text: &str) -> Option<(ParsedSchema, String, String)> {
+pub fn parse_debug(text: &str) -> Option<(ParsedSchema<'_>, &str, &str)> {
     let schema_block = between(
         text,
         "### Database Schemas:",
         "### Natural Language Annotations:",
     )?;
-    let schema = parse_schema(&schema_block);
+    let schema = parse_schema(schema_block);
     let annotations = between(
         text,
         "### Natural Language Annotations:",
@@ -166,13 +161,13 @@ pub fn parse_debug(text: &str) -> Option<(ParsedSchema, String, String)> {
 }
 
 /// Parse the C.1 annotation prompt: just the schema block.
-pub fn parse_annotation_request(text: &str) -> Option<ParsedSchema> {
+pub fn parse_annotation_request(text: &str) -> Option<ParsedSchema<'_>> {
     let block = between(
         text,
         "### Database Schemas:",
         "### Natural Language Annotations:",
     )?;
-    let schema = parse_schema(&block);
+    let schema = parse_schema(block);
     if schema.tables.is_empty() {
         None
     } else {
@@ -180,7 +175,7 @@ pub fn parse_annotation_request(text: &str) -> Option<ParsedSchema> {
     }
 }
 
-fn original_dvq(text: &str) -> Option<String> {
+fn original_dvq(text: &str) -> Option<&str> {
     let pos = text.rfind("### Original DVQ:")?;
     let rest = &text[pos..];
     for line in rest.lines().skip(1) {
@@ -188,22 +183,23 @@ fn original_dvq(text: &str) -> Option<String> {
         if let Some(stripped) = line.strip_prefix('#') {
             let s = stripped.trim();
             if !s.is_empty() {
-                return Some(s.to_string());
+                return Some(s);
             }
         }
     }
     None
 }
 
-fn between(text: &str, start: &str, end: &str) -> Option<String> {
+fn between<'a>(text: &'a str, start: &str, end: &str) -> Option<&'a str> {
     let s = text.find(start)? + start.len();
     let rest = &text[s..];
     let e = rest.find(end).unwrap_or(rest.len());
-    Some(rest[..e].to_string())
+    Some(&rest[..e])
 }
 
-/// Annotation lookup: column name (lowercased) → description text.
-pub fn parse_annotations(text: &str) -> Vec<(String, String)> {
+/// Annotation lookup: (column name as written, description text). Column
+/// names compare case-insensitively.
+pub fn parse_annotations(text: &str) -> Vec<(&str, &str)> {
     let mut out = Vec::new();
     for line in text.lines() {
         let line = line.trim();
@@ -212,7 +208,7 @@ pub fn parse_annotations(text: &str) -> Vec<(String, String)> {
                 let name = name.trim();
                 // Skip table-level bullets ("Stores data related to ...").
                 if !name.contains(' ') && !desc.trim().is_empty() {
-                    out.push((name.to_ascii_lowercase(), desc.trim().to_string()));
+                    out.push((name, desc.trim()));
                 }
             }
         }
@@ -230,12 +226,16 @@ mod tests {
     fn schema_roundtrip_through_prompt_format() {
         let corpus = generate(&CorpusConfig::tiny(7));
         let db = &corpus.databases[0];
-        let parsed = parse_schema(&db.render_prompt_schema());
+        let text = db.render_prompt_schema();
+        let parsed = parse_schema(&text);
         assert_eq!(parsed.tables.len(), db.tables.len());
         for (t, pt) in db.tables.iter().zip(parsed.tables.iter()) {
             assert_eq!(t.name, pt.name);
             assert_eq!(
-                t.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>(),
+                t.columns
+                    .iter()
+                    .map(|c| c.name.as_str())
+                    .collect::<Vec<_>>(),
                 pt.columns
             );
         }
@@ -288,7 +288,7 @@ mod tests {
         assert!(schema.has_column("wage"));
         assert!(ann.contains("The wage (salary)"));
         assert!(original.starts_with("Visualize BAR SELECT salary"));
-        let lookup = parse_annotations(&ann);
+        let lookup = parse_annotations(ann);
         assert_eq!(lookup.len(), 2);
         assert_eq!(lookup[0].0, "wage");
     }
@@ -299,5 +299,245 @@ mod tests {
         let msgs = prompts::annotation_prompt(&corpus.databases[1]);
         let parsed = parse_annotation_request(&msgs[1].content).unwrap();
         assert_eq!(parsed.tables.len(), corpus.databases[1].tables.len());
+    }
+
+    /// The readers as they were when they copied: every field an owned
+    /// `String`, every example's schema block parsed. The oracle for
+    /// [`borrowed_readers_return_what_the_owned_ones_did`].
+    mod owned {
+        pub type Schema = (
+            Vec<(String, Vec<String>)>,
+            Vec<(String, String, String, String)>,
+        );
+
+        pub fn parse_schema(text: &str) -> Schema {
+            let mut out: Schema = Default::default();
+            for line in text.lines() {
+                let line = line.trim();
+                if let Some(rest) = line.strip_prefix("# Table ") {
+                    if let Some((name, cols)) = rest.split_once(", columns = [") {
+                        let cols = cols.trim_end_matches(']');
+                        let columns: Vec<String> = cols
+                            .split(',')
+                            .map(str::trim)
+                            .filter(|c| !c.is_empty() && *c != "*")
+                            .map(str::to_string)
+                            .collect();
+                        out.0.push((name.trim().to_string(), columns));
+                    }
+                } else if let Some(rest) = line.strip_prefix("# Foreign_keys = [") {
+                    let body = rest.trim_end_matches(']');
+                    for pair in body.split(',') {
+                        if let Some((l, r)) = pair.split_once('=') {
+                            let parse_ref = |s: &str| -> Option<(String, String)> {
+                                let (t, c) = s.trim().split_once('.')?;
+                                Some((t.to_string(), c.to_string()))
+                            };
+                            if let (Some((lt, lc)), Some((rt, rc))) = (parse_ref(l), parse_ref(r)) {
+                                out.1.push((lt, lc, rt, rc));
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// (examples as (schema, nlq, dvq), final schema, final nlq).
+        pub type Generation = (Vec<(Schema, String, String)>, Schema, String);
+
+        pub fn parse_generation(text: &str) -> Option<Generation> {
+            let mut examples = Vec::new();
+            let mut final_block: Option<(Schema, String)> = None;
+            for block in text.split("### Database Schemas:").skip(1) {
+                let schema = parse_schema(block);
+                let nlq = between(
+                    block,
+                    "### Natural Language Question:",
+                    "### Data Visualization Query:",
+                )
+                .map(|s| {
+                    s.trim()
+                        .trim_start_matches('#')
+                        .trim()
+                        .trim_matches('"')
+                        .to_string()
+                })?;
+                if let Some(answer) = block.split("### Data Visualization Query:").nth(1) {
+                    let answer = answer.trim();
+                    if let Some(dvq) = answer.strip_prefix("A:") {
+                        let dvq_line = dvq.trim().lines().next().unwrap_or("").trim().to_string();
+                        examples.push((schema, nlq, dvq_line));
+                        continue;
+                    }
+                }
+                final_block = Some((schema, nlq));
+            }
+            let (schema, nlq) = final_block?;
+            Some((examples, schema, nlq))
+        }
+
+        pub fn parse_retune(text: &str) -> Option<(Vec<String>, String)> {
+            let refs_block = between(text, "### Reference DVQs:", "####")?;
+            let mut refs = Vec::new();
+            for line in refs_block.lines() {
+                let line = line.trim();
+                if let Some(pos) = line.find(" - ") {
+                    let candidate = &line[pos + 3..];
+                    if candidate.starts_with("Visualize") {
+                        refs.push(candidate.trim().to_string());
+                    }
+                }
+            }
+            let original = original_dvq(text)?;
+            Some((refs, original))
+        }
+
+        pub fn parse_debug(text: &str) -> Option<(Schema, String, String)> {
+            let schema_block = between(
+                text,
+                "### Database Schemas:",
+                "### Natural Language Annotations:",
+            )?;
+            let schema = parse_schema(&schema_block);
+            let annotations = between(
+                text,
+                "### Natural Language Annotations:",
+                "#### Given Database Schemas",
+            )?;
+            let original = original_dvq(text)?;
+            Some((schema, annotations, original))
+        }
+
+        fn original_dvq(text: &str) -> Option<String> {
+            let pos = text.rfind("### Original DVQ:")?;
+            let rest = &text[pos..];
+            for line in rest.lines().skip(1) {
+                let line = line.trim();
+                if let Some(stripped) = line.strip_prefix('#') {
+                    let s = stripped.trim();
+                    if !s.is_empty() {
+                        return Some(s.to_string());
+                    }
+                }
+            }
+            None
+        }
+
+        fn between(text: &str, start: &str, end: &str) -> Option<String> {
+            let s = text.find(start)? + start.len();
+            let rest = &text[s..];
+            let e = rest.find(end).unwrap_or(rest.len());
+            Some(rest[..e].to_string())
+        }
+
+        pub fn parse_annotations(text: &str) -> Vec<(String, String)> {
+            let mut out = Vec::new();
+            for line in text.lines() {
+                let line = line.trim();
+                if let Some(rest) = line.strip_prefix("- ") {
+                    if let Some((name, desc)) = rest.split_once(':') {
+                        let name = name.trim();
+                        if !name.contains(' ') && !desc.trim().is_empty() {
+                            out.push((name.to_ascii_lowercase(), desc.trim().to_string()));
+                        }
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    fn owned_schema(s: &ParsedSchema) -> owned::Schema {
+        (
+            s.tables
+                .iter()
+                .map(|t| {
+                    (
+                        t.name.to_string(),
+                        t.columns.iter().map(|c| c.to_string()).collect(),
+                    )
+                })
+                .collect(),
+            s.foreign_keys
+                .iter()
+                .map(|&(a, b, c, d)| (a.into(), b.into(), c.into(), d.into()))
+                .collect(),
+        )
+    }
+
+    /// Over every kind of prompt the four renderers produce from `tiny(7)`
+    /// — each database's annotation and debug prompt, and for a spread of
+    /// dev questions generation prompts with 0..=10 examples and retune
+    /// prompts with 0..=10 references — the borrowed readers return field
+    /// for field what the owned ones returned. An example's schema block is
+    /// no longer parsed by the reader; parsing the kept text must still
+    /// give what the owned reader got from the block.
+    #[test]
+    fn borrowed_readers_return_what_the_owned_ones_did() {
+        use crate::api::{ChatModel, ChatParams};
+        let corpus = generate(&CorpusConfig::tiny(7));
+        let model = crate::SimulatedChatModel::new(crate::LlmConfig::default());
+        let schema_of = |db: usize| corpus.databases[db].render_prompt_schema();
+
+        for (di, db) in corpus.databases.iter().enumerate() {
+            let request = &prompts::annotation_prompt(db)[1].content;
+            assert_eq!(
+                owned_schema(&parse_annotation_request(request).unwrap()),
+                owned::parse_schema(request.split("### Database Schemas:").nth(1).unwrap()),
+            );
+            let annotations =
+                model.complete(&prompts::annotation_prompt(db), &ChatParams::annotation());
+            let lookup = parse_annotations(&annotations);
+            assert!(!lookup.is_empty());
+            let want = owned::parse_annotations(&annotations);
+            assert_eq!(lookup.len(), want.len());
+            for ((name, desc), (want_name, want_desc)) in lookup.iter().zip(&want) {
+                assert_eq!(&name.to_ascii_lowercase(), want_name);
+                assert_eq!(desc, want_desc);
+            }
+
+            let original = &corpus.dev[di].dvq_text;
+            let prompt = &prompts::debug_prompt(&schema_of(di), &annotations, original)[1].content;
+            let (schema, ann, dvq) = parse_debug(prompt).unwrap();
+            let (want_schema, want_ann, want_dvq) = owned::parse_debug(prompt).unwrap();
+            assert_eq!(owned_schema(&schema), want_schema);
+            assert_eq!((ann, dvq), (want_ann.as_str(), want_dvq.as_str()));
+        }
+
+        for (qi, question) in corpus.dev.iter().enumerate().take(44) {
+            let shots = &corpus.train[qi * 5..][..qi % 11];
+            let examples: Vec<prompts::GenExample> = shots
+                .iter()
+                .map(|e| prompts::GenExample {
+                    db_id: corpus.databases[e.db].id.as_str().into(),
+                    schema_text: schema_of(e.db).into(),
+                    nlq: e.nlq.as_str().into(),
+                    dvq: e.dvq_text.as_str().into(),
+                })
+                .collect();
+            let prompt =
+                &prompts::generation_prompt(&examples, &schema_of(question.db), &question.nlq)[1]
+                    .content;
+            let parsed = parse_generation(prompt).unwrap();
+            let (want_examples, want_schema, want_nlq) = owned::parse_generation(prompt).unwrap();
+            assert_eq!(parsed.examples.len(), shots.len());
+            assert_eq!(parsed.examples.len(), want_examples.len());
+            for (ex, (want_schema, want_nlq, want_dvq)) in
+                parsed.examples.iter().zip(&want_examples)
+            {
+                assert_eq!(&owned_schema(&parse_schema(ex.schema_text)), want_schema);
+                assert_eq!((ex.nlq, ex.dvq), (want_nlq.as_str(), want_dvq.as_str()));
+            }
+            assert_eq!(owned_schema(&parsed.schema), want_schema);
+            assert_eq!(parsed.nlq, want_nlq);
+
+            let refs: Vec<&str> = shots.iter().map(|e| e.dvq_text.as_str()).collect();
+            let prompt = &prompts::retune_prompt(&refs, &question.dvq_text)[1].content;
+            let (got_refs, got_original) = parse_retune(prompt).unwrap();
+            let (want_refs, want_original) = owned::parse_retune(prompt).unwrap();
+            assert_eq!(got_refs, want_refs);
+            assert_eq!(got_original, want_original);
+        }
     }
 }

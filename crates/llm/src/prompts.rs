@@ -4,6 +4,7 @@
 
 use crate::api::ChatMessage;
 use std::borrow::Cow;
+use std::fmt::Write;
 use t2v_corpus::Database;
 
 /// One in-context example for the generation prompt.
@@ -34,6 +35,19 @@ pub fn annotation_prompt(db: &Database) -> Vec<ChatMessage> {
     vec![ChatMessage::system(system), ChatMessage::user(user)]
 }
 
+/// A `String` with room for `pieces` and `fixed` more bytes, so a prompt is
+/// written into one allocation.
+fn sized_for<'a>(fixed: usize, pieces: impl IntoIterator<Item = &'a str>) -> String {
+    String::with_capacity(fixed + pieces.into_iter().map(str::len).sum::<usize>())
+}
+
+const GENERATION_TASK: &str =
+    "#### Given Natural Language Questions, Generate DVQs based on their correspoding Database Schemas.\n\n";
+const SCHEMA_HEADER: &str = "### Database Schemas:\n";
+const QUESTION_HEADER: &str =
+    "#\n### Chart Type: [ BAR , PIE , LINE , SCATTER ]\n### Natural Language Question:\n# \"";
+const QUERY_HEADER: &str = "\"\n### Data Visualization Query:\n";
+
 /// C.2 — NLQ-Retrieval Generator prompt. `examples` must already be in the
 /// desired order (GRED sorts them by *ascending* similarity so the most
 /// similar example sits next to the question).
@@ -43,74 +57,93 @@ pub fn generation_prompt(
     nlq: &str,
 ) -> Vec<ChatMessage> {
     let system = "Please follow the syntax in the examples instead of SQL syntax.";
-    let mut user = String::new();
-    user.push_str(
-        "#### Given Natural Language Questions, Generate DVQs based on their correspoding Database Schemas.\n\n",
+    const BLOCK: usize = SCHEMA_HEADER.len() + QUESTION_HEADER.len() + QUERY_HEADER.len();
+    let mut user = sized_for(
+        GENERATION_TASK.len() + (examples.len() + 1) * (BLOCK + "A: \n\n".len()),
+        examples
+            .iter()
+            .flat_map(|ex| [&*ex.schema_text, &*ex.nlq, &*ex.dvq])
+            .chain([schema_text, nlq]),
     );
+    user.push_str(GENERATION_TASK);
     for ex in examples {
-        user.push_str("### Database Schemas:\n");
-        user.push_str(&ex.schema_text);
-        user.push_str("#\n### Chart Type: [ BAR , PIE , LINE , SCATTER ]\n");
-        user.push_str("### Natural Language Question:\n");
-        user.push_str(&format!("# \"{}\"\n", ex.nlq));
-        user.push_str("### Data Visualization Query:\n");
-        user.push_str(&format!("A: {}\n\n", ex.dvq));
+        user.extend([
+            SCHEMA_HEADER,
+            &ex.schema_text,
+            QUESTION_HEADER,
+            &ex.nlq,
+            QUERY_HEADER,
+            "A: ",
+            &ex.dvq,
+            "\n\n",
+        ]);
     }
-    user.push_str("### Database Schemas:\n");
-    user.push_str(schema_text);
-    user.push_str("#\n### Chart Type: [ BAR , PIE , LINE , SCATTER ]\n");
-    user.push_str("### Natural Language Question:\n");
-    user.push_str(&format!("# \"{nlq}\"\n"));
-    user.push_str("### Data Visualization Query:\n");
+    user.extend([
+        SCHEMA_HEADER,
+        schema_text,
+        QUESTION_HEADER,
+        nlq,
+        QUERY_HEADER,
+    ]);
     vec![ChatMessage::system(system), ChatMessage::user(user)]
 }
+
+const RETUNE_TASK: &str = "\n#### Given the Reference DVQs, please modify the Original DVQ to mimic the style of the Reference DVQs.\n\
+    #### NOTE: Do not Modify the column name in Original DVQ. Especially do not Modify the column names in the ORDER clause!\n";
+const ORIGINAL_HEADER: &str = "### Original DVQ:\n# ";
+const STEP_BY_STEP: &str = "\nA: Let's think step by step!\n";
 
 /// C.3 — DVQ-Retrieval Retuner prompt.
 pub fn retune_prompt<S: AsRef<str>>(reference_dvqs: &[S], original_dvq: &str) -> Vec<ChatMessage> {
     let system =
         "The Reference Data Visualization Queries(DVQs) all comply with the syntax of DVQ. \
                   Please follow the syntax of the referenced DVQ to modify the Original DVQ.";
-    let mut user = String::new();
-    user.push_str("### Reference DVQs:\n");
+    const REFERENCES_HEADER: &str = "### Reference DVQs:\n";
+    let mut user = sized_for(
+        REFERENCES_HEADER.len()
+            + reference_dvqs.len() * "1000 - \n".len()
+            + RETUNE_TASK.len()
+            + ORIGINAL_HEADER.len()
+            + STEP_BY_STEP.len(),
+        reference_dvqs
+            .iter()
+            .map(AsRef::as_ref)
+            .chain([original_dvq]),
+    );
+    user.push_str(REFERENCES_HEADER);
     for (i, dvq) in reference_dvqs.iter().enumerate() {
-        user.push_str(&format!("{} - {}\n", i + 1, dvq.as_ref()));
+        write!(user, "{} - ", i + 1).expect("writing to a String cannot fail");
+        user.push_str(dvq.as_ref());
+        user.push('\n');
     }
-    user.push_str(
-        "\n#### Given the Reference DVQs, please modify the Original DVQ to mimic the style of the Reference DVQs.\n",
-    );
-    user.push_str(
-        "#### NOTE: Do not Modify the column name in Original DVQ. Especially do not Modify the column names in the ORDER clause!\n",
-    );
-    user.push_str("### Original DVQ:\n");
-    user.push_str(&format!("# {original_dvq}\n"));
-    user.push_str("A: Let's think step by step!\n");
+    user.extend([RETUNE_TASK, ORIGINAL_HEADER, original_dvq, STEP_BY_STEP]);
     vec![ChatMessage::system(system), ChatMessage::user(user)]
 }
+
+const DEBUG_TASK: &str =
+    "\n#### Given Database Schemas and their corresponding Natural Language Annotations, \
+    Please replace the column names in the Data Visualization Query(DVQ, a new Programming \
+    Language abstracted from Vega-Zero) that do not exist in the database.\n\
+    #### NOTE: Don't replace column names in Original DVQ that already exist in the database \
+    schemas, especially column names in GROUP BY Clause!\n";
 
 /// C.4 — Annotation-based Debugger prompt.
 pub fn debug_prompt(schema_text: &str, annotations: &str, original_dvq: &str) -> Vec<ChatMessage> {
     let system = "#### NOTE: Don't replace column names in Original DVQ that already exist in the \
                   database schemas, especially column names in GROUP BY Clause!";
-    let mut user = String::new();
-    user.push_str(
+    let pieces = [
         "#### Please generate detailed natural language annotations to the following database schemas.\n",
-    );
-    user.push_str("### Database Schemas:\n");
-    user.push_str(schema_text);
-    user.push_str("### Natural Language Annotations:\n");
-    user.push_str(annotations);
-    user.push_str(
-        "\n#### Given Database Schemas and their corresponding Natural Language Annotations, \
-         Please replace the column names in the Data Visualization Query(DVQ, a new Programming \
-         Language abstracted from Vega-Zero) that do not exist in the database.\n",
-    );
-    user.push_str(
-        "#### NOTE: Don't replace column names in Original DVQ that already exist in the database \
-         schemas, especially column names in GROUP BY Clause!\n",
-    );
-    user.push_str("### Original DVQ:\n");
-    user.push_str(&format!("# {original_dvq}\n"));
-    user.push_str("A: Let's think step by step!\n");
+        SCHEMA_HEADER,
+        schema_text,
+        "### Natural Language Annotations:\n",
+        annotations,
+        DEBUG_TASK,
+        ORIGINAL_HEADER,
+        original_dvq,
+        STEP_BY_STEP,
+    ];
+    let mut user = sized_for(0, pieces);
+    user.extend(pieces);
     vec![ChatMessage::system(system), ChatMessage::user(user)]
 }
 

@@ -13,7 +13,12 @@ use t2v_dvq::printer::Printer;
 use t2v_dvq::style::infer_profile;
 
 /// Retune `original` toward the style of `references`.
-pub fn retune_dvq(references: &[String], original: &str, fidelity: f64, seed: u64) -> String {
+pub fn retune_dvq<S: AsRef<str>>(
+    references: &[S],
+    original: &str,
+    fidelity: f64,
+    seed: u64,
+) -> String {
     let Ok(mut q) = t2v_dvq::parse(original) else {
         return format!("### Modified DVQ:\n# {original}");
     };
@@ -24,7 +29,7 @@ pub fn retune_dvq(references: &[String], original: &str, fidelity: f64, seed: u6
 
     let refs: Vec<Dvq> = references
         .iter()
-        .filter_map(|r| t2v_dvq::parse(r).ok())
+        .filter_map(|r| t2v_dvq::parse(r.as_ref()).ok())
         .collect();
     if refs.is_empty() {
         return format!("### Modified DVQ:\n# {original}");
@@ -226,7 +231,7 @@ mod tests {
 
     #[test]
     fn unparseable_original_is_passed_through() {
-        let out = retune_dvq(&[], "not a dvq at all", 1.0, 1);
+        let out = retune_dvq::<&str>(&[], "not a dvq at all", 1.0, 1);
         assert!(out.contains("not a dvq at all"));
     }
 }

@@ -343,8 +343,8 @@ fn graceful_drain_finishes_in_flight_requests() {
     let db = db0(&corpus);
     // Armed only after startup, and on the one-shot write-stall point: it
     // fires exactly once per response, so the in-flight window is a known
-    // ~600 ms (an embed-latency plan would fire per embed call and could
-    // push the request past the drain budget).
+    // ~600 ms (an embed-latency plan fires once per pipeline embedding,
+    // so twice per GRED translation).
     t2v_fault::arm(&FaultPlan::parse("seed=29;conn.write_stall:ms=600").unwrap());
     let raw = translate_raw("show wages during drain", &db, true);
     let addr = server.addr();

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use t2v_corpus::{generate, CorpusConfig};
 use t2v_engine::Json;
-use t2v_fault::FaultPlan;
+use t2v_fault::{FaultPlan, FaultPoint};
 use t2v_serve::{ServeConfig, Server, ServerState};
 
 // ---------------------------------------------------------------------------
@@ -450,6 +450,44 @@ fn latency_faults_slow_but_never_break_translations() {
             "missing {point} in:\n{metrics}"
         );
     }
+    server.shutdown();
+}
+
+/// `embed.latency` delays the pipeline's embeddings — the question, then
+/// the generated DVQ — and nothing else: a budget of two is spent by one
+/// translation's two `embed` spans, not by the first of the ~120 lookups
+/// the simulated model makes in its own embedding space, and the next
+/// translation runs undelayed.
+#[test]
+fn embed_latency_fires_once_per_pipeline_embedding() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[]);
+    let db = db0(&corpus);
+    let mut client = Client::connect(&server);
+    let armed = t2v_fault::arm(&FaultPlan::parse("seed=19;embed.latency:ms=20,count=2").unwrap());
+
+    let mut embed_ms = |nlq: &str| -> Vec<f64> {
+        let reply = client.translate_with_headers(nlq, &db, "gred", "X-T2V-Trace: 1\r\n");
+        assert_eq!(reply.status, 200);
+        let doc = reply.json();
+        let spans = doc.get("trace").and_then(|t| t.get("spans")).cloned();
+        let spans = spans.as_ref().and_then(Json::as_arr).expect("inline spans");
+        spans
+            .iter()
+            .filter(|s| s.get("stage").and_then(Json::as_str) == Some("embed"))
+            .map(|s| s.get("dur_ms").and_then(Json::as_f64).expect("dur_ms"))
+            .collect()
+    };
+
+    let delayed = embed_ms("show wages with both embeddings stalled");
+    assert_eq!(delayed.len(), 2, "{delayed:?}");
+    assert!(delayed.iter().all(|&ms| ms >= 20.0), "{delayed:?}");
+    assert_eq!(armed.fired(FaultPoint::EmbedLatency), 2);
+
+    let clean = embed_ms("show wages once the budget is spent");
+    assert_eq!(clean.len(), 2, "{clean:?}");
+    assert!(clean.iter().all(|&ms| ms < 20.0), "{clean:?}");
+    assert_eq!(armed.fired(FaultPoint::EmbedLatency), 2);
     server.shutdown();
 }
 

@@ -265,9 +265,10 @@ fn profile_under_embed_latency_fault_is_dominated_by_the_embed_stage() {
     let db = db0(&corpus);
     let mut client = Client::connect(&server);
 
-    // Cache-missing translations, each parked tens of ms per embed call
-    // inside the embed span: seconds of load for the ~1kHz sampler, with
-    // the injected stall dwarfing GRED's real compute.
+    // Cache-missing translations, each parked 60 ms inside both of its
+    // embed spans (the question, then the generated DVQ): ~2 s of load for
+    // the ~1kHz sampler, with the injected stall dwarfing GRED's real
+    // compute.
     for i in 0..15 {
         let r = client.translate(&format!("show wages profiled {i}"), &db);
         assert_eq!(r.status, 200);

@@ -247,6 +247,25 @@ fn traced_request_covers_every_stage_and_reaches_recorder_and_access_log() {
 
     assert_span_arithmetic(&full);
 
+    // A GRED miss embeds twice and retrieves twice (question, then the
+    // generated DVQ), all under backend.translate — and that is every
+    // embed span there is: the model's own schema-linking lookups carry
+    // none, so the tree fits its slots with nothing dropped.
+    assert!(full.get("dropped_spans").is_none(), "{full:?}");
+    let spans = full.get("spans").and_then(Json::as_arr).unwrap();
+    let backend = full_stages
+        .iter()
+        .position(|s| s == "backend.translate")
+        .unwrap();
+    for stage in ["embed", "retrieve"] {
+        let parents: Vec<f64> = spans
+            .iter()
+            .filter(|s| s.get("stage").and_then(Json::as_str) == Some(stage))
+            .map(|s| s.get("parent").and_then(Json::as_f64).unwrap())
+            .collect();
+        assert_eq!(parents, [backend as f64; 2], "{stage} spans");
+    }
+
     // (4) `recent` lists it newest-first, and the filters hold.
     let reply = client.request("GET", "/v1/admin/trace/recent?tenant=default&min_ms=0", "");
     assert_eq!(reply.status, 200);
