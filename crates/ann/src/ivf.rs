@@ -476,73 +476,6 @@ impl IvfIndex {
             short.push(id, approx);
         }
     }
-
-    /// Batched [`IvfIndex::search`]: probe lists are computed per query, then
-    /// inverted so each probed cell's rows are walked **once**, scoring every
-    /// query interested in that cell — the cache-friendly shape the serving
-    /// micro-batcher wants. Results are bit-identical to per-query `search`
-    /// (the kept top-k set is insertion-order independent under the total
-    /// order), in query order.
-    pub fn search_batch(
-        &self,
-        flat: &VectorIndex,
-        queries: &[Vec<f32>],
-        k: usize,
-        nprobe: usize,
-    ) -> Vec<Vec<Hit>> {
-        let (fdims, fdata) = flat.raw_rows();
-        assert_eq!(fdims, self.dims, "ann/flat stride mismatch");
-        assert_eq!(flat.len(), self.rows(), "ann/flat row count mismatch");
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        if k == 0 || self.rows() == 0 {
-            return vec![Vec::new(); queries.len()];
-        }
-        let nprobe = self.effective_nprobe(nprobe);
-        let mut by_cell: Vec<Vec<u32>> = vec![Vec::new(); self.cells()];
-        for (qi, q) in queries.iter().enumerate() {
-            assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
-            for c in self.probe_cells(q, nprobe) {
-                by_cell[c as usize].push(qi as u32);
-            }
-        }
-        if self.quantized {
-            let mut qcodes: Vec<Vec<i8>> = Vec::with_capacity(queries.len());
-            let mut qscales = Vec::with_capacity(queries.len());
-            for q in queries {
-                let mut codes = Vec::with_capacity(self.dims);
-                qscales.push(quant::encode_row(q, &mut codes));
-                qcodes.push(codes);
-            }
-            let mut short: Vec<TopK> = (0..queries.len())
-                .map(|_| TopK::new(Self::shortlist_len(k)))
-                .collect();
-            for (cell, interested) in by_cell.iter().enumerate() {
-                for &qi in interested {
-                    self.scan_cell_sq8(
-                        cell,
-                        &qcodes[qi as usize],
-                        qscales[qi as usize],
-                        &mut short[qi as usize],
-                    );
-                }
-            }
-            short
-                .into_iter()
-                .enumerate()
-                .map(|(qi, s)| rescore(fdata, self.dims, &queries[qi], s, k))
-                .collect()
-        } else {
-            let mut tops: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-            for (cell, interested) in by_cell.iter().enumerate() {
-                for &qi in interested {
-                    self.scan_cell_f32(cell, fdata, &queries[qi as usize], &mut tops[qi as usize]);
-                }
-            }
-            tops.into_iter().map(TopK::into_sorted).collect()
-        }
-    }
 }
 
 /// Exact f32 rescore of an SQ8 shortlist: scores come from the same fused
@@ -868,26 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_search() {
-        for quantized in [false, true] {
-            let idx = clustered_index(4000, 16, 25, 5);
-            let cfg = IvfConfig {
-                min_rows: 1,
-                quantized,
-                ..IvfConfig::default()
-            };
-            let ivf = IvfIndex::train(&idx, &cfg).unwrap();
-            let queries: Vec<Vec<f32>> =
-                (0..9).map(|i| idx.get(i * 31).unwrap().to_vec()).collect();
-            let batch = ivf.search_batch(&idx, &queries, 7, 0);
-            assert_eq!(batch.len(), queries.len());
-            for (q, hits) in queries.iter().zip(&batch) {
-                assert_eq!(hits, &ivf.search(&idx, q, 7, 0), "quantized={quantized}");
-            }
-        }
-    }
-
-    #[test]
     fn k_zero_and_empty_batch_are_empty() {
         let idx = clustered_index(4000, 16, 25, 5);
         let ivf = IvfIndex::train(
@@ -899,10 +812,6 @@ mod tests {
         )
         .unwrap();
         assert!(ivf.search(&idx, idx.get(0).unwrap(), 0, 0).is_empty());
-        assert!(ivf.search_batch(&idx, &[], 5, 0).is_empty());
-        let batch = ivf.search_batch(&idx, &[idx.get(0).unwrap().to_vec()], 0, 0);
-        assert_eq!(batch.len(), 1);
-        assert!(batch[0].is_empty());
     }
 
     #[test]

@@ -158,35 +158,5 @@ mod proptests {
             }
             prop_assert!(IvfIndex::train(&idx, &IvfConfig::default()).is_none());
         }
-
-        /// Batched search is identical to per-query search for both storage
-        /// modes — the micro-batcher's contract.
-        #[test]
-        fn batch_equals_single(
-            vectors in prop::collection::vec(prop::collection::vec(-1f32..1.0, 8), 16..80),
-            queries in prop::collection::vec(prop::collection::vec(-1f32..1.0, 8), 1..6),
-            k in 1usize..8,
-            quantized_sel in 0usize..2,
-        ) {
-            let quantized = quantized_sel == 1;
-            let idx = build_index(&vectors);
-            let cfg = IvfConfig {
-                min_rows: 1,
-                quantized,
-                cells: (vectors.len() / 6).max(2),
-                nprobe: 2,
-                seed: 17,
-            };
-            let ivf = IvfIndex::train(&idx, &cfg).expect("forced training");
-            let queries: Vec<Vec<f32>> = queries
-                .into_iter()
-                .map(|mut q| { l2_normalize(&mut q); q })
-                .collect();
-            let batch = ivf.search_batch(&idx, &queries, k, 0);
-            prop_assert_eq!(batch.len(), queries.len());
-            for (q, hits) in queries.iter().zip(&batch) {
-                prop_assert_eq!(hits, &ivf.search(&idx, q, k, 0));
-            }
-        }
     }
 }

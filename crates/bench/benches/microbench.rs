@@ -55,23 +55,6 @@ fn bench_retrieval(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_retrieval_batch(c: &mut Criterion) {
-    let model = TextEmbedder::default_model();
-    let n = 6_000usize;
-    let mut index = VectorIndex::with_capacity(n);
-    for i in 0..n {
-        index.add(model.embed(&format!(
-            "training question number {i} about salaries and cities"
-        )));
-    }
-    let queries: Vec<Vec<f32>> = (0..64)
-        .map(|i| model.embed(&format!("question {i} about wages in each town")))
-        .collect();
-    c.bench_function("retrieval/top10_batch64_6000", |b| {
-        b.iter(|| index.top_k_batch(black_box(&queries), 10))
-    });
-}
-
 fn bench_embed_into(c: &mut Criterion) {
     let model = TextEmbedder::default_model();
     let text = "Please give me a histogram showing the change in wage over the date of hire in ascending manner.";
@@ -125,7 +108,7 @@ fn bench_gred(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dvq, bench_embed, bench_embed_into, bench_retrieval, bench_retrieval_batch,
+    targets = bench_dvq, bench_embed, bench_embed_into, bench_retrieval,
               bench_library_build, bench_engine, bench_perturb, bench_gred
 }
 criterion_main!(benches);

@@ -8,7 +8,6 @@
 //! * `retrieval/top10` over 1k / 6k / 50k vectors — both the flat
 //!   pre-normalised index and a `Vec<Vec<f32>>` + per-pair-norm `cosine`
 //!   baseline (the seed implementation), with the speedup recorded
-//! * `retrieval/top10_batch64` at 6k vectors
 //! * the `ann` section: IVF-indexed retrieval (`t2v-ann`) vs the flat scan
 //!   over 200k / 1M synthetic clustered vectors, with recall@10 against
 //!   the exact scan and one-time training cost recorded alongside
@@ -288,19 +287,6 @@ fn main() {
         let naive_ns = time_ns(samples.min(7), || naive.top_k(&q, 10));
         report.compare(&format!("retrieval/top10/{n}"), naive_ns, flat_ns);
     }
-
-    // ---- batch retrieval ----
-    let mut flat6k = VectorIndex::with_capacity(6_000);
-    for v in &vectors[..6_000] {
-        flat6k.add_slice(v);
-    }
-    let queries: Vec<Vec<f32>> = (0..64)
-        .map(|i| model.embed(&format!("question {i} about wages in each town")))
-        .collect();
-    report.record(
-        "retrieval/top10_batch64/6000",
-        time_ns(samples.min(7), || flat6k.top_k_batch(&queries, 10)),
-    );
 
     // ---- ANN: IVF-indexed retrieval vs the flat scan at library scale ----
     // Million-entry libraries are where the flat scan stops being cheap;

@@ -547,38 +547,6 @@ impl VectorIndex {
         self.top_k_prenormalized(&q, k)
     }
 
-    /// Batch retrieval: one `top_k` per query, fanned across threads.
-    /// Results are returned in query order.
-    pub fn top_k_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Hit>> {
-        if queries.len() <= 1 || self.len() * queries.len() < PAR_SCAN_THRESHOLD {
-            return queries.iter().map(|q| self.top_k(q, k)).collect();
-        }
-        // Each worker runs a *sequential* scan: parallelising across queries
-        // dominates (no merge step) when there are many of them, and nesting
-        // the parallel scan inside the fan-out would spawn threads².
-        t2v_parallel::par_map(queries, |q| {
-            let mut qn = q.to_vec();
-            l2_normalize(&mut qn);
-            self.top_k_with(Kernel::detect(), 1, &qn, k)
-        })
-    }
-
-    /// [`VectorIndex::top_k_batch`] for queries that are already
-    /// L2-normalised. Each query runs the same sequential scan as
-    /// [`VectorIndex::top_k_prenormalized`] on a sub-threshold index, so the
-    /// hits are bit-identical to per-query retrieval — the serving layer's
-    /// micro-batcher relies on that to keep batched and unbatched
-    /// translations byte-identical.
-    pub fn top_k_batch_prenormalized(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Hit>> {
-        if queries.len() <= 1 || self.len() * queries.len() < PAR_SCAN_THRESHOLD {
-            return queries
-                .iter()
-                .map(|q| self.top_k_prenormalized(q, k))
-                .collect();
-        }
-        t2v_parallel::par_map(queries, |q| self.top_k_with(Kernel::detect(), 1, q, k))
-    }
-
     /// `top_k` for a query that is already L2-normalised (the embedder's
     /// output invariant) — skips the defensive copy + renormalisation.
     pub fn top_k_prenormalized(&self, query: &[f32], k: usize) -> Vec<Hit> {
@@ -819,27 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_queries() {
-        let mut idx = VectorIndex::new();
-        for i in 0..300 {
-            let mut v = vec![0.05f32; 16];
-            v[i % 16] += 1.0 + (i as f32) * 1e-3;
-            idx.add(v);
-        }
-        let queries: Vec<Vec<f32>> = (0..40)
-            .map(|i| {
-                let mut q = vec![0.01f32; 16];
-                q[i % 16] = 1.0;
-                q
-            })
-            .collect();
-        let batch = idx.top_k_batch(&queries, 7);
-        for (q, hits) in queries.iter().zip(&batch) {
-            assert_eq!(hits, &idx.top_k(q, 7));
-        }
-    }
-
-    #[test]
     fn parallel_scan_matches_sequential() {
         let mut idx = VectorIndex::new();
         // Large enough to cross PAR_SCAN_THRESHOLD.
@@ -917,21 +864,9 @@ mod tests {
         for i in 0..3000 {
             idx.add(unit(i % 3, 3));
         }
-        // Sequential, forced-parallel, and batch (enough queries × 3000 rows
-        // to cross the batch threshold) must all return empty hit lists.
+        // Sequential and forced-parallel must both return empty hit lists.
         assert!(idx.top_k(&unit(0, 3), 0).is_empty());
         assert!(idx.top_k_prenormalized_in(3, &unit(0, 3), 0).is_empty());
-        let queries: Vec<Vec<f32>> = (0..PAR_SCAN_THRESHOLD / 3000 + 1)
-            .map(|i| unit(i % 3, 3))
-            .collect();
-        assert!(idx.len() * queries.len() >= PAR_SCAN_THRESHOLD);
-        for batch in [
-            idx.top_k_batch(&queries, 0),
-            idx.top_k_batch_prenormalized(&queries, 0),
-        ] {
-            assert_eq!(batch.len(), queries.len());
-            assert!(batch.iter().all(Vec::is_empty));
-        }
     }
 
     /// Ids, order and score *bits* (NaN included) of two hit lists.

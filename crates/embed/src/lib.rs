@@ -222,43 +222,6 @@ mod proptests {
             }
         }
 
-        /// Batched retrieval equals per-query retrieval, in query order.
-        #[test]
-        fn batch_matches_reference(
-            vectors in prop::collection::vec(prop::collection::vec(-1f32..1.0, 8), 1..25),
-            queries in prop::collection::vec(prop::collection::vec(-1f32..1.0, 8), 1..8),
-            k in 1usize..6,
-        ) {
-            let mut idx = VectorIndex::new();
-            for v in &vectors { idx.add(v.clone()); }
-            let batch = idx.top_k_batch(&queries, k);
-            prop_assert_eq!(batch.len(), queries.len());
-            for (q, hits) in queries.iter().zip(&batch) {
-                prop_assert_eq!(hits, &idx.top_k(q, k));
-            }
-        }
-
-        /// Prenormalised batched retrieval is bit-identical to per-query
-        /// prenormalised retrieval (the serving micro-batcher's contract).
-        #[test]
-        fn batch_prenormalized_matches_single(
-            vectors in prop::collection::vec(prop::collection::vec(-1f32..1.0, 8), 1..25),
-            queries in prop::collection::vec(prop::collection::vec(-1f32..1.0, 8), 1..8),
-            k in 1usize..6,
-        ) {
-            let mut idx = VectorIndex::new();
-            for v in &vectors { idx.add(v.clone()); }
-            let queries: Vec<Vec<f32>> = queries
-                .into_iter()
-                .map(|mut q| { l2_normalize(&mut q); q })
-                .collect();
-            let batch = idx.top_k_batch_prenormalized(&queries, k);
-            prop_assert_eq!(batch.len(), queries.len());
-            for (q, hits) in queries.iter().zip(&batch) {
-                prop_assert_eq!(hits, &idx.top_k_prenormalized(q, k));
-            }
-        }
-
         /// `embed_into` is byte-for-byte identical to `embed`, regardless of
         /// what the reused buffer previously held.
         #[test]

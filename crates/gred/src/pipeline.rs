@@ -75,13 +75,11 @@ impl GredOutput {
 
 /// The retrieval seam between the pipeline and the embedding library.
 ///
-/// [`Gred::translate`] resolves its two top-k lookups through this trait so
-/// a serving layer can interpose — `t2v-serve`'s micro-batcher coalesces the
-/// lookups of many concurrent translations into one
-/// [`t2v_embed::VectorIndex::top_k_batch_prenormalized`] call. Queries are
-/// the embedder's output and therefore already L2-normalised; impls must
-/// return exactly what `top_k_prenormalized` would (the direct and batched
-/// scans are bit-identical, property-tested in `t2v-embed`).
+/// [`Gred::translate`] resolves its two top-k lookups through this trait:
+/// the caller picks exact ([`DirectRetriever`]) or index-aware
+/// ([`AutoRetriever`]) retrieval, and the pipeline wraps each call in the
+/// `retrieve` span and the `retrieve.latency` fault point. Queries are the
+/// embedder's output and therefore already L2-normalised.
 pub trait Retrieve {
     /// Top-k over the library's NLQ index.
     fn retrieve_nlq(&self, query: &[f32], k: usize) -> Vec<Hit>;
@@ -89,7 +87,7 @@ pub trait Retrieve {
     fn retrieve_dvq(&self, query: &[f32], k: usize) -> Vec<Hit>;
 }
 
-/// The default retriever: unbatched **exact** lookups straight into the
+/// The default retriever: **exact** lookups straight into the
 /// library's flat stores. This is the recall oracle — it never consults an
 /// attached ANN index, so tests and fallbacks can always reach the exact
 /// scan through it.
@@ -112,12 +110,6 @@ pub struct AutoRetriever<'a> {
     pub library: &'a EmbeddingLibrary,
     /// Query-time probe override; `0` uses the trained index's default.
     pub nprobe: usize,
-}
-
-impl<'a> AutoRetriever<'a> {
-    pub fn new(library: &'a EmbeddingLibrary) -> Self {
-        AutoRetriever { library, nprobe: 0 }
-    }
 }
 
 impl Retrieve for AutoRetriever<'_> {
@@ -196,12 +188,6 @@ impl<M: ChatModel> Gred<M> {
 
     pub fn library(&self) -> &EmbeddingLibrary {
         &self.library
-    }
-
-    /// A shared handle to the library, for threads that outlive `&self`
-    /// borrows (e.g. a serving layer's batch-retrieval thread).
-    pub fn shared_library(&self) -> Arc<EmbeddingLibrary> {
-        Arc::clone(&self.library)
     }
 
     pub fn embedder(&self) -> &TextEmbedder {
@@ -354,8 +340,8 @@ impl<M: ChatModel> Gred<M> {
     }
 
     /// Backend-API translation with a caller-supplied retriever — the seam
-    /// `t2v-serve` uses to route the two top-k lookups through its
-    /// micro-batcher while still speaking [`Translator`] types. Pass a sink
+    /// `t2v-serve` uses to pick exact or index-aware retrieval per tenant
+    /// while still speaking [`Translator`] types. Pass a sink
     /// to receive stages as they complete.
     pub fn translate_api(
         &self,

@@ -4,7 +4,6 @@
 //! without recompiling. Every knob is documented in DESIGN.md §7.
 
 use std::time::Duration;
-use t2v_gred::GredConfig;
 
 /// Which synthetic corpus the server prepares GRED over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,8 +88,6 @@ pub struct ServeConfig {
     /// Independently-locked cache shards. 0 ⇒ derive from the worker count
     /// (next power of two, capped at 64).
     pub cache_shards: usize,
-    /// Route worker retrieval through the micro-batcher?
-    pub batch: bool,
     /// ANN policy for every tenant's embedding library: `off` (exact flat
     /// scan, the old behaviour), `on` (adopt a snapshot's index or train
     /// when the corpus is big enough), `force` (train even on tiny
@@ -101,9 +98,6 @@ pub struct ServeConfig {
     /// Cells probed per ANN query. 0 ⇒ the index's own default
     /// (`t2v_ann::auto_nprobe`). Higher = better recall, slower.
     pub ann_nprobe: usize,
-    /// Linger this many µs after the first queued lookup before flushing
-    /// (0 ⇒ natural batching: take whatever is queued, never wait).
-    pub batch_window_us: u64,
     /// Synthetic rows per table for the execution stores.
     pub store_rows: usize,
     pub store_seed: u64,
@@ -143,10 +137,6 @@ pub struct ServeConfig {
     pub backends: String,
     /// Items allowed in one `/v1/translate/batch` request.
     pub max_batch_items: usize,
-    /// GRED knobs (paper defaults).
-    pub gred_k: usize,
-    pub gred_retuner: bool,
-    pub gred_debugger: bool,
     /// Per-request wall-clock budget in milliseconds, measured from request
     /// parse. Checked between pipeline stages (admission, worker start,
     /// reply wait); an expired budget answers a structured 504
@@ -239,10 +229,8 @@ impl Default for ServeConfig {
             cache_capacity: 4096,
             cache_ttl_secs: 600,
             cache_shards: 0,
-            batch: true,
             ann: AnnMode::Off,
             ann_nprobe: 0,
-            batch_window_us: 0,
             store_rows: 30,
             store_seed: 7,
             corpus: CorpusProfile::Tiny(7),
@@ -253,9 +241,6 @@ impl Default for ServeConfig {
             backend_weights: String::new(),
             backends: "gred,seq2vis,transformer,rgvisnet,neural".to_string(),
             max_batch_items: 64,
-            gred_k: 10,
-            gred_retuner: true,
-            gred_debugger: true,
             deadline_ms: 30_000,
             fault_plan: String::new(),
             breaker_window: 32,
@@ -362,7 +347,6 @@ impl ServeConfig {
             "cache_capacity" => self.cache_capacity = parse_usize(key, value)?,
             "cache_ttl_secs" => self.cache_ttl_secs = parse_u64(key, value)?,
             "cache_shards" => self.cache_shards = parse_usize(key, value)?,
-            "batch" => self.batch = parse_bool(key, value)?,
             "ann" => {
                 self.ann = match value {
                     "off" => AnnMode::Off,
@@ -372,7 +356,6 @@ impl ServeConfig {
                 }
             }
             "ann_nprobe" => self.ann_nprobe = parse_usize(key, value)?,
-            "batch_window_us" => self.batch_window_us = parse_u64(key, value)?,
             "store_rows" => self.store_rows = parse_usize(key, value)?,
             "store_seed" => self.store_seed = parse_u64(key, value)?,
             "corpus" => self.corpus = parse_corpus(value)?,
@@ -383,9 +366,6 @@ impl ServeConfig {
             "backend_weights" => self.backend_weights = parse_backend_weights(value)?,
             "backends" => self.backends = parse_backends(value)?,
             "max_batch_items" => self.max_batch_items = parse_usize(key, value)?,
-            "gred_k" => self.gred_k = parse_usize(key, value)?,
-            "gred_retuner" => self.gred_retuner = parse_bool(key, value)?,
-            "gred_debugger" => self.gred_debugger = parse_bool(key, value)?,
             "deadline_ms" => self.deadline_ms = parse_u64(key, value)?,
             "fault_plan" => self.fault_plan = parse_fault_plan(value)?,
             "breaker_window" => self.breaker_window = parse_usize(key, value)?,
@@ -605,15 +585,6 @@ impl ServeConfig {
             Some(Duration::from_secs(self.cache_ttl_secs))
         }
     }
-
-    pub fn gred_config(&self) -> GredConfig {
-        GredConfig {
-            k: self.gred_k,
-            ascending_order: true,
-            use_retuner: self.gred_retuner,
-            use_debugger: self.gred_debugger,
-        }
-    }
 }
 
 /// All settable keys, for env scanning and documentation tests.
@@ -628,10 +599,8 @@ pub const KEYS: &[&str] = &[
     "cache_capacity",
     "cache_ttl_secs",
     "cache_shards",
-    "batch",
     "ann",
     "ann_nprobe",
-    "batch_window_us",
     "store_rows",
     "store_seed",
     "corpus",
@@ -642,9 +611,6 @@ pub const KEYS: &[&str] = &[
     "backend_weights",
     "backends",
     "max_batch_items",
-    "gred_k",
-    "gred_retuner",
-    "gred_debugger",
     "deadline_ms",
     "fault_plan",
     "breaker_window",
@@ -813,18 +779,14 @@ mod tests {
              workers=8\n\
              \n\
              cache_ttl_secs = 0\n\
-             batch = off\n\
-             corpus = paper:42\n\
-             gred_k = 6\n",
+             corpus = paper:42\n",
         )
         .unwrap();
         assert_eq!(cfg.addr, "0.0.0.0:9000");
         assert_eq!(cfg.workers, 8);
         assert_eq!(cfg.effective_workers(), 8);
         assert_eq!(cfg.cache_ttl(), None);
-        assert!(!cfg.batch);
         assert_eq!(cfg.corpus, CorpusProfile::Paper(42));
-        assert_eq!(cfg.gred_config().k, 6);
     }
 
     #[test]
@@ -832,7 +794,7 @@ mod tests {
         let mut cfg = ServeConfig::default();
         assert!(cfg.apply_kv_text("wrokers=4").is_err());
         assert!(cfg.apply_kv_text("workers=four").is_err());
-        assert!(cfg.apply_kv_text("batch=maybe").is_err());
+        assert!(cfg.apply_kv_text("degrade_stale=maybe").is_err());
         assert!(cfg.apply_kv_text("corpus=huge").is_err());
         assert!(cfg.apply_kv_text("no_equals_sign").is_err());
     }
@@ -850,7 +812,7 @@ mod tests {
                 "tenant_dir" => "/tmp",
                 "library_snapshot" | "snapshot_save" => "/tmp/lib.t2vsnap",
                 "ann" => "force",
-                "batch" | "gred_retuner" | "gred_debugger" | "degrade_stale" => "true",
+                "degrade_stale" => "true",
                 "fault_plan" => "seed=1;backend.error:p=0.5",
                 "trace_sample" => "0.25",
                 "access_log" => "/tmp/t2v-access.log",
@@ -864,7 +826,7 @@ mod tests {
 
     #[test]
     fn docs_name_every_key_and_no_retired_one() {
-        assert_eq!(KEYS.len(), 49);
+        assert_eq!(KEYS.len(), 44);
         let design = include_str!("../../../DESIGN.md");
         let readme = include_str!("../../../README.md");
         for key in KEYS {
@@ -879,6 +841,13 @@ mod tests {
             "net=".to_string(),
             ["legacy", "_translate"].concat(),
             ["keep_alive", "_secs"].concat(),
+            ["batch_", "window_us"].concat(),
+            ["gred", "_k"].concat(),
+            ["gred", "_retuner"].concat(),
+            ["gred", "_debugger"].concat(),
+            // Backticked: the bare word lives on in `max_batch_items` and
+            // `/v1/translate/batch`.
+            "`batch`".to_string(),
         ];
         for (name, text) in [("DESIGN.md", design), ("README.md", readme)] {
             for gone in &retired {

@@ -37,9 +37,9 @@
 //! Backed by a sharded bounded worker pool (503 on overload, never an
 //! unbounded queue), a sharded LRU+TTL cache keyed by `(backend,
 //! normalised NLQ, db fingerprint, response shape)` whose hits are
-//! byte-identical to cold translations, and a micro-batching retrieval
-//! stage that coalesces the GRED backend's concurrent top-k lookups into
-//! single `VectorIndex::top_k_batch_prenormalized` scans. Failures are
+//! byte-identical to cold translations, and one retrieval route: the
+//! worker that runs a GRED translation runs its two top-k scans itself
+//! (exact flat, or the tenant's IVF index under `ann=on`). Failures are
 //! structured `{"error": {"code", "message"}}` objects from the
 //! [`t2v_core::TranslateError`] taxonomy.
 //!
@@ -58,7 +58,6 @@
 
 pub mod access_log;
 mod admin;
-pub mod batch;
 pub mod breaker;
 pub mod cache;
 pub mod config;
@@ -71,7 +70,6 @@ pub mod server;
 pub mod translate;
 
 pub use access_log::AccessLog;
-pub use batch::{BatchRetriever, Batcher};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{CacheStats, Lookup, ShardedTtlLruCache, TtlLruCache};
 pub use config::{ConfigError, CorpusProfile, ServeConfig, KNOWN_BACKENDS};

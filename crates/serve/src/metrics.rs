@@ -312,10 +312,6 @@ pub struct Metrics {
     pub breaker_rejections: AtomicU64,
     /// Batch-path items retried after a transient internal failure.
     pub batch_retries: AtomicU64,
-    /// Micro-batcher: flushes executed / lookups they carried / largest batch.
-    pub batches: AtomicU64,
-    pub batched_lookups: AtomicU64,
-    pub max_batch: AtomicU64,
     /// Per-stage serving latency.
     pub queue_wait: LatencyHistogram,
     pub translate: LatencyHistogram,
@@ -363,9 +359,6 @@ impl Metrics {
             breaker_opens: AtomicU64::new(0),
             breaker_rejections: AtomicU64::new(0),
             batch_retries: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_lookups: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
             queue_wait: LatencyHistogram::default(),
             translate: LatencyHistogram::default(),
             request_total_latency: LatencyHistogram::default(),
@@ -470,12 +463,6 @@ impl Metrics {
             .set((format!("{fingerprint:#018x}"), source));
         self.library_entries
             .store(entries as u64, Ordering::Relaxed);
-    }
-
-    pub fn record_batch(&self, lookups: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_lookups.fetch_add(lookups, Ordering::Relaxed);
-        self.max_batch.fetch_max(lookups, Ordering::Relaxed);
     }
 
     /// Render the whole registry in Prometheus text format. Every family
@@ -609,24 +596,6 @@ impl Metrics {
                 &self.batch_retries,
             ),
             (
-                "t2v_batches_total",
-                "counter",
-                "Micro-batcher flushes executed.",
-                &self.batches,
-            ),
-            (
-                "t2v_batched_lookups_total",
-                "counter",
-                "Top-k lookups carried by micro-batcher flushes.",
-                &self.batched_lookups,
-            ),
-            (
-                "t2v_max_batch_size",
-                "gauge",
-                "Largest micro-batch flushed so far.",
-                &self.max_batch,
-            ),
-            (
                 "t2v_cache_shards",
                 "gauge",
                 "Translation-cache shard count.",
@@ -654,6 +623,15 @@ impl Metrics {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {}", v.load(Ordering::Relaxed));
+        }
+
+        // Fossils: the micro-batcher is gone, but `benchmark/src/serve.rs`
+        // fails a run when either series is absent from a scrape. Delete
+        // both once the benchmark stops reading them (ROADMAP).
+        for name in ["t2v_batches_total", "t2v_batched_lookups_total"] {
+            let _ = writeln!(out, "# HELP {name} Retired with the batcher; always 0.");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} 0");
         }
 
         // Slow requests attributed to the dominant stage of their trace.
@@ -905,8 +883,6 @@ mod tests {
         m.backend(1).cache_hits.fetch_add(5, Ordering::Relaxed);
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.translate.observe_ns(300_000);
-        m.record_batch(4);
-        m.record_batch(2);
         let text = m.render_prometheus();
         assert!(text.contains("t2v_http_requests_total{route=\"translate\",status=\"2xx\"} 1"));
         assert!(text.contains("t2v_http_requests_total{route=\"translate\",status=\"4xx\"} 1"));
@@ -914,9 +890,9 @@ mod tests {
         assert!(text.contains("t2v_cache_hits_total 3"));
         assert!(text.contains("t2v_translate_seconds_count 1"));
         assert!(text.contains("t2v_translate_seconds_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("t2v_batches_total 2"));
-        assert!(text.contains("t2v_batched_lookups_total 6"));
-        assert!(text.contains("t2v_max_batch_size 4"));
+        // The two fossil series the benchmark still scrapes.
+        assert!(text.contains("t2v_batches_total 0\n"));
+        assert!(text.contains("t2v_batched_lookups_total 0\n"));
         assert!(text.contains("t2v_cache_shards 8"));
         assert!(text.contains("t2v_http_requests_total{route=\"admin\",status=\"4xx\"} 1"));
         assert!(text.contains("t2v_http_requests_total{route=\"backends\",status=\"2xx\"} 1"));

@@ -11,7 +11,6 @@
 //! 503 immediately instead of queueing unboundedly.
 
 use crate::access_log::AccessLog;
-use crate::batch::{BatchRetriever, Batcher};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::ShardedTtlLruCache;
 use crate::config::{AnnMode, ConfigError, ServeConfig};
@@ -24,8 +23,8 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use t2v_baselines::{BaselineTrainConfig, NeuralSeq2Seq, RgVisNet, Seq2Vis, TransformerBaseline};
 use t2v_core::{
     BackendInfo, BackendRegistry, StageSink, TranslateError, TranslateRequest, TranslateResponse,
@@ -33,7 +32,7 @@ use t2v_core::{
 };
 use t2v_corpus::{generate, Corpus, Database};
 use t2v_engine::Store;
-use t2v_gred::{AutoRetriever, DirectRetriever, Gred};
+use t2v_gred::{AutoRetriever, DirectRetriever, Gred, GredConfig};
 use t2v_llm::{LlmConfig, SimulatedChatModel};
 use t2v_store::{EmbedderPool, LibrarySource, Provenance, SnapshotError};
 use t2v_tenant::{snapshot_filename, CorpusSpec, RcuCell, TenantSpec, DEFAULT_TENANT_ID};
@@ -99,34 +98,14 @@ pub struct DbEntry {
 /// epoch's entries simply age out of the LRU).
 pub type CacheKey = (u32, u16, Box<str>, u64, bool);
 
-/// Late-bound handle to the micro-batcher's retriever. The backend registry
-/// is built with server state (before the batcher thread exists); the
-/// spawned server plugs the retriever in, and until then — and in tests
-/// that never spawn — the GRED backend falls back to direct lookups, which
-/// are bit-identical by the batcher's correctness contract.
-#[derive(Clone, Default)]
-pub struct RetrieverSlot(Arc<OnceLock<BatchRetriever>>);
-
-impl RetrieverSlot {
-    fn set(&self, retriever: BatchRetriever) {
-        let _ = self.0.set(retriever);
-    }
-
-    fn get(&self) -> Option<&BatchRetriever> {
-        self.0.get()
-    }
-}
-
 /// The GRED pipeline as a registry backend: same `Translator` surface as
-/// every baseline, with retrieval routed through the server's micro-batcher
-/// once it is running.
+/// every baseline. The worker that needs the hits runs the scan itself.
 struct GredBackend {
     gred: Gred<SimulatedChatModel>,
-    slot: RetrieverSlot,
-    /// ANN routing for the direct (non-batched) path: `None` = exact flat
-    /// scan, `Some(n)` = probe the library's attached IVF index with
-    /// `n` cells (0 ⇒ the index default). Mirrors the batcher's routing so
-    /// batched and direct lookups stay identical.
+    /// `None` = exact flat scan, even over a library that carries an ANN
+    /// pair (`ann=off` on a v2 snapshot); `Some(n)` = probe the attached IVF
+    /// index with `n` cells (0 ⇒ the index default), flat when none is
+    /// attached.
     ann_nprobe: Option<usize>,
 }
 
@@ -136,20 +115,14 @@ impl GredBackend {
         req: &TranslateRequest<'_>,
         sink: Option<&mut dyn StageSink>,
     ) -> Result<TranslateResponse, TranslateError> {
-        match (self.slot.get(), self.ann_nprobe) {
-            (Some(r), _) => self.gred.translate_api(req, r, sink),
-            (None, Some(nprobe)) => self.gred.translate_api(
-                req,
-                &AutoRetriever {
-                    library: self.gred.library(),
-                    nprobe,
-                },
-                sink,
-            ),
-            (None, None) => {
-                self.gred
-                    .translate_api(req, &DirectRetriever(self.gred.library()), sink)
-            }
+        let library = self.gred.library();
+        match self.ann_nprobe {
+            None => self
+                .gred
+                .translate_api(req, &DirectRetriever(library), sink),
+            Some(nprobe) => self
+                .gred
+                .translate_api(req, &AutoRetriever { library, nprobe }, sink),
         }
     }
 }
@@ -205,7 +178,6 @@ pub struct TenantRuntime {
     /// exact flat scans; `Some(n)` = attached IVF index probed with `n`
     /// cells, 0 ⇒ index default).
     pub ann_nprobe: Option<usize>,
-    batch_slot: RetrieverSlot,
 }
 
 impl TenantRuntime {
@@ -604,9 +576,8 @@ fn build_tenant_runtime(
         Arc::clone(&resolved.embedder),
         Arc::clone(&resolved.library),
         SimulatedChatModel::new(LlmConfig::default()),
-        config.gred_config(),
+        GredConfig::default(),
     );
-    let batch_slot = RetrieverSlot::default();
     let mut registry = BackendRegistry::new();
     // Trained baselines use a minimal profile: serving startup must stay
     // bounded (it runs in tests and CI), and the serving surface routes
@@ -623,7 +594,6 @@ fn build_tenant_runtime(
         let backend: Arc<dyn Translator> = match *backend_id {
             "gred" => Arc::new(GredBackend {
                 gred: gred.clone(),
-                slot: batch_slot.clone(),
                 ann_nprobe,
             }),
             "seq2vis" => Arc::new(Seq2Vis::train(corpus, &train_cfg)),
@@ -686,7 +656,6 @@ fn build_tenant_runtime(
         // Epoch 0 is only ever the startup default tenant's.
         is_default: epoch == 0,
         ann_nprobe,
-        batch_slot,
     }
 }
 
@@ -787,7 +756,6 @@ pub(crate) struct EventStats {
 /// [`Server::shutdown`].
 pub struct Server {
     shared: Arc<Shared>,
-    batcher: Option<Batcher>,
     driver: EventDriver,
     addr: SocketAddr,
 }
@@ -810,24 +778,6 @@ impl Server {
                 t2v_fault::arm(&plan);
             }
         }
-        // The batcher only serves the default tenant's GRED retrieval; skip
-        // the thread entirely when gred is not registered. Attached tenants
-        // fall back to direct lookups — bit-identical by the batcher's
-        // correctness contract, so tenancy never changes translation bytes.
-        let batcher = if config.batch && state.registry.get("gred").is_some() {
-            let b = Batcher::spawn(
-                state.gred.shared_library(),
-                Duration::from_micros(config.batch_window_us),
-                Arc::clone(&state.metrics),
-                config.effective_ann(),
-            );
-            // From here on the GRED backend coalesces retrieval through the
-            // batcher (bit-identical to the direct lookups it replaces).
-            state.default_tenant.batch_slot.set(b.retriever());
-            Some(b)
-        } else {
-            None
-        };
         // One submission class per registered backend, weighted by the
         // `backend_weights` knob: heavy backends get proportionally more
         // in-system pool shares than trivial ones. With no weights
@@ -867,7 +817,6 @@ impl Server {
         let driver = EventDriver::spawn(Arc::clone(&shared), listener)?;
         Ok(Server {
             shared,
-            batcher,
             driver,
             addr,
         })
@@ -883,15 +832,12 @@ impl Server {
     }
 
     /// Orderly stop: the event loop drains (idle sockets close at once,
-    /// in-flight requests finish their response), then the pool, the
-    /// batcher and the ops plane stop.
-    pub fn shutdown(mut self) {
+    /// in-flight requests finish their response), then the pool and the
+    /// ops plane stop.
+    pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.driver.shutdown();
         self.shared.pool.shutdown();
-        if let Some(b) = self.batcher.take() {
-            b.shutdown();
-        }
         if let Some(obs) = &self.shared.obs {
             obs.stop();
         }

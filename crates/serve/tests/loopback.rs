@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use t2v_corpus::{generate, CorpusConfig};
 use t2v_engine::Json;
-use t2v_serve::{ServeConfig, Server, ServerState};
+use t2v_serve::{normalize_nlq, translate_body, ServeConfig, Server, ServerState};
 
 // ---------------------------------------------------------------------------
 // tiny test client
@@ -256,6 +256,18 @@ fn concurrent_clients_get_parseable_dvqs_and_byte_identical_cache_hits() {
             }
         }
     }
+    // What six concurrent clients were served is what the pipeline computes
+    // alone, in-process, with direct retrieval (the benchmark's oracle).
+    let state = server.state();
+    for (nlq, db) in &examples {
+        let entry = state.dbs.get(db).expect("catalog database");
+        let oracle = translate_body(&state.gred, "gred", &normalize_nlq(nlq), entry, false);
+        assert_eq!(
+            canonical[&format!("{db}/{nlq}")],
+            oracle,
+            "served bytes differ from the direct oracle for {nlq}"
+        );
+    }
     server.shutdown();
 }
 
@@ -334,7 +346,6 @@ fn overload_sheds_with_503_instead_of_queueing() {
         ("shards", "1"),
         ("queue_capacity", "1"),
         ("cache_capacity", "0"),
-        ("batch", "off"),
         ("debug_translate_sleep_ms", "150"),
     ]);
     let statuses: Vec<(u16, bool)> = std::thread::scope(|s| {
@@ -923,4 +934,44 @@ fn ann_forced_server_matches_flat_and_reports_its_index() {
 
     flat.shutdown();
     ann.shutdown();
+}
+
+#[test]
+fn ann_off_ignores_a_snapshot_borne_index() {
+    // A v2 snapshot carries a trained ANN pair (default nprobe: a partial,
+    // approximate probe). Under ann=off the server must keep scanning flat
+    // — report it, and answer exactly as a snapshot-less flat server does.
+    let dir = std::env::temp_dir().join(format!("t2v-loopback-annoff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("ann.t2vsnap");
+    let (corpus, flat) = spawn_server(&[]);
+    let gred = &flat.state().gred;
+    let library = t2v_gred::EmbeddingLibrary::build(&corpus, gred.embedder());
+    assert!(library.train_ann(&t2v_ann::IvfConfig {
+        min_rows: 1,
+        ..Default::default()
+    }));
+    t2v_store::save(&snap, &library, gred.embedder()).expect("save v2 snapshot");
+
+    let (_, warm) = spawn_server(&[("library_snapshot", snap.to_str().unwrap()), ("ann", "off")]);
+    assert!(
+        warm.state().gred.library().ann().is_some(),
+        "the decoder attached the snapshot's pair"
+    );
+    let mut cf = Client::connect(&flat);
+    let mut cw = Client::connect(&warm);
+    let doc = cw.request("GET", "/v1/admin/status", "").json();
+    let tenants = doc.get("tenants").and_then(Json::as_arr).unwrap();
+    assert_eq!(tenants[0].get("index").and_then(Json::as_str), Some("flat"));
+    for ex in corpus.dev.iter().take(8) {
+        let db = &corpus.databases[ex.db].id;
+        let a = cf.translate(&ex.nlq, db);
+        let b = cw.translate(&ex.nlq, db);
+        assert_eq!((a.status, b.status), (200, 200));
+        assert_eq!(a.body, b.body, "ann=off must scan flat ({})", ex.nlq);
+    }
+
+    flat.shutdown();
+    warm.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

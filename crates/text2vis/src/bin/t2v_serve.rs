@@ -56,7 +56,7 @@ fn main() {
     config.validate().unwrap_or_else(|e| die(&e.message));
 
     eprintln!(
-        "t2v-serve: preparing backends [{}] over the {:?} corpus ({} workers, {} shards, queue {} per shard, cache {} entries/{} shards/ttl {}s, batching {}, library {})...",
+        "t2v-serve: preparing backends [{}] over the {:?} corpus ({} workers, {} shards, queue {} per shard, cache {} entries/{} shards/ttl {}s, library {})...",
         config.backends,
         config.corpus,
         config.effective_workers(),
@@ -65,7 +65,6 @@ fn main() {
         config.cache_capacity,
         config.effective_cache_shards(),
         config.cache_ttl_secs,
-        if config.batch { "on" } else { "off" },
         if config.library_snapshot.is_empty() {
             "build".to_string()
         } else {
@@ -77,7 +76,7 @@ fn main() {
     // one-line diagnostic, non-zero status, no panic/backtrace noise.
     let server = serve(config).unwrap_or_else(|e| die(&e.to_string()));
     eprintln!(
-        "t2v-serve: serving the {} library ({}, fingerprint {:#018x}) on http://{} (POST /v1/translate, POST /v1/translate/batch, GET /v1/backends, /v1/t/{{tenant}}/*, POST /v1/admin/snapshot, /v1/admin/tenants*, GET /healthz, GET /metrics; POST /translate is deprecated)",
+        "t2v-serve: serving the {} library ({}, fingerprint {:#018x}) on http://{} (POST /v1/translate, POST /v1/translate/batch, GET /v1/backends, /v1/t/{{tenant}}/{{translate,translate/batch,backends}}, POST /v1/admin/snapshot, GET /v1/admin/{{status,tsdb,alerts,profile,tenants}}, GET /v1/admin/trace/{{recent,ID}}, POST /v1/admin/tenants/attach, DELETE /v1/admin/tenants/detach, GET /healthz, GET /metrics)",
         server.state().gred.library().len(),
         server.state().library_provenance.label(),
         server.state().library_fingerprint,

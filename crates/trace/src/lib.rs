@@ -58,8 +58,7 @@ pub enum Stage {
     CacheLookup = 3,
     /// Text embedding (NLQ and DVQ embeds both record here).
     Embed = 4,
-    /// Top-k retrieval against the embedding library (includes any
-    /// micro-batcher coalescing wait).
+    /// Top-k retrieval against the embedding library.
     Retrieve = 5,
     /// The backend's translate call end to end.
     Backend = 6,
