@@ -5,12 +5,19 @@
 //! fused dot product (cosine of the normalised pair) instead of the three
 //! passes a naive `dot / (|a|·|b|)` costs per comparison. The scan is
 //! exact — a linear pass with a bounded min-heap — but it is memory-bound,
-//! so it reads a quarter of the bytes: every row also has an 8-bit code
+//! so it reads a fraction of the bytes: every row also has an 8-bit code
 //! sidecar, an integer dot over the codes gives a *provable upper bound* on
 //! the row's f32 score, and the f32 dot runs only on rows whose bound beats
 //! the heap floor. Skipped rows are exactly rows the f32 scan would have
 //! scored and then discarded, so ids, order and scores are unchanged by
 //! construction (see DESIGN.md §5 for the inequality and measurements).
+//!
+//! The codes are stored **lane-major in tiles of 64 rows** (one cache line
+//! per lane per tile), because a hashed embedding is mostly zeros: the scan
+//! walks only the lanes where the *query's* code is non-zero — about 75 of
+//! 256 for a question — and an integer dot does not care which order its
+//! terms arrive in, so the code dot, the bound and everything after it are
+//! the same numbers for under a third of the bytes.
 //!
 //! Determinism: scores are bit-exact regardless of thread count or CPU
 //! because each surviving row's dot product is computed identically, the
@@ -18,7 +25,7 @@
 //! order; ties break toward lower ids everywhere.
 
 use crate::embedder::l2_normalize;
-use crate::quant::{self, Kernel};
+use crate::quant::{self, Kernel, LaneRows, QueryLanes, TILE_ROWS};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -274,21 +281,17 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Row-scans of work below which retrieval stays on the calling thread: a
-/// single query fans over row chunks from this many rows, a batch fans over
-/// queries from this many `rows × queries`. Measured on the prefiltered scan
-/// (2 vCPUs, 256 dims; DESIGN.md §5 has the table), not assumed: a scoped
-/// spawn + join costs ~70 µs here, the whole paper library (6100 rows, codes
-/// resident in L2) scans in ~0.1 ms, and two threads lose below ~16k rows
-/// (6100: 108 → 162 µs), break even near 20k and win from 25k up (32 768:
-/// 633 → 514 µs; 100k: 1.82 → 1.21 ms). Batches cross over at the same
-/// amount of work (6 queries × 6100 rows).
+/// Rows below which a scan stays on the calling thread. Measured on the
+/// tiled scan (2 vCPUs, 256 dims, min of 25 runs over 32 rotated queries;
+/// DESIGN.md §5 has the table), not assumed: a scoped spawn + join costs
+/// 70–100 µs here, and the whole paper library (6100 rows) scans in 35–50 µs
+/// for a hashed question and ~95 µs for a dense query, so fanning out there
+/// triples the latency. Two threads lose at 16k rows for either kind of
+/// query (dense 256 → 285 µs, hashed 103 → 182 µs), a dense query wins from
+/// here on (32 768: 540 → 440 µs; 100k: 1.61 → 0.99 ms) and a hashed one,
+/// whose scan is a third of the work, breaks even here (209 → 221 µs) and
+/// wins from 50k (340 → 291 µs; 100k: 646 → 544 µs).
 const PAR_SCAN_THRESHOLD: usize = 32_768;
-
-/// Rows whose code dots are computed per kernel call. The bound is still
-/// checked row by row against the live floor; the block only amortises the
-/// kernel dispatch and keeps the integer loop free of heap traffic.
-const PREFILTER_BLOCK: usize = 64;
 
 /// Per-row constants of the prefilter bound (see [`quant::bound_terms`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -314,8 +317,8 @@ fn encode_bound(row: &[f32], codes: &mut Vec<i8>) -> RowBound {
     }
 }
 
-/// The query side of the prefilter: its codes plus the coefficients that
-/// turn a row's integer code dot into an upper bound on
+/// The query side of the prefilter: its non-zero codes plus the coefficients
+/// that turn a row's integer code dot into an upper bound on
 /// `dot(query, row).clamp(-1, 1)` **as the f32 kernel computes it**:
 ///
 /// ```text
@@ -338,7 +341,7 @@ fn encode_bound(row: &[f32], codes: &mut Vec<i8>) -> RowBound {
 /// coefficients infinite, so `ub` is `+∞` or NaN and `ub <= floor` is
 /// false: every row is rescored.
 struct QueryBound {
-    codes: Vec<i8>,
+    lanes: QueryLanes,
     scale: f32,
     on_norm: f32,
     on_residual: f32,
@@ -356,7 +359,7 @@ impl QueryBound {
         // tightness.
         let norm = (q.code_norm + q.residual) * (1.0 + margin);
         QueryBound {
-            codes,
+            lanes: QueryLanes::from_codes(&codes),
             scale: q.scale,
             on_norm: q.residual * (1.0 + margin) + norm * margin,
             on_residual: norm * (1.0 + margin),
@@ -378,10 +381,10 @@ impl QueryBound {
 /// consequences for top-k.
 #[cfg(test)]
 pub(crate) fn upper_bound(query: &[f32], row: &[f32]) -> f32 {
-    let mut codes = Vec::new();
+    let (mut codes, mut query_codes) = (Vec::new(), Vec::new());
     let row_bound = encode_bound(row, &mut codes);
-    let q = QueryBound::new(query);
-    q.upper(quant::dot_i8(&q.codes, &codes), row_bound)
+    quant::encode_row(query, &mut query_codes);
+    QueryBound::new(query).upper(quant::dot_i8(&query_codes, &codes), row_bound)
 }
 
 /// An append-only exact cosine index over a contiguous row-major store.
@@ -397,11 +400,18 @@ pub struct VectorIndex {
     dims: usize,
     /// Row-major normalised vectors, `len / dims` rows.
     data: Vec<f32>,
-    /// SQ8 sidecar, derived from `data` and never persisted: row-major
-    /// codes (`dims` per row) and one [`RowBound`] per row. Every path that
-    /// grows `data` grows these in step.
-    codes: Vec<i8>,
+    /// SQ8 sidecar, derived from `data` and never persisted: one
+    /// [`RowBound`] per row, and the rows' codes lane-major in tiles of
+    /// [`TILE_ROWS`] — tile `t` is `codes[t * dims..(t + 1) * dims]`, lane
+    /// `l` of row `id` is `codes[id / 64 * dims + l].0[id % 64]`. Always
+    /// whole tiles, `len().div_ceil(64) * dims` lanes; the slots past the
+    /// last row hold code `0` and are never offered. Every path that grows
+    /// `data` grows these in step.
+    codes: Vec<LaneRows>,
     bounds: Vec<RowBound>,
+    /// One row of codes on its way from the encoder into its tile — kept so
+    /// an insert does not allocate.
+    row_codes: Vec<i8>,
 }
 
 impl VectorIndex {
@@ -416,13 +426,15 @@ impl VectorIndex {
         VectorIndex::with_capacity_dims(n, crate::EmbedConfig::default().dims)
     }
 
-    /// Reserve for `n` vectors of `dims` elements each.
+    /// Reserve for `n` vectors of `dims` elements each (whole code tiles, so
+    /// a build of the announced size never regrows any buffer).
     pub fn with_capacity_dims(n: usize, dims: usize) -> Self {
         VectorIndex {
             dims: 0,
             data: Vec::with_capacity(n.saturating_mul(dims)),
-            codes: Vec::with_capacity(n.saturating_mul(dims)),
+            codes: Vec::with_capacity(n.div_ceil(TILE_ROWS).saturating_mul(dims)),
             bounds: Vec::with_capacity(n),
+            row_codes: Vec::with_capacity(dims),
         }
     }
 
@@ -447,17 +459,18 @@ impl VectorIndex {
                 data.len()
             ));
         }
-        let mut codes = Vec::with_capacity(data.len());
-        let bounds: Vec<RowBound> = data
-            .chunks_exact(dims)
-            .map(|row| encode_bound(row, &mut codes))
-            .collect();
-        Ok(VectorIndex {
+        let rows = data.len() / dims;
+        let mut index = VectorIndex {
             dims,
             data,
-            codes,
-            bounds,
-        })
+            codes: Vec::with_capacity(rows.div_ceil(TILE_ROWS) * dims),
+            bounds: Vec::with_capacity(rows),
+            row_codes: Vec::with_capacity(dims),
+        };
+        for _ in 0..rows {
+            index.encode_next_row();
+        }
+        Ok(index)
     }
 
     /// The raw row-major store behind the index: `(stride, rows)`. Rows are
@@ -487,15 +500,29 @@ impl VectorIndex {
         let start = self.data.len();
         self.data.extend_from_slice(v);
         l2_normalize(&mut self.data[start..]);
-        let bound = encode_bound(&self.data[start..], &mut self.codes);
-        self.bounds.push(bound);
+        self.encode_next_row();
         start / self.dims
     }
 
+    /// Give the first stored row that has no sidecar yet (row
+    /// `bounds.len()`) its bound and its codes.
+    fn encode_next_row(&mut self) {
+        let (dims, id) = (self.dims, self.bounds.len());
+        self.row_codes.clear();
+        let row = &self.data[id * dims..(id + 1) * dims];
+        self.bounds.push(encode_bound(row, &mut self.row_codes));
+        let (tile, slot) = tile_slot(&mut self.codes, dims, id);
+        for (lane, &code) in tile.iter_mut().zip(&self.row_codes) {
+            lane.0[slot] = code;
+        }
+    }
+
     /// Move every row of `other` onto the end of this index, keeping their
-    /// order. Rows are already normalised and encoded, so this is three
-    /// buffer appends — bulk builders fill partial indexes on worker threads
-    /// and stitch them here.
+    /// order. Rows are already normalised and encoded, so when this index
+    /// ends on a tile boundary it is three buffer appends — bulk builders
+    /// fill partial indexes of whole tiles on worker threads and stitch them
+    /// here. Otherwise `other`'s tiles do not line up with this index's and
+    /// its codes are moved slot by slot.
     ///
     /// # Panics
     /// If both indexes hold rows and their strides differ.
@@ -508,9 +535,23 @@ impl VectorIndex {
         } else {
             assert_eq!(other.dims, self.dims, "inconsistent vector dimensionality");
         }
+        let start = self.len();
         self.data.extend_from_slice(&other.data);
-        self.codes.extend_from_slice(&other.codes);
         self.bounds.extend_from_slice(&other.bounds);
+        if start.is_multiple_of(TILE_ROWS) {
+            self.codes.extend_from_slice(&other.codes);
+            return;
+        }
+        for (from, tile) in other.codes.chunks_exact(other.dims).enumerate() {
+            let rows = (other.len() - from * TILE_ROWS).min(TILE_ROWS);
+            for row in 0..rows {
+                let id = start + from * TILE_ROWS + row;
+                let (into, slot) = tile_slot(&mut self.codes, self.dims, id);
+                for (to, lane) in into.iter_mut().zip(tile) {
+                    to.0[slot] = lane.0[row];
+                }
+            }
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -569,38 +610,57 @@ impl VectorIndex {
         query: &[f32],
         k: usize,
     ) -> Vec<Hit> {
+        let threads = if self.len() < PAR_SCAN_THRESHOLD {
+            1
+        } else {
+            threads
+        };
+        self.top_k_chunked(kernel, threads, PAR_SCAN_THRESHOLD / 2, query, k)
+    }
+
+    /// [`VectorIndex::top_k_with`] below its threshold: up to `threads`
+    /// chunks of at least `min_rows` rows each, one chunk meaning no thread
+    /// is spawned. Split out so tests can chunk a store of a few tiles.
+    fn top_k_chunked(
+        &self,
+        kernel: Kernel,
+        threads: usize,
+        min_rows: usize,
+        query: &[f32],
+        k: usize,
+    ) -> Vec<Hit> {
         if k == 0 || self.is_empty() {
             return Vec::new();
         }
         assert_eq!(query.len(), self.dims, "query dimensionality mismatch");
         let bound = QueryBound::new(query);
-        if threads <= 1 || self.len() < PAR_SCAN_THRESHOLD {
-            return self.scan(kernel, 0, &self.data, query, &bound, k);
-        }
-        // min_chunk in *elements*; granularity = the row stride, so chunk
-        // boundaries always fall between rows, never through one.
+        // Sizes in *elements* of `data`; granularity = one tile's worth of
+        // rows, so a chunk always starts on the first row of a code tile
+        // (and between rows, never through one).
+        let tile = TILE_ROWS * self.dims;
         t2v_parallel::par_chunk_reduce_in(
             threads,
             &self.data,
-            PAR_SCAN_THRESHOLD / 2 * self.dims,
-            self.dims,
+            min_rows * self.dims,
+            tile,
             |offset, chunk| {
-                debug_assert_eq!(offset % self.dims, 0);
+                debug_assert_eq!(offset % tile, 0);
                 debug_assert_eq!(chunk.len() % self.dims, 0);
-                self.scan(kernel, offset / self.dims, chunk, query, &bound, k)
+                self.scan(kernel, offset / tile, chunk, query, &bound, k)
             },
             |a, b| merge_topk(a, b, k),
         )
         .unwrap_or_default()
     }
 
-    /// Sequential heap scan over `chunk` (rows starting at `first_id`),
-    /// returning up to `k` hits sorted best-first. The sidecar is indexed by
-    /// global row id, so a chunk deep inside the store reads its own codes.
+    /// Sequential heap scan over `chunk` (the rows from the start of tile
+    /// `first_tile` on), returning up to `k` hits sorted best-first. The
+    /// sidecar is indexed by global tile and row id, so a chunk deep inside
+    /// the store reads its own codes.
     fn scan(
         &self,
         kernel: Kernel,
-        first_id: usize,
+        first_tile: usize,
         chunk: &[f32],
         query: &[f32],
         bound: &QueryBound,
@@ -608,18 +668,15 @@ impl VectorIndex {
     ) -> Vec<Hit> {
         let dims = self.dims;
         let mut top = TopK::new(k);
-        let mut code_dots = [0i32; PREFILTER_BLOCK];
-        for (b, block) in chunk.chunks(PREFILTER_BLOCK * dims).enumerate() {
-            let base = first_id + b * PREFILTER_BLOCK;
-            let rows = block.len() / dims;
-            quant::dot_i8_rows_in(
-                kernel,
-                &bound.codes,
-                &self.codes[base * dims..(base + rows) * dims],
-                &mut code_dots[..rows],
-            );
+        let mut code_dots = [0i32; TILE_ROWS];
+        for (t, block) in chunk.chunks(TILE_ROWS * dims).enumerate() {
+            let tile = first_tile + t;
+            let codes = &self.codes[tile * dims..(tile + 1) * dims];
+            quant::tile_dots_in(kernel, &bound.lanes, codes, &mut code_dots);
+            // The last block may be short: its tile's spare slots hold zero
+            // codes and no row, and are not visited.
             for (j, v) in block.chunks_exact(dims).enumerate() {
-                let id = base + j;
+                let id = tile * TILE_ROWS + j;
                 // Prefilter: `score <= upper`, so a rejected `upper` is a
                 // row the exact offer below would drop anyway.
                 if top.rejects(bound.upper(code_dots[j], self.bounds[id])) {
@@ -630,6 +687,16 @@ impl VectorIndex {
         }
         top.into_sorted()
     }
+}
+
+/// The tile that row `id` — the last row or the one after it — lands in and
+/// its slot there, opening a zeroed tile when `id` is the first row of one.
+fn tile_slot(codes: &mut Vec<LaneRows>, dims: usize, id: usize) -> (&mut [LaneRows], usize) {
+    let first = id / TILE_ROWS * dims;
+    if codes.len() == first {
+        codes.resize(first + dims, LaneRows::ZERO);
+    }
+    (&mut codes[first..first + dims], id % TILE_ROWS)
 }
 
 /// Merge two best-first hit lists, keeping the best `k` (ties toward lower
@@ -874,23 +941,32 @@ mod tests {
         hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
     }
 
-    /// Deterministic pseudo-random vectors: mostly sparse, like the hashed
-    /// embeddings the scan is built for.
+    /// Deterministic pseudo-random vectors shaped like the hashed embeddings
+    /// the scan is built for: each row 10–40 % dense (a phrase to a long
+    /// question), and every ninth an exact copy of an earlier row, so any
+    /// query meets exact score ties.
     fn scattered_rows(rows: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut s = seed | 1;
-        let mut component = || {
+        let mut component = |density: u64| {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            if s.is_multiple_of(4) {
+            if s % 100 < density {
                 (s >> 40) as f32 / (1u64 << 23) as f32 - 1.0
             } else {
                 0.0
             }
         };
-        (0..rows)
-            .map(|_| (0..dims).map(|_| component()).collect())
-            .collect()
+        let mut out: Vec<Vec<f32>> = Vec::with_capacity(rows);
+        for row in 0..rows {
+            out.push(if row % 9 == 8 {
+                out[row / 2].clone()
+            } else {
+                let density = 10 + (row as u64 * 7) % 31;
+                (0..dims).map(|_| component(density)).collect()
+            });
+        }
+        out
     }
 
     fn scattered(rows: usize, dims: usize, seed: u64) -> VectorIndex {
@@ -903,17 +979,50 @@ mod tests {
 
     #[test]
     fn prefiltered_scan_equals_the_f32_scan_on_every_kernel() {
-        // Strides around every kernel width, so block loops, the 16-wide
-        // step and the scalar tail all carry real codes.
+        // Strides around every kernel width and row counts around the tile
+        // height, so one lane, an odd lane out, a lone slot in a padded tile,
+        // a full tile and a tile plus one all carry real codes.
         for dims in [1usize, 3, 15, 16, 17, 31, 33, 63, 64, 65, 100, 256] {
-            let idx = scattered(700, dims, 0xfeed ^ dims as u64);
-            for probe in [0usize, 13, 699] {
-                let q = idx.get(probe).unwrap().to_vec();
-                for k in [1usize, 10, 699, 700, 5000] {
-                    let want = bits(&f32_scan(&idx, &q, k));
+            for rows in [1usize, 63, 64, 65, 127, 700] {
+                let idx = scattered(rows, dims, 0xfeed ^ (dims * rows) as u64);
+                // Stored rows (which tie exactly with their planted copies)
+                // and a sparse query the store has never seen.
+                let fresh = scattered_rows(8, dims, 0xbeef ^ dims as u64).swap_remove(3);
+                let mut queries = vec![normalized(fresh)];
+                for probe in [0, 13, rows - 1] {
+                    queries.extend(idx.get(probe).map(<[f32]>::to_vec));
+                }
+                for q in &queries {
+                    for k in [1, 10, rows.max(2) - 1, rows, 5000] {
+                        let want = bits(&f32_scan(&idx, q, k));
+                        for kernel in [Kernel::BASELINE, Kernel::detect()] {
+                            let got = idx.top_k_with(kernel, 1, q, k);
+                            assert_eq!(
+                                bits(&got),
+                                want,
+                                "dims={dims} rows={rows} k={k} {kernel:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_of_whole_tiles_equal_the_sequential_scan() {
+        // Three full tiles and a five-row tail, far below the threshold at
+        // which `top_k_with` would fan out on its own: two chunks of
+        // 128 + 69 rows, then four of one tile each.
+        let idx = scattered(3 * TILE_ROWS + 5, 40, 21);
+        for probe in [0usize, 100, 196] {
+            let q = idx.get(probe).unwrap();
+            for k in [1usize, 7, 197] {
+                let want = bits(&f32_scan(&idx, q, k));
+                for threads in [2usize, 3, 4] {
                     for kernel in [Kernel::BASELINE, Kernel::detect()] {
-                        let got = idx.top_k_with(kernel, 1, &q, k);
-                        assert_eq!(bits(&got), want, "dims={dims} k={k} {kernel:?}");
+                        let got = idx.top_k_chunked(kernel, threads, 1, q, k);
+                        assert_eq!(bits(&got), want, "threads={threads} k={k}");
                     }
                 }
             }
@@ -929,12 +1038,15 @@ mod tests {
         let q = idx.get(42).unwrap().to_vec();
         let bound = QueryBound::new(&q);
         let floor = f32_scan(&idx, &q, 10).last().unwrap().score;
-        let survivors = (0..idx.len())
-            .filter(|&id| {
-                let codes = &idx.codes[id * 256..(id + 1) * 256];
-                bound.upper(quant::dot_i8(&bound.codes, codes), idx.bounds[id]) > floor
-            })
-            .count();
+        let mut code_dots = [0i32; TILE_ROWS];
+        let mut survivors = 0;
+        for (t, tile) in idx.codes.chunks_exact(256).enumerate() {
+            quant::tile_dots_in(Kernel::detect(), &bound.lanes, tile, &mut code_dots);
+            let bounds = idx.bounds[t * TILE_ROWS..].iter().zip(code_dots);
+            survivors += bounds
+                .filter(|&(&row, code_dot)| bound.upper(code_dot, row) > floor)
+                .count();
+        }
         assert!(survivors >= 10, "the top-k themselves must survive");
         assert!(
             survivors < idx.len() / 10,
@@ -1035,23 +1147,32 @@ mod tests {
 
     #[test]
     fn append_equals_inserting_in_order() {
-        let rows = scattered_rows(90, 12, 3);
-        let mut whole = VectorIndex::new();
-        let mut stitched = VectorIndex::new();
-        stitched.append(VectorIndex::new());
-        for part in rows.chunks(25) {
-            let mut piece = VectorIndex::new();
-            for row in part {
-                whole.add_slice(row);
-                piece.add_slice(row);
+        // Piece sizes that leave the receiver on a tile boundary (the
+        // buffer-append path: 0, 64, 128), one past it, one short of it
+        // (63 = 1 + 62) and nowhere near it.
+        for pieces in [&[64usize, 64, 5][..], &[1, 62, 70, 1], &[25; 4]] {
+            let rows = scattered_rows(pieces.iter().sum(), 12, 3);
+            let mut whole = VectorIndex::new();
+            let mut stitched = VectorIndex::new();
+            stitched.append(VectorIndex::new());
+            let mut next = rows.iter();
+            for &size in pieces {
+                let mut piece = VectorIndex::new();
+                for row in next.by_ref().take(size) {
+                    whole.add_slice(row);
+                    piece.add_slice(row);
+                }
+                stitched.append(piece);
             }
-            stitched.append(piece);
+            assert_eq!(stitched.len(), rows.len());
+            assert!(stitched.raw_rows() == whole.raw_rows());
+            assert!(stitched.codes == whole.codes && stitched.bounds == whole.bounds);
+            let q = whole.get(31).unwrap();
+            assert_eq!(stitched.top_k(q, 9), whole.top_k(q, 9));
+            let (dims, raw) = stitched.raw_rows();
+            let restored = VectorIndex::from_parts(dims, raw.to_vec()).unwrap();
+            assert!(restored.codes == whole.codes && restored.bounds == whole.bounds);
         }
-        assert_eq!(stitched.len(), 90);
-        assert!(stitched.raw_rows() == whole.raw_rows());
-        assert!(stitched.codes == whole.codes && stitched.bounds == whole.bounds);
-        let q = whole.get(31).unwrap();
-        assert_eq!(stitched.top_k(q, 9), whole.top_k(q, 9));
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! 8-bit scalar quantization (SQ8) of L2-normalised rows, and the one
-//! integer dot kernel every quantized scan in the workspace shares.
+//! 8-bit scalar quantization (SQ8) of L2-normalised rows, and the integer
+//! dot kernels every quantized scan in the workspace shares: [`dot_i8`] for
+//! one pair of code rows (IVF cells, [`bound_terms`]) and the tile kernel
+//! behind the flat scan, which scores 64 rows at once and reads only the
+//! lanes where the query's code is non-zero.
 //!
 //! Each row gets one symmetric scale: `code = round(v / scale)` clamped to
 //! `[-127, 127]` with `scale = max|v| / 127`, so the decoded value
@@ -9,11 +12,12 @@
 //! every row the bound cannot rule out (see [`bound_terms`]); the IVF search
 //! in `t2v-ann` uses them to build a shortlist it rescores exactly.
 //!
-//! The kernel is dispatched at run time (AVX2 when the CPU has it, the
-//! x86-64 baseline SSE2 otherwise). That is safe for determinism in a way it
-//! would not be for the f32 dot: integer arithmetic is exact, so every
-//! kernel returns the same `i32` for the same codes and the choice of ISA
-//! cannot change a single result across hosts.
+//! The kernels are dispatched at run time (AVX2 when the CPU has it, the
+//! x86-64 baseline otherwise). That is safe for determinism in a way it
+//! would not be for the f32 dot: integer arithmetic is exact and order-free,
+//! so every kernel — and every order of walking the lanes — returns the same
+//! `i32` for the same codes and the choice of ISA cannot change a single
+//! result across hosts.
 
 /// Which integer kernel scores code rows. Values are only obtainable through
 /// [`Kernel::BASELINE`] and [`Kernel::detect`], so holding the wide variant
@@ -156,110 +160,50 @@ pub fn dot_i8_in(kernel: Kernel, a: &[i8], b: &[i8]) -> i32 {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => {
             debug_assert_eq!(a.len(), b.len());
-            let a = &a[..a.len().min(b.len())];
             // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect`
-            // after the CPU reported AVX2, and `b` holds at least
-            // `a.len()` codes after the truncation above.
-            unsafe { dot_i8_avx2::<1>(a, b.as_ptr())[0] }
+            // after the CPU reported AVX2.
+            unsafe { dot_i8_avx2(a, b) }
         }
     }
 }
 
-/// One query against consecutive rows: `out[r] = q · rows[r * q.len()..]`.
-/// The kernel is dispatched once for the whole block and inlined into the
-/// row loop, which is what the flat scan's prefilter wants.
-///
-/// # Panics
-/// If `rows` does not hold exactly `out.len()` rows of `q.len()` codes.
-#[doc(hidden)]
-#[inline]
-pub fn dot_i8_rows_in(kernel: Kernel, q: &[i8], rows: &[i8], out: &mut [i32]) {
-    assert_eq!(rows.len(), q.len() * out.len(), "code block shape mismatch");
-    if q.is_empty() {
-        out.fill(0);
-        return;
-    }
-    match kernel.0 {
-        Isa::Baseline => {
-            for (o, row) in out.iter_mut().zip(rows.chunks_exact(q.len())) {
-                *o = dot_i8_baseline(q, row);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_i8_in`, the variant proves AVX2 is present.
-        Isa::Avx2 => unsafe { dot_i8_rows_avx2(q, rows, out) },
-    }
-}
-
-/// AVX2 kernel: `q` against `R` consecutive rows of `q.len()` codes starting
-/// at `rows`. Sign-extends 16 codes to 16-bit lanes (`vpmovsxbw`), then
-/// `vpmaddwd` fuses the multiply and pairwise add into eight i32 lanes.
-/// Sign extension (rather than the `abs`/`sign` + `vpmaddubsw` trick) keeps
-/// the kernel exact for `-128` as well — and is its bottleneck (one
-/// shuffle-port µop per 16 codes), which is why the row-block form runs
-/// `R = 4`: each query chunk is widened once for four rows, 1.25 instead of
-/// 2 extensions per row chunk.
+/// AVX2 kernel for one pair of code rows (over their common length).
+/// Sign-extends 16 codes to 16-bit lanes (`vpmovsxbw`), then `vpmaddwd`
+/// fuses the multiply and pairwise add into eight i32 lanes. Sign extension
+/// (rather than the `abs`/`sign` + `vpmaddubsw` trick) keeps the kernel exact
+/// for `-128` as well. Written without a panicking path: the IVF cell scans
+/// call it once per probed row.
 ///
 /// # Safety
-/// The CPU must support AVX2, and `rows..rows + R * q.len()` must be
-/// readable.
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn dot_i8_avx2<const R: usize>(q: &[i8], rows: *const i8) -> [i32; R] {
+unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
     use std::arch::x86_64::*;
-    let n = q.len();
+    let n = a.len().min(b.len());
     let wide = n / 16 * 16;
-    let mut acc = [_mm256_setzero_si256(); R];
+    let mut acc = _mm256_setzero_si256();
     let mut i = 0;
     while i < wide {
-        // SAFETY: `i + 16 <= wide <= n`, so every 16-byte load below stays
-        // inside `q` or inside row `r` (`_mm_loadu_si128` tolerates
-        // unaligned pointers).
-        let wq = _mm256_cvtepi8_epi16(_mm_loadu_si128(q.as_ptr().add(i) as *const __m128i));
-        for (r, a) in acc.iter_mut().enumerate() {
-            let row = rows.add(r * n + i);
-            let wr = _mm256_cvtepi8_epi16(_mm_loadu_si128(row as *const __m128i));
-            *a = _mm256_add_epi32(*a, _mm256_madd_epi16(wq, wr));
-        }
+        // SAFETY: `i + 16 <= wide <= n`, and both rows hold at least `n`
+        // codes, so both 16-byte loads stay inside their rows
+        // (`_mm_loadu_si128` tolerates unaligned pointers).
+        let wa = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i) as *const __m128i));
+        let wb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i) as *const __m128i));
+        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(wa, wb));
         i += 16;
     }
-    let mut out = [0i32; R];
-    for (r, (o, a)) in out.iter_mut().zip(acc).enumerate() {
-        let quad = _mm_add_epi32(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
-        let pair = _mm_add_epi32(quad, _mm_shuffle_epi32(quad, 0b01_00_11_10));
-        let one = _mm_add_epi32(pair, _mm_shuffle_epi32(pair, 0b00_00_00_01));
-        // SAFETY: row `r` spans `rows.add(r * n)..rows.add((r + 1) * n)`.
-        let row = std::slice::from_raw_parts(rows.add(r * n), n);
-        let tail: i32 = (q[wide..].iter().zip(&row[wide..]))
-            .map(|(&x, &y)| x as i32 * y as i32)
-            .sum();
-        *o = _mm_cvtsi128_si32(one) + tail;
-    }
-    out
-}
-
-/// Row-block form of [`dot_i8_avx2`]: quads of rows, then the remainder one
-/// at a time.
-///
-/// # Safety
-/// The CPU must support AVX2; `rows.len() == q.len() * out.len()`, `q`
-/// non-empty.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_rows_avx2(q: &[i8], rows: &[i8], out: &mut [i32]) {
-    debug_assert_eq!(rows.len(), q.len() * out.len());
-    let mut quads = out.chunks_exact_mut(4);
-    let mut row_quads = rows.chunks_exact(4 * q.len());
-    for (o, quad) in (&mut quads).zip(&mut row_quads) {
-        // SAFETY: `quad` holds exactly four rows of `q.len()` codes.
-        o.copy_from_slice(&dot_i8_avx2::<4>(q, quad.as_ptr()));
-    }
-    let rest = row_quads.remainder().chunks_exact(q.len());
-    for (o, row) in quads.into_remainder().iter_mut().zip(rest) {
-        // SAFETY: `row` holds exactly one row of `q.len()` codes.
-        *o = dot_i8_avx2::<1>(q, row.as_ptr())[0];
-    }
+    let quad = _mm_add_epi32(
+        _mm256_castsi256_si128(acc),
+        _mm256_extracti128_si256(acc, 1),
+    );
+    let pair = _mm_add_epi32(quad, _mm_shuffle_epi32(quad, 0b01_00_11_10));
+    let one = _mm_add_epi32(pair, _mm_shuffle_epi32(pair, 0b00_00_00_01));
+    let tail: i32 = (a.iter().zip(b).skip(wide))
+        .map(|(&x, &y)| x as i32 * y as i32)
+        .sum();
+    _mm_cvtsi128_si32(one) + tail
 }
 
 /// x86-64 baseline (SSE2) kernel. Bytes are sign-extended to 16 bits with
@@ -319,6 +263,169 @@ fn dot_i8_baseline(a: &[i8], b: &[i8]) -> i32 {
         sum += *xa as i32 * *xb as i32;
     }
     sum
+}
+
+/// Rows per tile of the flat index's lane-major code store.
+pub(crate) const TILE_ROWS: usize = 64;
+
+/// One lane of one tile: the codes that [`TILE_ROWS`] consecutive rows hold
+/// at the same dimension — exactly one cache line, and aligned to one. A tile
+/// is `dims` of these, lane 0 first; a row past the end of the store has
+/// code `0` in every lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+pub(crate) struct LaneRows(pub(crate) [i8; TILE_ROWS]);
+
+impl LaneRows {
+    pub(crate) const ZERO: LaneRows = LaneRows([0; TILE_ROWS]);
+}
+
+/// The query side of the tile kernel: the non-zero codes of one code row.
+/// A hashed embedding leaves most of them zero (a question touches about 75
+/// of 256 lanes, a DVQ 56), a zero code contributes nothing to any row's
+/// dot, and an integer sum does not care in which order its terms arrive —
+/// so a scan that walks only this list reads that share of the code store
+/// and still computes every row's exact code dot.
+#[derive(Debug)]
+pub(crate) struct QueryLanes {
+    /// Length of the code row this was built from.
+    dims: usize,
+    /// `(lane, code)` for each `code != 0`, lanes ascending.
+    lanes: Vec<(u32, i8)>,
+}
+
+impl QueryLanes {
+    pub(crate) fn from_codes(codes: &[i8]) -> QueryLanes {
+        assert!(
+            u32::try_from(codes.len()).is_ok(),
+            "code row too long for u32 lane ids"
+        );
+        let lanes = (codes.iter().enumerate())
+            .filter(|(_, &code)| code != 0)
+            .map(|(lane, &code)| (lane as u32, code))
+            .collect();
+        QueryLanes {
+            dims: codes.len(),
+            lanes,
+        }
+    }
+}
+
+/// Code dots of one query against the [`TILE_ROWS`] rows of one tile:
+/// `out[r] = Σ_lane code_q[lane] · tile[lane][r]`, the same `i32` that
+/// [`dot_i8`] returns for the query's and row `r`'s code rows. When `tile`
+/// sits inside a longer store, the AVX2 kernel prefetches the lanes it reads
+/// `tile.len()` elements further on — the next tile (a hint only: past the
+/// end of the store it touches nothing).
+///
+/// # Panics
+/// If `tile` is not `dims` lanes long, for the `dims` the query was built
+/// from.
+#[inline]
+pub(crate) fn tile_dots_in(
+    kernel: Kernel,
+    q: &QueryLanes,
+    tile: &[LaneRows],
+    out: &mut [i32; TILE_ROWS],
+) {
+    assert_eq!(tile.len(), q.dims, "tile shape mismatch");
+    match kernel.0 {
+        Isa::Baseline => {
+            out.fill(0);
+            for &(lane, code) in &q.lanes {
+                let code = code as i32;
+                for (o, &c) in out.iter_mut().zip(&tile[lane as usize].0) {
+                    *o += code * c as i32;
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the variant proves AVX2 is present (see `dot_i8_in`).
+        Isa::Avx2 => unsafe { tile_dots_avx2(&q.lanes, tile, out) },
+    }
+}
+
+/// AVX2 tile kernel, two lanes per step. Each lane's 64 codes are widened
+/// 16 at a time (`vpmovsxbw`), the two lanes' words interleaved
+/// (`vpunpck{l,h}wd`) so every i32 slot holds one row's `(a, b)` pair, and
+/// `vpmaddwd` against the broadcast `(q_a, q_b)` pair multiplies and adds
+/// both lanes at once into eight accumulators — all 64 rows' dots stay in
+/// registers for the whole walk. The unpacks work per 128-bit half, so
+/// accumulator `2g` holds rows `16g + {0..4, 8..12}` and `2g + 1` rows
+/// `16g + {4..8, 12..16}`; one `vperm2i128` per store puts them back in row
+/// order. Bound by the shuffle port: two widenings and two unpacks per 16
+/// rows per lane pair, about 14 cycles per pair per tile — which is why the
+/// lanes are indexed with their bounds checks left in (one predictable
+/// compare per 64 rows).
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_dots_avx2(lanes: &[(u32, i8)], tile: &[LaneRows], out: &mut [i32; TILE_ROWS]) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_si256(); 8];
+    let mut pairs = lanes.chunks_exact(2);
+    for pair in &mut pairs {
+        tile_madd_avx2(&mut acc, tile, pair[0], pair[1]);
+    }
+    if let [last] = *pairs.remainder() {
+        // An odd lane out pairs with itself at code 0.
+        tile_madd_avx2(&mut acc, tile, last, (last.0, 0));
+    }
+    let out = out.as_mut_ptr() as *mut __m256i;
+    for g in 0..4 {
+        let (lo, hi) = (acc[2 * g], acc[2 * g + 1]);
+        // SAFETY: `out` is 64 i32s — eight 32-byte stores, `2g + 1 < 8`
+        // (`_mm256_storeu_si256` tolerates unaligned pointers).
+        _mm256_storeu_si256(out.add(2 * g), _mm256_permute2x128_si256::<0x20>(lo, hi));
+        _mm256_storeu_si256(
+            out.add(2 * g + 1),
+            _mm256_permute2x128_si256::<0x31>(lo, hi),
+        );
+    }
+}
+
+/// One step of [`tile_dots_avx2`]: `acc += code_a · lane_a + code_b · lane_b`
+/// over all 64 rows.
+///
+/// # Safety
+/// The CPU must support AVX2.
+///
+/// # Panics
+/// If a lane is not `< tile.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tile_madd_avx2(
+    acc: &mut [std::arch::x86_64::__m256i; 8],
+    tile: &[LaneRows],
+    (lane_a, code_a): (u32, i8),
+    (lane_b, code_b): (u32, i8),
+) {
+    use std::arch::x86_64::*;
+    let (lane_a, lane_b) = (lane_a as usize, lane_b as usize);
+    let a = tile[lane_a].0.as_ptr() as *const __m128i;
+    let b = tile[lane_b].0.as_ptr() as *const __m128i;
+    // The same two lanes of the next tile, one cache line each. Formed with
+    // `wrapping_add` because after the last tile the address lies outside
+    // the store: a prefetch never faults, and nothing here dereferences it.
+    let next = tile.as_ptr().wrapping_add(tile.len());
+    _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(lane_a) as *const i8);
+    _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(lane_b) as *const i8);
+    let pair = (code_a as i16 as u16 as u32) | ((code_b as i16 as u16 as u32) << 16);
+    let q = _mm256_set1_epi32(pair as i32);
+    for g in 0..4 {
+        // SAFETY: `a` and `b` each point at one lane's 64 codes and `g < 4`,
+        // so each 16-byte load covers codes `16g..16g + 16` of its lane
+        // (`_mm_loadu_si128` tolerates unaligned pointers).
+        let wa = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.add(g)));
+        let wb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add(g)));
+        let lo = _mm256_madd_epi16(_mm256_unpacklo_epi16(wa, wb), q);
+        let hi = _mm256_madd_epi16(_mm256_unpackhi_epi16(wa, wb), q);
+        acc[2 * g] = _mm256_add_epi32(acc[2 * g], lo);
+        acc[2 * g + 1] = _mm256_add_epi32(acc[2 * g + 1], hi);
+    }
 }
 
 /// Scalar reference for the SIMD paths' tests.
@@ -392,8 +499,8 @@ mod tests {
     }
 
     /// Every kernel — the detected one and the fallback, reached through the
-    /// explicit seam — agrees with the scalar reference, per pair and per
-    /// row block, on lengths around every vector-width boundary.
+    /// explicit seam — agrees with the scalar reference on lengths around
+    /// every vector-width boundary.
     #[test]
     fn every_kernel_matches_the_scalar_reference() {
         let extremes = [i8::MIN, -127, -1, 0, 1, 127];
@@ -410,19 +517,71 @@ mod tests {
                         _ => ((i * 73 + 5) % 256) as u8 as i8,
                     })
                     .collect();
-                let want: Vec<i32> = if n == 0 {
-                    vec![0; 5]
-                } else {
-                    rows.chunks_exact(n)
-                        .map(|r| dot_i8_reference(&q, r))
-                        .collect()
-                };
-                let mut got = [i32::MIN; 5];
-                dot_i8_rows_in(kernel, &q, &rows, &mut got);
-                assert_eq!(got.as_slice(), want, "{kernel:?} n={n}");
-                for (r, w) in rows.chunks_exact(n.max(1)).zip(&want) {
-                    assert_eq!(dot_i8_in(kernel, &q, r), *w, "{kernel:?} n={n}");
+                for r in rows.chunks_exact(n.max(1)) {
+                    let want = dot_i8_reference(&q, r);
+                    assert_eq!(dot_i8_in(kernel, &q, r), want, "{kernel:?} n={n}");
                 }
+            }
+        }
+    }
+
+    /// Lane-major copy of 64 row-major code rows (`rows[r * dims + lane]`).
+    fn tile_of(rows: &[i8], dims: usize) -> Vec<LaneRows> {
+        let mut tile = vec![LaneRows::ZERO; dims];
+        for (r, row) in rows.chunks_exact(dims).enumerate() {
+            for (lane, &code) in tile.iter_mut().zip(row) {
+                lane.0[r] = code;
+            }
+        }
+        tile
+    }
+
+    /// A code row with `-128`, `±127` and `0` all likely.
+    fn spiky(raw: u8) -> i8 {
+        match raw % 8 {
+            0 => i8::MIN,
+            1 => 127,
+            2 => -127,
+            3 => 0,
+            _ => raw as i8,
+        }
+    }
+
+    proptest::proptest! {
+        /// The tile kernel returns, for every row of a tile, the code dot
+        /// the pairwise kernel's scalar reference returns — on both kernels,
+        /// for query rows with no, one, an odd few, about a third (a hashed
+        /// question) and only non-zero codes, and strides on both sides of
+        /// every kernel width.
+        #[test]
+        fn tile_dots_match_the_scalar_reference(
+            raw in proptest::collection::vec(0u8..=255, 300 * (TILE_ROWS + 2)),
+            dims in proptest::sample::select(vec![1usize, 3, 63, 64, 65, 256, 300]),
+            keep in 0usize..5,
+        ) {
+            let (raw_q, rest) = raw.split_at(300);
+            let (order_keys, raw_rows) = rest.split_at(300);
+            let rows: Vec<i8> = raw_rows[..dims * TILE_ROWS].iter().map(|&b| spiky(b)).collect();
+            // Keep `kept` lanes of the query, chosen by the random keys, and
+            // make sure each of them is non-zero; zero the rest.
+            let kept = [0, 1, 3, (dims / 3) | 1, dims][keep].min(dims);
+            let mut order: Vec<usize> = (0..dims).collect();
+            order.sort_by_key(|&lane| (order_keys[lane], lane));
+            let mut q = vec![0i8; dims];
+            for &lane in &order[..kept] {
+                q[lane] = match spiky(raw_q[lane]) {
+                    0 => i8::MIN,
+                    code => code,
+                };
+            }
+            let lanes = QueryLanes::from_codes(&q);
+            proptest::prop_assert_eq!(lanes.lanes.len(), kept);
+            let tile = tile_of(&rows, dims);
+            let want: Vec<i32> = rows.chunks_exact(dims).map(|r| dot_i8_reference(&q, r)).collect();
+            for kernel in [Kernel::BASELINE, Kernel::detect()] {
+                let mut got = [i32::MIN; TILE_ROWS];
+                tile_dots_in(kernel, &lanes, &tile, &mut got);
+                proptest::prop_assert_eq!(got.as_slice(), want.as_slice(), "{:?} dims={}", kernel, dims);
             }
         }
     }
