@@ -1,50 +1,6 @@
 //! Figure 3 — the accuracy collapse of prior text-to-vis models from
 //! nvBench to nvBench-Rob(nlq,schema).
 
-use t2v_bench::{Ctx, ModelKind};
-use t2v_eval::render_overall_table;
-use t2v_perturb::RobVariant;
-
 fn main() {
-    let mut ctx = Ctx::from_args();
-    let models = [
-        ModelKind::RgVisNet,
-        ModelKind::Transformer,
-        ModelKind::Seq2Vis,
-    ];
-    let paper: &[(&str, [f64; 2])] = &[
-        ("RGVisNet", [85.17, 24.81]),
-        ("Transformer", [68.69, 12.77]),
-        ("Seq2Vis", [79.73, 5.50]),
-    ];
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for kind in models {
-        let orig = ctx.evaluate(kind, RobVariant::Original);
-        let both = ctx.evaluate(kind, RobVariant::Both);
-        csv.push(t2v_eval::csv_row(&orig));
-        csv.push(t2v_eval::csv_row(&both));
-        let reference = paper
-            .iter()
-            .find(|(m, _)| *m == kind.label())
-            .map(|(_, v)| v.to_vec());
-        rows.push((
-            kind.label(),
-            vec![orig.accuracies, both.accuracies],
-            reference,
-        ));
-    }
-    let table = render_overall_table(
-        "Figure 3: accuracy collapse nvBench → nvBench-Rob(nlq,schema)",
-        &["nvBench", "nvBench-Rob(nlq,schema)"],
-        &rows,
-    );
-    println!("{table}");
-    t2v_eval::write_csv(
-        &ctx.results_dir.join("figure3.csv"),
-        "model,set,n,vis,data,axis,overall",
-        &csv,
-    )
-    .expect("write results");
-    println!("wrote results/figure3.csv");
+    t2v_bench::tables::figure3(&mut t2v_bench::Ctx::from_args());
 }

@@ -175,7 +175,7 @@ impl Report {
         let _ = writeln!(s, "  \"schema_version\": 1,");
         let _ = writeln!(s, "  \"generated_unix\": {unix},");
         let _ = writeln!(s, "  \"threads\": {},", t2v_parallel::thread_count());
-        // Stamps every section this binary owns (`serving` carries its own).
+        // Stamps every section of the report.
         let _ = writeln!(
             s,
             "  \"build\": {{ \"version\": \"{}\", \"git\": \"{}\" }},",
@@ -489,18 +489,6 @@ fn main() {
         // The ANN axes live in their own section: flat vs IVF with recall,
         // training cost, and index footprint per corpus size.
         doc.set("ann", ann_section);
-        json = doc.pretty();
-        json.push('\n');
-    }
-    // `servebench` owns the report's `serving` section; carry it over so
-    // re-running perfsnap never erases serving numbers (and vice versa).
-    if let Some(serving) = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|t| t2v_engine::Json::parse(&t).ok())
-        .and_then(|doc| doc.get("serving").cloned())
-    {
-        let mut doc = t2v_engine::Json::parse(&json).expect("perfsnap emits valid JSON");
-        doc.set("serving", serving);
         json = doc.pretty();
         json.push('\n');
     }

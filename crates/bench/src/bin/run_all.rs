@@ -1,116 +1,15 @@
-//! Convenience driver: regenerates every table and figure in sequence by
-//! invoking the sibling binaries' logic through the shared context. Models
+//! Convenience driver: regenerates every table and figure in sequence through
+//! the same functions the single-table binaries call, on one context. Models
 //! are trained once; predictions are cached under results/cache/.
 
-use t2v_bench::{Ctx, ModelKind};
-use t2v_eval::{csv_row, render_overall_table, render_table};
-use t2v_perturb::RobVariant;
+use t2v_bench::{tables, Ctx};
 
 fn main() {
     let mut ctx = Ctx::from_args();
-
     println!("{}", t2v_corpus::CorpusStats::of(&ctx.corpus).render());
-
-    let models = [
-        ModelKind::Seq2Vis,
-        ModelKind::Transformer,
-        ModelKind::RgVisNet,
-        ModelKind::Gred,
-    ];
-    for (variant, title, csv_name, paper) in [
-        (
-            RobVariant::Nlq,
-            "Table 1: nvBench-Rob(nlq)",
-            "table1.csv",
-            vec![
-                ("Seq2Vis", 34.52),
-                ("Transformer", 36.04),
-                ("RGVisNet", 45.87),
-                ("GRED", 59.98),
-            ],
-        ),
-        (
-            RobVariant::Schema,
-            "Table 2: nvBench-Rob(schema)",
-            "table2.csv",
-            vec![
-                ("Seq2Vis", 14.55),
-                ("Transformer", 29.61),
-                ("RGVisNet", 44.91),
-                ("GRED", 61.93),
-            ],
-        ),
-        (
-            RobVariant::Both,
-            "Table 3: nvBench-Rob(nlq,schema)",
-            "table3.csv",
-            vec![
-                ("Seq2Vis", 5.50),
-                ("Transformer", 12.77),
-                ("RGVisNet", 24.81),
-                ("GRED", 54.85),
-            ],
-        ),
-    ] {
-        let runs: Vec<t2v_eval::EvalRun> = models
-            .iter()
-            .map(|&kind| ctx.evaluate(kind, variant))
-            .collect();
-        let refs: Vec<&t2v_eval::EvalRun> = runs.iter().collect();
-        println!("{}", render_table(title, &refs, &paper));
-        let rows: Vec<String> = runs.iter().map(csv_row).collect();
-        t2v_eval::write_csv(
-            &ctx.results_dir.join(csv_name),
-            "model,set,n,vis,data,axis,overall",
-            &rows,
-        )
-        .expect("write results");
-    }
-
-    // Figure 3 (reuses the cached predictions).
-    let mut rows = Vec::new();
-    for (kind, paper) in [
-        (ModelKind::RgVisNet, [85.17, 24.81]),
-        (ModelKind::Transformer, [68.69, 12.77]),
-        (ModelKind::Seq2Vis, [79.73, 5.50]),
-    ] {
-        let orig = ctx.evaluate(kind, RobVariant::Original);
-        let both = ctx.evaluate(kind, RobVariant::Both);
-        rows.push((
-            kind.label(),
-            vec![orig.accuracies, both.accuracies],
-            Some(paper.to_vec()),
-        ));
-    }
-    println!(
-        "{}",
-        render_overall_table(
-            "Figure 3: accuracy collapse nvBench → nvBench-Rob(nlq,schema)",
-            &["nvBench", "nvBench-Rob(nlq,schema)"],
-            &rows,
-        )
-    );
-
-    // Table 4 ablations.
-    let mut rows = Vec::new();
-    for (kind, paper) in [
-        (ModelKind::Gred, [59.98, 61.93, 54.85]),
-        (ModelKind::GredGeneratorOnly, [62.77, 42.13, 36.46]),
-        (ModelKind::GredNoRtn, [61.08, 62.10, 51.90]),
-        (ModelKind::GredNoDbg, [61.68, 42.47, 38.57]),
-    ] {
-        let mut accs = Vec::new();
-        for v in [RobVariant::Nlq, RobVariant::Schema, RobVariant::Both] {
-            accs.push(ctx.evaluate(kind, v).accuracies);
-        }
-        rows.push((kind.label(), accs, Some(paper.to_vec())));
-    }
-    println!(
-        "{}",
-        render_overall_table(
-            "Table 4: ablation study (overall accuracy)",
-            &["nlq", "schema", "(nlq,schema)"],
-            &rows,
-        )
-    );
+    tables::table1(&mut ctx);
+    tables::table2(&mut ctx);
+    tables::table3(&mut ctx);
+    tables::figure3(&mut ctx);
+    tables::table4(&mut ctx);
 }

@@ -1,18 +1,5 @@
 //! Table 1 — Vis/Data/Axis/Overall accuracy on nvBench-Rob(nlq).
 
-use t2v_bench::tables::run_table;
-use t2v_perturb::RobVariant;
-
 fn main() {
-    run_table(
-        RobVariant::Nlq,
-        "Table 1: nvBench-Rob(nlq)",
-        "table1.csv",
-        &[
-            ("Seq2Vis", 34.52),
-            ("Transformer", 36.04),
-            ("RGVisNet", 45.87),
-            ("GRED", 59.98),
-        ],
-    );
+    t2v_bench::tables::table1(&mut t2v_bench::Ctx::from_args());
 }

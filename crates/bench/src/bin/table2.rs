@@ -1,18 +1,5 @@
 //! Table 2 — Vis/Data/Axis/Overall accuracy on nvBench-Rob(schema).
 
-use t2v_bench::tables::run_table;
-use t2v_perturb::RobVariant;
-
 fn main() {
-    run_table(
-        RobVariant::Schema,
-        "Table 2: nvBench-Rob(schema)",
-        "table2.csv",
-        &[
-            ("Seq2Vis", 14.55),
-            ("Transformer", 29.61),
-            ("RGVisNet", 44.91),
-            ("GRED", 61.93),
-        ],
-    );
+    t2v_bench::tables::table2(&mut t2v_bench::Ctx::from_args());
 }

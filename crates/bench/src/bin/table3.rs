@@ -1,18 +1,5 @@
 //! Table 3 — Vis/Data/Axis/Overall accuracy on nvBench-Rob(nlq,schema).
 
-use t2v_bench::tables::run_table;
-use t2v_perturb::RobVariant;
-
 fn main() {
-    run_table(
-        RobVariant::Both,
-        "Table 3: nvBench-Rob(nlq,schema)",
-        "table3.csv",
-        &[
-            ("Seq2Vis", 5.50),
-            ("Transformer", 12.77),
-            ("RGVisNet", 24.81),
-            ("GRED", 54.85),
-        ],
-    );
+    t2v_bench::tables::table3(&mut t2v_bench::Ctx::from_args());
 }

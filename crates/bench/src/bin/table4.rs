@@ -1,42 +1,6 @@
 //! Table 4 — ablation study: GRED vs w/o RTN&DBG, w/o RTN, w/o DBG on the
 //! three robustness sets (overall accuracy).
 
-use t2v_bench::{Ctx, ModelKind};
-use t2v_eval::render_overall_table;
-use t2v_perturb::RobVariant;
-
 fn main() {
-    let mut ctx = Ctx::from_args();
-    let rows_spec: &[(ModelKind, Option<[f64; 3]>)] = &[
-        (ModelKind::RgVisNet, Some([45.87, 44.91, 24.81])),
-        (ModelKind::Gred, Some([59.98, 61.93, 54.85])),
-        (ModelKind::GredGeneratorOnly, Some([62.77, 42.13, 36.46])),
-        (ModelKind::GredNoRtn, Some([61.08, 62.10, 51.90])),
-        (ModelKind::GredNoDbg, Some([61.68, 42.47, 38.57])),
-    ];
-    let variants = [RobVariant::Nlq, RobVariant::Schema, RobVariant::Both];
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for (kind, paper) in rows_spec {
-        let mut accs = Vec::new();
-        for v in variants {
-            let run = ctx.evaluate(*kind, v);
-            csv.push(t2v_eval::csv_row(&run));
-            accs.push(run.accuracies);
-        }
-        rows.push((kind.label(), accs, paper.map(|p| p.to_vec())));
-    }
-    let table = render_overall_table(
-        "Table 4: ablation study on nvBench-Rob (overall accuracy)",
-        &["nlq", "schema", "(nlq,schema)"],
-        &rows,
-    );
-    println!("{table}");
-    t2v_eval::write_csv(
-        &ctx.results_dir.join("table4.csv"),
-        "model,set,n,vis,data,axis,overall",
-        &csv,
-    )
-    .expect("write results");
-    println!("wrote results/table4.csv");
+    t2v_bench::tables::table4(&mut t2v_bench::Ctx::from_args());
 }

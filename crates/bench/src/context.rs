@@ -4,11 +4,15 @@
 //! Every experiment binary accepts:
 //!
 //! * `--seed N` — experiment seed (default 7; all randomness derives from it)
-//! * `--profile paper|small` — corpus scale (default `paper`: the full
-//!   Figure 2 statistics; `small` for quick runs)
+//! * `--profile paper|small|tiny` — corpus scale (default `paper`: the full
+//!   Figure 2 statistics; `small` and `tiny` for quick runs)
 //! * `--fresh` — ignore cached predictions
 //! * `--limit N` — evaluate only the first N examples per set
+//!
+//! Anything else — an unknown flag or profile, a value that does not parse —
+//! exits 2 with a one-line message rather than running a default.
 
+use std::fmt;
 use std::path::PathBuf;
 use t2v_baselines::{BaselineTrainConfig, RgVisNet, Seq2Vis, TransformerBaseline};
 use t2v_core::Translator;
@@ -63,12 +67,80 @@ fn variant_tag(v: RobVariant) -> &'static str {
     }
 }
 
+/// Corpus scale, which also picks the baselines' training budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profile {
+    Paper,
+    Small,
+    Tiny,
+}
+
+impl fmt::Display for Profile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Profile::Paper => "paper",
+            Profile::Small => "small",
+            Profile::Tiny => "tiny",
+        })
+    }
+}
+
+/// The validated command line of an experiment binary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    pub seed: u64,
+    pub profile: Profile,
+    pub fresh: bool,
+    pub limit: Option<usize>,
+}
+
+/// Parse the arguments after the program name.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+        let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+        value
+            .parse()
+            .map_err(|_| format!("{flag} wants a non-negative integer, got `{value}`"))
+    }
+    let mut out = Args {
+        seed: 7,
+        profile: Profile::Paper,
+        fresh: false,
+        limit: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--seed" => out.seed = number(flag, it.next())?,
+            "--limit" => out.limit = Some(number(flag, it.next())?),
+            "--fresh" => out.fresh = true,
+            "--profile" => {
+                out.profile = match it.next().map(String::as_str) {
+                    Some("paper") => Profile::Paper,
+                    Some("small") => Profile::Small,
+                    Some("tiny") => Profile::Tiny,
+                    Some(other) => {
+                        return Err(format!("--profile wants paper|small|tiny, got `{other}`"))
+                    }
+                    None => return Err("--profile needs a value".to_string()),
+                }
+            }
+            other => {
+                return Err(format!(
+                    "unknown argument `{other}` (expected --seed N, --profile paper|small|tiny, --fresh, --limit N)"
+                ))
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// The experiment context.
 pub struct Ctx {
     pub corpus: Corpus,
     pub rob: NvBenchRob,
     pub seed: u64,
-    pub profile: String,
+    pub profile: Profile,
     pub fresh: bool,
     pub limit: Option<usize>,
     pub results_dir: PathBuf,
@@ -79,26 +151,31 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Parse CLI arguments and build the corpus + robustness sets.
+    /// Parse CLI arguments and build the corpus + robustness sets; a bad
+    /// command line exits 2.
     pub fn from_args() -> Ctx {
-        let args: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1).cloned())
-        };
-        let seed: u64 = get("--seed").and_then(|s| s.parse().ok()).unwrap_or(7);
-        let profile = get("--profile").unwrap_or_else(|| "paper".to_string());
-        let fresh = args.iter().any(|a| a == "--fresh");
-        let limit = get("--limit").and_then(|s| s.parse().ok());
-        Ctx::new(seed, &profile, fresh, limit)
+        let argv: Vec<String> = std::env::args().collect();
+        match parse_args(argv.get(1..).unwrap_or_default()) {
+            Ok(args) => Ctx::new(args),
+            Err(e) => {
+                let program = argv.first().map_or("t2v-bench", String::as_str);
+                eprintln!("{program}: {e}");
+                std::process::exit(2);
+            }
+        }
     }
 
-    pub fn new(seed: u64, profile: &str, fresh: bool, limit: Option<usize>) -> Ctx {
+    pub fn new(args: Args) -> Ctx {
+        let Args {
+            seed,
+            profile,
+            fresh,
+            limit,
+        } = args;
         let cfg = match profile {
-            "small" => CorpusConfig::small(seed),
-            "tiny" => CorpusConfig::tiny(seed),
-            _ => CorpusConfig::paper(seed),
+            Profile::Paper => CorpusConfig::paper(seed),
+            Profile::Small => CorpusConfig::small(seed),
+            Profile::Tiny => CorpusConfig::tiny(seed),
         };
         eprintln!("[ctx] generating corpus (profile={profile}, seed={seed})...");
         let corpus = generate(&cfg);
@@ -113,7 +190,7 @@ impl Ctx {
             corpus,
             rob,
             seed,
-            profile: profile.to_string(),
+            profile,
             fresh,
             limit,
             results_dir: PathBuf::from("results"),
@@ -125,8 +202,8 @@ impl Ctx {
     }
 
     fn baseline_cfg(&self) -> BaselineTrainConfig {
-        match self.profile.as_str() {
-            "paper" => BaselineTrainConfig {
+        match self.profile {
+            Profile::Paper => BaselineTrainConfig {
                 max_train: 2600,
                 epochs: 30,
                 lr: 5e-3,
@@ -136,7 +213,7 @@ impl Ctx {
                 verbose: true,
                 ..BaselineTrainConfig::default()
             },
-            "small" => BaselineTrainConfig {
+            Profile::Small => BaselineTrainConfig {
                 max_train: 1300,
                 epochs: 30,
                 lr: 5e-3,
@@ -146,7 +223,7 @@ impl Ctx {
                 verbose: true,
                 ..BaselineTrainConfig::default()
             },
-            _ => BaselineTrainConfig {
+            Profile::Tiny => BaselineTrainConfig {
                 seed: self.seed,
                 ..BaselineTrainConfig::fast()
             },
@@ -322,4 +399,69 @@ fn save_cache(path: &PathBuf, preds: &[Option<String>]) {
         body.push('\n');
     }
     let _ = std::fs::write(path, body);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn no_arguments_mean_the_paper_defaults() {
+        let args = parse("").unwrap();
+        assert_eq!(
+            args,
+            Args {
+                seed: 7,
+                profile: Profile::Paper,
+                fresh: false,
+                limit: None,
+            }
+        );
+    }
+
+    #[test]
+    fn every_documented_form_is_accepted() {
+        for (line, profile) in [
+            ("--profile paper", Profile::Paper),
+            ("--profile small", Profile::Small),
+            ("--profile tiny", Profile::Tiny),
+        ] {
+            assert_eq!(parse(line).unwrap().profile, profile, "{line}");
+        }
+        let args = parse("--limit 20 --fresh --seed 11 --profile tiny").unwrap();
+        assert_eq!(
+            args,
+            Args {
+                seed: 11,
+                profile: Profile::Tiny,
+                fresh: true,
+                limit: Some(20),
+            }
+        );
+        assert_eq!(Profile::Small.to_string(), "small");
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_default() {
+        for (line, needle) in [
+            ("--profile smal", "`smal`"),
+            ("--profile", "--profile needs a value"),
+            ("--seed seven", "`seven`"),
+            ("--seed -1", "`-1`"),
+            ("--seed", "--seed needs a value"),
+            ("--limit 1.5", "`1.5`"),
+            ("--limit", "--limit needs a value"),
+            ("--limt 20", "unknown argument `--limt`"),
+            ("tiny", "unknown argument `tiny`"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(needle), "{line}: {err}");
+            assert!(!err.contains('\n'), "{line}: one line, got {err:?}");
+        }
+    }
 }

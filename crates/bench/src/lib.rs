@@ -1,9 +1,10 @@
 //! # t2v-bench — experiment harness
 //!
 //! Binaries regenerating every table and figure of the paper's evaluation
-//! (see DESIGN.md's experiment index) plus criterion micro-benchmarks for
-//! the substrate. All binaries accept `--seed`, `--profile paper|small`,
-//! `--fresh` and `--limit`; results append to `results/`.
+//! (see DESIGN.md's experiment index; Tables 1-4 and Figure 3 live in
+//! [`tables`]) plus `perfsnap`, the model hot-path snapshot. The experiment
+//! binaries accept `--seed`, `--profile paper|small|tiny`, `--fresh` and
+//! `--limit`, and exit 2 on anything else; results go to `results/`.
 
 pub mod context;
 pub mod tables;

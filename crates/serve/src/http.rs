@@ -1,8 +1,8 @@
 //! Minimal HTTP/1.1 framing over blocking sockets — just enough protocol for
 //! the translation service: request-line + headers + `Content-Length` bodies
 //! on the way in, keep-alive-aware responses on the way out. No chunked
-//! transfer, no TLS, no HTTP/2; `servebench` and every browser/cURL speak
-//! this subset.
+//! transfer, no TLS, no HTTP/2; the benchmark's load generator and every
+//! browser/cURL speak this subset.
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;

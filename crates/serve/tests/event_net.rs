@@ -1,7 +1,8 @@
 //! Event-driver integration tests: slow-loris and partial-read robustness
 //! against the epoll connection layer, idle reaping, graceful drain, the
-//! loop-thread contract (inline answers never sleep, never touch a file,
-//! stay flat and fair under pipelining), and the differential contract —
+//! `max_connections` shed at accept, the loop-thread contract (inline
+//! answers never sleep, never touch a file, stay flat and fair under
+//! pipelining), and the differential contract —
 //! the event loop over loopback answers byte-identically to the blocking
 //! one-shot parser + handler (`Server::answer_in_memory`) for the same
 //! request bytes. Fault arming is process-global and an armed
@@ -788,5 +789,70 @@ fn oversized_bodies_skip_the_inline_attempt() {
         1,
         "the small hit was answered on the loop, the padded one hopped"
     );
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// capacity: max_connections sockets held, the next one shed at accept
+// ---------------------------------------------------------------------------
+
+#[test]
+fn the_loop_holds_max_connections_sockets_and_sheds_the_next() {
+    const MAX: usize = 128;
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[("max_connections", "128")]);
+    let raw = translate_raw("show all wages", &db0(&corpus), false);
+    // In-process counters only: a `/metrics` scrape is a connection too,
+    // and at capacity it would be shed.
+    let metrics = &server.state().metrics;
+    let active = || metrics.connections_active.load(Ordering::Acquire);
+
+    let mut held: Vec<(TcpStream, BufReader<TcpStream>)> = (0..MAX)
+        .map(|_| {
+            let stream = connect(&server);
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            (stream, reader)
+        })
+        .collect();
+    // One question round-robin over every socket, twice: each socket
+    // carries traffic, and by the second sweep the answer is cached.
+    for sweep in 0..2 {
+        for (i, (stream, reader)) in held.iter_mut().enumerate() {
+            stream.write_all(&raw).expect("write request");
+            let answer = read_response(reader).expect("an answer per socket");
+            assert_eq!(status_of(&answer), 200, "sweep {sweep}, socket {i}");
+            if sweep == 1 {
+                assert_eq!(header_values(&answer, "x-t2v-cache"), ["hit"], "socket {i}");
+            }
+        }
+    }
+    assert_eq!(active(), MAX as u64);
+
+    // One over capacity: the canned 503, then EOF, before any parsing.
+    let rejected = metrics.rejected.load(Ordering::Relaxed);
+    let mut extra = connect(&server);
+    let mut shed = Vec::new();
+    extra.read_to_end(&mut shed).expect("read to eof");
+    assert_eq!(
+        String::from_utf8_lossy(&shed),
+        String::from_utf8_lossy(t2v_serve::http::overload_response_bytes())
+    );
+    assert_eq!(metrics.rejected.load(Ordering::Relaxed), rejected + 1);
+    assert_eq!(
+        active(),
+        MAX as u64,
+        "the shed socket left the count as it was"
+    );
+
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while active() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} sockets still counted",
+            active()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     server.shutdown();
 }
