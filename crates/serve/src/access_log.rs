@@ -6,9 +6,9 @@
 //! cross-referenced with `GET /v1/admin/trace/{id}` while it is still in
 //! the flight recorder. The writer is a single mutex around a buffered
 //! appender: the log line is rendered *outside* the lock and the hot path
-//! pays one short critical section per request. When the file passes the
-//! configured size, generations shift `{path}.{i}` → `{path}.{i+1}` up to
-//! `access_log_keep=` rotated files (older ones are pruned), the live
+//! pays one short critical section per request. When the file passes its
+//! size budget, generations shift `{path}.{i}` → `{path}.{i+1}` up to the
+//! `keep` budget of rotated files (older ones are pruned), the live
 //! file becomes `{path}.1`, and a fresh file is started — bounded disk
 //! use without an external logrotate.
 //!
@@ -73,7 +73,7 @@ impl AccessLog {
             let _ = inner.out.flush();
             // Prune every generation at or past the keep budget — the
             // directory scan also catches leftovers from a previous run
-            // with a larger `access_log_keep=` — then shift the rest
+            // with a larger `keep` — then shift the rest
             // oldest-first: .{keep-1} → .{keep}, …, .1 → .2.
             if let (Some(dir), Some(stem)) = (self.path.parent(), self.path.file_name()) {
                 let prefix = format!("{}.", stem.to_string_lossy());
@@ -289,7 +289,7 @@ mod tests {
         let path = dir.join("access.log");
         let path_str = path.to_str().unwrap();
         // A stale generation beyond the keep budget, as if a previous run
-        // used a larger access_log_keep= — it must be pruned on rotation.
+        // used a larger keep budget — it must be pruned on rotation.
         std::fs::write(dir.join("access.log.7"), "stale\n").unwrap();
         let log = AccessLog::open(path_str, 1, 3).unwrap();
         let line = "y".repeat(64 * 1024);

@@ -3,6 +3,7 @@
 //! and library snapshots (DESIGN.md §9, §10, §12, §15).
 
 use crate::http::{Request, Response};
+use crate::routes::SLOW_TRACE_MS;
 use crate::server::{AttachRequest, ServerState, Shared, TenantAdminError, TenantRuntime};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,10 +258,7 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
                     ("recorded", Json::Num(r.len() as f64)),
                     ("capacity", Json::Num(r.capacity() as f64)),
                     ("sample", Json::Num(state.config.trace_sample)),
-                    (
-                        "force_slow_ms",
-                        Json::Num(state.config.trace_force_slow_ms as f64),
-                    ),
+                    ("force_slow_ms", Json::Num(SLOW_TRACE_MS as f64)),
                 ]),
                 None => Json::Null,
             },

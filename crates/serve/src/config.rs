@@ -1,7 +1,8 @@
 //! Server configuration: `key=value` file, environment overrides, sane
 //! defaults. Precedence is defaults < file < `T2V_SERVE_*` environment, so a
 //! deployment can ship one config file and still tweak a knob per-instance
-//! without recompiling. Every knob is documented in DESIGN.md §7.
+//! without recompiling. An unknown key is an error from either source.
+//! Every knob is documented in DESIGN.md §7.
 
 use std::time::Duration;
 
@@ -68,8 +69,6 @@ pub struct ServeConfig {
     /// `t2v_parallel::thread_count()` (`available_parallelism`, itself
     /// overridable with `T2V_THREADS`).
     pub workers: usize,
-    /// Queue shards. 0 ⇒ one shard per 4 workers (min 1).
-    pub shards: usize,
     /// Bounded queue capacity *per shard*; a full pool answers 503.
     pub queue_capacity: usize,
     /// Max simultaneously open sockets; excess connections get an immediate
@@ -85,9 +84,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Cache TTL in seconds (0 ⇒ entries never expire).
     pub cache_ttl_secs: u64,
-    /// Independently-locked cache shards. 0 ⇒ derive from the worker count
-    /// (next power of two, capped at 64).
-    pub cache_shards: usize,
     /// ANN policy for every tenant's embedding library: `off` (exact flat
     /// scan, the old behaviour), `on` (adopt a snapshot's index or train
     /// when the corpus is big enough), `force` (train even on tiny
@@ -135,8 +131,6 @@ pub struct ServeConfig {
     /// [`KNOWN_BACKENDS`]); the first is the default for requests that do
     /// not name one.
     pub backends: String,
-    /// Items allowed in one `/v1/translate/batch` request.
-    pub max_batch_items: usize,
     /// Per-request wall-clock budget in milliseconds, measured from request
     /// parse. Checked between pipeline stages (admission, worker start,
     /// reply wait); an expired budget answers a structured 504
@@ -155,19 +149,9 @@ pub struct ServeConfig {
     /// Minimum outcomes in the window before the error rate can trip the
     /// breaker (a single early failure must not open it).
     pub breaker_min_samples: usize,
-    /// Open the breaker when window error rate reaches this percentage.
-    pub breaker_threshold_pct: u32,
     /// How long an open breaker fast-fails (503 + `Retry-After`) before
     /// letting a half-open probe through.
     pub breaker_open_ms: u64,
-    /// Batch-path retries for transient `internal` failures (worker panic,
-    /// injected backend error). 0 disables retry.
-    pub retry_max: usize,
-    /// Base for the jittered exponential backoff between batch retries.
-    pub retry_base_ms: u64,
-    /// Degradation ladder: serve an *expired* cache entry (marked
-    /// `degraded:"stale_cache"`) when the backend's breaker is open.
-    pub degrade_stale: bool,
     /// Test-only throttle: artificial per-translation sleep, for forcing
     /// overload deterministically in integration tests.
     pub debug_translate_sleep_ms: u64,
@@ -177,10 +161,6 @@ pub struct ServeConfig {
     /// disables ambient tracing entirely (requests still get trace *ids*;
     /// `X-T2V-Trace: 1` still forces a recorded trace for that request).
     pub trace_sample: f64,
-    /// Requests slower than this many milliseconds (or ending in a 5xx)
-    /// are always recorded, regardless of sampling — the slow tail is the
-    /// whole point of a flight recorder. 0 disables the override.
-    pub trace_force_slow_ms: u64,
     /// Flight-recorder capacity: how many finished traces are retained
     /// (ring buffer, oldest evicted first). 0 disables the recorder (and
     /// with it `/v1/admin/trace/*`).
@@ -188,20 +168,10 @@ pub struct ServeConfig {
     /// Structured JSON access log path, one object per request. Empty
     /// (default) ⇒ no access log.
     pub access_log: String,
-    /// Rotate the access log once it exceeds this many MiB: generations
-    /// shift `{path}.{i}` → `{path}.{i+1}`, fresh file started. 0 ⇒ never
-    /// rotate.
-    pub access_log_rotate_mb: u64,
-    /// Rotated access-log generations kept (`{path}.1` … `{path}.{keep}`);
-    /// older generations are pruned at rotation time.
-    pub access_log_keep: u64,
     /// Ops-plane sampler cadence in milliseconds: how often the metrics
     /// registry is snapshotted into the in-process TSDB (and SLOs
     /// re-evaluated). 0 disables the sampler, the TSDB, and SLO alerting.
     pub obs_sample_ms: u64,
-    /// TSDB ring retention in seconds (per-series capacity is
-    /// `retention / sample` interval).
-    pub obs_retention_s: u64,
     /// Stage-occupancy profiler sampling rate in Hz. Prime by default
     /// (97) so the sampler does not alias against millisecond-period
     /// work. 0 disables the profiler (and `/v1/admin/profile`).
@@ -212,7 +182,7 @@ pub struct ServeConfig {
     /// Fast burn-rate window in seconds (the paging window).
     pub slo_fast_s: u64,
     /// Slow burn-rate window in seconds (the blip suppressor). Windows
-    /// wider than `obs_retention_s` see at most the retained history.
+    /// wider than the TSDB's 900 s retention see at most that history.
     pub slo_slow_s: u64,
 }
 
@@ -221,14 +191,12 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7890".to_string(),
             workers: 0,
-            shards: 0,
             queue_capacity: 64,
             max_connections: 256,
             conn_idle_ms: 30_000,
             max_body_bytes: 64 * 1024,
             cache_capacity: 4096,
             cache_ttl_secs: 600,
-            cache_shards: 0,
             ann: AnnMode::Off,
             ann_nprobe: 0,
             store_rows: 30,
@@ -240,25 +208,16 @@ impl Default for ServeConfig {
             tenant_dir: String::new(),
             backend_weights: String::new(),
             backends: "gred,seq2vis,transformer,rgvisnet,neural".to_string(),
-            max_batch_items: 64,
             deadline_ms: 30_000,
             fault_plan: String::new(),
             breaker_window: 32,
             breaker_min_samples: 8,
-            breaker_threshold_pct: 50,
             breaker_open_ms: 1_000,
-            retry_max: 1,
-            retry_base_ms: 10,
-            degrade_stale: true,
             debug_translate_sleep_ms: 0,
             trace_sample: 0.05,
-            trace_force_slow_ms: 500,
             trace_buffer: 512,
             access_log: String::new(),
-            access_log_rotate_mb: 64,
-            access_log_keep: 3,
             obs_sample_ms: 1000,
-            obs_retention_s: 900,
             obs_profile_hz: 97,
             slo: String::new(),
             slo_fast_s: 300,
@@ -316,14 +275,19 @@ impl ServeConfig {
         Ok(())
     }
 
-    /// Apply `T2V_SERVE_<KEY>` environment overrides for every knob.
+    /// Apply every `T2V_SERVE_<KEY>` environment variable. A suffix that
+    /// names no key is an error, exactly like an unknown file key.
     pub fn apply_env(&mut self) -> Result<(), ConfigError> {
-        for key in KEYS {
-            let var = format!("T2V_SERVE_{}", key.to_uppercase());
-            if let Ok(value) = std::env::var(&var) {
-                self.set(key, &value)
-                    .map_err(|e| err(format!("{var}: {}", e.message)))?;
-            }
+        for (var, value) in std::env::vars_os() {
+            let Some(var) = var.to_str() else { continue };
+            let Some(suffix) = var.strip_prefix("T2V_SERVE_") else {
+                continue;
+            };
+            let value = value
+                .to_str()
+                .ok_or_else(|| err(format!("{var}: the value is not UTF-8")))?;
+            self.set(&suffix.to_ascii_lowercase(), value)
+                .map_err(|e| err(format!("{var}: {}", e.message)))?;
         }
         Ok(())
     }
@@ -333,7 +297,6 @@ impl ServeConfig {
         match key {
             "addr" => self.addr = value.to_string(),
             "workers" => self.workers = parse_usize(key, value)?,
-            "shards" => self.shards = parse_usize(key, value)?,
             "queue_capacity" => self.queue_capacity = parse_usize(key, value)?,
             "max_connections" => self.max_connections = parse_usize(key, value)?,
             "conn_idle_ms" => {
@@ -346,7 +309,6 @@ impl ServeConfig {
             "max_body_bytes" => self.max_body_bytes = parse_usize(key, value)?,
             "cache_capacity" => self.cache_capacity = parse_usize(key, value)?,
             "cache_ttl_secs" => self.cache_ttl_secs = parse_u64(key, value)?,
-            "cache_shards" => self.cache_shards = parse_usize(key, value)?,
             "ann" => {
                 self.ann = match value {
                     "off" => AnnMode::Off,
@@ -365,24 +327,11 @@ impl ServeConfig {
             "tenant_dir" => self.tenant_dir = value.to_string(),
             "backend_weights" => self.backend_weights = parse_backend_weights(value)?,
             "backends" => self.backends = parse_backends(value)?,
-            "max_batch_items" => self.max_batch_items = parse_usize(key, value)?,
             "deadline_ms" => self.deadline_ms = parse_u64(key, value)?,
             "fault_plan" => self.fault_plan = parse_fault_plan(value)?,
             "breaker_window" => self.breaker_window = parse_usize(key, value)?,
             "breaker_min_samples" => self.breaker_min_samples = parse_usize(key, value)?,
-            "breaker_threshold_pct" => {
-                let pct = parse_u64(key, value)?;
-                if !(1..=100).contains(&pct) {
-                    return Err(err(format!(
-                        "breaker_threshold_pct: '{value}' is not a percentage in 1..=100"
-                    )));
-                }
-                self.breaker_threshold_pct = pct as u32;
-            }
             "breaker_open_ms" => self.breaker_open_ms = parse_u64(key, value)?,
-            "retry_max" => self.retry_max = parse_usize(key, value)?,
-            "retry_base_ms" => self.retry_base_ms = parse_u64(key, value)?,
-            "degrade_stale" => self.degrade_stale = parse_bool(key, value)?,
             "debug_translate_sleep_ms" => self.debug_translate_sleep_ms = parse_u64(key, value)?,
             "trace_sample" => {
                 let rate: f64 = value
@@ -396,27 +345,9 @@ impl ServeConfig {
                     })?;
                 self.trace_sample = rate;
             }
-            "trace_force_slow_ms" => self.trace_force_slow_ms = parse_u64(key, value)?,
             "trace_buffer" => self.trace_buffer = parse_usize(key, value)?,
             "access_log" => self.access_log = value.to_string(),
-            "access_log_rotate_mb" => self.access_log_rotate_mb = parse_u64(key, value)?,
-            "access_log_keep" => {
-                let keep = parse_u64(key, value)?;
-                if keep == 0 {
-                    return Err(err(
-                        "access_log_keep: must keep at least one rotated generation",
-                    ));
-                }
-                self.access_log_keep = keep;
-            }
             "obs_sample_ms" => self.obs_sample_ms = parse_u64(key, value)?,
-            "obs_retention_s" => {
-                let secs = parse_u64(key, value)?;
-                if secs == 0 {
-                    return Err(err("obs_retention_s: retention must be at least 1 second"));
-                }
-                self.obs_retention_s = secs;
-            }
             "obs_profile_hz" => {
                 let hz = parse_u64(key, value)?;
                 if hz > 10_000 {
@@ -516,23 +447,15 @@ impl ServeConfig {
         }
     }
 
-    /// Resolved shard count: explicit, or one shard per 4 workers.
+    /// Worker-pool queue shards: one per 4 workers.
     pub fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            self.effective_workers().div_ceil(4)
-        }
+        self.effective_workers().div_ceil(4)
     }
 
-    /// Resolved cache shard count: explicit, or worker count rounded up to
-    /// a power of two (capped at 64, at least 1).
+    /// Independently-locked cache shards: the worker count rounded up to a
+    /// power of two (capped at 64, at least 1).
     pub fn effective_cache_shards(&self) -> usize {
-        if self.cache_shards > 0 {
-            self.cache_shards
-        } else {
-            self.effective_workers().next_power_of_two().clamp(1, 64)
-        }
+        self.effective_workers().next_power_of_two().clamp(1, 64)
     }
 
     /// Parsed, ordered backend ids (validated at `set` time).
@@ -591,14 +514,12 @@ impl ServeConfig {
 pub const KEYS: &[&str] = &[
     "addr",
     "workers",
-    "shards",
     "queue_capacity",
     "max_connections",
     "conn_idle_ms",
     "max_body_bytes",
     "cache_capacity",
     "cache_ttl_secs",
-    "cache_shards",
     "ann",
     "ann_nprobe",
     "store_rows",
@@ -610,25 +531,16 @@ pub const KEYS: &[&str] = &[
     "tenant_dir",
     "backend_weights",
     "backends",
-    "max_batch_items",
     "deadline_ms",
     "fault_plan",
     "breaker_window",
     "breaker_min_samples",
-    "breaker_threshold_pct",
     "breaker_open_ms",
-    "retry_max",
-    "retry_base_ms",
-    "degrade_stale",
     "debug_translate_sleep_ms",
     "trace_sample",
-    "trace_force_slow_ms",
     "trace_buffer",
     "access_log",
-    "access_log_rotate_mb",
-    "access_log_keep",
     "obs_sample_ms",
-    "obs_retention_s",
     "obs_profile_hz",
     "slo",
     "slo_fast_s",
@@ -645,14 +557,6 @@ fn parse_u64(key: &str, value: &str) -> Result<u64, ConfigError> {
     value
         .parse()
         .map_err(|_| err(format!("{key}: '{value}' is not a non-negative integer")))
-}
-
-fn parse_bool(key: &str, value: &str) -> Result<bool, ConfigError> {
-    match value.to_ascii_lowercase().as_str() {
-        "true" | "1" | "on" | "yes" => Ok(true),
-        "false" | "0" | "off" | "no" => Ok(false),
-        _ => Err(err(format!("{key}: '{value}' is not a boolean"))),
-    }
 }
 
 /// A comma-separated, deduplicated list of [`KNOWN_BACKENDS`] ids.
@@ -794,7 +698,6 @@ mod tests {
         let mut cfg = ServeConfig::default();
         assert!(cfg.apply_kv_text("wrokers=4").is_err());
         assert!(cfg.apply_kv_text("workers=four").is_err());
-        assert!(cfg.apply_kv_text("degrade_stale=maybe").is_err());
         assert!(cfg.apply_kv_text("corpus=huge").is_err());
         assert!(cfg.apply_kv_text("no_equals_sign").is_err());
     }
@@ -812,7 +715,6 @@ mod tests {
                 "tenant_dir" => "/tmp",
                 "library_snapshot" | "snapshot_save" => "/tmp/lib.t2vsnap",
                 "ann" => "force",
-                "degrade_stale" => "true",
                 "fault_plan" => "seed=1;backend.error:p=0.5",
                 "trace_sample" => "0.25",
                 "access_log" => "/tmp/t2v-access.log",
@@ -826,7 +728,7 @@ mod tests {
 
     #[test]
     fn docs_name_every_key_and_no_retired_one() {
-        assert_eq!(KEYS.len(), 44);
+        assert_eq!(KEYS.len(), 33);
         let design = include_str!("../../../DESIGN.md");
         let readme = include_str!("../../../README.md");
         for key in KEYS {
@@ -845,9 +747,21 @@ mod tests {
             ["gred", "_k"].concat(),
             ["gred", "_retuner"].concat(),
             ["gred", "_debugger"].concat(),
-            // Backticked: the bare word lives on in `max_batch_items` and
-            // `/v1/translate/batch`.
+            // Backticked: the bare word lives on in `/v1/translate/batch`.
             "`batch`".to_string(),
+            // Backticked: pool and cache shards live on, derived from
+            // `workers`, and `/metrics` still reports `t2v_cache_shards`.
+            ["`sha", "rds`"].concat(),
+            ["`cache", "_shards`"].concat(),
+            ["max_batch", "_items"].concat(),
+            ["breaker_threshold", "_pct"].concat(),
+            ["degrade", "_stale"].concat(),
+            ["retry", "_max"].concat(),
+            ["retry", "_base_ms"].concat(),
+            ["trace_force", "_slow_ms"].concat(),
+            ["access_log", "_rotate_mb"].concat(),
+            ["access_log", "_keep"].concat(),
+            ["obs", "_retention_s"].concat(),
         ];
         for (name, text) in [("DESIGN.md", design), ("README.md", readme)] {
             for gone in &retired {
@@ -860,9 +774,7 @@ mod tests {
     fn obs_and_slo_knobs_validate_at_set_time() {
         let mut cfg = ServeConfig::default();
         assert_eq!(cfg.obs_sample_ms, 1000);
-        assert_eq!(cfg.obs_retention_s, 900);
         assert_eq!(cfg.obs_profile_hz, 97);
-        assert_eq!(cfg.access_log_keep, 3);
         assert!(cfg.slo.is_empty());
         cfg.set("slo", "availability:0.999;latency:p99<5ms;cache_hit:0.7")
             .unwrap();
@@ -873,8 +785,6 @@ mod tests {
         assert!(cfg.set("slo", "uptime:0.9").is_err());
         cfg.set("slo", "").unwrap();
         assert!(cfg.slo.is_empty());
-        assert!(cfg.set("access_log_keep", "0").is_err());
-        assert!(cfg.set("obs_retention_s", "0").is_err());
         assert!(cfg.set("slo_fast_s", "0").is_err());
         assert!(cfg.set("slo_slow_s", "0").is_err());
         assert!(cfg.set("obs_profile_hz", "20000").is_err());
@@ -1019,21 +929,14 @@ mod tests {
         cfg.set("fault_plan", "").unwrap();
         assert!(cfg.fault_plan.is_empty());
 
-        // Breaker/retry knobs: plain integers with one guarded percentage.
-        cfg.set("breaker_threshold_pct", "75").unwrap();
-        assert_eq!(cfg.breaker_threshold_pct, 75);
-        assert!(cfg.set("breaker_threshold_pct", "0").is_err());
-        assert!(cfg.set("breaker_threshold_pct", "101").is_err());
+        // Breaker knobs: plain integers.
         cfg.set("breaker_window", "0").unwrap(); // 0 = breakers off
-        cfg.set("retry_max", "3").unwrap();
-        assert_eq!(cfg.retry_max, 3);
     }
 
     #[test]
     fn trace_and_access_log_knobs_parse_and_validate() {
         let mut cfg = ServeConfig::default();
         assert_eq!(cfg.trace_sample, 0.05);
-        assert_eq!(cfg.trace_force_slow_ms, 500);
         assert_eq!(cfg.trace_buffer, 512);
         assert!(cfg.access_log.is_empty());
         cfg.set("trace_sample", "1").unwrap();
@@ -1043,7 +946,6 @@ mod tests {
         assert!(cfg.set("trace_sample", "-0.1").is_err());
         assert!(cfg.set("trace_sample", "NaN").is_err());
         assert!(cfg.set("trace_sample", "often").is_err());
-        cfg.set("trace_force_slow_ms", "0").unwrap(); // 0 = no override
         cfg.set("trace_buffer", "0").unwrap(); // 0 = recorder off
                                                // access_log paths are environment-validated like snapshot_save.
         cfg.set("access_log", "/no/such/dir/access.log").unwrap();
@@ -1079,8 +981,6 @@ mod tests {
         let mut cfg = ServeConfig::default();
         cfg.set("workers", "6").unwrap();
         assert_eq!(cfg.effective_cache_shards(), 8);
-        cfg.set("cache_shards", "3").unwrap();
-        assert_eq!(cfg.effective_cache_shards(), 3);
     }
 
     #[test]
@@ -1102,5 +1002,12 @@ mod tests {
         std::env::set_var("T2V_SERVE_QUEUE_CAPACITY", "bogus");
         assert!(cfg.apply_env().is_err());
         std::env::remove_var("T2V_SERVE_QUEUE_CAPACITY");
+        // A variable naming no key (here a retired one) fails like a file
+        // typo, and the error names the variable.
+        std::env::set_var("T2V_SERVE_SHARDS", "4");
+        let e = cfg.apply_env().unwrap_err();
+        std::env::remove_var("T2V_SERVE_SHARDS");
+        assert!(e.message.contains("T2V_SERVE_SHARDS"), "{e}");
+        assert!(e.message.contains("unknown config key"), "{e}");
     }
 }

@@ -51,9 +51,10 @@ pub(crate) type Routed = (Route, Early, Option<Duration>);
 
 /// First stage: trace setup (DESIGN.md §12). Every request gets an id (the
 /// `x-t2v-trace-id` header); spans are recorded only when something could
-/// consume them — the client forced it, the sampler hit, the slow/error
-/// override is armed, or the access log needs per-stage timings. Otherwise
-/// the whole machinery is id generation plus no-op guards.
+/// consume them — the client forced it, the sampler hit, the flight
+/// recorder may keep it as slow or failed, or the access log needs
+/// per-stage timings. Otherwise the whole machinery is id generation plus
+/// no-op guards.
 pub(crate) fn begin(shared: &Shared, req: &Request, t0: Instant, read_dur: Duration) -> Begun {
     let config = &shared.state.config;
     let force = req
@@ -61,10 +62,8 @@ pub(crate) fn begin(shared: &Shared, req: &Request, t0: Instant, read_dur: Durat
         .is_some_and(|v| v.trim() == "1" || v.trim().eq_ignore_ascii_case("true"));
     let trace_id = t2v_trace::new_trace_id();
     let sampled = config.trace_sample > 0.0 && t2v_trace::sample_hit(trace_id, config.trace_sample);
-    let record = force
-        || sampled
-        || (config.trace_force_slow_ms > 0 && shared.state.recorder.is_some())
-        || shared.state.access_log.is_some();
+    let record =
+        force || sampled || shared.state.recorder.is_some() || shared.state.access_log.is_some();
     let trace = Trace::start_at(trace_id, record, t0);
     trace.add_span(Stage::ConnRead, t0, read_dur);
     Begun {
@@ -206,6 +205,10 @@ fn resp_header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
+/// Requests at least this slow are always recorded, regardless of
+/// sampling — the slow tail is the whole point of a flight recorder.
+pub(crate) const SLOW_TRACE_MS: u64 = 500;
+
 /// Store / log / count one sealed trace according to the knobs: the
 /// recorder keeps it when `wanted` (the client forced it or the sampler
 /// hit) or the slow/error override fires; the access log always gets its
@@ -218,15 +221,13 @@ fn publish_trace(
     wanted: bool,
     log: impl FnOnce(Arc<AccessLog>, String),
 ) {
-    let config = &shared.state.config;
-    let slow = config.trace_force_slow_ms > 0
-        && f.total_ns >= config.trace_force_slow_ms.saturating_mul(1_000_000);
+    let slow = f.total_ns >= SLOW_TRACE_MS * 1_000_000;
     let error = f.status >= 500;
     if slow {
         // A trace that hit the span cap lost spans — its "dominant stage"
         // would be computed from a partial tree, silently mis-attributing
         // the slowness. Charge those to an explicit `truncated` bucket
-        // instead (raise `trace_max_spans=` when it grows).
+        // instead (the cap is `t2v_trace::MAX_SPANS`, 24 spans).
         if f.dropped_spans > 0 {
             shared.state.metrics.record_slow_truncated();
         } else {

@@ -430,11 +430,8 @@ impl ServerState {
         } else {
             // validate() already vetted the parent directory; an open
             // failure here (permissions, races) still fails startup loudly.
-            Some(Arc::new(AccessLog::open(
-                &config.access_log,
-                config.access_log_rotate_mb,
-                config.access_log_keep,
-            )?))
+            // Rotates at 64 MiB and keeps 3 generations.
+            Some(Arc::new(AccessLog::open(&config.access_log, 64, 3)?))
         };
 
         Ok(ServerState {
@@ -614,7 +611,7 @@ fn build_tenant_runtime(
             Arc::new(CircuitBreaker::new(BreakerConfig {
                 window: config.breaker_window,
                 min_samples: config.breaker_min_samples,
-                threshold_pct: config.breaker_threshold_pct,
+                threshold_pct: 50,
                 open_ms: config.breaker_open_ms,
             }))
         })
@@ -898,7 +895,7 @@ fn build_obs(state: &Arc<ServerState>) -> Option<Arc<t2v_obs::ObsEngine>> {
     };
     let engine = Arc::new(t2v_obs::ObsEngine::new(t2v_obs::ObsConfig {
         sample_ms: config.obs_sample_ms,
-        retention_s: config.obs_retention_s,
+        retention_s: 900,
         profile_hz: config.obs_profile_hz,
         slos,
         sources,

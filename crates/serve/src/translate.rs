@@ -336,12 +336,9 @@ fn mark_degraded(body: &[u8], reason: &str) -> Vec<u8> {
 }
 
 /// First rung of the degradation ladder: the item's cache entry *ignoring
-/// TTL*, marked `degraded: stale_cache`. `None` when disabled
-/// (`degrade_stale=false`) or nothing was ever cached for the key.
+/// TTL*, marked `degraded: stale_cache`. `None` when nothing was ever
+/// cached for the key.
 fn stale_degraded_body(shared: &Shared, key: &CacheKey) -> Option<Vec<u8>> {
-    if !shared.state.config.degrade_stale {
-        return None;
-    }
     let stale = shared.state.cache.get_stale(key)?;
     shared
         .state
@@ -549,7 +546,7 @@ enum Refused {
 /// released here, so no caller can leave the breaker waiting on a probe
 /// that never ran. `span` records the breaker decision as the request's
 /// `breaker` span; only the single endpoint asks — a trace holds 24 spans
-/// and a batch up to `max_batch_items` items.
+/// and a batch up to [`MAX_BATCH_ITEMS`] items.
 fn admit_and_submit(
     shared: &Shared,
     item: &Item,
@@ -851,6 +848,14 @@ fn stream_endpoint(
     streamed
 }
 
+/// Items allowed in one `/v1/translate/batch` request.
+const MAX_BATCH_ITEMS: usize = 64;
+
+/// Retries of a batch item's transient `internal` failure (worker panic,
+/// injected backend error), and the base of their jittered backoff.
+const BATCH_RETRIES: usize = 1;
+const RETRY_BASE_MS: u64 = 10;
+
 /// `POST /v1/translate/batch` — `{"requests": [{...}, ...]}` →
 /// `{"results": [...]}`, one result object per item in order. Item-level
 /// failures (unknown backend/database, overload) are inline structured
@@ -872,13 +877,12 @@ pub(crate) fn batch_endpoint(
     if requests.is_empty() {
         return Response::error(400, "'requests' is empty");
     }
-    if requests.len() > state.config.max_batch_items {
+    if requests.len() > MAX_BATCH_ITEMS {
         return Response::error(
             400,
             &format!(
-                "'requests' has {} items; max_batch_items is {}",
-                requests.len(),
-                state.config.max_batch_items
+                "'requests' has {} items; a batch holds at most {MAX_BATCH_ITEMS}",
+                requests.len()
             ),
         );
     }
@@ -985,16 +989,13 @@ pub(crate) fn batch_endpoint(
             Pending::Waiting { slot, item, key } => {
                 let mut reply = await_reply(&slot, Some(deadline_i));
                 let mut attempt = 0usize;
-                while reply.as_ref().is_some_and(|r| r.status == 500)
-                    && attempt < state.config.retry_max
-                {
+                while reply.as_ref().is_some_and(|r| r.status == 500) && attempt < BATCH_RETRIES {
                     attempt += 1;
-                    let base = state.config.retry_base_ms.max(1);
                     // Deterministic jitter — (item, attempt)-dependent so
                     // concurrent batches don't retry in lockstep, with no
                     // RNG to perturb fault-plan replay.
-                    let backoff = base * (1u64 << (attempt - 1).min(6))
-                        + (i as u64 * 7 + attempt as u64 * 13) % base;
+                    let backoff = RETRY_BASE_MS * (1u64 << (attempt - 1).min(6))
+                        + (i as u64 * 7 + attempt as u64 * 13) % RETRY_BASE_MS;
                     if deadline_i.saturating_duration_since(Instant::now())
                         <= Duration::from_millis(backoff)
                     {

@@ -586,7 +586,6 @@ fn event_loop_answers_byte_identically_to_the_in_memory_oracle() {
         ("cache_ttl_secs", "1"),
         ("breaker_window", "4"),
         ("breaker_min_samples", "2"),
-        ("breaker_threshold_pct", "50"),
         ("breaker_open_ms", "60000"),
     ];
     let event = spawn_over(&corpus, &tweaks);

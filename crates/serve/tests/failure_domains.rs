@@ -183,9 +183,7 @@ fn injected_errors_are_structured_500s_and_open_the_breaker() {
         ("fault_plan", "seed=11;backend.error:backend=gred"),
         ("breaker_window", "4"),
         ("breaker_min_samples", "2"),
-        ("breaker_threshold_pct", "50"),
         ("breaker_open_ms", "60000"),
-        ("degrade_stale", "false"),
     ]);
     let db = db0(&corpus);
     let mut client = Client::connect(&server);
@@ -224,9 +222,7 @@ fn breaker_recovers_through_a_probe_once_the_fault_budget_is_spent() {
         ("fault_plan", "seed=12;backend.error:backend=gred,count=2"),
         ("breaker_window", "4"),
         ("breaker_min_samples", "2"),
-        ("breaker_threshold_pct", "50"),
         ("breaker_open_ms", "150"),
-        ("degrade_stale", "false"),
     ]);
     let db = db0(&corpus);
     let mut client = Client::connect(&server);
@@ -332,7 +328,6 @@ fn open_breaker_serves_marked_stale_cache_bodies() {
         ("cache_ttl_secs", "1"),
         ("breaker_window", "4"),
         ("breaker_min_samples", "2"),
-        ("breaker_threshold_pct", "50"),
         ("breaker_open_ms", "60000"),
     ]);
     let db = db0(&corpus);
@@ -372,7 +367,6 @@ fn open_breaker_falls_back_to_the_gred_backend() {
         ("fault_plan", "seed=15;backend.error:backend=rgvisnet"),
         ("breaker_window", "4"),
         ("breaker_min_samples", "2"),
-        ("breaker_threshold_pct", "50"),
         ("breaker_open_ms", "60000"),
     ]);
     let db = db0(&corpus);
@@ -404,8 +398,6 @@ fn batch_path_retries_transient_internal_errors() {
     let (corpus, server) = spawn_server(&[
         ("fault_plan", "seed=16;backend.error:backend=gred,count=1"),
         ("breaker_window", "0"),
-        ("retry_max", "2"),
-        ("retry_base_ms", "5"),
     ]);
     let db = db0(&corpus);
     let mut client = Client::connect(&server);

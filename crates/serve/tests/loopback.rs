@@ -343,7 +343,6 @@ fn overload_sheds_with_503_instead_of_queueing() {
     // the rest MUST see 503 + Retry-After.
     let (corpus, server) = spawn_server(&[
         ("workers", "1"),
-        ("shards", "1"),
         ("queue_capacity", "1"),
         ("cache_capacity", "0"),
         ("debug_translate_sleep_ms", "150"),
@@ -379,7 +378,7 @@ fn overload_sheds_with_503_instead_of_queueing() {
 
 #[test]
 fn healthz_and_metrics_reflect_traffic() {
-    let (corpus, server) = spawn_server(&[("cache_shards", "4")]);
+    let (corpus, server) = spawn_server(&[]);
     let mut c = Client::connect(&server);
 
     let health = c.request("GET", "/healthz", "");
@@ -411,8 +410,9 @@ fn healthz_and_metrics_reflect_traffic() {
     assert!(text.contains("t2v_cache_misses_total 1"));
     assert!(text.contains("t2v_translate_seconds_count 1"));
     assert!(text.contains("t2v_connections_active 1"));
-    // The sharded cache reports its shard count…
-    assert!(text.contains("t2v_cache_shards 4"));
+    // The sharded cache reports its shard count, derived from the workers…
+    let shards = ServeConfig::default().effective_cache_shards();
+    assert!(text.contains(&format!("t2v_cache_shards {shards}")));
     // …and the per-backend families carry the registered label.
     assert!(text.contains("t2v_backend_translations_total{backend=\"gred\"} 1"));
     assert!(text.contains("t2v_backend_cache_hits_total{backend=\"gred\"} 1"));
@@ -567,6 +567,42 @@ fn batch_endpoint_preserves_order_and_inlines_item_errors() {
 }
 
 #[test]
+fn an_oversized_batch_is_refused_before_any_item_runs() {
+    let (corpus, server) = spawn_server(&[]);
+    let mut c = Client::connect(&server);
+    let translations = |c: &mut Client| -> String {
+        let text = String::from_utf8(c.request("GET", "/metrics", "").body).unwrap();
+        text.lines()
+            .find(|l| l.starts_with("t2v_backend_translations_total{backend=\"gred\"}"))
+            .expect("gred translation counter in /metrics")
+            .to_string()
+    };
+    let before = translations(&mut c);
+
+    // 65 distinct questions: one past the limit, every one a cache miss.
+    let items: Vec<Json> = (0..65)
+        .map(|i| {
+            let ex = &corpus.dev[i % corpus.dev.len()];
+            let nlq = format!("{} {i}", ex.nlq);
+            Json::obj([
+                ("nlq", Json::str(&nlq)),
+                ("db", Json::str(&corpus.databases[ex.db].id)),
+            ])
+        })
+        .collect();
+    let body = Json::obj([("requests", Json::Arr(items))]).compact();
+    let r = c.request("POST", "/v1/translate/batch", &body);
+    assert_eq!(r.status, 400);
+    let (_, message) = r.error();
+    assert!(
+        message.contains("64"),
+        "the message names the limit: {message}"
+    );
+    assert_eq!(translations(&mut c), before, "no item may have run");
+    server.shutdown();
+}
+
+#[test]
 fn streaming_emits_stages_then_the_cacheable_body() {
     let (corpus, server) = spawn_server(&[]);
     let ex = &corpus.dev[2];
@@ -613,7 +649,6 @@ fn backend_weights_knob_classes_the_pool() {
     let (_, server) = spawn_server(&[
         ("backend_weights", "gred:4"),
         ("workers", "2"),
-        ("shards", "1"),
         ("queue_capacity", "8"),
     ]);
     let mut c = Client::connect(&server);
@@ -627,7 +662,7 @@ fn backend_weights_knob_classes_the_pool() {
     server.shutdown();
 
     // Unweighted (default): the pool is unclassed — no share gauge (0).
-    let (_, server) = spawn_server(&[("workers", "2"), ("shards", "1"), ("queue_capacity", "8")]);
+    let (_, server) = spawn_server(&[("workers", "2"), ("queue_capacity", "8")]);
     let mut c = Client::connect(&server);
     let text = String::from_utf8(c.request("GET", "/metrics", "").body).unwrap();
     assert!(text.contains("t2v_backend_pool_share{backend=\"gred\"} 0"));

@@ -424,11 +424,7 @@ fn admin_trace_endpoints_fail_cleanly() {
 fn untraced_requests_still_carry_an_id_but_no_body_trace() {
     // Sampling off entirely: the id header still rides every response (so a
     // support ticket can always quote one), but nothing lands in the body.
-    let (corpus, server) = spawn_server(&[
-        ("trace_sample", "0"),
-        ("trace_force_slow_ms", "0"),
-        ("trace_buffer", "0"),
-    ]);
+    let (corpus, server) = spawn_server(&[("trace_sample", "0"), ("trace_buffer", "0")]);
     let ex = &corpus.dev[0];
     let db = corpus.databases[ex.db].id.clone();
     let mut client = Client::connect(&server);
