@@ -152,9 +152,6 @@ pub struct ServeConfig {
     /// How long an open breaker fast-fails (503 + `Retry-After`) before
     /// letting a half-open probe through.
     pub breaker_open_ms: u64,
-    /// Test-only throttle: artificial per-translation sleep, for forcing
-    /// overload deterministically in integration tests.
-    pub debug_translate_sleep_ms: u64,
     /// Fraction of requests whose trace is recorded into the flight
     /// recorder, 0.0..=1.0. Sampling is deterministic in the trace id, so
     /// one request traces identically everywhere it is discussed. 0
@@ -213,7 +210,6 @@ impl Default for ServeConfig {
             breaker_window: 32,
             breaker_min_samples: 8,
             breaker_open_ms: 1_000,
-            debug_translate_sleep_ms: 0,
             trace_sample: 0.05,
             trace_buffer: 512,
             access_log: String::new(),
@@ -332,7 +328,6 @@ impl ServeConfig {
             "breaker_window" => self.breaker_window = parse_usize(key, value)?,
             "breaker_min_samples" => self.breaker_min_samples = parse_usize(key, value)?,
             "breaker_open_ms" => self.breaker_open_ms = parse_u64(key, value)?,
-            "debug_translate_sleep_ms" => self.debug_translate_sleep_ms = parse_u64(key, value)?,
             "trace_sample" => {
                 let rate: f64 = value
                     .parse()
@@ -536,7 +531,6 @@ pub const KEYS: &[&str] = &[
     "breaker_window",
     "breaker_min_samples",
     "breaker_open_ms",
-    "debug_translate_sleep_ms",
     "trace_sample",
     "trace_buffer",
     "access_log",
@@ -728,7 +722,7 @@ mod tests {
 
     #[test]
     fn docs_name_every_key_and_no_retired_one() {
-        assert_eq!(KEYS.len(), 33);
+        assert_eq!(KEYS.len(), 32);
         let design = include_str!("../../../DESIGN.md");
         let readme = include_str!("../../../README.md");
         for key in KEYS {
@@ -762,6 +756,7 @@ mod tests {
             ["access_log", "_rotate_mb"].concat(),
             ["access_log", "_keep"].concat(),
             ["obs", "_retention_s"].concat(),
+            ["debug_translate", "_sleep_ms"].concat(),
         ];
         for (name, text) in [("DESIGN.md", design), ("README.md", readme)] {
             for gone in &retired {

@@ -1,18 +1,20 @@
-//! Translating: one resolved `Item`, one admission stage, three
-//! endpoints (`POST /v1/translate`, its NDJSON streaming variant, and
+//! Translating: one resolved `Item`, one item path, three endpoints
+//! (`POST /v1/translate`, its NDJSON streaming variant, and
 //! `POST /v1/translate/batch`).
 //!
 //! The single endpoint is split where waiting starts: `translate_early`
 //! (parse → resolve → deadline → key → cache lookup) answers errors and
-//! fresh hits on the event loop itself; `translate_late` (admission → await
-//! → degrade, or the stream relay) continues on a dispatch thread.
+//! fresh hits on the event loop itself; the late stage (or the stream
+//! relay) continues on a dispatch thread.
 //!
 //! Every cold translation enters the worker pool through
 //! `admit_and_submit` — breaker admission, pool submission, and the
-//! half-open probe released if the pool refuses — and is collected through
-//! `await_reply`. What a caller does with a refusal (which rungs of the
-//! degradation ladder it tries, which counters it bumps) is policy and
-//! stays at its call site; DESIGN.md §11 has the table.
+//! half-open probe released if the pool refuses. A non-streamed item then
+//! walks one path: `admit` (on refusal: stale cache → `gred` fallback →
+//! 503) and `settle` (await the reply; on timeout: stale cache → 504).
+//! Either ends in one `Outcome`, which the single endpoint frames, a batch
+//! appends as one result and a stream writes as its final line.
+//! DESIGN.md §11 has the table.
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::cache::Lookup;
@@ -76,6 +78,18 @@ fn stages_json(stages: &[StageRecord]) -> Json {
             .map(|s| Json::obj([("name", Json::str(s.name)), ("dvq", opt_str(&s.dvq))]))
             .collect(),
     )
+}
+
+/// One NDJSON stage line of a stream, timings included: stream lines are
+/// never cached.
+fn stage_line(s: &StageRecord) -> String {
+    let micros = Json::Num(s.micros as f64);
+    let stage = [
+        ("name", Json::str(s.name)),
+        ("dvq", opt_str(&s.dvq)),
+        ("micros", micros),
+    ];
+    Json::obj([("stage", Json::obj(stage))]).compact()
 }
 
 /// Serialise one translation outcome as the `/v1/translate` response body.
@@ -152,7 +166,6 @@ pub fn translate_body(
 /// One parsed-and-resolved translate item (shared by the single and batch
 /// endpoints). Holds its tenant runtime: a detach mid-request cannot pull
 /// the registry, databases, or metrics out from under the translation.
-#[derive(Clone)]
 struct Item {
     tenant: Arc<TenantRuntime>,
     backend_idx: usize,
@@ -172,31 +185,14 @@ fn resolve_item(tenant: &Arc<TenantRuntime>, parsed: &Json) -> Result<Item, Resp
     let Some(db_id) = parsed.get("db").and_then(Json::as_str) else {
         return Err(Response::error(400, "missing string field 'db'"));
     };
-    let backend_req = match parsed.get("backend") {
-        None => None,
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s),
-            None => return Err(Response::error(400, "field 'backend' must be a string")),
-        },
-    };
-    let want_vegalite = match parsed.get("vegalite") {
-        None => false,
-        Some(v) => match v.as_bool() {
-            Some(b) => b,
-            None => return Err(Response::error(400, "field 'vegalite' must be a boolean")),
-        },
-    };
+    let backend_req = optional(parsed, "backend", Json::as_str, "a string")?;
+    let want_vegalite = optional(parsed, "vegalite", Json::as_bool, "a boolean")?.unwrap_or(false);
     let (backend_idx, backend_id, backend) = match tenant.registry.resolve(backend_req) {
         Ok((i, id, b)) => (i, id.to_string(), Arc::clone(b)),
         Err(unknown) => {
-            return Err(Response::error_code(
-                404,
-                "unknown_backend",
-                &format!(
-                    "unknown backend '{unknown}' (registered: {})",
-                    tenant.registry.ids().collect::<Vec<_>>().join(", ")
-                ),
-            ))
+            let ids = tenant.registry.ids().collect::<Vec<_>>().join(", ");
+            let message = format!("unknown backend '{unknown}' (registered: {ids})");
+            return Err(Response::error_code(404, "unknown_backend", &message));
         }
     };
     let nlq_normalized = normalize_nlq(nlq);
@@ -204,11 +200,8 @@ fn resolve_item(tenant: &Arc<TenantRuntime>, parsed: &Json) -> Result<Item, Resp
         return Err(Response::error_code(400, "empty_query", "'nlq' is empty"));
     }
     let Some(entry) = tenant.dbs.get(db_id) else {
-        return Err(Response::error_code(
-            404,
-            "unknown_database",
-            &format!("unknown database '{db_id}'"),
-        ));
+        let message = format!("unknown database '{db_id}'");
+        return Err(Response::error_code(404, "unknown_database", &message));
     };
     Ok(Item {
         tenant: Arc::clone(tenant),
@@ -219,6 +212,21 @@ fn resolve_item(tenant: &Arc<TenantRuntime>, parsed: &Json) -> Result<Item, Resp
         nlq_normalized,
         want_vegalite,
     })
+}
+
+/// An optional field of a translate object: absent is `None`; present but
+/// not `kind` is a 400.
+fn optional<'a, T>(
+    parsed: &'a Json,
+    field: &str,
+    get: fn(&'a Json) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, Response> {
+    let wrong = || Response::error(400, &format!("field '{field}' must be {kind}"));
+    parsed
+        .get(field)
+        .map(|v| get(v).ok_or_else(wrong))
+        .transpose()
 }
 
 impl Item {
@@ -328,49 +336,99 @@ pub(crate) fn splice_field(body: &[u8], field: &str, raw: &str) -> Vec<u8> {
     }
 }
 
-/// Mark a stale or fallback body `"degraded": "<reason>"` so it is always
-/// self-describing. The reason is an internal constant (never client
+/// How one item ended: what the single endpoint frames as its response,
+/// a batch appends as one result, and a stream writes as its final line.
+/// `cache` is `hit`, `miss` or `stale` (unset on errors and on the `gred`
+/// fallback), `backend` the one that answered, `retry_after` in seconds.
+struct Outcome {
+    status: u16,
+    body: Body,
+    cache: Option<&'static str>,
+    backend: Option<String>,
+    degraded: Option<&'static str>,
+    retry_after: Option<u64>,
+}
+
+impl Outcome {
+    fn new(status: u16, body: impl Into<Body>) -> Outcome {
+        Outcome {
+            status,
+            body: body.into(),
+            cache: None,
+            backend: None,
+            degraded: None,
+            retry_after: None,
+        }
+    }
+
+    /// A structured error, the envelope of [`Response::error`].
+    fn error(status: u16, message: &str) -> Outcome {
+        let code = http::default_error_code(status);
+        Outcome::new(status, http::error_body(code, message))
+    }
+
+    /// A body `backend` translated, from the cache (`hit`) or the pool
+    /// (`miss`). The `Arc` is moved, never copied.
+    fn answered(status: u16, body: Arc<Vec<u8>>, cache: &'static str, backend: String) -> Outcome {
+        Outcome {
+            cache: Some(cache),
+            backend: Some(backend),
+            ..Outcome::new(status, body)
+        }
+    }
+
+    /// Frame the outcome as a response: the only code that sets the
+    /// `x-t2v-*` and `Retry-After` headers on a translation.
+    fn into_response(self) -> Response {
+        let headers = [
+            ("x-t2v-cache", self.cache.map(String::from)),
+            ("x-t2v-degraded", self.degraded.map(String::from)),
+            ("x-t2v-backend", self.backend),
+            ("Retry-After", self.retry_after.map(|secs| secs.to_string())),
+        ];
+        let mut resp = Response::json(self.status, self.body);
+        let set = headers.into_iter().filter_map(|(k, v)| Some((k, v?)));
+        resp.headers.extend(set);
+        resp
+    }
+}
+
+/// Serve `body` marked `"degraded": "<reason>"` in the body and on the
+/// wire, and count it. The reason is an internal constant (never client
 /// data), so no escaping is needed.
-fn mark_degraded(body: &[u8], reason: &str) -> Vec<u8> {
-    splice_field(body, "degraded", &format!("\"{reason}\""))
+fn degrade(shared: &Shared, body: &[u8], reason: &'static str, backend: String) -> Outcome {
+    let metrics = &shared.state.metrics;
+    metrics.degraded.fetch_add(1, Ordering::Relaxed);
+    t2v_trace::note(format!("degrade:{reason}"));
+    let body = splice_field(body, "degraded", &format!("\"{reason}\""));
+    Outcome {
+        // The item's own cache entry, read ignoring TTL.
+        cache: (reason == "stale_cache").then_some("stale"),
+        backend: Some(backend),
+        degraded: Some(reason),
+        ..Outcome::new(200, body)
+    }
 }
 
-/// First rung of the degradation ladder: the item's cache entry *ignoring
-/// TTL*, marked `degraded: stale_cache`. `None` when nothing was ever
-/// cached for the key.
-fn stale_degraded_body(shared: &Shared, key: &CacheKey) -> Option<Vec<u8>> {
-    let stale = shared.state.cache.get_stale(key)?;
-    shared
-        .state
-        .metrics
-        .degraded
-        .fetch_add(1, Ordering::Relaxed);
-    t2v_trace::note("degrade:stale_cache");
-    Some(mark_degraded(&stale, "stale_cache"))
-}
-
-/// [`stale_degraded_body`] framed as the single endpoint's response.
-fn stale_response(shared: &Shared, key: &CacheKey, backend_id: &str) -> Option<Response> {
-    let body = stale_degraded_body(shared, key)?;
-    Some(
-        Response::json(200, body)
-            .with_header("x-t2v-cache", "stale")
-            .with_header("x-t2v-degraded", "stale_cache")
-            .with_header("x-t2v-backend", backend_id),
-    )
-}
-
-/// The structured 503 for a backend whose breaker is open.
-fn backend_unavailable(backend_id: &str, retry_after_ms: u64, advice: &str) -> Response {
-    let secs = retry_after_ms.div_ceil(1000).max(1);
-    let message = format!("backend '{backend_id}' is unavailable (circuit open){advice}");
-    Response::error_code(503, "backend_unavailable", &message)
-        .with_header("Retry-After", secs.to_string())
-}
-
-/// The 503 for a pool that would not take the job.
-fn overloaded() -> Response {
-    Response::error(503, "server overloaded").with_header("Retry-After", "1")
+/// Count one refusal and build the 503 that answers it when nothing
+/// degrades: `backend_unavailable` for an open breaker, `overload` for a
+/// full pool.
+fn refused(shared: &Shared, refusal: &Refused, backend_id: &str) -> Outcome {
+    let metrics = &shared.state.metrics;
+    let (mut outcome, secs) = match *refusal {
+        Refused::Open { retry_after_ms } => {
+            metrics.breaker_rejections.fetch_add(1, Ordering::Relaxed);
+            let message = format!("backend '{backend_id}' is unavailable (circuit open)");
+            let body = http::error_body("backend_unavailable", &message);
+            (Outcome::new(503, body), retry_after_ms.div_ceil(1000))
+        }
+        Refused::Overloaded => {
+            metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            (Outcome::error(503, "server overloaded"), 1)
+        }
+    };
+    outcome.retry_after = Some(secs.max(1));
+    outcome
 }
 
 /// Queue one item's cold translation on the pool. The returned slot
@@ -408,29 +466,19 @@ fn submit_translation(
             metrics: Arc::clone(&state.metrics),
             answered: false,
         };
+        let metrics = &state.metrics;
         let queue_wait = enqueued.elapsed();
         if let Some(t) = &trace {
             t.add_span(Stage::QueueWait, enqueued, queue_wait);
         }
-        state
-            .metrics
-            .queue_wait
-            .observe_ns(queue_wait.as_nanos() as u64);
+        metrics.queue_wait.observe_ns(queue_wait.as_nanos() as u64);
         if deadline.is_some_and(|d| Instant::now() >= d) {
             // The budget died in the queue: don't burn a worker on a body
             // nobody is waiting for.
-            state
-                .metrics
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            guard.answer(error_reply(
-                504,
-                "deadline exceeded before translation started",
-            ));
+            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            let message = "deadline exceeded before translation started";
+            guard.answer(error_reply(504, message));
             return;
-        }
-        if state.config.debug_translate_sleep_ms > 0 {
-            std::thread::sleep(Duration::from_millis(state.config.debug_translate_sleep_ms));
         }
         let t0 = Instant::now();
         let result = {
@@ -444,36 +492,22 @@ fn submit_translation(
             if t2v_fault::fire_for(t2v_fault::FaultPoint::BackendPanic, &backend_id).is_some() {
                 panic!("injected fault: backend '{backend_id}' panic");
             }
-            let injected =
-                t2v_fault::fire_for(t2v_fault::FaultPoint::BackendError, &backend_id).is_some();
             let req = TranslateRequest::new(&key.2, &entry.db);
-            if injected {
-                Err(TranslateError::Internal {
-                    message: format!("injected fault: backend '{backend_id}' error"),
+            if t2v_fault::fire_for(t2v_fault::FaultPoint::BackendError, &backend_id).is_some() {
+                let message = format!("injected fault: backend '{backend_id}' error");
+                Err(TranslateError::Internal { message })
+            } else if let Some(tx) = &stage_tx {
+                // Streaming: forward each stage line as the pipeline
+                // produces it.
+                backend.translate_streamed(&req, &mut |s: &StageRecord| {
+                    let _ = tx.send(stage_line(s));
                 })
             } else {
-                match &stage_tx {
-                    // Streaming: forward each stage line as the pipeline
-                    // produces it (timings included — stream lines are never
-                    // cached).
-                    Some(tx) => backend.translate_streamed(&req, &mut |s: &StageRecord| {
-                        let line = Json::obj([(
-                            "stage",
-                            Json::obj([
-                                ("name", Json::str(s.name)),
-                                ("dvq", opt_str(&s.dvq)),
-                                ("micros", Json::Num(s.micros as f64)),
-                            ]),
-                        )])
-                        .compact();
-                        let _ = tx.send(line);
-                    }),
-                    None => backend.translate(&req),
-                }
+                backend.translate(&req)
             }
         };
         let elapsed = t0.elapsed().as_nanos() as u64;
-        state.metrics.translate.observe_ns(elapsed);
+        metrics.translate.observe_ns(elapsed);
         tenant.metrics.translations.fetch_add(1, Ordering::Relaxed);
         tenant.metrics.translate.observe_ns(elapsed);
         if result.is_err() {
@@ -482,7 +516,7 @@ fn submit_translation(
         if tenant.is_default {
             // The unlabelled per-backend family indexes the startup
             // registry; only the default tenant's indices map onto it.
-            let bm = state.metrics.backend(backend_idx);
+            let bm = metrics.backend(backend_idx);
             bm.translations.fetch_add(1, Ordering::Relaxed);
             bm.translate.observe_ns(elapsed);
             if result.is_err() {
@@ -495,16 +529,11 @@ fn submit_translation(
         // query, not the backend, and must never trip it.
         let internal_failure = matches!(result, Err(TranslateError::Internal { .. }));
         if breaker.record(!internal_failure, elapsed) {
-            state.metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
         }
         let status = if internal_failure { 500 } else { 200 };
-        let body = Arc::new(render_translation(
-            &backend_id,
-            &key.2,
-            &entry,
-            want_vegalite,
-            &result,
-        ));
+        let body = render_translation(&backend_id, &key.2, &entry, want_vegalite, &result);
+        let body = Arc::new(body);
         if status == 200 {
             // Transient internal failures are never cached — a retry (or
             // the storm simply passing) must be able to succeed.
@@ -583,6 +612,114 @@ fn await_reply(slot: &OneShot<Reply>, deadline: Option<Instant>) -> Option<Reply
     slot.recv_timeout(wait)
 }
 
+/// An admitted translation, not yet collected.
+struct Pending {
+    slot: OneShot<Reply>,
+    item: Item,
+    key: CacheKey,
+    /// Set on the `gred` fallback of a refused item: the 503 that stands
+    /// unless the fallback answers 200.
+    unavailable: Option<Outcome>,
+}
+
+/// What [`admit`] made of an item: an end, or a translation to [`settle`].
+enum Step {
+    Done(Outcome),
+    Waiting(Pending),
+}
+
+/// The first half of every non-streamed cold item: admission, and on
+/// refusal the one ladder. An open breaker serves the stale entry, else
+/// resubmits the item to `gred`, else answers 503 `backend_unavailable`;
+/// a full pool answers 503 `overload`.
+fn admit(
+    shared: &Shared,
+    mut item: Item,
+    key: CacheKey,
+    deadline: Option<Instant>,
+    span: bool,
+) -> Step {
+    let waiting = |slot, item, key, unavailable| {
+        Step::Waiting(Pending {
+            slot,
+            item,
+            key,
+            unavailable,
+        })
+    };
+    let refusal = match admit_and_submit(shared, &item, key.clone(), None, deadline, span) {
+        Ok(slot) => return waiting(slot, item, key, None),
+        Err(refusal) => refusal,
+    };
+    let unavailable = refused(shared, &refusal, &item.backend_id);
+    if refusal == Refused::Overloaded {
+        return Step::Done(unavailable);
+    }
+    // The ladder is one degradation decision in the trace; notes say which
+    // rung answered.
+    let _span = t2v_trace::span(Stage::Degrade);
+    t2v_trace::note(format!("breaker:open:{}", item.backend_id));
+    if let Some(stale) = shared.state.cache.get_stale(&key) {
+        return Step::Done(degrade(shared, &stale, "stale_cache", item.backend_id));
+    }
+    // `gred` retrieves cheaply and has no trained weights to be wedged. It
+    // is the last rung: refused, it ends the ladder uncounted.
+    if item.backend_id == "gred" {
+        return Step::Done(unavailable);
+    }
+    let Ok((idx, id, backend)) = item.tenant.registry.resolve(Some("gred")) else {
+        return Step::Done(unavailable);
+    };
+    let (idx, id, backend) = (idx, id.to_string(), Arc::clone(backend));
+    (item.backend_idx, item.backend_id, item.backend) = (idx, id, backend);
+    let key = item.cache_key();
+    if let Lookup::Fresh(hit) = shared.state.cache.lookup(&key) {
+        return Step::Done(degrade(shared, &hit, "fallback:gred", item.backend_id));
+    }
+    match admit_and_submit(shared, &item, key.clone(), None, deadline, false) {
+        Ok(slot) => waiting(slot, item, key, Some(unavailable)),
+        Err(_) => Step::Done(unavailable),
+    }
+}
+
+/// The second half: await the reply until the deadline, then [`conclude`].
+fn settle(shared: &Shared, pending: Pending, deadline: Option<Instant>) -> Outcome {
+    let reply = await_reply(&pending.slot, deadline);
+    conclude(shared, pending, reply, deadline)
+}
+
+/// End an admitted item from its reply. A fallback's 200 is marked
+/// degraded, any other reply leaves its item's 503 standing. A wait that
+/// ran out walks the one timeout ladder: stale cache, else 504
+/// `deadline_exceeded` — or a 500 with deadlines disabled.
+fn conclude(
+    shared: &Shared,
+    p: Pending,
+    reply: Option<Reply>,
+    deadline: Option<Instant>,
+) -> Outcome {
+    let backend = p.item.backend_id;
+    match (reply, p.unavailable) {
+        (Some(r), None) => Outcome::answered(r.status, r.body, "miss", backend),
+        (Some(r), Some(_)) if r.status == 200 => degrade(shared, &r.body, "fallback:gred", backend),
+        (Some(_), Some(unavailable)) => unavailable,
+        (None, _) if deadline.is_none() => Outcome::error(500, "translation timed out"),
+        (None, unavailable) => {
+            let metrics = &shared.state.metrics;
+            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            // The orphaned job's reply goes to nobody. A fallback's stale
+            // rung already came up empty at admission.
+            let stale = unavailable
+                .is_none()
+                .then(|| shared.state.cache.get_stale(&p.key));
+            match stale.flatten() {
+                Some(stale) => degrade(shared, &stale, "stale_cache", backend),
+                None => Outcome::error(504, "deadline exceeded before the translation finished"),
+            }
+        }
+    }
+}
+
 /// What the early stage decided: answered without waiting (a validation
 /// error, a fresh hit), or a late stage for a thread that may block.
 pub(crate) enum Early {
@@ -609,12 +746,9 @@ pub(crate) fn translate_early(
         Ok(j) => j,
         Err(resp) => return Early::Reply(resp),
     };
-    let stream = match parsed.get("stream") {
-        None => false,
-        Some(v) => match v.as_bool() {
-            Some(b) => b,
-            None => return Early::Reply(Response::error(400, "field 'stream' must be a boolean")),
-        },
+    let stream = match optional(&parsed, "stream", Json::as_bool, "a boolean") {
+        Ok(stream) => stream.unwrap_or(false),
+        Err(resp) => return Early::Reply(resp),
     };
     let item = match resolve_item(tenant, &parsed) {
         Ok(item) => item,
@@ -629,7 +763,7 @@ pub(crate) fn translate_early(
 
     // ---- cache fast path (no queueing, no hop) ----
     // `lookup` (not `get`) so an expired entry survives in place: if the
-    // breaker rejects the recompute later, `stale_degraded_body` serves it.
+    // breaker rejects the recompute later, the stale rung serves it.
     let key = item.cache_key();
     let lookup = {
         let _span = t2v_trace::span(Stage::CacheLookup);
@@ -637,148 +771,26 @@ pub(crate) fn translate_early(
     };
     if let Lookup::Fresh(hit) = lookup {
         item.record_cache(state, true);
-        state
-            .metrics
-            .request_total_latency
-            .observe_ns(started.elapsed().as_nanos() as u64);
+        let latency = &state.metrics.request_total_latency;
+        latency.observe_ns(started.elapsed().as_nanos() as u64);
         // The Arc goes straight into the response — no body copy on a hit.
-        return Early::Reply(
-            Response::json(200, hit)
-                .with_header("x-t2v-cache", "hit")
-                .with_header("x-t2v-backend", item.backend_id),
-        );
+        let outcome = Outcome::answered(200, hit, "hit", item.backend_id);
+        return Early::Reply(outcome.into_response());
     }
     item.record_cache(state, false);
+    // ---- the late stage: admit → settle, on a thread that may block ----
     Early::Resume(Box::new(move |shared, _| {
-        translate_late(shared, item, key, deadline, started)
+        let outcome = match admit(shared, item, key, deadline, true) {
+            Step::Done(outcome) => outcome,
+            Step::Waiting(pending) => settle(shared, pending, deadline),
+        };
+        // Latency counts translations a backend answered, as for hits.
+        if outcome.cache == Some("miss") {
+            let latency = &shared.state.metrics.request_total_latency;
+            latency.observe_ns(started.elapsed().as_nanos() as u64);
+        }
+        Handled::Reply(outcome.into_response())
     }))
-}
-
-/// The late stage of a cache miss: admission → await → degrade.
-fn translate_late(
-    shared: &Shared,
-    item: Item,
-    key: CacheKey,
-    deadline: Option<Instant>,
-    started: Instant,
-) -> Handled {
-    let state = &shared.state;
-    let reply = Handled::Reply;
-
-    // ---- admission; refusal policy: stale → gred → 503, or a plain 503 ----
-    let slot = match admit_and_submit(shared, &item, key.clone(), None, deadline, true) {
-        Ok(slot) => slot,
-        Err(Refused::Open { retry_after_ms }) => {
-            return reply(breaker_rejection(
-                shared,
-                &item,
-                &key,
-                retry_after_ms,
-                deadline,
-            ));
-        }
-        Err(Refused::Overloaded) => {
-            state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return reply(overloaded());
-        }
-    };
-    let Some(r) = await_reply(&slot, deadline) else {
-        // The budget ran out waiting on the worker. Degrade to a marked
-        // stale body when we have one; the orphaned job's reply goes to
-        // nobody (and an injected-fault body was never cached anyway).
-        if deadline.is_some() {
-            state
-                .metrics
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            return reply(
-                stale_response(shared, &key, &item.backend_id).unwrap_or_else(|| {
-                    Response::error(504, "deadline exceeded before the translation finished")
-                }),
-            );
-        }
-        return reply(Response::error(500, "translation timed out"));
-    };
-    state
-        .metrics
-        .request_total_latency
-        .observe_ns(started.elapsed().as_nanos() as u64);
-    reply(
-        Response::json(r.status, r.body)
-            .with_header("x-t2v-cache", "miss")
-            .with_header("x-t2v-backend", item.backend_id),
-    )
-}
-
-/// The response for a request whose backend breaker is open: walk the
-/// degradation ladder — a stale-but-marked cache hit, then a fallback
-/// through the tenant's cheap `gred` backend — before admitting defeat
-/// with a structured 503 `backend_unavailable` + `Retry-After`.
-fn breaker_rejection(
-    shared: &Shared,
-    item: &Item,
-    key: &CacheKey,
-    retry_after_ms: u64,
-    deadline: Option<Instant>,
-) -> Response {
-    shared
-        .state
-        .metrics
-        .breaker_rejections
-        .fetch_add(1, Ordering::Relaxed);
-    // The whole ladder is one degradation decision in the trace; notes say
-    // which rung answered.
-    let _span = t2v_trace::span(Stage::Degrade);
-    t2v_trace::note(format!("breaker:open:{}", item.backend_id));
-    if let Some(resp) = stale_response(shared, key, &item.backend_id) {
-        return resp;
-    }
-    if let Some(resp) = gred_fallback(shared, item, deadline) {
-        return resp;
-    }
-    backend_unavailable(&item.backend_id, retry_after_ms, "; retry or degrade")
-}
-
-/// Second rung of the degradation ladder: re-run the request through the
-/// tenant's `gred` backend (retrieval is cheap and has no trained weights
-/// to be wedged) when the refused backend isn't gred itself and gred's own
-/// breaker admits. The body is marked `degraded: fallback:gred`.
-fn gred_fallback(shared: &Shared, item: &Item, deadline: Option<Instant>) -> Option<Response> {
-    if item.backend_id == "gred" {
-        return None;
-    }
-    let (idx, id, backend) = item.tenant.registry.resolve(Some("gred")).ok()?;
-    let fb = Item {
-        backend_idx: idx,
-        backend_id: id.to_string(),
-        backend: Arc::clone(backend),
-        ..item.clone()
-    };
-    let key = fb.cache_key();
-    let degraded_ok = |body: Vec<u8>| {
-        shared
-            .state
-            .metrics
-            .degraded
-            .fetch_add(1, Ordering::Relaxed);
-        t2v_trace::note("degrade:fallback:gred");
-        Some(
-            Response::json(200, body)
-                .with_header("x-t2v-degraded", "fallback:gred")
-                .with_header("x-t2v-backend", "gred"),
-        )
-    };
-    if let Lookup::Fresh(hit) = shared.state.cache.lookup(&key) {
-        return degraded_ok(mark_degraded(&hit, "fallback:gred"));
-    }
-    // No rung below this one: a refusal, a timeout or a failed translation
-    // just ends the ladder, uncounted.
-    let slot = admit_and_submit(shared, &fb, key, None, deadline, false).ok()?;
-    let r = await_reply(&slot, deadline)?;
-    if r.status != 200 {
-        return None;
-    }
-    degraded_ok(mark_degraded(&r.body, "fallback:gred"))
 }
 
 /// The NDJSON streaming variant of `/v1/translate`: one line per completed
@@ -792,68 +804,45 @@ fn stream_endpoint(
     writer: &mut dyn BodySink,
     deadline: Option<Instant>,
 ) -> Handled {
-    let state = &shared.state;
     let key = item.cache_key();
-    item.record_cache(state, false);
-    // ---- admission; refusal policy: a structured 503, no degradation ----
+    item.record_cache(&shared.state, false);
+    // Stage lines come from the backend asked or not at all: a stream
+    // cannot degrade, so a refusal is its 503.
     let (tx, rx) = mpsc::channel::<String>();
-    let slot = match admit_and_submit(shared, &item, key, Some(tx), deadline, false) {
+    let slot = match admit_and_submit(shared, &item, key.clone(), Some(tx), deadline, false) {
         Ok(slot) => slot,
-        Err(Refused::Open { retry_after_ms }) => {
-            state
-                .metrics
-                .breaker_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return Handled::Reply(backend_unavailable(&item.backend_id, retry_after_ms, ""));
-        }
-        Err(Refused::Overloaded) => {
-            state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Handled::Reply(overloaded());
+        Err(refusal) => {
+            return Handled::Reply(refused(shared, &refusal, &item.backend_id).into_response())
         }
     };
-    let streamed = Handled::Streamed {
-        backend: item.backend_id,
-    };
+    let backend = item.backend_id.clone();
     if http::write_streaming_head(writer, 200, "application/x-ndjson").is_err() {
-        return streamed;
+        return Handled::Streamed { backend };
     }
     // Relay stage lines until the worker hangs up the channel (it drops the
-    // sender when the job finishes), then emit the final body. One shared
-    // deadline (the request budget, or 60 s with deadlines disabled) covers
-    // the whole stream, and a dead client ends the relay immediately — no
-    // second timeout stacks on top.
-    let deadline = deadline.unwrap_or_else(|| Instant::now() + NO_DEADLINE_WAIT);
-    let mut client_gone = false;
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) => {
-                if http::write_line(writer, line.as_bytes()).is_err() {
-                    client_gone = true;
-                    break;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    break;
-                }
-            }
+    // sender when the job finishes) or the deadline (60 s with deadlines
+    // disabled) passes; a dead client ends the relay at once. The final
+    // line is the settled outcome — a 504 when the budget ran out.
+    let relay_until = deadline.unwrap_or_else(|| Instant::now() + NO_DEADLINE_WAIT);
+    while let Ok(line) = rx.recv_timeout(relay_until.saturating_duration_since(Instant::now())) {
+        if http::write_line(writer, line.as_bytes()).is_err() {
+            return Handled::Streamed { backend };
         }
     }
-    if !client_gone {
-        if let Some(r) = await_reply(&slot, Some(deadline)) {
-            let _ = http::write_line(writer, &r.body);
-        }
-    }
-    streamed
+    let pending = Pending {
+        slot,
+        item,
+        key,
+        unavailable: None,
+    };
+    let _ = http::write_line(writer, settle(shared, pending, deadline).body.as_slice());
+    Handled::Streamed { backend }
 }
 
 /// Items allowed in one `/v1/translate/batch` request.
 const MAX_BATCH_ITEMS: usize = 64;
 
-/// Retries of a batch item's transient `internal` failure (worker panic,
-/// injected backend error), and the base of their jittered backoff.
-const BATCH_RETRIES: usize = 1;
+/// The base of the jittered backoff before a batch item's one retry.
 const RETRY_BASE_MS: u64 = 10;
 
 /// `POST /v1/translate/batch` — `{"requests": [{...}, ...]}` →
@@ -878,156 +867,82 @@ pub(crate) fn batch_endpoint(
         return Response::error(400, "'requests' is empty");
     }
     if requests.len() > MAX_BATCH_ITEMS {
-        return Response::error(
-            400,
-            &format!(
-                "'requests' has {} items; a batch holds at most {MAX_BATCH_ITEMS}",
-                requests.len()
-            ),
-        );
+        let n = requests.len();
+        let message = format!("'requests' has {n} items; a batch holds at most {MAX_BATCH_ITEMS}");
+        return Response::error(400, &message);
     }
 
-    // Phase 1: resolve every item, serve cache hits, submit every *distinct*
-    // miss so the pool works on all of them concurrently. Identical items
-    // within one batch (same backend × NLQ × db × shape) share a single
-    // cold translation instead of racing the cache. An open breaker
-    // degrades to a marked stale body or fails the item inline — it never
-    // queues doomed work.
-    enum Pending {
-        Done(Arc<Vec<u8>>),
-        Waiting {
-            slot: OneShot<Reply>,
-            /// Kept for transient-failure retries in phase 2.
-            item: Item,
-            key: CacheKey,
-        },
-        /// An inline error object (the single endpoint's error body).
-        Failed(Body),
-        /// Same key as an earlier admitted item in this batch: reuse its
-        /// result.
-        Dup(usize),
-    }
+    // Phase 1: resolve every item, serve cache hits, and `admit` every
+    // *distinct* miss, so the pool works on all of them concurrently. A
+    // later identical item (same backend × NLQ × db × shape) copies the
+    // first one's result instead of racing the cache.
     let deadline = request_deadline(&state.config, req, started);
-    let mut in_flight: HashMap<CacheKey, usize> = HashMap::new();
-    let pending: Vec<Pending> = requests
+    let mut first_of: HashMap<CacheKey, usize> = HashMap::new();
+    let steps: Vec<Result<Step, usize>> = requests
         .iter()
         .enumerate()
         .map(|(i, obj)| {
             let item = match resolve_item(tenant, obj) {
                 Ok(item) => item,
-                Err(resp) => return Pending::Failed(resp.body),
+                Err(resp) => return Ok(Step::Done(Outcome::new(resp.status, resp.body))),
             };
             let key = item.cache_key();
-            if let Some(&first) = in_flight.get(&key) {
-                return Pending::Dup(first);
+            if let Some(&first) = first_of.get(&key) {
+                return Err(first);
             }
             // Non-destructive lookup, same reason as the single endpoint:
-            // a stale entry must survive for the rejection path below.
+            // a stale entry must survive for the ladder.
             if let Lookup::Fresh(hit) = state.cache.lookup(&key) {
                 item.record_cache(state, true);
-                return Pending::Done(hit);
+                let outcome = Outcome::answered(200, hit, "hit", item.backend_id);
+                return Ok(Step::Done(outcome));
             }
             item.record_cache(state, false);
-            // ---- admission; refusal policy: stale → inline 503 ----
-            match admit_and_submit(shared, &item, key.clone(), None, deadline, false) {
-                Ok(slot) => {
-                    in_flight.insert(key.clone(), i);
-                    Pending::Waiting { slot, item, key }
-                }
-                Err(Refused::Open { retry_after_ms }) => {
-                    state
-                        .metrics
-                        .breaker_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    match stale_degraded_body(shared, &key) {
-                        Some(body) => Pending::Done(Arc::new(body)),
-                        None => Pending::Failed(
-                            backend_unavailable(&item.backend_id, retry_after_ms, "").body,
-                        ),
-                    }
-                }
-                Err(Refused::Overloaded) => {
-                    state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                    Pending::Failed(overloaded().body)
-                }
-            }
+            first_of.insert(key.clone(), i);
+            Ok(admit(shared, item, key, deadline, false))
         })
         .collect();
 
-    // Phase 2: collect in order, under one shared deadline (the request
-    // budget, or 60 s with deadlines disabled). A transient `internal`
-    // failure retries with jittered exponential backoff while budget
-    // remains — chaos storms pass; the batch shouldn't fail for one blip.
-    let deadline_i = deadline.unwrap_or(started + NO_DEADLINE_WAIT);
-    let timeout_body = || {
-        if deadline.is_some() {
-            state
-                .metrics
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            Response::error(504, "deadline exceeded before the translation finished").body
-        } else {
-            Response::error(500, "translation timed out").body
-        }
-    };
-    // Resolved bodies by item index, so later duplicates can reference
-    // earlier results (a Dup always points backwards).
-    let mut resolved: Vec<Option<Arc<Vec<u8>>>> = Vec::with_capacity(pending.len());
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(b"{\"results\": [");
-    for (i, p) in pending.into_iter().enumerate() {
+    // Phase 2: settle in order. A transient `internal` failure is retried
+    // once, after a deterministic jittered backoff — item-dependent so
+    // concurrent batches don't retry in lockstep, RNG-free so fault-plan
+    // replay holds — while the deadline allows. A refused retry leaves the
+    // 500 standing: an open breaker means the failures already tripped it.
+    let mut out = b"{\"results\": [".to_vec();
+    // Where each result sits in `out`: a duplicate copies its first's.
+    let mut placed: Vec<std::ops::Range<usize>> = Vec::with_capacity(steps.len());
+    for (i, step) in steps.into_iter().enumerate() {
         if i > 0 {
             out.extend_from_slice(b", ");
         }
-        let body: Option<Arc<Vec<u8>>> = match p {
-            Pending::Done(body) => Some(body),
-            Pending::Failed(bytes) => {
-                out.extend_from_slice(bytes.as_slice());
-                resolved.push(None);
-                continue;
-            }
-            Pending::Waiting { slot, item, key } => {
-                let mut reply = await_reply(&slot, Some(deadline_i));
-                let mut attempt = 0usize;
-                while reply.as_ref().is_some_and(|r| r.status == 500) && attempt < BATCH_RETRIES {
-                    attempt += 1;
-                    // Deterministic jitter — (item, attempt)-dependent so
-                    // concurrent batches don't retry in lockstep, with no
-                    // RNG to perturb fault-plan replay.
-                    let backoff = RETRY_BASE_MS * (1u64 << (attempt - 1).min(6))
-                        + (i as u64 * 7 + attempt as u64 * 13) % RETRY_BASE_MS;
-                    if deadline_i.saturating_duration_since(Instant::now())
-                        <= Duration::from_millis(backoff)
-                    {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(backoff));
-                    // ---- admission; refusal policy: the inline error
-                    // stands (an open breaker means the failures already
-                    // tripped it — stop hammering) ----
-                    match admit_and_submit(shared, &item, key.clone(), None, deadline, false) {
-                        Ok(slot) => {
-                            state.metrics.batch_retries.fetch_add(1, Ordering::Relaxed);
-                            reply = await_reply(&slot, Some(deadline_i));
-                        }
-                        Err(_) => break,
+        let at = out.len();
+        match step {
+            Err(first) => out.extend_from_within(placed[first].clone()),
+            Ok(Step::Done(outcome)) => out.extend_from_slice(outcome.body.as_slice()),
+            Ok(Step::Waiting(pending)) => {
+                let mut reply = await_reply(&pending.slot, deadline);
+                let backoff = RETRY_BASE_MS + (i as u64 * 7 + 13) % RETRY_BASE_MS;
+                let backoff = Duration::from_millis(backoff);
+                let left = |d: Instant| d.saturating_duration_since(Instant::now());
+                if reply.as_ref().is_some_and(|r| r.status == 500)
+                    && deadline.is_none_or(|d| left(d) > backoff)
+                {
+                    std::thread::sleep(backoff);
+                    let (item, key) = (&pending.item, pending.key.clone());
+                    if let Ok(slot) = admit_and_submit(shared, item, key, None, deadline, false) {
+                        state.metrics.batch_retries.fetch_add(1, Ordering::Relaxed);
+                        reply = await_reply(&slot, deadline);
                     }
                 }
-                reply.map(|r| r.body)
+                let outcome = conclude(shared, pending, reply, deadline);
+                out.extend_from_slice(outcome.body.as_slice());
             }
-            Pending::Dup(first) => resolved[first].clone(),
-        };
-        match &body {
-            Some(b) => out.extend_from_slice(b),
-            None => out.extend_from_slice(timeout_body().as_slice()),
         }
-        resolved.push(body);
+        placed.push(at..out.len());
     }
     out.extend_from_slice(b"]}");
-    state
-        .metrics
-        .request_total_latency
-        .observe_ns(started.elapsed().as_nanos() as u64);
+    let latency = &state.metrics.request_total_latency;
+    latency.observe_ns(started.elapsed().as_nanos() as u64);
     Response::json(200, out)
 }
 

@@ -116,6 +116,32 @@ impl Client {
         self.request("POST", "/v1/translate", extra_headers, &body)
     }
 
+    /// A streaming translate request: every NDJSON line up to EOF.
+    fn translate_streamed(mut self, nlq: &str, db: &str, extra_headers: &str) -> Vec<Json> {
+        let body = Json::obj([
+            ("nlq", Json::str(nlq)),
+            ("db", Json::str(db)),
+            ("stream", Json::Bool(true)),
+        ])
+        .compact();
+        let raw = format!(
+            "POST /v1/translate HTTP/1.1\r\nHost: test\r\n{extra_headers}Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        self.writer
+            .write_all(raw.as_bytes())
+            .expect("write request");
+        let mut text = String::new();
+        self.reader.read_to_string(&mut text).expect("read to EOF");
+        let (head, lines) = text.split_once("\r\n\r\n").expect("response head");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        lines
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| Json::parse(l).expect("NDJSON line"))
+            .collect()
+    }
+
     fn metrics(&mut self) -> String {
         let reply = self.request("GET", "/metrics", "", "");
         String::from_utf8(reply.body).expect("metrics are UTF-8")
@@ -170,6 +196,14 @@ fn spawn_server(tweaks: &[(&str, &str)]) -> (t2v_corpus::Corpus, Server) {
 
 fn db0(corpus: &t2v_corpus::Corpus) -> String {
     corpus.databases[0].id.clone()
+}
+
+/// The value of one unlabelled counter in a `/metrics` page.
+fn counter(metrics: &str, name: &str) -> f64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in:\n{metrics}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -255,13 +289,14 @@ fn breaker_recovers_through_a_probe_once_the_fault_budget_is_spent() {
 #[test]
 fn deadlines_turn_slow_translations_into_fast_504s() {
     let _session = FaultSession::begin();
-    let (corpus, server) = spawn_server(&[("debug_translate_sleep_ms", "400")]);
+    let (corpus, server) = spawn_server(&[("fault_plan", "retrieve.latency:ms=200")]);
     let db = db0(&corpus);
     let mut client = Client::connect(&server);
 
-    // The header lowers the (default 30 s) budget to 60 ms; the worker
-    // sleeps 400 ms, so the wait expires and answers a structured 504 —
-    // in far less time than the translation would have taken to matter.
+    // The header lowers the (default 30 s) budget to 60 ms; the worker's
+    // two retrievals sleep 400 ms, so the wait expires and answers a
+    // structured 504 — in far less time than the translation would have
+    // taken to matter.
     let t0 = Instant::now();
     let reply =
         client.translate_with_headers("show wages", &db, "gred", "X-T2V-Deadline-Ms: 60\r\n");
@@ -274,8 +309,10 @@ fn deadlines_turn_slow_translations_into_fast_504s() {
     );
 
     // The header can only lower the budget, never raise it past the knob.
-    let (corpus2, server2) =
-        spawn_server(&[("debug_translate_sleep_ms", "400"), ("deadline_ms", "60")]);
+    let (corpus2, server2) = spawn_server(&[
+        ("fault_plan", "retrieve.latency:ms=200"),
+        ("deadline_ms", "60"),
+    ]);
     let mut client2 = Client::connect(&server2);
     let reply2 = client2.translate_with_headers(
         "show wages",
@@ -288,6 +325,78 @@ fn deadlines_turn_slow_translations_into_fast_504s() {
     assert!(metrics.contains("t2v_deadline_exceeded_total"));
     server.shutdown();
     server2.shutdown();
+}
+
+/// A stream whose budget runs out mid-relay ends with the same 504 line a
+/// single request would answer — never with silence.
+#[test]
+fn a_stream_that_runs_out_of_deadline_ends_with_a_504_line() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[("fault_plan", "retrieve.latency:ms=400")]);
+    let db = db0(&corpus);
+
+    let t0 = Instant::now();
+    let lines = Client::connect(&server).translate_streamed(
+        "show wages by name",
+        &db,
+        "X-T2V-Deadline-Ms: 100\r\n",
+    );
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "a deadline must end the stream fast, took {:?}",
+        t0.elapsed()
+    );
+    let last = lines.last().expect("the stream ends with a final line");
+    let code = last.get("error").and_then(|e| e.get("code"));
+    assert_eq!(
+        code.and_then(Json::as_str),
+        Some("deadline_exceeded"),
+        "{lines:?}"
+    );
+    let metrics = Client::connect(&server).metrics();
+    assert!(counter(&metrics, "t2v_deadline_exceeded_total") >= 1.0);
+    server.shutdown();
+}
+
+#[test]
+fn overload_sheds_with_503_instead_of_queueing() {
+    let _session = FaultSession::begin();
+    // One throttled worker (two 75 ms retrievals per translation), a queue
+    // of one, no cache: with 8 simultaneous requests, at most 2 can be in
+    // the system — the rest MUST see 503 + Retry-After.
+    let (corpus, server) = spawn_server(&[
+        ("workers", "1"),
+        ("queue_capacity", "1"),
+        ("cache_capacity", "0"),
+        ("fault_plan", "retrieve.latency:ms=75"),
+    ]);
+    let statuses: Vec<(u16, bool)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let corpus = &corpus;
+                let server = &server;
+                s.spawn(move || {
+                    let mut client = Client::connect(server);
+                    let ex = &corpus.dev[i % 4];
+                    let r = client.translate(&ex.nlq, &corpus.databases[ex.db].id, "gred");
+                    let retry_after = r.headers.contains_key("retry-after");
+                    (r.status, retry_after)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let ok = statuses.iter().filter(|(s, _)| *s == 200).count();
+    let shed = statuses.iter().filter(|(s, _)| *s == 503).count();
+    assert_eq!(ok + shed, 8, "only 200s and 503s expected: {statuses:?}");
+    assert!(ok >= 1, "at least one request must be served");
+    assert!(shed >= 1, "overload must shed at least one request");
+    for (status, retry_after) in &statuses {
+        if *status == 503 {
+            assert!(retry_after, "503 must carry Retry-After");
+        }
+    }
+    server.shutdown();
 }
 
 #[test]
@@ -388,6 +497,73 @@ fn open_breaker_falls_back_to_the_gred_backend() {
     assert_eq!(
         fallback.headers.get("x-t2v-backend").map(String::as_str),
         Some("gred")
+    );
+    server.shutdown();
+}
+
+/// A batch item behind an open breaker walks the single endpoint's
+/// ladder, and a duplicate item reuses its first's outcome.
+#[test]
+fn batch_items_degrade_like_single_requests() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[
+        ("backends", "gred,rgvisnet"),
+        ("fault_plan", "seed=20;backend.error:backend=rgvisnet"),
+        ("breaker_window", "4"),
+        ("breaker_min_samples", "2"),
+        ("breaker_open_ms", "60000"),
+    ]);
+    let db = db0(&corpus);
+    let mut client = Client::connect(&server);
+    for i in 0..2 {
+        let r = client.translate(&format!("show part {i}"), &db, "rgvisnet");
+        assert_eq!(r.status, 500, "request {i}: {}", r.error_code());
+    }
+    let degraded_before = counter(&client.metrics(), "t2v_degraded_total");
+
+    let item = |nlq: &str, backend: &str| {
+        Json::obj([
+            ("nlq", Json::str(nlq)),
+            ("db", Json::str(db.as_str())),
+            ("backend", Json::str(backend)),
+        ])
+    };
+    let body = Json::obj([(
+        "requests",
+        Json::Arr(vec![
+            item("show part fallback", "rgvisnet"),
+            item("show part fallback", "rgvisnet"),
+            item("show every part", "gred"),
+        ]),
+    )])
+    .compact();
+    let reply = client.request("POST", "/v1/translate/batch", "", &body);
+    assert_eq!(reply.status, 200);
+    let doc = reply.json();
+    let Some(Json::Arr(results)) = doc.get("results") else {
+        panic!("results array");
+    };
+    assert_eq!(results.len(), 3);
+    let field = |r: &Json, name: &str| r.get(name).and_then(Json::as_str).map(str::to_string);
+    for r in &results[..2] {
+        assert_eq!(
+            field(r, "degraded").as_deref(),
+            Some("fallback:gred"),
+            "{r:?}"
+        );
+        assert_eq!(field(r, "backend").as_deref(), Some("gred"), "{r:?}");
+    }
+    let clean = &results[2];
+    assert!(
+        clean.get("error").is_none() && clean.get("degraded").is_none(),
+        "{clean:?}"
+    );
+    assert_eq!(field(clean, "backend").as_deref(), Some("gred"));
+    let degraded_after = counter(&client.metrics(), "t2v_degraded_total");
+    assert_eq!(
+        degraded_after - degraded_before,
+        1.0,
+        "the duplicate reuses the first outcome"
     );
     server.shutdown();
 }

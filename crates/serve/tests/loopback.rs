@@ -1,7 +1,6 @@
 //! Loopback integration tests: spawn the real server on an OS-assigned port
 //! and drive it over real sockets — concurrency, caching byte-identity,
-//! multi-backend routing, streaming, malformed input, and deterministic
-//! overload.
+//! multi-backend routing, streaming, and malformed input.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -333,46 +332,6 @@ fn malformed_requests_get_structured_4xx_and_the_server_survives() {
     assert_eq!(fresh.request("GET", "/healthz", "").status, 200);
     let ok = fresh.translate(&corpus.dev[0].nlq, &corpus.databases[corpus.dev[0].db].id);
     assert_eq!(ok.status, 200);
-    server.shutdown();
-}
-
-#[test]
-fn overload_sheds_with_503_instead_of_queueing() {
-    // One throttled worker (150 ms per translation), a queue of one, no
-    // cache: with 8 simultaneous requests, at most 2 can be in the system —
-    // the rest MUST see 503 + Retry-After.
-    let (corpus, server) = spawn_server(&[
-        ("workers", "1"),
-        ("queue_capacity", "1"),
-        ("cache_capacity", "0"),
-        ("debug_translate_sleep_ms", "150"),
-    ]);
-    let statuses: Vec<(u16, bool)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let corpus = &corpus;
-                let server = &server;
-                s.spawn(move || {
-                    let mut client = Client::connect(server);
-                    let ex = &corpus.dev[i % 4];
-                    let r = client.translate(&ex.nlq, &corpus.databases[ex.db].id);
-                    let retry_after = r.headers.contains_key("retry-after");
-                    (r.status, retry_after)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let ok = statuses.iter().filter(|(s, _)| *s == 200).count();
-    let shed = statuses.iter().filter(|(s, _)| *s == 503).count();
-    assert_eq!(ok + shed, 8, "only 200s and 503s expected: {statuses:?}");
-    assert!(ok >= 1, "at least one request must be served");
-    assert!(shed >= 1, "overload must shed at least one request");
-    for (status, retry_after) in &statuses {
-        if *status == 503 {
-            assert!(retry_after, "503 must carry Retry-After");
-        }
-    }
     server.shutdown();
 }
 

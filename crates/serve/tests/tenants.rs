@@ -148,6 +148,16 @@ fn spawn_server(tweaks: &[(&str, &str)]) -> Server {
     Server::spawn(state).expect("bind loopback")
 }
 
+/// Disarms the process-wide fault plan however the test exits: a server
+/// arms its `fault_plan` at spawn and nothing else disarms it.
+struct FaultSession;
+
+impl Drop for FaultSession {
+    fn drop(&mut self) {
+        t2v_fault::disarm();
+    }
+}
+
 /// Dev examples (nlq, db id) of a corpus spec.
 fn dev_examples(corpus_spec: &str, n: usize) -> Vec<(String, String)> {
     let corpus = generate(&parse_corpus_spec(corpus_spec).unwrap().corpus_config());
@@ -288,14 +298,15 @@ fn cross_tenant_cache_isolation() {
 /// the structured 404.
 #[test]
 fn attach_and_detach_under_concurrent_inflight_translations() {
-    // Slow translations (10 ms) widen the attach/detach race window; a
-    // roomy queue keeps overload 503s out of the picture so any 5xx is a
-    // real tenancy bug.
+    // Slow translations (two 5 ms retrievals each) widen the attach/detach
+    // race window; a roomy queue keeps overload 503s out of the picture so
+    // any 5xx is a real tenancy bug.
+    let _faults = FaultSession;
     let server = spawn_server(&[
         ("tenants", "acme:tiny:8"),
         ("cache_capacity", "0"),
         ("queue_capacity", "256"),
-        ("debug_translate_sleep_ms", "10"),
+        ("fault_plan", "retrieve.latency:ms=5"),
     ]);
     let examples = dev_examples("tiny:8", 8);
     let served = AtomicU64::new(0);
