@@ -209,6 +209,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::tests::sources;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -220,7 +221,7 @@ mod tests {
             retention_s: 60,
             profile_hz: 0,
             slos: parse_slos("availability:0.999").unwrap(),
-            sources: SloSources::default(),
+            sources: sources(),
             windows: BurnWindows {
                 fast_ms: 500,
                 slow_ms: 1_000,
@@ -232,10 +233,9 @@ mod tests {
         engine.start(
             Box::new(move || {
                 let n = c2.fetch_add(100, Ordering::Relaxed) + 100;
-                vec![
-                    ("http.requests".to_string(), n),
-                    ("http.requests_5xx".to_string(), n), // every request fails
-                ]
+                let s = sources();
+                // Every request fails.
+                vec![(s.requests_total, n), (s.requests_5xx, n)]
             }),
             Some(Box::new(move |t: &SloTransition| {
                 lock(&t2).push(t.clone());
@@ -258,7 +258,7 @@ mod tests {
         let tr = lock(&transitions);
         assert!(!tr.is_empty());
         assert!(tr[0].firing);
-        assert!(engine.tsdb().latest("http.requests").is_some());
+        assert!(engine.tsdb().latest(&sources().requests_total).is_some());
     }
 
     #[test]
@@ -268,7 +268,7 @@ mod tests {
             retention_s: 60,
             profile_hz: 200,
             slos: Vec::new(),
-            sources: SloSources::default(),
+            sources: sources(),
             windows: BurnWindows::default(),
         });
         engine.start(Box::new(Vec::new), None);

@@ -34,32 +34,19 @@ pub struct SloSpec {
     pub budget: f64,
 }
 
-/// Which TSDB series feed each objective. The server wires these to its
-/// collector names; tests use their own.
+/// Which TSDB series feed each objective: keys the embedding server's
+/// collector yields, which owns their spelling.
 #[derive(Debug, Clone)]
 pub struct SloSources {
     pub requests_total: String,
     pub requests_5xx: String,
     pub cache_hits: String,
     pub cache_misses: String,
-    /// Latency bucket series are `{prefix}:{i}` for each finite bound and
-    /// `{prefix}:inf` for the total count.
-    pub latency_bucket_prefix: String,
-    /// Finite bucket upper bounds, in seconds, ascending.
-    pub latency_bounds_s: Vec<f64>,
-}
-
-impl Default for SloSources {
-    fn default() -> SloSources {
-        SloSources {
-            requests_total: "http.requests".to_string(),
-            requests_5xx: "http.requests_5xx".to_string(),
-            cache_hits: "cache.hits".to_string(),
-            cache_misses: "cache.misses".to_string(),
-            latency_bucket_prefix: "request_seconds.bucket".to_string(),
-            latency_bounds_s: Vec::new(),
-        }
-    }
+    /// `(upper bound in seconds, series)` per finite latency bucket,
+    /// ascending; empty disables the latency objective.
+    pub latency_buckets: Vec<(f64, String)>,
+    /// The latency histogram's total count (its `+Inf` bucket).
+    pub latency_count: String,
 }
 
 /// Evaluation windows and the firing threshold.
@@ -328,21 +315,21 @@ impl SloEngine {
                 Some(misses as f64 / total as f64)
             }
             SloKind::Latency { threshold_s, .. } => {
-                let bounds = &self.sources.latency_bounds_s;
-                if bounds.is_empty() {
+                let buckets = &self.sources.latency_buckets;
+                if buckets.is_empty() {
                     return None;
                 }
-                let prefix = &self.sources.latency_bucket_prefix;
-                let mut cumulative = Vec::with_capacity(bounds.len() + 1);
-                for i in 0..bounds.len() {
-                    cumulative.push(tsdb.delta(&format!("{prefix}:{i}"), window_ms, now_ms)?);
+                let bounds: Vec<f64> = buckets.iter().map(|(bound, _)| *bound).collect();
+                let mut cumulative = Vec::with_capacity(buckets.len() + 1);
+                for (_, series) in buckets {
+                    cumulative.push(tsdb.delta(series, window_ms, now_ms)?);
                 }
-                let total = tsdb.delta(&format!("{prefix}:inf"), window_ms, now_ms)?;
+                let total = tsdb.delta(&self.sources.latency_count, window_ms, now_ms)?;
                 cumulative.push(total);
                 if total == 0 {
                     return None;
                 }
-                let fast = cumulative_at(*threshold_s, bounds, &cumulative)?;
+                let fast = cumulative_at(*threshold_s, &bounds, &cumulative)?;
                 Some(((total as f64 - fast) / total as f64).max(0.0))
             }
         }
@@ -350,7 +337,7 @@ impl SloEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -389,10 +376,26 @@ mod tests {
         }
     }
 
+    /// Sources spelled the way `t2v-serve` keys its sweep: `/metrics`
+    /// exposition keys, over a three-bucket latency histogram.
+    pub(crate) fn sources() -> SloSources {
+        let bucket = |le: &str| format!("t2v_request_seconds_bucket{{le=\"{le}\"}}");
+        SloSources {
+            requests_total: "t2v_http_requests_total".to_string(),
+            requests_5xx: "t2v_http_requests_total{status=\"5xx\"}".to_string(),
+            cache_hits: "t2v_cache_hits_total".to_string(),
+            cache_misses: "t2v_cache_misses_total".to_string(),
+            latency_buckets: [(0.001, "0.001"), (0.005, "0.005"), (0.025, "0.025")]
+                .map(|(bound, le)| (bound, bucket(le)))
+                .to_vec(),
+            latency_count: "t2v_request_seconds_count".to_string(),
+        }
+    }
+
     fn availability_engine(fast_ms: u64, slow_ms: u64) -> SloEngine {
         SloEngine::new(
             parse_slos("availability:0.999").unwrap(),
-            SloSources::default(),
+            sources(),
             BurnWindows {
                 fast_ms,
                 slow_ms,
@@ -402,13 +405,8 @@ mod tests {
     }
 
     fn feed(tsdb: &Tsdb, t: u64, total: u64, bad: u64) {
-        tsdb.record(
-            t,
-            &[
-                ("http.requests".to_string(), total),
-                ("http.requests_5xx".to_string(), bad),
-            ],
-        );
+        let s = sources();
+        tsdb.record(t, &[(s.requests_total, total), (s.requests_5xx, bad)]);
     }
 
     #[test]
@@ -477,14 +475,9 @@ mod tests {
 
     #[test]
     fn latency_objective_burns_on_slow_tail() {
-        let bounds = vec![0.001, 0.005, 0.025];
-        let sources = SloSources {
-            latency_bounds_s: bounds,
-            ..SloSources::default()
-        };
         let engine = SloEngine::new(
             parse_slos("latency:p99<5ms").unwrap(),
-            sources,
+            sources(),
             BurnWindows {
                 fast_ms: 5_000,
                 slow_ms: 5_000,
@@ -494,20 +487,14 @@ mod tests {
         let tsdb = Tsdb::new(1000, 600);
         // t=0: empty. t=5s: 1000 requests, 400 slower than 5ms — error
         // fraction 0.4 against a 0.01 budget → burn 40.
-        let zeros: Vec<(String, u64)> = (0..3)
-            .map(|i| (format!("request_seconds.bucket:{i}"), 0))
-            .chain([("request_seconds.bucket:inf".to_string(), 0)])
-            .collect();
-        tsdb.record(0, &zeros);
-        tsdb.record(
-            5_000,
-            &[
-                ("request_seconds.bucket:0".to_string(), 100),
-                ("request_seconds.bucket:1".to_string(), 600),
-                ("request_seconds.bucket:2".to_string(), 950),
-                ("request_seconds.bucket:inf".to_string(), 1000),
-            ],
-        );
+        let s = sources();
+        let sweep = |counts: [u64; 4]| -> Vec<(String, u64)> {
+            let keys = s.latency_buckets.iter().map(|(_, key)| key);
+            let keys = keys.chain([&s.latency_count]).cloned();
+            keys.zip(counts).collect()
+        };
+        tsdb.record(0, &sweep([0, 0, 0, 0]));
+        tsdb.record(5_000, &sweep([100, 600, 950, 1000]));
         let (st, _) = engine.evaluate(&tsdb, 5_000);
         assert!(st[0].firing, "{:?}", st[0]);
         assert!((st[0].fast_burn - 40.0).abs() < 1e-9, "{:?}", st[0]);
@@ -517,7 +504,7 @@ mod tests {
     fn cache_hit_objective_burns_on_miss_rate() {
         let engine = SloEngine::new(
             parse_slos("cache_hit:0.7").unwrap(),
-            SloSources::default(),
+            sources(),
             BurnWindows {
                 fast_ms: 5_000,
                 slow_ms: 5_000,
@@ -525,14 +512,13 @@ mod tests {
             },
         );
         let tsdb = Tsdb::new(1000, 600);
+        let s = sources();
         let feed = |t: u64, hits: u64, misses: u64| {
-            tsdb.record(
-                t,
-                &[
-                    ("cache.hits".to_string(), hits),
-                    ("cache.misses".to_string(), misses),
-                ],
-            );
+            let sweep = [
+                (s.cache_hits.clone(), hits),
+                (s.cache_misses.clone(), misses),
+            ];
+            tsdb.record(t, &sweep);
         };
         feed(0, 0, 0);
         feed(5_000, 100, 900); // 90% miss rate vs 30% budget → burn 3.0

@@ -3,6 +3,7 @@
 //! and library snapshots (DESIGN.md §9, §10, §12, §15).
 
 use crate::http::{Request, Response};
+use crate::metrics::Scalar;
 use crate::routes::SLOW_TRACE_MS;
 use crate::server::{AttachRequest, ServerState, Shared, TenantAdminError, TenantRuntime};
 use std::path::PathBuf;
@@ -92,14 +93,30 @@ pub(crate) fn admin_trace_get(state: &ServerState, id_str: &str) -> Response {
     }
 }
 
-/// One `key=value` out of a query string (no percent-decoding — trace
-/// filters are plain identifiers and integers).
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query
+/// One `key=value` out of a query string, percent-decoded, so a labelled
+/// TSDB key (`t2v_request_seconds_bucket{le="0.005"}`) is addressable. A
+/// `%` not followed by two hex digits stays as it is.
+fn query_param(query: &str, key: &str) -> Option<String> {
+    let (_, raw) = query
         .split('&')
         .filter_map(|kv| kv.split_once('='))
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v)
+        .find(|(k, _)| *k == key)?;
+    let mut out = Vec::with_capacity(raw.len());
+    let mut rest = raw.as_bytes();
+    while let [b, tail @ ..] = rest {
+        let digit = |i: usize| tail.get(i).and_then(|&d| (d as char).to_digit(16));
+        match (b, digit(0), digit(1)) {
+            (b'%', Some(hi), Some(lo)) => {
+                out.push((hi * 16 + lo) as u8);
+                rest = &tail[2..];
+            }
+            _ => {
+                out.push(*b);
+                rest = tail;
+            }
+        }
+    }
+    Some(String::from_utf8_lossy(&out).into_owned())
 }
 
 /// `GET /v1/admin/trace/recent?tenant=&min_ms=&limit=` — newest recorded
@@ -113,6 +130,7 @@ pub(crate) fn admin_trace_recent(state: &ServerState, req: &Request) -> Response
         );
     };
     let tenant = query_param(&req.query, "tenant").filter(|t| !t.is_empty());
+    let tenant = tenant.as_deref();
     let min_ms = match query_param(&req.query, "min_ms") {
         None => 0u64,
         Some(v) => match v.parse() {
@@ -144,14 +162,13 @@ pub(crate) fn admin_trace_recent(state: &ServerState, req: &Request) -> Response
 pub(crate) fn admin_status(shared: &Shared) -> Response {
     let state = &shared.state;
     let load = |gauge: &AtomicU64| Json::Num(gauge.load(Ordering::Relaxed) as f64);
+    let scalar = |s: Scalar| Json::Num(state.metrics.get(s) as f64);
     let table = state.tenants();
     let cache = state.cache.stats();
-    let probes = cache.hits + cache.misses;
-    let hit_rate = if probes == 0 {
-        0.0
-    } else {
-        cache.hits as f64 / probes as f64
-    };
+    // The registry's counts, as `/metrics` renders them: the cache's own
+    // count lookups (a fallback rung's), not items (a stream's miss).
+    let [hits, misses] = [Scalar::CacheHits, Scalar::CacheMisses].map(|s| state.metrics.get(s));
+    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let tenants: Vec<Json> = table
         .iter()
         .map(|t| {
@@ -217,10 +234,10 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
         (
             "connections",
             Json::obj([
-                ("open", load(&state.metrics.connections_active)),
+                ("open", scalar(Scalar::ConnectionsActive)),
                 ("max", Json::Num(state.config.max_connections as f64)),
-                ("reaped", load(&state.metrics.conn_reaped)),
-                ("accept_errors", load(&state.metrics.accept_errors)),
+                ("reaped", scalar(Scalar::ConnReaped)),
+                ("accept_errors", scalar(Scalar::AcceptErrors)),
                 ("dispatch_queue_depth", load(&shared.dispatch_depth)),
             ]),
         ),
@@ -229,7 +246,7 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
             Json::obj([
                 ("reading", load(&shared.event_stats.reading)),
                 ("dispatched", load(&shared.event_stats.dispatched)),
-                ("inline", load(&state.metrics.inline_responses)),
+                ("inline", scalar(Scalar::InlineResponses)),
                 ("writing", load(&shared.event_stats.writing)),
                 ("keep_alive", load(&shared.event_stats.keep_alive)),
                 ("pool_buffers", load(&shared.event_stats.pool_buffers)),
@@ -243,8 +260,8 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
             "cache",
             Json::obj([
                 ("entries", Json::Num(cache.len as f64)),
-                ("hits", Json::Num(cache.hits as f64)),
-                ("misses", Json::Num(cache.misses as f64)),
+                ("hits", Json::Num(hits as f64)),
+                ("misses", Json::Num(misses as f64)),
                 ("hit_rate", Json::Num(hit_rate)),
                 ("expired", Json::Num(cache.expired as f64)),
                 ("evicted", Json::Num(cache.evicted as f64)),
@@ -314,7 +331,7 @@ pub(crate) fn admin_tsdb(shared: &Shared, req: &Request) -> Response {
     let now_ms = t2v_obs::unix_ms();
     let window_ms = window_s.saturating_mul(1000);
     let step_ms = step_s.saturating_mul(1000).max(obs.sample_ms());
-    let points = tsdb.points(series, window_ms, step_ms, now_ms);
+    let points = tsdb.points(&series, window_ms, step_ms, now_ms);
     if points.is_empty() {
         return Response::error_code(
             404,
@@ -322,8 +339,8 @@ pub(crate) fn admin_tsdb(shared: &Shared, req: &Request) -> Response {
             "series not found (never collected, or outside retention)",
         );
     }
-    let delta = tsdb.delta(series, window_ms, now_ms);
-    let rate = tsdb.rate(series, window_ms, now_ms);
+    let delta = tsdb.delta(&series, window_ms, now_ms);
+    let rate = tsdb.rate(&series, window_ms, now_ms);
     let body = Json::obj([
         ("series", Json::str(series)),
         ("window_s", Json::Num(window_s as f64)),
@@ -550,10 +567,7 @@ pub(crate) fn admin_snapshot_endpoint(state: &ServerState, req: &Request) -> Res
     }
     match t2v_store::save(&path, state.gred.library(), state.gred.embedder()) {
         Ok(manifest) => {
-            state
-                .metrics
-                .snapshots_written
-                .fetch_add(1, Ordering::Relaxed);
+            state.metrics.inc(Scalar::SnapshotsWritten);
             let body = Json::obj([
                 ("path", Json::str(path)),
                 ("bytes", Json::Num(manifest.file_len as f64)),
@@ -566,5 +580,27 @@ pub(crate) fn admin_snapshot_endpoint(state: &ServerState, req: &Request) -> Res
             Response::json(200, body.compact())
         }
         Err(e) => Response::error_code(500, e.code(), &format!("snapshot not written: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::query_param;
+
+    #[test]
+    fn query_params_are_percent_decoded() {
+        let query = "window=60&series=t2v_request_seconds_bucket%7Ble%3D%220.005%22%7D";
+        let series = query_param(query, "series");
+        assert_eq!(
+            series.as_deref(),
+            Some("t2v_request_seconds_bucket{le=\"0.005\"}")
+        );
+        assert_eq!(query_param(query, "window").as_deref(), Some("60"));
+        assert_eq!(query_param(query, "step"), None);
+        // Plain values pass through; a stray `%` is kept, not dropped.
+        assert_eq!(query_param("t=acme", "t").as_deref(), Some("acme"));
+        assert_eq!(query_param("t=5%", "t").as_deref(), Some("5%"));
+        assert_eq!(query_param("t=%zz%4", "t").as_deref(), Some("%zz%4"));
+        assert_eq!(query_param("t=%c3%a9", "t").as_deref(), Some("é"));
     }
 }

@@ -36,6 +36,7 @@
 //! the *dispatch* thread (backpressure against a slow peer), never the loop.
 
 use crate::http::{self, Body, BodySink, Parse};
+use crate::metrics::Scalar;
 use crate::routes::{self, write_read_error, Handled};
 use crate::server::Shared;
 use crate::translate::Early;
@@ -328,7 +329,7 @@ fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
 fn contained<T>(metrics: &crate::metrics::Metrics, f: impl FnOnce() -> T) -> Option<T> {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok();
     if caught.is_none() {
-        metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+        metrics.inc(Scalar::WorkerPanics);
     }
     caught
 }
@@ -665,12 +666,13 @@ fn accept_burst(
     max_connections: usize,
 ) -> bool {
     let metrics = &ctx.shared.state.metrics;
+    let open = metrics.scalar(Scalar::ConnectionsActive);
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
             Err(e) => {
-                metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+                metrics.inc(Scalar::AcceptErrors);
                 if fd_exhausted(&e) {
                     return true;
                 }
@@ -678,18 +680,18 @@ fn accept_burst(
                 continue;
             }
         };
-        metrics.connections_total.fetch_add(1, Ordering::Relaxed);
-        let active = metrics.connections_active.fetch_add(1, Ordering::AcqRel) + 1;
+        metrics.inc(Scalar::ConnectionsTotal);
+        let active = open.fetch_add(1, Ordering::AcqRel) + 1;
         if active as usize > max_connections {
             // Shed before registering anything: canned bytes, no allocation.
             let mut s = stream;
             let _ = s.write_all(http::overload_response_bytes());
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
+            metrics.inc(Scalar::Rejected);
+            open.fetch_sub(1, Ordering::AcqRel);
             continue;
         }
         if stream.set_nonblocking(true).is_err() {
-            metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
+            open.fetch_sub(1, Ordering::AcqRel);
             continue;
         }
         let _ = stream.set_nodelay(true);
@@ -700,7 +702,7 @@ fn accept_burst(
             .register(stream.as_raw_fd(), token, Interest::READ)
             .is_err()
         {
-            metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
+            open.fetch_sub(1, Ordering::AcqRel);
             continue;
         }
         conns.insert(
@@ -839,8 +841,7 @@ fn serve(ctx: &Ctx<'_>, conn: &mut Conn, req: Box<http::Request>, t0: Instant) -
             let log = |file, text: String| line = Some((file, text));
             let reply = Handled::Reply(resp);
             let keep = routes::finish(shared, &req, begun, route, reply, &mut sink, log);
-            let metrics = &shared.state.metrics;
-            metrics.inline_responses.fetch_add(1, Ordering::Relaxed);
+            shared.state.metrics.inc(Scalar::InlineResponses);
             queue_response(conn, sink.0, keep);
             let next = pump(ctx, conn);
             if let Some((file, text)) = line {
@@ -997,9 +998,11 @@ fn close_conn(
     pool.put(conn.inbuf);
     let metrics = &shared.state.metrics;
     if reaped {
-        metrics.conn_reaped.fetch_add(1, Ordering::Relaxed);
+        metrics.inc(Scalar::ConnReaped);
     }
-    metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
+    metrics
+        .scalar(Scalar::ConnectionsActive)
+        .fetch_sub(1, Ordering::AcqRel);
     // `conn.stream` drops here, closing the fd.
 }
 
@@ -1012,11 +1015,11 @@ mod tests {
     /// that ran it carries on with the next one.
     #[test]
     fn a_panicking_handler_is_contained_and_counted() {
-        let metrics = crate::metrics::Metrics::new();
+        let metrics = crate::metrics::Metrics::with_backends(&[]);
         let boom = contained(&metrics, || -> u32 { panic!("handler bug") });
         assert_eq!(boom, None);
-        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.get(Scalar::WorkerPanics), 1);
         assert_eq!(contained(&metrics, || 7), Some(7));
-        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.get(Scalar::WorkerPanics), 1);
     }
 }

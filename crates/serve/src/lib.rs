@@ -74,7 +74,7 @@ pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{CacheStats, Lookup, ShardedTtlLruCache, TtlLruCache};
 pub use config::{ConfigError, CorpusProfile, ServeConfig, KNOWN_BACKENDS};
 pub use http::{Body, Request, Response};
-pub use metrics::{BackendMetrics, Metrics, Route, TenantMetrics};
+pub use metrics::{LabelledMetrics, Metrics, Route};
 pub use pool::{OneShot, SubmitError, WorkerPool};
 pub use server::{
     db_fingerprint, serve, AttachRequest, CacheKey, DbEntry, Server, ServerState, StartupError,

@@ -1,13 +1,19 @@
-//! Lock-free serving metrics: plain `AtomicU64` counters/gauges plus fixed-
-//! bucket latency histograms, rendered in the Prometheus text exposition
-//! format for `GET /metrics`. Recording a sample is a relaxed fetch-add (two
-//! for histograms), so instrumentation cost is invisible next to the work it
-//! measures.
+//! Lock-free serving metrics, each series declared once. The tables below
+//! — unlabelled counters and gauges in [`SCALARS`], latency histograms in
+//! [`HISTOGRAMS`], the per-backend and per-tenant families in
+//! [`PER_LABEL`], the families with labels of their own in [`FAMILIES`]
+//! — are what `GET /metrics` renders (Prometheus text
+//! exposition), what the obs sampler sweeps into its TSDB
+//! ([`Metrics::collect`], keyed by exposition keys) and where the SLO
+//! engine finds its inputs ([`slo_sources`]). Recording a sample is a
+//! relaxed fetch-add (a dozen for histograms), so instrumentation cost is
+//! invisible next to the work it measures.
 
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::fmt::{Display, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+use t2v_trace::{Stage, STAGES};
 
 /// Histogram bucket upper bounds, in nanoseconds. Log-spaced from 50 µs to
 /// 1 s — translate latency sits around 0.3 ms cold and far under 50 µs on a
@@ -27,15 +33,17 @@ pub const BUCKET_BOUNDS_NS: [u64; 12] = [
     1_000_000_000,
 ];
 
-/// A fixed-bucket latency histogram (`+Inf` bucket is implicit: `count`).
+/// A bucket bound in seconds: its `le` label value.
+fn seconds(ns: u64) -> f64 {
+    ns as f64 / 1e9
+}
+
+/// A fixed-bucket latency histogram (`+Inf` bucket is implicit: `count`,
+/// so a sample above the largest finite bound shows as `count` minus the
+/// last finite bucket).
 #[derive(Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKET_BOUNDS_NS.len()],
-    /// Samples above the largest finite bound — the explicit `+Inf`-only
-    /// overflow population. Without it a > 1 s sample lands in no finite
-    /// bucket and is invisible everywhere except `count`, which hides
-    /// exactly the pathological tail a histogram exists to show.
-    overflow: AtomicU64,
     sum_ns: AtomicU64,
     count: AtomicU64,
     /// Most recent exemplar per bucket (`+Inf` last): the trace id and raw
@@ -43,7 +51,7 @@ pub struct LatencyHistogram {
     /// OpenMetrics-style so a slow bucket links straight to its span tree.
     /// A mutex is fine: exemplars are written only for traces the flight
     /// recorder keeps (sampled/slow/error), far off the per-request path.
-    exemplars: std::sync::Mutex<[Option<(u128, u64)>; BUCKET_BOUNDS_NS.len() + 1]>,
+    exemplars: Mutex<[Option<(u128, u64)>; BUCKET_BOUNDS_NS.len() + 1]>,
 }
 
 impl LatencyHistogram {
@@ -54,42 +62,15 @@ impl LatencyHistogram {
         // consistently.
         for (i, &bound) in BUCKET_BOUNDS_NS.iter().enumerate() {
             if ns <= bound {
-                self.buckets[i].fetch_add(1, Ordering::Relaxed);
+                self.buckets[i].fetch_add(1, Relaxed);
             }
         }
-        if ns > BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1] {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-        }
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Relaxed);
+        self.count.fetch_add(1, Relaxed);
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Samples beyond the largest finite bucket bound (> 1 s).
-    pub fn overflow(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
-    }
-
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// Cumulative finite-bucket counts, for the obs sampler's TSDB sweep
-    /// (one series per bound; `+Inf` is [`LatencyHistogram::count`]).
-    pub fn cumulative_counts(&self) -> [u64; BUCKET_BOUNDS_NS.len()] {
-        let mut out = [0u64; BUCKET_BOUNDS_NS.len()];
-        for (slot, bucket) in out.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
+        self.count.load(Relaxed)
     }
 
     /// Attach `trace_id` as the newest exemplar of the bucket `ns` falls
@@ -102,53 +83,24 @@ impl LatencyHistogram {
         self.exemplars.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some((trace_id, ns));
     }
 
-    fn render(&self, out: &mut String, name: &str, help: &str) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
+    /// The sample lines of one label set (`labels` escaped, empty for
+    /// none); the `# HELP`/`# TYPE` header is the caller's, once per
+    /// family. A bucket line carries its exemplar, if one was recorded.
+    fn render(&self, out: &mut String, name: &str, labels: &str) {
         let exemplars = *self.exemplars.lock().unwrap_or_else(|e| e.into_inner());
-        for (i, &bound) in BUCKET_BOUNDS_NS.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{le=\"{}\"}} {}{}",
-                bound as f64 / 1e9,
-                self.buckets[i].load(Ordering::Relaxed),
-                render_exemplar(exemplars[i])
-            );
+        let count = self.count();
+        let sep = if labels.is_empty() { "" } else { "," };
+        for (i, exemplar) in exemplars.into_iter().enumerate() {
+            let (le, n) = match BUCKET_BOUNDS_NS.get(i) {
+                Some(&ns) => (seconds(ns).to_string(), self.buckets[i].load(Relaxed)),
+                None => ("+Inf".to_string(), count),
+            };
+            let ex = render_exemplar(exemplar);
+            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {n}{ex}");
         }
-        let count = self.count.load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{le=\"+Inf\"}} {count}{}",
-            render_exemplar(exemplars[BUCKET_BOUNDS_NS.len()])
-        );
-        let _ = writeln!(
-            out,
-            "{name}_sum {}",
-            self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9
-        );
-        let _ = writeln!(out, "{name}_count {count}");
-    }
-
-    /// Like [`LatencyHistogram::render`] but with an extra label on every
-    /// sample line (the `# TYPE` header is the caller's — one per family,
-    /// not one per label set).
-    fn render_labeled(&self, out: &mut String, name: &str, label: &str) {
-        for (i, &bound) in BUCKET_BOUNDS_NS.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{label},le=\"{}\"}} {}",
-                bound as f64 / 1e9,
-                self.buckets[i].load(Ordering::Relaxed)
-            );
-        }
-        let count = self.count.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{label},le=\"+Inf\"}} {count}");
-        let _ = writeln!(
-            out,
-            "{name}_sum{{{label}}} {}",
-            self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9
-        );
-        let _ = writeln!(out, "{name}_count{{{label}}} {count}");
+        let sum = self.sum_ns.load(Relaxed) as f64 / 1e9;
+        sample(out, &format!("{name}_sum"), labels, sum);
+        sample(out, &format!("{name}_count"), labels, count);
     }
 }
 
@@ -159,7 +111,7 @@ fn render_exemplar(slot: Option<(u128, u64)>) -> String {
         Some((trace_id, ns)) => format!(
             " # {{trace_id=\"{}\"}} {}",
             t2v_trace::format_id(trace_id),
-            ns as f64 / 1e9
+            seconds(ns)
         ),
         None => String::new(),
     }
@@ -181,84 +133,186 @@ pub enum Route {
     Other,
 }
 
-const ROUTES: [(Route, &str); 8] = [
-    (Route::Translate, "translate"),
-    (Route::TranslateBatch, "translate_batch"),
-    (Route::Backends, "backends"),
-    (Route::Tenant, "tenant"),
-    (Route::Admin, "admin"),
-    (Route::Healthz, "healthz"),
-    (Route::Metrics, "metrics"),
-    (Route::Other, "other"),
+/// `route` label values, in [`Route`] order.
+const ROUTES: [&str; 8] = [
+    "translate",
+    "translate_batch",
+    "backends",
+    "tenant",
+    "admin",
+    "healthz",
+    "metrics",
+    "other",
 ];
 
 /// Status classes the request counters are labelled with.
 const CLASSES: [&str; 4] = ["2xx", "3xx", "4xx", "5xx"];
 
-/// Per-backend serving counters, labelled `backend="<id>"` on the wire.
-/// Registered once at startup (backends are fixed for a server's lifetime),
-/// so lookups are an index, not a map probe.
-pub struct BackendMetrics {
-    pub id: String,
-    /// Cold translations executed (cache misses that reached the model).
-    pub translations: AtomicU64,
-    /// Translations that ended in a structured TranslateError.
-    pub errors: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    /// Weighted in-system worker-pool share (constant per process).
-    pub pool_share: AtomicU64,
-    /// Model time per cold translation.
-    pub translate: LatencyHistogram,
+/// One declared series: its `/metrics` name, Prometheus type and help.
+#[derive(Debug)]
+pub struct Row {
+    pub name: &'static str,
+    pub kind: &'static str,
+    pub help: &'static str,
 }
 
-impl BackendMetrics {
-    fn new(id: String) -> BackendMetrics {
-        BackendMetrics {
-            id,
-            translations: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            pool_share: AtomicU64::new(0),
-            translate: LatencyHistogram::default(),
-        }
+impl Row {
+    fn render<V: Display>(&self, out: &mut String, samples: impl IntoIterator<Item = (String, V)>) {
+        family(out, self.name, self.kind, self.help, samples);
     }
 }
 
-/// Per-tenant serving counters, labelled `tenant="<id>"` on the wire.
-/// Unlike backends, tenants attach and detach at runtime, so these live
-/// behind `Arc`s in a mutex-protected registry: recording stays lock-free
-/// (each tenant runtime holds its own `Arc` directly); only registration,
-/// removal, and the scrape-path render take the lock.
-pub struct TenantMetrics {
-    pub tenant: String,
-    /// Cold translations executed for this tenant (all backends).
-    pub translations: AtomicU64,
-    /// Translations that ended in a structured TranslateError.
-    pub errors: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    /// Model time per cold translation for this tenant.
-    pub translate: LatencyHistogram,
-    /// Circuit-breaker state gauges, `(backend id, shared state cell)` in
-    /// registry order; the cells are written by the tenant runtime's
-    /// breakers (0 closed / 1 open / 2 half-open) and only read here.
-    /// Set once when the tenant runtime is built.
-    pub breaker_states: std::sync::OnceLock<Vec<(String, Arc<AtomicU64>)>>,
+/// Declare an enum and the table of [`Row`]s it indexes (`variant as
+/// usize`), one entry per series: no variant exists without its name.
+macro_rules! table {
+    ($(#[$doc:meta])* $enum:ident, $rows:ident;
+     $($variant:ident $name:literal $kind:literal $help:literal,)*) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $enum { $($variant),* }
+
+        /// The rows, in variant order.
+        pub const $rows: &[Row] = &[$(Row { name: $name, kind: $kind, help: $help }),*];
+
+        impl $enum {
+            pub fn row(self) -> &'static Row {
+                &$rows[self as usize]
+            }
+        }
+    };
 }
 
-impl TenantMetrics {
-    fn new(tenant: String) -> TenantMetrics {
-        TenantMetrics {
-            tenant,
-            translations: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+table! {
+    /// The families the other tables do not cover: one sample, or labels
+    /// of their own.
+    Family, FAMILIES;
+    Uptime "t2v_uptime_seconds" "gauge" "Seconds since the registry started.",
+    Requests "t2v_http_requests_total" "counter" "Requests by route and status class.",
+    SlowRequests "t2v_slow_requests_total" "counter"
+        "Requests over the trace force-slow threshold, by dominant stage.",
+    LibraryInfo "t2v_library_info" "gauge"
+        "Loaded embedding-library provenance (value is always 1).",
+    BreakerState "t2v_breaker_state" "gauge"
+        "Circuit-breaker state (0 closed, 1 open, 2 half-open).",
+    FaultsInjected "t2v_faults_injected_total" "counter"
+        "Faults fired by the armed chaos plan, by point.",
+    SloBurnRate "t2v_slo_burn_rate" "gauge"
+        "Error-budget burn rate per SLO and window (1 = spending exactly the budget).",
+    SloBudgetRemaining "t2v_slo_error_budget_remaining" "gauge"
+        "Fraction of the error budget left over the slow window (negative = overspent).",
+}
+
+table! {
+    /// Every unlabelled counter and gauge.
+    Scalar, SCALARS;
+    InlineResponses "t2v_inline_responses_total" "counter"
+        "Responses answered on the event-loop thread (no dispatch hop).",
+    CacheHits "t2v_cache_hits_total" "counter" "Translation cache hits.",
+    CacheMisses "t2v_cache_misses_total" "counter" "Translation cache misses.",
+    Rejected "t2v_rejected_total" "counter"
+        "Requests shed by backpressure or the connection limit.",
+    ConnectionsTotal "t2v_connections_total" "counter" "Connections accepted since start.",
+    ConnectionsActive "t2v_connections_active" "gauge" "Connections currently open.",
+    ConnReaped "t2v_conn_reaped_total" "counter"
+        "Connections closed by the idle-timeout reaper.",
+    AcceptErrors "t2v_accept_errors_total" "counter"
+        "accept(2) failures (fd exhaustion, aborted handshakes).",
+    QueueDepth "t2v_queue_depth" "gauge" "Jobs queued in the worker pool (all shards).",
+    WorkerPanics "t2v_worker_panics_total" "counter"
+        "Worker jobs that panicked (caught and answered 500).",
+    DeadlineExceeded "t2v_deadline_exceeded_total" "counter"
+        "Requests answered 504 after their deadline budget ran out.",
+    Degraded "t2v_degraded_total" "counter"
+        "Requests answered degraded (stale cache / fallback backend).",
+    BreakerOpens "t2v_breaker_opens_total" "counter"
+        "Circuit-breaker transitions into the open state.",
+    BreakerRejections "t2v_breaker_rejections_total" "counter"
+        "Requests fast-failed or degraded by an open breaker.",
+    BatchRetries "t2v_batch_retries_total" "counter"
+        "Batch items retried after a transient internal failure.",
+    CacheShards "t2v_cache_shards" "gauge" "Translation-cache shard count.",
+    Tenants "t2v_tenants" "gauge" "Currently attached tenants (default included).",
+    LibraryEntries "t2v_library_entries" "gauge" "Embedding-library entry count.",
+    SnapshotsWritten "t2v_snapshots_written_total" "counter" "Library snapshots persisted.",
+    // Fossils: the micro-batcher is gone, but `benchmark/src/serve.rs`
+    // fails a run when either series is absent from a scrape. Delete both
+    // once the benchmark stops reading them (ROADMAP).
+    Batches "t2v_batches_total" "counter" "Retired with the batcher; always 0.",
+    BatchedLookups "t2v_batched_lookups_total" "counter" "Retired with the batcher; always 0.",
+}
+
+table! {
+    /// The unlabelled latency histograms.
+    Hist, HISTOGRAMS;
+    QueueWait "t2v_queue_wait_seconds" "histogram" "Time jobs waited in the worker-pool queue.",
+    Translate "t2v_translate_seconds" "histogram" "Model time per cold translation.",
+    Request "t2v_request_seconds" "histogram" "End-to-end request latency as the server saw it.",
+}
+
+table! {
+    /// The counters of one labelled family member, rendered as
+    /// `t2v_backend_<name>{backend="<id>"}` or `t2v_tenant_<name>{tenant="<id>"}`.
+    PerLabel, PER_LABEL;
+    Translations "translations_total" "counter" "Cold translations executed",
+    Errors "errors_total" "counter" "Structured translation errors",
+    CacheHits "cache_hits_total" "counter" "Cache hits",
+    CacheMisses "cache_misses_total" "counter" "Cache misses",
+    // Backends only (last): a pool class is a backend of the startup registry.
+    PoolShare "pool_share" "gauge" "Weighted worker-pool share",
+}
+
+/// A labelled dimension: its label, its families' name prefix (in place
+/// of `t2v_`), how many [`PER_LABEL`] rows it renders and whether it
+/// renders its members' [`Hist::Translate`] histograms.
+struct Dim {
+    label: &'static str,
+    prefix: &'static str,
+    rows: usize,
+    histogram: bool,
+}
+
+const BACKENDS: Dim = Dim {
+    label: "backend",
+    prefix: "t2v_backend_",
+    rows: PER_LABEL.len(),
+    histogram: false,
+};
+
+const TENANTS: Dim = Dim {
+    label: "tenant",
+    prefix: "t2v_tenant_",
+    rows: PerLabel::PoolShare as usize,
+    histogram: true,
+};
+
+/// One member of a labelled family: a backend (`backend="<id>"`) or a
+/// tenant (`tenant="<id>"`). Backends register once at startup, so their
+/// lookup is an index; tenants attach and detach at runtime, so each tenant
+/// runtime records through its own `Arc`, lock-free.
+pub struct LabelledMetrics {
+    pub id: String,
+    counters: [AtomicU64; PER_LABEL.len()],
+    /// Model time per cold translation.
+    pub translate: LatencyHistogram,
+    /// A tenant's circuit-breaker state gauges, `(backend id, shared state
+    /// cell)` in registry order; the tenant runtime's breakers write the
+    /// cells (0 closed / 1 open / 2 half-open), only the scrape reads them.
+    /// Set once when the tenant runtime is built.
+    pub breaker_states: OnceLock<Vec<(String, Arc<AtomicU64>)>>,
+}
+
+impl LabelledMetrics {
+    fn new(id: &str) -> Arc<LabelledMetrics> {
+        Arc::new(LabelledMetrics {
+            id: id.to_string(),
+            counters: Default::default(),
             translate: LatencyHistogram::default(),
-            breaker_states: std::sync::OnceLock::new(),
-        }
+            breaker_states: OnceLock::new(),
+        })
+    }
+
+    pub fn counter(&self, c: PerLabel) -> &AtomicU64 {
+        &self.counters[c as usize]
     }
 }
 
@@ -266,193 +320,142 @@ impl TenantMetrics {
 pub struct Metrics {
     started: Instant,
     /// requests[route][status class]
-    requests: [[AtomicU64; 4]; 9],
-    /// Responses the event loop produced itself; the rest took the hop.
-    pub inline_responses: AtomicU64,
-    /// Per-backend counters, in backend-registry order (the default
-    /// tenant's registry — rendered unlabelled for dashboard continuity).
-    backends: Vec<BackendMetrics>,
-    /// Per-tenant counters, in attach order; default first by construction.
-    tenants: std::sync::Mutex<Vec<Arc<TenantMetrics>>>,
-    /// Currently attached tenants (including the default one).
-    pub tenant_count: AtomicU64,
-    /// Library provenance, set once at startup: (fingerprint hex, source
-    /// label). Rendered as an info-style gauge with labels because a u64
-    /// fingerprint does not survive the f64 Prometheus value space.
-    library_info: std::sync::OnceLock<(String, &'static str)>,
-    /// Embedding-library entry count (constant per process).
-    pub library_entries: AtomicU64,
-    /// Snapshots persisted via write-through or `/v1/admin/snapshot`.
-    pub snapshots_written: AtomicU64,
-    /// Cache shard count (constant per process; exported for dashboards).
-    pub cache_shards: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    /// 503s shed by queue backpressure or the connection limit.
-    pub rejected: AtomicU64,
-    pub connections_total: AtomicU64,
-    pub connections_active: AtomicU64,
-    /// Connections closed by the event loop's idle reaper.
-    pub conn_reaped: AtomicU64,
-    /// `accept(2)` failures (EMFILE/ENFILE fd exhaustion, aborted
-    /// handshakes); the acceptor backs off instead of spinning.
-    pub accept_errors: AtomicU64,
-    /// Jobs currently queued in the worker pool (all shards).
-    pub queue_depth: AtomicU64,
-    /// Jobs that panicked inside a worker (caught; the worker survived and
-    /// the caller's reply slot was fulfilled with a structured error).
-    pub worker_panics: AtomicU64,
-    /// Requests answered 504 because their deadline budget ran out.
-    pub deadline_exceeded: AtomicU64,
-    /// Requests answered degraded (stale cache / fallback backend).
-    pub degraded: AtomicU64,
-    /// Breaker transitions into the open state.
-    pub breaker_opens: AtomicU64,
-    /// Requests fast-failed (or degraded) because a breaker was open.
-    pub breaker_rejections: AtomicU64,
-    /// Batch-path items retried after a transient internal failure.
-    pub batch_retries: AtomicU64,
-    /// Per-stage serving latency.
-    pub queue_wait: LatencyHistogram,
-    pub translate: LatencyHistogram,
-    pub request_total_latency: LatencyHistogram,
+    requests: [[AtomicU64; CLASSES.len()]; ROUTES.len()],
+    scalars: [AtomicU64; SCALARS.len()],
+    histograms: [LatencyHistogram; HISTOGRAMS.len()],
     /// Requests slower than the trace force-slow threshold, attributed to
     /// the stage with the most self time (indexed by `t2v_trace::STAGES`;
     /// the extra final slot is `stage="truncated"` — traces whose span
     /// list hit the 24-slot cap, where the dominant stage may have been
     /// one of the dropped spans and attribution would be a guess).
-    slow_requests: [AtomicU64; t2v_trace::STAGES.len() + 1],
+    slow_requests: [AtomicU64; STAGES.len() + 1],
+    /// Per-backend members, in backend-registry order (the default
+    /// tenant's registry).
+    backends: Vec<Arc<LabelledMetrics>>,
+    /// Per-tenant members, in attach order; default first by construction.
+    /// Only register, drop and the scrape take the lock.
+    tenants: Mutex<Vec<Arc<LabelledMetrics>>>,
+    /// Library provenance, set once at startup: (fingerprint hex, source
+    /// label). Rendered as an info-style gauge with labels because a u64
+    /// fingerprint does not survive the f64 Prometheus value space.
+    library_info: OnceLock<(String, &'static str)>,
 }
 
 impl Metrics {
-    pub fn new() -> Metrics {
-        Metrics::with_backends(&[])
-    }
-
-    /// Registry with one labelled counter family per backend id.
+    /// Registry with one labelled family member per backend id.
     pub fn with_backends(backend_ids: &[&str]) -> Metrics {
         Metrics {
             started: Instant::now(),
             requests: Default::default(),
-            inline_responses: AtomicU64::new(0),
+            scalars: Default::default(),
+            histograms: Default::default(),
+            slow_requests: Default::default(),
             backends: backend_ids
                 .iter()
-                .map(|id| BackendMetrics::new(id.to_string()))
+                .map(|id| LabelledMetrics::new(id))
                 .collect(),
-            tenants: std::sync::Mutex::new(Vec::new()),
-            tenant_count: AtomicU64::new(0),
-            library_info: std::sync::OnceLock::new(),
-            library_entries: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            cache_shards: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            conn_reaped: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            breaker_opens: AtomicU64::new(0),
-            breaker_rejections: AtomicU64::new(0),
-            batch_retries: AtomicU64::new(0),
-            queue_wait: LatencyHistogram::default(),
-            translate: LatencyHistogram::default(),
-            request_total_latency: LatencyHistogram::default(),
-            slow_requests: Default::default(),
+            tenants: Mutex::default(),
+            library_info: OnceLock::new(),
         }
     }
 
-    /// Count one slow request against its dominant stage.
-    pub fn record_slow(&self, stage: t2v_trace::Stage) {
-        self.slow_requests[stage as usize].fetch_add(1, Ordering::Relaxed);
+    /// The atomic behind one unlabelled row.
+    pub fn scalar(&self, s: Scalar) -> &AtomicU64 {
+        &self.scalars[s as usize]
     }
 
-    /// Count one slow request whose trace dropped spans at the 24-slot
-    /// cap: the true dominant stage may be among the dropped spans, so it
-    /// goes under `stage="truncated"` instead of a misattributed stage.
-    pub fn record_slow_truncated(&self) {
-        self.slow_requests[t2v_trace::STAGES.len()].fetch_add(1, Ordering::Relaxed);
+    /// Count one event on an unlabelled counter.
+    pub fn inc(&self, s: Scalar) {
+        self.scalar(s).fetch_add(1, Relaxed);
     }
 
-    /// Slow requests attributed to `stage` so far.
-    pub fn slow_requests(&self, stage: t2v_trace::Stage) -> u64 {
-        self.slow_requests[stage as usize].load(Ordering::Relaxed)
+    pub fn get(&self, s: Scalar) -> u64 {
+        self.scalar(s).load(Relaxed)
     }
 
-    /// Slow requests attributed to `stage="truncated"` so far.
-    pub fn slow_requests_truncated(&self) -> u64 {
-        self.slow_requests[t2v_trace::STAGES.len()].load(Ordering::Relaxed)
+    pub fn hist(&self, h: Hist) -> &LatencyHistogram {
+        &self.histograms[h as usize]
+    }
+
+    /// Count one slow request against its dominant stage, or — `None`, a
+    /// trace that dropped spans at the 24-slot cap, whose true dominant
+    /// stage may be among the dropped ones — under `stage="truncated"`.
+    pub fn record_slow(&self, stage: Option<Stage>) {
+        let i = stage.map_or(STAGES.len(), |s| s as usize);
+        self.slow_requests[i].fetch_add(1, Relaxed);
     }
 
     pub fn record_request(&self, route: Route, status: u16) {
-        let r = ROUTES.iter().position(|(x, _)| *x == route).unwrap();
         let class = match status {
             200..=299 => 0,
             300..=399 => 1,
             400..=499 => 2,
             _ => 3,
         };
-        self.requests[r][class].fetch_add(1, Ordering::Relaxed);
+        self.requests[route as usize][class].fetch_add(1, Relaxed);
     }
 
-    /// The counters of backend `idx` (backend-registry order). Panics on an
+    /// The member of backend `idx` (backend-registry order). Panics on an
     /// unregistered index — backend resolution happens before any recording.
-    pub fn backend(&self, idx: usize) -> &BackendMetrics {
+    pub fn backend(&self, idx: usize) -> &LabelledMetrics {
         &self.backends[idx]
     }
 
-    pub fn backends(&self) -> &[BackendMetrics] {
-        &self.backends
+    /// Count one cache lookup: globally, for the tenant and (see
+    /// [`Metrics::record_translation`]) for the backend.
+    pub fn record_cache(&self, tenant: &LabelledMetrics, backend: Option<usize>, hit: bool) {
+        let (global, row) = match hit {
+            true => (Scalar::CacheHits, PerLabel::CacheHits),
+            false => (Scalar::CacheMisses, PerLabel::CacheMisses),
+        };
+        self.inc(global);
+        for m in std::iter::once(tenant).chain(backend.map(|i| self.backend(i))) {
+            m.counter(row).fetch_add(1, Relaxed);
+        }
     }
 
-    pub fn requests_for(&self, route: Route, class: &str) -> u64 {
-        let r = ROUTES.iter().position(|(x, _)| *x == route).unwrap();
-        let c = CLASSES.iter().position(|x| *x == class).unwrap();
-        self.requests[r][c].load(Ordering::Relaxed)
-    }
-
-    /// `(total, 5xx)` request counts across every route — the availability
-    /// SLO's denominator and numerator, swept by the obs sampler.
-    pub fn requests_all(&self) -> (u64, u64) {
-        let mut total = 0u64;
-        let mut bad = 0u64;
-        for row in &self.requests {
-            for (c, cell) in row.iter().enumerate() {
-                let v = cell.load(Ordering::Relaxed);
-                total += v;
-                if c == 3 {
-                    bad += v;
-                }
+    /// Count one cold translation that took `ns` of model time and ended
+    /// in a structured error or not, for the tenant and — `backend` set
+    /// only on the default tenant, whose indices map onto the startup
+    /// registry — the backend.
+    pub fn record_translation(
+        &self,
+        tenant: &LabelledMetrics,
+        backend: Option<usize>,
+        ns: u64,
+        error: bool,
+    ) {
+        self.hist(Hist::Translate).observe_ns(ns);
+        for m in std::iter::once(tenant).chain(backend.map(|i| self.backend(i))) {
+            m.counter(PerLabel::Translations).fetch_add(1, Relaxed);
+            m.translate.observe_ns(ns);
+            if error {
+                m.counter(PerLabel::Errors).fetch_add(1, Relaxed);
             }
         }
-        (total, bad)
     }
 
-    /// Register a tenant's counter family. Called at startup for every
+    /// Register a tenant's family member. Called at startup for every
     /// configured tenant and at runtime by the admin attach route; the
     /// returned `Arc` is the tenant runtime's lock-free recording handle.
-    pub fn register_tenant(&self, id: &str) -> Arc<TenantMetrics> {
-        let tm = Arc::new(TenantMetrics::new(id.to_string()));
+    pub fn register_tenant(&self, id: &str) -> Arc<LabelledMetrics> {
+        let member = LabelledMetrics::new(id);
         let mut tenants = self.tenants.lock().expect("tenant metrics lock");
-        tenants.retain(|t| t.tenant != tm.tenant);
-        tenants.push(Arc::clone(&tm));
-        self.tenant_count
-            .store(tenants.len() as u64, Ordering::Relaxed);
-        tm
+        tenants.retain(|t| t.id != id);
+        tenants.push(Arc::clone(&member));
+        self.scalar(Scalar::Tenants)
+            .store(tenants.len() as u64, Relaxed);
+        member
     }
 
-    /// Drop a detached tenant's counter family from future scrapes.
-    /// (In-flight recordings through an already-held `Arc` stay safe; the
-    /// samples simply stop being rendered.)
+    /// Drop a detached tenant's member from future scrapes. (In-flight
+    /// recordings through an already-held `Arc` stay safe; the samples
+    /// simply stop being rendered.)
     pub fn drop_tenant(&self, id: &str) {
         let mut tenants = self.tenants.lock().expect("tenant metrics lock");
-        tenants.retain(|t| t.tenant != id);
-        self.tenant_count
-            .store(tenants.len() as u64, Ordering::Relaxed);
+        tenants.retain(|t| t.id != id);
+        self.scalar(Scalar::Tenants)
+            .store(tenants.len() as u64, Relaxed);
     }
 
     /// Record the loaded library's provenance (first call wins; the
@@ -461,370 +464,177 @@ impl Metrics {
         let _ = self
             .library_info
             .set((format!("{fingerprint:#018x}"), source));
-        self.library_entries
-            .store(entries as u64, Ordering::Relaxed);
+        self.scalar(Scalar::LibraryEntries)
+            .store(entries as u64, Relaxed);
     }
 
-    /// Render the whole registry in Prometheus text format. Every family
-    /// carries `# HELP` and `# TYPE` headers, and label values pass through
-    /// [`escape_label`] (exposition-format escaping of `\`, `"`, newline);
-    /// the roundtrip test below parses this output back.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = writeln!(
-            out,
-            "# HELP t2v_uptime_seconds Seconds since the registry started."
-        );
-        let _ = writeln!(out, "# TYPE t2v_uptime_seconds gauge");
-        let _ = writeln!(
-            out,
-            "t2v_uptime_seconds {}",
-            self.started.elapsed().as_secs_f64()
-        );
-
-        let _ = writeln!(
-            out,
-            "# HELP t2v_http_requests_total Requests by route and status class."
-        );
-        let _ = writeln!(out, "# TYPE t2v_http_requests_total counter");
-        for (r, (_, route)) in ROUTES.iter().enumerate() {
-            for (c, class) in CLASSES.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "t2v_http_requests_total{{route=\"{route}\",status=\"{class}\"}} {}",
-                    self.requests[r][c].load(Ordering::Relaxed)
-                );
-            }
+    /// The obs sampler's sweep, keyed by `/metrics` exposition keys: every
+    /// [`SCALARS`] row, then the SLO inputs of [`slo_sources`] — the
+    /// request-latency histogram's finite buckets, the request counters
+    /// summed over their labels and over the 5xx class, the latency count.
+    pub fn collect(&self) -> Vec<(String, u64)> {
+        let rows = SCALARS.iter().zip(&self.scalars);
+        let mut out: Vec<(String, u64)> = rows
+            .map(|(row, v)| (row.name.to_string(), v.load(Relaxed)))
+            .collect();
+        let sources = slo_sources();
+        let latency = self.hist(Hist::Request);
+        let buckets = sources.latency_buckets.into_iter().zip(&latency.buckets);
+        out.extend(buckets.map(|((_, key), n)| (key, n.load(Relaxed))));
+        let (mut total, mut bad) = (0, 0);
+        for row in &self.requests {
+            total += row.iter().map(|n| n.load(Relaxed)).sum::<u64>();
+            bad += row[3].load(Relaxed);
         }
-
-        for (name, kind, help, v) in [
-            (
-                "t2v_inline_responses_total",
-                "counter",
-                "Responses answered on the event-loop thread (no dispatch hop).",
-                &self.inline_responses,
-            ),
-            (
-                "t2v_cache_hits_total",
-                "counter",
-                "Translation cache hits.",
-                &self.cache_hits,
-            ),
-            (
-                "t2v_cache_misses_total",
-                "counter",
-                "Translation cache misses.",
-                &self.cache_misses,
-            ),
-            (
-                "t2v_rejected_total",
-                "counter",
-                "Requests shed by backpressure or the connection limit.",
-                &self.rejected,
-            ),
-            (
-                "t2v_connections_total",
-                "counter",
-                "Connections accepted since start.",
-                &self.connections_total,
-            ),
-            (
-                "t2v_connections_active",
-                "gauge",
-                "Connections currently open.",
-                &self.connections_active,
-            ),
-            (
-                "t2v_open_connections",
-                "gauge",
-                "Connections currently open (alias of t2v_connections_active \
-                 for event-driver dashboards).",
-                &self.connections_active,
-            ),
-            (
-                "t2v_conn_reaped_total",
-                "counter",
-                "Connections closed by the idle-timeout reaper.",
-                &self.conn_reaped,
-            ),
-            (
-                "t2v_accept_errors_total",
-                "counter",
-                "accept(2) failures (fd exhaustion, aborted handshakes).",
-                &self.accept_errors,
-            ),
-            (
-                "t2v_queue_depth",
-                "gauge",
-                "Jobs queued in the worker pool (all shards).",
-                &self.queue_depth,
-            ),
-            (
-                "t2v_worker_panics_total",
-                "counter",
-                "Worker jobs that panicked (caught and answered 500).",
-                &self.worker_panics,
-            ),
-            (
-                "t2v_deadline_exceeded_total",
-                "counter",
-                "Requests answered 504 after their deadline budget ran out.",
-                &self.deadline_exceeded,
-            ),
-            (
-                "t2v_degraded_total",
-                "counter",
-                "Requests answered degraded (stale cache / fallback backend).",
-                &self.degraded,
-            ),
-            (
-                "t2v_breaker_opens_total",
-                "counter",
-                "Circuit-breaker transitions into the open state.",
-                &self.breaker_opens,
-            ),
-            (
-                "t2v_breaker_rejections_total",
-                "counter",
-                "Requests fast-failed or degraded by an open breaker.",
-                &self.breaker_rejections,
-            ),
-            (
-                "t2v_batch_retries_total",
-                "counter",
-                "Batch items retried after a transient internal failure.",
-                &self.batch_retries,
-            ),
-            (
-                "t2v_cache_shards",
-                "gauge",
-                "Translation-cache shard count.",
-                &self.cache_shards,
-            ),
-            (
-                "t2v_tenants",
-                "gauge",
-                "Currently attached tenants (default included).",
-                &self.tenant_count,
-            ),
-            (
-                "t2v_library_entries",
-                "gauge",
-                "Embedding-library entry count.",
-                &self.library_entries,
-            ),
-            (
-                "t2v_snapshots_written_total",
-                "counter",
-                "Library snapshots persisted.",
-                &self.snapshots_written,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {}", v.load(Ordering::Relaxed));
-        }
-
-        // Fossils: the micro-batcher is gone, but `benchmark/src/serve.rs`
-        // fails a run when either series is absent from a scrape. Delete
-        // both once the benchmark stops reading them (ROADMAP).
-        for name in ["t2v_batches_total", "t2v_batched_lookups_total"] {
-            let _ = writeln!(out, "# HELP {name} Retired with the batcher; always 0.");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} 0");
-        }
-
-        // Slow requests attributed to the dominant stage of their trace.
-        let _ = writeln!(
-            out,
-            "# HELP t2v_slow_requests_total Requests over the trace force-slow threshold, by dominant stage."
-        );
-        let _ = writeln!(out, "# TYPE t2v_slow_requests_total counter");
-        for stage in t2v_trace::STAGES {
-            if stage == t2v_trace::Stage::Request {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "t2v_slow_requests_total{{stage=\"{}\"}} {}",
-                stage.name(),
-                self.slow_requests[stage as usize].load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "t2v_slow_requests_total{{stage=\"truncated\"}} {}",
-            self.slow_requests[t2v_trace::STAGES.len()].load(Ordering::Relaxed)
-        );
-
-        // Library provenance: labels carry the exact fingerprint (a u64
-        // does not fit the f64 metric value space losslessly).
-        if let Some((fingerprint, source)) = self.library_info.get() {
-            let _ = writeln!(
-                out,
-                "# HELP t2v_library_info Loaded embedding-library provenance (value is always 1)."
-            );
-            let _ = writeln!(out, "# TYPE t2v_library_info gauge");
-            let _ = writeln!(
-                out,
-                "t2v_library_info{{fingerprint=\"{fingerprint}\",source=\"{source}\"}} 1"
-            );
-        }
-
-        // Per-backend counter families (one label set per registered id).
-        if !self.backends.is_empty() {
-            for (name, kind, help, pick) in [
-                (
-                    "t2v_backend_translations_total",
-                    "counter",
-                    "Cold translations executed, by backend.",
-                    (|b: &BackendMetrics| &b.translations) as fn(&BackendMetrics) -> &AtomicU64,
-                ),
-                (
-                    "t2v_backend_errors_total",
-                    "counter",
-                    "Structured translation errors, by backend.",
-                    |b: &BackendMetrics| &b.errors,
-                ),
-                (
-                    "t2v_backend_cache_hits_total",
-                    "counter",
-                    "Cache hits, by backend.",
-                    |b: &BackendMetrics| &b.cache_hits,
-                ),
-                (
-                    "t2v_backend_cache_misses_total",
-                    "counter",
-                    "Cache misses, by backend.",
-                    |b: &BackendMetrics| &b.cache_misses,
-                ),
-                (
-                    "t2v_backend_pool_share",
-                    "gauge",
-                    "Weighted worker-pool share, by backend.",
-                    |b: &BackendMetrics| &b.pool_share,
-                ),
-            ] {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-                for b in &self.backends {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{backend=\"{}\"}} {}",
-                        escape_label(&b.id),
-                        pick(b).load(Ordering::Relaxed)
-                    );
-                }
-            }
-        }
-
-        // Per-tenant counter families (one label set per attached tenant,
-        // default included). Snapshot the Arcs first so rendering holds the
-        // registry lock only for a clone, never across formatting.
-        let tenants: Vec<Arc<TenantMetrics>> =
-            self.tenants.lock().expect("tenant metrics lock").clone();
-        if !tenants.is_empty() {
-            for (name, kind, help, pick) in [
-                (
-                    "t2v_tenant_translations_total",
-                    "counter",
-                    "Cold translations executed, by tenant.",
-                    (|t: &TenantMetrics| &t.translations) as fn(&TenantMetrics) -> &AtomicU64,
-                ),
-                (
-                    "t2v_tenant_errors_total",
-                    "counter",
-                    "Structured translation errors, by tenant.",
-                    |t: &TenantMetrics| &t.errors,
-                ),
-                (
-                    "t2v_tenant_cache_hits_total",
-                    "counter",
-                    "Cache hits, by tenant.",
-                    |t: &TenantMetrics| &t.cache_hits,
-                ),
-                (
-                    "t2v_tenant_cache_misses_total",
-                    "counter",
-                    "Cache misses, by tenant.",
-                    |t: &TenantMetrics| &t.cache_misses,
-                ),
-            ] {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-                for t in &tenants {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{tenant=\"{}\"}} {}",
-                        escape_label(&t.tenant),
-                        pick(t).load(Ordering::Relaxed)
-                    );
-                }
-            }
-            let _ = writeln!(
-                out,
-                "# HELP t2v_tenant_translate_seconds Model time per cold translation, by tenant."
-            );
-            let _ = writeln!(out, "# TYPE t2v_tenant_translate_seconds histogram");
-            for t in &tenants {
-                t.translate.render_labeled(
-                    &mut out,
-                    "t2v_tenant_translate_seconds",
-                    &format!("tenant=\"{}\"", escape_label(&t.tenant)),
-                );
-            }
-            // Circuit-breaker states: 0 closed, 1 open, 2 half-open.
-            if tenants.iter().any(|t| t.breaker_states.get().is_some()) {
-                let _ = writeln!(
-                    out,
-                    "# HELP t2v_breaker_state Circuit-breaker state (0 closed, 1 open, 2 half-open)."
-                );
-                let _ = writeln!(out, "# TYPE t2v_breaker_state gauge");
-                for t in &tenants {
-                    for (backend, state) in t.breaker_states.get().into_iter().flatten() {
-                        let _ = writeln!(
-                            out,
-                            "t2v_breaker_state{{tenant=\"{}\",backend=\"{}\"}} {}",
-                            escape_label(&t.tenant),
-                            escape_label(backend),
-                            state.load(Ordering::Relaxed)
-                        );
-                    }
-                }
-            }
-        }
-
-        // Fault-injection fire counts of the armed chaos plan, if any.
-        if let Some(fired) = t2v_fault::global_fired() {
-            let _ = writeln!(
-                out,
-                "# HELP t2v_faults_injected_total Faults fired by the armed chaos plan, by point."
-            );
-            let _ = writeln!(out, "# TYPE t2v_faults_injected_total counter");
-            for (point, count) in fired {
-                let _ = writeln!(
-                    out,
-                    "t2v_faults_injected_total{{point=\"{point}\"}} {count}"
-                );
-            }
-        }
-
-        self.queue_wait.render(
-            &mut out,
-            "t2v_queue_wait_seconds",
-            "Time jobs waited in the worker-pool queue.",
-        );
-        self.translate.render(
-            &mut out,
-            "t2v_translate_seconds",
-            "Model time per cold translation.",
-        );
-        self.request_total_latency.render(
-            &mut out,
-            "t2v_request_seconds",
-            "End-to-end request latency as the server saw it.",
-        );
+        out.extend([
+            (sources.requests_total, total),
+            (sources.requests_5xx, bad),
+            (sources.latency_count, latency.count()),
+        ]);
         out
+    }
+
+    /// Render the whole registry — plus the burn-rate gauges of `slos`,
+    /// the SLO engine's last sweep — in Prometheus text format. Every
+    /// family carries `# HELP` and `# TYPE` headers, and label values pass
+    /// through [`escape_label`]; the roundtrip test below parses this
+    /// output back.
+    pub fn render_prometheus(&self, slos: &[t2v_obs::SloStatus]) -> String {
+        let mut out = String::with_capacity(8192);
+        let uptime = self.started.elapsed().as_secs_f64();
+        Family::Uptime
+            .row()
+            .render(&mut out, [(String::new(), uptime)]);
+        let requests = ROUTES.iter().zip(&self.requests).flat_map(|(route, row)| {
+            let classes = CLASSES.iter().zip(row);
+            classes.map(move |(class, n)| (format!("route=\"{route}\",status=\"{class}\""), n))
+        });
+        Family::Requests.row().render(&mut out, requests.map(load));
+        for (row, v) in SCALARS.iter().zip(&self.scalars) {
+            row.render(&mut out, [(String::new(), v.load(Relaxed))]);
+        }
+        let stages = STAGES.iter().filter(|&&s| s != Stage::Request);
+        let stages = stages.map(|&s| (s.name(), s as usize));
+        let slow = stages.chain([("truncated", STAGES.len())]);
+        let slow = slow.map(|(stage, i)| (format!("stage=\"{stage}\""), &self.slow_requests[i]));
+        Family::SlowRequests.row().render(&mut out, slow.map(load));
+        let info = self.library_info.get().into_iter();
+        let info =
+            info.map(|(fp, source)| (format!("fingerprint=\"{fp}\",source=\"{source}\""), 1));
+        Family::LibraryInfo.row().render(&mut out, info);
+
+        render_labelled(&mut out, &BACKENDS, &self.backends);
+        // Snapshot the Arcs so rendering holds the registry lock only for a
+        // clone, never across formatting.
+        let tenants = self.tenants.lock().expect("tenant metrics lock").clone();
+        render_labelled(&mut out, &TENANTS, &tenants);
+        let states = tenants.iter().flat_map(|t| {
+            let cells = t.breaker_states.get().into_iter().flatten();
+            let tenant = escape_label(&t.id);
+            cells.map(move |(backend, state)| {
+                let backend = escape_label(backend);
+                let labels = format!("tenant=\"{tenant}\",backend=\"{backend}\"");
+                (labels, &**state)
+            })
+        });
+        Family::BreakerState
+            .row()
+            .render(&mut out, states.map(load));
+        let fired = t2v_fault::global_fired().into_iter().flatten();
+        let fired = fired.map(|(point, n)| (format!("point=\"{point}\""), n));
+        Family::FaultsInjected.row().render(&mut out, fired);
+
+        for (row, h) in HISTOGRAMS.iter().zip(&self.histograms) {
+            header(&mut out, row.name, row.kind, row.help);
+            h.render(&mut out, row.name, "");
+        }
+        let burns = slos.iter().flat_map(|s| {
+            let slo = escape_label(&s.name);
+            [("fast", s.fast_burn), ("slow", s.slow_burn)]
+                .map(|(window, v)| (format!("slo=\"{slo}\",window=\"{window}\""), v))
+        });
+        Family::SloBurnRate.row().render(&mut out, burns);
+        let left = slos.iter().map(|s| {
+            let slo = escape_label(&s.name);
+            (format!("slo=\"{slo}\""), s.budget_remaining)
+        });
+        Family::SloBudgetRemaining.row().render(&mut out, left);
+        out
+    }
+}
+
+/// Where the SLO engine finds its inputs among [`Metrics::collect`]'s
+/// keys: the label-summed request counter and its 5xx class, the cache
+/// counters, and the request-latency histogram's buckets and count.
+pub fn slo_sources() -> t2v_obs::SloSources {
+    let (requests, latency) = (Family::Requests.row().name, Hist::Request.row().name);
+    let bucket = |ns: u64| format!("{latency}_bucket{{le=\"{}\"}}", seconds(ns));
+    t2v_obs::SloSources {
+        requests_total: requests.to_string(),
+        requests_5xx: format!("{requests}{{status=\"5xx\"}}"),
+        cache_hits: Scalar::CacheHits.row().name.to_string(),
+        cache_misses: Scalar::CacheMisses.row().name.to_string(),
+        latency_buckets: BUCKET_BOUNDS_NS
+            .iter()
+            .map(|&ns| (seconds(ns), bucket(ns)))
+            .collect(),
+        latency_count: format!("{latency}_count"),
+    }
+}
+
+/// A sample whose value is an atomic, read now.
+fn load((labels, n): (String, &AtomicU64)) -> (String, u64) {
+    (labels, n.load(Relaxed))
+}
+
+fn header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// One family: its header, then a `name{labels} value` line per sample.
+/// A family with no samples (no library, no armed plan, no SLOs) renders
+/// nothing at all.
+fn family<V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, V)>,
+) {
+    let mut samples = samples.into_iter().peekable();
+    if samples.peek().is_some() {
+        header(out, name, kind, help);
+    }
+    for (labels, value) in samples {
+        sample(out, name, &labels, value);
+    }
+}
+
+/// One sample line; `labels` are escaped, and empty renders no braces.
+fn sample(out: &mut String, name: &str, labels: &str, value: impl Display) {
+    let _ = match labels {
+        "" => writeln!(out, "{name} {value}"),
+        _ => writeln!(out, "{name}{{{labels}}} {value}"),
+    };
+}
+
+/// Every family of one labelled dimension, one label set per member.
+fn render_labelled(out: &mut String, dim: &Dim, members: &[Arc<LabelledMetrics>]) {
+    let label = |m: &LabelledMetrics| format!("{}=\"{}\"", dim.label, escape_label(&m.id));
+    for (i, row) in PER_LABEL[..dim.rows].iter().enumerate() {
+        let name = format!("{}{}", dim.prefix, row.name);
+        let help = format!("{}, by {}.", row.help, dim.label);
+        let samples = members.iter().map(|m| (label(m), &m.counters[i]));
+        family(out, &name, row.kind, &help, samples.map(load));
+    }
+    if dim.histogram && !members.is_empty() {
+        let row = Hist::Translate.row();
+        let name = row.name.replacen("t2v_", dim.prefix, 1);
+        let help = format!("{}, by {}.", row.help.trim_end_matches('.'), dim.label);
+        header(out, &name, row.kind, &help);
+        for m in members {
+            m.translate.render(out, &name, &label(m));
+        }
     }
 }
 
@@ -847,12 +657,6 @@ pub fn escape_label(v: &str) -> std::borrow::Cow<'_, str> {
     std::borrow::Cow::Owned(out)
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,11 +667,10 @@ mod tests {
         h.observe_ns(60_000); // lands in the 100 µs bucket and above
         h.observe_ns(60_000);
         h.observe_ns(400_000); // lands in the 500 µs bucket and above
-        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 0);
-        assert_eq!(h.buckets[1].load(Ordering::Relaxed), 2);
-        assert_eq!(h.buckets[3].load(Ordering::Relaxed), 3);
+        assert_eq!(h.buckets[0].load(Relaxed), 0);
+        assert_eq!(h.buckets[1].load(Relaxed), 2);
+        assert_eq!(h.buckets[3].load(Relaxed), 3);
         assert_eq!(h.count(), 3);
-        assert!((h.mean_ns() - (60_000.0 + 60_000.0 + 400_000.0) / 3.0).abs() < 1.0);
     }
 
     #[test]
@@ -878,12 +681,16 @@ mod tests {
         m.record_request(Route::Other, 503);
         m.record_request(Route::Admin, 404);
         m.record_request(Route::Backends, 200);
-        m.cache_shards.store(8, Ordering::Relaxed);
-        m.backend(0).translations.fetch_add(2, Ordering::Relaxed);
-        m.backend(1).cache_hits.fetch_add(5, Ordering::Relaxed);
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
-        m.translate.observe_ns(300_000);
-        let text = m.render_prometheus();
+        m.scalar(Scalar::CacheShards).store(8, Relaxed);
+        m.backend(0)
+            .counter(PerLabel::Translations)
+            .fetch_add(2, Relaxed);
+        m.backend(1)
+            .counter(PerLabel::CacheHits)
+            .fetch_add(5, Relaxed);
+        m.scalar(Scalar::CacheHits).fetch_add(3, Relaxed);
+        m.hist(Hist::Translate).observe_ns(300_000);
+        let text = m.render_prometheus(&[]);
         assert!(text.contains("t2v_http_requests_total{route=\"translate\",status=\"2xx\"} 1"));
         assert!(text.contains("t2v_http_requests_total{route=\"translate\",status=\"4xx\"} 1"));
         assert!(text.contains("t2v_http_requests_total{route=\"other\",status=\"5xx\"} 1"));
@@ -900,20 +707,20 @@ mod tests {
         assert!(text.contains("t2v_backend_translations_total{backend=\"seq2vis\"} 0"));
         assert!(text.contains("t2v_backend_cache_hits_total{backend=\"seq2vis\"} 5"));
         assert!(text.contains("t2v_backend_errors_total{backend=\"gred\"} 0"));
-        m.backend(0).pool_share.store(12, Ordering::Relaxed);
+        m.backend(0).counter(PerLabel::PoolShare).store(12, Relaxed);
         m.set_library_info(0xabcd, "snapshot", 240);
         m.record_request(Route::Admin, 200);
         m.record_request(Route::Tenant, 200);
         let dflt = m.register_tenant("default");
         let acme = m.register_tenant("acme");
-        dflt.translations.fetch_add(2, Ordering::Relaxed);
-        acme.cache_hits.fetch_add(3, Ordering::Relaxed);
+        dflt.counter(PerLabel::Translations).fetch_add(2, Relaxed);
+        acme.counter(PerLabel::CacheHits).fetch_add(3, Relaxed);
         acme.translate.observe_ns(200_000);
         let open = Arc::new(AtomicU64::new(1));
         acme.breaker_states
             .set(vec![("gred".to_string(), Arc::clone(&open))])
             .unwrap();
-        let text = m.render_prometheus();
+        let text = m.render_prometheus(&[]);
         assert!(text.contains("t2v_breaker_state{tenant=\"acme\",backend=\"gred\"} 1"));
         assert!(text.contains("t2v_tenants 2"));
         assert!(text.contains("t2v_tenant_translate_seconds_count{tenant=\"acme\"} 1"));
@@ -923,11 +730,16 @@ mod tests {
         assert!(text.contains("t2v_tenant_translations_total{tenant=\"acme\"} 0"));
         assert!(text.contains("t2v_tenant_cache_hits_total{tenant=\"acme\"} 3"));
         assert!(text.contains("t2v_http_requests_total{route=\"tenant\",status=\"2xx\"} 1"));
+        assert!(
+            !text.contains("t2v_tenant_pool_share"),
+            "pool shares are per backend"
+        );
+        assert!(!text.contains("t2v_backend_translate_seconds"));
         m.drop_tenant("acme");
-        let text = m.render_prometheus();
+        let text = m.render_prometheus(&[]);
         assert!(text.contains("t2v_tenants 1"));
         assert!(!text.contains("tenant=\"acme\""));
-        let text = m.render_prometheus();
+        let text = m.render_prometheus(&[]);
         assert!(text.contains("t2v_backend_pool_share{backend=\"gred\"} 12"));
         assert!(text.contains("t2v_library_entries 240"));
         assert!(text.contains(
@@ -941,7 +753,6 @@ mod tests {
             let (_, value) = sample.rsplit_once(' ').expect("metric line has a value");
             value.parse::<f64>().expect("metric value is numeric");
         }
-        assert_eq!(m.requests_for(Route::Translate, "2xx"), 1);
     }
 
     #[test]
@@ -950,30 +761,30 @@ mod tests {
         h.observe_ns(2_000_000_000); // 2 s: above every finite bound
         h.observe_ns(500);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.overflow(), 1, "the 2 s sample is explicitly tracked");
         // The finite buckets saw only the fast sample; +Inf covers both.
-        let last = h.buckets[BUCKET_BOUNDS_NS.len() - 1].load(Ordering::Relaxed);
+        let last = h.buckets[BUCKET_BOUNDS_NS.len() - 1].load(Relaxed);
         assert_eq!(last, 1);
-        assert_eq!(last + h.overflow(), h.count());
         let mut out = String::new();
-        h.render(&mut out, "t2v_test_seconds", "test histogram");
+        h.render(&mut out, "t2v_test_seconds", "");
         assert!(out.contains("t2v_test_seconds_bucket{le=\"1\"} 1"));
         assert!(out.contains("t2v_test_seconds_bucket{le=\"+Inf\"} 2"));
         assert!(out.contains("t2v_test_seconds_count 2"));
         assert!(out.contains("t2v_test_seconds_sum 2.0000005"));
+        // The same lines under a label set.
+        let mut out = String::new();
+        h.render(&mut out, "t2v_test_seconds", "tenant=\"a\"");
+        assert!(out.contains("t2v_test_seconds_bucket{tenant=\"a\",le=\"+Inf\"} 2"));
+        assert!(out.contains("t2v_test_seconds_count{tenant=\"a\"} 2"));
     }
 
     #[test]
     fn slow_request_counters_attribute_stages() {
-        let m = Metrics::new();
-        m.record_slow(t2v_trace::Stage::Backend);
-        m.record_slow(t2v_trace::Stage::Backend);
-        m.record_slow(t2v_trace::Stage::QueueWait);
-        m.record_slow_truncated();
-        assert_eq!(m.slow_requests(t2v_trace::Stage::Backend), 2);
-        assert_eq!(m.slow_requests(t2v_trace::Stage::QueueWait), 1);
-        assert_eq!(m.slow_requests_truncated(), 1);
-        let text = m.render_prometheus();
+        let m = Metrics::with_backends(&[]);
+        m.record_slow(Some(Stage::Backend));
+        m.record_slow(Some(Stage::Backend));
+        m.record_slow(Some(Stage::QueueWait));
+        m.record_slow(None);
+        let text = m.render_prometheus(&[]);
         assert!(text.contains("t2v_slow_requests_total{stage=\"backend.translate\"} 2"));
         assert!(text.contains("t2v_slow_requests_total{stage=\"queue.wait\"} 1"));
         assert!(text.contains("t2v_slow_requests_total{stage=\"embed\"} 0"));
@@ -988,7 +799,7 @@ mod tests {
         h.observe_ns(2_000_000_000); // overflow: exemplar on +Inf
         h.record_exemplar(2_000_000_000, 0xFEED);
         let mut out = String::new();
-        h.render(&mut out, "t2v_test_seconds", "test histogram");
+        h.render(&mut out, "t2v_test_seconds", "");
         let ex_line = out
             .lines()
             .find(|l| l.contains("le=\"0.0001\""))
@@ -1066,21 +877,32 @@ mod tests {
         labels
     }
 
+    /// Split a sample key (`name` or `name{labels}`) into its name and
+    /// parsed labels.
+    fn parse_key(key: &str) -> (&str, Vec<(String, String)>) {
+        match key.split_once('{') {
+            Some((name, rest)) => (
+                name,
+                parse_labels(rest.strip_suffix('}').expect("labels close")),
+            ),
+            None => (key, Vec::new()),
+        }
+    }
+
     #[test]
     fn exposition_roundtrip_parses_cleanly() {
         use std::collections::{BTreeMap, HashMap, HashSet};
 
         let m = Metrics::with_backends(&["gred", "rgvisnet"]);
         m.record_request(Route::Translate, 200);
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
+        m.scalar(Scalar::CacheHits).fetch_add(3, Relaxed);
         m.set_library_info(0x1234, "built", 99);
-        m.translate.observe_ns(300_000);
-        m.translate.observe_ns(2_000_000_000); // overflow sample
-        m.queue_wait.observe_ns(10_000);
-        m.request_total_latency.observe_ns(350_000);
-        m.request_total_latency
-            .record_exemplar(350_000, 0xABCD_EF01);
-        m.record_slow(t2v_trace::Stage::Retrieve);
+        m.hist(Hist::Translate).observe_ns(300_000);
+        m.hist(Hist::Translate).observe_ns(2_000_000_000); // overflow sample
+        m.hist(Hist::QueueWait).observe_ns(10_000);
+        m.hist(Hist::Request).observe_ns(350_000);
+        m.hist(Hist::Request).record_exemplar(350_000, 0xABCD_EF01);
+        m.record_slow(Some(Stage::Retrieve));
         // A hostile tenant id exercises label escaping end to end.
         let weird = m.register_tenant("we\"ird\\ten");
         weird.translate.observe_ns(100_000);
@@ -1089,7 +911,7 @@ mod tests {
             .set(vec![("gred".to_string(), Arc::new(AtomicU64::new(2)))])
             .unwrap();
 
-        let text = m.render_prometheus();
+        let text = m.render_prometheus(&[]);
         let mut helps: HashSet<String> = HashSet::new();
         let mut types: HashMap<String, String> = HashMap::new();
         // (family, non-le labels) → [(le, cumulative count)] in render order.
@@ -1133,13 +955,7 @@ mod tests {
             }
             let (name_labels, value) = sample.rsplit_once(' ').expect("sample has a value");
             let value: f64 = value.parse().expect("sample value is numeric");
-            let (name, labels) = match name_labels.split_once('{') {
-                Some((name, rest)) => {
-                    let raw = rest.strip_suffix('}').expect("labels close");
-                    (name, parse_labels(raw))
-                }
-                None => (name_labels, Vec::new()),
-            };
+            let (name, labels) = parse_key(name_labels);
             // Histogram samples resolve to their family name.
             let family = ["_bucket", "_sum", "_count"]
                 .iter()
@@ -1214,5 +1030,129 @@ mod tests {
             )),
             "exemplar rendered"
         );
+    }
+
+    /// Every `t2v_*` series name a document spells: crate paths
+    /// (`t2v_trace::...`) are skipped, histogram sample suffixes kept.
+    fn doc_series(text: &str) -> Vec<&str> {
+        let word = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+        let mut out = Vec::new();
+        for (at, _) in text.match_indices("t2v_") {
+            if text[..at].ends_with(word) {
+                continue;
+            }
+            let tail = &text[at..];
+            let end = tail.find(|c: char| !word(c)).unwrap_or(tail.len());
+            if !tail[end..].starts_with("::") {
+                out.push(&tail[..end]);
+            }
+        }
+        out
+    }
+
+    /// The drift check, in the style of `config::tests`' knob check: from a
+    /// state that renders every family (an extra tenant, two backends, an
+    /// armed fault plan, SLOs), each consumer of the table may name only
+    /// what `/metrics` renders, and DESIGN.md names every family.
+    #[test]
+    fn every_consumer_names_only_rendered_series() {
+        use std::collections::{HashMap, HashSet};
+
+        let m = Metrics::with_backends(&["gred", "rgvisnet"]);
+        m.set_library_info(0x1234, "built", 99);
+        m.register_tenant("default");
+        let acme = m.register_tenant("acme");
+        let state = vec![("gred".to_string(), Arc::new(AtomicU64::new(0)))];
+        acme.breaker_states.set(state).unwrap();
+        let slo = t2v_obs::SloStatus {
+            name: "availability".to_string(),
+            firing: false,
+            fast_burn: 0.0,
+            slow_burn: 0.0,
+            budget_remaining: 1.0,
+            target: 0.999,
+        };
+        // Process-global, so a plan no real backend can fire.
+        let plan = "seed=1;backend.error:backend=drift-check";
+        t2v_fault::arm(&t2v_fault::FaultPlan::parse(plan).unwrap());
+        let text = m.render_prometheus(&[slo]);
+        t2v_fault::disarm();
+
+        // sample name → every label set it renders with; family → kind.
+        let mut samples: HashMap<&str, Vec<Vec<(String, String)>>> = HashMap::new();
+        let mut families: HashMap<&str, &str> = HashMap::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').unwrap();
+                families.insert(name, kind);
+            } else if !line.starts_with('#') {
+                let key = line
+                    .split(" # ")
+                    .next()
+                    .unwrap()
+                    .rsplit_once(' ')
+                    .unwrap()
+                    .0;
+                let (name, labels) = parse_key(key);
+                samples.entry(name).or_default().push(labels);
+            }
+        }
+        for family in [
+            "t2v_faults_injected_total",
+            "t2v_slo_burn_rate",
+            "t2v_breaker_state",
+        ] {
+            assert!(families.contains_key(family), "the state renders {family}");
+        }
+
+        let collected: HashSet<String> = m.collect().into_iter().map(|(k, _)| k).collect();
+        for key in &collected {
+            let (name, labels) = parse_key(key);
+            let rendered = samples.get(name).map(Vec::as_slice).unwrap_or_default();
+            assert!(
+                rendered
+                    .iter()
+                    .any(|set| labels.iter().all(|l| set.contains(l))),
+                "collector key {key} is no rendered sample (or has labels it lacks)"
+            );
+        }
+        let sources = slo_sources();
+        let buckets = sources.latency_buckets.iter().map(|(_, key)| key);
+        for key in [
+            &sources.requests_total,
+            &sources.requests_5xx,
+            &sources.cache_hits,
+            &sources.cache_misses,
+            &sources.latency_count,
+        ]
+        .into_iter()
+        .chain(buckets)
+        {
+            assert!(collected.contains(key), "SLO source {key} is not collected");
+        }
+
+        // A histogram's sample names resolve to its family.
+        let family_of = |name: &str| {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .filter_map(|suffix| name.strip_suffix(suffix))
+                .find(|base| families.get(base) == Some(&"histogram"))
+                .unwrap_or(name)
+                .to_string()
+        };
+        let design = include_str!("../../../DESIGN.md");
+        let readme = include_str!("../../../README.md");
+        for (doc, text) in [("DESIGN.md", design), ("README.md", readme)] {
+            for name in doc_series(text) {
+                assert!(
+                    families.contains_key(family_of(name).as_str()),
+                    "{doc} names `{name}`, which /metrics does not render"
+                );
+            }
+        }
+        let named: HashSet<String> = doc_series(design).into_iter().map(family_of).collect();
+        for family in families.keys() {
+            assert!(named.contains(*family), "DESIGN.md never names `{family}`");
+        }
     }
 }

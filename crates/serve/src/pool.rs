@@ -8,7 +8,7 @@
 //! once before giving up; a full pool returns [`SubmitError::Overloaded`]
 //! and the caller sheds load with a 503 instead of queueing unboundedly.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Scalar};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -241,10 +241,7 @@ impl WorkerPool {
             if queue.len() < shard.capacity {
                 queue.push_back(job);
                 drop(queue);
-                self.shared
-                    .metrics
-                    .queue_depth
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.metrics.inc(Scalar::QueueDepth);
                 shard.cv.notify_one();
                 return Ok(());
             }
@@ -307,7 +304,8 @@ fn worker_loop(shared: &PoolShared, home: usize) {
         };
         match job {
             Some(job) => {
-                shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                let depth = shared.metrics.scalar(Scalar::QueueDepth);
+                depth.fetch_sub(1, Ordering::Relaxed);
                 // A panicking job must not take the worker with it: with no
                 // respawn, `workers` panics would silently drain the pool to
                 // zero and wedge the server. Unwinding drops the job's
@@ -317,7 +315,7 @@ fn worker_loop(shared: &PoolShared, home: usize) {
                 // `internal` error immediately instead of leaving the
                 // connection thread to time out.
                 if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.inc(Scalar::WorkerPanics);
                 }
             }
             None => return,
@@ -348,7 +346,7 @@ mod tests {
     use std::sync::Barrier;
 
     fn pool(workers: usize, shards: usize, cap: usize) -> WorkerPool {
-        WorkerPool::new(workers, shards, cap, Arc::new(Metrics::new()))
+        WorkerPool::new(workers, shards, cap, Arc::new(Metrics::with_backends(&[])))
     }
 
     #[test]
@@ -440,7 +438,7 @@ mod tests {
 
     #[test]
     fn panicking_jobs_do_not_kill_workers() {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::with_backends(&[]));
         let p = WorkerPool::new(1, 1, 8, Arc::clone(&metrics));
         // Several panicking jobs in a row on the single worker…
         for _ in 0..3 {
@@ -453,7 +451,7 @@ mod tests {
             p.submit(move || slot.send(42u64)).unwrap();
         }
         assert_eq!(slot.recv_timeout(Duration::from_secs(5)), Some(42));
-        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 3);
+        assert_eq!(metrics.get(Scalar::WorkerPanics), 3);
         p.shutdown();
     }
 
@@ -461,14 +459,20 @@ mod tests {
     fn weighted_classes_get_proportional_shares() {
         // 2 workers + 2 shards × 8 slots = 18 in-system slots; weights 4:1
         // and 1:1 splits.
-        let p = WorkerPool::new_weighted(2, 2, 8, &[4, 1], Arc::new(Metrics::new()));
+        let p = WorkerPool::new_weighted(2, 2, 8, &[4, 1], Arc::new(Metrics::with_backends(&[])));
         assert_eq!(p.class_share(0), Some((18 * 4) / 5)); // 14
         assert_eq!(p.class_share(1), Some(18 / 5).map(|s: usize| s.max(1))); // 3
         assert_eq!(p.class_share(2), None, "unknown class is unbudgeted");
         p.shutdown();
 
         // Tiny pools still give every class at least one slot.
-        let p = WorkerPool::new_weighted(1, 1, 1, &[1, 1_000_000], Arc::new(Metrics::new()));
+        let p = WorkerPool::new_weighted(
+            1,
+            1,
+            1,
+            &[1, 1_000_000],
+            Arc::new(Metrics::with_backends(&[])),
+        );
         assert_eq!(p.class_share(0), Some(1));
         p.shutdown();
     }
@@ -477,7 +481,7 @@ mod tests {
     fn saturated_class_sheds_while_other_classes_still_run() {
         // One gated worker; class 0 budget is 1 of the 5 in-system slots,
         // class 1 gets the rest.
-        let p = WorkerPool::new_weighted(1, 1, 4, &[1, 4], Arc::new(Metrics::new()));
+        let p = WorkerPool::new_weighted(1, 1, 4, &[1, 4], Arc::new(Metrics::with_backends(&[])));
         assert_eq!(p.class_share(0), Some(1));
         assert_eq!(p.class_share(1), Some(4));
         let gate = Arc::new(Barrier::new(2));
@@ -521,7 +525,7 @@ mod tests {
 
     #[test]
     fn panicking_classed_jobs_release_their_budget() {
-        let p = WorkerPool::new_weighted(1, 1, 4, &[1, 1], Arc::new(Metrics::new()));
+        let p = WorkerPool::new_weighted(1, 1, 4, &[1, 1], Arc::new(Metrics::with_backends(&[])));
         let share = p.class_share(0).unwrap();
         for _ in 0..share {
             // Serialise: wait for each panic to be processed so the budget

@@ -14,7 +14,7 @@ use crate::admin::{
     trace_json,
 };
 use crate::http::{self, BodySink, Request, Response};
-use crate::metrics::Route;
+use crate::metrics::{Hist, Route};
 use crate::server::{ServerState, Shared, TenantRuntime};
 use crate::translate::{batch_endpoint, splice_field, translate_early, Early};
 use std::sync::Arc;
@@ -171,9 +171,9 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
         // The endpoint already wrote an EOF-delimited streaming body;
         // the connection closes to mark the end of the stream. A traced
         // stream gets its span tree as one final NDJSON line.
-        Handled::Streamed { backend } => {
-            shared.state.metrics.record_request(route, 200);
-            let finished = trace.finish(200, tenant, &backend, "bypass", None);
+        Handled::Streamed { backend, status } => {
+            shared.state.metrics.record_request(route, status);
+            let finished = trace.finish(status, tenant, &backend, "bypass", None);
             if let (true, Some(f)) = (force, &finished) {
                 let line = Json::obj([("trace", trace_json(f))]).compact();
                 let _ = http::write_line(writer, line.as_bytes());
@@ -228,11 +228,8 @@ fn publish_trace(
         // would be computed from a partial tree, silently mis-attributing
         // the slowness. Charge those to an explicit `truncated` bucket
         // instead (the cap is `t2v_trace::MAX_SPANS`, 24 spans).
-        if f.dropped_spans > 0 {
-            shared.state.metrics.record_slow_truncated();
-        } else {
-            shared.state.metrics.record_slow(f.dominant_stage());
-        }
+        let stage = (f.dropped_spans == 0).then(|| f.dominant_stage());
+        shared.state.metrics.record_slow(stage);
     }
     if let Some(file) = &shared.state.access_log {
         log(Arc::clone(file), render_line(&req.method, &req.path, &f));
@@ -242,22 +239,20 @@ fn publish_trace(
             // This trace is retrievable via `/v1/admin/trace/{id}`, so it
             // can serve as the latency exemplar for its histogram bucket —
             // the `/metrics` → flight recorder jump (DESIGN.md §15).
-            shared
-                .state
-                .metrics
-                .request_total_latency
-                .record_exemplar(f.total_ns, f.id);
+            let latency = shared.state.metrics.hist(Hist::Request);
+            latency.record_exemplar(f.total_ns, f.id);
             recorder.store(Arc::new(f));
         }
     }
 }
 
-/// How a request was answered: a framed response to write, or a 200
-/// streaming body the endpoint already wrote itself (by which backend, for
-/// the trace record — there are no response headers left to read it from).
+/// How a request was answered: a framed response to write, or a streaming
+/// body the endpoint already wrote itself under a 200 head — by which
+/// backend, and with the status its final line settled on, for the
+/// counters and the trace record (no response headers are left to read).
 pub(crate) enum Handled {
     Reply(Response),
-    Streamed { backend: String },
+    Streamed { backend: String, status: u16 },
 }
 
 /// Route one request. A single translation gets its early stage (errors and
@@ -312,15 +307,7 @@ fn respond(shared: &Shared, req: &Request) -> Routed {
         ("GET", "/v1/admin/tsdb") => reply(Route::Admin, admin_tsdb(shared, req)),
         ("GET", "/v1/admin/alerts") => reply(Route::Admin, admin_alerts(shared)),
         ("GET", "/v1/admin/profile") => reply(Route::Admin, admin_profile(shared, req)),
-        ("GET", "/metrics") => reply(
-            Route::Metrics,
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                headers: Vec::new(),
-                body: render_metrics(shared).into(),
-            },
-        ),
+        ("GET", "/metrics") => reply(Route::Metrics, metrics_endpoint(shared)),
         ("GET", "/v1/backends") => reply(
             Route::Backends,
             backends_endpoint(&shared.state.default_tenant, false),
@@ -364,41 +351,18 @@ fn respond(shared: &Shared, req: &Request) -> Routed {
     }
 }
 
-/// `/metrics` — the Prometheus registry, plus the SLO gauges the burn-rate
-/// engine maintains (when `slo=` objectives are configured and the sampler
-/// is running).
-fn render_metrics(shared: &Shared) -> String {
-    let mut out = shared.state.metrics.render_prometheus();
-    let Some(slo) = shared.obs.as_ref().and_then(|o| o.slo()) else {
-        return out;
-    };
-    let statuses = slo.last();
-    if statuses.is_empty() {
-        return out;
+/// `/metrics` — the Prometheus registry, plus the SLO gauges of the
+/// burn-rate engine's last sweep (when `slo=` objectives are configured and
+/// the sampler is running).
+fn metrics_endpoint(shared: &Shared) -> Response {
+    let slo = shared.obs.as_ref().and_then(|o| o.slo());
+    let statuses = slo.map(|s| s.last()).unwrap_or_default();
+    Response {
+        status: 200,
+        content_type: "text/plain; version=0.0.4",
+        headers: Vec::new(),
+        body: shared.state.metrics.render_prometheus(&statuses).into(),
     }
-    out.push_str("# HELP t2v_slo_burn_rate Error-budget burn rate per SLO and window (1 = spending exactly the budget).\n");
-    out.push_str("# TYPE t2v_slo_burn_rate gauge\n");
-    for s in &statuses {
-        let name = crate::metrics::escape_label(&s.name);
-        out.push_str(&format!(
-            "t2v_slo_burn_rate{{slo=\"{name}\",window=\"fast\"}} {}\n",
-            s.fast_burn
-        ));
-        out.push_str(&format!(
-            "t2v_slo_burn_rate{{slo=\"{name}\",window=\"slow\"}} {}\n",
-            s.slow_burn
-        ));
-    }
-    out.push_str("# HELP t2v_slo_error_budget_remaining Fraction of the error budget left over the slow window (negative = overspent).\n");
-    out.push_str("# TYPE t2v_slo_error_budget_remaining gauge\n");
-    for s in &statuses {
-        let name = crate::metrics::escape_label(&s.name);
-        out.push_str(&format!(
-            "t2v_slo_error_budget_remaining{{slo=\"{name}\"}} {}\n",
-            s.budget_remaining
-        ));
-    }
-    out
 }
 
 fn healthz(state: &ServerState) -> Response {

@@ -16,7 +16,7 @@ use crate::cache::ShardedTtlLruCache;
 use crate::config::{AnnMode, ConfigError, ServeConfig};
 use crate::event::EventDriver;
 use crate::http;
-use crate::metrics::{Metrics, TenantMetrics};
+use crate::metrics::{LabelledMetrics, Metrics, PerLabel, Scalar};
 use crate::pool::WorkerPool;
 use crate::routes::{begin, resume, write_read_error};
 use std::collections::HashMap;
@@ -169,9 +169,9 @@ pub struct TenantRuntime {
     /// queueing doomed work; see DESIGN.md §11.
     pub breakers: Vec<Arc<CircuitBreaker>>,
     /// Lock-free recording handle into the `tenant="<id>"` counter family.
-    pub metrics: Arc<TenantMetrics>,
+    pub metrics: Arc<LabelledMetrics>,
     /// Only the default tenant participates in the weighted worker-pool
-    /// classes and the unlabelled per-backend metric families (both are
+    /// classes and the `backend="<id>"` metric families (both are
     /// sized/registered at startup for a fixed backend list).
     pub is_default: bool,
     /// ANN routing in effect for this tenant's GRED retrieval (`None` =
@@ -389,17 +389,17 @@ impl ServerState {
             config.cache_ttl(),
             config.effective_cache_shards(),
         );
+        let shards = cache.shard_count() as u64;
         metrics
-            .cache_shards
-            .store(cache.shard_count() as u64, Ordering::Relaxed);
+            .scalar(Scalar::CacheShards)
+            .store(shards, Ordering::Relaxed);
         metrics.set_library_info(
             default_tenant.library_fingerprint,
             default_tenant.library_provenance.label(),
             default_tenant.gred.library().len(),
         );
-        metrics
-            .snapshots_written
-            .fetch_add(snapshots_written, Ordering::Relaxed);
+        let written = metrics.scalar(Scalar::SnapshotsWritten);
+        written.fetch_add(snapshots_written, Ordering::Relaxed);
 
         // Startup tenants: declared by the tenants= knob (snapshots pulled
         // from tenant_dir when the conventionally-named file exists), or —
@@ -795,11 +795,8 @@ impl Server {
         );
         for idx in 0..weights.len() {
             if let Some(share) = pool.class_share(idx) {
-                state
-                    .metrics
-                    .backend(idx)
-                    .pool_share
-                    .store(share as u64, Ordering::Relaxed);
+                let cell = state.metrics.backend(idx).counter(PerLabel::PoolShare);
+                cell.store(share as u64, Ordering::Relaxed);
             }
         }
         let obs = build_obs(&state);
@@ -881,13 +878,6 @@ fn build_obs(state: &Arc<ServerState>) -> Option<Arc<t2v_obs::ObsEngine>> {
     // a parse failure here means the field was mutated directly, and an
     // SLO-less ops plane is the safe answer.
     let slos = t2v_obs::parse_slos(&config.slo).unwrap_or_default();
-    let sources = t2v_obs::SloSources {
-        latency_bounds_s: crate::metrics::BUCKET_BOUNDS_NS
-            .iter()
-            .map(|&ns| ns as f64 / 1e9)
-            .collect(),
-        ..t2v_obs::SloSources::default()
-    };
     let windows = t2v_obs::BurnWindows {
         fast_ms: config.slo_fast_s.saturating_mul(1000),
         slow_ms: config.slo_slow_s.saturating_mul(1000),
@@ -898,43 +888,13 @@ fn build_obs(state: &Arc<ServerState>) -> Option<Arc<t2v_obs::ObsEngine>> {
         retention_s: 900,
         profile_hz: config.obs_profile_hz,
         slos,
-        sources,
+        sources: crate::metrics::slo_sources(),
         windows,
     }));
     // The collector captures only the metrics registry (not the server
     // state) so the engine can never keep tenants or caches alive.
     let metrics = Arc::clone(&state.metrics);
-    let collector: t2v_obs::Collector = Box::new(move || {
-        let (requests, requests_5xx) = metrics.requests_all();
-        let mut out = vec![
-            ("http.requests".to_string(), requests),
-            ("http.requests_5xx".to_string(), requests_5xx),
-        ];
-        let gauges: [(&str, &AtomicU64); 10] = [
-            ("http.rejected", &metrics.rejected),
-            ("cache.hits", &metrics.cache_hits),
-            ("cache.misses", &metrics.cache_misses),
-            ("deadline.exceeded", &metrics.deadline_exceeded),
-            ("degraded", &metrics.degraded),
-            ("breaker.opens", &metrics.breaker_opens),
-            ("worker.panics", &metrics.worker_panics),
-            ("conn.reaped", &metrics.conn_reaped),
-            ("queue.depth", &metrics.queue_depth),
-            ("connections.active", &metrics.connections_active),
-        ];
-        for (name, gauge) in gauges {
-            out.push((name.to_string(), gauge.load(Ordering::Relaxed)));
-        }
-        let cumulative = metrics.request_total_latency.cumulative_counts();
-        for (i, c) in cumulative.iter().enumerate() {
-            out.push((format!("request_seconds.bucket:{i}"), *c));
-        }
-        out.push((
-            "request_seconds.bucket:inf".to_string(),
-            metrics.request_total_latency.count(),
-        ));
-        out
-    });
+    let collector: t2v_obs::Collector = Box::new(move || metrics.collect());
     // SLO state flips land in the access log between request lines, so an
     // operator tailing it sees "when did it start burning" in context.
     let sink: Option<t2v_obs::TransitionSink> = state.access_log.as_ref().map(|log| {

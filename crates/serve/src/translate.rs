@@ -20,12 +20,11 @@ use crate::breaker::{Admission, CircuitBreaker};
 use crate::cache::Lookup;
 use crate::config::ServeConfig;
 use crate::http::{self, Body, BodySink, Request, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{Hist, Metrics, Scalar};
 use crate::pool::OneShot;
 use crate::routes::Handled;
-use crate::server::{CacheKey, DbEntry, ServerState, Shared, TenantRuntime};
+use crate::server::{CacheKey, DbEntry, Shared, TenantRuntime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use t2v_core::{StageRecord, TranslateError, TranslateRequest, TranslateResponse, Translator};
@@ -240,20 +239,14 @@ impl Item {
         )
     }
 
-    /// Record a cache hit/miss into the global and tenant families and —
-    /// default tenant only, where the index maps onto the
-    /// startup-registered set — the unlabelled per-backend family.
-    fn record_cache(&self, state: &ServerState, hit: bool) {
-        let bump = |hits: &AtomicU64, misses: &AtomicU64| {
-            (if hit { hits } else { misses }).fetch_add(1, Ordering::Relaxed);
-        };
-        let (global, tenant) = (&state.metrics, &self.tenant.metrics);
-        bump(&global.cache_hits, &global.cache_misses);
-        bump(&tenant.cache_hits, &tenant.cache_misses);
-        if self.tenant.is_default {
-            let bm = state.metrics.backend(self.backend_idx);
-            bump(&bm.cache_hits, &bm.cache_misses);
-        }
+    /// The per-backend family member this item charges: that family
+    /// indexes the startup registry, so only the default tenant's do.
+    fn charged_backend(&self) -> Option<usize> {
+        self.tenant.is_default.then_some(self.backend_idx)
+    }
+
+    fn record_cache(&self, metrics: &Metrics, hit: bool) {
+        metrics.record_cache(&self.tenant.metrics, self.charged_backend(), hit);
     }
 
     /// The circuit breaker guarding this item's tenant × backend.
@@ -287,7 +280,7 @@ impl Drop for ReplyGuard {
             return;
         }
         if self.breaker.record(false, 0) {
-            self.metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            self.metrics.inc(Scalar::BreakerOpens);
         }
         self.slot
             .send(error_reply(500, "translation worker failed"));
@@ -397,8 +390,7 @@ impl Outcome {
 /// wire, and count it. The reason is an internal constant (never client
 /// data), so no escaping is needed.
 fn degrade(shared: &Shared, body: &[u8], reason: &'static str, backend: String) -> Outcome {
-    let metrics = &shared.state.metrics;
-    metrics.degraded.fetch_add(1, Ordering::Relaxed);
+    shared.state.metrics.inc(Scalar::Degraded);
     t2v_trace::note(format!("degrade:{reason}"));
     let body = splice_field(body, "degraded", &format!("\"{reason}\""));
     Outcome {
@@ -417,13 +409,13 @@ fn refused(shared: &Shared, refusal: &Refused, backend_id: &str) -> Outcome {
     let metrics = &shared.state.metrics;
     let (mut outcome, secs) = match *refusal {
         Refused::Open { retry_after_ms } => {
-            metrics.breaker_rejections.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Scalar::BreakerRejections);
             let message = format!("backend '{backend_id}' is unavailable (circuit open)");
             let body = http::error_body("backend_unavailable", &message);
             (Outcome::new(503, body), retry_after_ms.div_ceil(1000))
         }
         Refused::Overloaded => {
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Scalar::Rejected);
             (Outcome::error(503, "server overloaded"), 1)
         }
     };
@@ -449,7 +441,7 @@ fn submit_translation(
     let tenant = Arc::clone(&item.tenant);
     let backend = Arc::clone(&item.backend);
     let breaker = Arc::clone(item.breaker());
-    let backend_idx = item.backend_idx;
+    let charged_backend = item.charged_backend();
     let backend_id = item.backend_id.clone();
     let entry = Arc::clone(&item.entry);
     let want_vegalite = item.want_vegalite;
@@ -471,11 +463,13 @@ fn submit_translation(
         if let Some(t) = &trace {
             t.add_span(Stage::QueueWait, enqueued, queue_wait);
         }
-        metrics.queue_wait.observe_ns(queue_wait.as_nanos() as u64);
+        metrics
+            .hist(Hist::QueueWait)
+            .observe_ns(queue_wait.as_nanos() as u64);
         if deadline.is_some_and(|d| Instant::now() >= d) {
             // The budget died in the queue: don't burn a worker on a body
             // nobody is waiting for.
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Scalar::DeadlineExceeded);
             let message = "deadline exceeded before translation started";
             guard.answer(error_reply(504, message));
             return;
@@ -507,29 +501,15 @@ fn submit_translation(
             }
         };
         let elapsed = t0.elapsed().as_nanos() as u64;
-        metrics.translate.observe_ns(elapsed);
-        tenant.metrics.translations.fetch_add(1, Ordering::Relaxed);
-        tenant.metrics.translate.observe_ns(elapsed);
-        if result.is_err() {
-            tenant.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if tenant.is_default {
-            // The unlabelled per-backend family indexes the startup
-            // registry; only the default tenant's indices map onto it.
-            let bm = metrics.backend(backend_idx);
-            bm.translations.fetch_add(1, Ordering::Relaxed);
-            bm.translate.observe_ns(elapsed);
-            if result.is_err() {
-                bm.errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let error = result.is_err();
+        metrics.record_translation(&tenant.metrics, charged_backend, elapsed, error);
         // Breaker accounting: `internal` failures (bugs, injected faults)
         // say the *backend* is unhealthy. Input-level outcomes — including
         // structured no_output/invalid_output — are properties of the
         // query, not the backend, and must never trip it.
         let internal_failure = matches!(result, Err(TranslateError::Internal { .. }));
         if breaker.record(!internal_failure, elapsed) {
-            metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Scalar::BreakerOpens);
         }
         let status = if internal_failure { 500 } else { 200 };
         let body = render_translation(&backend_id, &key.2, &entry, want_vegalite, &result);
@@ -705,8 +685,7 @@ fn conclude(
         (Some(_), Some(unavailable)) => unavailable,
         (None, _) if deadline.is_none() => Outcome::error(500, "translation timed out"),
         (None, unavailable) => {
-            let metrics = &shared.state.metrics;
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            shared.state.metrics.inc(Scalar::DeadlineExceeded);
             // The orphaned job's reply goes to nobody. A fallback's stale
             // rung already came up empty at admission.
             let stale = unavailable
@@ -770,14 +749,14 @@ pub(crate) fn translate_early(
         state.cache.lookup(&key)
     };
     if let Lookup::Fresh(hit) = lookup {
-        item.record_cache(state, true);
-        let latency = &state.metrics.request_total_latency;
+        item.record_cache(&state.metrics, true);
+        let latency = state.metrics.hist(Hist::Request);
         latency.observe_ns(started.elapsed().as_nanos() as u64);
         // The Arc goes straight into the response — no body copy on a hit.
         let outcome = Outcome::answered(200, hit, "hit", item.backend_id);
         return Early::Reply(outcome.into_response());
     }
-    item.record_cache(state, false);
+    item.record_cache(&state.metrics, false);
     // ---- the late stage: admit → settle, on a thread that may block ----
     Early::Resume(Box::new(move |shared, _| {
         let outcome = match admit(shared, item, key, deadline, true) {
@@ -786,7 +765,7 @@ pub(crate) fn translate_early(
         };
         // Latency counts translations a backend answered, as for hits.
         if outcome.cache == Some("miss") {
-            let latency = &shared.state.metrics.request_total_latency;
+            let latency = shared.state.metrics.hist(Hist::Request);
             latency.observe_ns(started.elapsed().as_nanos() as u64);
         }
         Handled::Reply(outcome.into_response())
@@ -798,6 +777,8 @@ pub(crate) fn translate_early(
 /// response object as the final line. EOF-delimited: the connection closes
 /// when the stream ends. Bypasses the cache read path (a cached body has no
 /// stages left to stream) but still populates the cache for later requests.
+/// The stream is counted and traced by its final line's status; a client
+/// that hung up mid-stream by the 200 head it got.
 fn stream_endpoint(
     shared: &Shared,
     item: Item,
@@ -805,7 +786,7 @@ fn stream_endpoint(
     deadline: Option<Instant>,
 ) -> Handled {
     let key = item.cache_key();
-    item.record_cache(&shared.state, false);
+    item.record_cache(&shared.state.metrics, false);
     // Stage lines come from the backend asked or not at all: a stream
     // cannot degrade, so a refusal is its 503.
     let (tx, rx) = mpsc::channel::<String>();
@@ -817,7 +798,10 @@ fn stream_endpoint(
     };
     let backend = item.backend_id.clone();
     if http::write_streaming_head(writer, 200, "application/x-ndjson").is_err() {
-        return Handled::Streamed { backend };
+        return Handled::Streamed {
+            backend,
+            status: 200,
+        };
     }
     // Relay stage lines until the worker hangs up the channel (it drops the
     // sender when the job finishes) or the deadline (60 s with deadlines
@@ -826,7 +810,10 @@ fn stream_endpoint(
     let relay_until = deadline.unwrap_or_else(|| Instant::now() + NO_DEADLINE_WAIT);
     while let Ok(line) = rx.recv_timeout(relay_until.saturating_duration_since(Instant::now())) {
         if http::write_line(writer, line.as_bytes()).is_err() {
-            return Handled::Streamed { backend };
+            return Handled::Streamed {
+                backend,
+                status: 200,
+            };
         }
     }
     let pending = Pending {
@@ -835,8 +822,10 @@ fn stream_endpoint(
         key,
         unavailable: None,
     };
-    let _ = http::write_line(writer, settle(shared, pending, deadline).body.as_slice());
-    Handled::Streamed { backend }
+    let outcome = settle(shared, pending, deadline);
+    let _ = http::write_line(writer, outcome.body.as_slice());
+    let status = outcome.status;
+    Handled::Streamed { backend, status }
 }
 
 /// Items allowed in one `/v1/translate/batch` request.
@@ -893,11 +882,11 @@ pub(crate) fn batch_endpoint(
             // Non-destructive lookup, same reason as the single endpoint:
             // a stale entry must survive for the ladder.
             if let Lookup::Fresh(hit) = state.cache.lookup(&key) {
-                item.record_cache(state, true);
+                item.record_cache(&state.metrics, true);
                 let outcome = Outcome::answered(200, hit, "hit", item.backend_id);
                 return Ok(Step::Done(outcome));
             }
-            item.record_cache(state, false);
+            item.record_cache(&state.metrics, false);
             first_of.insert(key.clone(), i);
             Ok(admit(shared, item, key, deadline, false))
         })
@@ -930,7 +919,7 @@ pub(crate) fn batch_endpoint(
                     std::thread::sleep(backoff);
                     let (item, key) = (&pending.item, pending.key.clone());
                     if let Ok(slot) = admit_and_submit(shared, item, key, None, deadline, false) {
-                        state.metrics.batch_retries.fetch_add(1, Ordering::Relaxed);
+                        state.metrics.inc(Scalar::BatchRetries);
                         reply = await_reply(&slot, deadline);
                     }
                 }
@@ -941,7 +930,7 @@ pub(crate) fn batch_endpoint(
         placed.push(at..out.len());
     }
     out.extend_from_slice(b"]}");
-    let latency = &state.metrics.request_total_latency;
+    let latency = state.metrics.hist(Hist::Request);
     latency.observe_ns(started.elapsed().as_nanos() as u64);
     Response::json(200, out)
 }
@@ -950,8 +939,8 @@ pub(crate) fn batch_endpoint(
 mod tests {
     use super::*;
     use crate::pool::WorkerPool;
-    use crate::server::EventStats;
-    use std::sync::atomic::AtomicBool;
+    use crate::server::{EventStats, ServerState};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     /// A refused probe must hand its slot back. The batch retry loop used to
     /// call `admit()` itself and `break` when the resubmission was refused,

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use t2v_corpus::{generate, CorpusConfig};
 use t2v_engine::Json;
 use t2v_fault::FaultPlan;
+use t2v_serve::metrics::Scalar;
 use t2v_serve::{ServeConfig, Server, ServerState};
 
 static FAULTS: Mutex<()> = Mutex::new(());
@@ -804,7 +805,11 @@ fn the_loop_holds_max_connections_sockets_and_sheds_the_next() {
     // In-process counters only: a `/metrics` scrape is a connection too,
     // and at capacity it would be shed.
     let metrics = &server.state().metrics;
-    let active = || metrics.connections_active.load(Ordering::Acquire);
+    let active = || {
+        metrics
+            .scalar(Scalar::ConnectionsActive)
+            .load(Ordering::Acquire)
+    };
 
     let mut held: Vec<(TcpStream, BufReader<TcpStream>)> = (0..MAX)
         .map(|_| {
@@ -828,7 +833,7 @@ fn the_loop_holds_max_connections_sockets_and_sheds_the_next() {
     assert_eq!(active(), MAX as u64);
 
     // One over capacity: the canned 503, then EOF, before any parsing.
-    let rejected = metrics.rejected.load(Ordering::Relaxed);
+    let rejected = metrics.get(Scalar::Rejected);
     let mut extra = connect(&server);
     let mut shed = Vec::new();
     extra.read_to_end(&mut shed).expect("read to eof");
@@ -836,7 +841,7 @@ fn the_loop_holds_max_connections_sockets_and_sheds_the_next() {
         String::from_utf8_lossy(&shed),
         String::from_utf8_lossy(t2v_serve::http::overload_response_bytes())
     );
-    assert_eq!(metrics.rejected.load(Ordering::Relaxed), rejected + 1);
+    assert_eq!(metrics.get(Scalar::Rejected), rejected + 1);
     assert_eq!(
         active(),
         MAX as u64,

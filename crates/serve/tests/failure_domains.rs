@@ -198,7 +198,7 @@ fn db0(corpus: &t2v_corpus::Corpus) -> String {
     corpus.databases[0].id.clone()
 }
 
-/// The value of one unlabelled counter in a `/metrics` page.
+/// The value of one sample (`name` or `name{labels}`) in a `/metrics` page.
 fn counter(metrics: &str, name: &str) -> f64 {
     metrics
         .lines()
@@ -328,12 +328,15 @@ fn deadlines_turn_slow_translations_into_fast_504s() {
 }
 
 /// A stream whose budget runs out mid-relay ends with the same 504 line a
-/// single request would answer — never with silence.
+/// single request would answer — never with silence — and is counted and
+/// traced by that line, not by its 200 head.
 #[test]
 fn a_stream_that_runs_out_of_deadline_ends_with_a_504_line() {
     let _session = FaultSession::begin();
     let (corpus, server) = spawn_server(&[("fault_plan", "retrieve.latency:ms=400")]);
     let db = db0(&corpus);
+    let failed = "t2v_http_requests_total{route=\"translate\",status=\"5xx\"}";
+    let failed_before = counter(&Client::connect(&server).metrics(), failed);
 
     let t0 = Instant::now();
     let lines = Client::connect(&server).translate_streamed(
@@ -355,6 +358,23 @@ fn a_stream_that_runs_out_of_deadline_ends_with_a_504_line() {
     );
     let metrics = Client::connect(&server).metrics();
     assert!(counter(&metrics, "t2v_deadline_exceeded_total") >= 1.0);
+    assert_eq!(
+        counter(&metrics, failed) - failed_before,
+        1.0,
+        "the 5xx class moved"
+    );
+    // The flight recorder keeps failed traces; the stream's says 504.
+    let recent = Client::connect(&server)
+        .request("GET", "/v1/admin/trace/recent", "", "")
+        .json();
+    let statuses: Vec<f64> = recent
+        .get("traces")
+        .and_then(Json::as_arr)
+        .expect("traces")
+        .iter()
+        .filter_map(|t| t.get("status").and_then(Json::as_f64))
+        .collect();
+    assert!(statuses.contains(&504.0), "{statuses:?}");
     server.shutdown();
 }
 

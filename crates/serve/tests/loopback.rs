@@ -602,6 +602,47 @@ fn streaming_emits_stages_then_the_cacheable_body() {
     server.shutdown();
 }
 
+/// `/v1/admin/status` and `/metrics` report one cache hit rate: a stream's
+/// miss never touches the cache's own counters, so the status page reads
+/// the registry's.
+#[test]
+fn status_and_metrics_count_the_same_cache_lookups() {
+    let (corpus, server) = spawn_server(&[]);
+    let ex = &corpus.dev[3];
+    let db = corpus.databases[ex.db].id.clone();
+    let mut c = Client::connect(&server);
+    assert_eq!(c.translate(&ex.nlq, &db).cache(), Some("miss"));
+    assert_eq!(c.translate(&ex.nlq, &db).cache(), Some("hit"));
+    let (status, _) = Client::connect(&server).translate_streamed(&corpus.dev[4].nlq, &db, "gred");
+    assert_eq!(status, 200);
+
+    let text = String::from_utf8(c.request("GET", "/metrics", "").body).unwrap();
+    let scraped = |name: &str| -> f64 {
+        let value = text
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+        value
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name}"))
+    };
+    let (hits, misses) = (
+        scraped("t2v_cache_hits_total"),
+        scraped("t2v_cache_misses_total"),
+    );
+    assert_eq!(
+        (hits, misses),
+        (1.0, 2.0),
+        "a hit, a miss and a stream's miss"
+    );
+    let status = c.request("GET", "/v1/admin/status", "").json();
+    let cache = status.get("cache").expect("cache section");
+    let field = |k: &str| cache.get(k).and_then(Json::as_f64);
+    assert_eq!(field("hits"), Some(hits));
+    assert_eq!(field("misses"), Some(misses));
+    assert_eq!(field("hit_rate"), Some(hits / (hits + misses)));
+    server.shutdown();
+}
+
 #[test]
 fn backend_weights_knob_classes_the_pool() {
     // Weighted: gred's in-system share is exported and bounded.

@@ -351,17 +351,22 @@ fn tsdb_endpoint_serves_series_and_the_ops_surface_gates_on_its_knobs() {
         assert!(Instant::now() < deadline, "sampler never swept");
         std::thread::sleep(Duration::from_millis(10));
     };
-    assert!(series.iter().any(|s| s == "http.requests"), "{series:?}");
-    assert!(
-        series.iter().any(|s| s == "request_seconds.bucket:inf"),
-        "{series:?}"
-    );
+    // Series are keyed by their `/metrics` exposition keys.
+    for key in [
+        "t2v_http_requests_total",
+        "t2v_http_requests_total{status=\"5xx\"}",
+        "t2v_cache_hits_total",
+        "t2v_request_seconds_bucket{le=\"0.005\"}",
+        "t2v_request_seconds_count",
+    ] {
+        assert!(series.iter().any(|s| s == key), "{key} in {series:?}");
+    }
 
     // A windowed query returns points plus delta/rate over the window.
     std::thread::sleep(Duration::from_millis(60)); // at least two samples
     let q = client.request(
         "GET",
-        "/v1/admin/tsdb?series=http.requests&window=60&step=1",
+        "/v1/admin/tsdb?series=t2v_http_requests_total&window=60&step=1",
         "",
     );
     assert_eq!(q.status, 200);
@@ -370,6 +375,19 @@ fn tsdb_endpoint_serves_series_and_the_ops_surface_gates_on_its_knobs() {
     assert!(points >= 2, "expected >=2 points, got {points}");
     assert!(parsed.get("delta").and_then(Json::as_f64).is_some());
     assert!(parsed.get("rate").and_then(Json::as_f64).is_some());
+    // A labelled key is addressable percent-encoded.
+    let bucket = "t2v_request_seconds_bucket%7Ble%3D%220.005%22%7D";
+    let q = client.request("GET", &format!("/v1/admin/tsdb?series={bucket}"), "");
+    assert_eq!(q.status, 200);
+    let named = q
+        .json()
+        .get("series")
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    assert_eq!(
+        named.as_deref(),
+        Some("t2v_request_seconds_bucket{le=\"0.005\"}")
+    );
 
     // Unknown series and malformed windows answer structured errors.
     assert_eq!(
@@ -380,7 +398,11 @@ fn tsdb_endpoint_serves_series_and_the_ops_surface_gates_on_its_knobs() {
     );
     assert_eq!(
         client
-            .request("GET", "/v1/admin/tsdb?series=http.requests&window=0", "")
+            .request(
+                "GET",
+                "/v1/admin/tsdb?series=t2v_cache_hits_total&window=0",
+                ""
+            )
             .status,
         400
     );
