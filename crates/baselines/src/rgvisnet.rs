@@ -93,6 +93,8 @@ impl RgVisNet {
         };
         let ctx = GenContext {
             embedder: &self.embedder,
+            // Only the simulated model keeps a context memo.
+            memo: None,
             knowledge: &self.knowledge,
             link_threshold: 0.30,
             copy_bias: 0.40,

@@ -47,6 +47,25 @@ impl StyleVote {
         self.samples += 1;
     }
 
+    /// Fold another vote into this one. Every count is additive, so folding
+    /// per-query votes gives the counts of observing those queries here, in
+    /// any order.
+    pub fn merge(&mut self, other: &StyleVote) {
+        self.is_null += other.is_null;
+        self.compare_string += other.compare_string;
+        self.bang += other.bang;
+        self.angle += other.angle;
+        self.explicit_dir += other.explicit_dir;
+        self.implicit_dir += other.implicit_dir;
+        self.samples += other.samples;
+    }
+
+    /// Whether more of the observed ORDER BYs leave the direction implicit
+    /// than write it.
+    pub fn implicit_dir_majority(&self) -> bool {
+        self.implicit_dir > self.explicit_dir
+    }
+
     /// Number of queries observed.
     pub fn samples(&self) -> usize {
         self.samples
@@ -129,6 +148,26 @@ mod tests {
             restyled,
             "Visualize BAR SELECT a , b FROM t WHERE c != \"null\" AND d != 1"
         );
+    }
+
+    #[test]
+    fn merged_votes_equal_one_vote_over_all() {
+        let refs: Vec<Dvq> = [
+            "Visualize BAR SELECT a , b FROM t WHERE c != \"null\" AND d <> 1 ORDER BY a",
+            "Visualize BAR SELECT a , b FROM t WHERE e IS NOT NULL ORDER BY b DESC",
+            "Visualize BAR SELECT a , b FROM t WHERE f != 2 ORDER BY a ASC",
+        ]
+        .iter()
+        .map(|s| parse(s).unwrap())
+        .collect();
+        let mut merged = StyleVote::default();
+        for q in refs.iter().rev() {
+            let mut one = StyleVote::default();
+            one.observe(q);
+            merged.merge(&one);
+        }
+        assert_eq!(merged.samples(), 3);
+        assert_eq!(merged.profile(), infer_profile(&refs));
     }
 
     #[test]

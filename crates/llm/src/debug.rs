@@ -13,6 +13,7 @@
 //! are built by the first name that needs repair, not up front.
 
 use crate::linker::{EmbedCache, EmbedId};
+use crate::memo::ContextMemo;
 use crate::parse::{parse_annotations, ParsedSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,13 +47,13 @@ impl<'a> Repair<'a> {
         let c = self.candidates.get_or_insert_with(|| {
             let ann = parse_annotations(annotations);
             let columns: Vec<&str> = schema.all_columns().map(|(_, c)| c).collect();
-            let names = columns.iter().map(|c| cache.id(c)).collect();
+            let names = columns.iter().map(|c| cache.context_id(c)).collect();
             let descriptors = columns
                 .iter()
                 .map(
                     |c| match ann.iter().find(|(name, _)| name.eq_ignore_ascii_case(c)) {
-                        Some((_, d)) => cache.id(&format!("{c} {d}")),
-                        None => cache.id(c),
+                        Some((_, d)) => cache.context_id(&format!("{c} {d}")),
+                        None => cache.context_id(c),
                     },
                 )
                 .collect();
@@ -92,7 +93,7 @@ impl<'a> Repair<'a> {
         let bad = self.cache.id(name);
         let mut best = (0usize, f32::MIN);
         for (i, t) in tables.iter().enumerate() {
-            let id = self.cache.id(t.name);
+            let id = self.cache.context_id(t.name);
             let s = self.cache.cos(bad, id);
             if s > best.1 {
                 best = (i, s);
@@ -102,12 +103,14 @@ impl<'a> Repair<'a> {
     }
 }
 
-/// Debug `original` against `schema` + `annotations`.
+/// Debug `original` against `schema` + `annotations`. `memo`, when given,
+/// is the model's context memo kept beside `embedder`.
 pub fn debug_dvq(
     schema: &ParsedSchema,
     annotations: &str,
     original: &str,
     embedder: &TextEmbedder,
+    memo: Option<&ContextMemo>,
     overcorrect: f64,
     seed: u64,
 ) -> String {
@@ -121,6 +124,7 @@ pub fn debug_dvq(
         // names and a few stale names.
         cache: EmbedCache::new(
             embedder,
+            memo,
             2 * schema.all_columns().count() + schema.tables.len() + 8,
         ),
         candidates: None,
@@ -258,6 +262,7 @@ mod tests {
             &ann,
             "Visualize BAR SELECT SALARY , COUNT(SALARY) FROM staff_member GROUP BY SALARY",
             &e,
+            None,
             0.0,
             1,
         ));
@@ -272,7 +277,7 @@ mod tests {
         let e = embedder();
         let ann = annotate_schema(&schema(), &e, 0.0, 1);
         let original = "Visualize BAR SELECT town , COUNT(town) FROM staff_member GROUP BY town";
-        let out = extract(&debug_dvq(&schema(), &ann, original, &e, 0.0, 1));
+        let out = extract(&debug_dvq(&schema(), &ann, original, &e, None, 0.0, 1));
         assert_eq!(out, original);
     }
 
@@ -285,6 +290,7 @@ mod tests {
             &ann,
             "Visualize BAR SELECT town , COUNT(town) FROM employees GROUP BY town",
             &e,
+            None,
             0.0,
             1,
         ));
@@ -301,6 +307,7 @@ mod tests {
             "Visualize BAR SELECT department_id , COUNT(department_id) FROM staff_member \
              ORDER BY department_id DESC",
             &e,
+            None,
             0.0,
             1,
         ));
@@ -314,7 +321,7 @@ mod tests {
         let original = "Visualize BAR SELECT town , COUNT(town) FROM staff_member GROUP BY town";
         let mut changed = 0;
         for seed in 0..20 {
-            let out = extract(&debug_dvq(&schema(), &ann, original, &e, 1.0, seed));
+            let out = extract(&debug_dvq(&schema(), &ann, original, &e, None, 1.0, seed));
             if out != original {
                 changed += 1;
             }
@@ -325,7 +332,7 @@ mod tests {
     #[test]
     fn unparseable_input_passes_through() {
         let e = embedder();
-        let out = debug_dvq(&schema(), "", "garbage input", &e, 0.0, 1);
+        let out = debug_dvq(&schema(), "", "garbage input", &e, None, 0.0, 1);
         assert!(out.contains("garbage input"));
     }
 }

@@ -15,6 +15,7 @@
 //!    column-name hallucination the paper's Debugger exists to fix).
 
 use crate::linker::{link_slot, phrases, EmbedCache, EmbedId, LinkResult};
+use crate::memo::ContextMemo;
 use crate::parse::{ParsedGeneration, ParsedSchema};
 use crate::patterns::{CmpIntent, FilterKind, Intents, LitValue, PatternKnowledge};
 use std::cell::OnceCell;
@@ -26,6 +27,9 @@ use t2v_embed::TextEmbedder;
 /// Generation-time knobs, shared with the mock model config.
 pub struct GenContext<'a> {
     pub embedder: &'a TextEmbedder,
+    /// The model's context memo, kept beside `embedder`; `None` embeds
+    /// every context text afresh.
+    pub memo: Option<&'a ContextMemo>,
     pub knowledge: &'a PatternKnowledge,
     pub link_threshold: f32,
     pub recency_bias: f32,
@@ -49,7 +53,7 @@ pub fn generate_dvq(parsed: &ParsedGeneration, ctx: &GenContext) -> String {
         + parsed.schema.all_columns().count()
         + 3 * parsed.nlq.split_whitespace().count()
         + 8;
-    let mut cache = EmbedCache::new(ctx.embedder, expected_texts);
+    let mut cache = EmbedCache::new(ctx.embedder, ctx.memo, expected_texts);
     let question = cache.id(parsed.nlq);
 
     // ----- 1. template induction with recency-weighted attention -----
@@ -57,7 +61,7 @@ pub fn generate_dvq(parsed: &ParsedGeneration, ctx: &GenContext) -> String {
         let n = parsed.examples.len();
         let mut best: Option<(f32, &str)> = None;
         for (i, ex) in parsed.examples.iter().enumerate() {
-            let example = cache.id(ex.nlq);
+            let example = cache.context_id(ex.nlq);
             let frac = if n > 1 {
                 i as f32 / (n - 1) as f32
             } else {
@@ -210,7 +214,7 @@ impl<'a> LinkState<'a> {
                 return t.name.to_string();
             }
         }
-        let table_ids: Vec<EmbedId> = tables.iter().map(|t| cache.id(t.name)).collect();
+        let table_ids: Vec<EmbedId> = tables.iter().map(|t| cache.context_id(t.name)).collect();
         match self.link(cache, slot, &table_ids) {
             Some(i) => tables[i].name.to_string(),
             None => identify(slot),
@@ -345,7 +349,7 @@ fn choose_tables<'a>(
             .tables
             .iter()
             .map(|t| {
-                let id = cache.id(t.name);
+                let id = cache.context_id(t.name);
                 best_direct_score(cache, tp, &[t.name], &[id])
             })
             .collect()
@@ -446,7 +450,7 @@ fn assemble(
         .schema
         .tables
         .iter()
-        .map(|t| t.columns.iter().map(|c| cache.id(c)).collect())
+        .map(|t| t.columns.iter().map(|c| cache.context_id(c)).collect())
         .collect();
     let choice = choose_tables(
         cache,
@@ -815,6 +819,7 @@ mod tests {
     fn ctx<'a>(embedder: &'a TextEmbedder, knowledge: &'a PatternKnowledge) -> GenContext<'a> {
         GenContext {
             embedder,
+            memo: None,
             knowledge,
             link_threshold: 0.3,
             copy_bias: 0.0,

@@ -12,6 +12,12 @@
 //!   template induction with recency-biased attention ([`generate`]),
 //!   style mimicry ([`retune`]), annotation-guided schema repair ([`debug`])
 //!   and schema annotation ([`annotate`]);
+//! * [`memo`] — the model's context memo: the embeddings of the prompt's
+//!   example questions, schema names and annotation descriptors, and the
+//!   style evidence of its reference DVQs, derived once per model instead
+//!   of once per call. Completions are still pure functions of the prompt:
+//!   a memoised value has the bits of a fresh one, and nothing derived from
+//!   the question is kept;
 //! * controlled error sources — imperfect synonym knowledge
 //!   (embedding lexicon coverage), unknown paraphrase phrasings
 //!   ([`patterns::PatternKnowledge`]), stale-name hallucination below the
@@ -23,6 +29,7 @@ pub mod api;
 pub mod debug;
 pub mod generate;
 pub mod linker;
+pub mod memo;
 pub mod mock;
 pub mod parse;
 pub mod patterns;

@@ -14,8 +14,11 @@
 //! One call of the model embeds each distinct text once, into one
 //! [`EmbedCache`] arena, and everything downstream holds [`EmbedId`]s: a
 //! similarity is one dot product over two arena rows and the two norms kept
-//! from insertion. The arena lives and dies inside one `complete`.
+//! from insertion. The arena lives and dies inside one `complete`; a
+//! context text's row may come from the model's [`ContextMemo`] instead of
+//! the embedder, with the same bits.
 
+use crate::memo::ContextMemo;
 use std::collections::HashMap;
 use t2v_embed::{fused_dot, TextEmbedder};
 
@@ -28,6 +31,8 @@ pub struct EmbedId(u32);
 /// vector's norm taken once, at insert.
 pub struct EmbedCache<'a> {
     embedder: &'a TextEmbedder,
+    /// The model's memo of context rows, filled with this same embedder.
+    memo: Option<&'a ContextMemo>,
     /// How many texts the call expects to embed; the first one sizes the
     /// arena for all of them, so it neither regrows (a copy of every row
     /// so far) nor costs a call that embeds nothing an allocation.
@@ -38,9 +43,16 @@ pub struct EmbedCache<'a> {
 }
 
 impl<'a> EmbedCache<'a> {
-    pub fn new(embedder: &'a TextEmbedder, expected_texts: usize) -> Self {
+    /// An empty arena over `embedder`; `memo`, when given, must be the one
+    /// the model keeps beside this embedder.
+    pub fn new(
+        embedder: &'a TextEmbedder,
+        memo: Option<&'a ContextMemo>,
+        expected_texts: usize,
+    ) -> Self {
         EmbedCache {
             embedder,
+            memo,
             expected_texts,
             ids: HashMap::new(),
             rows: Vec::new(),
@@ -55,18 +67,56 @@ impl<'a> EmbedCache<'a> {
         if let Some(&id) = self.ids.get(text) {
             return id;
         }
-        let id = EmbedId(self.norms.len() as u32);
+        let embedder = self.embedder;
+        let row = self.next_row();
+        embedder.embed_untraced(text, row);
+        let norm = fused_dot(row, row).sqrt();
+        self.push(text, norm)
+    }
+
+    /// [`EmbedCache::id`] for a text of the prompt's *context* — an
+    /// example's question, a schema table or column name, an annotation
+    /// descriptor — whose row is read from the model's memo when held
+    /// there and put there when not. Never call it with the question or
+    /// anything derived from it.
+    pub fn context_id(&mut self, text: &str) -> EmbedId {
+        let Some(memo) = self.memo else {
+            return self.id(text);
+        };
+        if let Some(&id) = self.ids.get(text) {
+            return id;
+        }
+        let embedder = self.embedder;
+        let row = self.next_row();
+        let norm = match memo.scatter_row(text, row) {
+            Some(norm) => norm,
+            None => {
+                embedder.embed_untraced(text, row);
+                let norm = fused_dot(row, row).sqrt();
+                memo.insert_row(text, row, norm);
+                norm
+            }
+        };
+        self.push(text, norm)
+    }
+
+    /// A fresh all-`+0.0` row at the end of the arena.
+    fn next_row(&mut self) -> &mut [f32] {
+        let dims = self.embedder.dims();
         let start = self.rows.len();
         if start == 0 {
             self.ids.reserve(self.expected_texts);
             self.norms.reserve(self.expected_texts);
-            self.rows
-                .reserve(self.expected_texts * self.embedder.dims());
+            self.rows.reserve(self.expected_texts * dims);
         }
-        self.rows.resize(start + self.embedder.dims(), 0.0);
-        let row = &mut self.rows[start..];
-        self.embedder.embed_untraced(text, row);
-        self.norms.push(fused_dot(row, row).sqrt());
+        self.rows.resize(start + dims, 0.0);
+        &mut self.rows[start..]
+    }
+
+    /// Register the row [`EmbedCache::next_row`] handed out as `text`'s.
+    fn push(&mut self, text: &str, norm: f32) -> EmbedId {
+        let id = EmbedId(self.norms.len() as u32);
+        self.norms.push(norm);
         self.ids.insert(text.into(), id);
         id
     }
@@ -183,7 +233,7 @@ mod tests {
     #[test]
     fn exact_name_links_directly() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e, 8);
+        let mut cache = EmbedCache::new(&e, None, 8);
         let r = link(&mut cache, "salary", "", &["SALARY", "CITY"]).unwrap();
         assert_eq!(r.candidate, 0);
         assert!(r.score > 0.9);
@@ -192,7 +242,7 @@ mod tests {
     #[test]
     fn synonym_rename_links_through_concept() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e, 8);
+        let mut cache = EmbedCache::new(&e, None, 8);
         let r = link(&mut cache, "SALARY", "", &["wage", "town"]).unwrap();
         assert_eq!(r.candidate, 0, "salary should link to wage");
     }
@@ -200,7 +250,7 @@ mod tests {
     #[test]
     fn bridging_disambiguates_slots() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e, 8);
+        let mut cache = EmbedCache::new(&e, None, 8);
         let q = "show the mean pay for every municipality";
         // Slot "salary" should land on "wage", slot "city" on "town".
         let r1 = link(&mut cache, "salary", q, &["wage", "town"]).unwrap();
@@ -222,14 +272,14 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e, 8);
+        let mut cache = EmbedCache::new(&e, None, 8);
         assert!(link(&mut cache, "x", "", &[]).is_none());
     }
 
     #[test]
     fn a_text_is_embedded_once() {
         let e = embedder();
-        let mut cache = EmbedCache::new(&e, 8);
+        let mut cache = EmbedCache::new(&e, None, 8);
         let a = cache.id("hire date");
         let b = cache.id("wage");
         assert_ne!(a, b);
@@ -243,12 +293,23 @@ mod tests {
 
         /// The arena's cosine has the bits of `t2v_embed::cosine` over
         /// freshly embedded copies — for arbitrary pairs, a featureless
-        /// text (zero vector) on either side, and a text against itself.
+        /// text (zero vector) on either side, and a text against itself —
+        /// and so does a row read from the context memo.
         #[test]
         fn arena_cosine_has_the_bits_of_cosine(
             a in "[a-zA-Z0-9_ ]{0,24}",
             b in "[a-zA-Z0-9_ ]{0,24}",
-            lexical in prop::sample::select(vec!["", "salary", "wage", "date of hire", "HIRE_DATE"]),
+            lexical in prop::sample::select(vec![
+                "",
+                "salary",
+                "wage",
+                "date of hire",
+                "HIRE_DATE",
+                "For those employees whose salary is in the range of 8000 and 12000 and commission \
+                 is not null or department number does not equal to 40, draw a bar chart about \
+                 the distribution of hire_date and the average of employee_id bin hire_date by \
+                 weekday, and I want to sort y-axis in descending order.",
+            ]),
             shape in 0usize..4,
         ) {
             static EMBEDDER: std::sync::OnceLock<TextEmbedder> = std::sync::OnceLock::new();
@@ -259,7 +320,7 @@ mod tests {
                 2 => (format!("{lexical} {a}"), format!("{lexical} {a}")),
                 _ => (format!("{lexical} {a}"), format!("{b} {lexical}")),
             };
-            let mut cache = EmbedCache::new(e, 2);
+            let mut cache = EmbedCache::new(e, None, 2);
             let (ia, ib) = (cache.id(&a), cache.id(&b));
             let want = cosine(&e.embed(&a), &e.embed(&b));
             prop_assert_eq!(cache.cos(ia, ib).to_bits(), want.to_bits());
@@ -267,6 +328,30 @@ mod tests {
             if shape < 2 {
                 prop_assert_eq!(want.to_bits(), 0f32.to_bits());
             }
+
+            // A memoised row has a fresh row's bits, norm and cosines —
+            // inserted cold by one call and scattered warm into the next.
+            let memo = ContextMemo::new();
+            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for pass in ["cold", "warm"] {
+                let mut memoised = EmbedCache::new(e, Some(&memo), 2);
+                let (ma, mb) = (memoised.context_id(&a), memoised.context_id(&b));
+                for (m, fresh) in [(ma, ia), (mb, ib)] {
+                    prop_assert_eq!(bits(memoised.row(m)), bits(cache.row(fresh)), "{}", pass);
+                    prop_assert_eq!(
+                        memoised.norms[m.0 as usize].to_bits(),
+                        cache.norms[fresh.0 as usize].to_bits(),
+                        "{}", pass
+                    );
+                }
+                prop_assert_eq!(memoised.cos(ma, mb).to_bits(), want.to_bits(), "{}", pass);
+                prop_assert_eq!(
+                    memoised.cos(mb, ma).to_bits(),
+                    cache.cos(ib, ia).to_bits(),
+                    "{}", pass
+                );
+            }
+            prop_assert_eq!(memo.len().0, if a == b { 1 } else { 2 });
         }
     }
 }

@@ -4,14 +4,23 @@
 //! Determinism: `temperature=0.0` in the paper; here every stochastic
 //! decision is seeded from `config.seed` hashed with the prompt content, so
 //! identical calls return identical completions across runs.
+//!
+//! Completions are pure functions of `(messages, params)`. The model keeps
+//! one [`ContextMemo`] of what it derives from prompt context — embeddings
+//! of example questions, schema names and annotation descriptors, and the
+//! style evidence of reference DVQs — but a memoised value has the bits a
+//! fresh derivation would, so no answer depends on which prompts came
+//! before (`tests/golden_translate.rs` checks this in both call orders).
 
 use crate::annotate::annotate_schema;
 use crate::api::{ChatMessage, ChatModel, ChatParams};
 use crate::debug::debug_dvq;
 use crate::generate::{generate_dvq, GenContext};
+use crate::memo::ContextMemo;
 use crate::parse;
 use crate::patterns::PatternKnowledge;
 use crate::retune::retune_dvq;
+use std::sync::Arc;
 use t2v_corpus::Lexicon;
 use t2v_embed::{EmbedConfig, TextEmbedder};
 
@@ -63,22 +72,35 @@ impl Default for LlmConfig {
 
 /// The simulated GPT-3.5-Turbo. `Clone` is cheap enough to hand one copy to
 /// each worker thread of a serving pool; completions are pure functions of
-/// `(messages, params)` so clones are interchangeable.
+/// `(messages, params)` so clones are interchangeable. Clones share one
+/// context memo, which only this model's embedder fills and reads.
 #[derive(Debug, Clone)]
 pub struct SimulatedChatModel {
     config: LlmConfig,
     embedder: TextEmbedder,
     knowledge: PatternKnowledge,
+    memo: Arc<ContextMemo>,
 }
 
 impl SimulatedChatModel {
     pub fn new(config: LlmConfig) -> Self {
+        SimulatedChatModel::with_memo(config, ContextMemo::new())
+    }
+
+    /// A model whose memo clears at `cap` entries.
+    #[cfg(test)]
+    pub(crate) fn with_memo_cap(config: LlmConfig, cap: usize) -> Self {
+        SimulatedChatModel::with_memo(config, ContextMemo::with_cap(cap))
+    }
+
+    fn with_memo(config: LlmConfig, memo: ContextMemo) -> Self {
         let embedder = TextEmbedder::new(Lexicon::builtin(), config.embed.clone());
         let knowledge = PatternKnowledge::sample(config.seed, config.paraphrase_coverage);
         SimulatedChatModel {
             config,
             embedder,
             knowledge,
+            memo: Arc::new(memo),
         }
     }
 
@@ -113,6 +135,7 @@ impl ChatModel for SimulatedChatModel {
             if let Some(parsed) = parse::parse_generation(&prompt) {
                 let ctx = GenContext {
                     embedder: &self.embedder,
+                    memo: Some(&self.memo),
                     knowledge: &self.knowledge,
                     link_threshold: self.config.link_threshold,
                     copy_bias: self.config.copy_bias,
@@ -124,7 +147,13 @@ impl ChatModel for SimulatedChatModel {
         }
         if prompt.contains("mimic the style") {
             if let Some((refs, original)) = parse::parse_retune(&prompt) {
-                return retune_dvq(&refs, original, self.config.retune_fidelity, seed);
+                return retune_dvq(
+                    &refs,
+                    original,
+                    self.config.retune_fidelity,
+                    seed,
+                    Some(&self.memo),
+                );
             }
         }
         if prompt.contains("replace the column names in the Data Visualization Query") {
@@ -134,6 +163,7 @@ impl ChatModel for SimulatedChatModel {
                     annotations,
                     original,
                     &self.embedder,
+                    Some(&self.memo),
                     self.config.debugger_overcorrect,
                     seed,
                 );
@@ -181,7 +211,7 @@ pub fn extract_dvq(answer: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::prompts;
-    use t2v_corpus::{generate, CorpusConfig};
+    use t2v_corpus::{generate, Corpus, CorpusConfig};
 
     #[test]
     fn dispatches_all_four_prompt_kinds() {
@@ -234,6 +264,192 @@ mod tests {
         let a = model.complete(&msgs, &ChatParams::annotation());
         let b = model.complete(&msgs, &ChatParams::annotation());
         assert_eq!(a, b);
+    }
+
+    /// The three prompts of one GRED translation of `question` on `tiny(7)`
+    /// database `db`, around a fixed context: the database's schema and
+    /// annotations, ten training examples and their DVQs as references.
+    /// The retuner and the debugger are handed `dvq`.
+    fn translation_prompts(
+        corpus: &Corpus,
+        annotations: &str,
+        db: usize,
+        question: &str,
+        dvq: &str,
+    ) -> [Vec<ChatMessage>; 3] {
+        let schema = corpus.databases[db].render_prompt_schema();
+        let shots = &corpus.train[..10];
+        let examples: Vec<prompts::GenExample> = shots
+            .iter()
+            .map(|e| prompts::GenExample {
+                db_id: corpus.databases[e.db].id.as_str().into(),
+                schema_text: corpus.databases[e.db].render_prompt_schema().into(),
+                nlq: e.nlq.as_str().into(),
+                dvq: e.dvq_text.as_str().into(),
+            })
+            .collect();
+        let refs: Vec<&str> = shots.iter().map(|e| e.dvq_text.as_str()).collect();
+        [
+            prompts::generation_prompt(&examples, &schema, question),
+            prompts::retune_prompt(&refs, dvq),
+            prompts::debug_prompt(&schema, annotations, dvq),
+        ]
+    }
+
+    fn answers(model: &SimulatedChatModel, prompts: &[Vec<ChatMessage>]) -> Vec<String> {
+        prompts
+            .iter()
+            .map(|p| model.complete(p, &ChatParams::working()))
+            .collect()
+    }
+
+    /// Every dev question on `tiny(7)`'s first three databases, as the
+    /// prompts of its translation with its gold DVQ under repair.
+    fn dev_prompts(corpus: &Corpus, model: &SimulatedChatModel) -> Vec<Vec<ChatMessage>> {
+        let annotations: Vec<String> = corpus.databases[..3]
+            .iter()
+            .map(|db| model.complete(&prompts::annotation_prompt(db), &ChatParams::annotation()))
+            .collect();
+        corpus
+            .dev
+            .iter()
+            .filter(|e| e.db < 3)
+            .flat_map(|e| {
+                translation_prompts(corpus, &annotations[e.db], e.db, &e.nlq, &e.dvq_text)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memo_stops_growing_once_the_context_has_been_read() {
+        let corpus = generate(&CorpusConfig::tiny(7));
+        // Every retune reads its references.
+        let model = SimulatedChatModel::new(LlmConfig {
+            retune_fidelity: 1.0,
+            ..LlmConfig::default()
+        });
+        let db = &corpus.databases[0];
+        let annotations =
+            model.complete(&prompts::annotation_prompt(db), &ChatParams::annotation());
+        // The first call names a table ("from the ... records") and repairs
+        // a stale column and a stale table: it reads every context text.
+        let first = translation_prompts(
+            &corpus,
+            &annotations,
+            0,
+            &format!(
+                "Show the number of rows from the {} records.",
+                db.tables[0].name
+            ),
+            "Visualize BAR SELECT stale_col , COUNT(stale_col) FROM stale_table GROUP BY stale_col",
+        );
+        answers(&model, &first);
+        let after_first = model.memo.len();
+
+        let mut context: std::collections::HashSet<String> =
+            corpus.train[..10].iter().map(|e| e.nlq.clone()).collect();
+        let lookup = parse::parse_annotations(&annotations);
+        for t in &db.tables {
+            context.insert(t.name.clone());
+            for c in &t.columns {
+                context.insert(c.name.clone());
+                if let Some((_, d)) = lookup.iter().find(|(n, _)| n.eq_ignore_ascii_case(&c.name)) {
+                    context.insert(format!("{} {d}", c.name));
+                }
+            }
+        }
+        let references: std::collections::HashSet<&str> = corpus.train[..10]
+            .iter()
+            .map(|e| e.dvq_text.as_str())
+            .collect();
+        assert_eq!(after_first, (context.len(), references.len()));
+
+        let mut asked = 0;
+        for e in corpus.dev.iter().filter(|e| e.db == 0) {
+            let prompts = translation_prompts(&corpus, &annotations, 0, &e.nlq, &e.dvq_text);
+            answers(&model, &prompts);
+            assert_eq!(model.memo.len(), after_first, "{}", e.nlq);
+            asked += 1;
+        }
+        assert!(asked > 3, "too few questions on database 0");
+        for key in model.memo.row_keys() {
+            assert!(context.contains(&key), "{key:?} is not prompt context");
+        }
+    }
+
+    #[test]
+    fn clones_share_one_memo() {
+        let corpus = generate(&CorpusConfig::tiny(7));
+        let model = SimulatedChatModel::new(LlmConfig::default());
+        let clone = model.clone();
+        assert!(Arc::ptr_eq(&model.memo, &clone.memo));
+        let prompts = dev_prompts(&corpus, &clone);
+        assert_eq!(model.memo.len(), (0, 0), "annotation reads no context");
+        let cold = answers(&clone, &prompts[..3]);
+        let filled = model.memo.len();
+        assert!(filled.0 > 0 && filled.1 > 0, "{filled:?}");
+        assert_eq!(answers(&model, &prompts[..3]), cold);
+        assert_eq!(model.memo.len(), filled);
+    }
+
+    /// A warm memo is never read by another model: `ablations` builds
+    /// models with other embedders in one process, one after another.
+    #[test]
+    fn another_model_never_reads_a_warm_memo() {
+        let corpus = generate(&CorpusConfig::tiny(7));
+        let half = LlmConfig {
+            embed: EmbedConfig {
+                lexicon_coverage: 0.5,
+                ..LlmConfig::default().embed
+            },
+            ..LlmConfig::default()
+        };
+        let before = SimulatedChatModel::new(half.clone());
+        let prompts = dev_prompts(&corpus, &before);
+        let want = answers(&before, &prompts);
+
+        let default = SimulatedChatModel::new(LlmConfig::default());
+        answers(&default, &prompts);
+        let after = SimulatedChatModel::new(half);
+        assert_eq!(answers(&after, &prompts), want);
+
+        // Every row a memo holds is its own embedder's, whichever model
+        // read the prompts first; and the two embedders disagree on some
+        // of them, so reading the other model's rows would move scores.
+        let mut disagree = 0;
+        for model in [&default, &after] {
+            for key in model.memo.row_keys() {
+                let mut held = vec![0.0; model.embedder.dims()];
+                model.memo.scatter_row(&key, &mut held).expect("a held key");
+                assert_eq!(held, model.embedder.embed(&key), "{key:?}");
+                disagree += usize::from(default.embedder.embed(&key) != after.embedder.embed(&key));
+            }
+        }
+        assert!(
+            disagree > 0,
+            "the two embedders agree on every memoised text"
+        );
+    }
+
+    #[test]
+    fn a_capped_memo_clears_and_answers_the_same() {
+        let corpus = generate(&CorpusConfig::tiny(7));
+        let fresh = SimulatedChatModel::new(LlmConfig::default());
+        let capped = SimulatedChatModel::with_memo_cap(LlmConfig::default(), 8);
+        let prompts = dev_prompts(&corpus, &fresh);
+        for p in &prompts {
+            assert_eq!(
+                capped.complete(p, &ChatParams::working()),
+                fresh.complete(p, &ChatParams::working())
+            );
+            let (rows, styles) = capped.memo.len();
+            assert!(rows <= 8 && styles <= 8, "{rows} rows, {styles} styles");
+        }
+        let (rows, styles) = fresh.memo.len();
+        assert!(
+            rows > 8 && styles > 8,
+            "the capped memo never filled: {rows}, {styles}"
+        );
     }
 
     #[test]

@@ -92,33 +92,90 @@ pub struct ParsedGeneration<'a> {
     pub nlq: &'a str,
 }
 
+const SCHEMA_HEADER: &str = "### Database Schemas:";
 const NLQ_HEADER: &str = "### Natural Language Question:";
 const DVQ_HEADER: &str = "### Data Visualization Query:";
 
+/// Where the headers of one `### Database Schemas:` block sit in the prompt.
+/// A block runs from the end of its schema header to the next schema
+/// header, or to the end of the prompt.
+struct Block {
+    start: usize,
+    /// Start of the block's first question header.
+    question: Option<usize>,
+    /// Start of the first query header after that question header.
+    question_end: Option<usize>,
+    /// Starts of the block's first and second query headers.
+    query: Option<usize>,
+    next_query: Option<usize>,
+}
+
 /// Parse the generation prompt body.
+///
+/// One pass over the prompt visits every `#` and sorts the ones that start
+/// a header into the three headers (no header can start inside another),
+/// so the blocks split where splitting the text at each header would split
+/// them — a question that quotes a header mid-line included.
+/// A block whose query header is followed by `A:` is an in-context example;
+/// the last block without one holds the question and the target schema.
 pub fn parse_generation(text: &str) -> Option<ParsedGeneration<'_>> {
     let mut examples = Vec::new();
-    let mut final_block: Option<(&str, &str)> = None;
-    for block in text.split("### Database Schemas:").skip(1) {
-        let (schema_text, rest) = block.split_once(NLQ_HEADER)?;
-        let nlq = rest[..rest.find(DVQ_HEADER).unwrap_or(rest.len())]
+    let mut last: Option<(&str, &str)> = None;
+    let mut close = |b: Block, end: usize| -> Option<()> {
+        let question = b.question?;
+        let nlq = text[question + NLQ_HEADER.len()..b.question_end.unwrap_or(end)]
             .trim()
             .trim_start_matches('#')
             .trim()
             .trim_matches('"');
-        if let Some(answer) = block.split(DVQ_HEADER).nth(1) {
+        if let Some(query) = b.query {
+            let answer = &text[query + DVQ_HEADER.len()..b.next_query.unwrap_or(end)];
             if let Some(dvq) = answer.trim().strip_prefix("A:") {
                 examples.push(ParsedExample {
-                    schema_text,
+                    schema_text: &text[b.start..question],
                     nlq,
                     dvq: dvq.trim().lines().next().unwrap_or("").trim(),
                 });
-                continue;
+                return Some(());
             }
         }
-        final_block = Some((block, nlq));
+        last = Some((&text[b.start..end], nlq));
+        Some(())
+    };
+    let mut block: Option<Block> = None;
+    for (at, _) in text.match_indices('#') {
+        let header = &text[at..];
+        if !header.starts_with("### ") {
+            continue;
+        }
+        if header.starts_with(SCHEMA_HEADER) {
+            if let Some(b) = block.take() {
+                close(b, at)?;
+            }
+            block = Some(Block {
+                start: at + SCHEMA_HEADER.len(),
+                question: None,
+                question_end: None,
+                query: None,
+                next_query: None,
+            });
+        } else if let Some(b) = &mut block {
+            if header.starts_with(NLQ_HEADER) {
+                b.question.get_or_insert(at);
+            } else if header.starts_with(DVQ_HEADER) {
+                if b.question.is_some() {
+                    b.question_end.get_or_insert(at);
+                }
+                if b.query.is_none() {
+                    b.query = Some(at);
+                } else {
+                    b.next_query.get_or_insert(at);
+                }
+            }
+        }
     }
-    let (block, nlq) = final_block?;
+    close(block?, text.len())?;
+    let (block, nlq) = last?;
     Some(ParsedGeneration {
         examples,
         schema: parse_schema(block),
@@ -466,13 +523,38 @@ mod tests {
         )
     }
 
+    /// A generation read, as the fields the owned reader also returned: each
+    /// example's question and DVQ, the target schema and the question. (An
+    /// example's schema is kept as the text before its question header; the
+    /// owned reader parsed its whole block, question included, so the two
+    /// differ on an example whose question writes `# Table` lines — which
+    /// generation never reads.)
+    type Read = (Vec<(String, String)>, owned::Schema, String);
+
+    fn read_fields(g: &ParsedGeneration) -> Read {
+        (
+            g.examples
+                .iter()
+                .map(|ex| (ex.nlq.to_string(), ex.dvq.to_string()))
+                .collect(),
+            owned_schema(&g.schema),
+            g.nlq.to_string(),
+        )
+    }
+
+    fn owned_read((examples, schema, nlq): owned::Generation) -> Read {
+        let examples = examples.into_iter().map(|(_, q, d)| (q, d)).collect();
+        (examples, schema, nlq)
+    }
+
     /// Over every kind of prompt the four renderers produce from `tiny(7)`
     /// — each database's annotation and debug prompt, and for a spread of
     /// dev questions generation prompts with 0..=10 examples and retune
     /// prompts with 0..=10 references — the borrowed readers return field
     /// for field what the owned ones returned. An example's schema block is
     /// no longer parsed by the reader; parsing the kept text must still
-    /// give what the owned reader got from the block.
+    /// give what the owned reader got from the block. Then the same for
+    /// generation prompts whose questions quote the prompt's headers.
     #[test]
     fn borrowed_readers_return_what_the_owned_ones_did() {
         use crate::api::{ChatModel, ChatParams};
@@ -539,5 +621,58 @@ mod tests {
             assert_eq!(got_refs, want_refs);
             assert_eq!(got_original, want_original);
         }
+
+        // Questions that carry the prompt's own headers, mid-line or on
+        // lines of their own, and lines that start with `#`: the reader
+        // splits them exactly where the owned one did, or gives up where it
+        // did.
+        let hostile = [
+            "Show ### Database Schemas: the sales by region",
+            "Show the ### Data Visualization Query: A: Visualize BAR SELECT a , b FROM t",
+            "trailing header ### Data Visualization Query:",
+            "### Natural Language Question: what is it",
+            "# a question that starts with a hash",
+            "#### four hashes ### and three",
+            "two lines\n# Table fake, columns = [ * , x , y ]\n# Foreign_keys = [ fake.x = other.y ]",
+            "#\n#\n# \"quoted\" twice ### Data Visualization Query: ### Data Visualization Query: A: x",
+            "new block\n### Database Schemas:\n# Table t, columns = [ * , a ]\n### Natural Language \
+             Question:\n# \"inner\"\n### Data Visualization Query:\nA: Visualize BAR SELECT a , a FROM t",
+            "### Database Schemas:",
+            "A: Visualize PIE SELECT x , y FROM z",
+        ];
+        let (mut readable, mut total) = (0, 0);
+        for (hi, question) in hostile.iter().enumerate() {
+            for shots in [0usize, 1, 3] {
+                for hostile_example in [None, Some(shots.saturating_sub(1))] {
+                    let examples: Vec<prompts::GenExample> = corpus.train[hi..][..shots]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, e)| prompts::GenExample {
+                            db_id: corpus.databases[e.db].id.as_str().into(),
+                            schema_text: schema_of(e.db).into(),
+                            nlq: if hostile_example == Some(i) {
+                                hostile[(hi + 1) % hostile.len()].into()
+                            } else {
+                                e.nlq.as_str().into()
+                            },
+                            dvq: e.dvq_text.as_str().into(),
+                        })
+                        .collect();
+                    let prompt =
+                        &prompts::generation_prompt(&examples, &schema_of(hi % 3), question)[1]
+                            .content;
+                    let got = parse_generation(prompt);
+                    readable += usize::from(got.is_some());
+                    total += 1;
+                    assert_eq!(
+                        got.as_ref().map(read_fields),
+                        owned::parse_generation(prompt).map(owned_read),
+                        "{question:?} with {shots} examples"
+                    );
+                }
+            }
+        }
+        assert!(readable > 0, "every hostile prompt was unreadable");
+        assert!(readable < total, "no hostile prompt was unreadable");
     }
 }

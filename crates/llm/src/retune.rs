@@ -6,18 +6,21 @@
 //! prompt states twice. With probability `1 - retune_fidelity` the model
 //! returns the original unchanged (modelling an ignored instruction).
 
+use crate::memo::{ContextMemo, StyleEvidence};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use t2v_dvq::ast::{ColumnRef, Dvq, SortDir};
 use t2v_dvq::printer::Printer;
-use t2v_dvq::style::infer_profile;
 
-/// Retune `original` toward the style of `references`.
+/// Retune `original` toward the style of `references`. `memo`, when given,
+/// keeps each reference's style evidence across calls, so a reference
+/// the model has read before is not parsed again.
 pub fn retune_dvq<S: AsRef<str>>(
     references: &[S],
     original: &str,
     fidelity: f64,
     seed: u64,
+    memo: Option<&ContextMemo>,
 ) -> String {
     let Ok(mut q) = t2v_dvq::parse(original) else {
         return format!("### Modified DVQ:\n# {original}");
@@ -27,54 +30,34 @@ pub fn retune_dvq<S: AsRef<str>>(
         return format!("### Modified DVQ:\n# {original}");
     }
 
-    let refs: Vec<Dvq> = references
-        .iter()
-        .filter_map(|r| t2v_dvq::parse(r.as_ref()).ok())
-        .collect();
-    if refs.is_empty() {
+    let mut evidence = StyleEvidence::default();
+    for r in references {
+        let r = r.as_ref();
+        let one = match memo {
+            Some(memo) => memo.style(r),
+            None => StyleEvidence::of(r),
+        };
+        if let Some(one) = one {
+            evidence.merge(&one);
+        }
+    }
+    if evidence.vote.samples() == 0 {
         return format!("### Modified DVQ:\n# {original}");
     }
-    let profile = infer_profile(refs.iter());
+    let profile = evidence.vote.profile();
 
     // Explicit-direction style: strip a written ASC when the references
     // mostly leave ascending implicit (the printer can only *add* ASC).
-    if !profile.explicit_asc {
+    if evidence.vote.implicit_dir_majority() {
         if let Some(o) = &mut q.order_by {
             if o.dir == Some(SortDir::Asc) {
-                let implicit_majority = {
-                    let mut explicit = 0usize;
-                    let mut implicit = 0usize;
-                    for r in &refs {
-                        if let Some(ro) = &r.order_by {
-                            if ro.dir.is_some() {
-                                explicit += 1;
-                            } else {
-                                implicit += 1;
-                            }
-                        }
-                    }
-                    implicit > explicit
-                };
-                if implicit_majority {
-                    o.dir = None;
-                }
+                o.dir = None;
             }
         }
     }
 
     // Join-alias style by reference majority.
-    let mut aliased = 0usize;
-    let mut plain = 0usize;
-    for r in &refs {
-        if r.joins.is_empty() {
-            continue;
-        }
-        if r.from.alias.is_some() {
-            aliased += 1;
-        } else {
-            plain += 1;
-        }
-    }
+    let (aliased, plain) = (evidence.aliased_joins, evidence.plain_joins);
     if aliased + plain > 0 && !q.joins.is_empty() {
         set_alias_usage(&mut q, aliased >= plain);
     }
@@ -159,6 +142,7 @@ mod tests {
             "Visualize BAR SELECT a , b FROM t WHERE c IS NOT NULL",
             1.0,
             1,
+            None,
         );
         assert!(extract(&out).contains("c != \"null\""), "{out}");
     }
@@ -171,6 +155,7 @@ mod tests {
             "Visualize BAR SELECT weird_col , other_col FROM strange_table WHERE third_col <> 4",
             1.0,
             1,
+            None,
         ));
         assert!(out.contains("weird_col"));
         assert!(out.contains("other_col"));
@@ -181,7 +166,7 @@ mod tests {
     fn zero_fidelity_returns_original() {
         let refs = vec!["Visualize BAR SELECT a , b FROM t WHERE c != \"null\"".to_string()];
         let original = "Visualize BAR SELECT a , b FROM t WHERE c IS NOT NULL";
-        let out = retune_dvq(&refs, original, 0.0, 1);
+        let out = retune_dvq(&refs, original, 0.0, 1, None);
         assert_eq!(extract(&out), original);
     }
 
@@ -196,6 +181,7 @@ mod tests {
             "Visualize BAR SELECT a , b FROM t ORDER BY a ASC",
             1.0,
             1,
+            None,
         ));
         assert!(out.ends_with("ORDER BY a"), "{out}");
     }
@@ -209,6 +195,7 @@ mod tests {
             "Visualize BAR SELECT x , y FROM emp JOIN dept ON emp.k = dept.k WHERE dept.name = 'A'",
             1.0,
             1,
+            None,
         ));
         assert!(
             out.contains("FROM emp AS T1 JOIN dept AS T2 ON T1.k = T2.k"),
@@ -231,7 +218,7 @@ mod tests {
 
     #[test]
     fn unparseable_original_is_passed_through() {
-        let out = retune_dvq::<&str>(&[], "not a dvq at all", 1.0, 1);
+        let out = retune_dvq::<&str>(&[], "not a dvq at all", 1.0, 1, None);
         assert!(out.contains("not a dvq at all"));
     }
 }
