@@ -15,7 +15,7 @@
 //!   the "ACC_Percent" case.
 
 use t2v_core::{
-    BackendInfo, BackendKind, StageRecord, StageSink, TranslateError, TranslateRequest,
+    BackendInfo, BackendKind, StageRecord, StageSink, Step, TranslateError, TranslateRequest,
     TranslateResponse, Translator,
 };
 use t2v_corpus::{Corpus, Database};
@@ -69,12 +69,15 @@ impl RgVisNet {
 
 impl RgVisNet {
     /// Stage 1: retrieve the DVQ prototype for `nlq` (top-1 over the
-    /// training questions).
-    fn prototype(&self, nlq: &str) -> Option<&(String, String)> {
+    /// training questions), bracketing the question's embedding as
+    /// [`Step::Embed`] for `observer`.
+    fn prototype(&self, nlq: &str, observer: &mut dyn StageSink) -> Option<&(String, String)> {
         if self.entries.is_empty() {
             return None;
         }
+        observer.begin(Step::Embed);
         let qv = self.embedder.embed(nlq);
+        observer.end(Step::Embed);
         let hit = self.index.top_k(&qv, 1).into_iter().next()?;
         Some(&self.entries[hit.id])
     }
@@ -107,33 +110,25 @@ impl RgVisNet {
 
     /// Retrieval + revision as one call (the pre-backend-API entry point).
     pub fn retrieve_and_revise(&self, nlq: &str, db: &Database) -> Option<String> {
-        let (proto_nlq, proto_dvq) = self.prototype(nlq)?;
+        let (proto_nlq, proto_dvq) = self.prototype(nlq, &mut ())?;
         self.revise(nlq, db, proto_nlq, proto_dvq)
     }
 
     fn staged(
         &self,
         req: &TranslateRequest<'_>,
-        mut sink: Option<&mut dyn StageSink>,
+        sink: &mut dyn StageSink,
     ) -> Result<TranslateResponse, TranslateError> {
         req.validate()?;
-        let mut emit = |stage: StageRecord, stages: &mut Vec<StageRecord>| {
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.stage(&stage);
-            }
-            stages.push(stage);
-        };
         let mut stages = Vec::with_capacity(2);
         let t0 = std::time::Instant::now();
-        let proto = self.prototype(req.nlq).cloned();
-        emit(
-            StageRecord::new(
-                "prototype",
-                proto.as_ref().map(|(_, dvq)| dvq.clone()),
-                t0.elapsed().as_micros() as u64,
-            ),
-            &mut stages,
-        );
+        let proto = self.prototype(req.nlq, sink).cloned();
+        stages.push(StageRecord::new(
+            "prototype",
+            proto.as_ref().map(|(_, dvq)| dvq.clone()),
+            t0.elapsed().as_micros() as u64,
+        ));
+        sink.stage(&stages[0]);
         let Some((proto_nlq, proto_dvq)) = proto else {
             return Err(TranslateError::NoOutput {
                 backend: "RGVisNet".to_string(),
@@ -142,10 +137,12 @@ impl RgVisNet {
         };
         let t1 = std::time::Instant::now();
         let revised = self.revise(req.nlq, req.db, &proto_nlq, &proto_dvq);
-        emit(
-            StageRecord::new("revision", revised.clone(), t1.elapsed().as_micros() as u64),
-            &mut stages,
-        );
+        stages.push(StageRecord::new(
+            "revision",
+            revised.clone(),
+            t1.elapsed().as_micros() as u64,
+        ));
+        sink.stage(&stages[1]);
         match revised {
             Some(dvq) => match t2v_dvq::parse(&dvq) {
                 Ok(_) => Ok(TranslateResponse {
@@ -180,7 +177,7 @@ impl Translator for RgVisNet {
     }
 
     fn translate(&self, req: &TranslateRequest<'_>) -> Result<TranslateResponse, TranslateError> {
-        self.staged(req, None)
+        self.staged(req, &mut ())
     }
 
     fn translate_streamed(
@@ -188,7 +185,7 @@ impl Translator for RgVisNet {
         req: &TranslateRequest<'_>,
         sink: &mut dyn StageSink,
     ) -> Result<TranslateResponse, TranslateError> {
-        self.staged(req, Some(sink))
+        self.staged(req, sink)
     }
 }
 

@@ -197,16 +197,42 @@ pub struct BackendInfo {
     pub description: String,
 }
 
-/// Receiver for stage outputs as they complete, for streaming surfaces
-/// (`t2v-serve` NDJSON). Closures work: `&mut |s: &StageRecord| ...`.
+/// One unit of work inside a stage that an observer can bracket with
+/// [`StageSink::begin`] / [`StageSink::end`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Embedding one text (a question, a generated DVQ) for retrieval.
+    Embed,
+    /// One top-k lookup over a retrieval index.
+    Retrieve,
+}
+
+/// The caller-owned observer of one translation. `stage` receives each
+/// stage's output as it completes (`t2v-serve` streams them as NDJSON);
+/// `begin` / `end` bracket each [`Step`] a pipeline takes (`t2v-serve`
+/// opens its spans and polls its latency fault points there). The model
+/// crates hold no trace or fault state of their own: what a translation
+/// exposes goes through this hook. Closures work, observing stages only:
+/// `&mut |s: &StageRecord| ...`.
 pub trait StageSink {
     fn stage(&mut self, stage: &StageRecord);
+
+    /// `step` is about to run. Steps never nest.
+    fn begin(&mut self, _step: Step) {}
+
+    /// `step` has finished.
+    fn end(&mut self, _step: Step) {}
 }
 
 impl<F: FnMut(&StageRecord)> StageSink for F {
     fn stage(&mut self, stage: &StageRecord) {
         self(stage)
     }
+}
+
+/// The observer that observes nothing: pass `&mut ()`.
+impl StageSink for () {
+    fn stage(&mut self, _stage: &StageRecord) {}
 }
 
 /// A text-to-vis translation backend.
@@ -222,9 +248,9 @@ pub trait Translator: Send + Sync {
 
     /// [`Translator::translate`], delivering each stage to `sink` as soon as
     /// it completes. The default emits all stages after the fact; staged
-    /// pipelines (GRED) override it to stream genuinely incrementally.
-    /// Implementations must emit exactly the stages of the returned
-    /// response, in order.
+    /// pipelines (GRED, RGVisNet) override it to stream genuinely
+    /// incrementally and to bracket their [`Step`]s. Implementations must
+    /// emit exactly the stages of the returned response, in order.
     fn translate_streamed(
         &self,
         req: &TranslateRequest<'_>,

@@ -41,6 +41,6 @@ pub mod registry;
 
 pub use api::{
     single_stage_response, validated_single_stage_response, BackendInfo, BackendKind, FnBackend,
-    StageRecord, StageSink, TranslateError, TranslateRequest, TranslateResponse, Translator,
+    StageRecord, StageSink, Step, TranslateError, TranslateRequest, TranslateResponse, Translator,
 };
 pub use registry::BackendRegistry;

@@ -15,10 +15,10 @@
 //! This is the hottest code in the repository. It runs twice per library
 //! entry at prepare time, and a GRED translation calls it about 120 times:
 //! twice from the pipeline (the question, then the generated DVQ — the two
-//! [`TextEmbedder::embed_into`] calls that carry an `embed` span and poll
-//! the `embed.latency` fault point) and once per distinct phrase, slot and
-//! schema name the simulated model links, through the un-instrumented
-//! [`TextEmbedder::embed_untraced`]. So the hot path is allocation-free: it
+//! embeddings the pipeline brackets as `Step::Embed` for its caller's
+//! observer) and once per distinct phrase, slot and schema name the
+//! simulated model links. The embedder itself opens no span and polls no
+//! fault point. The hot path is allocation-free: it
 //! tokenizes over byte ranges of a reused thread-local scratch buffer,
 //! hashes features incrementally, resolves concept phrases against a hash
 //! map precomputed at construction (including plural-stemmed forms) instead
@@ -411,22 +411,7 @@ impl TextEmbedder {
     /// Embed `text` into a caller-provided buffer of length
     /// [`TextEmbedder::dims`], overwriting it. Allocation-free after
     /// per-thread warm-up; byte-identical to [`TextEmbedder::embed`].
-    ///
-    /// This is the pipeline's entry: it opens a `Stage::Embed` span and
-    /// polls the `embed.latency` fault point, then does the work of
-    /// [`TextEmbedder::embed_untraced`].
     pub fn embed_into(&self, text: &str, out: &mut [f32]) {
-        let _span = t2v_trace::span(t2v_trace::Stage::Embed);
-        t2v_fault::inject_delay(t2v_fault::FaultPoint::EmbedLatency);
-        self.embed_untraced(text, out);
-    }
-
-    /// [`TextEmbedder::embed_into`] without the span and the fault point —
-    /// for a caller whose embeddings are private to one step of the request
-    /// (the simulated model's schema linking), so that an `embed` span and
-    /// an `embed.latency` firing keep meaning one of the pipeline's own
-    /// embeddings.
-    pub fn embed_untraced(&self, text: &str, out: &mut [f32]) {
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             self.accumulate(text, out, scratch);
@@ -888,7 +873,7 @@ mod tests {
             prop_assert_eq!(bits(&got), bits(&embed_dense(m, &text)));
             prop_assert_eq!(bits(&got), bits(&m.embed(&text)));
             let mut into = vec![7.0f32; m.dims()];
-            m.embed_untraced(&text, &mut into);
+            m.embed_into(&text, &mut into);
             prop_assert_eq!(bits(&got), bits(&into));
         }
     }

@@ -6,10 +6,11 @@
 //!
 //! | point              | action when fired                                  |
 //! |--------------------|----------------------------------------------------|
-//! | `embed.latency`    | sleep `ms` inside `TextEmbedder::embed_into` — the |
-//! |                    | pipeline's embeddings (two per GRED translation),  |
-//! |                    | not the model's private `embed_untraced` lookups   |
-//! | `retrieve.latency` | sleep `ms` inside the GRED retriever seam          |
+//! | `embed.latency`    | sleep `ms` as a pipeline embedding begins: polled  |
+//! |                    | by `t2v-serve`'s job observer (two per GRED        |
+//! |                    | translation, one per RGVisNet), never at build     |
+//! | `retrieve.latency` | sleep `ms` as a GRED retrieval begins (two per     |
+//! |                    | translation), polled by the same observer          |
 //! | `backend.error`    | translation returns a structured `internal` error  |
 //! | `backend.panic`    | translation worker job panics                      |
 //! | `snapshot.corrupt` | flip one byte of a snapshot file as it is read     |

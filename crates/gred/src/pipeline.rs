@@ -5,7 +5,7 @@ use crate::library::{AnnotationStore, EmbeddingLibrary};
 use std::sync::Arc;
 use std::time::Instant;
 use t2v_core::{
-    BackendInfo, BackendKind, StageRecord, StageSink, TranslateError, TranslateRequest,
+    BackendInfo, BackendKind, StageRecord, StageSink, Step, TranslateError, TranslateRequest,
     TranslateResponse, Translator,
 };
 use t2v_corpus::{Corpus, Database};
@@ -75,10 +75,10 @@ impl GredOutput {
 
 /// The retrieval seam between the pipeline and the embedding library.
 ///
-/// [`Gred::translate`] resolves its two top-k lookups through this trait:
-/// the caller picks exact ([`DirectRetriever`]) or index-aware
-/// ([`AutoRetriever`]) retrieval, and the pipeline wraps each call in the
-/// `retrieve` span and the `retrieve.latency` fault point. Queries are the
+/// [`Gred::translate_observed`] resolves its two top-k lookups through this
+/// trait: the caller picks exact ([`DirectRetriever`]) or index-aware
+/// ([`AutoRetriever`]) retrieval, and the pipeline brackets each call as
+/// [`Step::Retrieve`] for the caller's observer. Queries are the
 /// embedder's output and therefore already L2-normalised.
 pub trait Retrieve {
     /// Top-k over the library's NLQ index.
@@ -198,32 +198,26 @@ impl<M: ChatModel> Gred<M> {
         &self.model
     }
 
-    /// Translate one NLQ against `db`, reporting every stage's output.
+    /// Translate one NLQ against `db` with exact retrieval, reporting
+    /// every stage's output.
     pub fn translate(&self, nlq: &str, db: &Database) -> GredOutput {
-        self.translate_with(nlq, db, &DirectRetriever(&self.library))
+        self.translate_observed(nlq, db, &DirectRetriever(&self.library), &mut ())
     }
 
-    /// [`Gred::translate`] with retrieval routed through `retriever`.
-    pub fn translate_with(
-        &self,
-        nlq: &str,
-        db: &Database,
-        retriever: &impl Retrieve,
-    ) -> GredOutput {
-        self.translate_observed(nlq, db, retriever, &mut |_: &StageRecord| {})
-    }
-
-    /// The pipeline proper, delivering each stage's [`StageRecord`] (output
-    /// and wall-clock micros) to `observe` the moment the stage completes —
-    /// the seam behind both the [`Translator`] impl and `t2v-serve`'s
-    /// NDJSON stage streaming. Identical translation behaviour to
-    /// [`Gred::translate_with`]; observation adds timing only.
+    /// The pipeline proper, with retrieval routed through `retriever`. It
+    /// delivers each stage's [`StageRecord`] (output and wall-clock micros)
+    /// to `observer` the moment the stage completes, and brackets its two
+    /// embeddings ([`Step::Embed`]) and two retrievals ([`Step::Retrieve`])
+    /// with `begin` / `end`. This is the seam behind the [`Translator`]
+    /// impl and everything `t2v-serve` exposes of a translation: NDJSON
+    /// stages, spans, latency fault points. Observation never changes the
+    /// output.
     pub fn translate_observed(
         &self,
         nlq: &str,
         db: &Database,
         retriever: &impl Retrieve,
-        observe: &mut dyn FnMut(&StageRecord),
+        observer: &mut (impl StageSink + ?Sized),
     ) -> GredOutput {
         let schema_text = db.render_prompt_schema();
 
@@ -231,12 +225,12 @@ impl<M: ChatModel> Gred<M> {
         // The embedder's output is already L2-normalised, so retrieval can
         // skip its defensive renormalisation copy.
         let t0 = Instant::now();
+        observer.begin(Step::Embed);
         let qv = self.embedder.embed(nlq);
-        let mut hits = {
-            let _span = t2v_trace::span(t2v_trace::Stage::Retrieve);
-            t2v_fault::inject_delay(t2v_fault::FaultPoint::RetrieveLatency);
-            retriever.retrieve_nlq(&qv, self.config.k)
-        };
+        observer.end(Step::Embed);
+        observer.begin(Step::Retrieve);
+        let mut hits = retriever.retrieve_nlq(&qv, self.config.k);
+        observer.end(Step::Retrieve);
         // `top_k` returns best-first (descending similarity); the paper
         // assembles the prompt in ascending order of similarity so the most
         // similar example lands next to the question.
@@ -261,7 +255,7 @@ impl<M: ChatModel> Gred<M> {
             &ChatParams::working(),
         );
         let dvq_gen = extract_dvq(&gen_answer);
-        observe(&StageRecord::new(
+        observer.stage(&StageRecord::new(
             "generator",
             dvq_gen.clone(),
             t0.elapsed().as_micros() as u64,
@@ -277,12 +271,12 @@ impl<M: ChatModel> Gred<M> {
         // ----- stage 2: DVQ-Retrieval Retuner -----
         let dvq_rtn = if self.config.use_retuner {
             let t1 = Instant::now();
+            observer.begin(Step::Embed);
             let dv = self.embedder.embed(&dvq_gen);
-            let hits = {
-                let _span = t2v_trace::span(t2v_trace::Stage::Retrieve);
-                t2v_fault::inject_delay(t2v_fault::FaultPoint::RetrieveLatency);
-                retriever.retrieve_dvq(&dv, self.config.k)
-            };
+            observer.end(Step::Embed);
+            observer.begin(Step::Retrieve);
+            let hits = retriever.retrieve_dvq(&dv, self.config.k);
+            observer.end(Step::Retrieve);
             let refs: Vec<&str> = hits
                 .iter()
                 .map(|h| &*self.library.entries[h.id].dvq)
@@ -292,7 +286,7 @@ impl<M: ChatModel> Gred<M> {
                 &ChatParams::working(),
             );
             let dvq_rtn = extract_dvq(&answer);
-            observe(&StageRecord::new(
+            observer.stage(&StageRecord::new(
                 "retuner",
                 dvq_rtn.clone(),
                 t1.elapsed().as_micros() as u64,
@@ -312,7 +306,7 @@ impl<M: ChatModel> Gred<M> {
                 &ChatParams::working(),
             );
             let dvq_dbg = extract_dvq(&answer);
-            observe(&StageRecord::new(
+            observer.stage(&StageRecord::new(
                 "debugger",
                 dvq_dbg.clone(),
                 t2.elapsed().as_micros() as u64,
@@ -339,24 +333,22 @@ impl<M: ChatModel> Gred<M> {
         }
     }
 
-    /// Backend-API translation with a caller-supplied retriever — the seam
-    /// `t2v-serve` uses to pick exact or index-aware retrieval per tenant
-    /// while still speaking [`Translator`] types. Pass a sink
-    /// to receive stages as they complete.
+    /// Backend-API translation with a caller-supplied retriever and
+    /// observer — the seam `t2v-serve` uses to pick exact or index-aware
+    /// retrieval per tenant while still speaking [`Translator`] types.
     pub fn translate_api(
         &self,
         req: &TranslateRequest<'_>,
         retriever: &impl Retrieve,
-        mut sink: Option<&mut dyn StageSink>,
+        observer: &mut (impl StageSink + ?Sized),
     ) -> Result<TranslateResponse, TranslateError> {
         req.validate()?;
-        let mut stages: Vec<StageRecord> = Vec::new();
-        let out = self.translate_observed(req.nlq, req.db, retriever, &mut |s: &StageRecord| {
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.stage(s);
-            }
-            stages.push(s.clone());
-        });
+        let mut collect = Collect {
+            observer,
+            stages: Vec::new(),
+        };
+        let out = self.translate_observed(req.nlq, req.db, retriever, &mut collect);
+        let stages = collect.stages;
         match out.final_dvq() {
             Some(dvq) => Ok(TranslateResponse {
                 backend: self.display_name().to_string(),
@@ -402,7 +394,7 @@ impl<M: ChatModel + Send + Sync> Translator for Gred<M> {
     }
 
     fn translate(&self, req: &TranslateRequest<'_>) -> Result<TranslateResponse, TranslateError> {
-        self.translate_api(req, &DirectRetriever(&self.library), None)
+        self.translate_api(req, &DirectRetriever(&self.library), &mut ())
     }
 
     fn translate_streamed(
@@ -410,7 +402,29 @@ impl<M: ChatModel + Send + Sync> Translator for Gred<M> {
         req: &TranslateRequest<'_>,
         sink: &mut dyn StageSink,
     ) -> Result<TranslateResponse, TranslateError> {
-        self.translate_api(req, &DirectRetriever(&self.library), Some(sink))
+        self.translate_api(req, &DirectRetriever(&self.library), sink)
+    }
+}
+
+/// Passes everything on to the caller's observer and keeps each stage for
+/// the response.
+struct Collect<'a, S: ?Sized> {
+    observer: &'a mut S,
+    stages: Vec<StageRecord>,
+}
+
+impl<S: StageSink + ?Sized> StageSink for Collect<'_, S> {
+    fn stage(&mut self, stage: &StageRecord) {
+        self.observer.stage(stage);
+        self.stages.push(stage.clone());
+    }
+
+    fn begin(&mut self, step: Step) {
+        self.observer.begin(step);
+    }
+
+    fn end(&mut self, step: Step) {
+        self.observer.end(step);
     }
 }
 
@@ -498,46 +512,77 @@ mod tests {
 
     #[test]
     fn translate_with_custom_retriever_matches_direct() {
+        use std::cell::Cell;
         struct Counting<'a> {
             inner: DirectRetriever<'a>,
-            nlq_calls: std::sync::atomic::AtomicUsize,
-            dvq_calls: std::sync::atomic::AtomicUsize,
+            nlq_calls: Cell<usize>,
+            dvq_calls: Cell<usize>,
         }
         impl Retrieve for Counting<'_> {
             fn retrieve_nlq(&self, q: &[f32], k: usize) -> Vec<Hit> {
-                self.nlq_calls
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.nlq_calls.set(self.nlq_calls.get() + 1);
                 self.inner.retrieve_nlq(q, k)
             }
             fn retrieve_dvq(&self, q: &[f32], k: usize) -> Vec<Hit> {
-                self.dvq_calls
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.dvq_calls.set(self.dvq_calls.get() + 1);
                 self.inner.retrieve_dvq(q, k)
             }
         }
+        /// Records the steps and stages it is shown, checking that every
+        /// `begin` is closed by the matching `end` before anything else.
+        #[derive(Default)]
+        struct Recording {
+            steps: Vec<Step>,
+            open: Option<Step>,
+            stages: Vec<StageRecord>,
+        }
+        impl StageSink for Recording {
+            fn stage(&mut self, stage: &StageRecord) {
+                assert_eq!(self.open, None, "a stage completed inside a step");
+                self.stages.push(stage.clone());
+            }
+            fn begin(&mut self, step: Step) {
+                assert_eq!(self.open.replace(step), None, "steps nest");
+                self.steps.push(step);
+            }
+            fn end(&mut self, step: Step) {
+                assert_eq!(self.open.take(), Some(step), "unpaired end");
+            }
+        }
 
-        let (corpus, gred) = fixture();
-        let ex = &corpus.dev[3];
-        let db = &corpus.databases[ex.db];
-        let counting = Counting {
-            inner: DirectRetriever(gred.library()),
-            nlq_calls: Default::default(),
-            dvq_calls: Default::default(),
-        };
-        let via_seam = gred.translate_with(&ex.nlq, db, &counting);
-        assert_eq!(via_seam, gred.translate(&ex.nlq, db));
-        assert_eq!(
-            counting
-                .nlq_calls
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
-        assert_eq!(
-            counting
-                .dvq_calls
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        let (corpus, full) = fixture();
+        let gen_only = default_gred(&corpus, GredConfig::default().generator_only());
+        let four = [Step::Embed, Step::Retrieve, Step::Embed, Step::Retrieve];
+        for (gred, want_steps, dvq_calls) in [(&full, &four[..], 1), (&gen_only, &four[..2], 0)] {
+            for ex in &corpus.dev[..8] {
+                let db = &corpus.databases[ex.db];
+                let counting = Counting {
+                    inner: DirectRetriever(gred.library()),
+                    nlq_calls: Cell::new(0),
+                    dvq_calls: Cell::new(0),
+                };
+                let mut observer = Recording::default();
+                let via_seam = gred.translate_observed(&ex.nlq, db, &counting, &mut observer);
+                assert_eq!(via_seam, gred.translate(&ex.nlq, db));
+                assert_eq!(
+                    (counting.nlq_calls.get(), counting.dvq_calls.get()),
+                    (1, dvq_calls)
+                );
+                assert_eq!(observer.open, None, "a step was left open");
+                assert_eq!(observer.steps, want_steps);
+
+                let req = TranslateRequest::new(&ex.nlq, db);
+                let mut streamed: Vec<StageRecord> = Vec::new();
+                gred.translate_streamed(&req, &mut |s: &StageRecord| streamed.push(s.clone()))
+                    .unwrap();
+                assert_eq!(observer.stages.len(), streamed.len());
+                assert!(observer
+                    .stages
+                    .iter()
+                    .zip(&streamed)
+                    .all(|(a, b)| a.same_output(b)));
+            }
+        }
     }
 
     #[test]

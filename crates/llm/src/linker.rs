@@ -61,15 +61,14 @@ impl<'a> EmbedCache<'a> {
     }
 
     /// The id of `text`, embedding it on first sight. These embeddings are
-    /// private to the model call, so they go through the embedder's
-    /// un-instrumented entry: no `embed` span, no `embed.latency` poll.
+    /// private to the model call: the pipeline's observer never sees them.
     pub fn id(&mut self, text: &str) -> EmbedId {
         if let Some(&id) = self.ids.get(text) {
             return id;
         }
         let embedder = self.embedder;
         let row = self.next_row();
-        embedder.embed_untraced(text, row);
+        embedder.embed_into(text, row);
         let norm = fused_dot(row, row).sqrt();
         self.push(text, norm)
     }
@@ -91,7 +90,7 @@ impl<'a> EmbedCache<'a> {
         let norm = match memo.scatter_row(text, row) {
             Some(norm) => norm,
             None => {
-                embedder.embed_untraced(text, row);
+                embedder.embed_into(text, row);
                 let norm = fused_dot(row, row).sqrt();
                 memo.insert_row(text, row, norm);
                 norm

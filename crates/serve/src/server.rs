@@ -113,7 +113,7 @@ impl GredBackend {
     fn run(
         &self,
         req: &TranslateRequest<'_>,
-        sink: Option<&mut dyn StageSink>,
+        sink: &mut dyn StageSink,
     ) -> Result<TranslateResponse, TranslateError> {
         let library = self.gred.library();
         match self.ann_nprobe {
@@ -133,7 +133,7 @@ impl Translator for GredBackend {
     }
 
     fn translate(&self, req: &TranslateRequest<'_>) -> Result<TranslateResponse, TranslateError> {
-        self.run(req, None)
+        self.run(req, &mut ())
     }
 
     fn translate_streamed(
@@ -141,7 +141,7 @@ impl Translator for GredBackend {
         req: &TranslateRequest<'_>,
         sink: &mut dyn StageSink,
     ) -> Result<TranslateResponse, TranslateError> {
-        self.run(req, Some(sink))
+        self.run(req, sink)
     }
 }
 
@@ -763,13 +763,13 @@ impl Server {
         let listener = TcpListener::bind(&state.config.addr)?;
         let addr = listener.local_addr()?;
         let config = &state.config;
-        // Arm the deterministic fault plan, if one is configured. The
-        // injection points live in leaf crates that know nothing about
-        // server instances, so arming is process-global — the knob exists
-        // for chaos drills, which run one server per process. The spec
-        // already parsed when the knob was set; a failure here means the
-        // field was mutated directly, and silently serving unfaulted is
-        // the safe answer.
+        // Arm the deterministic fault plan, if one is configured. Some
+        // injection points live in crates that know nothing about server
+        // instances (`t2v-store`'s snapshot reads), so arming is
+        // process-global — the knob exists for chaos drills, which run
+        // one server per process. The spec already parsed when the knob
+        // was set; a failure here means the field was mutated directly,
+        // and silently serving unfaulted is the safe answer.
         if !config.fault_plan.is_empty() {
             if let Ok(plan) = t2v_fault::FaultPlan::parse(&config.fault_plan) {
                 t2v_fault::arm(&plan);

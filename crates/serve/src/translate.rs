@@ -27,8 +27,11 @@ use crate::server::{CacheKey, DbEntry, Shared, TenantRuntime};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-use t2v_core::{StageRecord, TranslateError, TranslateRequest, TranslateResponse, Translator};
+use t2v_core::{
+    StageRecord, StageSink, TranslateError, TranslateRequest, TranslateResponse, Translator,
+};
 use t2v_engine::{execute, Json};
+use t2v_fault::FaultPoint;
 use t2v_trace::{Stage, Trace};
 
 /// What the worker pool hands back for one translation: the serialised body
@@ -423,6 +426,37 @@ fn refused(shared: &Shared, refusal: &Refused, backend_id: &str) -> Outcome {
     outcome
 }
 
+/// The worker job's observer of one translation. It forwards each stage
+/// as an NDJSON line when the request streams, and wraps each of the
+/// pipeline's embeddings and retrievals in an `embed` / `retrieve` span,
+/// polling the matching latency fault point as the span opens.
+struct JobObserver<'a> {
+    stage_tx: Option<&'a mpsc::Sender<String>>,
+    /// The open step's span; steps never nest.
+    step_span: Option<t2v_trace::SpanGuard>,
+}
+
+impl StageSink for JobObserver<'_> {
+    fn stage(&mut self, stage: &StageRecord) {
+        if let Some(tx) = self.stage_tx {
+            let _ = tx.send(stage_line(stage));
+        }
+    }
+
+    fn begin(&mut self, step: t2v_core::Step) {
+        let (stage, point) = match step {
+            t2v_core::Step::Embed => (Stage::Embed, FaultPoint::EmbedLatency),
+            t2v_core::Step::Retrieve => (Stage::Retrieve, FaultPoint::RetrieveLatency),
+        };
+        self.step_span = Some(t2v_trace::span(stage));
+        t2v_fault::inject_delay(point);
+    }
+
+    fn end(&mut self, _step: t2v_core::Step) {
+        self.step_span = None;
+    }
+}
+
 /// Queue one item's cold translation on the pool. The returned slot
 /// resolves to a [`Reply`]; the worker also caches successful bodies and
 /// records per-backend, per-tenant, and breaker outcomes. A `deadline`
@@ -448,7 +482,7 @@ fn submit_translation(
     let enqueued = Instant::now();
     // The request thread's trace rides into the job: the worker installs
     // it as *its* current trace, so the backend span (and the embed/retrieve
-    // spans the leaf crates open) land in the same tree.
+    // spans the job's observer opens) land in the same tree.
     let trace = t2v_trace::current();
     let job = move || {
         let _trace_scope = trace.as_ref().map(Trace::scope);
@@ -483,21 +517,19 @@ fn submit_translation(
             // and the pool's catch_unwind turn it into a structured 500 +
             // metrics); an armed `backend.error` swaps the translation for
             // an internal error without touching the backend.
-            if t2v_fault::fire_for(t2v_fault::FaultPoint::BackendPanic, &backend_id).is_some() {
+            if t2v_fault::fire_for(FaultPoint::BackendPanic, &backend_id).is_some() {
                 panic!("injected fault: backend '{backend_id}' panic");
             }
             let req = TranslateRequest::new(&key.2, &entry.db);
-            if t2v_fault::fire_for(t2v_fault::FaultPoint::BackendError, &backend_id).is_some() {
+            if t2v_fault::fire_for(FaultPoint::BackendError, &backend_id).is_some() {
                 let message = format!("injected fault: backend '{backend_id}' error");
                 Err(TranslateError::Internal { message })
-            } else if let Some(tx) = &stage_tx {
-                // Streaming: forward each stage line as the pipeline
-                // produces it.
-                backend.translate_streamed(&req, &mut |s: &StageRecord| {
-                    let _ = tx.send(stage_line(s));
-                })
             } else {
-                backend.translate(&req)
+                let mut observer = JobObserver {
+                    stage_tx: stage_tx.as_ref(),
+                    step_span: None,
+                };
+                backend.translate_streamed(&req, &mut observer)
             }
         };
         let elapsed = t0.elapsed().as_nanos() as u64;

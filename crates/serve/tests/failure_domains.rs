@@ -679,6 +679,41 @@ fn embed_latency_fires_once_per_pipeline_embedding() {
     server.shutdown();
 }
 
+/// Building a tenant embeds its whole training split, and none of those
+/// embeddings is a translation's: an uncounted `embed.latency` plan must
+/// not stall a hot attach (at 20 ms per embedding a `tiny` corpus would
+/// take seconds), yet must still fire twice for one GRED translation on
+/// the attached tenant.
+#[test]
+fn attaching_a_tenant_never_polls_embed_latency() {
+    let _session = FaultSession::begin();
+    let (_corpus, server) = spawn_server(&[]);
+    let mut client = Client::connect(&server);
+    let armed = t2v_fault::arm(&FaultPlan::parse("seed=23;embed.latency:ms=20").unwrap());
+
+    let attach = client.request(
+        "POST",
+        "/v1/admin/tenants/attach",
+        "",
+        "{\"id\":\"hotco\",\"corpus\":\"tiny:13\"}",
+    );
+    assert_eq!(attach.status, 200, "{:?}", attach.json());
+    assert_eq!(armed.fired(FaultPoint::EmbedLatency), 0);
+
+    let corpus = generate(&CorpusConfig::tiny(13));
+    let ex = &corpus.dev[0];
+    let body = Json::obj([
+        ("nlq", Json::str(&ex.nlq)),
+        ("db", Json::str(&corpus.databases[ex.db].id)),
+        ("backend", Json::str("gred")),
+    ])
+    .compact();
+    let reply = client.request("POST", "/v1/t/hotco/translate", "", &body);
+    assert_eq!(reply.status, 200, "{:?}", reply.json());
+    assert_eq!(armed.fired(FaultPoint::EmbedLatency), 2);
+    server.shutdown();
+}
+
 #[test]
 fn corrupted_snapshot_reads_fail_with_structured_errors() {
     let _session = FaultSession::begin();

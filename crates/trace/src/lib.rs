@@ -507,7 +507,7 @@ impl Drop for ScopeGuard {
 
 /// Open a child span of the thread's current trace; records its duration
 /// when dropped. A no-op (one thread-local read) when no trace is
-/// installed — leaf crates call this unconditionally.
+/// installed, so callers open spans unconditionally.
 pub fn span(stage: Stage) -> SpanGuard {
     let inner = CURRENT.with(|c| c.borrow().as_ref().map(|a| Arc::clone(&a.inner)));
     match inner {
