@@ -2,8 +2,12 @@
 //! defaults. Precedence is defaults < file < `T2V_SERVE_*` environment, so a
 //! deployment can ship one config file and still tweak a knob per-instance
 //! without recompiling. An unknown key is an error from either source.
-//! Every knob is documented in DESIGN.md §7.
+//!
+//! Every knob is one row of the `knobs!` table below. The row's field,
+//! default, `set` arm, [`KEYS`] entry and [`knob_table`] line (what
+//! `t2v-serve --help` prints and DESIGN.md §7 embeds) all derive from it.
 
+use std::path::Path;
 use std::time::Duration;
 
 /// Which synthetic corpus the server prepares GRED over.
@@ -60,166 +64,179 @@ impl AnnMode {
 /// The backend ids `t2v-serve` knows how to construct.
 pub const KNOWN_BACKENDS: &[&str] = &["gred", "seq2vis", "transformer", "rgvisnet", "neural"];
 
-/// Every tunable of the serving subsystem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Bind address. Port 0 lets the OS pick (loopback tests do this).
-    pub addr: String,
-    /// Worker threads for the translation pool. 0 ⇒ derive from
-    /// `t2v_parallel::thread_count()` (`available_parallelism`, itself
-    /// overridable with `T2V_THREADS`).
-    pub workers: usize,
-    /// Bounded queue capacity *per shard*; a full pool answers 503.
-    pub queue_capacity: usize,
-    /// Max simultaneously open sockets; excess connections get an immediate
-    /// canned 503.
-    pub max_connections: usize,
-    /// Idle budget in milliseconds: a connection that makes no progress
-    /// for this long is reaped — covers keep-alive gaps *and* mid-request
-    /// stalls (slow-loris). At least 1.
-    pub conn_idle_ms: u64,
-    /// Request bodies above this many bytes get 413.
-    pub max_body_bytes: usize,
-    /// Translation cache entries across all shards (0 disables the cache).
-    pub cache_capacity: usize,
-    /// Cache TTL in seconds (0 ⇒ entries never expire).
-    pub cache_ttl_secs: u64,
-    /// ANN policy for every tenant's embedding library: `off` (exact flat
-    /// scan, the old behaviour), `on` (adopt a snapshot's index or train
-    /// when the corpus is big enough), `force` (train even on tiny
-    /// corpora). Retrieval through the index rescores candidates with the
-    /// exact f32 dot, so scores are identical to flat — only recall of the
-    /// candidate set is approximate.
-    pub ann: AnnMode,
-    /// Cells probed per ANN query. 0 ⇒ the index's own default
-    /// (`t2v_ann::auto_nprobe`). Higher = better recall, slower.
-    pub ann_nprobe: usize,
-    /// Synthetic rows per table for the execution stores.
-    pub store_rows: usize,
-    pub store_seed: u64,
-    /// Corpus the embedding library is prepared over.
-    pub corpus: CorpusProfile,
-    /// Path of a `t2v-store` snapshot to load the embedding library from at
-    /// startup (empty ⇒ always build). A missing file falls back to a
-    /// build; an existing-but-invalid or fingerprint-mismatched snapshot
-    /// fails startup loudly.
-    pub library_snapshot: String,
-    /// Path to persist the library to after a cold build (write-through;
-    /// empty ⇒ never write). Also the default target of
-    /// `POST /v1/admin/snapshot`.
-    pub snapshot_save: String,
-    /// Extra tenants to attach at startup, `id:profile:seed`
-    /// comma-separated (e.g. `acme:tiny:8,globex:paper:3`). Each tenant
-    /// serves its own corpus + library + backend registry under
-    /// `/v1/t/{id}/...`; the unprefixed `/v1/*` routes stay the implicit
-    /// `default` tenant (this config's `corpus=`). Empty ⇒ no extra
-    /// tenants (unless `tenant_dir` declares some).
-    pub tenants: String,
-    /// Snapshot catalog directory. Tenants listed in `tenants=` load their
-    /// library from `{dir}/{id}@{profile}-{seed}.t2vsnap` when that file
-    /// exists (and build otherwise); with `tenants=` empty, every
-    /// conforming snapshot in the directory *declares* a tenant
-    /// (snapshot-only, verified fingerprints, corrupt files fail startup).
-    pub tenant_dir: String,
-    /// Per-backend worker-pool weights, `id:weight` comma-separated (e.g.
-    /// `gred:4,neural:1`). Unlisted backends weigh 1; empty (default) ⇒
-    /// the pool is unclassed — no per-backend admission control at all.
-    /// When set, heavier backends are allowed proportionally more
-    /// in-flight translations before the pool sheds their load with a 503.
-    pub backend_weights: String,
-    /// Which backends to register, comma-separated (see
-    /// [`KNOWN_BACKENDS`]); the first is the default for requests that do
-    /// not name one.
-    pub backends: String,
-    /// Per-request wall-clock budget in milliseconds, measured from request
-    /// parse. Checked between pipeline stages (admission, worker start,
-    /// reply wait); an expired budget answers a structured 504
-    /// `deadline_exceeded`. Clients may *lower* (never raise) it per
-    /// request with an `X-T2V-Deadline-Ms` header. 0 disables deadlines
-    /// (the old 60 s backstop behaviour).
-    pub deadline_ms: u64,
-    /// Deterministic fault-injection plan (see `t2v-fault`), e.g.
-    /// `seed=7;backend.error:p=0.5,count=100`. Parsed and validated at set
-    /// time, armed process-wide at server build. Empty (default) ⇒ no
-    /// faults and a zero-cost no-op at every hook.
-    pub fault_plan: String,
-    /// Rolling outcome window per tenant×backend circuit breaker, in
-    /// translations. 0 disables the breakers entirely.
-    pub breaker_window: usize,
-    /// Minimum outcomes in the window before the error rate can trip the
-    /// breaker (a single early failure must not open it).
-    pub breaker_min_samples: usize,
-    /// How long an open breaker fast-fails (503 + `Retry-After`) before
-    /// letting a half-open probe through.
-    pub breaker_open_ms: u64,
-    /// Fraction of requests whose trace is recorded into the flight
-    /// recorder, 0.0..=1.0. Sampling is deterministic in the trace id, so
-    /// one request traces identically everywhere it is discussed. 0
-    /// disables ambient tracing entirely (requests still get trace *ids*;
-    /// `X-T2V-Trace: 1` still forces a recorded trace for that request).
-    pub trace_sample: f64,
-    /// Flight-recorder capacity: how many finished traces are retained
-    /// (ring buffer, oldest evicted first). 0 disables the recorder (and
-    /// with it `/v1/admin/trace/*`).
-    pub trace_buffer: usize,
-    /// Structured JSON access log path, one object per request. Empty
-    /// (default) ⇒ no access log.
-    pub access_log: String,
-    /// Ops-plane sampler cadence in milliseconds: how often the metrics
-    /// registry is snapshotted into the in-process TSDB (and SLOs
-    /// re-evaluated). 0 disables the sampler, the TSDB, and SLO alerting.
-    pub obs_sample_ms: u64,
-    /// Stage-occupancy profiler sampling rate in Hz. Prime by default
-    /// (97) so the sampler does not alias against millisecond-period
-    /// work. 0 disables the profiler (and `/v1/admin/profile`).
-    pub obs_profile_hz: u32,
-    /// SLO objectives, e.g. `availability:0.999;latency:p99<5ms;cache_hit:0.7`.
-    /// Validated at set time like `fault_plan=`; empty ⇒ no SLO engine.
-    pub slo: String,
-    /// Fast burn-rate window in seconds (the paging window).
-    pub slo_fast_s: u64,
-    /// Slow burn-rate window in seconds (the blip suppressor). Windows
-    /// wider than the TSDB's 900 s retention see at most that history.
-    pub slo_slow_s: u64,
+/// Declares every knob once. A row is its doc, whose first line is the
+/// knob's one-line summary, then `key: Type = "default", parser;`, where
+/// `parser(key, value)` turns a spelling into the field's value. `Default`
+/// runs each row's parser on its default spelling, so a default that does
+/// not parse fails every test, and the default `--help` shows is one a
+/// user can type.
+macro_rules! knobs {
+    ($(#[doc = $summary:literal] $(#[doc = $doc:literal])*
+       $key:ident: $ty:ty = $default:literal, $parse:expr;)+) => {
+        /// Every tunable of the serving subsystem.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct ServeConfig {
+            $(#[doc = $summary] $(#[doc = $doc])* pub $key: $ty,)+
+        }
+
+        impl Default for ServeConfig {
+            fn default() -> Self {
+                ServeConfig {
+                    $($key: ($parse)(stringify!($key), $default).expect("a default parses"),)+
+                }
+            }
+        }
+
+        impl ServeConfig {
+            /// Set one knob from its string form. A rejected value changes
+            /// nothing.
+            pub fn set(&mut self, key: &str, value: &str) -> Result<(), ConfigError> {
+                match key {
+                    $(stringify!($key) => self.$key = ($parse)(key, value)?,)+
+                    _ => return Err(err(format!("unknown config key '{key}'"))),
+                }
+                Ok(())
+            }
+        }
+
+        /// All settable keys.
+        pub const KEYS: &[&str] = &[$(stringify!($key)),+];
+
+        /// Each knob's key, default spelling and summary line.
+        const ROWS: &[(&str, &str, &str)] = &[$((stringify!($key), $default, $summary)),+];
+    };
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:7890".to_string(),
-            workers: 0,
-            queue_capacity: 64,
-            max_connections: 256,
-            conn_idle_ms: 30_000,
-            max_body_bytes: 64 * 1024,
-            cache_capacity: 4096,
-            cache_ttl_secs: 600,
-            ann: AnnMode::Off,
-            ann_nprobe: 0,
-            store_rows: 30,
-            store_seed: 7,
-            corpus: CorpusProfile::Tiny(7),
-            library_snapshot: String::new(),
-            snapshot_save: String::new(),
-            tenants: String::new(),
-            tenant_dir: String::new(),
-            backend_weights: String::new(),
-            backends: "gred,seq2vis,transformer,rgvisnet,neural".to_string(),
-            deadline_ms: 30_000,
-            fault_plan: String::new(),
-            breaker_window: 32,
-            breaker_min_samples: 8,
-            breaker_open_ms: 1_000,
-            trace_sample: 0.05,
-            trace_buffer: 512,
-            access_log: String::new(),
-            obs_sample_ms: 1000,
-            obs_profile_hz: 97,
-            slo: String::new(),
-            slo_fast_s: 300,
-            slo_slow_s: 3600,
-        }
+knobs! {
+    /// Bind address; port 0 lets the OS pick (loopback tests do this).
+    addr: String = "127.0.0.1:7890", parse_text;
+    /// Translation pool threads; 0 means the machine's parallelism.
+    /// That is `t2v_parallel::thread_count()` (`available_parallelism`,
+    /// itself overridable with `T2V_THREADS`). The pool and cache shard
+    /// counts derive from this one.
+    workers: usize = "0", parse_int;
+    /// Bounded queue capacity per pool shard; a full pool answers 503.
+    queue_capacity: usize = "64", parse_int;
+    /// Max open sockets; a connection beyond it gets a canned 503.
+    max_connections: usize = "256", parse_int;
+    /// Idle budget in ms before a connection that makes no progress is reaped.
+    /// Covers keep-alive gaps *and* mid-request stalls (slow-loris).
+    conn_idle_ms: u64 = "30000", at_least_1("the idle budget", "ms");
+    /// Request bodies above this many bytes get 413.
+    max_body_bytes: usize = "65536", parse_int;
+    /// Translation cache entries across all shards; 0 disables the cache.
+    cache_capacity: usize = "4096", parse_int;
+    /// Cache TTL in seconds; 0 means entries never expire.
+    cache_ttl_secs: u64 = "600", parse_int;
+    /// ANN policy of every tenant's embedding library: `off`, `on` or `force`.
+    /// `off` is the exact flat scan; `on` adopts a snapshot's index or
+    /// trains one when the corpus is big enough; `force` trains even on
+    /// tiny corpora. Retrieval through the index rescores candidates with
+    /// the exact f32 dot, so scores are identical to flat — only recall of
+    /// the candidate set is approximate.
+    ann: AnnMode = "off", parse_ann;
+    /// Cells probed per ANN query; 0 means the index's own default.
+    /// That default is `t2v_ann::auto_nprobe`. Higher = better recall,
+    /// slower.
+    ann_nprobe: usize = "0", parse_int;
+    /// Synthetic rows per table for the execution stores.
+    store_rows: usize = "30", parse_int;
+    /// Seed of the execution stores' synthetic rows.
+    store_seed: u64 = "7", parse_int;
+    /// Corpus the embedding library is prepared over: `tiny:SEED` or `paper:SEED`.
+    corpus: CorpusProfile = "tiny:7", parse_corpus;
+    /// Snapshot to load the embedding library from at startup; empty builds.
+    /// A missing file falls back to a build; an existing-but-invalid or
+    /// fingerprint-mismatched snapshot fails startup loudly.
+    library_snapshot: String = "", parse_text;
+    /// Path a cold-built library is written through to; empty never writes.
+    /// Also the default target of `POST /v1/admin/snapshot`.
+    snapshot_save: String = "", parse_text;
+    /// Extra tenants to attach at startup, `id:profile:seed` comma-separated.
+    /// E.g. `acme:tiny:8,globex:paper:3`. Each tenant serves its own
+    /// corpus + library + backend registry under `/v1/t/{id}/...`; the
+    /// unprefixed `/v1/*` routes stay the implicit `default` tenant (this
+    /// config's `corpus=`). Empty ⇒ no extra tenants (unless `tenant_dir`
+    /// declares some).
+    tenants: String = "", parse_tenants;
+    /// Snapshot catalog directory of the tenants.
+    /// Tenants listed in `tenants=` load their library from
+    /// `{dir}/{id}@{profile}-{seed}.t2vsnap` when that file exists (and
+    /// build otherwise); with `tenants=` empty, every conforming snapshot
+    /// in the directory *declares* a tenant (snapshot-only, verified
+    /// fingerprints, corrupt files fail startup).
+    tenant_dir: String = "", parse_text;
+    /// Per-backend pool weights, `id:weight` comma-separated; empty is unclassed.
+    /// E.g. `gred:4,neural:1`. Unlisted backends weigh 1; an unclassed pool
+    /// has no per-backend admission control at all. When set, heavier
+    /// backends are allowed proportionally more in-flight translations
+    /// before the pool sheds their load with a 503.
+    backend_weights: String = "", parse_backend_weights;
+    /// Backends to register, comma-separated; the first is the default.
+    /// See [`KNOWN_BACKENDS`]; the default serves requests that name no
+    /// backend.
+    backends: String = "gred,seq2vis,transformer,rgvisnet,neural", parse_backends;
+    /// Per-request wall-clock budget in ms from request parse; 0 disables it.
+    /// Checked between pipeline stages (admission, worker start, reply
+    /// wait); an expired budget answers a structured 504
+    /// `deadline_exceeded`. Clients may *lower* (never raise) it per request
+    /// with an `X-T2V-Deadline-Ms` header.
+    deadline_ms: u64 = "30000", parse_int;
+    /// Deterministic fault-injection plan (see `t2v-fault`); empty injects none.
+    /// E.g. `seed=7;backend.error:p=0.5,count=100`. Parsed and validated at
+    /// set time, armed process-wide at server build; with no plan every
+    /// hook is a zero-cost no-op.
+    fault_plan: String = "", parse_fault_plan;
+    /// Outcomes in each tenant×backend breaker's window; 0 disables breakers.
+    breaker_window: usize = "32", parse_int;
+    /// Outcomes the window needs before its error rate can trip the breaker.
+    /// A single early failure must not open it.
+    breaker_min_samples: usize = "8", parse_int;
+    /// Milliseconds an open breaker fast-fails before a half-open probe.
+    /// Fast-failing is a 503 with `Retry-After`.
+    breaker_open_ms: u64 = "1000", parse_int;
+    /// Fraction of requests whose trace the flight recorder keeps, 0.0..=1.0.
+    /// Sampling is deterministic in the trace id, so one request traces
+    /// identically everywhere it is discussed. 0 disables ambient tracing
+    /// entirely (requests still get trace *ids*; `X-T2V-Trace: 1` still
+    /// forces a recorded trace for that request).
+    trace_sample: f64 = "0.05", parse_rate;
+    /// Finished traces the flight recorder keeps; 0 disables it.
+    /// A ring buffer, oldest evicted first; with it go `/v1/admin/trace/*`.
+    trace_buffer: usize = "512", parse_int;
+    /// Structured JSON access log path, one object per request; empty is none.
+    access_log: String = "", parse_text;
+    /// Ops-plane sampler period in ms; 0 disables it, the TSDB and SLO alerts.
+    /// The sampler snapshots the metrics registry into the in-process TSDB
+    /// and re-evaluates the SLOs.
+    obs_sample_ms: u64 = "1000", parse_int;
+    /// Stage-occupancy profiler rate in Hz, 0..=10000; 0 disables it.
+    /// Prime by default (97) so the sampler does not alias against
+    /// millisecond-period work. With it goes `/v1/admin/profile`.
+    obs_profile_hz: u32 = "97", parse_hz;
+    /// SLO objectives, e.g. `availability:0.999;latency:p99<5ms;cache_hit:0.7`.
+    /// Validated at set time like `fault_plan=`; empty ⇒ no SLO engine.
+    slo: String = "", parse_slo;
+    /// Fast burn-rate window in seconds (the paging window).
+    slo_fast_s: u64 = "300", at_least_1("the fast window", "second");
+    /// Slow burn-rate window in seconds (the blip suppressor).
+    /// Windows wider than the TSDB's 900 s retention see at most that
+    /// history.
+    slo_slow_s: u64 = "3600", at_least_1("the slow window", "second");
+}
+
+/// The knob table in markdown — key, default, summary — as
+/// `t2v-serve --help` prints it and DESIGN.md §7 embeds it.
+pub fn knob_table() -> String {
+    let mut out = String::from("| key | default | what |\n|---|---|---|\n");
+    for (key, default, summary) in ROWS {
+        let default = match *default {
+            "" => String::new(),
+            spelled => format!("`{spelled}`"),
+        };
+        out += &format!("| `{key}` | {default} | {} |\n", summary.trim());
     }
+    out
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,90 +305,6 @@ impl ServeConfig {
         Ok(())
     }
 
-    /// Set one knob from its string form.
-    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ConfigError> {
-        match key {
-            "addr" => self.addr = value.to_string(),
-            "workers" => self.workers = parse_usize(key, value)?,
-            "queue_capacity" => self.queue_capacity = parse_usize(key, value)?,
-            "max_connections" => self.max_connections = parse_usize(key, value)?,
-            "conn_idle_ms" => {
-                let ms = parse_u64(key, value)?;
-                if ms == 0 {
-                    return Err(err("conn_idle_ms: the idle budget must be at least 1 ms"));
-                }
-                self.conn_idle_ms = ms;
-            }
-            "max_body_bytes" => self.max_body_bytes = parse_usize(key, value)?,
-            "cache_capacity" => self.cache_capacity = parse_usize(key, value)?,
-            "cache_ttl_secs" => self.cache_ttl_secs = parse_u64(key, value)?,
-            "ann" => {
-                self.ann = match value {
-                    "off" => AnnMode::Off,
-                    "on" => AnnMode::On,
-                    "force" => AnnMode::Force,
-                    _ => return Err(err(format!("ann: '{value}' is not a mode (off|on|force)"))),
-                }
-            }
-            "ann_nprobe" => self.ann_nprobe = parse_usize(key, value)?,
-            "store_rows" => self.store_rows = parse_usize(key, value)?,
-            "store_seed" => self.store_seed = parse_u64(key, value)?,
-            "corpus" => self.corpus = parse_corpus(value)?,
-            "library_snapshot" => self.library_snapshot = value.to_string(),
-            "snapshot_save" => self.snapshot_save = value.to_string(),
-            "tenants" => self.tenants = parse_tenants(value)?,
-            "tenant_dir" => self.tenant_dir = value.to_string(),
-            "backend_weights" => self.backend_weights = parse_backend_weights(value)?,
-            "backends" => self.backends = parse_backends(value)?,
-            "deadline_ms" => self.deadline_ms = parse_u64(key, value)?,
-            "fault_plan" => self.fault_plan = parse_fault_plan(value)?,
-            "breaker_window" => self.breaker_window = parse_usize(key, value)?,
-            "breaker_min_samples" => self.breaker_min_samples = parse_usize(key, value)?,
-            "breaker_open_ms" => self.breaker_open_ms = parse_u64(key, value)?,
-            "trace_sample" => {
-                let rate: f64 = value
-                    .parse()
-                    .ok()
-                    .filter(|r: &f64| (0.0..=1.0).contains(r) && r.is_finite())
-                    .ok_or_else(|| {
-                        err(format!(
-                            "trace_sample: '{value}' is not a rate in 0.0..=1.0"
-                        ))
-                    })?;
-                self.trace_sample = rate;
-            }
-            "trace_buffer" => self.trace_buffer = parse_usize(key, value)?,
-            "access_log" => self.access_log = value.to_string(),
-            "obs_sample_ms" => self.obs_sample_ms = parse_u64(key, value)?,
-            "obs_profile_hz" => {
-                let hz = parse_u64(key, value)?;
-                if hz > 10_000 {
-                    return Err(err(format!(
-                        "obs_profile_hz: '{value}' is not a rate in 0..=10000"
-                    )));
-                }
-                self.obs_profile_hz = hz as u32;
-            }
-            "slo" => self.slo = parse_slo(value)?,
-            "slo_fast_s" => {
-                let secs = parse_u64(key, value)?;
-                if secs == 0 {
-                    return Err(err("slo_fast_s: the fast window must be at least 1 second"));
-                }
-                self.slo_fast_s = secs;
-            }
-            "slo_slow_s" => {
-                let secs = parse_u64(key, value)?;
-                if secs == 0 {
-                    return Err(err("slo_slow_s: the slow window must be at least 1 second"));
-                }
-                self.slo_slow_s = secs;
-            }
-            _ => return Err(err(format!("unknown config key '{key}'"))),
-        }
-        Ok(())
-    }
-
     /// Validate everything that can be checked *before* the expensive part
     /// of startup (corpus generation, library build, baseline training).
     /// The point is ordering: a broken `snapshot_save=` path must fail in
@@ -380,46 +313,10 @@ impl ServeConfig {
     /// [`ServeConfig::set`]; this catches environment errors — paths that
     /// cannot possibly work.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if !self.snapshot_save.is_empty() {
-            let path = std::path::Path::new(&self.snapshot_save);
-            if path.is_dir() {
-                return Err(err(format!(
-                    "snapshot_save: '{}' is a directory, not a file path",
-                    self.snapshot_save
-                )));
-            }
-            let parent = match path.parent() {
-                Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-                _ => std::path::PathBuf::from("."),
-            };
-            if !parent.is_dir() {
-                return Err(err(format!(
-                    "snapshot_save: parent directory '{}' does not exist (the write-through \
-                     snapshot could never be persisted)",
-                    parent.display()
-                )));
-            }
-        }
-        if !self.access_log.is_empty() {
-            let path = std::path::Path::new(&self.access_log);
-            if path.is_dir() {
-                return Err(err(format!(
-                    "access_log: '{}' is a directory, not a file path",
-                    self.access_log
-                )));
-            }
-            let parent = match path.parent() {
-                Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-                _ => std::path::PathBuf::from("."),
-            };
-            if !parent.is_dir() {
-                return Err(err(format!(
-                    "access_log: parent directory '{}' does not exist",
-                    parent.display()
-                )));
-            }
-        }
-        if !self.tenant_dir.is_empty() && !std::path::Path::new(&self.tenant_dir).is_dir() {
+        let never = " (the write-through snapshot could never be persisted)";
+        check_file_path("snapshot_save", &self.snapshot_save, never)?;
+        check_file_path("access_log", &self.access_log, "")?;
+        if !self.tenant_dir.is_empty() && !Path::new(&self.tenant_dir).is_dir() {
             return Err(err(format!(
                 "tenant_dir: '{}' is not a directory",
                 self.tenant_dir
@@ -505,78 +402,104 @@ impl ServeConfig {
     }
 }
 
-/// All settable keys, for env scanning and documentation tests.
-pub const KEYS: &[&str] = &[
-    "addr",
-    "workers",
-    "queue_capacity",
-    "max_connections",
-    "conn_idle_ms",
-    "max_body_bytes",
-    "cache_capacity",
-    "cache_ttl_secs",
-    "ann",
-    "ann_nprobe",
-    "store_rows",
-    "store_seed",
-    "corpus",
-    "library_snapshot",
-    "snapshot_save",
-    "tenants",
-    "tenant_dir",
-    "backend_weights",
-    "backends",
-    "deadline_ms",
-    "fault_plan",
-    "breaker_window",
-    "breaker_min_samples",
-    "breaker_open_ms",
-    "trace_sample",
-    "trace_buffer",
-    "access_log",
-    "obs_sample_ms",
-    "obs_profile_hz",
-    "slo",
-    "slo_fast_s",
-    "slo_slow_s",
-];
+/// `value`, when set, must name a file whose parent directory exists; `why`
+/// ends the missing-parent message.
+fn check_file_path(key: &str, value: &str, why: &str) -> Result<(), ConfigError> {
+    if value.is_empty() {
+        return Ok(());
+    }
+    let path = Path::new(value);
+    if path.is_dir() {
+        return Err(err(format!(
+            "{key}: '{value}' is a directory, not a file path"
+        )));
+    }
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if !parent.is_dir() {
+        return Err(err(format!(
+            "{key}: parent directory '{}' does not exist{why}",
+            parent.display()
+        )));
+    }
+    Ok(())
+}
 
-fn parse_usize(key: &str, value: &str) -> Result<usize, ConfigError> {
+/// Any string, kept as spelled: addresses and paths.
+fn parse_text(_key: &str, value: &str) -> Result<String, ConfigError> {
+    Ok(value.to_string())
+}
+
+/// A non-negative integer of the field's type.
+fn parse_int<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ConfigError> {
     value
         .parse()
         .map_err(|_| err(format!("{key}: '{value}' is not a non-negative integer")))
 }
 
-fn parse_u64(key: &str, value: &str) -> Result<u64, ConfigError> {
+/// An integer of at least 1, for a budget or window that 0 would make
+/// useless; `what` and `unit` word the error.
+fn at_least_1(
+    what: &'static str,
+    unit: &'static str,
+) -> impl Fn(&str, &str) -> Result<u64, ConfigError> {
+    move |key, value| match parse_int(key, value)? {
+        0 => Err(err(format!("{key}: {what} must be at least 1 {unit}"))),
+        n => Ok(n),
+    }
+}
+
+/// A sampling fraction in 0.0..=1.0.
+fn parse_rate(key: &str, value: &str) -> Result<f64, ConfigError> {
     value
         .parse()
-        .map_err(|_| err(format!("{key}: '{value}' is not a non-negative integer")))
+        .ok()
+        .filter(|r: &f64| (0.0..=1.0).contains(r))
+        .ok_or_else(|| err(format!("{key}: '{value}' is not a rate in 0.0..=1.0")))
+}
+
+/// A sampling frequency in 0..=10000 Hz.
+fn parse_hz(key: &str, value: &str) -> Result<u32, ConfigError> {
+    match parse_int::<u64>(key, value)? {
+        hz @ 0..=10_000 => Ok(hz as u32),
+        _ => Err(err(format!("{key}: '{value}' is not a rate in 0..=10000"))),
+    }
+}
+
+/// One of the [`AnnMode`] labels.
+fn parse_ann(key: &str, value: &str) -> Result<AnnMode, ConfigError> {
+    [AnnMode::Off, AnnMode::On, AnnMode::Force]
+        .into_iter()
+        .find(|mode| mode.label() == value)
+        .ok_or_else(|| err(format!("{key}: '{value}' is not a mode (off|on|force)")))
 }
 
 /// A comma-separated, deduplicated list of [`KNOWN_BACKENDS`] ids.
-fn parse_backends(value: &str) -> Result<String, ConfigError> {
+fn parse_backends(key: &str, value: &str) -> Result<String, ConfigError> {
     let mut seen: Vec<&str> = Vec::new();
     for id in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         if !KNOWN_BACKENDS.contains(&id) {
             return Err(err(format!(
-                "backends: unknown backend '{id}' (known: {})",
+                "{key}: unknown backend '{id}' (known: {})",
                 KNOWN_BACKENDS.join(", ")
             )));
         }
         if seen.contains(&id) {
-            return Err(err(format!("backends: '{id}' listed twice")));
+            return Err(err(format!("{key}: '{id}' listed twice")));
         }
         seen.push(id);
     }
     if seen.is_empty() {
-        return Err(err("backends: the list is empty"));
+        return Err(err(format!("{key}: the list is empty")));
     }
     Ok(seen.join(","))
 }
 
 /// A comma-separated `id:profile:seed` tenant list, validated by
 /// `t2v-tenant`'s shared grammar and normalised to canonical spelling.
-fn parse_tenants(value: &str) -> Result<String, ConfigError> {
+fn parse_tenants(_key: &str, value: &str) -> Result<String, ConfigError> {
     let specs = t2v_tenant::parse_tenant_list(value).map_err(|e| err(e.message))?;
     Ok(specs
         .iter()
@@ -587,18 +510,16 @@ fn parse_tenants(value: &str) -> Result<String, ConfigError> {
 
 /// A comma-separated list of `backend:weight` pairs over [`KNOWN_BACKENDS`]
 /// with positive integer weights. Normalised to `id:weight` joined by `,`.
-fn parse_backend_weights(value: &str) -> Result<String, ConfigError> {
+fn parse_backend_weights(key: &str, value: &str) -> Result<String, ConfigError> {
     let mut seen: Vec<(String, u32)> = Vec::new();
     for pair in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let Some((id, weight)) = pair.split_once(':') else {
-            return Err(err(format!(
-                "backend_weights: '{pair}' is not backend:weight"
-            )));
+            return Err(err(format!("{key}: '{pair}' is not backend:weight")));
         };
         let (id, weight) = (id.trim(), weight.trim());
         if !KNOWN_BACKENDS.contains(&id) {
             return Err(err(format!(
-                "backend_weights: unknown backend '{id}' (known: {})",
+                "{key}: unknown backend '{id}' (known: {})",
                 KNOWN_BACKENDS.join(", ")
             )));
         }
@@ -606,13 +527,9 @@ fn parse_backend_weights(value: &str) -> Result<String, ConfigError> {
             .parse()
             .ok()
             .filter(|w| (1..=1_000_000).contains(w))
-            .ok_or_else(|| {
-                err(format!(
-                    "backend_weights: '{weight}' is not a weight in 1..=1000000"
-                ))
-            })?;
+            .ok_or_else(|| err(format!("{key}: '{weight}' is not a weight in 1..=1000000")))?;
         if seen.iter().any(|(k, _)| k == id) {
-            return Err(err(format!("backend_weights: '{id}' listed twice")));
+            return Err(err(format!("{key}: '{id}' listed twice")));
         }
         seen.push((id.to_string(), w));
     }
@@ -626,32 +543,30 @@ fn parse_backend_weights(value: &str) -> Result<String, ConfigError> {
 /// A `t2v-fault` plan spec, validated against the full grammar at set time
 /// (a typo in a chaos run must fail config load, not silently inject
 /// nothing) and kept in its original spelling.
-fn parse_fault_plan(value: &str) -> Result<String, ConfigError> {
-    if value.is_empty() {
-        return Ok(String::new());
+fn parse_fault_plan(key: &str, value: &str) -> Result<String, ConfigError> {
+    if !value.is_empty() {
+        t2v_fault::FaultPlan::parse(value).map_err(|e| err(format!("{key}: {e}")))?;
     }
-    t2v_fault::FaultPlan::parse(value).map_err(|e| err(format!("fault_plan: {e}")))?;
     Ok(value.to_string())
 }
 
 /// An SLO objective list, validated against `t2v-obs`'s grammar at set
 /// time (a typo must fail config load, not silently monitor nothing) and
 /// kept in its original spelling.
-fn parse_slo(value: &str) -> Result<String, ConfigError> {
-    if value.is_empty() {
-        return Ok(String::new());
+fn parse_slo(key: &str, value: &str) -> Result<String, ConfigError> {
+    if !value.is_empty() {
+        t2v_obs::parse_slos(value).map_err(|e| err(format!("{key}: {e}")))?;
     }
-    t2v_obs::parse_slos(value).map_err(|e| err(format!("slo: {e}")))?;
     Ok(value.to_string())
 }
 
 /// `tiny:SEED` or `paper:SEED` (seed optional, default 7).
-fn parse_corpus(value: &str) -> Result<CorpusProfile, ConfigError> {
+fn parse_corpus(key: &str, value: &str) -> Result<CorpusProfile, ConfigError> {
     let (name, seed) = match value.split_once(':') {
         Some((n, s)) => (
             n,
             s.parse::<u64>()
-                .map_err(|_| err(format!("corpus: bad seed '{s}'")))?,
+                .map_err(|_| err(format!("{key}: bad seed '{s}'")))?,
         ),
         None => (value, 7),
     };
@@ -659,7 +574,7 @@ fn parse_corpus(value: &str) -> Result<CorpusProfile, ConfigError> {
         "tiny" => Ok(CorpusProfile::Tiny(seed)),
         "paper" => Ok(CorpusProfile::Paper(seed)),
         _ => Err(err(format!(
-            "corpus: '{name}' is not a profile (tiny|paper)"
+            "{key}: '{name}' is not a profile (tiny|paper)"
         ))),
     }
 }
@@ -667,6 +582,55 @@ fn parse_corpus(value: &str) -> Result<CorpusProfile, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every default, written out. A refactor of how knobs are declared
+    /// must not move one.
+    fn pinned_defaults() -> ServeConfig {
+        ServeConfig {
+            addr: "127.0.0.1:7890".to_string(),
+            workers: 0,
+            queue_capacity: 64,
+            max_connections: 256,
+            conn_idle_ms: 30_000,
+            max_body_bytes: 64 * 1024,
+            cache_capacity: 4096,
+            cache_ttl_secs: 600,
+            ann: AnnMode::Off,
+            ann_nprobe: 0,
+            store_rows: 30,
+            store_seed: 7,
+            corpus: CorpusProfile::Tiny(7),
+            library_snapshot: String::new(),
+            snapshot_save: String::new(),
+            tenants: String::new(),
+            tenant_dir: String::new(),
+            backend_weights: String::new(),
+            backends: "gred,seq2vis,transformer,rgvisnet,neural".to_string(),
+            deadline_ms: 30_000,
+            fault_plan: String::new(),
+            breaker_window: 32,
+            breaker_min_samples: 8,
+            breaker_open_ms: 1_000,
+            trace_sample: 0.05,
+            trace_buffer: 512,
+            access_log: String::new(),
+            obs_sample_ms: 1000,
+            obs_profile_hz: 97,
+            slo: String::new(),
+            slo_fast_s: 300,
+            slo_slow_s: 3600,
+        }
+    }
+
+    #[test]
+    fn defaults_are_pinned() {
+        assert_eq!(ServeConfig::default(), pinned_defaults());
+        for (key, default, _) in ROWS {
+            let mut cfg = ServeConfig::default();
+            cfg.set(key, default).unwrap();
+            assert_eq!(cfg, pinned_defaults(), "{key}={default} moves the default");
+        }
+    }
 
     #[test]
     fn file_text_overrides_defaults() {
@@ -725,12 +689,11 @@ mod tests {
         assert_eq!(KEYS.len(), 32);
         let design = include_str!("../../../DESIGN.md");
         let readme = include_str!("../../../README.md");
-        for key in KEYS {
-            assert!(
-                design.contains(&format!("`{key}`")) || design.contains(&format!("`{key}=")),
-                "DESIGN.md never names the `{key}` knob"
-            );
-        }
+        assert!(
+            design.contains(&knob_table()),
+            "DESIGN.md §7 must hold knob_table() verbatim:\n{}",
+            knob_table()
+        );
         // Spelled in halves so the repo-wide grep for retired names stays
         // empty while this test keeps them out of the docs.
         let retired = [

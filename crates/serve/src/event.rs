@@ -37,6 +37,7 @@
 
 use crate::http::{self, Body, BodySink, Parse};
 use crate::metrics::Scalar;
+use crate::pool::contained;
 use crate::routes::{self, write_read_error, Handled};
 use crate::server::Shared;
 use crate::translate::Early;
@@ -322,16 +323,6 @@ fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
         };
         contained(metrics, job);
     }
-}
-
-/// Same containment as `pool::worker_loop`, for dispatch jobs and the loop
-/// alike: a panicking request must not take its thread down with it.
-fn contained<T>(metrics: &crate::metrics::Metrics, f: impl FnOnce() -> T) -> Option<T> {
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok();
-    if caught.is_none() {
-        metrics.inc(Scalar::WorkerPanics);
-    }
-    caught
 }
 
 // ---------------------------------------------------------------------------

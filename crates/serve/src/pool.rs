@@ -46,19 +46,9 @@ impl<T> OneShot<T> {
     /// Block until a value arrives or `timeout` elapses.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
         let (slot, cv) = &*self.inner;
-        let mut guard = lock(slot);
-        let deadline = std::time::Instant::now() + timeout;
-        while guard.is_none() {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (g, _) = cv.wait_timeout(guard, left).unwrap_or_else(|e| {
-                let (g, t) = e.into_inner();
-                (g, t)
-            });
-            guard = g;
-        }
+        let (mut guard, _) = cv
+            .wait_timeout_while(lock(slot), timeout, |value| value.is_none())
+            .unwrap_or_else(|e| e.into_inner());
         guard.take()
     }
 }
@@ -274,19 +264,19 @@ impl WorkerPool {
 
 fn worker_loop(shared: &PoolShared, home: usize) {
     let shards = shared.shards.len();
+    let shard = &shared.shards[home];
     loop {
         // Fast path: wait on the home shard. If it stays empty briefly, steal
         // a job from any other shard so one hot shard can't starve while
         // other workers idle.
         let job = {
-            let shard = &shared.shards[home];
             let mut queue = lock(&shard.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
-                    break Some(job);
+                    break job;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
+                    return;
                 }
                 let (q, timeout) = shard
                     .cv
@@ -296,30 +286,40 @@ fn worker_loop(shared: &PoolShared, home: usize) {
                 if timeout.timed_out() {
                     drop(queue);
                     if let Some(job) = steal(shared, home, shards) {
-                        break Some(job);
+                        break job;
                     }
                     queue = lock(&shard.queue);
                 }
             }
         };
-        match job {
-            Some(job) => {
-                let depth = shared.metrics.scalar(Scalar::QueueDepth);
-                depth.fetch_sub(1, Ordering::Relaxed);
-                // A panicking job must not take the worker with it: with no
-                // respawn, `workers` panics would silently drain the pool to
-                // zero and wedge the server. Unwinding drops the job's
-                // captured state, which is where fail-fast lives: the
-                // serving layer rides a reply guard inside every job, so the
-                // drop fulfils the caller's OneShot with a structured
-                // `internal` error immediately instead of leaving the
-                // connection thread to time out.
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-                    shared.metrics.inc(Scalar::WorkerPanics);
-                }
-            }
-            None => return,
-        }
+        let depth = shared.metrics.scalar(Scalar::QueueDepth);
+        depth.fetch_sub(1, Ordering::Relaxed);
+        contained(&shared.metrics, job);
+    }
+}
+
+thread_local! {
+    /// Set by [`count_panic`] while this thread unwinds inside [`contained`].
+    static PANIC_COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` so that a panic takes down neither the thread (nothing respawns
+/// one) nor the server: it is caught and counted once, here or earlier by
+/// [`count_panic`]. Pool and dispatch jobs and the loop's inline stage do.
+pub(crate) fn contained<T>(metrics: &Metrics, f: impl FnOnce() -> T) -> Option<T> {
+    PANIC_COUNTED.set(false);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok();
+    if caught.is_none() && !PANIC_COUNTED.replace(false) {
+        metrics.inc(Scalar::WorkerPanics);
+    }
+    caught
+}
+
+/// Count the panic unwinding this thread now: a guard that answers its
+/// caller mid-unwind calls this first, so no 500 is seen before its count.
+pub(crate) fn count_panic(metrics: &Metrics) {
+    if std::thread::panicking() && !PANIC_COUNTED.replace(true) {
+        metrics.inc(Scalar::WorkerPanics);
     }
 }
 

@@ -2,10 +2,10 @@
 //! (`POST /v1/translate`, its NDJSON streaming variant, and
 //! `POST /v1/translate/batch`).
 //!
+//! Every item starts in `probe` (resolve → key → cache lookup → count).
 //! The single endpoint is split where waiting starts: `translate_early`
-//! (parse → resolve → deadline → key → cache lookup) answers errors and
-//! fresh hits on the event loop itself; the late stage (or the stream
-//! relay) continues on a dispatch thread.
+//! answers errors and fresh hits on the event loop itself; the late stage
+//! (or the stream relay) continues on a dispatch thread.
 //!
 //! Every cold translation enters the worker pool through
 //! `admit_and_submit` — breaker admission, pool submission, and the
@@ -174,8 +174,9 @@ struct Item {
     backend_id: String,
     backend: Arc<dyn Translator>,
     entry: Arc<DbEntry>,
-    nlq_normalized: String,
-    want_vegalite: bool,
+    /// Made once, at resolution: tenant epoch, backend index, normalised
+    /// NLQ, db fingerprint, and whether the response carries Vega-Lite.
+    key: CacheKey,
 }
 
 /// Parse one translate object (`{"nlq", "db", "backend"?, "vegalite"?}`)
@@ -197,22 +198,28 @@ fn resolve_item(tenant: &Arc<TenantRuntime>, parsed: &Json) -> Result<Item, Resp
             return Err(Response::error_code(404, "unknown_backend", &message));
         }
     };
-    let nlq_normalized = normalize_nlq(nlq);
-    if nlq_normalized.is_empty() {
+    let nlq = normalize_nlq(nlq);
+    if nlq.is_empty() {
         return Err(Response::error_code(400, "empty_query", "'nlq' is empty"));
     }
     let Some(entry) = tenant.dbs.get(db_id) else {
         let message = format!("unknown database '{db_id}'");
         return Err(Response::error_code(404, "unknown_database", &message));
     };
+    let key = (
+        tenant.epoch,
+        backend_idx as u16,
+        nlq.into(),
+        entry.fingerprint,
+        want_vegalite,
+    );
     Ok(Item {
         tenant: Arc::clone(tenant),
         backend_idx,
         backend_id,
         backend,
         entry: Arc::clone(entry),
-        nlq_normalized,
-        want_vegalite,
+        key,
     })
 }
 
@@ -232,16 +239,6 @@ fn optional<'a, T>(
 }
 
 impl Item {
-    fn cache_key(&self) -> CacheKey {
-        (
-            self.tenant.epoch,
-            self.backend_idx as u16,
-            self.nlq_normalized.clone().into_boxed_str(),
-            self.entry.fingerprint,
-            self.want_vegalite,
-        )
-    }
-
     /// The per-backend family member this item charges: that family
     /// indexes the startup registry, so only the default tenant's do.
     fn charged_backend(&self) -> Option<usize> {
@@ -282,6 +279,7 @@ impl Drop for ReplyGuard {
         if self.answered {
             return;
         }
+        crate::pool::count_panic(&self.metrics);
         if self.breaker.record(false, 0) {
             self.metrics.inc(Scalar::BreakerOpens);
         }
@@ -465,7 +463,6 @@ impl StageSink for JobObserver<'_> {
 fn submit_translation(
     shared: &Shared,
     item: &Item,
-    key: CacheKey,
     stage_tx: Option<mpsc::Sender<String>>,
     deadline: Option<Instant>,
 ) -> Result<OneShot<Reply>, crate::pool::SubmitError> {
@@ -478,7 +475,7 @@ fn submit_translation(
     let charged_backend = item.charged_backend();
     let backend_id = item.backend_id.clone();
     let entry = Arc::clone(&item.entry);
-    let want_vegalite = item.want_vegalite;
+    let key = item.key.clone();
     let enqueued = Instant::now();
     // The request thread's trace rides into the job: the worker installs
     // it as *its* current trace, so the backend span (and the embed/retrieve
@@ -544,7 +541,7 @@ fn submit_translation(
             metrics.inc(Scalar::BreakerOpens);
         }
         let status = if internal_failure { 500 } else { 200 };
-        let body = render_translation(&backend_id, &key.2, &entry, want_vegalite, &result);
+        let body = render_translation(&backend_id, &key.2, &entry, key.4, &result);
         let body = Arc::new(body);
         if status == 200 {
             // Transient internal failures are never cached — a retry (or
@@ -591,7 +588,6 @@ enum Refused {
 fn admit_and_submit(
     shared: &Shared,
     item: &Item,
-    key: CacheKey,
     stage_tx: Option<mpsc::Sender<String>>,
     deadline: Option<Instant>,
     span: bool,
@@ -604,7 +600,7 @@ fn admit_and_submit(
     if let Admission::Reject { retry_after_ms } = admission {
         return Err(Refused::Open { retry_after_ms });
     }
-    submit_translation(shared, item, key, stage_tx, deadline).map_err(|_| {
+    submit_translation(shared, item, stage_tx, deadline).map_err(|_| {
         if admission == Admission::Probe {
             breaker.probe_aborted();
         }
@@ -628,7 +624,6 @@ fn await_reply(slot: &OneShot<Reply>, deadline: Option<Instant>) -> Option<Reply
 struct Pending {
     slot: OneShot<Reply>,
     item: Item,
-    key: CacheKey,
     /// Set on the `gred` fallback of a refused item: the 503 that stands
     /// unless the fallback answers 200.
     unavailable: Option<Outcome>,
@@ -644,23 +639,16 @@ enum Step {
 /// refusal the one ladder. An open breaker serves the stale entry, else
 /// resubmits the item to `gred`, else answers 503 `backend_unavailable`;
 /// a full pool answers 503 `overload`.
-fn admit(
-    shared: &Shared,
-    mut item: Item,
-    key: CacheKey,
-    deadline: Option<Instant>,
-    span: bool,
-) -> Step {
-    let waiting = |slot, item, key, unavailable| {
+fn admit(shared: &Shared, mut item: Item, deadline: Option<Instant>, span: bool) -> Step {
+    let waiting = |slot, item, unavailable| {
         Step::Waiting(Pending {
             slot,
             item,
-            key,
             unavailable,
         })
     };
-    let refusal = match admit_and_submit(shared, &item, key.clone(), None, deadline, span) {
-        Ok(slot) => return waiting(slot, item, key, None),
+    let refusal = match admit_and_submit(shared, &item, None, deadline, span) {
+        Ok(slot) => return waiting(slot, item, None),
         Err(refusal) => refusal,
     };
     let unavailable = refused(shared, &refusal, &item.backend_id);
@@ -671,7 +659,7 @@ fn admit(
     // rung answered.
     let _span = t2v_trace::span(Stage::Degrade);
     t2v_trace::note(format!("breaker:open:{}", item.backend_id));
-    if let Some(stale) = shared.state.cache.get_stale(&key) {
+    if let Some(stale) = shared.state.cache.get_stale(&item.key) {
         return Step::Done(degrade(shared, &stale, "stale_cache", item.backend_id));
     }
     // `gred` retrieves cheaply and has no trained weights to be wedged. It
@@ -684,12 +672,12 @@ fn admit(
     };
     let (idx, id, backend) = (idx, id.to_string(), Arc::clone(backend));
     (item.backend_idx, item.backend_id, item.backend) = (idx, id, backend);
-    let key = item.cache_key();
-    if let Lookup::Fresh(hit) = shared.state.cache.lookup(&key) {
+    item.key.1 = idx as u16;
+    if let Lookup::Fresh(hit) = shared.state.cache.lookup(&item.key) {
         return Step::Done(degrade(shared, &hit, "fallback:gred", item.backend_id));
     }
-    match admit_and_submit(shared, &item, key.clone(), None, deadline, false) {
-        Ok(slot) => waiting(slot, item, key, Some(unavailable)),
+    match admit_and_submit(shared, &item, None, deadline, false) {
+        Ok(slot) => waiting(slot, item, Some(unavailable)),
         Err(_) => Step::Done(unavailable),
     }
 }
@@ -722,7 +710,7 @@ fn conclude(
             // rung already came up empty at admission.
             let stale = unavailable
                 .is_none()
-                .then(|| shared.state.cache.get_stale(&p.key));
+                .then(|| shared.state.cache.get_stale(&p.item.key));
             match stale.flatten() {
                 Some(stale) => degrade(shared, &stale, "stale_cache", backend),
                 None => Outcome::error(504, "deadline exceeded before the translation finished"),
@@ -750,9 +738,6 @@ pub(crate) fn translate_early(
     tenant: &Arc<TenantRuntime>,
 ) -> Early {
     let started = Instant::now();
-    let state = &shared.state;
-
-    // ---- parse + validate ----
     let parsed = match req.json_body() {
         Ok(j) => j,
         Err(resp) => return Early::Reply(resp),
@@ -761,47 +746,74 @@ pub(crate) fn translate_early(
         Ok(stream) => stream.unwrap_or(false),
         Err(resp) => return Early::Reply(resp),
     };
-    let item = match resolve_item(tenant, &parsed) {
-        Ok(item) => item,
-        Err(resp) => return Early::Reply(resp),
+    let deadline = request_deadline(&shared.state.config, req, started);
+    let late: Late = match probe(shared, tenant, &parsed, true, |_| stream) {
+        Probe::Done(outcome) => {
+            if outcome.cache == Some("hit") {
+                let latency = shared.state.metrics.hist(Hist::Request);
+                latency.observe_ns(started.elapsed().as_nanos() as u64);
+            }
+            return Early::Reply(outcome.into_response());
+        }
+        Probe::Diverted(item) => {
+            Box::new(move |shared, writer| stream_endpoint(shared, item, writer, deadline))
+        }
+        // The late stage: admit → settle, on a thread that may block.
+        Probe::Miss(item) => Box::new(move |shared, _| {
+            let outcome = match admit(shared, item, deadline, true) {
+                Step::Done(outcome) => outcome,
+                Step::Waiting(pending) => settle(shared, pending, deadline),
+            };
+            // Latency counts translations a backend answered, as for hits.
+            if outcome.cache == Some("miss") {
+                let latency = shared.state.metrics.hist(Hist::Request);
+                latency.observe_ns(started.elapsed().as_nanos() as u64);
+            }
+            Handled::Reply(outcome.into_response())
+        }),
     };
-    let deadline = request_deadline(&state.config, req, started);
-    if stream {
-        return Early::Resume(Box::new(move |shared, writer| {
-            stream_endpoint(shared, item, writer, deadline)
-        }));
-    }
+    Early::Resume(late)
+}
 
-    // ---- cache fast path (no queueing, no hop) ----
+/// How one item's early stage ended: a validation error or a fresh hit
+/// (`Done`), an item taken before its lookup and left uncounted
+/// (`Diverted`: a stream, a batch duplicate), or a counted miss for [`admit`].
+enum Probe {
+    Done(Outcome),
+    Diverted(Item),
+    Miss(Item),
+}
+
+/// The per-item early stage both endpoints share: resolve → key → lookup →
+/// count. `divert` sees the key first and may take the item before it is
+/// looked up or counted. Only `span` records a `cache.lookup` span: one per
+/// batch item would crowd the trace's span cap.
+fn probe(
+    shared: &Shared,
+    tenant: &Arc<TenantRuntime>,
+    obj: &Json,
+    span: bool,
+    divert: impl FnOnce(&CacheKey) -> bool,
+) -> Probe {
+    let item = match resolve_item(tenant, obj) {
+        Ok(item) => item,
+        Err(resp) => return Probe::Done(Outcome::new(resp.status, resp.body)),
+    };
+    if divert(&item.key) {
+        return Probe::Diverted(item);
+    }
     // `lookup` (not `get`) so an expired entry survives in place: if the
     // breaker rejects the recompute later, the stale rung serves it.
-    let key = item.cache_key();
     let lookup = {
-        let _span = t2v_trace::span(Stage::CacheLookup);
-        state.cache.lookup(&key)
+        let _span = span.then(|| t2v_trace::span(Stage::CacheLookup));
+        shared.state.cache.lookup(&item.key)
     };
-    if let Lookup::Fresh(hit) = lookup {
-        item.record_cache(&state.metrics, true);
-        let latency = state.metrics.hist(Hist::Request);
-        latency.observe_ns(started.elapsed().as_nanos() as u64);
-        // The Arc goes straight into the response — no body copy on a hit.
-        let outcome = Outcome::answered(200, hit, "hit", item.backend_id);
-        return Early::Reply(outcome.into_response());
+    item.record_cache(&shared.state.metrics, matches!(lookup, Lookup::Fresh(_)));
+    match lookup {
+        // The Arc goes straight into the response: no body copy on a hit.
+        Lookup::Fresh(body) => Probe::Done(Outcome::answered(200, body, "hit", item.backend_id)),
+        _ => Probe::Miss(item),
     }
-    item.record_cache(&state.metrics, false);
-    // ---- the late stage: admit → settle, on a thread that may block ----
-    Early::Resume(Box::new(move |shared, _| {
-        let outcome = match admit(shared, item, key, deadline, true) {
-            Step::Done(outcome) => outcome,
-            Step::Waiting(pending) => settle(shared, pending, deadline),
-        };
-        // Latency counts translations a backend answered, as for hits.
-        if outcome.cache == Some("miss") {
-            let latency = shared.state.metrics.hist(Hist::Request);
-            latency.observe_ns(started.elapsed().as_nanos() as u64);
-        }
-        Handled::Reply(outcome.into_response())
-    }))
 }
 
 /// The NDJSON streaming variant of `/v1/translate`: one line per completed
@@ -817,12 +829,11 @@ fn stream_endpoint(
     writer: &mut dyn BodySink,
     deadline: Option<Instant>,
 ) -> Handled {
-    let key = item.cache_key();
     item.record_cache(&shared.state.metrics, false);
     // Stage lines come from the backend asked or not at all: a stream
     // cannot degrade, so a refusal is its 503.
     let (tx, rx) = mpsc::channel::<String>();
-    let slot = match admit_and_submit(shared, &item, key.clone(), Some(tx), deadline, false) {
+    let slot = match admit_and_submit(shared, &item, Some(tx), deadline, false) {
         Ok(slot) => slot,
         Err(refusal) => {
             return Handled::Reply(refused(shared, &refusal, &item.backend_id).into_response())
@@ -851,7 +862,6 @@ fn stream_endpoint(
     let pending = Pending {
         slot,
         item,
-        key,
         unavailable: None,
     };
     let outcome = settle(shared, pending, deadline);
@@ -902,26 +912,16 @@ pub(crate) fn batch_endpoint(
     let steps: Vec<Result<Step, usize>> = requests
         .iter()
         .enumerate()
-        .map(|(i, obj)| {
-            let item = match resolve_item(tenant, obj) {
-                Ok(item) => item,
-                Err(resp) => return Ok(Step::Done(Outcome::new(resp.status, resp.body))),
-            };
-            let key = item.cache_key();
-            if let Some(&first) = first_of.get(&key) {
-                return Err(first);
-            }
-            // Non-destructive lookup, same reason as the single endpoint:
-            // a stale entry must survive for the ladder.
-            if let Lookup::Fresh(hit) = state.cache.lookup(&key) {
-                item.record_cache(&state.metrics, true);
-                let outcome = Outcome::answered(200, hit, "hit", item.backend_id);
-                return Ok(Step::Done(outcome));
-            }
-            item.record_cache(&state.metrics, false);
-            first_of.insert(key.clone(), i);
-            Ok(admit(shared, item, key, deadline, false))
-        })
+        .map(
+            |(i, obj)| match probe(shared, tenant, obj, false, |key| first_of.contains_key(key)) {
+                Probe::Done(outcome) => Ok(Step::Done(outcome)),
+                Probe::Diverted(item) => Err(first_of[&item.key]),
+                Probe::Miss(item) => {
+                    first_of.insert(item.key.clone(), i);
+                    Ok(admit(shared, item, deadline, false))
+                }
+            },
+        )
         .collect();
 
     // Phase 2: settle in order. A transient `internal` failure is retried
@@ -949,8 +949,8 @@ pub(crate) fn batch_endpoint(
                     && deadline.is_none_or(|d| left(d) > backoff)
                 {
                     std::thread::sleep(backoff);
-                    let (item, key) = (&pending.item, pending.key.clone());
-                    if let Ok(slot) = admit_and_submit(shared, item, key, None, deadline, false) {
+                    let item = &pending.item;
+                    if let Ok(slot) = admit_and_submit(shared, item, None, deadline, false) {
                         state.metrics.inc(Scalar::BatchRetries);
                         reply = await_reply(&slot, deadline);
                     }
@@ -973,6 +973,36 @@ mod tests {
     use crate::pool::WorkerPool;
     use crate::server::{EventStats, ServerState};
     use std::sync::atomic::{AtomicBool, AtomicU64};
+
+    /// A panicking job's 500 must not reach its caller before the panic is
+    /// counted: the guard answers mid-unwind, and a client that scrapes
+    /// `/metrics` right after its 500 used to find the panic uncounted.
+    #[test]
+    fn a_panic_is_counted_before_its_reply_is_sent() {
+        let metrics = Arc::new(Metrics::with_backends(&[]));
+        let slot = OneShot::new();
+        let guard = ReplyGuard {
+            slot: slot.clone(),
+            breaker: Arc::new(CircuitBreaker::new(crate::breaker::BreakerConfig {
+                window: 0,
+                min_samples: 1,
+                threshold_pct: 50,
+                open_ms: 0,
+            })),
+            metrics: Arc::clone(&metrics),
+            answered: false,
+        };
+        let job = move || {
+            let _guard = guard;
+            panic!("job blew up");
+        };
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err());
+        let reply = slot
+            .recv_timeout(Duration::ZERO)
+            .expect("the guard answered");
+        assert_eq!(reply.status, 500);
+        assert_eq!(metrics.get(Scalar::WorkerPanics), 1);
+    }
 
     /// A refused probe must hand its slot back. The batch retry loop used to
     /// call `admit()` itself and `break` when the resubmission was refused,
@@ -1012,7 +1042,7 @@ mod tests {
         let breaker = item.breaker();
         assert!(breaker.record(false, 0), "one failure trips the breaker");
 
-        let refused = admit_and_submit(&shared, &item, item.cache_key(), None, None, false);
+        let refused = admit_and_submit(&shared, &item, None, None, false);
         assert_eq!(refused.err(), Some(Refused::Overloaded));
         assert_eq!(
             breaker.admit(),

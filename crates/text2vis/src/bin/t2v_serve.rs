@@ -5,18 +5,16 @@
 //! ```
 //!
 //! Configuration precedence: defaults < `--config` file < `T2V_SERVE_*`
-//! environment < trailing `key=value` arguments. `t2v-serve --help` lists
-//! every knob; DESIGN.md §7 documents them.
+//! environment < trailing `key=value` arguments. `t2v-serve --help` prints
+//! the knob table (key, default, summary) that DESIGN.md §7 embeds.
 
-use text2vis::serve::{config::KEYS, serve, ServeConfig};
+use text2vis::serve::{config::knob_table, serve, ServeConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: t2v-serve [--config PATH] [key=value ...]\n\nknobs:");
-        for key in KEYS {
-            println!("  {key}");
-        }
+        println!("usage: t2v-serve [--config PATH] [key=value ...]\n");
+        print!("{}", knob_table());
         println!(
             "\nenvironment: T2V_SERVE_<KEY> overrides the file; key=value args override both."
         );
