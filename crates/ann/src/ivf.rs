@@ -21,12 +21,12 @@
 //! Both modes rank through the same rules as the flat scan: descending score
 //! under `total_cmp`, ties toward lower ids. The index never copies the f32
 //! rows — searches borrow the [`VectorIndex`] they were trained on, keeping
-//! the snapshot section and resident overhead to centroids + CSR + codes.
+//! resident overhead to centroids + CSR + codes.
 
 use crate::quant;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use t2v_embed::{best_first, fused_dot, Hit, IndexKind, VectorIndex};
+use t2v_embed::{best_first, fused_dot, Hit, VectorIndex};
 
 /// Below this many rows the exact flat scan beats IVF (centroid scan +
 /// heap overhead dominate) — [`IvfIndex::train`] declines to build unless
@@ -106,8 +106,7 @@ impl Rng {
     }
 }
 
-/// A trained IVF index. Immutable once built — retraining replaces it, the
-/// same way snapshot reloads replace the flat store.
+/// A trained IVF index. Immutable once built — retraining replaces it.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     dims: usize,
@@ -128,8 +127,8 @@ pub struct IvfIndex {
     scales: Vec<f32>,
 }
 
-/// Owned deserialized fields for [`IvfIndex::from_parts`] — the snapshot
-/// store's wire-side view of the index.
+/// Owned fields for [`IvfIndex::from_parts`]: the index's tables, as
+/// [`IvfIndex::raw_parts`] borrows them.
 #[derive(Debug, Clone, Default)]
 pub struct IvfParts {
     pub dims: usize,
@@ -308,15 +307,6 @@ impl IvfIndex {
         self.quantized
     }
 
-    /// The descriptive kind tag surfaced through admin/status and snapshots.
-    pub fn kind(&self) -> IndexKind {
-        IndexKind::Ivf {
-            cells: self.cells() as u32,
-            nprobe: self.nprobe as u32,
-            quantized: self.quantized,
-        }
-    }
-
     /// Resident bytes of the index structures themselves (the f32 rows are
     /// borrowed from the flat store and not counted).
     pub fn memory_bytes(&self) -> usize {
@@ -327,7 +317,7 @@ impl IvfIndex {
             + self.scales.len() * 4
     }
 
-    /// Borrowed field views for the snapshot encoder:
+    /// Borrowed field views:
     /// `(centroids, cell_offsets, ids, codes, scales)`.
     #[allow(clippy::type_complexity)]
     pub fn raw_parts(&self) -> (&[f32], &[u32], &[u32], &[i8], &[f32]) {
@@ -340,7 +330,7 @@ impl IvfIndex {
         )
     }
 
-    /// Reassemble a trained index from snapshot fields, validating every
+    /// Reassemble a trained index from its tables, validating every
     /// structural invariant the search paths rely on.
     pub fn from_parts(p: IvfParts) -> Result<IvfIndex, String> {
         if p.dims == 0 {
@@ -732,7 +722,6 @@ mod tests {
             ..IvfConfig::default()
         };
         let ivf = IvfIndex::train(&idx, &cfg).unwrap();
-        assert_eq!(ivf.kind().name(), "ivf");
         for qseed in 0..5u64 {
             let q = {
                 let mut rng = Rng::new(qseed + 9);
@@ -838,7 +827,14 @@ mod tests {
             .unwrap();
             let q = idx.get(100).unwrap().to_vec();
             assert_eq!(rebuilt.search(&idx, &q, 10, 0), ivf.search(&idx, &q, 10, 0));
-            assert_eq!(rebuilt.kind(), ivf.kind());
+            assert_eq!(
+                (
+                    rebuilt.cells(),
+                    rebuilt.default_nprobe(),
+                    rebuilt.quantized()
+                ),
+                (ivf.cells(), ivf.default_nprobe(), ivf.quantized())
+            );
             assert_eq!(rebuilt.memory_bytes(), ivf.memory_bytes());
         }
     }

@@ -11,8 +11,11 @@
 //!
 //! The flat scan remains the recall oracle and the fallback: training
 //! declines below [`DEFAULT_MIN_ROWS`] rows, where the exact scan is both
-//! faster and free of recall risk. See DESIGN.md §13 for layout, training
-//! cost, and the flat-vs-IVF crossover.
+//! faster and free of recall risk. No serving path routes through this
+//! crate: `t2v-serve` answers with the exact scan, and `perfsnap` and the
+//! benchmark's `retrieve_large` workload measure the index directly. See
+//! DESIGN.md §13 for layout, training cost, and the flat-vs-IVF crossover
+//! that keeps serving on the exact scan.
 
 pub mod ivf;
 /// The SQ8 encoder and integer dot kernel, shared with the flat scan's

@@ -120,52 +120,6 @@ pub fn best_first(a: &Hit, b: &Hit) -> Ordering {
     b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id))
 }
 
-/// Which retrieval structure answers top-k queries over an embedding store.
-///
-/// `Flat` is the exact scan in this module — the recall oracle every
-/// approximate index is measured against, and the fallback whenever a corpus
-/// is too small for coarse partitioning to pay for itself. `Ivf` is the
-/// inverted-file index built by `t2v-ann` (which depends on this crate; the
-/// descriptive enum lives here so every layer can name the active index
-/// without a dependency cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Exact linear scan over all rows.
-    Flat,
-    /// IVF coarse partitioning: `nprobe` of `cells` cells scanned per query,
-    /// rows optionally stored 8-bit quantized (with exact f32 rescoring).
-    Ivf {
-        cells: u32,
-        nprobe: u32,
-        quantized: bool,
-    },
-}
-
-impl IndexKind {
-    /// Short machine-friendly family name: `"flat"` or `"ivf"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IndexKind::Flat => "flat",
-            IndexKind::Ivf { .. } => "ivf",
-        }
-    }
-
-    /// Human-readable label, e.g. `flat` or `ivf(cells=64,nprobe=8,sq8)`.
-    pub fn label(&self) -> String {
-        match self {
-            IndexKind::Flat => "flat".to_string(),
-            IndexKind::Ivf {
-                cells,
-                nprobe,
-                quantized,
-            } => format!(
-                "ivf(cells={cells},nprobe={nprobe},{})",
-                if *quantized { "sq8" } else { "f32" }
-            ),
-        }
-    }
-}
-
 /// Fused dot product over the x86-64 baseline SIMD (SSE2), eight independent
 /// 4-lane accumulators.
 ///

@@ -11,7 +11,7 @@ pub mod index;
 pub mod quant;
 
 pub use embedder::{cosine, l2_normalize, EmbedConfig, EmbedderParts, PhraseRow, TextEmbedder};
-pub use index::{best_first, dot as fused_dot, Hit, IndexKind, VectorIndex};
+pub use index::{best_first, dot as fused_dot, Hit, VectorIndex};
 
 #[cfg(test)]
 mod proptests {

@@ -23,7 +23,5 @@
 pub mod library;
 pub mod pipeline;
 
-pub use library::{AnnPair, AnnotationStore, EmbeddingLibrary, LibEntry};
-pub use pipeline::{
-    default_gred, AutoRetriever, DirectRetriever, Gred, GredConfig, GredOutput, Retrieve,
-};
+pub use library::{AnnotationStore, EmbeddingLibrary, LibEntry};
+pub use pipeline::{default_gred, DirectRetriever, Gred, GredConfig, GredOutput, Retrieve};

@@ -12,9 +12,8 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use t2v_ann::{IvfConfig, IvfIndex};
 use t2v_corpus::{Corpus, Database};
-use t2v_embed::{IndexKind, TextEmbedder, VectorIndex};
+use t2v_embed::{TextEmbedder, VectorIndex};
 use t2v_llm::api::{ChatModel, ChatParams};
 use t2v_llm::prompts;
 
@@ -33,14 +32,6 @@ pub struct LibEntry {
     pub dvq: Arc<str>,
 }
 
-/// Trained ANN indexes for both retrieval directions, attached to a library
-/// as one unit so NLQ and DVQ lookups always agree on index kind.
-#[derive(Debug, Clone)]
-pub struct AnnPair {
-    pub nlq: IvfIndex,
-    pub dvq: IvfIndex,
-}
-
 /// Training examples embedded and indexed per work item of the parallel
 /// library build.
 const BUILD_WINDOW: usize = 256;
@@ -51,11 +42,6 @@ pub struct EmbeddingLibrary {
     pub entries: Vec<LibEntry>,
     pub nlq_index: VectorIndex,
     pub dvq_index: VectorIndex,
-    /// Optional sub-linear index pair over the two flat stores. Write-once
-    /// (`OnceLock`) because the library lives behind an `Arc` once resolved:
-    /// serving attaches a snapshot-loaded or freshly trained pair after
-    /// construction, and every reader from then on sees the same index.
-    ann: OnceLock<AnnPair>,
 }
 
 impl EmbeddingLibrary {
@@ -110,7 +96,6 @@ impl EmbeddingLibrary {
             entries,
             nlq_index,
             dvq_index,
-            ann: OnceLock::new(),
         }
     }
 
@@ -142,7 +127,6 @@ impl EmbeddingLibrary {
             entries,
             nlq_index,
             dvq_index,
-            ann: OnceLock::new(),
         })
     }
 
@@ -152,58 +136,6 @@ impl EmbeddingLibrary {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The attached ANN pair, if any.
-    pub fn ann(&self) -> Option<&AnnPair> {
-        self.ann.get()
-    }
-
-    /// Attach a pre-trained ANN pair (e.g. loaded from a snapshot). Shapes
-    /// are validated against the flat stores; the first successful attach
-    /// wins and later calls return an error without replacing it.
-    pub fn attach_ann(&self, pair: AnnPair) -> Result<(), String> {
-        for (label, ivf, flat) in [
-            ("NLQ", &pair.nlq, &self.nlq_index),
-            ("DVQ", &pair.dvq, &self.dvq_index),
-        ] {
-            if ivf.rows() != flat.len() || ivf.dims() != flat.dims() {
-                return Err(format!(
-                    "{label} ann shape {}×{} does not match flat store {}×{}",
-                    ivf.rows(),
-                    ivf.dims(),
-                    flat.len(),
-                    flat.dims()
-                ));
-            }
-        }
-        self.ann
-            .set(pair)
-            .map_err(|_| "library already has an ann index attached".to_string())
-    }
-
-    /// Train and attach an ANN pair over both flat stores. Returns `false`
-    /// when training declines (corpus below `cfg.min_rows` — the flat scan
-    /// stays in charge) or when a pair is already attached.
-    pub fn train_ann(&self, cfg: &IvfConfig) -> bool {
-        if self.ann.get().is_some() {
-            return false;
-        }
-        let (Some(nlq), Some(dvq)) = (
-            IvfIndex::train(&self.nlq_index, cfg),
-            IvfIndex::train(&self.dvq_index, cfg),
-        ) else {
-            return false;
-        };
-        self.ann.set(AnnPair { nlq, dvq }).is_ok()
-    }
-
-    /// The index kind actually answering retrievals for this library.
-    pub fn index_kind(&self) -> IndexKind {
-        self.ann
-            .get()
-            .map(|p| p.nlq.kind())
-            .unwrap_or(IndexKind::Flat)
     }
 }
 

@@ -76,10 +76,10 @@ impl GredOutput {
 /// The retrieval seam between the pipeline and the embedding library.
 ///
 /// [`Gred::translate_observed`] resolves its two top-k lookups through this
-/// trait: the caller picks exact ([`DirectRetriever`]) or index-aware
-/// ([`AutoRetriever`]) retrieval, and the pipeline brackets each call as
-/// [`Step::Retrieve`] for the caller's observer. Queries are the
-/// embedder's output and therefore already L2-normalised.
+/// trait and brackets each call as [`Step::Retrieve`] for the caller's
+/// observer. Every caller passes [`DirectRetriever`]; tests substitute
+/// counting fakes through it. Queries are the embedder's output and
+/// therefore already L2-normalised.
 pub trait Retrieve {
     /// Top-k over the library's NLQ index.
     fn retrieve_nlq(&self, query: &[f32], k: usize) -> Vec<Hit>;
@@ -87,10 +87,8 @@ pub trait Retrieve {
     fn retrieve_dvq(&self, query: &[f32], k: usize) -> Vec<Hit>;
 }
 
-/// The default retriever: **exact** lookups straight into the
-/// library's flat stores. This is the recall oracle — it never consults an
-/// attached ANN index, so tests and fallbacks can always reach the exact
-/// scan through it.
+/// The retriever: **exact** lookups straight into the library's flat
+/// stores.
 pub struct DirectRetriever<'a>(pub &'a EmbeddingLibrary);
 
 impl Retrieve for DirectRetriever<'_> {
@@ -100,35 +98,6 @@ impl Retrieve for DirectRetriever<'_> {
 
     fn retrieve_dvq(&self, query: &[f32], k: usize) -> Vec<Hit> {
         self.0.dvq_index.top_k_prenormalized(query, k)
-    }
-}
-
-/// Index-aware retriever: routes lookups through the library's attached
-/// ANN pair when one is present, and degrades to the exact flat scan
-/// otherwise — the serving layer's default seam once `ann=on`.
-pub struct AutoRetriever<'a> {
-    pub library: &'a EmbeddingLibrary,
-    /// Query-time probe override; `0` uses the trained index's default.
-    pub nprobe: usize,
-}
-
-impl Retrieve for AutoRetriever<'_> {
-    fn retrieve_nlq(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        match self.library.ann() {
-            Some(pair) => pair
-                .nlq
-                .search(&self.library.nlq_index, query, k, self.nprobe),
-            None => self.library.nlq_index.top_k_prenormalized(query, k),
-        }
-    }
-
-    fn retrieve_dvq(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        match self.library.ann() {
-            Some(pair) => pair
-                .dvq
-                .search(&self.library.dvq_index, query, k, self.nprobe),
-            None => self.library.dvq_index.top_k_prenormalized(query, k),
-        }
     }
 }
 
@@ -333,35 +302,6 @@ impl<M: ChatModel> Gred<M> {
         }
     }
 
-    /// Backend-API translation with a caller-supplied retriever and
-    /// observer — the seam `t2v-serve` uses to pick exact or index-aware
-    /// retrieval per tenant while still speaking [`Translator`] types.
-    pub fn translate_api(
-        &self,
-        req: &TranslateRequest<'_>,
-        retriever: &impl Retrieve,
-        observer: &mut (impl StageSink + ?Sized),
-    ) -> Result<TranslateResponse, TranslateError> {
-        req.validate()?;
-        let mut collect = Collect {
-            observer,
-            stages: Vec::new(),
-        };
-        let out = self.translate_observed(req.nlq, req.db, retriever, &mut collect);
-        let stages = collect.stages;
-        match out.final_dvq() {
-            Some(dvq) => Ok(TranslateResponse {
-                backend: self.display_name().to_string(),
-                dvq: dvq.to_string(),
-                stages,
-            }),
-            None => Err(TranslateError::NoOutput {
-                backend: self.display_name().to_string(),
-                stages,
-            }),
-        }
-    }
-
     /// Convenience: translate and return only the final DVQ text.
     pub fn translate_final(&self, nlq: &str, db: &Database) -> Option<String> {
         self.translate(nlq, db).final_dvq().map(str::to_string)
@@ -394,7 +334,7 @@ impl<M: ChatModel + Send + Sync> Translator for Gred<M> {
     }
 
     fn translate(&self, req: &TranslateRequest<'_>) -> Result<TranslateResponse, TranslateError> {
-        self.translate_api(req, &DirectRetriever(&self.library), &mut ())
+        self.translate_streamed(req, &mut ())
     }
 
     fn translate_streamed(
@@ -402,18 +342,40 @@ impl<M: ChatModel + Send + Sync> Translator for Gred<M> {
         req: &TranslateRequest<'_>,
         sink: &mut dyn StageSink,
     ) -> Result<TranslateResponse, TranslateError> {
-        self.translate_api(req, &DirectRetriever(&self.library), sink)
+        req.validate()?;
+        let mut collect = Collect {
+            observer: sink,
+            stages: Vec::new(),
+        };
+        let out = self.translate_observed(
+            req.nlq,
+            req.db,
+            &DirectRetriever(&self.library),
+            &mut collect,
+        );
+        let stages = collect.stages;
+        match out.final_dvq() {
+            Some(dvq) => Ok(TranslateResponse {
+                backend: self.display_name().to_string(),
+                dvq: dvq.to_string(),
+                stages,
+            }),
+            None => Err(TranslateError::NoOutput {
+                backend: self.display_name().to_string(),
+                stages,
+            }),
+        }
     }
 }
 
 /// Passes everything on to the caller's observer and keeps each stage for
 /// the response.
-struct Collect<'a, S: ?Sized> {
-    observer: &'a mut S,
+struct Collect<'a> {
+    observer: &'a mut dyn StageSink,
     stages: Vec<StageRecord>,
 }
 
-impl<S: StageSink + ?Sized> StageSink for Collect<'_, S> {
+impl StageSink for Collect<'_> {
     fn stage(&mut self, stage: &StageRecord) {
         self.observer.stage(stage);
         self.stages.push(stage.clone());

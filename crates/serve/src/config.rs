@@ -37,30 +37,6 @@ impl CorpusProfile {
     }
 }
 
-/// Whether tenants build/adopt an IVF ANN index over their embedding
-/// library (see `t2v-ann` and DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnnMode {
-    /// Flat exact scan only; ANN sections in snapshots are ignored.
-    Off,
-    /// Adopt a snapshot's ANN index, or train one at startup when the
-    /// corpus is large enough to benefit (`t2v_ann::DEFAULT_MIN_ROWS`).
-    On,
-    /// Train even for tiny corpora (tests, smoke rigs) so the ANN path is
-    /// exercised regardless of corpus size.
-    Force,
-}
-
-impl AnnMode {
-    pub fn label(&self) -> &'static str {
-        match self {
-            AnnMode::Off => "off",
-            AnnMode::On => "on",
-            AnnMode::Force => "force",
-        }
-    }
-}
-
 /// The backend ids `t2v-serve` knows how to construct.
 pub const KNOWN_BACKENDS: &[&str] = &["gred", "seq2vis", "transformer", "rgvisnet", "neural"];
 
@@ -128,17 +104,6 @@ knobs! {
     cache_capacity: usize = "4096", parse_int;
     /// Cache TTL in seconds; 0 means entries never expire.
     cache_ttl_secs: u64 = "600", parse_int;
-    /// ANN policy of every tenant's embedding library: `off`, `on` or `force`.
-    /// `off` is the exact flat scan; `on` adopts a snapshot's index or
-    /// trains one when the corpus is big enough; `force` trains even on
-    /// tiny corpora. Retrieval through the index rescores candidates with
-    /// the exact f32 dot, so scores are identical to flat — only recall of
-    /// the candidate set is approximate.
-    ann: AnnMode = "off", parse_ann;
-    /// Cells probed per ANN query; 0 means the index's own default.
-    /// That default is `t2v_ann::auto_nprobe`. Higher = better recall,
-    /// slower.
-    ann_nprobe: usize = "0", parse_int;
     /// Synthetic rows per table for the execution stores.
     store_rows: usize = "30", parse_int;
     /// Seed of the execution stores' synthetic rows.
@@ -378,16 +343,6 @@ impl ServeConfig {
             .collect()
     }
 
-    /// ANN routing for the retrieval seams: `None` = exact flat scans
-    /// everywhere, `Some(n)` = route through an attached index with `n`
-    /// probes (0 ⇒ the index's own default).
-    pub fn effective_ann(&self) -> Option<usize> {
-        match self.ann {
-            AnnMode::Off => None,
-            AnnMode::On | AnnMode::Force => Some(self.ann_nprobe),
-        }
-    }
-
     /// How long a connection may sit without progress before it is reaped.
     pub fn effective_conn_idle(&self) -> Duration {
         Duration::from_millis(self.conn_idle_ms)
@@ -466,14 +421,6 @@ fn parse_hz(key: &str, value: &str) -> Result<u32, ConfigError> {
         hz @ 0..=10_000 => Ok(hz as u32),
         _ => Err(err(format!("{key}: '{value}' is not a rate in 0..=10000"))),
     }
-}
-
-/// One of the [`AnnMode`] labels.
-fn parse_ann(key: &str, value: &str) -> Result<AnnMode, ConfigError> {
-    [AnnMode::Off, AnnMode::On, AnnMode::Force]
-        .into_iter()
-        .find(|mode| mode.label() == value)
-        .ok_or_else(|| err(format!("{key}: '{value}' is not a mode (off|on|force)")))
 }
 
 /// A comma-separated, deduplicated list of [`KNOWN_BACKENDS`] ids.
@@ -595,8 +542,6 @@ mod tests {
             max_body_bytes: 64 * 1024,
             cache_capacity: 4096,
             cache_ttl_secs: 600,
-            ann: AnnMode::Off,
-            ann_nprobe: 0,
             store_rows: 30,
             store_seed: 7,
             corpus: CorpusProfile::Tiny(7),
@@ -655,6 +600,7 @@ mod tests {
     fn unknown_keys_and_bad_values_are_errors() {
         let mut cfg = ServeConfig::default();
         assert!(cfg.apply_kv_text("wrokers=4").is_err());
+        assert!(cfg.apply_kv_text("ann=on").is_err());
         assert!(cfg.apply_kv_text("workers=four").is_err());
         assert!(cfg.apply_kv_text("corpus=huge").is_err());
         assert!(cfg.apply_kv_text("no_equals_sign").is_err());
@@ -672,7 +618,6 @@ mod tests {
                 "tenants" => "acme:tiny:8,globex:paper:3",
                 "tenant_dir" => "/tmp",
                 "library_snapshot" | "snapshot_save" => "/tmp/lib.t2vsnap",
-                "ann" => "force",
                 "fault_plan" => "seed=1;backend.error:p=0.5",
                 "trace_sample" => "0.25",
                 "access_log" => "/tmp/t2v-access.log",
@@ -686,7 +631,7 @@ mod tests {
 
     #[test]
     fn docs_name_every_key_and_no_retired_one() {
-        assert_eq!(KEYS.len(), 32);
+        assert_eq!(KEYS.len(), 30);
         let design = include_str!("../../../DESIGN.md");
         let readme = include_str!("../../../README.md");
         assert!(
@@ -720,6 +665,8 @@ mod tests {
             ["access_log", "_keep"].concat(),
             ["obs", "_retention_s"].concat(),
             ["debug_translate", "_sleep_ms"].concat(),
+            ["an", "n="].concat(),
+            ["ann", "_nprobe"].concat(),
         ];
         for (name, text) in [("DESIGN.md", design), ("README.md", readme)] {
             for gone in &retired {
@@ -913,25 +860,6 @@ mod tests {
         assert!(cfg.validate().is_err(), "a directory is not a log file");
         cfg.set("access_log", "/tmp/t2v-access.log").unwrap();
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn ann_knobs_parse_and_reject_malformed() {
-        let mut cfg = ServeConfig::default();
-        assert_eq!(cfg.ann, AnnMode::Off, "exact scan is the default");
-        assert_eq!(cfg.ann_nprobe, 0, "0 = index default");
-        cfg.set("ann", "on").unwrap();
-        assert_eq!(cfg.ann, AnnMode::On);
-        cfg.set("ann", "force").unwrap();
-        assert_eq!(cfg.ann, AnnMode::Force);
-        assert_eq!(cfg.ann.label(), "force");
-        cfg.set("ann", "off").unwrap();
-        assert_eq!(cfg.ann, AnnMode::Off);
-        assert!(cfg.set("ann", "maybe").is_err());
-        assert!(cfg.set("ann", "true").is_err());
-        cfg.set("ann_nprobe", "12").unwrap();
-        assert_eq!(cfg.ann_nprobe, 12);
-        assert!(cfg.set("ann_nprobe", "-1").is_err());
     }
 
     #[test]

@@ -38,10 +38,9 @@
 //! unbounded queue), a sharded LRU+TTL cache keyed by `(backend,
 //! normalised NLQ, db fingerprint, response shape)` whose hits are
 //! byte-identical to cold translations, and one retrieval route: the
-//! worker that runs a GRED translation runs its two top-k scans itself
-//! (exact flat, or the tenant's IVF index under `ann=on`). Failures are
-//! structured `{"error": {"code", "message"}}` objects from the
-//! [`t2v_core::TranslateError`] taxonomy.
+//! worker that runs a GRED translation runs its two exact top-k scans
+//! itself. Failures are structured `{"error": {"code", "message"}}`
+//! objects from the [`t2v_core::TranslateError`] taxonomy.
 //!
 //! ```no_run
 //! use t2v_serve::{serve, ServeConfig};

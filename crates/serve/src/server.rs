@@ -13,7 +13,7 @@
 use crate::access_log::AccessLog;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::ShardedTtlLruCache;
-use crate::config::{AnnMode, ConfigError, ServeConfig};
+use crate::config::{ConfigError, ServeConfig};
 use crate::event::EventDriver;
 use crate::http;
 use crate::metrics::{LabelledMetrics, Metrics, PerLabel, Scalar};
@@ -26,13 +26,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use t2v_baselines::{BaselineTrainConfig, NeuralSeq2Seq, RgVisNet, Seq2Vis, TransformerBaseline};
-use t2v_core::{
-    BackendInfo, BackendRegistry, StageSink, TranslateError, TranslateRequest, TranslateResponse,
-    Translator,
-};
+use t2v_core::{BackendRegistry, Translator};
 use t2v_corpus::{generate, Corpus, Database};
 use t2v_engine::Store;
-use t2v_gred::{AutoRetriever, DirectRetriever, Gred, GredConfig};
+use t2v_gred::{Gred, GredConfig};
 use t2v_llm::{LlmConfig, SimulatedChatModel};
 use t2v_store::{EmbedderPool, LibrarySource, Provenance, SnapshotError};
 use t2v_tenant::{snapshot_filename, CorpusSpec, RcuCell, TenantSpec, DEFAULT_TENANT_ID};
@@ -98,53 +95,6 @@ pub struct DbEntry {
 /// epoch's entries simply age out of the LRU).
 pub type CacheKey = (u32, u16, Box<str>, u64, bool);
 
-/// The GRED pipeline as a registry backend: same `Translator` surface as
-/// every baseline. The worker that needs the hits runs the scan itself.
-struct GredBackend {
-    gred: Gred<SimulatedChatModel>,
-    /// `None` = exact flat scan, even over a library that carries an ANN
-    /// pair (`ann=off` on a v2 snapshot); `Some(n)` = probe the attached IVF
-    /// index with `n` cells (0 ⇒ the index default), flat when none is
-    /// attached.
-    ann_nprobe: Option<usize>,
-}
-
-impl GredBackend {
-    fn run(
-        &self,
-        req: &TranslateRequest<'_>,
-        sink: &mut dyn StageSink,
-    ) -> Result<TranslateResponse, TranslateError> {
-        let library = self.gred.library();
-        match self.ann_nprobe {
-            None => self
-                .gred
-                .translate_api(req, &DirectRetriever(library), sink),
-            Some(nprobe) => self
-                .gred
-                .translate_api(req, &AutoRetriever { library, nprobe }, sink),
-        }
-    }
-}
-
-impl Translator for GredBackend {
-    fn info(&self) -> BackendInfo {
-        self.gred.info()
-    }
-
-    fn translate(&self, req: &TranslateRequest<'_>) -> Result<TranslateResponse, TranslateError> {
-        self.run(req, &mut ())
-    }
-
-    fn translate_streamed(
-        &self,
-        req: &TranslateRequest<'_>,
-        sink: &mut dyn StageSink,
-    ) -> Result<TranslateResponse, TranslateError> {
-        self.run(req, sink)
-    }
-}
-
 /// One tenant's complete serving runtime: its corpus's backends, GRED
 /// pipeline, databases, library provenance, and metrics handle. Immutable
 /// once built — attach/detach swaps whole `Arc<TenantRuntime>`s in and out
@@ -174,34 +124,6 @@ pub struct TenantRuntime {
     /// classes and the `backend="<id>"` metric families (both are
     /// sized/registered at startup for a fixed backend list).
     pub is_default: bool,
-    /// ANN routing in effect for this tenant's GRED retrieval (`None` =
-    /// exact flat scans; `Some(n)` = attached IVF index probed with `n`
-    /// cells, 0 ⇒ index default).
-    pub ann_nprobe: Option<usize>,
-}
-
-impl TenantRuntime {
-    /// The index kind actually serving this tenant's retrieval: the
-    /// library's attached ANN index when routing is enabled and training
-    /// succeeded, flat otherwise (ann=off, or ann=on over a corpus too
-    /// small to benefit).
-    pub fn index_kind(&self) -> t2v_embed::IndexKind {
-        match self.ann_nprobe {
-            Some(_) => self.gred.library().index_kind(),
-            None => t2v_embed::IndexKind::Flat,
-        }
-    }
-
-    /// The per-query probe count in effect (`None` when serving flat).
-    pub fn effective_nprobe(&self) -> Option<usize> {
-        let pair = self.gred.library().ann()?;
-        let n = self.ann_nprobe?;
-        Some(if n == 0 {
-            pair.nlq.default_nprobe()
-        } else {
-            n.min(pair.nlq.cells())
-        })
-    }
 }
 
 /// The immutable tenant set readers resolve against, in attach order
@@ -312,10 +234,6 @@ pub struct ServerState {
     /// shared LRU instead of needing an eager purge.
     pub cache: ShardedTtlLruCache<CacheKey, Arc<Vec<u8>>>,
     pub metrics: Arc<Metrics>,
-    /// How the default tenant's embedding library materialised.
-    pub library_provenance: Provenance,
-    /// Fingerprint of the default tenant's training split.
-    pub library_fingerprint: u64,
     /// The implicit tenant the unprefixed `/v1/*` routes serve.
     pub default_tenant: Arc<TenantRuntime>,
     /// Flight recorder for completed request traces (`None` when
@@ -440,8 +358,6 @@ impl ServerState {
             dbs: default_tenant.dbs.clone(),
             cache,
             metrics,
-            library_provenance: default_tenant.library_provenance.clone(),
-            library_fingerprint: default_tenant.library_fingerprint,
             default_tenant,
             recorder,
             access_log,
@@ -553,22 +469,6 @@ fn build_tenant_runtime(
 ) -> TenantRuntime {
     let backend_ids = config.backend_ids();
     let tenant_metrics = metrics.register_tenant(id);
-    // ANN adoption/training happens before the pipeline is assembled: a
-    // snapshot-borne index is already attached (the decoder did it), and
-    // `train_ann` declines rather than replaces, so this is idempotent.
-    // With ann=on a too-small corpus declines and the tenant serves flat;
-    // ann=force trains regardless (tests and smoke rigs).
-    let ann_nprobe = config.effective_ann();
-    if ann_nprobe.is_some() && resolved.library.ann().is_none() {
-        let ivf_cfg = t2v_ann::IvfConfig {
-            min_rows: match config.ann {
-                AnnMode::Force => 1,
-                _ => t2v_ann::DEFAULT_MIN_ROWS,
-            },
-            ..Default::default()
-        };
-        resolved.library.train_ann(&ivf_cfg);
-    }
     let gred = Gred::from_parts(
         Arc::clone(&resolved.embedder),
         Arc::clone(&resolved.library),
@@ -589,10 +489,7 @@ fn build_tenant_runtime(
     };
     for backend_id in &backend_ids {
         let backend: Arc<dyn Translator> = match *backend_id {
-            "gred" => Arc::new(GredBackend {
-                gred: gred.clone(),
-                ann_nprobe,
-            }),
+            "gred" => Arc::new(gred.clone()),
             "seq2vis" => Arc::new(Seq2Vis::train(corpus, &train_cfg)),
             "transformer" => Arc::new(TransformerBaseline::train(corpus, &train_cfg)),
             "rgvisnet" => Arc::new(RgVisNet::build(corpus)),
@@ -652,7 +549,6 @@ fn build_tenant_runtime(
         metrics: tenant_metrics,
         // Epoch 0 is only ever the startup default tenant's.
         is_default: epoch == 0,
-        ann_nprobe,
     }
 }
 

@@ -924,89 +924,3 @@ fn multi_backend_registry_serves_every_backend_with_namespaced_caching() {
     }
     server.shutdown();
 }
-
-#[test]
-fn ann_forced_server_matches_flat_and_reports_its_index() {
-    // Two servers over the same corpus: one exact flat scan, one forced
-    // through the IVF index with every cell probed (full probe + exact
-    // rescoring ⇒ the candidate sets agree on the whole served top-k, so
-    // the translation bytes must match the flat server's exactly).
-    let (corpus, flat) = spawn_server(&[]);
-    let (_, ann) = spawn_server(&[("ann", "force"), ("ann_nprobe", "9999")]);
-    let mut cf = Client::connect(&flat);
-    let mut ca = Client::connect(&ann);
-    for ex in corpus.dev.iter().take(8) {
-        let db = corpus.databases[ex.db].id.clone();
-        let a = cf.translate(&ex.nlq, &db);
-        let b = ca.translate(&ex.nlq, &db);
-        assert_eq!(a.status, 200);
-        assert_eq!(b.status, 200);
-        assert_eq!(
-            a.body, b.body,
-            "full-probe ANN must serve byte-identical translations ({})",
-            ex.nlq
-        );
-    }
-
-    // The admin surface attributes the index each tenant actually serves.
-    let doc = ca.request("GET", "/v1/admin/status", "").json();
-    let tenants = doc.get("tenants").and_then(Json::as_arr).unwrap().to_vec();
-    let t = tenants[0].clone();
-    let index = t.get("index").and_then(Json::as_str).unwrap().to_string();
-    assert!(
-        index.starts_with("ivf("),
-        "forced tenant serves IVF: {index}"
-    );
-    assert_eq!(t.get("rows").and_then(Json::as_f64), Some(240.0));
-    assert!(t.get("nprobe").and_then(Json::as_f64).unwrap() >= 1.0);
-    let doc = cf.request("GET", "/v1/admin/status", "").json();
-    let tenants = doc.get("tenants").and_then(Json::as_arr).unwrap().to_vec();
-    assert_eq!(
-        tenants[0].get("index").and_then(Json::as_str),
-        Some("flat"),
-        "default config stays on the exact scan"
-    );
-
-    flat.shutdown();
-    ann.shutdown();
-}
-
-#[test]
-fn ann_off_ignores_a_snapshot_borne_index() {
-    // A v2 snapshot carries a trained ANN pair (default nprobe: a partial,
-    // approximate probe). Under ann=off the server must keep scanning flat
-    // — report it, and answer exactly as a snapshot-less flat server does.
-    let dir = std::env::temp_dir().join(format!("t2v-loopback-annoff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("ann.t2vsnap");
-    let (corpus, flat) = spawn_server(&[]);
-    let gred = &flat.state().gred;
-    let library = t2v_gred::EmbeddingLibrary::build(&corpus, gred.embedder());
-    assert!(library.train_ann(&t2v_ann::IvfConfig {
-        min_rows: 1,
-        ..Default::default()
-    }));
-    t2v_store::save(&snap, &library, gred.embedder()).expect("save v2 snapshot");
-
-    let (_, warm) = spawn_server(&[("library_snapshot", snap.to_str().unwrap()), ("ann", "off")]);
-    assert!(
-        warm.state().gred.library().ann().is_some(),
-        "the decoder attached the snapshot's pair"
-    );
-    let mut cf = Client::connect(&flat);
-    let mut cw = Client::connect(&warm);
-    let doc = cw.request("GET", "/v1/admin/status", "").json();
-    let tenants = doc.get("tenants").and_then(Json::as_arr).unwrap();
-    assert_eq!(tenants[0].get("index").and_then(Json::as_str), Some("flat"));
-    for ex in corpus.dev.iter().take(8) {
-        let db = &corpus.databases[ex.db].id;
-        let a = cf.translate(&ex.nlq, db);
-        let b = cw.translate(&ex.nlq, db);
-        assert_eq!((a.status, b.status), (200, 200));
-        assert_eq!(a.body, b.body, "ann=off must scan flat ({})", ex.nlq);
-    }
-
-    flat.shutdown();
-    warm.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}

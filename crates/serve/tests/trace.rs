@@ -452,10 +452,10 @@ fn admin_status_snapshots_pool_cache_breakers_and_build() {
 
     let build = doc.get("build").expect("build section");
     assert!(build.get("version").and_then(Json::as_str).is_some());
-    assert!(build
-        .get("snapshot_format")
-        .and_then(Json::as_f64)
-        .is_some());
+    assert_eq!(
+        build.get("snapshot_format").and_then(Json::as_f64),
+        Some(t2v_store::FORMAT_VERSION as f64)
+    );
 
     let pool = doc.get("pool").expect("pool section");
     assert!(pool.get("workers").and_then(Json::as_f64).unwrap() >= 1.0);
@@ -477,6 +477,9 @@ fn admin_status_snapshots_pool_cache_breakers_and_build() {
         .iter()
         .find(|t| t.get("id").and_then(Json::as_str) == Some("default"))
         .expect("default tenant listed");
+    assert_eq!(default.get("index").and_then(Json::as_str), Some("flat"));
+    let rows = server.state().gred.library().len() as f64;
+    assert_eq!(default.get("rows").and_then(Json::as_f64), Some(rows));
     let breakers = default
         .get("breakers")
         .and_then(Json::as_arr)

@@ -37,25 +37,19 @@ use crate::wire::{checksum64, Reader, Writer};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use t2v_ann::{IvfIndex, IvfParts};
 use t2v_corpus::lexicon::{Concept, Lexicon};
 use t2v_embed::{EmbedConfig, EmbedderParts, PhraseRow, TextEmbedder, VectorIndex};
-use t2v_gred::{AnnPair, EmbeddingLibrary, LibEntry};
+use t2v_gred::{EmbeddingLibrary, LibEntry};
 
 pub const MAGIC: [u8; 8] = *b"T2VSNAP\0";
-/// Base format: the five v1 sections. Snapshots without a trained ANN index
-/// are still written as byte-identical v1 files, so older readers and
-/// fixtures keep working.
+/// The only format: five sections. Any other version byte is refused with
+/// [`SnapshotError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 1;
-/// v1 plus two ANN sections (trained IVF indexes for the NLQ and DVQ
-/// stores). Written only when the library carries an attached ANN pair.
-pub const FORMAT_VERSION_ANN: u32 = 2;
 const HEADER_LEN: usize = 48;
 const SECTION_ROW_LEN: usize = 32;
 const TRAILER_LEN: usize = 8;
 
-/// The payload sections, in file order. v1 files carry the first five;
-/// v2 files append the two ANN sections.
+/// The payload sections, in file order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionKind {
     Embedder,
@@ -63,8 +57,6 @@ pub enum SectionKind {
     Entries,
     NlqIndex,
     DvqIndex,
-    AnnNlq,
-    AnnDvq,
 }
 
 impl SectionKind {
@@ -76,16 +68,6 @@ impl SectionKind {
         SectionKind::DvqIndex,
     ];
 
-    const ALL_V2: [SectionKind; 7] = [
-        SectionKind::Embedder,
-        SectionKind::Strings,
-        SectionKind::Entries,
-        SectionKind::NlqIndex,
-        SectionKind::DvqIndex,
-        SectionKind::AnnNlq,
-        SectionKind::AnnDvq,
-    ];
-
     fn id(self) -> u32 {
         match self {
             SectionKind::Embedder => 1,
@@ -93,13 +75,11 @@ impl SectionKind {
             SectionKind::Entries => 3,
             SectionKind::NlqIndex => 4,
             SectionKind::DvqIndex => 5,
-            SectionKind::AnnNlq => 6,
-            SectionKind::AnnDvq => 7,
         }
     }
 
     fn from_id(id: u32) -> Option<SectionKind> {
-        SectionKind::ALL_V2.into_iter().find(|k| k.id() == id)
+        SectionKind::ALL.into_iter().find(|k| k.id() == id)
     }
 
     pub fn name(self) -> &'static str {
@@ -109,8 +89,6 @@ impl SectionKind {
             SectionKind::Entries => "entries",
             SectionKind::NlqIndex => "nlq_index",
             SectionKind::DvqIndex => "dvq_index",
-            SectionKind::AnnNlq => "ann_nlq",
-            SectionKind::AnnDvq => "ann_dvq",
         }
     }
 }
@@ -124,17 +102,6 @@ pub struct SectionInfo {
     pub checksum: u64,
 }
 
-/// ANN section facts readable without decoding payloads (the fixed prefix
-/// of the `ann_nlq` payload plus the two sections' byte lengths).
-#[derive(Debug, Clone)]
-pub struct AnnSummary {
-    pub cells: u64,
-    pub nprobe: u32,
-    pub quantized: bool,
-    /// Combined byte length of both ANN sections.
-    pub bytes: u64,
-}
-
 /// Everything knowable about a snapshot without decoding its payloads.
 #[derive(Debug, Clone)]
 pub struct Manifest {
@@ -145,8 +112,6 @@ pub struct Manifest {
     pub dims: u32,
     pub file_len: u64,
     pub sections: Vec<SectionInfo>,
-    /// Present for v2 snapshots (trained ANN index persisted).
-    pub ann: Option<AnnSummary>,
 }
 
 /// A fully reconstructed snapshot: the embedder and library, ready to feed
@@ -243,31 +208,6 @@ fn encode_index(index: &VectorIndex) -> Vec<u8> {
     w.buf
 }
 
-/// ANN section payload: a fixed prefix (dims, nprobe, quantized, cells,
-/// rows — the part [`inspect_bytes`] summarises without a full decode),
-/// then centroids, the CSR offset/id tables, and — when quantized — the
-/// SQ8 code and scale tables. The f32 rows themselves are **not** stored:
-/// searches borrow them from the nlq/dvq index sections, so the ANN
-/// sections stay small (centroids + tables + 1 byte/component of codes).
-fn encode_ann(ivf: &IvfIndex) -> Vec<u8> {
-    let (centroids, cell_offsets, ids, codes, scales) = ivf.raw_parts();
-    let mut w = Writer::new();
-    w.put_u32(ivf.dims() as u32);
-    w.put_u32(ivf.default_nprobe() as u32);
-    w.put_u32(ivf.quantized() as u32);
-    w.put_u32(0); // reserved
-    w.put_u64(ivf.cells() as u64);
-    w.put_u64(ivf.rows() as u64);
-    w.put_f32s(centroids);
-    w.put_u32s(cell_offsets);
-    w.put_u32s(ids);
-    if ivf.quantized() {
-        w.put_i8s(codes);
-        w.put_f32s(scales);
-    }
-    w.buf
-}
-
 /// Serialise a library + its embedder to snapshot bytes.
 pub fn encode(library: &EmbeddingLibrary, embedder: &TextEmbedder) -> Vec<u8> {
     // Entries reference the deduplicated string table by id.
@@ -295,29 +235,18 @@ pub fn encode(library: &EmbeddingLibrary, embedder: &TextEmbedder) -> Vec<u8> {
         }
     }
 
-    let mut payloads: Vec<(SectionKind, Vec<u8>)> = vec![
+    let payloads: [(SectionKind, Vec<u8>); 5] = [
         (SectionKind::Embedder, encode_embedder(embedder)),
         (SectionKind::Strings, strings_payload.buf),
         (SectionKind::Entries, entries_payload.buf),
         (SectionKind::NlqIndex, encode_index(&library.nlq_index)),
         (SectionKind::DvqIndex, encode_index(&library.dvq_index)),
     ];
-    // A library with a trained ANN pair persists it as two extra sections
-    // and bumps the format version; without one the output is byte-identical
-    // to format v1, so pre-ANN readers and fixtures are untouched.
-    let version = match library.ann() {
-        Some(pair) => {
-            payloads.push((SectionKind::AnnNlq, encode_ann(&pair.nlq)));
-            payloads.push((SectionKind::AnnDvq, encode_ann(&pair.dvq)));
-            FORMAT_VERSION_ANN
-        }
-        None => FORMAT_VERSION,
-    };
 
     // Header.
     let mut out = Writer::new();
     out.buf.extend_from_slice(&MAGIC);
-    out.put_u32(version);
+    out.put_u32(FORMAT_VERSION);
     out.put_u32(payloads.len() as u32);
     out.put_u64(library_fingerprint(library));
     out.put_u64(embedder_fingerprint(embedder));
@@ -369,26 +298,22 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
     let mut header = Reader::new(bytes, "header");
     let _ = header.take(MAGIC.len())?;
     let format_version = header.u32()?;
-    let expected_sections: &[SectionKind] = match format_version {
-        FORMAT_VERSION => &SectionKind::ALL,
-        FORMAT_VERSION_ANN => &SectionKind::ALL_V2,
-        _ => {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: format_version,
-                supported: FORMAT_VERSION_ANN,
-            })
-        }
-    };
+    if format_version != FORMAT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion {
+            found: format_version,
+            supported: FORMAT_VERSION,
+        });
+    }
     let section_count = header.u32()? as usize;
     let corpus_fingerprint = header.u64()?;
     let embedder_fingerprint = header.u64()?;
     let entries = header.u64()?;
     let dims = header.u32()?;
     let _reserved = header.u32()?;
-    if section_count != expected_sections.len() {
+    if section_count != SectionKind::ALL.len() {
         return Err(SnapshotError::malformed(format!(
             "format v{format_version} carries {} sections, header claims {section_count}",
-            expected_sections.len()
+            SectionKind::ALL.len()
         )));
     }
 
@@ -418,7 +343,7 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
         "section table",
     );
     let mut sections = Vec::with_capacity(section_count);
-    for &expected_kind in expected_sections {
+    for expected_kind in SectionKind::ALL {
         let kind_id = table.u32()?;
         let _reserved = table.u32()?;
         let offset = table.u64()?;
@@ -459,34 +384,6 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
             checksum,
         });
     }
-    // v2: lift the ANN summary out of the (already checksummed) `ann_nlq`
-    // payload's fixed prefix — no table decoding needed.
-    let ann = if format_version == FORMAT_VERSION_ANN {
-        let info = sections
-            .iter()
-            .find(|s| s.kind == SectionKind::AnnNlq)
-            .expect("v2 section walk includes ann_nlq");
-        let payload = &bytes[info.offset as usize..(info.offset + info.len) as usize];
-        let mut r = Reader::new(payload, "ann_nlq");
-        let _dims = r.u32()?;
-        let nprobe = r.u32()?;
-        let quantized = r.u32()? != 0;
-        let _reserved = r.u32()?;
-        let cells = r.u64()?;
-        let bytes_total = sections
-            .iter()
-            .filter(|s| matches!(s.kind, SectionKind::AnnNlq | SectionKind::AnnDvq))
-            .map(|s| s.len)
-            .sum();
-        Some(AnnSummary {
-            cells,
-            nprobe,
-            quantized,
-            bytes: bytes_total,
-        })
-    } else {
-        None
-    };
     Ok(Manifest {
         format_version,
         corpus_fingerprint,
@@ -495,7 +392,6 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
         dims,
         file_len: bytes.len() as u64,
         sections,
-        ann,
     })
 }
 
@@ -628,51 +524,6 @@ fn decode_index(payload: &[u8], name: &'static str) -> Result<VectorIndex, Snaps
         .map_err(|e| SnapshotError::malformed(format!("{name}: {e}")))
 }
 
-fn decode_ann(payload: &[u8], name: &'static str) -> Result<IvfIndex, SnapshotError> {
-    let mut r = Reader::new(payload, name);
-    let dims = r.u32()? as usize;
-    let nprobe = r.u32()? as usize;
-    let quantized = r.u32()? != 0;
-    let _reserved = r.u32()?;
-    let cells = r.u64()? as usize;
-    let rows = r.u64()? as usize;
-    let centroid_elems = cells.checked_mul(dims).ok_or_else(|| {
-        SnapshotError::malformed(format!("{name}: {cells} cells × {dims} dims overflows"))
-    })?;
-    let centroids = r.f32s(centroid_elems)?;
-    let cell_offsets = r.u32s(
-        cells
-            .checked_add(1)
-            .ok_or_else(|| SnapshotError::malformed(format!("{name}: cell count overflows")))?,
-    )?;
-    let ids = r.u32s(rows)?;
-    let (codes, scales) = if quantized {
-        let code_elems = rows.checked_mul(dims).ok_or_else(|| {
-            SnapshotError::malformed(format!("{name}: {rows} rows × {dims} dims overflows"))
-        })?;
-        (r.i8s(code_elems)?, r.f32s(rows)?)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    if !r.is_empty() {
-        return Err(SnapshotError::malformed(format!(
-            "{name} section has {} trailing bytes",
-            r.remaining()
-        )));
-    }
-    IvfIndex::from_parts(IvfParts {
-        dims,
-        nprobe,
-        quantized,
-        centroids,
-        cell_offsets,
-        ids,
-        codes,
-        scales,
-    })
-    .map_err(|e| SnapshotError::malformed(format!("{name}: {e}")))
-}
-
 /// Decode a complete snapshot: framing + checksums, then payloads, then
 /// cross-section consistency.
 pub fn decode(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
@@ -712,15 +563,6 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
     }
     let library = EmbeddingLibrary::from_parts(entries, nlq_index, dvq_index)
         .map_err(SnapshotError::malformed)?;
-    if manifest.format_version == FORMAT_VERSION_ANN {
-        let nlq = decode_ann(section(bytes, &manifest, SectionKind::AnnNlq), "ann_nlq")?;
-        let dvq = decode_ann(section(bytes, &manifest, SectionKind::AnnDvq), "ann_dvq")?;
-        // attach_ann cross-checks the ANN shapes against the flat stores, so
-        // a snapshot whose sections disagree fails here, not at query time.
-        library
-            .attach_ann(AnnPair { nlq, dvq })
-            .map_err(SnapshotError::malformed)?;
-    }
     Ok(LoadedSnapshot {
         embedder,
         library,

@@ -56,8 +56,8 @@ pub use fingerprint::{
     corpus_fingerprint, embedder_fingerprint, expected_embedder_fingerprint, library_fingerprint,
 };
 pub use format::{
-    decode, encode, inspect, inspect_bytes, load, save, verify, AnnSummary, LoadedSnapshot,
-    Manifest, SectionInfo, SectionKind, FORMAT_VERSION, FORMAT_VERSION_ANN, MAGIC,
+    decode, encode, inspect, inspect_bytes, load, save, verify, LoadedSnapshot, Manifest,
+    SectionInfo, SectionKind, FORMAT_VERSION, MAGIC,
 };
 pub use scan::{scan_snapshots, ScanEntry, SNAPSHOT_EXT};
 pub use source::{EmbedderPool, LibrarySource, Provenance, ResolvedLibrary};

@@ -116,21 +116,6 @@ impl Writer {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-
-    pub fn put_u32s(&mut self, vs: &[u32]) {
-        self.buf.reserve(vs.len() * 4);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Raw signed bytes (SQ8 code tables), two's-complement as-is.
-    pub fn put_i8s(&mut self, vs: &[i8]) {
-        self.buf.reserve(vs.len());
-        for &v in vs {
-            self.buf.push(v as u8);
-        }
-    }
 }
 
 /// Bounds-checked little-endian decoder over a borrowed byte slice.
@@ -220,21 +205,6 @@ impl<'a> Reader<'a> {
             out.push(f32::from_le_bytes(chunk.try_into().unwrap()));
         }
         Ok(out)
-    }
-
-    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, SnapshotError> {
-        let bytes = self.take(n.saturating_mul(4))?;
-        let mut out = Vec::with_capacity(n);
-        for chunk in bytes.chunks_exact(4) {
-            out.push(u32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        Ok(out)
-    }
-
-    /// Decode `n` raw signed bytes (SQ8 code tables).
-    pub fn i8s(&mut self, n: usize) -> Result<Vec<i8>, SnapshotError> {
-        let bytes = self.take(n)?;
-        Ok(bytes.iter().map(|&b| b as i8).collect())
     }
 }
 

@@ -30,6 +30,8 @@ fn roundtrip_reproduces_library_bytes_and_interning() {
     let bytes = encode(&library, &embedder);
     let loaded = decode(&bytes).expect("fresh snapshot decodes");
 
+    assert_eq!(loaded.manifest.format_version, t2v_store::FORMAT_VERSION);
+    assert_eq!(loaded.manifest.sections.len(), 5);
     assert_eq!(loaded.manifest.entries as usize, library.len());
     assert_eq!(loaded.manifest.dims as usize, embedder.dims());
     assert_eq!(
@@ -225,6 +227,14 @@ fn wrong_magic_and_wrong_version_are_structured_errors() {
         SnapshotError::UnsupportedVersion { found, .. } if found != t2v_store::FORMAT_VERSION
     ));
 
+    // Format v2 (the retired IVF sections) is refused at the version check.
+    let mut bad = good.clone();
+    bad[8] = 2;
+    assert!(matches!(
+        decode(&bad).unwrap_err(),
+        SnapshotError::UnsupportedVersion { found: 2, supported } if supported == t2v_store::FORMAT_VERSION
+    ));
+
     // Not a snapshot at all.
     assert!(decode(b"").is_err());
     assert!(decode(b"short").is_err());
@@ -312,62 +322,6 @@ fn internally_inconsistent_snapshots_are_malformed() {
     bytes[trailer_at..].copy_from_slice(&reseal.to_le_bytes());
     let err = decode(&bytes).unwrap_err();
     assert!(matches!(err, SnapshotError::Malformed { .. }), "got {err}");
-}
-
-#[test]
-fn ann_snapshots_roundtrip_as_v2_and_plain_stay_v1() {
-    let (corpus, embedder, library) = fixture();
-
-    // No ANN attached → byte-identical format v1, no ann summary.
-    let plain = encode(&library, &embedder);
-    let plain_manifest = inspect_bytes(&plain).unwrap();
-    assert_eq!(plain_manifest.format_version, t2v_store::FORMAT_VERSION);
-    assert_eq!(plain_manifest.sections.len(), 5);
-    assert!(plain_manifest.ann.is_none());
-
-    // Train + attach (forced — the tiny corpus is below the auto threshold),
-    // re-encode → v2 with both ANN sections checksummed in the table.
-    assert!(library.train_ann(&t2v_ann::IvfConfig {
-        min_rows: 1,
-        ..t2v_ann::IvfConfig::default()
-    }));
-    let with_ann = encode(&library, &embedder);
-    let manifest = inspect_bytes(&with_ann).unwrap();
-    assert_eq!(manifest.format_version, t2v_store::FORMAT_VERSION_ANN);
-    assert_eq!(manifest.sections.len(), 7);
-    let summary = manifest.ann.as_ref().expect("v2 carries an ann summary");
-    let pair = library.ann().unwrap();
-    assert_eq!(summary.cells as usize, pair.nlq.cells());
-    assert_eq!(summary.nprobe as usize, pair.nlq.default_nprobe());
-    assert_eq!(summary.quantized, pair.nlq.quantized());
-    assert!(summary.bytes > 0);
-
-    // The v1 prefix of the payload set is unchanged by the ANN sections.
-    let loaded = decode(&with_ann).expect("v2 decodes");
-    assert_eq!(loaded.library.len(), library.len());
-    let loaded_pair = loaded.library.ann().expect("ann pair reattached on load");
-    assert_eq!(loaded_pair.nlq.kind(), pair.nlq.kind());
-    assert_eq!(loaded_pair.dvq.kind(), pair.dvq.kind());
-    for ex in corpus.dev.iter().take(10) {
-        let q = embedder.embed(&ex.nlq);
-        assert_eq!(
-            loaded_pair.nlq.search(&loaded.library.nlq_index, &q, 10, 0),
-            pair.nlq.search(&library.nlq_index, &q, 10, 0),
-            "reloaded ann diverged on {:?}",
-            ex.nlq
-        );
-    }
-
-    // Bit flips inside the ANN sections are caught like any other section.
-    let ann_off = manifest
-        .sections
-        .iter()
-        .find(|s| s.kind == t2v_store::SectionKind::AnnNlq)
-        .unwrap()
-        .offset as usize;
-    let mut bad = with_ann.clone();
-    bad[ann_off + 16] ^= 0x20;
-    assert!(decode(&bad).is_err(), "ann corruption silently accepted");
 }
 
 proptest! {

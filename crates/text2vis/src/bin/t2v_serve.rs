@@ -76,8 +76,8 @@ fn main() {
     eprintln!(
         "t2v-serve: serving the {} library ({}, fingerprint {:#018x}) on http://{} (POST /v1/translate, POST /v1/translate/batch, GET /v1/backends, /v1/t/{{tenant}}/{{translate,translate/batch,backends}}, POST /v1/admin/snapshot, GET /v1/admin/{{status,tsdb,alerts,profile,tenants}}, GET /v1/admin/trace/{{recent,ID}}, POST /v1/admin/tenants/attach, DELETE /v1/admin/tenants/detach, GET /healthz, GET /metrics)",
         server.state().gred.library().len(),
-        server.state().library_provenance.label(),
-        server.state().library_fingerprint,
+        server.state().default_tenant.library_provenance.label(),
+        server.state().default_tenant.library_fingerprint,
         server.addr()
     );
     let tenants = server.state().tenants();

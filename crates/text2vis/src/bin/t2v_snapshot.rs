@@ -1,18 +1,14 @@
 //! `t2v-snapshot` — build, inspect, and verify persistent library snapshots.
 //!
 //! ```text
-//! t2v-snapshot build   [--corpus tiny:7|paper:N] [--out PATH] [--ann]
+//! t2v-snapshot build   [--corpus tiny:7|paper:N] [--out PATH]
 //! t2v-snapshot inspect PATH
 //! t2v-snapshot verify  PATH [--corpus tiny:7|paper:N]
 //! t2v-snapshot catalog DIR
 //! ```
 //!
 //! * `build` generates the corpus, builds the embedding library, and writes
-//!   the snapshot `t2v-serve` loads with `library_snapshot=PATH`. With
-//!   `--ann` it also trains the IVF index pair at build time (regardless of
-//!   corpus size — an explicit flag means the operator wants the index) and
-//!   embeds it in the snapshot (format v2), so a warm boot with `ann=on`
-//!   adopts it instead of re-training.
+//!   the snapshot `t2v-serve` loads with `library_snapshot=PATH`.
 //! * `inspect` prints the manifest (version, fingerprints, section table
 //!   with human-readable sizes) after validating framing and checksums —
 //!   no payload reconstruction.
@@ -26,6 +22,7 @@
 //!   `tenant_dir=` boot of `t2v-serve`.
 //!
 //! Every failure is a one-line diagnostic + non-zero exit, never a panic.
+//! An argument a subcommand does not take exits 2 and names it.
 
 use std::time::Instant;
 use text2vis::corpus::generate;
@@ -50,12 +47,19 @@ fn main() {
     }
 }
 
+/// Each subcommand's synopsis, as `--help` prints it and a rejected
+/// argument quotes it.
+const BUILD: &str = "build [--corpus tiny:7|paper:N] [--out PATH]";
+const INSPECT: &str = "inspect PATH";
+const VERIFY: &str = "verify PATH [--corpus tiny:7|paper:N]";
+const CATALOG: &str = "catalog DIR";
+
 fn usage() {
-    println!(
-        "usage:\n  t2v-snapshot build   [--corpus tiny:7|paper:N] [--out PATH] [--ann]\n  \
-         t2v-snapshot inspect PATH\n  t2v-snapshot verify  PATH [--corpus tiny:7|paper:N]\n  \
-         t2v-snapshot catalog DIR"
-    );
+    println!("usage:");
+    for synopsis in [BUILD, INSPECT, VERIFY, CATALOG] {
+        let (cmd, rest) = synopsis.split_once(' ').unwrap_or((synopsis, ""));
+        println!("  t2v-snapshot {cmd:<7} {rest}");
+    }
 }
 
 fn die(message: &str) -> ! {
@@ -63,17 +67,52 @@ fn die(message: &str) -> ! {
     std::process::exit(2)
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .map(|i| match args.get(i + 1) {
-            Some(v) => v.clone(),
-            None => die(&format!("{name} needs a value")),
-        })
+/// One subcommand's arguments: its bare operand (if it takes one) and
+/// the `--flag VALUE` pairs it was given.
+struct Parsed<'a> {
+    operand: Option<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
 }
 
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+impl Parsed<'_> {
+    fn flag(&self, name: &str) -> Option<&str> {
+        self.flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    }
+}
+
+/// Parse a subcommand's arguments against its `synopsis`: `operand` names
+/// the one bare argument it requires (if any), `flags` the `--flag VALUE`
+/// pairs it accepts. Anything else exits 2 with one line naming it.
+fn parse<'a>(
+    args: &'a [String],
+    synopsis: &str,
+    operand: Option<&str>,
+    flags: &[&str],
+) -> Parsed<'a> {
+    let cmd = synopsis.split_whitespace().next().unwrap_or_default();
+    let mut parsed = Parsed {
+        operand: None,
+        flags: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if flags.contains(&arg.as_str()) {
+            let Some(value) = it.next() else {
+                die(&format!("{arg} needs a value"))
+            };
+            parsed.flags.push((arg, value));
+        } else if operand.is_some() && parsed.operand.is_none() && !arg.starts_with('-') {
+            parsed.operand = Some(arg);
+        } else {
+            die(&format!(
+                "{cmd}: unknown argument `{arg}` (usage: t2v-snapshot {synopsis})"
+            ))
+        }
+    }
+    if let (Some(what), None) = (operand, parsed.operand) {
+        die(&format!("{cmd} needs {what}"));
+    }
+    parsed
 }
 
 /// Parse `tiny:SEED` / `paper:SEED` using the serve config's parser so the
@@ -87,9 +126,10 @@ fn corpus_profile(spec: &str) -> text2vis::serve::CorpusProfile {
 }
 
 fn build(args: &[String]) {
-    let spec = flag(args, "--corpus").unwrap_or_else(|| "tiny:7".to_string());
-    let out = flag(args, "--out").unwrap_or_else(|| "library.t2vsnap".to_string());
-    let profile = corpus_profile(&spec);
+    let args = parse(args, BUILD, None, &["--corpus", "--out"]);
+    let spec = args.flag("--corpus").unwrap_or("tiny:7");
+    let out = args.flag("--out").unwrap_or("library.t2vsnap");
+    let profile = corpus_profile(spec);
 
     eprintln!("t2v-snapshot: generating the {spec} corpus...");
     let corpus = generate(&profile.corpus_config());
@@ -103,22 +143,7 @@ fn build(args: &[String]) {
         Err(e) => die(&e.to_string()),
     };
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if has_flag(args, "--ann") {
-        eprintln!("t2v-snapshot: training the IVF index pair...");
-        let t1 = Instant::now();
-        let trained = resolved.library.train_ann(&text2vis::ann::IvfConfig {
-            min_rows: 1,
-            ..Default::default()
-        });
-        if !trained {
-            die("ANN training failed (is the library empty?)");
-        }
-        eprintln!(
-            "t2v-snapshot: trained in {:.0} ms",
-            t1.elapsed().as_secs_f64() * 1e3
-        );
-    }
-    let manifest = match store::save(&out, &resolved.library, &resolved.embedder) {
+    let manifest = match store::save(out, &resolved.library, &resolved.embedder) {
         Ok(m) => m,
         Err(e) => die(&e.to_string()),
     };
@@ -130,27 +155,24 @@ fn build(args: &[String]) {
 }
 
 fn inspect(args: &[String]) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        die("inspect needs a snapshot path");
-    };
-    match store::inspect(path) {
+    let path = parse(args, INSPECT, Some("a snapshot path"), &[]).operand;
+    match store::inspect(path.unwrap_or_default()) {
         Ok(manifest) => print_manifest(&manifest),
         Err(e) => die(&e.to_string()),
     }
 }
 
 fn verify(args: &[String]) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        die("verify needs a snapshot path");
-    };
+    let args = parse(args, VERIFY, Some("a snapshot path"), &["--corpus"]);
+    let path = args.operand.unwrap_or_default();
     let t0 = Instant::now();
     let manifest = match store::verify(path) {
         Ok(m) => m,
         Err(e) => die(&e.to_string()),
     };
     // Optional provenance check against a freshly generated corpus.
-    if let Some(spec) = flag(args, "--corpus") {
-        let corpus = generate(&corpus_profile(&spec).corpus_config());
+    if let Some(spec) = args.flag("--corpus") {
+        let corpus = generate(&corpus_profile(spec).corpus_config());
         let expected = store::corpus_fingerprint(&corpus);
         if manifest.corpus_fingerprint != expected {
             die(&format!(
@@ -220,23 +242,14 @@ fn print_manifest(m: &Manifest) {
             s.checksum
         );
     }
-    if let Some(ann) = &m.ann {
-        println!(
-            "  ann index: {} cells, nprobe {}, {}, {}",
-            ann.cells,
-            ann.nprobe,
-            if ann.quantized { "sq8+rescore" } else { "f32" },
-            human_size(ann.bytes)
-        );
-    }
 }
 
 /// `catalog DIR` — list every snapshot under a directory: validity,
 /// fingerprint, size, and (for conforming names) the tenant it declares.
 fn catalog(args: &[String]) {
-    let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
-        die("catalog needs a directory");
-    };
+    let dir = parse(args, CATALOG, Some("a directory"), &[])
+        .operand
+        .unwrap_or_default();
     let entries = match store::scan_snapshots(dir) {
         Ok(e) => e,
         Err(e) => die(&format!("cannot scan {dir}: {e}")),

@@ -21,7 +21,6 @@
 //! assert!(dvq.starts_with("Visualize"));
 //! ```
 
-pub use t2v_ann as ann;
 pub use t2v_baselines as baselines;
 pub use t2v_core as core;
 pub use t2v_corpus as corpus;
