@@ -73,14 +73,14 @@ impl Default for IvfConfig {
 }
 
 /// Auto cell count for a given corpus size: ≈ √rows, clamped.
-pub fn auto_cells(rows: usize) -> usize {
+fn auto_cells(rows: usize) -> usize {
     ((rows as f64).sqrt().round() as usize)
         .clamp(16, 65_536)
         .min(rows.max(1))
 }
 
 /// Auto probe width for a given cell count.
-pub fn auto_nprobe(cells: usize) -> usize {
+fn auto_nprobe(cells: usize) -> usize {
     (cells / 32).max(4).min(cells.max(1))
 }
 
@@ -127,25 +127,11 @@ pub struct IvfIndex {
     scales: Vec<f32>,
 }
 
-/// Owned fields for [`IvfIndex::from_parts`]: the index's tables, as
-/// [`IvfIndex::raw_parts`] borrows them.
-#[derive(Debug, Clone, Default)]
-pub struct IvfParts {
-    pub dims: usize,
-    pub nprobe: usize,
-    pub quantized: bool,
-    pub centroids: Vec<f32>,
-    pub cell_offsets: Vec<u32>,
-    pub ids: Vec<u32>,
-    pub codes: Vec<i8>,
-    pub scales: Vec<f32>,
-}
-
 impl IvfIndex {
     /// Train over the flat store's rows. Returns `None` when the corpus is
     /// smaller than `cfg.min_rows` (the flat scan wins there — see
     /// [`DEFAULT_MIN_ROWS`]); deterministic for a fixed `(rows, cfg)` —
-    /// including across worker counts, see [`IvfIndex::train_in`].
+    /// including across worker counts, see `train_in`.
     pub fn train(flat: &VectorIndex, cfg: &IvfConfig) -> Option<IvfIndex> {
         Self::train_in(flat, cfg, t2v_parallel::thread_count())
     }
@@ -156,7 +142,7 @@ impl IvfIndex {
     /// count) and folds partial results in window order, so the f64
     /// accumulation order — and therefore every centroid bit — is identical
     /// whether training runs on 1 thread or 64.
-    pub fn train_in(flat: &VectorIndex, cfg: &IvfConfig, threads: usize) -> Option<IvfIndex> {
+    fn train_in(flat: &VectorIndex, cfg: &IvfConfig, threads: usize) -> Option<IvfIndex> {
         let (dims, data) = flat.raw_rows();
         let rows = flat.len();
         if rows < cfg.min_rows.max(2) || dims == 0 {
@@ -287,10 +273,6 @@ impl IvfIndex {
         })
     }
 
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     pub fn cells(&self) -> usize {
         self.cell_offsets.len().saturating_sub(1)
     }
@@ -315,75 +297,6 @@ impl IvfIndex {
             + self.ids.len() * 4
             + self.codes.len()
             + self.scales.len() * 4
-    }
-
-    /// Borrowed field views:
-    /// `(centroids, cell_offsets, ids, codes, scales)`.
-    #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (&[f32], &[u32], &[u32], &[i8], &[f32]) {
-        (
-            &self.centroids,
-            &self.cell_offsets,
-            &self.ids,
-            &self.codes,
-            &self.scales,
-        )
-    }
-
-    /// Reassemble a trained index from its tables, validating every
-    /// structural invariant the search paths rely on.
-    pub fn from_parts(p: IvfParts) -> Result<IvfIndex, String> {
-        if p.dims == 0 {
-            return Err("ann index stride must be non-zero".into());
-        }
-        if !p.centroids.len().is_multiple_of(p.dims) {
-            return Err(format!(
-                "ann centroid store length {} is not a multiple of stride {}",
-                p.centroids.len(),
-                p.dims
-            ));
-        }
-        let cells = p.centroids.len() / p.dims;
-        if cells == 0 {
-            return Err("ann index has no cells".into());
-        }
-        if p.cell_offsets.len() != cells + 1 {
-            return Err(format!(
-                "ann offset table has {} entries, want {}",
-                p.cell_offsets.len(),
-                cells + 1
-            ));
-        }
-        if p.cell_offsets[0] != 0 || p.cell_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("ann offset table is not monotone from zero".into());
-        }
-        let rows = p.ids.len();
-        if p.cell_offsets[cells] as usize != rows {
-            return Err(format!(
-                "ann offset table covers {} rows, id table has {rows}",
-                p.cell_offsets[cells]
-            ));
-        }
-        if p.nprobe == 0 || p.nprobe > cells {
-            return Err(format!("ann nprobe {} outside [1, {cells}]", p.nprobe));
-        }
-        if p.quantized {
-            if p.codes.len() != rows * p.dims || p.scales.len() != rows {
-                return Err("ann code/scale tables do not match row count".into());
-            }
-        } else if !p.codes.is_empty() || !p.scales.is_empty() {
-            return Err("ann f32 index carries quantized tables".into());
-        }
-        Ok(IvfIndex {
-            dims: p.dims,
-            nprobe: p.nprobe,
-            quantized: p.quantized,
-            centroids: p.centroids,
-            cell_offsets: p.cell_offsets,
-            ids: p.ids,
-            codes: p.codes,
-            scales: p.scales,
-        })
     }
 
     /// The `nprobe` cells closest to the (pre-normalised) query, ties toward
@@ -804,92 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn parts_roundtrip_preserves_search() {
-        for quantized in [false, true] {
-            let idx = clustered_index(3000, 16, 20, 9);
-            let cfg = IvfConfig {
-                min_rows: 1,
-                quantized,
-                ..IvfConfig::default()
-            };
-            let ivf = IvfIndex::train(&idx, &cfg).unwrap();
-            let (centroids, offsets, ids, codes, scales) = ivf.raw_parts();
-            let rebuilt = IvfIndex::from_parts(IvfParts {
-                dims: ivf.dims(),
-                nprobe: ivf.default_nprobe(),
-                quantized: ivf.quantized(),
-                centroids: centroids.to_vec(),
-                cell_offsets: offsets.to_vec(),
-                ids: ids.to_vec(),
-                codes: codes.to_vec(),
-                scales: scales.to_vec(),
-            })
-            .unwrap();
-            let q = idx.get(100).unwrap().to_vec();
-            assert_eq!(rebuilt.search(&idx, &q, 10, 0), ivf.search(&idx, &q, 10, 0));
-            assert_eq!(
-                (
-                    rebuilt.cells(),
-                    rebuilt.default_nprobe(),
-                    rebuilt.quantized()
-                ),
-                (ivf.cells(), ivf.default_nprobe(), ivf.quantized())
-            );
-            assert_eq!(rebuilt.memory_bytes(), ivf.memory_bytes());
-        }
-    }
-
-    #[test]
-    fn from_parts_rejects_malformed_tables() {
-        let idx = clustered_index(3000, 16, 20, 9);
-        let ivf = IvfIndex::train(
-            &idx,
-            &IvfConfig {
-                min_rows: 1,
-                ..IvfConfig::default()
-            },
-        )
-        .unwrap();
-        let (centroids, offsets, ids, codes, scales) = ivf.raw_parts();
-        let good = IvfParts {
-            dims: ivf.dims(),
-            nprobe: ivf.default_nprobe(),
-            quantized: true,
-            centroids: centroids.to_vec(),
-            cell_offsets: offsets.to_vec(),
-            ids: ids.to_vec(),
-            codes: codes.to_vec(),
-            scales: scales.to_vec(),
-        };
-        assert!(IvfIndex::from_parts(good.clone()).is_ok());
-        assert!(IvfIndex::from_parts(IvfParts {
-            dims: 0,
-            ..good.clone()
-        })
-        .is_err());
-        assert!(IvfIndex::from_parts(IvfParts {
-            nprobe: 0,
-            ..good.clone()
-        })
-        .is_err());
-        let mut bad = good.clone();
-        bad.cell_offsets[1] = u32::MAX;
-        assert!(IvfIndex::from_parts(bad).is_err());
-        let mut bad = good.clone();
-        bad.ids.pop();
-        assert!(IvfIndex::from_parts(bad).is_err());
-        let mut bad = good.clone();
-        bad.scales.pop();
-        assert!(IvfIndex::from_parts(bad).is_err());
-        let mut bad = good;
-        bad.quantized = false;
-        assert!(
-            IvfIndex::from_parts(bad).is_err(),
-            "f32 mode must not carry codes"
-        );
-    }
-
-    #[test]
     fn training_is_deterministic() {
         let idx = clustered_index(5000, 16, 30, 13);
         let cfg = IvfConfig {
@@ -898,8 +725,8 @@ mod tests {
         };
         let a = IvfIndex::train(&idx, &cfg).unwrap();
         let b = IvfIndex::train(&idx, &cfg).unwrap();
-        assert_eq!(a.raw_parts().0, b.raw_parts().0);
-        assert_eq!(a.raw_parts().2, b.raw_parts().2);
+        assert_eq!(a.centroids, b.centroids);
+        assert_eq!(a.ids, b.ids);
         let q = idx.get(7).unwrap().to_vec();
         assert_eq!(a.search(&idx, &q, 10, 0), b.search(&idx, &q, 10, 0));
     }
@@ -916,13 +743,11 @@ mod tests {
         let base = IvfIndex::train_in(&idx, &cfg, 1).unwrap();
         for threads in [2, 3, 8] {
             let other = IvfIndex::train_in(&idx, &cfg, threads).unwrap();
-            let (bc, bo, bi, bk, bs) = base.raw_parts();
-            let (oc, oo, oi, ok, os) = other.raw_parts();
-            assert_eq!(bc, oc, "centroids differ at threads={threads}");
-            assert_eq!(bo, oo, "offsets differ at threads={threads}");
-            assert_eq!(bi, oi, "ids differ at threads={threads}");
-            assert_eq!(bk, ok, "codes differ at threads={threads}");
-            assert_eq!(bs, os, "scales differ at threads={threads}");
+            assert_eq!(base.centroids, other.centroids, "threads={threads}");
+            assert_eq!(base.cell_offsets, other.cell_offsets, "threads={threads}");
+            assert_eq!(base.ids, other.ids, "threads={threads}");
+            assert_eq!(base.codes, other.codes, "threads={threads}");
+            assert_eq!(base.scales, other.scales, "threads={threads}");
         }
     }
 }

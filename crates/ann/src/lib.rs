@@ -12,17 +12,17 @@
 //! The flat scan remains the recall oracle and the fallback: training
 //! declines below [`DEFAULT_MIN_ROWS`] rows, where the exact scan is both
 //! faster and free of recall risk. No serving path routes through this
-//! crate: `t2v-serve` answers with the exact scan, and `perfsnap` and the
-//! benchmark's `retrieve_large` workload measure the index directly. See
-//! DESIGN.md §13 for layout, training cost, and the flat-vs-IVF crossover
-//! that keeps serving on the exact scan.
+//! crate: `t2v-serve` answers with the exact scan, and the benchmark's
+//! `retrieve_large` workload is the crate's one caller, measuring the index
+//! directly. See DESIGN.md §13 for layout, training cost, and the
+//! flat-vs-IVF crossover that keeps serving on the exact scan.
 
 pub mod ivf;
 /// The SQ8 encoder and integer dot kernel, shared with the flat scan's
 /// prefilter — they live in `t2v-embed`, next to the f32 dot.
 pub use t2v_embed::quant;
 
-pub use ivf::{auto_cells, auto_nprobe, IvfConfig, IvfIndex, IvfParts, DEFAULT_MIN_ROWS};
+pub use ivf::{IvfConfig, IvfIndex, DEFAULT_MIN_ROWS};
 
 #[cfg(test)]
 mod proptests {

@@ -6,7 +6,9 @@
 //! * `--seed N` — experiment seed (default 7; all randomness derives from it)
 //! * `--profile paper|small|tiny` — corpus scale (default `paper`: the full
 //!   Figure 2 statistics; `small` and `tiny` for quick runs)
-//! * `--fresh` — ignore cached predictions
+//! * `--fresh` — ignore the baselines' cached predictions; the cache is keyed
+//!   by profile, seed, model and set, so a code change does not invalidate it
+//!   (GRED variants are never cached)
 //! * `--limit N` — evaluate only the first N examples per set
 //!
 //! Anything else — an unknown flag or profile, a value that does not parse —
@@ -45,15 +47,16 @@ impl ModelKind {
         }
     }
 
-    fn cache_tag(&self) -> &'static str {
+    /// Tag of the on-disk prediction cache. Only the baselines have one:
+    /// they pay minutes of training. The GRED variants are deterministic and
+    /// take well under a millisecond a question, so they are recomputed on
+    /// every run and always report the current build.
+    fn cache_tag(&self) -> Option<&'static str> {
         match self {
-            ModelKind::Seq2Vis => "seq2vis",
-            ModelKind::Transformer => "transformer",
-            ModelKind::RgVisNet => "rgvisnet",
-            ModelKind::Gred => "gred",
-            ModelKind::GredNoRtn => "gred_nortn",
-            ModelKind::GredNoDbg => "gred_nodbg",
-            ModelKind::GredGeneratorOnly => "gred_genonly",
+            ModelKind::Seq2Vis => Some("seq2vis"),
+            ModelKind::Transformer => Some("transformer"),
+            ModelKind::RgVisNet => Some("rgvisnet"),
+            _ => None,
         }
     }
 }
@@ -300,23 +303,25 @@ impl Ctx {
         }
     }
 
-    fn cache_path(&self, kind: ModelKind, variant: RobVariant) -> PathBuf {
-        self.results_dir.join("cache").join(format!(
+    fn cache_path(&self, kind: ModelKind, variant: RobVariant) -> Option<PathBuf> {
+        let file = format!(
             "{}_s{}_{}_{}.tsv",
             self.profile,
             self.seed,
-            kind.cache_tag(),
+            kind.cache_tag()?,
             variant_tag(variant)
-        ))
+        );
+        Some(self.results_dir.join("cache").join(file))
     }
 
-    /// Predictions of `kind` over a variant's test set, cached on disk.
+    /// Predictions of `kind` over a variant's test set; a baseline's are
+    /// cached on disk.
     pub fn predictions(&mut self, kind: ModelKind, variant: RobVariant) -> Vec<Option<String>> {
         let set_len = self.rob.set(variant).len();
         let n = self.limit.unwrap_or(set_len).min(set_len);
         let path = self.cache_path(kind, variant);
         if !self.fresh {
-            if let Some(cached) = load_cache(&path, n) {
+            if let Some(cached) = path.as_ref().and_then(|p| load_cache(p, n)) {
                 eprintln!("[ctx] {} / {}: cache hit", kind.label(), variant.label());
                 return cached;
             }
@@ -350,7 +355,9 @@ impl Ctx {
                 .collect()
         };
         eprintln!("[ctx]   done in {:?}", t.elapsed());
-        save_cache(&path, &preds);
+        if let Some(path) = path {
+            save_cache(&path, &preds);
+        }
         preds
     }
 
@@ -463,5 +470,26 @@ mod tests {
             assert!(err.contains(needle), "{line}: {err}");
             assert!(!err.contains('\n'), "{line}: one line, got {err:?}");
         }
+    }
+
+    #[test]
+    fn gred_predictions_ignore_a_planted_cache_file() {
+        let args = parse("--profile tiny --limit 5").unwrap();
+        let mut ctx = Ctx::new(args);
+        ctx.results_dir = std::env::temp_dir().join(format!("t2v-bench-{}", std::process::id()));
+        // The file an earlier build's GRED run would have left behind.
+        let planted = "visualize bar select planted from stale_cache";
+        let cache = ctx.results_dir.join("cache");
+        std::fs::create_dir_all(&cache).unwrap();
+        let file = cache.join(format!("tiny_s{}_gred_nlq.tsv", ctx.seed));
+        std::fs::write(&file, format!("OK\t{planted}\n").repeat(5)).unwrap();
+        let preds = ctx.predictions(ModelKind::Gred, RobVariant::Nlq);
+        std::fs::remove_dir_all(&ctx.results_dir).unwrap();
+        assert_eq!(preds.len(), 5);
+        assert!(preds.iter().any(Option::is_some), "GRED answered nothing");
+        assert!(
+            preds.iter().all(|p| p.as_deref() != Some(planted)),
+            "GRED predictions came from the planted cache: {preds:?}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Minimal JSON value, writer, and parser (avoids pulling `serde_json`
 //! through the offline mirror). The writer feeds Vega-Lite spec emission;
 //! the parser feeds the serving layer (`t2v-serve` request bodies) and the
-//! bench tooling that merges sections into `BENCH_perf.json`.
+//! repository benchmark, which reads server traces and its own result files.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
