@@ -7,10 +7,12 @@
 //! exact — a linear pass with a bounded min-heap — but it is memory-bound,
 //! so it reads a fraction of the bytes: every row also has an 8-bit code
 //! sidecar, an integer dot over the codes gives a *provable upper bound* on
-//! the row's f32 score, and the f32 dot runs only on rows whose bound beats
-//! the heap floor. Skipped rows are exactly rows the f32 scan would have
-//! scored and then discarded, so ids, order and scores are unchanged by
-//! construction (see DESIGN.md §5 for the inequality and measurements).
+//! the row's f32 score. The scan bounds every row first, rescores the `k`
+//! rows with the highest bounds to set a floor, and then runs the f32 dot
+//! only on rows whose bound reaches it. Skipped rows are exactly rows the
+//! f32 scan would have scored and then discarded, so ids, order and scores
+//! are unchanged by construction (see DESIGN.md §5 for the inequality and
+//! measurements).
 //!
 //! The codes are stored **lane-major in tiles of 64 rows** (one cache line
 //! per lane per tile), because a hashed embedding is mostly zeros: the scan
@@ -26,6 +28,7 @@
 
 use crate::embedder::l2_normalize;
 use crate::quant::{self, Kernel, LaneRows, QueryLanes, TILE_ROWS};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -108,6 +111,13 @@ impl TopK {
     fn into_sorted(self) -> Vec<Hit> {
         let mut hits: Vec<Hit> = self.heap.into_iter().map(|h| h.0).collect();
         hits.sort_unstable_by(best_first);
+        hits
+    }
+
+    /// The held hits in ascending id order.
+    fn into_by_id(self) -> Vec<Hit> {
+        let mut hits: Vec<Hit> = self.heap.into_iter().map(|h| h.0).collect();
+        hits.sort_unstable_by_key(|h| h.id);
         hits
     }
 }
@@ -292,8 +302,8 @@ fn encode_bound(row: &[f32], codes: &mut Vec<i8>) -> RowBound {
 /// and covers the one place a relative margin cannot: `scale_q · scale_v`
 /// underflowing, where the whole score is below
 /// `MIN_POSITIVE · 127² · dims`. A non-finite (or denormal) query makes the
-/// coefficients infinite, so `ub` is `+∞` or NaN and `ub <= floor` is
-/// false: every row is rescored.
+/// coefficients infinite, so `ub` is `+∞` or NaN: no row seeds the floor
+/// or falls below it, and every row is rescored.
 struct QueryBound {
     lanes: QueryLanes,
     scale: f32,
@@ -575,7 +585,7 @@ impl VectorIndex {
     /// [`VectorIndex::top_k_with`] below its threshold: up to `threads`
     /// chunks of at least `min_rows` rows each, one chunk meaning no thread
     /// is spawned. Split out so tests can chunk a store of a few tiles.
-    fn top_k_chunked(
+    pub(crate) fn top_k_chunked(
         &self,
         kernel: Kernel,
         threads: usize,
@@ -607,10 +617,24 @@ impl VectorIndex {
         .unwrap_or_default()
     }
 
-    /// Sequential heap scan over `chunk` (the rows from the start of tile
+    /// Exact scan over `chunk` (the rows from the start of tile
     /// `first_tile` on), returning up to `k` hits sorted best-first. The
     /// sidecar is indexed by global tile and row id, so a chunk deep inside
     /// the store reads its own codes.
+    ///
+    /// Three steps, so the floor is warm before the first rescore:
+    /// 1. bound every row (`ub`) and keep the `k` rows with the highest
+    ///    finite bounds;
+    /// 2. rescore those `k`; the lowest of their scores is `floor` (`−∞`
+    ///    when the chunk holds fewer than `k` such rows or one scores NaN);
+    /// 3. rescore, in ascending id order, every other row that can still
+    ///    reach `floor`, through [`TopK`] as the f32 scan would.
+    ///
+    /// A row skipped in step 3 scores at most `max(ub, −1)` (clamping lifts
+    /// a restored non-unit row's raw dot below −1 to −1), which is below
+    /// `floor`; `k` rows score at least `floor`, so the final k-th best does
+    /// too and the skipped row is strictly below it — no tie-break can
+    /// admit it.
     fn scan(
         &self,
         kernel: Kernel,
@@ -621,26 +645,101 @@ impl VectorIndex {
         k: usize,
     ) -> Vec<Hit> {
         let dims = self.dims;
-        let mut top = TopK::new(k);
-        let mut code_dots = [0i32; TILE_ROWS];
-        for (t, block) in chunk.chunks(TILE_ROWS * dims).enumerate() {
-            let tile = first_tile + t;
-            let codes = &self.codes[tile * dims..(tile + 1) * dims];
-            quant::tile_dots_in(kernel, &bound.lanes, codes, &mut code_dots);
-            // The last block may be short: its tile's spare slots hold zero
-            // codes and no row, and are not visited.
-            for (j, v) in block.chunks_exact(dims).enumerate() {
-                let id = tile * TILE_ROWS + j;
-                // Prefilter: `score <= upper`, so a rejected `upper` is a
-                // row the exact offer below would drop anyway.
-                if top.rejects(bound.upper(code_dots[j], self.bounds[id])) {
-                    continue;
+        let first = first_tile * TILE_ROWS;
+        let rows = chunk.len() / dims;
+        let row = |id: usize| &chunk[(id - first) * dims..][..dims];
+        UPPERS.with_borrow_mut(|uppers| {
+            uppers.clear();
+            let mut seeds = TopK::new(k);
+            let mut code_dots = [0i32; TILE_ROWS];
+            for t in 0..rows.div_ceil(TILE_ROWS) {
+                let tile = first_tile + t;
+                let codes = &self.codes[tile * dims..(tile + 1) * dims];
+                quant::tile_dots_in(kernel, &bound.lanes, codes, &mut code_dots);
+                // The last tile may be short: its spare slots hold zero
+                // codes and no row, and are not visited.
+                let ids = tile * TILE_ROWS..(first + rows).min((tile + 1) * TILE_ROWS);
+                let start = uppers.len();
+                uppers.extend(
+                    code_dots
+                        .iter()
+                        .zip(&self.bounds[ids])
+                        .map(|(&code_dot, &row)| bound.upper(code_dot, row)),
+                );
+                for (id, &ub) in (first + start..).zip(&uppers[start..]) {
+                    // `seeds.floor` is −∞ until `k` are held, so this is
+                    // "finite and not rejected", one compare in the usual case.
+                    if ub > seeds.floor && ub < f32::INFINITY {
+                        seeds.offer(id, ub);
+                    }
                 }
-                top.offer(id, dot(query, v).clamp(-1.0, 1.0));
             }
-        }
-        top.into_sorted()
+
+            let mut seeds = seeds.into_by_id();
+            if seeds.len() < k {
+                seeds.clear();
+            }
+            for seed in &mut seeds {
+                seed.score = rescore(query, row(seed.id));
+            }
+            // Skip a row iff `max(ub, -1) < floor`. No seeds, a NaN seed or
+            // a floor of -1 or less skips nothing, and a NaN bound never
+            // compares below the cut.
+            let floor = seeds
+                .iter()
+                .map(|seed| seed.score)
+                .fold(f32::INFINITY, f32::min);
+            let sound = !seeds.is_empty() && seeds.iter().all(|seed| !seed.score.is_nan());
+            let cut = if sound && -1.0 < floor {
+                floor
+            } else {
+                f32::NEG_INFINITY
+            };
+            let mut top = TopK::new(k);
+            // Every seed is kept (its bound is at least its score, which is
+            // at least `floor`), so the seeds meet the kept rows in id order.
+            let mut seeds = seeds.into_iter().peekable();
+            for (t, tile) in uppers.chunks(TILE_ROWS).enumerate() {
+                let mut skip = 0u64;
+                for (j, &ub) in tile.iter().enumerate() {
+                    skip |= u64::from(ub < cut) << j;
+                }
+                let mut keep = !skip & (u64::MAX >> (TILE_ROWS - tile.len()));
+                while keep != 0 {
+                    let j = keep.trailing_zeros() as usize;
+                    keep &= keep - 1;
+                    let id = first + t * TILE_ROWS + j;
+                    let seed = seeds.next_if(|seed| seed.id == id);
+                    if top.rejects(tile[j]) {
+                        continue;
+                    }
+                    let score = seed.map_or_else(|| rescore(query, row(id)), |seed| seed.score);
+                    top.offer(id, score);
+                }
+            }
+            top.into_sorted()
+        })
     }
+}
+
+thread_local! {
+    /// Every row's bound for the chunk a thread is scanning, reused across
+    /// scans.
+    static UPPERS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The f32 dots [`rescore`] has run on this thread.
+    static RESCORED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A row's exact score: the f32 dot the scan's answer is made of.
+#[inline]
+fn rescore(query: &[f32], row: &[f32]) -> f32 {
+    #[cfg(test)]
+    RESCORED.set(RESCORED.get() + 1);
+    dot(query, row).clamp(-1.0, 1.0)
 }
 
 /// The tile that row `id` — the last row or the one after it — lands in and
@@ -986,26 +1085,66 @@ mod tests {
     #[test]
     fn prefilter_actually_skips_rows() {
         // Not a correctness property — the scan is exact either way — but
-        // the reason it exists: nearly every row's bound must fall below a
-        // warm floor so the f32 dot is not recomputed for it.
+        // the reason it exists: the k seed dots set a floor that nearly
+        // every other row's bound falls below, so the f32 dot runs little
+        // more than k times per query (11–18 here), not once per row.
+        let k = 10;
         let idx = scattered(6000, 256, 7);
-        let q = idx.get(42).unwrap().to_vec();
-        let bound = QueryBound::new(&q);
-        let floor = f32_scan(&idx, &q, 10).last().unwrap().score;
-        let mut code_dots = [0i32; TILE_ROWS];
-        let mut survivors = 0;
-        for (t, tile) in idx.codes.chunks_exact(256).enumerate() {
-            quant::tile_dots_in(Kernel::detect(), &bound.lanes, tile, &mut code_dots);
-            let bounds = idx.bounds[t * TILE_ROWS..].iter().zip(code_dots);
-            survivors += bounds
-                .filter(|&(&row, code_dot)| bound.upper(code_dot, row) > floor)
-                .count();
+        let fresh = scattered_rows(4, 256, 0x5eed).swap_remove(1);
+        let mut queries = vec![normalized(fresh)];
+        for probe in [0usize, 42, 2999, 5998] {
+            queries.push(idx.get(probe).unwrap().to_vec());
         }
-        assert!(survivors >= 10, "the top-k themselves must survive");
-        assert!(
-            survivors < idx.len() / 10,
-            "{survivors} of 6000 rows survive"
-        );
+        for q in &queries {
+            let want = bits(&f32_scan(&idx, q, k));
+            RESCORED.set(0);
+            let got = idx.top_k_with(Kernel::detect(), 1, q, k);
+            let rescored = RESCORED.get();
+            assert_eq!(bits(&got), want);
+            assert!(
+                (k..=3 * k).contains(&rescored),
+                "{rescored} f32 dots for k = {k}"
+            );
+        }
+    }
+
+    /// Every chunking of `idx` a test can ask for — one chunk, and chunks
+    /// of one and two tiles — on both kernels, against the f32 scan.
+    fn assert_exact_on_every_path(idx: &VectorIndex, q: &[f32], k: usize) -> Vec<Hit> {
+        let want = f32_scan(idx, q, k);
+        for kernel in [Kernel::BASELINE, Kernel::detect()] {
+            for threads in [1usize, 2, 5] {
+                let got = idx.top_k_chunked(kernel, threads, TILE_ROWS, q, k);
+                assert_eq!(bits(&got), bits(&want), "threads={threads} k={k}");
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn rows_clamped_to_minus_one_keep_their_lower_ids() {
+        // Restored rows pointing away from the query, longer the lower
+        // their id: every raw dot is below -1 and clamps to -1, and the
+        // bounds fall with the id. The k highest bounds seed the floor at
+        // -1 from the *highest* ids, yet the answer is ids 0..k — which a
+        // skip test reading `ub < floor` instead of `max(ub, -1) < floor`
+        // drops, since their bounds sit far below -1.
+        let dims = 16;
+        let rows = 3 * TILE_ROWS + 9;
+        let q = normalized((0..dims).map(|i| 1.0 + i as f32 * 0.25).collect());
+        let mut raw = Vec::with_capacity(rows * dims);
+        for id in 0..rows {
+            let length = 2.0 + (rows - id) as f32 * 0.5;
+            raw.extend(q.iter().map(|x| -x * length));
+        }
+        let idx = VectorIndex::from_parts(dims, raw).unwrap();
+        for k in [1usize, 10, 64, 100] {
+            let hits = assert_exact_on_every_path(&idx, &q, k);
+            assert_eq!(
+                bits(&hits),
+                (0..k).map(|id| (id, (-1f32).to_bits())).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -1024,9 +1163,14 @@ mod tests {
         let mut raw = raw.to_vec();
         raw[17 * dims + 3] = f32::NAN;
         raw[130 * dims + 9] = f32::INFINITY;
+        // A row with no finite component encodes as scale 0 with an
+        // infinite residual, so its bound is `0 · ∞` = NaN: never a seed,
+        // never below a floor.
+        raw[250 * dims..251 * dims].fill(f32::NAN);
         let idx = VectorIndex::from_parts(dims, raw).unwrap();
         assert!(idx.bounds[17].residual.is_infinite());
         assert!(idx.bounds[130].residual.is_infinite());
+        assert_eq!(idx.bounds[250].scale, 0.0);
 
         let clean = idx.get(40).unwrap().to_vec();
         let mut nan_query = clean.clone();
@@ -1034,13 +1178,14 @@ mod tests {
         let mut inf_query = clean.clone();
         inf_query[7] = f32::INFINITY;
         for q in [&clean, &nan_query, &inf_query] {
-            for k in [1usize, 5, 400] {
-                let want = bits(&f32_scan(&idx, q, k));
-                for kernel in [Kernel::BASELINE, Kernel::detect()] {
-                    assert_eq!(bits(&idx.top_k_with(kernel, 1, q, k)), want, "k={k}");
-                }
+            for k in [1usize, 5, 10, 400] {
+                assert_exact_on_every_path(&idx, q, k);
             }
         }
+        // The NaN-bound row scores the row's positive NaN, which
+        // `total_cmp` ranks above every number: it is in the answer.
+        let hits = assert_exact_on_every_path(&idx, &clean, 10);
+        assert!(hits.iter().any(|h| h.id == 250 && h.score.is_nan()));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub use index::{best_first, dot as fused_dot, Hit, VectorIndex};
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::quant::Kernel;
+    use crate::quant::{self, Kernel};
     use proptest::prelude::*;
 
     /// Widest generated stride; cases cut their vectors down to a stride
@@ -143,12 +143,15 @@ mod proptests {
 
         /// The two-level scan — integer prefilter, f32 rescore of survivors
         /// — returns the brute-force answer bit for bit on every kernel and
-        /// worker count: ids, order and score bits, for dense, sparse and
+        /// chunking: ids, order and score bits, for dense, sparse and
         /// saturated rows, exact duplicates, one-ulp near-ties, strides that
         /// exercise every kernel tail, and k on both sides of the row count.
+        /// Up to five tiles of rows, so the floor's seeds come from anywhere
+        /// in a chunk, and chunks of one and two tiles that each seed their
+        /// own.
         #[test]
         fn prefiltered_scan_matches_reference(
-            vectors in prop::collection::vec(prop::collection::vec(-1f32..1.0, MAX_DIMS), 1..40),
+            vectors in prop::collection::vec(prop::collection::vec(-1f32..1.0, MAX_DIMS), 1..300),
             query in prop::collection::vec(-1f32..1.0, MAX_DIMS),
             stride in prop::sample::select(STRIDES.to_vec()),
             shape in 0usize..3,
@@ -167,8 +170,8 @@ mod proptests {
             for v in &vectors { idx.add_slice(v); }
             let want = reference_topk(&vectors, &raw_query, k);
             for kernel in [Kernel::BASELINE, Kernel::detect()] {
-                for threads in [1usize, 3] {
-                    let got = idx.top_k_with(kernel, threads, &query, k);
+                for threads in [1usize, 3, 5] {
+                    let got = idx.top_k_chunked(kernel, threads, quant::TILE_ROWS, &query, k);
                     prop_assert_eq!(got.len(), want.len());
                     for (g, w) in got.iter().zip(&want) {
                         prop_assert_eq!(g.id, w.id);
@@ -213,9 +216,11 @@ mod proptests {
                 ] {
                     let score = fused_dot(&q, &v);
                     let ub = crate::index::upper_bound(&q, &v);
-                    // A row is skipped iff `ub <= floor`, so what must never
-                    // hold is `ub < score` (a NaN bound — denormal or
-                    // non-finite input — skips nothing).
+                    // A row is skipped only when its bound is below (or, in
+                    // the heap's id-ordered test, at) a score some row has
+                    // reached, so what must never hold is `ub < score` (a
+                    // NaN bound — denormal or non-finite input — skips
+                    // nothing).
                     let skippable = ub < score;
                     prop_assert!(!skippable, "bound {} < score {} for {:?} · {:?}", ub, score, q, v);
                 }

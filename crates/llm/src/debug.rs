@@ -12,12 +12,11 @@
 //! lookup, the `"{column} {annotation}"` descriptors and their embeddings
 //! are built by the first name that needs repair, not up front.
 
-use crate::linker::{EmbedCache, EmbedId};
+use crate::linker::{CallMap, EmbedCache, EmbedId};
 use crate::memo::ContextMemo;
 use crate::parse::{parse_annotations, ParsedSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use t2v_dvq::ast::{ColumnRef, Dvq, Predicate, Value};
 use t2v_dvq::printer::Printer;
 use t2v_embed::TextEmbedder;
@@ -131,7 +130,7 @@ pub fn debug_dvq(
     };
 
     // Consistent replacement per distinct bad name.
-    let mut memo: HashMap<String, &str> = HashMap::new();
+    let mut memo: CallMap<String, &str> = CallMap::default();
     let aliases = alias_names(&q);
     q.visit_columns_mut(&mut |c: &mut ColumnRef| {
         if schema.has_column(&c.column) || c.column == "*" {

@@ -14,12 +14,11 @@
 //!    `link_threshold` are *copied verbatim from the prompt* (the stale
 //!    column-name hallucination the paper's Debugger exists to fix).
 
-use crate::linker::{link_slot, phrases, EmbedCache, EmbedId, LinkResult};
+use crate::linker::{link_slot, phrases, CallMap, EmbedCache, EmbedId, LinkResult};
 use crate::memo::ContextMemo;
 use crate::parse::{ParsedGeneration, ParsedSchema};
 use crate::patterns::{CmpIntent, FilterKind, Intents, LitValue, PatternKnowledge};
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use t2v_dvq::ast::*;
 use t2v_dvq::printer::Printer;
 use t2v_embed::TextEmbedder;
@@ -104,7 +103,7 @@ struct LinkState<'a> {
     template_tokens: std::collections::HashSet<String>,
     copy_bias: f64,
     seed: u64,
-    col_memo: HashMap<String, String>,
+    col_memo: CallMap<String, String>,
 }
 
 impl<'a> LinkState<'a> {
@@ -139,7 +138,7 @@ impl<'a> LinkState<'a> {
             template_tokens,
             copy_bias,
             seed,
-            col_memo: HashMap::new(),
+            col_memo: CallMap::default(),
         }
     }
 

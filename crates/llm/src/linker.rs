@@ -20,7 +20,51 @@
 
 use crate::memo::ContextMemo;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use t2v_embed::{fused_dot, TextEmbedder};
+
+/// A map that lives for one model call: its keys are a few hundred texts of
+/// one prompt, so a flooding-resistant hash buys nothing and costs a
+/// SipHash per lookup. The model's [`ContextMemo`] outlives calls and keeps
+/// the standard hasher.
+pub(crate) type CallMap<K, V> = HashMap<K, V, BuildHasherDefault<CallHash>>;
+
+/// Word-at-a-time multiplicative hash for [`CallMap`] keys.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CallHash(u64);
+
+impl CallHash {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for CallHash {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table takes its bucket from the low bits and its tag from the
+        // top seven; a multiply mixes upward, so fold the top into the low.
+        self.0.rotate_left(26)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        self.add(u64::from_le_bytes(last) ^ ((tail.len() as u64) << 59));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.add(byte as u64);
+    }
+}
 
 /// A text's row in an [`EmbedCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +81,7 @@ pub struct EmbedCache<'a> {
     /// arena for all of them, so it neither regrows (a copy of every row
     /// so far) nor costs a call that embeds nothing an allocation.
     expected_texts: usize,
-    ids: HashMap<Box<str>, EmbedId>,
+    ids: CallMap<Box<str>, EmbedId>,
     rows: Vec<f32>,
     norms: Vec<f32>,
 }
@@ -54,7 +98,7 @@ impl<'a> EmbedCache<'a> {
             embedder,
             memo,
             expected_texts,
-            ids: HashMap::new(),
+            ids: CallMap::default(),
             rows: Vec::new(),
             norms: Vec::new(),
         }
@@ -138,18 +182,48 @@ impl<'a> EmbedCache<'a> {
     }
 }
 
-/// Word n-grams (n = 1..=3) of a text, lowercased.
-pub fn phrases(text: &str) -> Vec<String> {
-    let words = TextEmbedder::tokenize(text);
-    let mut out = Vec::with_capacity(words.len() * 3);
-    for n in 1..=3usize {
-        for w in words.windows(n) {
-            out.push(w.join(" "));
-        }
+/// The word n-grams (n = 1..=3) of a text, lowercased, sorted and
+/// deduplicated. Words are [`TextEmbedder::tokenize`]'s: runs of ASCII
+/// letters and digits. They are joined by single spaces into one buffer,
+/// and each n-gram is a span of it.
+pub struct Phrases {
+    text: String,
+    spans: Vec<(u32, u32)>,
+}
+
+impl Phrases {
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.spans
+            .iter()
+            .map(|&(start, end)| &self.text[start as usize..end as usize])
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+}
+
+/// Word n-grams (n = 1..=3) of a text, lowercased; see [`Phrases`].
+pub fn phrases(text: &str) -> Phrases {
+    let mut joined = Vec::with_capacity(text.len());
+    let mut words: Vec<(u32, u32)> = Vec::new();
+    for word in text
+        .as_bytes()
+        .split(|b| !b.is_ascii_alphanumeric())
+        .filter(|w| !w.is_empty())
+    {
+        if !joined.is_empty() {
+            joined.push(b' ');
+        }
+        let start = joined.len() as u32;
+        joined.extend(word.iter().map(u8::to_ascii_lowercase));
+        words.push((start, joined.len() as u32));
+    }
+    let text = String::from_utf8(joined).expect("ASCII letters, digits and spaces");
+    let mut spans = Vec::with_capacity(words.len() * 3);
+    for n in 1..=3usize {
+        spans.extend(words.windows(n).map(|w| (w[0].0, w[n - 1].1)));
+    }
+    let span = |&(start, end): &(u32, u32)| &text.as_bytes()[start as usize..end as usize];
+    spans.sort_unstable_by(|a, b| span(a).cmp(span(b)));
+    spans.dedup_by(|a, b| span(a) == span(b));
+    Phrases { text, spans }
 }
 
 /// A linking outcome.
@@ -261,11 +335,23 @@ mod tests {
     #[test]
     fn phrases_builds_unique_ngrams() {
         let p = phrases("a b a b");
-        assert!(p.contains(&"a".to_string()));
-        assert!(p.contains(&"a b".to_string()));
-        assert!(p.contains(&"a b a".to_string()));
-        let unique: std::collections::HashSet<_> = p.iter().collect();
-        assert_eq!(unique.len(), p.len());
+        let p: Vec<&str> = p.iter().collect();
+        assert_eq!(p, ["a", "a b", "a b a", "b", "b a", "b a b"]);
+    }
+
+    /// `phrases` as it was written first: one `String` per n-gram, kept as
+    /// the oracle the span-based version must equal.
+    fn joined_phrases(text: &str) -> Vec<String> {
+        let words = TextEmbedder::tokenize(text);
+        let mut out = Vec::with_capacity(words.len() * 3);
+        for n in 1..=3usize {
+            for w in words.windows(n) {
+                out.push(w.join(" "));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     #[test]
@@ -289,6 +375,27 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The spans of one lowercase buffer list the n-grams the joined
+        /// `String`s did, in the same order: over underscores, punctuation,
+        /// mixed case, repeated words (so repeated n-grams), non-ASCII
+        /// letters and the empty text.
+        #[test]
+        fn phrases_equal_the_joined_strings(
+            words in prop::collection::vec(
+                prop::sample::select(vec![
+                    "a", "B", "ab", "Ab", "hire_date", "x1", "2024", "é", "naïve", "日本",
+                    "--", ",", "", "  ", "_", "a.b", "ZZ", "émile's",
+                ]),
+                0..14,
+            ),
+            free in "\\PC{0,24}",
+            glue in prop::sample::select(vec![" ", "", "_", ", ", "\t", " / "]),
+        ) {
+            let text = format!("{}{glue}{free}", words.join(glue));
+            let got = phrases(&text);
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), joined_phrases(&text));
+        }
 
         /// The arena's cosine has the bits of `t2v_embed::cosine` over
         /// freshly embedded copies — for arbitrary pairs, a featureless
