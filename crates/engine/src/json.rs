@@ -86,18 +86,7 @@ impl Json {
     /// on whitespace. Errors carry the byte offset so the server can report
     /// *where* a request body broke.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        Parser::new(input).document()
     }
 
     /// Object field lookup; `None` for non-objects and missing keys.
@@ -229,12 +218,38 @@ impl std::error::Error for JsonError {}
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Decode strings one character at a time: the oracle the run copy in
+    /// [`Parser::string`] is checked against.
+    #[cfg(test)]
+    per_char: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            #[cfg(test)]
+            per_char: false,
+        }
+    }
+
+    fn document(mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -346,9 +361,23 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.per_char {
+            return self.string_per_char();
+        }
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // One run of plain bytes, copied whole. It stops at `"`, `\` or
+            // a control byte; all three are ASCII, so the run ends on a char
+            // boundary and slices straight out of the input.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -357,66 +386,65 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by `\uXXXX` holding the low half.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                        }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
+                    self.escape(&mut out)?;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid; step to the next char boundary).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
 
+    /// Decode the escape after a `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let cp = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be
+                // followed by `\uXXXX` holding the low half.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+            }
+            _ => return Err(self.err("invalid escape character")),
+        }
+        Ok(())
+    }
+
+    /// Exactly four ASCII hex digits (no sign: `from_str_radix` would take
+    /// `+041`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let mut cp = 0;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            cp = cp << 4 | digit;
+        }
         self.pos += 4;
         Ok(cp)
     }
@@ -472,6 +500,41 @@ impl<'a> Parser<'a> {
     }
 }
 
+#[cfg(test)]
+impl Parser<'_> {
+    /// The per-character decoder the run copy replaced: one `from_utf8` and
+    /// one `push_str` per plain char.
+    fn string_per_char(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
+                }
+                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
+                Some(_) => {
+                    let start = self.pos;
+                    self.pos += 1;
+                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| self.err("invalid UTF-8"))?,
+                    );
+                }
+            }
+        }
+    }
+}
+
 fn pad(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
@@ -499,6 +562,7 @@ fn write_escaped(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn renders_nested_structure() {
@@ -634,5 +698,80 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(1000.0)
         );
+    }
+
+    #[test]
+    fn u_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                ("invalid \\u escape", 3),
+                "{bad}"
+            );
+        }
+        let j = Json::parse(r#""\u0041\u00e9\u00C9""#).unwrap();
+        assert_eq!(j.as_str(), Some("AéÉ"));
+    }
+
+    /// String bodies built from pieces that sit on every branch of the
+    /// decoder: plain runs, each escape, surrogate halves alone and paired,
+    /// raw control bytes, multi-byte chars next to `"` and `\`, and broken
+    /// escapes.
+    const STRING_PIECES: &[&str] = &[
+        "a",
+        "Show ME",
+        " ",
+        "é",
+        "😀",
+        "日本",
+        "\"",
+        "\\\\",
+        "\\\"",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\u0041",
+        "\\u00e9",
+        "\\uD83D\\uDE00",
+        "\\ud83d\\ude00",
+        "\\uD83D",
+        "\\uDE00",
+        "\\uD83D\\u0041",
+        "\\u12",
+        "\\uZZZZ",
+        "\\u+041",
+        "\\x",
+        "\\",
+        "\u{0}",
+        "\u{1f}",
+        "\n",
+        "\t",
+        "\u{7f}",
+        "é\\n",
+        "\\né",
+        "\\\"é",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn string_runs_decode_like_the_per_char_loop(
+            pieces in prop::collection::vec(prop::sample::select(STRING_PIECES.to_vec()), 0..8),
+            shape in 0usize..4,
+        ) {
+            let body = pieces.concat();
+            let doc = match shape {
+                0 => format!("\"{body}\""),
+                1 => format!("\"{body}"),
+                2 => format!("{{\"{body}\": [\"{body}\"]}}"),
+                _ => format!("[\"{body}\", 1]"),
+            };
+            let oracle = Parser { per_char: true, ..Parser::new(&doc) }.document();
+            prop_assert_eq!(Json::parse(&doc), oracle, "{:?}", doc);
+        }
     }
 }

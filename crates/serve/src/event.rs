@@ -157,6 +157,15 @@ impl BodySink for SegSink {
         }
         Ok(())
     }
+
+    fn write_owned(&mut self, bytes: Vec<u8>) -> io::Result<()> {
+        match self.0.last_mut() {
+            Some(Body::Owned(buf)) => buf.extend_from_slice(&bytes),
+            _ if bytes.is_empty() => {}
+            _ => self.0.push(bytes.into()),
+        }
+        Ok(())
+    }
 }
 
 /// The [`BodySink`] of a dispatch thread: segments accumulate locally and

@@ -422,44 +422,85 @@ impl Response {
     }
 
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        self.write_head(w, keep_alive)?;
+        w.write_all(&self.head(keep_alive, 0))?;
         w.write_all(self.body.as_slice())?;
         w.flush()
     }
 
     /// [`Response::write_to`] against a [`BodySink`]: a `Shared` (cached)
     /// body is handed over as its `Arc` so a zero-copy transport can queue
-    /// the bytes for `writev` without duplicating them. Framing is
-    /// byte-identical to `write_to` by construction (same head writer, same
-    /// body bytes). No flush: the sink's owner decides when bytes ship (the
-    /// event transport sends a response and its verdict in one go).
+    /// the bytes for `writev` without duplicating them; an owned body rides
+    /// in the head's buffer. Framing is byte-identical to `write_to` by
+    /// construction (same head, same body bytes). No flush: the sink's
+    /// owner decides when bytes ship (the event transport sends a response
+    /// and its verdict in one go).
     pub fn write_to_sink<W: BodySink + ?Sized>(
         &self,
         w: &mut W,
         keep_alive: bool,
     ) -> io::Result<()> {
-        self.write_head(w, keep_alive)?;
         match &self.body {
-            Body::Owned(v) => w.write_all(v),
-            Body::Shared(v) => w.write_shared(v),
+            Body::Owned(v) => {
+                let mut framed = self.head(keep_alive, v.len());
+                framed.extend_from_slice(v);
+                w.write_owned(framed)
+            }
+            Body::Shared(v) => {
+                w.write_owned(self.head(keep_alive, 0))?;
+                w.write_shared(v)
+            }
         }
     }
 
-    fn write_head(&self, w: &mut (impl Write + ?Sized), keep_alive: bool) -> io::Result<()> {
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-            self.status,
-            status_text(self.status),
-            self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        )?;
+    /// The head, pushed byte by byte into one buffer sized up front, with
+    /// room for `then` more bytes after it.
+    fn head(&self, keep_alive: bool, then: usize) -> Vec<u8> {
+        let reason = status_text(self.status);
+        let connection: &[u8] = if keep_alive { b"keep-alive" } else { b"close" };
+        let extra: usize = self
+            .headers
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 4)
+            .sum();
+        // 72 bytes of fixed text, a status of up to 5 digits, a length of
+        // up to 20.
+        let size = 97 + reason.len() + self.content_type.len() + extra;
+        let mut head = Vec::with_capacity(size + then);
+        head.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(&mut head, self.status.into());
+        head.push(b' ');
+        head.extend_from_slice(reason.as_bytes());
+        head.extend_from_slice(b"\r\nContent-Type: ");
+        head.extend_from_slice(self.content_type.as_bytes());
+        head.extend_from_slice(b"\r\nContent-Length: ");
+        push_decimal(&mut head, self.body.len());
+        head.extend_from_slice(b"\r\nConnection: ");
+        head.extend_from_slice(connection);
+        head.extend_from_slice(b"\r\n");
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            head.extend_from_slice(name.as_bytes());
+            head.extend_from_slice(b": ");
+            head.extend_from_slice(value.as_bytes());
+            head.extend_from_slice(b"\r\n");
         }
-        w.write_all(b"\r\n")
+        head.extend_from_slice(b"\r\n");
+        head
     }
+}
+
+/// `n` in decimal ASCII, as `{}` formats it.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// A response byte sink: `Write` plus an optional zero-copy lane for shared
@@ -469,6 +510,12 @@ impl Response {
 pub trait BodySink: Write {
     fn write_shared(&mut self, body: &Arc<Vec<u8>>) -> io::Result<()> {
         self.write_all(body)
+    }
+
+    /// Bytes framed into a buffer of their own; a segment transport may
+    /// adopt the buffer rather than copy it.
+    fn write_owned(&mut self, bytes: Vec<u8>) -> io::Result<()> {
+        self.write_all(&bytes)
     }
 }
 
@@ -552,6 +599,53 @@ mod tests {
 
     fn parse(raw: &[u8]) -> Result<Request, ReadError> {
         read_request(&mut BufReader::new(raw), 1024)
+    }
+
+    /// The head as `write!` rendered it before it was pushed byte by byte.
+    fn formatted_head(resp: &Response, keep_alive: bool) -> String {
+        let mut head = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            resp.status,
+            status_text(resp.status),
+            resp.content_type,
+            resp.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        );
+        for (name, value) in &resp.headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head + "\r\n"
+    }
+
+    #[test]
+    fn framing_matches_the_formatted_head_byte_for_byte() {
+        let bodies = [0usize, 1, 9, 10, 99, 100, 65_536]
+            .map(|n| vec![b'x'; n])
+            .to_vec();
+        for status in [200u16, 404, 500, 504, 0, 7, 65_535] {
+            for body in &bodies {
+                for shared in [false, true] {
+                    for extra in 0..3 {
+                        let mut resp = Response::text(status, body.clone());
+                        if shared {
+                            resp.body = Body::Shared(Arc::new(body.clone()));
+                        }
+                        for i in 0..extra {
+                            resp = resp.with_header("x-t2v-cache", format!("v{i}"));
+                        }
+                        for keep in [false, true] {
+                            let want = [formatted_head(&resp, keep).as_bytes(), body].concat();
+                            let mut sink = Vec::new();
+                            resp.write_to_sink(&mut sink, keep).unwrap();
+                            assert_eq!(sink, want, "status {status}, {} body bytes", body.len());
+                            let mut plain = Vec::new();
+                            resp.write_to(&mut plain, keep).unwrap();
+                            assert_eq!(plain, want);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

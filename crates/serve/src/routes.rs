@@ -1,7 +1,7 @@
 //! One parsed request in, one response out, as ordered stages: [`begin`]
 //! (trace id, sampling, `conn.read` span) → [`early`] (routing, plus what a
 //! single translation decides without waiting) → *either* [`finish`] (count,
-//! seal and publish the trace, frame the bytes), *or* [`resume`] on a thread
+//! frame the bytes, seal and publish the trace), *or* [`resume`] on a thread
 //! that may block (admission → await → degrade → the same `finish`). The
 //! event loop runs the first branch in place, dispatch threads `resume`, the
 //! in-memory oracle `begin` + `resume` back to back: one `finish` keeps
@@ -116,8 +116,9 @@ pub(crate) fn resume(
     finish(shared, req, begun, route, handled, writer, write_now)
 }
 
-/// Last stage, the same on every thread that answers: count, seal the
-/// trace, frame the response into `writer`, publish; returns keep-alive.
+/// Last stage, the same on every thread that answers: count, frame the
+/// response into `writer`, seal the trace if anything reads it, publish;
+/// returns keep-alive.
 /// Locks and atomics only — the access-log line (file I/O) goes through `log`.
 pub(crate) fn finish<W: BodySink + ?Sized>(
     shared: &Shared,
@@ -129,33 +130,48 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
     log: impl FnOnce(Arc<AccessLog>, String),
 ) -> bool {
     let (trace, force, t0) = (begun.trace, begun.force, begun.t0);
+    let wanted = force || begun.sampled;
     let trace_id = trace.id();
     let keep = !req.wants_close();
     let tenant = request_tenant(&req.path);
     let (keep, finished) = match handled {
         Handled::Reply(resp) => {
             shared.state.metrics.record_request(route, resp.status);
-            // Seal the trace before writing: request-level fields come off
-            // the response's own headers, and the inline tree — when asked
-            // for — rides in this very body. `resp.write` is appended after
-            // the write: the recorder and access log see it, the body cannot.
-            let backend = resp_header(&resp, "x-t2v-backend").unwrap_or("");
-            let cache = resp_header(&resp, "x-t2v-cache").unwrap_or("bypass");
-            let degraded = resp_header(&resp, "x-t2v-degraded");
-            let mut finished = trace.finish(resp.status, tenant, backend, cache, degraded);
             let mut resp = resp.with_header("x-t2v-trace-id", t2v_trace::format_id(trace_id));
-            if force {
-                if let Some(f) = &finished {
-                    if resp.content_type.starts_with("application/json") {
-                        let tree = trace_json(f).compact();
-                        resp.body = splice_field(resp.body.as_slice(), "trace", &tree).into();
-                    }
+            // Request-level fields come off the response's own headers.
+            // `resp.write` is appended after the write: the recorder and
+            // access log see it, the body cannot.
+            let seal = |trace: Trace, resp: &Response, end: Instant| {
+                let backend = resp_header(resp, "x-t2v-backend").unwrap_or("");
+                let cache = resp_header(resp, "x-t2v-cache").unwrap_or("bypass");
+                let degraded = resp_header(resp, "x-t2v-degraded");
+                trace.finish_at(end, resp.status, tenant, backend, cache, degraded)
+            };
+            // A forced trace rides in this very body: seal it first. Any
+            // other is sealed after the write, as of the write's start, and
+            // only when `publish_trace` has a reader for it — most hits
+            // have none, and drop their spans unread.
+            let forced = force
+                .then(|| seal(trace.clone(), &resp, Instant::now()))
+                .flatten();
+            if let Some(f) = &forced {
+                if resp.content_type.starts_with("application/json") {
+                    let tree = trace_json(f).compact();
+                    resp.body = splice_field(resp.body.as_slice(), "trace", &tree).into();
                 }
             }
             let wstart = Instant::now();
             let ok = resp.write_to_sink(writer, keep);
-            if let Some(f) = &mut finished {
-                let wdur = wstart.elapsed();
+            let wdur = wstart.elapsed();
+            let total_ns = t0.elapsed().as_nanos() as u64;
+            let finished = if force {
+                forced
+            } else if record_read(shared, wanted, resp.status, total_ns) {
+                seal(trace, &resp, wstart)
+            } else {
+                None
+            };
+            let finished = finished.map(|mut f| {
                 f.spans.push(t2v_trace::Span {
                     stage: Stage::Write,
                     start_ns: wstart.duration_since(t0).as_nanos() as u64,
@@ -163,9 +179,10 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
                     parent: Some(0),
                     notes: Vec::new(),
                 });
-                f.total_ns = t0.elapsed().as_nanos() as u64;
-                f.spans[0].dur_ns = f.total_ns;
-            }
+                f.total_ns = total_ns;
+                f.spans[0].dur_ns = total_ns;
+                f
+            });
             (ok.is_ok() && keep, finished)
         }
         // The endpoint already wrote an EOF-delimited streaming body;
@@ -173,7 +190,11 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
         // stream gets its span tree as one final NDJSON line.
         Handled::Streamed { backend, status } => {
             shared.state.metrics.record_request(route, status);
-            let finished = trace.finish(status, tenant, &backend, "bypass", None);
+            let end = Instant::now();
+            let total_ns = end.saturating_duration_since(t0).as_nanos() as u64;
+            let finished = (force || record_read(shared, wanted, status, total_ns))
+                .then(|| trace.finish_at(end, status, tenant, &backend, "bypass", None))
+                .flatten();
             if let (true, Some(f)) = (force, &finished) {
                 let line = Json::obj([("trace", trace_json(f))]).compact();
                 let _ = http::write_line(writer, line.as_bytes());
@@ -182,7 +203,7 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
         }
     };
     if let Some(f) = finished {
-        publish_trace(shared, req, f, force || begun.sampled, log);
+        publish_trace(shared, req, f, wanted, log);
     }
     keep
 }
@@ -209,6 +230,20 @@ fn resp_header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
 /// sampling — the slow tail is the whole point of a flight recorder.
 pub(crate) const SLOW_TRACE_MS: u64 = 500;
 
+fn is_slow(total_ns: u64) -> bool {
+    total_ns >= SLOW_TRACE_MS * 1_000_000
+}
+
+/// Whether [`publish_trace`] would read a record of this request: the
+/// access log takes every one, the slow counter every slow one, and the
+/// recorder the wanted and the failed. Sealing one nothing reads is waste.
+fn record_read(shared: &Shared, wanted: bool, status: u16, total_ns: u64) -> bool {
+    let state = &shared.state;
+    is_slow(total_ns)
+        || state.access_log.is_some()
+        || (state.recorder.is_some() && (wanted || status >= 500))
+}
+
 /// Store / log / count one sealed trace according to the knobs: the
 /// recorder keeps it when `wanted` (the client forced it or the sampler
 /// hit) or the slow/error override fires; the access log always gets its
@@ -221,7 +256,7 @@ fn publish_trace(
     wanted: bool,
     log: impl FnOnce(Arc<AccessLog>, String),
 ) {
-    let slow = f.total_ns >= SLOW_TRACE_MS * 1_000_000;
+    let slow = is_slow(f.total_ns);
     let error = f.status >= 500;
     if slow {
         // A trace that hit the span cap lost spans — its "dominant stage"

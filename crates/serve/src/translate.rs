@@ -52,6 +52,23 @@ pub struct Reply {
 pub fn normalize_nlq(nlq: &str) -> String {
     let mut out = String::with_capacity(nlq.len());
     let mut pending_space = false;
+    if nlq.is_ascii() {
+        // Byte by byte: the same whitespace set (`char::is_whitespace`
+        // counts U+000B, `u8::is_ascii_whitespace` does not) and the same
+        // lowercase, without the Unicode tables.
+        for b in nlq.bytes() {
+            if (b as char).is_whitespace() {
+                pending_space = !out.is_empty();
+            } else {
+                if pending_space {
+                    out.push(' ');
+                    pending_space = false;
+                }
+                out.push(b.to_ascii_lowercase() as char);
+            }
+        }
+        return out;
+    }
     for c in nlq.chars() {
         if c.is_whitespace() {
             pending_space = !out.is_empty();
@@ -1049,5 +1066,74 @@ mod tests {
             Admission::Probe,
             "the next request may probe"
         );
+    }
+}
+
+/// `normalize_nlq` keys the cache: its ASCII byte loop must answer exactly
+/// as the char loop it skips.
+#[cfg(test)]
+mod normalize_tests {
+    use super::normalize_nlq;
+    use proptest::prelude::*;
+
+    /// The char loop alone, for every input: the oracle.
+    fn normalize_per_char(nlq: &str) -> String {
+        let mut out = String::with_capacity(nlq.len());
+        let mut pending_space = false;
+        for c in nlq.chars() {
+            if c.is_whitespace() {
+                pending_space = !out.is_empty();
+            } else {
+                if pending_space {
+                    out.push(' ');
+                    pending_space = false;
+                }
+                out.extend(c.to_lowercase());
+            }
+        }
+        out
+    }
+
+    /// Whitespace on both sides of the ASCII line (U+000B counts, U+001C
+    /// does not), `İ` (its lowercase is two chars), `Σ`, and plain words.
+    const PIECES: &[&str] = &[
+        "Show", "ME", "the", "Wages", "x1", "_", " ", "  ", "\t", "\n", "\r", "\u{0B}", "\u{0C}",
+        "\u{1C}", "\u{1F}", "\u{85}", "\u{A0}", "\u{2028}", "\u{3000}", "İ", "Σ", "É", "ß",
+    ];
+
+    fn question() -> impl Strategy<Value = String> {
+        let ascii = prop::collection::vec(0u8..128, 0..24)
+            .prop_map(|bytes| bytes.into_iter().map(char::from).collect::<String>());
+        let pieces = prop::collection::vec(prop::sample::select(PIECES.to_vec()), 0..12)
+            .prop_map(|p| p.concat());
+        let any_chars = prop::collection::vec(any::<u32>(), 0..12).prop_map(|cs| {
+            cs.into_iter()
+                .map(|c| char::from_u32(c % 0x11_0000).unwrap_or('?'))
+                .collect::<String>()
+        });
+        prop_oneof![ascii, pieces, any_chars]
+    }
+
+    #[test]
+    fn edge_cases_match_the_char_loop() {
+        for nlq in [
+            "",
+            " ",
+            "\u{0B}Show\u{0B}\u{0B}ME\u{0C}",
+            "\u{1C}a\u{1F}",
+            "  Show   ME\tthe  Wages ",
+            "İstanbul ΣΑΣ",
+            "a\u{85}b\u{A0}c\u{2028}d\u{3000}e",
+        ] {
+            assert_eq!(normalize_nlq(nlq), normalize_per_char(nlq), "{nlq:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn normalize_matches_the_char_loop(nlq in question()) {
+            prop_assert_eq!(normalize_nlq(&nlq), normalize_per_char(&nlq), "{:?}", nlq);
+        }
     }
 }

@@ -735,3 +735,90 @@ fn corrupted_snapshot_reads_fail_with_structured_errors() {
     std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
 }
+
+/// Sum of every labelled sample of `family` in a `/metrics` page.
+fn family_total(metrics: &str, family: &str) -> f64 {
+    metrics
+        .lines()
+        .filter(|l| l.starts_with(&format!("{family}{{")))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum()
+}
+
+/// Span stages of one recorded trace, fetched by id; `None` if not kept.
+fn kept_stages(client: &mut Client, id: &str) -> Option<Vec<String>> {
+    let reply = client.request("GET", &format!("/v1/admin/trace/{id}"), "", "");
+    if reply.status == 404 {
+        return None;
+    }
+    assert_eq!(reply.status, 200);
+    let trace = reply.json();
+    let spans = trace.get("spans").and_then(Json::as_arr).expect("spans");
+    Some(
+        spans
+            .iter()
+            .map(|s| s.get("stage").and_then(Json::as_str).unwrap().to_string())
+            .collect(),
+    )
+}
+
+#[test]
+fn the_slow_and_error_net_keeps_unsampled_traces_and_only_those() {
+    let _session = FaultSession::begin();
+    // Sampling off, recorder on: only the slow/error net can keep a trace.
+    let (corpus, server) = spawn_server(&[("trace_sample", "0"), ("trace_buffer", "64")]);
+    let db = db0(&corpus);
+    let mut client = Client::connect(&server);
+    assert_eq!(client.translate("show all wages", &db, "gred").status, 200);
+
+    // A fast unsampled hit: answered, not kept.
+    let fast = client.translate("show all wages", &db, "gred");
+    assert_eq!(
+        fast.headers.get("x-t2v-cache").map(String::as_str),
+        Some("hit")
+    );
+    let fast_id = fast
+        .headers
+        .get("x-t2v-trace-id")
+        .expect("trace id")
+        .clone();
+    assert_eq!(kept_stages(&mut client, &fast_id), None);
+    let slow_before = family_total(&client.metrics(), "t2v_slow_requests_total");
+
+    // A hit stalled past SLOW_TRACE_MS on its way out: kept whole, and
+    // counted slow once.
+    t2v_fault::arm(&FaultPlan::parse("seed=21;conn.write_stall:count=1,ms=600").unwrap());
+    let slow = client.translate("show all wages", &db, "gred");
+    assert_eq!(slow.status, 200);
+    assert_eq!(
+        slow.headers.get("x-t2v-cache").map(String::as_str),
+        Some("hit")
+    );
+    let slow_id = slow
+        .headers
+        .get("x-t2v-trace-id")
+        .expect("trace id")
+        .clone();
+    let stages = kept_stages(&mut client, &slow_id).expect("the slow hit is kept");
+    for stage in ["request", "conn.read", "cache.lookup", "resp.write"] {
+        assert!(stages.iter().any(|s| s == stage), "{stage} in {stages:?}");
+    }
+    let slow_after = family_total(&client.metrics(), "t2v_slow_requests_total");
+    assert_eq!(slow_after, slow_before + 1.0);
+    let recent = client
+        .request("GET", "/v1/admin/trace/recent", "", "")
+        .json();
+    assert_eq!(recent.get("count").and_then(Json::as_f64), Some(1.0));
+
+    // A backend failure is a 500, and kept.
+    t2v_fault::arm(&FaultPlan::parse("seed=22;backend.error:backend=gred,count=1").unwrap());
+    let failed = client.translate("show every salary", &db, "gred");
+    assert_eq!(failed.status, 500);
+    let failed_id = failed
+        .headers
+        .get("x-t2v-trace-id")
+        .expect("trace id")
+        .clone();
+    assert!(kept_stages(&mut client, &failed_id).is_some());
+    server.shutdown();
+}

@@ -257,8 +257,23 @@ impl Trace {
         cache: &str,
         degraded: Option<&str>,
     ) -> Option<FinishedTrace> {
+        self.finish_at(Instant::now(), status, tenant, backend, cache, degraded)
+    }
+
+    /// [`Trace::finish`] as of `end`: the total, and the clamp on spans
+    /// still open, run from `t0` to `end` — a record sealed after the
+    /// response was written reads as one sealed before it.
+    pub fn finish_at(
+        self,
+        end: Instant,
+        status: u16,
+        tenant: &str,
+        backend: &str,
+        cache: &str,
+        degraded: Option<&str>,
+    ) -> Option<FinishedTrace> {
         let inner = self.inner?;
-        let total_ns = inner.t0.elapsed().as_nanos() as u64;
+        let total_ns = end.saturating_duration_since(inner.t0).as_nanos() as u64;
         let claimed = inner.len.load(Ordering::Relaxed) as usize;
         let recorded = claimed.min(MAX_SPANS);
         let notes = std::mem::take(&mut *lock(&inner.notes));
