@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn trains_and_emits_bounded_output() {
         // Smoke profile: convergence quality is covered by the toy-task
-        // tests in t2v-neural and by the experiment binaries; here we only
+        // tests in t2v-neural and by `qualsnap`'s tables; here we only
         // check the training/inference plumbing end to end.
         let corpus = generate(&CorpusConfig::tiny(7));
         let mut cfg = BaselineTrainConfig::fast();

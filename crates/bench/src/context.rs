@@ -1,26 +1,31 @@
 //! Shared experiment context: corpus + nvBench-Rob construction, model
-//! training with on-disk prediction caching, and CLI argument handling.
+//! training with on-disk prediction caching, one evaluation per (model, set)
+//! cell, and CLI argument handling.
 //!
-//! Every experiment binary accepts:
+//! `qualsnap` accepts:
 //!
 //! * `--seed N` — experiment seed (default 7; all randomness derives from it)
 //! * `--profile paper|small|tiny` — corpus scale (default `paper`: the full
 //!   Figure 2 statistics; `small` and `tiny` for quick runs)
-//! * `--fresh` — ignore the baselines' cached predictions; the cache is keyed
-//!   by profile, seed, model and set, so a code change does not invalidate it
-//!   (GRED variants are never cached)
+//! * `--fresh` — ignore the trained baselines' cached predictions; the cache
+//!   is keyed by profile, seed, model and set, so a code change does not
+//!   invalidate it (only Seq2Vis and Transformer are cached)
 //! * `--limit N` — evaluate only the first N examples per set
+//! * `--only SECTION,…` — run only these sections (default: all of them)
 //!
-//! Anything else — an unknown flag or profile, a value that does not parse —
-//! exits 2 with a one-line message rather than running a default.
+//! Anything else — an unknown flag, profile or section, a value that does
+//! not parse — exits 2 with a one-line message rather than running a default.
 
 use std::fmt;
 use std::path::PathBuf;
 use t2v_baselines::{BaselineTrainConfig, RgVisNet, Seq2Vis, TransformerBaseline};
 use t2v_core::Translator;
 use t2v_corpus::{generate, Corpus, CorpusConfig};
-use t2v_gred::{default_gred, Gred, GredConfig};
+use t2v_eval::EvalRun;
+use t2v_gred::{default_gred, GredConfig};
 use t2v_perturb::{build_rob, NvBenchRob, RobVariant};
+
+use crate::SECTIONS;
 
 /// Which system to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,23 +52,24 @@ impl ModelKind {
         }
     }
 
-    /// Tag of the on-disk prediction cache. Only the baselines have one:
-    /// they pay minutes of training. The GRED variants are deterministic and
-    /// take well under a millisecond a question, so they are recomputed on
-    /// every run and always report the current build.
+    /// Tag of the on-disk prediction cache. Only the trained baselines have
+    /// one: they pay minutes of training. RGVisNet and the GRED variants call
+    /// the simulated model and embedder, so a cache would outlive a change to
+    /// either; they take about a millisecond a question and are recomputed on
+    /// every run, always reporting the current build.
     fn cache_tag(&self) -> Option<&'static str> {
         match self {
             ModelKind::Seq2Vis => Some("seq2vis"),
             ModelKind::Transformer => Some("transformer"),
-            ModelKind::RgVisNet => Some("rgvisnet"),
             _ => None,
         }
     }
 }
 
-fn variant_tag(v: RobVariant) -> &'static str {
+/// The name of a test set in cache file names and in `BENCH_quality.json`.
+pub fn set_key(v: RobVariant) -> &'static str {
     match v {
-        RobVariant::Original => "orig",
+        RobVariant::Original => "original",
         RobVariant::Nlq => "nlq",
         RobVariant::Schema => "schema",
         RobVariant::Both => "both",
@@ -88,13 +94,16 @@ impl fmt::Display for Profile {
     }
 }
 
-/// The validated command line of an experiment binary.
+/// The validated command line of `qualsnap`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     pub seed: u64,
     pub profile: Profile,
     pub fresh: bool,
     pub limit: Option<usize>,
+    /// The names of the sections to run, in [`SECTIONS`] order; all of them
+    /// when not given.
+    pub sections: Vec<&'static str>,
 }
 
 /// Parse the arguments after the program name.
@@ -110,6 +119,7 @@ pub fn parse_args(args: &[String]) -> Result<Args, String> {
         profile: Profile::Paper,
         fresh: false,
         limit: None,
+        sections: SECTIONS.map(|(name, _)| name).to_vec(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -128,14 +138,33 @@ pub fn parse_args(args: &[String]) -> Result<Args, String> {
                     None => return Err("--profile needs a value".to_string()),
                 }
             }
+            "--only" => {
+                let list = it.next().ok_or("--only needs a value")?;
+                let names = SECTIONS.map(|(name, _)| name);
+                if let Some(bad) = list.split(',').find(|s| !names.contains(s)) {
+                    let names = names.join("|");
+                    return Err(format!("--only wants sections from {names}, got `{bad}`"));
+                }
+                out.sections = names
+                    .into_iter()
+                    .filter(|name| list.split(',').any(|s| s == *name))
+                    .collect();
+            }
             other => {
                 return Err(format!(
-                    "unknown argument `{other}` (expected --seed N, --profile paper|small|tiny, --fresh, --limit N)"
+                    "unknown argument `{other}` (expected --seed N, --profile paper|small|tiny, --fresh, --limit N, --only SECTION,…)"
                 ))
             }
         }
     }
     Ok(out)
+}
+
+/// One evaluated (model, set) cell: the predictions and their grades.
+pub struct Cell {
+    pub kind: ModelKind,
+    pub predictions: Vec<Option<String>>,
+    pub run: EvalRun,
 }
 
 /// The experiment context.
@@ -146,11 +175,10 @@ pub struct Ctx {
     pub profile: Profile,
     pub fresh: bool,
     pub limit: Option<usize>,
+    pub sections: Vec<&'static str>,
     pub results_dir: PathBuf,
-    seq2vis: Option<Seq2Vis>,
-    transformer: Option<TransformerBaseline>,
-    rgvisnet: Option<RgVisNet>,
-    gred: Vec<(ModelKind, Gred<t2v_llm::SimulatedChatModel>)>,
+    models: Vec<(ModelKind, Box<dyn Translator>)>,
+    cells: Vec<Cell>,
 }
 
 impl Ctx {
@@ -174,6 +202,7 @@ impl Ctx {
             profile,
             fresh,
             limit,
+            sections,
         } = args;
         let cfg = match profile {
             Profile::Paper => CorpusConfig::paper(seed),
@@ -196,11 +225,10 @@ impl Ctx {
             profile,
             fresh,
             limit,
+            sections,
             results_dir: PathBuf::from("results"),
-            seq2vis: None,
-            transformer: None,
-            rgvisnet: None,
-            gred: Vec::new(),
+            models: Vec::new(),
+            cells: Vec::new(),
         }
     }
 
@@ -233,74 +261,29 @@ impl Ctx {
         }
     }
 
-    /// Train/build the model if needed (mutating), without borrowing it out.
-    fn ensure_model(&mut self, kind: ModelKind) {
-        let _ = self.model(kind);
-    }
-
-    /// Immutable access to a previously ensured model.
-    fn get_model(&self, kind: ModelKind) -> &dyn Translator {
-        match kind {
-            ModelKind::Seq2Vis => self.seq2vis.as_ref().expect("ensured"),
-            ModelKind::Transformer => self.transformer.as_ref().expect("ensured"),
-            ModelKind::RgVisNet => self.rgvisnet.as_ref().expect("ensured"),
-            _ => {
-                let (_, g) = self.gred.iter().find(|(k, _)| *k == kind).expect("ensured");
-                g
-            }
+    /// Train or build `kind` on first use; its index in `models`.
+    fn prepare(&mut self, kind: ModelKind) -> usize {
+        if let Some(i) = self.models.iter().position(|(k, _)| *k == kind) {
+            return i;
         }
-    }
-
-    fn model(&mut self, kind: ModelKind) -> &dyn Translator {
-        match kind {
-            ModelKind::Seq2Vis => {
-                if self.seq2vis.is_none() {
-                    eprintln!("[ctx] training Seq2Vis...");
-                    let t = std::time::Instant::now();
-                    self.seq2vis = Some(Seq2Vis::train(&self.corpus, &self.baseline_cfg()));
-                    eprintln!("[ctx] Seq2Vis trained in {:?}", t.elapsed());
-                }
-                self.seq2vis.as_ref().unwrap()
-            }
+        eprintln!("[ctx] preparing {} ...", kind.label());
+        let t = std::time::Instant::now();
+        let corpus = &self.corpus;
+        let gred = |config| Box::new(default_gred(corpus, config)) as Box<dyn Translator>;
+        let model: Box<dyn Translator> = match kind {
+            ModelKind::Seq2Vis => Box::new(Seq2Vis::train(corpus, &self.baseline_cfg())),
             ModelKind::Transformer => {
-                if self.transformer.is_none() {
-                    eprintln!("[ctx] training Transformer...");
-                    let t = std::time::Instant::now();
-                    self.transformer = Some(TransformerBaseline::train(
-                        &self.corpus,
-                        &self.baseline_cfg(),
-                    ));
-                    eprintln!("[ctx] Transformer trained in {:?}", t.elapsed());
-                }
-                self.transformer.as_ref().unwrap()
+                Box::new(TransformerBaseline::train(corpus, &self.baseline_cfg()))
             }
-            ModelKind::RgVisNet => {
-                if self.rgvisnet.is_none() {
-                    eprintln!("[ctx] building RGVisNet codebase...");
-                    self.rgvisnet = Some(RgVisNet::build(&self.corpus));
-                }
-                self.rgvisnet.as_ref().unwrap()
-            }
-            _ => {
-                if !self.gred.iter().any(|(k, _)| *k == kind) {
-                    let config = match kind {
-                        ModelKind::Gred => GredConfig::default(),
-                        ModelKind::GredNoRtn => GredConfig::default().without_retuner(),
-                        ModelKind::GredNoDbg => GredConfig::default().without_debugger(),
-                        ModelKind::GredGeneratorOnly => GredConfig::default().generator_only(),
-                        _ => unreachable!(),
-                    };
-                    eprintln!("[ctx] preparing {} ...", kind.label());
-                    self.gred.push((kind, default_gred(&self.corpus, config)));
-                }
-                let (_, g) = self
-                    .gred
-                    .iter()
-                    .find(|(k, _)| *k == kind)
-                    .expect("just inserted");
-                g as &dyn Translator
-            }
-        }
+            ModelKind::RgVisNet => Box::new(RgVisNet::build(corpus)),
+            ModelKind::Gred => gred(GredConfig::default()),
+            ModelKind::GredNoRtn => gred(GredConfig::default().without_retuner()),
+            ModelKind::GredNoDbg => gred(GredConfig::default().without_debugger()),
+            ModelKind::GredGeneratorOnly => gred(GredConfig::default().generator_only()),
+        };
+        eprintln!("[ctx] {} ready in {:?}", kind.label(), t.elapsed());
+        self.models.push((kind, model));
+        self.models.len() - 1
     }
 
     fn cache_path(&self, kind: ModelKind, variant: RobVariant) -> Option<PathBuf> {
@@ -309,7 +292,7 @@ impl Ctx {
             self.profile,
             self.seed,
             kind.cache_tag()?,
-            variant_tag(variant)
+            set_key(variant)
         );
         Some(self.results_dir.join("cache").join(file))
     }
@@ -331,29 +314,13 @@ impl Ctx {
             kind.label(),
             variant.label()
         );
-        // Resolve inputs before borrowing the model (it may mutate self).
-        let inputs: Vec<(String, usize, bool)> = self.rob.set(variant)[..n]
-            .iter()
-            .map(|e| (e.nlq.clone(), e.db, e.uses_renamed))
-            .collect();
+        let model = self.prepare(kind);
+        let model = self.models[model].1.as_ref();
         let t = std::time::Instant::now();
-        self.ensure_model(kind);
-        let model = self.get_model(kind);
-        let preds: Vec<Option<String>> = {
-            let corpus = &self.corpus;
-            let rob = &self.rob;
-            inputs
-                .iter()
-                .map(|(nlq, db, renamed)| {
-                    let db = if *renamed {
-                        &rob.renamed[*db]
-                    } else {
-                        &corpus.databases[*db]
-                    };
-                    model.predict(nlq, db)
-                })
-                .collect()
-        };
+        let preds: Vec<Option<String>> = self.rob.set(variant)[..n]
+            .iter()
+            .map(|ex| model.predict(&ex.nlq, self.rob.database(&self.corpus, ex)))
+            .collect();
         eprintln!("[ctx]   done in {:?}", t.elapsed());
         if let Some(path) = path {
             save_cache(&path, &preds);
@@ -361,15 +328,37 @@ impl Ctx {
         preds
     }
 
-    /// Evaluate a model on a variant (with caching) and return the run.
-    pub fn evaluate(&mut self, kind: ModelKind, variant: RobVariant) -> t2v_eval::EvalRun {
-        let preds = self.predictions(kind, variant);
-        let set = &self.rob.set(variant)[..preds.len()];
-        // The set is sliced to the prediction count, so a mismatch can only
-        // mean a bug in the caching layer — surface it instead of grading
-        // misaligned pairs.
-        t2v_eval::evaluate_predictions(kind.label(), variant, &preds, set)
-            .expect("predictions sliced to set length")
+    /// The cell of `kind` on `variant`, evaluated on first use; every table
+    /// reads the same cell.
+    pub fn evaluate(&mut self, kind: ModelKind, variant: RobVariant) -> &Cell {
+        let found = self
+            .cells
+            .iter()
+            .position(|c| c.kind == kind && c.run.variant == variant);
+        let i = match found {
+            Some(i) => i,
+            None => {
+                let predictions = self.predictions(kind, variant);
+                let set = &self.rob.set(variant)[..predictions.len()];
+                // The set is sliced to the prediction count, so a mismatch
+                // can only mean a bug in the caching layer — surface it
+                // instead of grading misaligned pairs.
+                let run = t2v_eval::evaluate_predictions(kind.label(), variant, &predictions, set)
+                    .expect("predictions sliced to set length");
+                self.cells.push(Cell {
+                    kind,
+                    predictions,
+                    run,
+                });
+                self.cells.len() - 1
+            }
+        };
+        &self.cells[i]
+    }
+
+    /// Every cell evaluated so far, in evaluation order.
+    pub(crate) fn cells(&self) -> &[Cell] {
+        &self.cells
     }
 }
 
@@ -427,6 +416,7 @@ mod tests {
                 profile: Profile::Paper,
                 fresh: false,
                 limit: None,
+                sections: SECTIONS.map(|(name, _)| name).to_vec(),
             }
         );
     }
@@ -448,9 +438,16 @@ mod tests {
                 profile: Profile::Tiny,
                 fresh: true,
                 limit: Some(20),
+                sections: SECTIONS.map(|(name, _)| name).to_vec(),
             }
         );
         assert_eq!(Profile::Small.to_string(), "small");
+        // Sections run in the order a full run prints them, once each.
+        let args = parse("--only ablations,figure2,table4,figure2").unwrap();
+        assert_eq!(args.sections, ["figure2", "table4", "ablations"]);
+        for (name, _) in SECTIONS {
+            assert_eq!(parse(&format!("--only {name}")).unwrap().sections, [name]);
+        }
     }
 
     #[test]
@@ -464,6 +461,10 @@ mod tests {
             ("--limit 1.5", "`1.5`"),
             ("--limit", "--limit needs a value"),
             ("--limt 20", "unknown argument `--limt`"),
+            ("--only", "--only needs a value"),
+            ("--only table6", "`table6`"),
+            ("--only table4,", "got ``"),
+            ("--only table4 ablations", "unknown argument `ablations`"),
             ("tiny", "unknown argument `tiny`"),
         ] {
             let err = parse(line).expect_err(line);
@@ -477,19 +478,29 @@ mod tests {
         let args = parse("--profile tiny --limit 5").unwrap();
         let mut ctx = Ctx::new(args);
         ctx.results_dir = std::env::temp_dir().join(format!("t2v-bench-{}", std::process::id()));
-        // The file an earlier build's GRED run would have left behind.
+        // The files an earlier build's runs would have left behind.
         let planted = "visualize bar select planted from stale_cache";
         let cache = ctx.results_dir.join("cache");
         std::fs::create_dir_all(&cache).unwrap();
-        let file = cache.join(format!("tiny_s{}_gred_nlq.tsv", ctx.seed));
-        std::fs::write(&file, format!("OK\t{planted}\n").repeat(5)).unwrap();
-        let preds = ctx.predictions(ModelKind::Gred, RobVariant::Nlq);
+        for tag in ["gred", "rgvisnet"] {
+            let file = cache.join(format!("tiny_s{}_{tag}_nlq.tsv", ctx.seed));
+            std::fs::write(&file, format!("OK\t{planted}\n").repeat(5)).unwrap();
+        }
+        let preds = [ModelKind::Gred, ModelKind::RgVisNet].map(|kind| {
+            let preds = ctx.predictions(kind, RobVariant::Nlq);
+            (kind, preds)
+        });
         std::fs::remove_dir_all(&ctx.results_dir).unwrap();
-        assert_eq!(preds.len(), 5);
-        assert!(preds.iter().any(Option::is_some), "GRED answered nothing");
-        assert!(
-            preds.iter().all(|p| p.as_deref() != Some(planted)),
-            "GRED predictions came from the planted cache: {preds:?}"
-        );
+        for (kind, preds) in preds {
+            assert_eq!(preds.len(), 5);
+            assert!(
+                preds.iter().any(Option::is_some),
+                "{kind:?} answered nothing"
+            );
+            assert!(
+                preds.iter().all(|p| p.as_deref() != Some(planted)),
+                "{kind:?} predictions came from the planted cache: {preds:?}"
+            );
+        }
     }
 }

@@ -2,25 +2,27 @@
 //!
 //! The paper reports aggregate numbers; this module supports the standard
 //! follow-up analysis (which difficulty bucket / chart family drives the
-//! collapse?) used by the `run_all` experiment notes in EXPERIMENTS.md.
+//! collapse?). `qualsnap` writes all three for every evaluated cell into
+//! `BENCH_quality.json`.
 
-use crate::metrics::{Accuracies, Tally};
+use crate::metrics::Tally;
 use std::collections::BTreeMap;
 use t2v_corpus::Corpus;
 use t2v_dvq::ast::ChartType;
 use t2v_dvq::hardness::Hardness;
 use t2v_perturb::RobExample;
 
-/// Accuracy per group key.
+/// Match counts per group key.
 #[derive(Debug, Clone)]
 pub struct Breakdown<K> {
-    pub groups: Vec<(K, Accuracies)>,
+    pub groups: Vec<(K, Tally)>,
 }
 
 impl<K: std::fmt::Debug> Breakdown<K> {
     pub fn render(&self, title: &str) -> String {
         let mut s = format!("-- {title} --\n");
-        for (k, a) in &self.groups {
+        for (k, t) in &self.groups {
+            let a = t.accuracies();
             s.push_str(&format!(
                 "{:<20} n={:<5} overall {:>6.2}%  data {:>6.2}%\n",
                 format!("{k:?}"),
@@ -48,10 +50,7 @@ pub fn by_hardness(
             .add_text(p.as_deref(), &ex.target);
     }
     Breakdown {
-        groups: tallies
-            .into_iter()
-            .map(|(k, t)| (k, t.accuracies()))
-            .collect(),
+        groups: tallies.into_iter().collect(),
     }
 }
 
@@ -65,10 +64,7 @@ pub fn by_chart(set: &[RobExample], predictions: &[Option<String>]) -> Breakdown
             .add_text(p.as_deref(), &ex.target);
     }
     Breakdown {
-        groups: tallies
-            .into_iter()
-            .map(|(k, t)| (k, t.accuracies()))
-            .collect(),
+        groups: tallies.into_iter().collect(),
     }
 }
 
@@ -148,11 +144,11 @@ mod tests {
             .collect();
         let h = by_hardness(&corpus, &rob.original, &preds);
         let c = by_chart(&rob.original, &preds);
-        let hn: usize = h.groups.iter().map(|(_, a)| a.n).sum();
-        let cn: usize = c.groups.iter().map(|(_, a)| a.n).sum();
+        let hn: usize = h.groups.iter().map(|(_, t)| t.n).sum();
+        let cn: usize = c.groups.iter().map(|(_, t)| t.n).sum();
         assert_eq!(hn, rob.original.len());
         assert_eq!(cn, rob.original.len());
-        assert!(h.groups.iter().all(|(_, a)| a.overall == 1.0));
+        assert!(h.groups.iter().all(|(_, t)| t.overall == t.n));
     }
 
     #[test]

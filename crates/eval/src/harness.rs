@@ -23,6 +23,8 @@ pub struct EvalRun {
     pub model: String,
     pub variant: RobVariant,
     pub accuracies: Accuracies,
+    /// The integer counts `accuracies` divides by `n`.
+    pub tally: Tally,
     pub records: Vec<PredictionRecord>,
 }
 
@@ -84,6 +86,7 @@ fn collect_run(
         model,
         variant,
         accuracies: tally.accuracies(),
+        tally,
         records,
     }
 }
@@ -131,7 +134,7 @@ pub fn evaluate_set_parallel(
 }
 
 /// Evaluate a model from pre-computed predictions (used when predictions are
-/// cached on disk between experiment binaries).
+/// cached on disk between runs).
 ///
 /// Returns [`EvalError::LengthMismatch`] instead of panicking when a cached
 /// prediction file has been truncated or padded relative to the test set.

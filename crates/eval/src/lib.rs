@@ -7,7 +7,7 @@
 //! system implements the [`t2v_core::Translator`] backend trait (the former
 //! eval-only `Text2VisModel` trait is retired in its favour); the harness
 //! consumes `&dyn Translator`, so the same backend objects serve traffic,
-//! run benches, and get graded. Plus paper-style table/CSV reporting.
+//! run benches, and get graded. Plus paper-style table rendering.
 
 pub mod breakdown;
 pub mod harness;
@@ -20,5 +20,5 @@ pub use harness::{
 };
 // Re-exported so downstream crates can name the backend API through eval.
 pub use metrics::{Accuracies, Tally};
-pub use report::{csv_row, render_overall_table, render_table, write_csv};
+pub use report::{render_overall_table, render_table};
 pub use t2v_core::{TranslateRequest, TranslateResponse, Translator};

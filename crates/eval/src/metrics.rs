@@ -28,7 +28,7 @@ impl Accuracies {
 }
 
 /// Running tally of component matches.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     pub n: usize,
     pub vis: usize,

@@ -1,9 +1,8 @@
-//! Paper-style table rendering and CSV output for experiment results.
+//! Paper-style table rendering for experiment results.
 
 use crate::harness::EvalRun;
 use crate::metrics::Accuracies;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Render one of the paper's Tables 1-3: rows = models, columns = the four
 /// metrics, with an optional `paper=` reference column for comparison.
@@ -37,8 +36,8 @@ pub fn render_table(title: &str, runs: &[&EvalRun], paper_reference: &[(&str, f6
 }
 
 /// One row of an overall-accuracy table: label, per-column accuracies, and
-/// optional paper reference values.
-pub type OverallRow<'a> = (&'a str, Vec<Accuracies>, Option<Vec<f64>>);
+/// the paper's figure per column where it reports one.
+pub type OverallRow<'a> = (&'a str, Vec<Accuracies>, Vec<Option<f64>>);
 
 /// Render an overall-accuracy-only table (the paper's Table 4 / Figure 3).
 pub fn render_overall_table(title: &str, columns: &[&str], rows: &[OverallRow<'_>]) -> String {
@@ -53,8 +52,9 @@ pub fn render_overall_table(title: &str, columns: &[&str], rows: &[OverallRow<'_
         let _ = write!(s, "{name:<24}");
         for (i, a) in accs.iter().enumerate() {
             let p = paper
-                .as_ref()
-                .and_then(|p| p.get(i))
+                .get(i)
+                .copied()
+                .flatten()
                 .map(|v| format!(" (paper {v:.2})"))
                 .unwrap_or_default();
             let cell = format!("{:.2}%{}", a.overall * 100.0, p);
@@ -63,35 +63,6 @@ pub fn render_overall_table(title: &str, columns: &[&str], rows: &[OverallRow<'_
         let _ = writeln!(s);
     }
     s
-}
-
-/// Append rows to a CSV file under `results/` (creating the directory).
-pub fn write_csv(path: &Path, header: &str, rows: &[String]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut body = String::from(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
-    }
-    std::fs::write(path, body)
-}
-
-/// CSV row for one evaluation run.
-pub fn csv_row(run: &EvalRun) -> String {
-    let a = run.accuracies;
-    format!(
-        "{},{},{},{:.4},{:.4},{:.4},{:.4}",
-        run.model,
-        run.variant.label().replace(',', "+"),
-        a.n,
-        a.vis,
-        a.data,
-        a.axis,
-        a.overall
-    )
 }
 
 #[cfg(test)]
@@ -110,6 +81,7 @@ mod tests {
                 axis: overall,
                 overall,
             },
+            tally: Default::default(),
             records: vec![],
         }
     }
@@ -126,24 +98,6 @@ mod tests {
         assert!(out.contains("GRED"));
         assert!(out.contains("54.85"));
         assert!(out.contains("55.00%"));
-    }
-
-    #[test]
-    fn csv_row_is_well_formed() {
-        let run = fake_run("GRED", 0.5);
-        let row = csv_row(&run);
-        assert_eq!(row.split(',').count(), 7);
-        assert!(row.starts_with("GRED,"));
-    }
-
-    #[test]
-    fn csv_file_roundtrip() {
-        let dir = std::env::temp_dir().join("t2v_eval_test");
-        let path = dir.join("out.csv");
-        write_csv(&path, "a,b", &["1,2".into(), "3,4".into()]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "a,b\n1,2\n3,4\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -167,10 +121,11 @@ mod tests {
         let out = render_overall_table(
             "Ablation",
             &["set-a", "set-b"],
-            &[("GRED", accs, Some(vec![59.98, 61.93]))],
+            &[("GRED", accs, vec![Some(59.98), None])],
         );
         assert!(out.contains("set-a"));
         assert!(out.contains("50.00%"));
         assert!(out.contains("(paper 59.98)"));
+        assert_eq!(out.matches("(paper").count(), 1, "{out}");
     }
 }

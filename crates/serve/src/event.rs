@@ -931,16 +931,17 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             conn.state = ConnState::Writing;
         }
         let written = {
-            let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(st.segs.len().min(MAX_IOVECS));
-            for (i, seg) in st.segs.iter().take(MAX_IOVECS).enumerate() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+            let filled = st.segs.len().min(MAX_IOVECS);
+            for (i, (slot, seg)) in iov.iter_mut().zip(&st.segs).enumerate() {
                 let bytes = seg.as_slice();
-                iov.push(IoSlice::new(if i == 0 {
+                *slot = IoSlice::new(if i == 0 {
                     &bytes[st.front_written..]
                 } else {
                     bytes
-                }));
+                });
             }
-            (&conn.stream).write_vectored(&iov)
+            (&conn.stream).write_vectored(&iov[..filled])
         };
         match written {
             Ok(0) => return Next::Close,

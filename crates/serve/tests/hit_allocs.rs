@@ -50,11 +50,12 @@ const HITS: u64 = 1_000;
 
 /// What one hit may allocate, counted across the whole process: parsing
 /// the request, the key, the lookup, the head and the span recording the
-/// flight recorder's slow/error net needs. Measured at 24.3 (24.26–24.40
+/// flight recorder's slow/error net needs. Measured at 23.3 (23.32–23.34
 /// over four runs; the 5 % sampled hits still seal a record), down from
-/// 38.05 when every hit sealed one, decoded JSON strings per character and
-/// formatted its head piece by piece.
-const MAX_ALLOCS_PER_HIT: f64 = 25.3;
+/// 24.3 when every `writev` collected its slices in a fresh `Vec`, and
+/// from 38.05 when every hit sealed one, decoded JSON strings per
+/// character and formatted its head piece by piece.
+const MAX_ALLOCS_PER_HIT: f64 = 24.3;
 
 /// Send `request` and read exactly one response into `buf`; its length.
 fn round_trip(stream: &mut TcpStream, request: &[u8], buf: &mut [u8]) -> usize {
