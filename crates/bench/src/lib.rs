@@ -10,7 +10,7 @@
 pub mod context;
 pub mod tables;
 
-pub use context::{set_key, Cell, Ctx, ModelKind};
+pub use context::{set_key, Cell, Ctx, ModelKind, GRED_ROWS};
 
 use t2v_engine::Json;
 use t2v_eval::{by_chart, by_hardness, error_profile};
@@ -28,7 +28,9 @@ pub const SECTIONS: [(&str, Section); 8] = [
     ("table2", |ctx, _| tables::table2(ctx)),
     ("table3", |ctx, _| tables::table3(ctx)),
     ("figure3", |ctx, _| tables::figure3(ctx)),
-    ("table4", |ctx, _| tables::table4(ctx)),
+    ("table4", |ctx, file| {
+        file.set("ledger", tables::table4(ctx))
+    }),
     ("table5", |ctx, file| {
         file.set("table5", tables::table5(ctx))
     }),
@@ -38,10 +40,10 @@ pub const SECTIONS: [(&str, Section); 8] = [
 ];
 
 /// Run `ctx`'s sections, printing each table, and write what this run
-/// computed into `file`: Figure 2 under `stats`, Table 5 under `table5`, the
-/// ablations under `ablations`, every evaluated cell under
-/// `cells.<model>.<set>`, and the paper's figures under `paper`. Everything
-/// else in `file` is left as it was.
+/// computed into `file`: Figure 2 under `stats`, Table 4's stage ledger under
+/// `ledger`, Table 5 under `table5`, the ablations under `ablations`, every
+/// evaluated cell under `cells.<model>.<set>`, and the paper's figures under
+/// `paper`. Everything else in `file` is left as it was.
 pub fn snapshot(ctx: &mut Ctx, file: &mut Json) {
     for (name, section) in SECTIONS {
         if ctx.sections.contains(&name) {

@@ -5,12 +5,12 @@
 //! return what they print as a `BENCH_quality.json` section. The reference
 //! numbers below are the only copy.
 
-use crate::context::{set_key, Ctx, ModelKind};
+use crate::context::{set_key, Ctx, ModelKind, GRED_ROWS};
 use t2v_corpus::{CorpusStats, Lexicon};
 use t2v_embed::{EmbedConfig, TextEmbedder};
 use t2v_engine::{chart, execute, to_vegalite, Json, Store};
 use t2v_eval::{evaluate_set, render_overall_table, render_table, Accuracies, EvalRun, Tally};
-use t2v_gred::{default_gred, Gred, GredConfig};
+use t2v_gred::{Gred, GredConfig};
 use t2v_llm::{LlmConfig, SimulatedChatModel};
 use t2v_perturb::RobVariant;
 
@@ -169,15 +169,11 @@ fn rob_table(ctx: &mut Ctx, variant: RobVariant, title: &str) {
 
 /// Table 4 — ablation study: GRED vs w/o RTN&DBG, w/o RTN, w/o DBG (and
 /// RGVisNet for scale) on the unperturbed set and the three robustness
-/// sets, overall accuracy.
-pub fn table4(ctx: &mut Ctx) {
-    let kinds = [
-        ModelKind::RgVisNet,
-        ModelKind::Gred,
-        ModelKind::GredGeneratorOnly,
-        ModelKind::GredNoRtn,
-        ModelKind::GredNoDbg,
-    ];
+/// sets, overall accuracy; then the stage ledger the four GRED rows imply,
+/// which it returns as the `ledger` section.
+pub fn table4(ctx: &mut Ctx) -> Json {
+    let mut kinds = vec![ModelKind::RgVisNet];
+    kinds.extend(GRED_ROWS);
     overall_table(
         ctx,
         "Table 4: ablation study on nvBench-Rob (overall accuracy)",
@@ -185,6 +181,62 @@ pub fn table4(ctx: &mut Ctx) {
         &kinds,
         &ALL_SETS,
     );
+
+    println!("Stage ledger: questions a stage fixed / broke (overall match)\n");
+    println!(
+        "{:<14}{:>12}{:>14}{:>14}{:>14}{:>14}",
+        "set", "RTN changed", "RTN w/o DBG", "RTN w/ DBG", "DBG w/o RTN", "DBG w/ RTN"
+    );
+    let mut ledger = Json::Obj(Default::default());
+    for variant in ALL_SETS {
+        let [gred, gen, no_rtn, no_dbg] =
+            GRED_ROWS.map(|kind| ctx.evaluate(kind, variant).run.clone());
+        let changed = (no_dbg.records.iter().zip(&gen.records))
+            .filter(|(a, b)| a.predicted != b.predicted)
+            .count();
+        let steps = [
+            (&gen, &no_dbg),
+            (&no_rtn, &gred),
+            (&gen, &no_rtn),
+            (&no_dbg, &gred),
+        ]
+        .map(|(from, to)| flips(from, to));
+        print!("{:<14}{changed:>12}", set_key(variant));
+        for (fixed, broke) in steps {
+            print!("{:>14}", format!("+{fixed}/-{broke}"));
+        }
+        println!();
+        let num = |n: usize| Json::Num(n as f64);
+        let [rtn_alone, rtn_after, dbg_alone, dbg_after] =
+            steps.map(|(fixed, broke)| Json::obj([("fixed", num(fixed)), ("broke", num(broke))]));
+        let retuner = [
+            ("changed", num(changed)),
+            ("no_debugger", rtn_alone),
+            ("with_debugger", rtn_after),
+        ];
+        let debugger = [("no_retuner", dbg_alone), ("with_retuner", dbg_after)];
+        let entry = Json::obj([
+            ("retuner", Json::obj(retuner)),
+            ("debugger", Json::obj(debugger)),
+            ("stamp", stamp(ctx, ctx.limit)),
+        ]);
+        ledger.set(set_key(variant), entry);
+    }
+    println!();
+    ledger
+}
+
+/// How many questions going from `from`'s answer to `to`'s turned from a
+/// miss into an overall match (fixed), and from a match into a miss (broke).
+fn flips(from: &EvalRun, to: &EvalRun) -> (usize, usize) {
+    let pairs = from.records.iter().zip(&to.records);
+    pairs.fold((0, 0), |(fixed, broke), (a, b)| {
+        match (a.overall_match, b.overall_match) {
+            (false, true) => (fixed + 1, broke),
+            (true, false) => (fixed, broke + 1),
+            _ => (fixed, broke),
+        }
+    })
 }
 
 /// Figure 3 — the accuracy collapse of prior text-to-vis models from
@@ -318,17 +370,24 @@ pub fn table5(ctx: &mut Ctx) -> Json {
 /// * the LLM's and the retrieval embedder's lexicon coverage.
 pub fn ablations(ctx: &Ctx) -> Json {
     let limit = Some(ctx.limit.unwrap_or(250));
-    let row = |label: String, setting: Json, gred: Gred<SimulatedChatModel>| {
-        let run = evaluate_set(&gred, &ctx.corpus, &ctx.rob, RobVariant::Both, limit);
+    let evaluate = |config, embed, llm| {
+        let embedder = TextEmbedder::new(Lexicon::builtin(), embed);
+        let gred = Gred::prepare(&ctx.corpus, embedder, SimulatedChatModel::new(llm), config);
+        evaluate_set(&gred, &ctx.corpus, &ctx.rob, RobVariant::Both, limit)
+    };
+    // One setting of each sweep is the default configuration; it is
+    // evaluated once and its row is written into every sweep.
+    let default = evaluate(
+        GredConfig::default(),
+        EmbedConfig::default(),
+        LlmConfig::default(),
+    );
+    let row = |label: String, setting: Json, run: Option<EvalRun>| {
+        let run = run.as_ref().unwrap_or(&default);
         println!("  {label}: overall {:.2}%", run.accuracies.overall * 100.0);
         let mut row = counts(&run.tally);
         row.set("setting", setting);
         row
-    };
-    let with_coverage = |embed, llm| {
-        let embedder = TextEmbedder::new(Lexicon::builtin(), embed);
-        let model = SimulatedChatModel::new(llm);
-        Gred::prepare(&ctx.corpus, embedder, model, GredConfig::default())
     };
 
     println!("== Ablation: retrieval depth K (nvBench-Rob(nlq,schema)) ==");
@@ -337,8 +396,9 @@ pub fn ablations(ctx: &Ctx) -> Json {
             k,
             ..GredConfig::default()
         };
-        let gred = default_gred(&ctx.corpus, config);
-        row(format!("K = {k:>2}"), Json::Num(k as f64), gred)
+        let run = (k != GredConfig::default().k)
+            .then(|| evaluate(config, EmbedConfig::default(), LlmConfig::default()));
+        row(format!("K = {k:>2}"), Json::Num(k as f64), run)
     });
 
     println!("\n== Ablation: example order in the generation prompt ==");
@@ -347,16 +407,19 @@ pub fn ablations(ctx: &Ctx) -> Json {
             ascending_order: ascending,
             ..GredConfig::default()
         };
-        let gred = default_gred(&ctx.corpus, config);
-        row(format!("{label:<20}"), Json::Bool(ascending), gred)
+        let run = (ascending != GredConfig::default().ascending_order)
+            .then(|| evaluate(config, EmbedConfig::default(), LlmConfig::default()));
+        row(format!("{label:<20}"), Json::Bool(ascending), run)
     });
 
     println!("\n== Ablation: LLM semantic (synonym) coverage ==");
     let llm = [0.5f64, 0.7, 0.88, 1.0].map(|coverage| {
         let mut llm = LlmConfig::default();
-        llm.embed.lexicon_coverage = coverage;
-        let gred = with_coverage(EmbedConfig::default(), llm);
-        row(format!("coverage {coverage:.2}"), Json::Num(coverage), gred)
+        let run = (coverage != llm.embed.lexicon_coverage).then(|| {
+            llm.embed.lexicon_coverage = coverage;
+            evaluate(GredConfig::default(), EmbedConfig::default(), llm)
+        });
+        row(format!("coverage {coverage:.2}"), Json::Num(coverage), run)
     });
 
     println!("\n== Ablation: retrieval-embedder lexicon coverage ==");
@@ -365,8 +428,9 @@ pub fn ablations(ctx: &Ctx) -> Json {
             lexicon_coverage: coverage,
             ..EmbedConfig::default()
         };
-        let gred = with_coverage(embed, LlmConfig::default());
-        row(format!("coverage {coverage:.1}"), Json::Num(coverage), gred)
+        let run = (coverage != EmbedConfig::default().lexicon_coverage)
+            .then(|| evaluate(GredConfig::default(), embed, LlmConfig::default()));
+        row(format!("coverage {coverage:.1}"), Json::Num(coverage), run)
     });
     println!();
 

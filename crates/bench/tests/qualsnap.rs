@@ -1,12 +1,16 @@
 //! `qualsnap`'s Table 4 cells against the evaluation harness, and the file
 //! it writes against itself. No figure is pinned: the harness is the oracle.
+//! The ablated GRED rows come from one pass in `qualsnap`; here each is
+//! rebuilt from its definition, calling the debugger on `dvq_gen` for every
+//! question.
 
 use t2v_baselines::RgVisNet;
 use t2v_bench::context::parse_args;
 use t2v_bench::{set_key, snapshot, Ctx, ModelKind};
-use t2v_core::Translator;
+use t2v_core::{FnBackend, Translator};
+use t2v_corpus::Database;
 use t2v_engine::Json;
-use t2v_eval::{evaluate_set, Tally};
+use t2v_eval::{evaluate_set, EvalRun, Tally};
 use t2v_gred::{default_gred, GredConfig};
 use t2v_perturb::RobVariant;
 
@@ -21,21 +25,30 @@ fn table4_cells_equal_the_harness_and_the_file_reproduces() {
     let mut file = Json::Obj(Default::default());
     snapshot(&mut ctx, &mut file);
 
-    let gred = |config| Box::new(default_gred(&ctx.corpus, config)) as Box<dyn Translator>;
+    let gred = default_gred(&ctx.corpus, GredConfig::default());
+    let gred = &gred;
+    // `w/o RTN&DBG`, `w/o RTN` and `w/o DBG` from their definitions.
+    let by_definition = move |nlq: &str, db: &Database| {
+        let out = gred.translate(nlq, db);
+        let no_rtn = out.dvq_gen.as_ref().and_then(|gen| gred.debug(gen, db));
+        [
+            out.dvq_gen.clone(),
+            no_rtn.or(out.dvq_gen.clone()),
+            out.dvq_rtn.or(out.dvq_gen),
+        ]
+    };
+    let ablated = |row: usize| {
+        let f = move |nlq: &str, db: &Database| by_definition(nlq, db).into_iter().nth(row)?;
+        Box::new(FnBackend::new("ablated", f)) as Box<dyn Translator>
+    };
     let models = [
-        (ModelKind::Gred, gred(GredConfig::default())),
         (
-            ModelKind::GredNoRtn,
-            gred(GredConfig::default().without_retuner()),
+            ModelKind::Gred,
+            Box::new(gred.clone()) as Box<dyn Translator>,
         ),
-        (
-            ModelKind::GredNoDbg,
-            gred(GredConfig::default().without_debugger()),
-        ),
-        (
-            ModelKind::GredGeneratorOnly,
-            gred(GredConfig::default().generator_only()),
-        ),
+        (ModelKind::GredGeneratorOnly, ablated(0)),
+        (ModelKind::GredNoRtn, ablated(1)),
+        (ModelKind::GredNoDbg, ablated(2)),
         (ModelKind::RgVisNet, Box::new(RgVisNet::build(&ctx.corpus))),
     ];
     let sets = [
@@ -44,6 +57,7 @@ fn table4_cells_equal_the_harness_and_the_file_reproduces() {
         RobVariant::Schema,
         RobVariant::Both,
     ];
+    let mut runs: Vec<(ModelKind, EvalRun)> = Vec::new();
     for (kind, model) in &models {
         for variant in sets {
             let want = evaluate_set(model.as_ref(), &ctx.corpus, &ctx.rob, variant, None);
@@ -62,7 +76,72 @@ fn table4_cells_equal_the_harness_and_the_file_reproduces() {
             };
             assert_eq!(got, want.tally, "{at}");
             assert_eq!(got.accuracies(), want.accuracies, "{at}");
+            runs.push((*kind, want));
         }
+    }
+
+    // The stage ledger, recounted from the oracle runs.
+    for variant in sets {
+        let run_of = |kind| {
+            let (_, run) = (runs.iter())
+                .find(|(k, r)| *k == kind && r.variant == variant)
+                .unwrap();
+            run
+        };
+        let (gred, gen, no_rtn, no_dbg) = (
+            run_of(ModelKind::Gred),
+            run_of(ModelKind::GredGeneratorOnly),
+            run_of(ModelKind::GredNoRtn),
+            run_of(ModelKind::GredNoDbg),
+        );
+        let flips = |from: &EvalRun, to: &EvalRun| {
+            let pairs = from.records.iter().zip(&to.records);
+            let count = |a, b| {
+                (pairs.clone())
+                    .filter(|(x, y)| (x.overall_match, y.overall_match) == (a, b))
+                    .count() as f64
+            };
+            Json::obj([
+                ("fixed", Json::Num(count(false, true))),
+                ("broke", Json::Num(count(true, false))),
+            ])
+        };
+        let changed = (no_dbg.records.iter().zip(&gen.records))
+            .filter(|(a, b)| a.predicted != b.predicted)
+            .count();
+        let at = |path: &[&str]| {
+            let mut node = file.get("ledger").and_then(|l| l.get(set_key(variant)));
+            for key in path {
+                node = node.and_then(|n| n.get(key));
+            }
+            node.unwrap_or_else(|| panic!("no ledger.{}.{}", set_key(variant), path.join(".")))
+        };
+        let set = set_key(variant);
+        assert_eq!(
+            at(&["retuner", "changed"]).as_f64(),
+            Some(changed as f64),
+            "{set}"
+        );
+        assert_eq!(
+            at(&["retuner", "no_debugger"]),
+            &flips(gen, no_dbg),
+            "{set}"
+        );
+        assert_eq!(
+            at(&["retuner", "with_debugger"]),
+            &flips(no_rtn, gred),
+            "{set}"
+        );
+        assert_eq!(
+            at(&["debugger", "no_retuner"]),
+            &flips(gen, no_rtn),
+            "{set}"
+        );
+        assert_eq!(
+            at(&["debugger", "with_retuner"]),
+            &flips(no_dbg, gred),
+            "{set}"
+        );
     }
     let cells = file.get("cells").and_then(Json::as_obj).unwrap();
     assert_eq!(cells.len(), models.len(), "table4 evaluates only its rows");

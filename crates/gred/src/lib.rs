@@ -19,6 +19,12 @@
 //!
 //! The preparatory phase ([`library`]) embeds the training split and caches
 //! database annotations, exactly as §4.1 describes.
+//!
+//! GRED always runs all three stages. Table 4's ablated rows (`w/o RTN&DBG`,
+//! `w/o RTN`, `w/o DBG`) are projections of one full pass
+//! ([`Gred::translate_ablations`]): completions are pure functions of the
+//! prompt, so only a question whose DVQ the retuner changed needs one more
+//! debugger call.
 
 pub mod library;
 pub mod pipeline;

@@ -38,7 +38,7 @@ impl CorpusProfile {
 }
 
 /// The backend ids `t2v-serve` knows how to construct.
-pub const KNOWN_BACKENDS: &[&str] = &["gred", "seq2vis", "transformer", "rgvisnet", "neural"];
+pub const KNOWN_BACKENDS: &[&str] = &["gred", "seq2vis", "transformer", "rgvisnet"];
 
 /// Declares every knob once. A row is its doc, whose first line is the
 /// knob's one-line summary, then `key: Type = "default", parser;`, where
@@ -132,7 +132,7 @@ knobs! {
     /// fingerprints, corrupt files fail startup).
     tenant_dir: String = "", parse_text;
     /// Per-backend pool weights, `id:weight` comma-separated; empty is unclassed.
-    /// E.g. `gred:4,neural:1`. Unlisted backends weigh 1; an unclassed pool
+    /// E.g. `gred:4,rgvisnet:1`. Unlisted backends weigh 1; an unclassed pool
     /// has no per-backend admission control at all. When set, heavier
     /// backends are allowed proportionally more in-flight translations
     /// before the pool sheds their load with a 503.
@@ -140,7 +140,7 @@ knobs! {
     /// Backends to register, comma-separated; the first is the default.
     /// See [`KNOWN_BACKENDS`]; the default serves requests that name no
     /// backend.
-    backends: String = "gred,seq2vis,transformer,rgvisnet,neural", parse_backends;
+    backends: String = "gred,seq2vis,transformer,rgvisnet", parse_backends;
     /// Per-request wall-clock budget in ms from request parse; 0 disables it.
     /// Checked between pipeline stages (admission, worker start, reply
     /// wait); an expired budget answers a structured 504
@@ -550,7 +550,7 @@ mod tests {
             tenants: String::new(),
             tenant_dir: String::new(),
             backend_weights: String::new(),
-            backends: "gred,seq2vis,transformer,rgvisnet,neural".to_string(),
+            backends: "gred,seq2vis,transformer,rgvisnet".to_string(),
             deadline_ms: 30_000,
             fault_plan: String::new(),
             breaker_window: 32,
@@ -614,7 +614,7 @@ mod tests {
                 "addr" => "127.0.0.1:0",
                 "corpus" => "tiny:3",
                 "backends" => "gred,rgvisnet",
-                "backend_weights" => "gred:4,neural:1",
+                "backend_weights" => "gred:4,rgvisnet:1",
                 "tenants" => "acme:tiny:8,globex:paper:3",
                 "tenant_dir" => "/tmp",
                 "library_snapshot" | "snapshot_save" => "/tmp/lib.t2vsnap",
@@ -713,7 +713,7 @@ mod tests {
         let mut cfg = ServeConfig::default();
         assert_eq!(
             cfg.backend_ids(),
-            vec!["gred", "seq2vis", "transformer", "rgvisnet", "neural"]
+            vec!["gred", "seq2vis", "transformer", "rgvisnet"]
         );
         cfg.set("backends", "rgvisnet, gred").unwrap();
         assert_eq!(cfg.backend_ids(), vec!["rgvisnet", "gred"]);
@@ -727,12 +727,12 @@ mod tests {
         let mut cfg = ServeConfig::default();
         // Default: everything weighs 1.
         assert_eq!(cfg.backend_weight("gred"), 1);
-        assert_eq!(cfg.backend_weight_vector(), vec![1; 5]);
-        cfg.set("backend_weights", "gred:4, neural:2").unwrap();
+        assert_eq!(cfg.backend_weight_vector(), vec![1; 4]);
+        cfg.set("backend_weights", "gred:4, rgvisnet:2").unwrap();
         assert_eq!(cfg.backend_weight("gred"), 4);
-        assert_eq!(cfg.backend_weight("neural"), 2);
+        assert_eq!(cfg.backend_weight("rgvisnet"), 2);
         assert_eq!(cfg.backend_weight("seq2vis"), 1, "unlisted defaults to 1");
-        assert_eq!(cfg.backend_weight_vector(), vec![4, 1, 1, 1, 2]);
+        assert_eq!(cfg.backend_weight_vector(), vec![4, 1, 1, 2]);
         // Malformed pairs, unknown ids, zero weights, duplicates: errors.
         assert!(cfg.set("backend_weights", "gred").is_err());
         assert!(cfg.set("backend_weights", "gpt99:3").is_err());
@@ -741,7 +741,7 @@ mod tests {
         assert!(cfg.set("backend_weights", "gred:2,gred:3").is_err());
         // Empty resets to equal weights.
         cfg.set("backend_weights", "").unwrap();
-        assert_eq!(cfg.backend_weight_vector(), vec![1; 5]);
+        assert_eq!(cfg.backend_weight_vector(), vec![1; 4]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use t2v_baselines::{BaselineTrainConfig, NeuralSeq2Seq, RgVisNet, Seq2Vis, TransformerBaseline};
+use t2v_baselines::{BaselineTrainConfig, RgVisNet, Seq2Vis, TransformerBaseline};
 use t2v_core::{BackendRegistry, Translator};
 use t2v_corpus::{generate, Corpus, Database};
 use t2v_engine::Store;
@@ -493,7 +493,6 @@ fn build_tenant_runtime(
             "seq2vis" => Arc::new(Seq2Vis::train(corpus, &train_cfg)),
             "transformer" => Arc::new(TransformerBaseline::train(corpus, &train_cfg)),
             "rgvisnet" => Arc::new(RgVisNet::build(corpus)),
-            "neural" => Arc::new(NeuralSeq2Seq::train(corpus, &train_cfg)),
             other => unreachable!("config validated backend id '{other}'"),
         };
         registry.register(*backend_id, backend);

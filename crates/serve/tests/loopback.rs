@@ -807,14 +807,13 @@ fn corrupt_snapshot_fails_startup_with_structured_error() {
 
 #[test]
 fn multi_backend_registry_serves_every_backend_with_namespaced_caching() {
-    // The full registry: GRED + the three paper baselines + the no-copy
-    // seq2seq (trained with the fast profile — routing is what's under
-    // test). This is the acceptance surface for the /v1 redesign.
-    let (corpus, server) =
-        spawn_server(&[("backends", "gred,seq2vis,transformer,rgvisnet,neural")]);
+    // The full registry: GRED + the three paper baselines (trained with the
+    // fast profile — routing is what's under test). This is the acceptance
+    // surface for the /v1 redesign.
+    let (corpus, server) = spawn_server(&[("backends", "gred,seq2vis,transformer,rgvisnet")]);
     let mut c = Client::connect(&server);
 
-    // /v1/backends lists all five with capability metadata, default first.
+    // /v1/backends lists all four with capability metadata, default first.
     let r = c.request("GET", "/v1/backends", "");
     assert_eq!(r.status, 200);
     let doc = r.json();
@@ -829,10 +828,7 @@ fn multi_backend_registry_serves_every_backend_with_namespaced_caching() {
         .iter()
         .map(|b| b.get("id").and_then(Json::as_str).unwrap())
         .collect();
-    assert_eq!(
-        ids,
-        vec!["gred", "seq2vis", "transformer", "rgvisnet", "neural"]
-    );
+    assert_eq!(ids, vec!["gred", "seq2vis", "transformer", "rgvisnet"]);
     for b in listed {
         assert!(b.get("name").and_then(Json::as_str).is_some());
         assert!(b.get("kind").and_then(Json::as_str).is_some());

@@ -1,5 +1,6 @@
 //! End-to-end integration tests spanning all workspace crates.
 
+use text2vis::core::FnBackend;
 use text2vis::dvq::components::ComponentMatch;
 use text2vis::prelude::*;
 
@@ -32,14 +33,17 @@ fn gred_end_to_end_on_original_set() {
     assert!(exact * 2 >= n, "{exact}/{n} exact");
 }
 
-/// The robustness story end to end: GRED's dual-variant accuracy stays
-/// within reach of its original accuracy, and the debugger is what carries
-/// the schema variant.
+/// The robustness story end to end: the debugger is what carries the
+/// schema variant. `w/o DBG` is the same pass's last DVQ before the
+/// debugger, `dvq_rtn.or(dvq_gen)`.
 #[test]
 fn gred_is_robust_where_the_debugger_matters() {
     let (corpus, rob) = fixture();
     let full = default_gred(&corpus, GredConfig::default());
-    let no_dbg = default_gred(&corpus, GredConfig::default().without_debugger());
+    let no_dbg = FnBackend::new("w/o DBG", |nlq: &str, db: &Database| {
+        let out = full.translate(nlq, db);
+        out.dvq_rtn.or(out.dvq_gen)
+    });
     let n = Some(60);
     let full_schema = evaluate_set(&full, &corpus, &rob, RobVariant::Schema, n);
     let nodbg_schema = evaluate_set(&no_dbg, &corpus, &rob, RobVariant::Schema, n);
