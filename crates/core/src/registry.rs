@@ -6,7 +6,7 @@ use crate::api::{BackendInfo, Translator};
 use std::sync::Arc;
 
 /// A set of named backends. Ids are stable lowercase identifiers
-/// (`"gred"`, `"seq2vis"`, ...) used in URLs, cache keys, and metric
+/// (`"gred"`, `"rgvisnet"`, ...) used in URLs, cache keys, and metric
 /// labels; display names live in [`BackendInfo::name`].
 #[derive(Default, Clone)]
 pub struct BackendRegistry {
@@ -35,13 +35,6 @@ impl BackendRegistry {
 
     pub fn get(&self, id: &str) -> Option<&Arc<dyn Translator>> {
         self.backends.iter().find(|(k, _)| k == id).map(|(_, b)| b)
-    }
-
-    /// Position of `id` in registration order (stable per-process — the
-    /// serving layer uses it to index per-backend metrics and cache
-    /// namespaces).
-    pub fn index_of(&self, id: &str) -> Option<usize> {
-        self.backends.iter().position(|(k, _)| k == id)
     }
 
     /// The default backend: the first one registered.
@@ -117,7 +110,6 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.default_id(), Some("a"));
         assert_eq!(reg.ids().collect::<Vec<_>>(), vec!["a", "b"]);
-        assert_eq!(reg.index_of("b"), Some(1));
         assert!(reg.get("a").is_some());
         assert!(reg.get("zzz").is_none());
         let infos = reg.infos();

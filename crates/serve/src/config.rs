@@ -38,7 +38,7 @@ impl CorpusProfile {
 }
 
 /// The backend ids `t2v-serve` knows how to construct.
-pub const KNOWN_BACKENDS: &[&str] = &["gred", "seq2vis", "transformer", "rgvisnet"];
+pub const KNOWN_BACKENDS: &[&str] = &["gred", "rgvisnet"];
 
 /// Declares every knob once. A row is its doc, whose first line is the
 /// knob's one-line summary, then `key: Type = "default", parser;`, where
@@ -131,16 +131,10 @@ knobs! {
     /// in the directory *declares* a tenant (snapshot-only, verified
     /// fingerprints, corrupt files fail startup).
     tenant_dir: String = "", parse_text;
-    /// Per-backend pool weights, `id:weight` comma-separated; empty is unclassed.
-    /// E.g. `gred:4,rgvisnet:1`. Unlisted backends weigh 1; an unclassed pool
-    /// has no per-backend admission control at all. When set, heavier
-    /// backends are allowed proportionally more in-flight translations
-    /// before the pool sheds their load with a 503.
-    backend_weights: String = "", parse_backend_weights;
     /// Backends to register, comma-separated; the first is the default.
     /// See [`KNOWN_BACKENDS`]; the default serves requests that name no
     /// backend.
-    backends: String = "gred,seq2vis,transformer,rgvisnet", parse_backends;
+    backends: String = "gred,rgvisnet", parse_backends;
     /// Per-request wall-clock budget in ms from request parse; 0 disables it.
     /// Checked between pipeline stages (admission, worker start, reply
     /// wait); an expired budget answers a structured 504
@@ -324,25 +318,6 @@ impl ServeConfig {
             .collect()
     }
 
-    /// The pool weight of one backend id (validated at `set` time);
-    /// unlisted backends weigh 1.
-    pub fn backend_weight(&self, id: &str) -> u32 {
-        self.backend_weights
-            .split(',')
-            .filter_map(|pair| pair.trim().split_once(':'))
-            .find(|(k, _)| k.trim() == id)
-            .and_then(|(_, w)| w.trim().parse().ok())
-            .unwrap_or(1)
-    }
-
-    /// Pool weights for the registered backends, in registration order.
-    pub fn backend_weight_vector(&self) -> Vec<u32> {
-        self.backend_ids()
-            .iter()
-            .map(|id| self.backend_weight(id))
-            .collect()
-    }
-
     /// How long a connection may sit without progress before it is reaped.
     pub fn effective_conn_idle(&self) -> Duration {
         Duration::from_millis(self.conn_idle_ms)
@@ -455,38 +430,6 @@ fn parse_tenants(_key: &str, value: &str) -> Result<String, ConfigError> {
         .join(","))
 }
 
-/// A comma-separated list of `backend:weight` pairs over [`KNOWN_BACKENDS`]
-/// with positive integer weights. Normalised to `id:weight` joined by `,`.
-fn parse_backend_weights(key: &str, value: &str) -> Result<String, ConfigError> {
-    let mut seen: Vec<(String, u32)> = Vec::new();
-    for pair in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let Some((id, weight)) = pair.split_once(':') else {
-            return Err(err(format!("{key}: '{pair}' is not backend:weight")));
-        };
-        let (id, weight) = (id.trim(), weight.trim());
-        if !KNOWN_BACKENDS.contains(&id) {
-            return Err(err(format!(
-                "{key}: unknown backend '{id}' (known: {})",
-                KNOWN_BACKENDS.join(", ")
-            )));
-        }
-        let w: u32 = weight
-            .parse()
-            .ok()
-            .filter(|w| (1..=1_000_000).contains(w))
-            .ok_or_else(|| err(format!("{key}: '{weight}' is not a weight in 1..=1000000")))?;
-        if seen.iter().any(|(k, _)| k == id) {
-            return Err(err(format!("{key}: '{id}' listed twice")));
-        }
-        seen.push((id.to_string(), w));
-    }
-    Ok(seen
-        .iter()
-        .map(|(k, w)| format!("{k}:{w}"))
-        .collect::<Vec<_>>()
-        .join(","))
-}
-
 /// A `t2v-fault` plan spec, validated against the full grammar at set time
 /// (a typo in a chaos run must fail config load, not silently inject
 /// nothing) and kept in its original spelling.
@@ -549,8 +492,7 @@ mod tests {
             snapshot_save: String::new(),
             tenants: String::new(),
             tenant_dir: String::new(),
-            backend_weights: String::new(),
-            backends: "gred,seq2vis,transformer,rgvisnet".to_string(),
+            backends: "gred,rgvisnet".to_string(),
             deadline_ms: 30_000,
             fault_plan: String::new(),
             breaker_window: 32,
@@ -614,7 +556,6 @@ mod tests {
                 "addr" => "127.0.0.1:0",
                 "corpus" => "tiny:3",
                 "backends" => "gred,rgvisnet",
-                "backend_weights" => "gred:4,rgvisnet:1",
                 "tenants" => "acme:tiny:8,globex:paper:3",
                 "tenant_dir" => "/tmp",
                 "library_snapshot" | "snapshot_save" => "/tmp/lib.t2vsnap",
@@ -631,7 +572,7 @@ mod tests {
 
     #[test]
     fn docs_name_every_key_and_no_retired_one() {
-        assert_eq!(KEYS.len(), 30);
+        assert_eq!(KEYS.len(), 29);
         let design = include_str!("../../../DESIGN.md");
         let readme = include_str!("../../../README.md");
         assert!(
@@ -667,6 +608,8 @@ mod tests {
             ["debug_translate", "_sleep_ms"].concat(),
             ["an", "n="].concat(),
             ["ann", "_nprobe"].concat(),
+            ["backend", "_weights"].concat(),
+            ["pool", "_share"].concat(),
         ];
         for (name, text) in [("DESIGN.md", design), ("README.md", readme)] {
             for gone in &retired {
@@ -711,37 +654,15 @@ mod tests {
     #[test]
     fn backend_list_is_validated_ordered_and_deduplicated() {
         let mut cfg = ServeConfig::default();
-        assert_eq!(
-            cfg.backend_ids(),
-            vec!["gred", "seq2vis", "transformer", "rgvisnet"]
-        );
+        assert_eq!(cfg.backend_ids(), vec!["gred", "rgvisnet"]);
         cfg.set("backends", "rgvisnet, gred").unwrap();
         assert_eq!(cfg.backend_ids(), vec!["rgvisnet", "gred"]);
         assert!(cfg.set("backends", "gred,unknown_model").is_err());
+        // The trained baselines are evaluation rows, not served backends.
+        assert!(cfg.set("backends", "gred,seq2vis").is_err());
+        assert!(cfg.set("backends", "transformer").is_err());
         assert!(cfg.set("backends", "gred,gred").is_err());
         assert!(cfg.set("backends", "").is_err());
-    }
-
-    #[test]
-    fn backend_weights_validate_and_resolve() {
-        let mut cfg = ServeConfig::default();
-        // Default: everything weighs 1.
-        assert_eq!(cfg.backend_weight("gred"), 1);
-        assert_eq!(cfg.backend_weight_vector(), vec![1; 4]);
-        cfg.set("backend_weights", "gred:4, rgvisnet:2").unwrap();
-        assert_eq!(cfg.backend_weight("gred"), 4);
-        assert_eq!(cfg.backend_weight("rgvisnet"), 2);
-        assert_eq!(cfg.backend_weight("seq2vis"), 1, "unlisted defaults to 1");
-        assert_eq!(cfg.backend_weight_vector(), vec![4, 1, 1, 2]);
-        // Malformed pairs, unknown ids, zero weights, duplicates: errors.
-        assert!(cfg.set("backend_weights", "gred").is_err());
-        assert!(cfg.set("backend_weights", "gpt99:3").is_err());
-        assert!(cfg.set("backend_weights", "gred:0").is_err());
-        assert!(cfg.set("backend_weights", "gred:-1").is_err());
-        assert!(cfg.set("backend_weights", "gred:2,gred:3").is_err());
-        // Empty resets to equal weights.
-        cfg.set("backend_weights", "").unwrap();
-        assert_eq!(cfg.backend_weight_vector(), vec![1; 4]);
     }
 
     #[test]
@@ -815,7 +736,7 @@ mod tests {
         assert!(cfg.fault_plan.is_empty());
         cfg.set(
             "fault_plan",
-            "seed=42;embed.latency:p=0.5,ms=10;backend.error:backend=transformer,count=3",
+            "seed=42;embed.latency:p=0.5,ms=10;backend.error:backend=rgvisnet,count=3",
         )
         .unwrap();
         assert!(cfg.fault_plan.starts_with("seed=42"));

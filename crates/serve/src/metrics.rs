@@ -257,31 +257,26 @@ table! {
     Errors "errors_total" "counter" "Structured translation errors",
     CacheHits "cache_hits_total" "counter" "Cache hits",
     CacheMisses "cache_misses_total" "counter" "Cache misses",
-    // Backends only (last): a pool class is a backend of the startup registry.
-    PoolShare "pool_share" "gauge" "Weighted worker-pool share",
 }
 
 /// A labelled dimension: its label, its families' name prefix (in place
-/// of `t2v_`), how many [`PER_LABEL`] rows it renders and whether it
-/// renders its members' [`Hist::Translate`] histograms.
+/// of `t2v_`) and whether it renders its members' [`Hist::Translate`]
+/// histograms.
 struct Dim {
     label: &'static str,
     prefix: &'static str,
-    rows: usize,
     histogram: bool,
 }
 
 const BACKENDS: Dim = Dim {
     label: "backend",
     prefix: "t2v_backend_",
-    rows: PER_LABEL.len(),
     histogram: false,
 };
 
 const TENANTS: Dim = Dim {
     label: "tenant",
     prefix: "t2v_tenant_",
-    rows: PerLabel::PoolShare as usize,
     histogram: true,
 };
 
@@ -621,7 +616,7 @@ fn sample(out: &mut String, name: &str, labels: &str, value: impl Display) {
 /// Every family of one labelled dimension, one label set per member.
 fn render_labelled(out: &mut String, dim: &Dim, members: &[Arc<LabelledMetrics>]) {
     let label = |m: &LabelledMetrics| format!("{}=\"{}\"", dim.label, escape_label(&m.id));
-    for (i, row) in PER_LABEL[..dim.rows].iter().enumerate() {
+    for (i, row) in PER_LABEL.iter().enumerate() {
         let name = format!("{}{}", dim.prefix, row.name);
         let help = format!("{}, by {}.", row.help, dim.label);
         let samples = members.iter().map(|m| (label(m), &m.counters[i]));
@@ -675,7 +670,7 @@ mod tests {
 
     #[test]
     fn render_is_valid_prometheus_shape() {
-        let m = Metrics::with_backends(&["gred", "seq2vis"]);
+        let m = Metrics::with_backends(&["gred", "rgvisnet"]);
         m.record_request(Route::Translate, 200);
         m.record_request(Route::Translate, 404);
         m.record_request(Route::Other, 503);
@@ -704,10 +699,9 @@ mod tests {
         assert!(text.contains("t2v_http_requests_total{route=\"admin\",status=\"4xx\"} 1"));
         assert!(text.contains("t2v_http_requests_total{route=\"backends\",status=\"2xx\"} 1"));
         assert!(text.contains("t2v_backend_translations_total{backend=\"gred\"} 2"));
-        assert!(text.contains("t2v_backend_translations_total{backend=\"seq2vis\"} 0"));
-        assert!(text.contains("t2v_backend_cache_hits_total{backend=\"seq2vis\"} 5"));
+        assert!(text.contains("t2v_backend_translations_total{backend=\"rgvisnet\"} 0"));
+        assert!(text.contains("t2v_backend_cache_hits_total{backend=\"rgvisnet\"} 5"));
         assert!(text.contains("t2v_backend_errors_total{backend=\"gred\"} 0"));
-        m.backend(0).counter(PerLabel::PoolShare).store(12, Relaxed);
         m.set_library_info(0xabcd, "snapshot", 240);
         m.record_request(Route::Admin, 200);
         m.record_request(Route::Tenant, 200);
@@ -730,17 +724,12 @@ mod tests {
         assert!(text.contains("t2v_tenant_translations_total{tenant=\"acme\"} 0"));
         assert!(text.contains("t2v_tenant_cache_hits_total{tenant=\"acme\"} 3"));
         assert!(text.contains("t2v_http_requests_total{route=\"tenant\",status=\"2xx\"} 1"));
-        assert!(
-            !text.contains("t2v_tenant_pool_share"),
-            "pool shares are per backend"
-        );
         assert!(!text.contains("t2v_backend_translate_seconds"));
         m.drop_tenant("acme");
         let text = m.render_prometheus(&[]);
         assert!(text.contains("t2v_tenants 1"));
         assert!(!text.contains("tenant=\"acme\""));
         let text = m.render_prometheus(&[]);
-        assert!(text.contains("t2v_backend_pool_share{backend=\"gred\"} 12"));
         assert!(text.contains("t2v_library_entries 240"));
         assert!(text.contains(
             "t2v_library_info{fingerprint=\"0x000000000000abcd\",source=\"snapshot\"} 1"

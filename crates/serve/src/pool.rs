@@ -61,8 +61,7 @@ impl<T> Default for OneShot<T> {
 
 #[derive(Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Every shard's queue is at capacity, or the submitting class has
-    /// exhausted its weighted share of the pool.
+    /// Every shard's queue is at capacity.
     Overloaded,
     /// The pool is shutting down.
     ShuttingDown,
@@ -74,90 +73,38 @@ struct Shard {
     capacity: usize,
 }
 
-/// Weighted admission budget for one submission class (one per backend in
-/// the serving layer): at most `max` jobs of the class may be in the system
-/// (queued or executing) at once, so a flood of cheap-backend traffic can
-/// never squeeze the heavy backends out of the pool — shares are
-/// proportional to the configured weights.
-struct ClassBudget {
-    in_flight: AtomicUsize,
-    max: usize,
-}
-
-struct PoolShared {
+struct PoolInner {
     shards: Vec<Shard>,
-    /// Per-class budgets; empty ⇒ no class-level admission control.
-    classes: Vec<ClassBudget>,
     shutdown: AtomicBool,
     metrics: Arc<Metrics>,
-}
-
-/// Decrements a class's in-flight count when its job finishes (or is
-/// dropped un-run: rejected submission, shutdown drain, worker panic — the
-/// `Drop` runs in every case, so budgets can never leak).
-struct InFlightGuard {
-    shared: Arc<PoolShared>,
-    class: usize,
-}
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        self.shared.classes[self.class]
-            .in_flight
-            .fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 /// The pool handle. Dropping it without [`WorkerPool::shutdown`] detaches
 /// the workers (they park on their condvars until process exit), so call
 /// `shutdown` for an orderly stop.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
+    shared: Arc<PoolInner>,
     next: AtomicUsize,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
     /// Spawn `workers` threads over `shards` queues of `queue_capacity`
-    /// each, with no class-level admission control.
+    /// each.
     pub fn new(
         workers: usize,
         shards: usize,
         queue_capacity: usize,
         metrics: Arc<Metrics>,
     ) -> WorkerPool {
-        WorkerPool::new_weighted(workers, shards, queue_capacity, &[], metrics)
-    }
-
-    /// [`WorkerPool::new`] with weighted submission classes: class `i` may
-    /// hold at most `max(1, ⌊total · wᵢ / Σw⌋)` jobs in the system at once,
-    /// where `total` is every queue slot plus every worker. Pass an empty
-    /// slice for an unclassed pool.
-    pub fn new_weighted(
-        workers: usize,
-        shards: usize,
-        queue_capacity: usize,
-        class_weights: &[u32],
-        metrics: Arc<Metrics>,
-    ) -> WorkerPool {
         let workers = workers.max(1);
         let shards = shards.clamp(1, workers);
-        let total_slots = shards * queue_capacity.max(1) + workers;
-        let weight_sum: u64 = class_weights.iter().map(|&w| w.max(1) as u64).sum();
-        let shared = Arc::new(PoolShared {
+        let shared = Arc::new(PoolInner {
             shards: (0..shards)
                 .map(|_| Shard {
                     queue: Mutex::new(VecDeque::with_capacity(queue_capacity.max(1))),
                     cv: Condvar::new(),
                     capacity: queue_capacity.max(1),
-                })
-                .collect(),
-            classes: class_weights
-                .iter()
-                .map(|&w| ClassBudget {
-                    in_flight: AtomicUsize::new(0),
-                    max: ((total_slots as u64 * w.max(1) as u64 / weight_sum.max(1)) as usize)
-                        .max(1),
                 })
                 .collect(),
             shutdown: AtomicBool::new(false),
@@ -182,47 +129,10 @@ impl WorkerPool {
     /// Enqueue `job`, probing every shard once starting from the round-robin
     /// cursor. O(shards) worst case, lock-per-probe.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        self.enqueue(Box::new(job))
-    }
-
-    /// [`WorkerPool::submit`] under class `class`'s weighted budget. If the
-    /// class is at its share, the job is shed with
-    /// [`SubmitError::Overloaded`] even while other classes' slots are
-    /// free. Classes beyond the configured weight vector (or any class on
-    /// an unclassed pool) bypass admission control.
-    pub fn submit_classed(
-        &self,
-        class: usize,
-        job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        let Some(budget) = self.shared.classes.get(class) else {
-            return self.submit(job);
-        };
-        if budget.in_flight.fetch_add(1, Ordering::AcqRel) >= budget.max {
-            budget.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return Err(SubmitError::Overloaded);
-        }
-        let guard = InFlightGuard {
-            shared: Arc::clone(&self.shared),
-            class,
-        };
-        // The guard rides inside the job: whether it runs, panics, or is
-        // dropped unexecuted, the slot is released exactly once.
-        self.enqueue(Box::new(move || {
-            let _guard = guard;
-            job();
-        }))
-    }
-
-    /// The weighted in-system budget of `class`, if the pool is classed.
-    pub fn class_share(&self, class: usize) -> Option<usize> {
-        self.shared.classes.get(class).map(|c| c.max)
-    }
-
-    fn enqueue(&self, job: Job) -> Result<(), SubmitError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
+        let job: Job = Box::new(job);
         let shards = self.shared.shards.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed);
         for probe in 0..shards {
@@ -262,7 +172,7 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, home: usize) {
+fn worker_loop(shared: &PoolInner, home: usize) {
     let shards = shared.shards.len();
     let shard = &shared.shards[home];
     loop {
@@ -323,7 +233,7 @@ pub(crate) fn count_panic(metrics: &Metrics) {
     }
 }
 
-fn steal(shared: &PoolShared, home: usize, shards: usize) -> Option<Job> {
+fn steal(shared: &PoolInner, home: usize, shards: usize) -> Option<Job> {
     for probe in 1..shards {
         let shard = &shared.shards[(home + probe) % shards];
         if let Some(job) = lock(&shard.queue).pop_front() {
@@ -452,101 +362,6 @@ mod tests {
         }
         assert_eq!(slot.recv_timeout(Duration::from_secs(5)), Some(42));
         assert_eq!(metrics.get(Scalar::WorkerPanics), 3);
-        p.shutdown();
-    }
-
-    #[test]
-    fn weighted_classes_get_proportional_shares() {
-        // 2 workers + 2 shards × 8 slots = 18 in-system slots; weights 4:1
-        // and 1:1 splits.
-        let p = WorkerPool::new_weighted(2, 2, 8, &[4, 1], Arc::new(Metrics::with_backends(&[])));
-        assert_eq!(p.class_share(0), Some((18 * 4) / 5)); // 14
-        assert_eq!(p.class_share(1), Some(18 / 5).map(|s: usize| s.max(1))); // 3
-        assert_eq!(p.class_share(2), None, "unknown class is unbudgeted");
-        p.shutdown();
-
-        // Tiny pools still give every class at least one slot.
-        let p = WorkerPool::new_weighted(
-            1,
-            1,
-            1,
-            &[1, 1_000_000],
-            Arc::new(Metrics::with_backends(&[])),
-        );
-        assert_eq!(p.class_share(0), Some(1));
-        p.shutdown();
-    }
-
-    #[test]
-    fn saturated_class_sheds_while_other_classes_still_run() {
-        // One gated worker; class 0 budget is 1 of the 5 in-system slots,
-        // class 1 gets the rest.
-        let p = WorkerPool::new_weighted(1, 1, 4, &[1, 4], Arc::new(Metrics::with_backends(&[])));
-        assert_eq!(p.class_share(0), Some(1));
-        assert_eq!(p.class_share(1), Some(4));
-        let gate = Arc::new(Barrier::new(2));
-        let started = OneShot::new();
-        {
-            let gate = Arc::clone(&gate);
-            let started = started.clone();
-            p.submit_classed(0, move || {
-                started.send(());
-                gate.wait();
-            })
-            .unwrap();
-        }
-        started.recv_timeout(Duration::from_secs(5)).unwrap();
-        // Class 0 is now at its share: more class-0 work is shed…
-        assert_eq!(
-            p.submit_classed(0, || {}).unwrap_err(),
-            SubmitError::Overloaded
-        );
-        // …while class 1 still has queue room.
-        let done = OneShot::new();
-        {
-            let done = done.clone();
-            p.submit_classed(1, move || done.send(42u64)).unwrap();
-        }
-        gate.wait();
-        assert_eq!(done.recv_timeout(Duration::from_secs(5)), Some(42));
-        // The finished class-0 job released its slot: admission works again.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match p.submit_classed(0, || {}) {
-                Ok(()) => break,
-                Err(SubmitError::Overloaded) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("class slot never released: {e:?}"),
-            }
-        }
-        p.shutdown();
-    }
-
-    #[test]
-    fn panicking_classed_jobs_release_their_budget() {
-        let p = WorkerPool::new_weighted(1, 1, 4, &[1, 1], Arc::new(Metrics::with_backends(&[])));
-        let share = p.class_share(0).unwrap();
-        for _ in 0..share {
-            // Serialise: wait for each panic to be processed so the budget
-            // check below races nothing.
-            p.submit_classed(0, || panic!("boom")).unwrap();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let slot = OneShot::new();
-            let s = slot.clone();
-            match p.submit_classed(0, move || s.send(1u64)) {
-                Ok(()) => {
-                    assert_eq!(slot.recv_timeout(Duration::from_secs(5)), Some(1));
-                    break;
-                }
-                Err(SubmitError::Overloaded) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("panicked jobs leaked budget: {e:?}"),
-            }
-        }
         p.shutdown();
     }
 

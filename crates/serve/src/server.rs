@@ -16,7 +16,7 @@ use crate::cache::ShardedTtlLruCache;
 use crate::config::{ConfigError, ServeConfig};
 use crate::event::EventDriver;
 use crate::http;
-use crate::metrics::{LabelledMetrics, Metrics, PerLabel, Scalar};
+use crate::metrics::{LabelledMetrics, Metrics, Scalar};
 use crate::pool::WorkerPool;
 use crate::routes::{begin, resume, write_read_error};
 use std::collections::HashMap;
@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use t2v_baselines::{BaselineTrainConfig, RgVisNet, Seq2Vis, TransformerBaseline};
+use t2v_baselines::RgVisNet;
 use t2v_core::{BackendRegistry, Translator};
 use t2v_corpus::{generate, Corpus, Database};
 use t2v_engine::Store;
@@ -120,9 +120,8 @@ pub struct TenantRuntime {
     pub breakers: Vec<Arc<CircuitBreaker>>,
     /// Lock-free recording handle into the `tenant="<id>"` counter family.
     pub metrics: Arc<LabelledMetrics>,
-    /// Only the default tenant participates in the weighted worker-pool
-    /// classes and the `backend="<id>"` metric families (both are
-    /// sized/registered at startup for a fixed backend list).
+    /// Only the default tenant records into the `backend="<id>"` metric
+    /// families (registered at startup for a fixed backend list).
     pub is_default: bool,
 }
 
@@ -256,7 +255,7 @@ pub struct ServerState {
 impl ServerState {
     /// Generate the configured corpus, prepare every configured backend
     /// over it, synthesize the execution stores. The expensive part of
-    /// startup (the neural baselines train here).
+    /// startup (the library build, unless a snapshot supplies it).
     pub fn build(config: ServeConfig) -> Result<ServerState, StartupError> {
         // Environment validation runs before the corpus exists: a broken
         // snapshot_save path must cost milliseconds, not a full build.
@@ -455,9 +454,8 @@ impl ServerState {
     }
 }
 
-/// Build one tenant's runtime from its resolved library. The expensive
-/// part of attach (the trained baselines train here, on the tenant's own
-/// corpus).
+/// Build one tenant's runtime from its resolved library: GRED over it, and
+/// RGVisNet's index over the tenant's own corpus.
 fn build_tenant_runtime(
     id: &str,
     epoch: u32,
@@ -476,22 +474,9 @@ fn build_tenant_runtime(
         GredConfig::default(),
     );
     let mut registry = BackendRegistry::new();
-    // Trained baselines use a minimal profile: serving startup must stay
-    // bounded (it runs in tests and CI), and the serving surface routes
-    // requests — model quality is the bench binaries' concern.
-    let train_cfg = BaselineTrainConfig {
-        seed: config.store_seed,
-        max_train: 64,
-        epochs: 3,
-        hidden: 24,
-        emb: 16,
-        ..BaselineTrainConfig::fast()
-    };
     for backend_id in &backend_ids {
         let backend: Arc<dyn Translator> = match *backend_id {
             "gred" => Arc::new(gred.clone()),
-            "seq2vis" => Arc::new(Seq2Vis::train(corpus, &train_cfg)),
-            "transformer" => Arc::new(TransformerBaseline::train(corpus, &train_cfg)),
             "rgvisnet" => Arc::new(RgVisNet::build(corpus)),
             other => unreachable!("config validated backend id '{other}'"),
         };
@@ -670,30 +655,12 @@ impl Server {
                 t2v_fault::arm(&plan);
             }
         }
-        // One submission class per registered backend, weighted by the
-        // `backend_weights` knob: heavy backends get proportionally more
-        // in-system pool shares than trivial ones. With no weights
-        // configured the pool stays *unclassed* — equal implicit weights
-        // would still cap every backend at 1/N of the pool, a silent
-        // throughput regression for skewed traffic nobody asked to shape.
-        let weights = if config.backend_weights.is_empty() {
-            Vec::new()
-        } else {
-            config.backend_weight_vector()
-        };
-        let pool = WorkerPool::new_weighted(
+        let pool = WorkerPool::new(
             config.effective_workers(),
             config.effective_shards(),
             config.queue_capacity,
-            &weights,
             Arc::clone(&state.metrics),
         );
-        for idx in 0..weights.len() {
-            if let Some(share) = pool.class_share(idx) {
-                let cell = state.metrics.backend(idx).counter(PerLabel::PoolShare);
-                cell.store(share as u64, Ordering::Relaxed);
-            }
-        }
         let obs = build_obs(&state);
         let shared = Arc::new(Shared {
             state,

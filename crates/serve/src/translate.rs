@@ -567,22 +567,7 @@ fn submit_translation(
         }
         guard.answer(Reply { status, body });
     };
-    // The weighted class budgets are keyed by the default tenant's
-    // registry order, but admission is by backend *id*: tenant traffic
-    // through a backend the default tenant also registers shares that
-    // backend's budget (so `backend_weights=` keeps protecting heavy
-    // backends no matter which tenant the traffic arrives under). Only a
-    // backend the startup registry never saw is admitted unclassed, with
-    // the queue-capacity backstop.
-    let class = if item.tenant.is_default {
-        Some(item.backend_idx)
-    } else {
-        shared.state.registry.index_of(&item.backend_id)
-    };
-    match class {
-        Some(class) => shared.pool.submit_classed(class, job)?,
-        None => shared.pool.submit(job)?,
-    }
+    shared.pool.submit(job)?;
     Ok(slot)
 }
 
@@ -591,8 +576,8 @@ fn submit_translation(
 enum Refused {
     /// The backend's breaker is open, or half-open with its probe out.
     Open { retry_after_ms: u64 },
-    /// The pool would not take the job: its queue or the backend's class
-    /// budget is full, or it is shutting down.
+    /// The pool would not take the job: its queues are full, or it is
+    /// shutting down.
     Overloaded,
 }
 
@@ -679,8 +664,8 @@ fn admit(shared: &Shared, mut item: Item, deadline: Option<Instant>, span: bool)
     if let Some(stale) = shared.state.cache.get_stale(&item.key) {
         return Step::Done(degrade(shared, &stale, "stale_cache", item.backend_id));
     }
-    // `gred` retrieves cheaply and has no trained weights to be wedged. It
-    // is the last rung: refused, it ends the ladder uncounted.
+    // `gred` is the paper's system: the ladder falls back to it, never away
+    // from it. It is the last rung: refused, it ends the ladder uncounted.
     if item.backend_id == "gred" {
         return Step::Done(unavailable);
     }

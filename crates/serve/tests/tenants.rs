@@ -401,6 +401,11 @@ fn admin_attach_detach_validation_and_backend_hot_registration() {
             "{\"id\": \"x\", \"corpus\": \"tiny:8\", \"backends\": \"gpt99\"}",
             400,
         ),
+        // A trained baseline is an evaluation row, not a served backend.
+        (
+            "{\"id\": \"x\", \"corpus\": \"tiny:8\", \"backends\": \"seq2vis\"}",
+            400,
+        ),
     ] {
         let r = c.request("POST", "/v1/admin/tenants/attach", body);
         assert_eq!(r.status, status, "body {body}: {:?}", r.json());
