@@ -26,7 +26,7 @@
 use crate::quant;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use t2v_embed::{best_first, fused_dot, Hit, VectorIndex};
+use t2v_embed::{best_first, dot_block, fused_dot, DotKernel, Hit, VectorIndex, BLOCK_ROWS};
 
 /// Below this many rows the exact flat scan beats IVF (centroid scan +
 /// heap overhead dominate) — [`IvfIndex::train`] declines to build unless
@@ -133,7 +133,7 @@ impl IvfIndex {
     /// [`DEFAULT_MIN_ROWS`]); deterministic for a fixed `(rows, cfg)` —
     /// including across worker counts, see `train_in`.
     pub fn train(flat: &VectorIndex, cfg: &IvfConfig) -> Option<IvfIndex> {
-        Self::train_in(flat, cfg, t2v_parallel::thread_count())
+        Self::train_in(flat, cfg, t2v_parallel::thread_count(), DotKernel::detect())
     }
 
     /// [`IvfIndex::train`] with an explicit worker count. The trained index
@@ -141,8 +141,17 @@ impl IvfIndex {
     /// parallel stage works on fixed row windows (independent of the worker
     /// count) and folds partial results in window order, so the f64
     /// accumulation order — and therefore every centroid bit — is identical
-    /// whether training runs on 1 thread or 64.
-    fn train_in(flat: &VectorIndex, cfg: &IvfConfig, threads: usize) -> Option<IvfIndex> {
+    /// whether training runs on 1 thread or 64. Nor of `kernel`: the block
+    /// kernel's scores carry `fused_dot`'s bits, so the wide tile and the
+    /// per-pair fallback assign every row alike (the test seam that reaches
+    /// the fallback on any host).
+    #[doc(hidden)]
+    pub fn train_in(
+        flat: &VectorIndex,
+        cfg: &IvfConfig,
+        threads: usize,
+        kernel: DotKernel,
+    ) -> Option<IvfIndex> {
         let (dims, data) = flat.raw_rows();
         let rows = flat.len();
         if rows < cfg.min_rows.max(2) || dims == 0 {
@@ -193,7 +202,7 @@ impl IvfIndex {
         }
 
         for _ in 0..KMEANS_ITERS {
-            let assign = assign_rows(threads, &sample, dims, &centroids);
+            let assign = assign_rows(threads, kernel, &sample, dims, &centroids);
             let (sums, counts) = accumulate_cells(threads, &sample, dims, cells, &assign);
             for c in 0..cells {
                 if counts[c] == 0 {
@@ -220,7 +229,7 @@ impl IvfIndex {
 
         // Full assignment pass over every row, then CSR by cell. Row ids
         // within a cell stay ascending (counting sort over a stable scan).
-        let assign = assign_rows(threads, data, dims, &centroids);
+        let assign = assign_rows(threads, kernel, data, dims, &centroids);
         let mut counts = vec![0u32; cells];
         for &c in &assign {
             counts[c as usize] += 1;
@@ -302,18 +311,15 @@ impl IvfIndex {
     /// The `nprobe` cells closest to the (pre-normalised) query, ties toward
     /// lower cell ids.
     fn probe_cells(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
-        let cells = self.cells();
-        let mut scored: Vec<(f32, u32)> = (0..cells)
-            .map(|c| {
-                (
-                    fused_dot(query, &self.centroids[c * self.dims..(c + 1) * self.dims]),
-                    c as u32,
-                )
-            })
-            .collect();
-        scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        scored.truncate(nprobe.min(cells));
-        scored.into_iter().map(|(_, c)| c).collect()
+        let mut scores = vec![0f32; self.cells()];
+        dot_block(
+            DotKernel::detect(),
+            self.dims,
+            query,
+            &self.centroids,
+            &mut scores,
+        );
+        best_cells(&scores, nprobe)
     }
 
     fn effective_nprobe(&self, nprobe: usize) -> usize {
@@ -379,6 +385,27 @@ impl IvfIndex {
             short.push(id, approx);
         }
     }
+}
+
+/// The `n` best cells by score, best first: descending `total_cmp`, ties
+/// toward lower cell ids. Selects the head, then sorts only it — the same
+/// cells in the same order as sorting every cell, because the comparator
+/// is a total order.
+fn best_cells(scores: &[f32], n: usize) -> Vec<u32> {
+    let best = |a: &(f32, u32), b: &(f32, u32)| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1));
+    let mut scored: Vec<(f32, u32)> = (scores.iter().enumerate())
+        .map(|(c, &s)| (s, c as u32))
+        .collect();
+    let n = n.min(scored.len());
+    if n == 0 {
+        return Vec::new();
+    }
+    if n < scored.len() {
+        scored.select_nth_unstable_by(n - 1, best);
+        scored.truncate(n);
+    }
+    scored.sort_unstable_by(best);
+    scored.into_iter().map(|(_, c)| c).collect()
 }
 
 /// Exact f32 rescore of an SQ8 shortlist: scores come from the same fused
@@ -491,24 +518,35 @@ fn row_windows(rows: usize) -> Vec<(usize, usize)> {
 
 /// Nearest centroid (max dot, ties toward lower cell id) for every row in
 /// `data`, fanned across `threads` workers in deterministic window order.
-fn assign_rows(threads: usize, data: &[f32], dims: usize, centroids: &[f32]) -> Vec<u32> {
+/// Rows go to the block kernel [`BLOCK_ROWS`] at a time, so each centroid
+/// is loaded once per block rather than once per row.
+fn assign_rows(
+    threads: usize,
+    kernel: DotKernel,
+    data: &[f32],
+    dims: usize,
+    centroids: &[f32],
+) -> Vec<u32> {
     let rows = data.len() / dims;
     let cells = centroids.len() / dims;
     let windows = row_windows(rows);
     let parts = t2v_parallel::par_map_in(threads, &windows, |&(s, e)| {
         let mut out = Vec::with_capacity(e - s);
-        for r in s..e {
-            let row = &data[r * dims..(r + 1) * dims];
-            let mut best = 0u32;
-            let mut best_score = f32::NEG_INFINITY;
-            for c in 0..cells {
-                let score = fused_dot(row, &centroids[c * dims..(c + 1) * dims]);
-                if score > best_score {
-                    best_score = score;
-                    best = c as u32;
+        let mut scores = vec![0f32; BLOCK_ROWS * cells];
+        for block in data[s * dims..e * dims].chunks(BLOCK_ROWS * dims) {
+            let scores = &mut scores[..block.len() / dims * cells];
+            dot_block(kernel, dims, block, centroids, scores);
+            for row_scores in scores.chunks_exact(cells) {
+                let mut best = 0u32;
+                let mut best_score = f32::NEG_INFINITY;
+                for (c, &score) in row_scores.iter().enumerate() {
+                    if score > best_score {
+                        best_score = score;
+                        best = c as u32;
+                    }
                 }
+                out.push(best);
             }
-            out.push(best);
         }
         out
     });
@@ -731,23 +769,82 @@ mod tests {
         assert_eq!(a.search(&idx, &q, 10, 0), b.search(&idx, &q, 10, 0));
     }
 
+    /// Every field, f32s by their bits.
+    fn assert_same_index(a: &IvfIndex, b: &IvfIndex, what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (a.dims, a.nprobe, a.quantized),
+            (b.dims, b.nprobe, b.quantized),
+            "{what}"
+        );
+        assert_eq!(bits(&a.centroids), bits(&b.centroids), "{what}");
+        assert_eq!(a.cell_offsets, b.cell_offsets, "{what}");
+        assert_eq!(a.ids, b.ids, "{what}");
+        assert_eq!(a.codes, b.codes, "{what}");
+        assert_eq!(bits(&a.scales), bits(&b.scales), "{what}");
+    }
+
     #[test]
     fn training_is_bit_identical_across_thread_counts() {
         // 5000 rows spans multiple 2048-row windows, so the window fold and
         // concatenation paths are genuinely exercised at every worker count.
-        let idx = clustered_index(5000, 16, 30, 13);
-        let cfg = IvfConfig {
-            min_rows: 1,
-            ..IvfConfig::default()
-        };
-        let base = IvfIndex::train_in(&idx, &cfg, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let other = IvfIndex::train_in(&idx, &cfg, threads).unwrap();
-            assert_eq!(base.centroids, other.centroids, "threads={threads}");
-            assert_eq!(base.cell_offsets, other.cell_offsets, "threads={threads}");
-            assert_eq!(base.ids, other.ids, "threads={threads}");
-            assert_eq!(base.codes, other.codes, "threads={threads}");
-            assert_eq!(base.scales, other.scales, "threads={threads}");
+        // 256 lanes is `retrieve_large`'s width (whole 32-lane blocks only);
+        // 100 leaves a 4-lane chunk after three blocks. 2 101 rows leave one
+        // row after the block kernel's last full 4-row block.
+        for (rows, dims, clusters, cells) in [
+            (5000usize, 16usize, 30usize, 0usize),
+            (2101, 256, 12, 8),
+            (2101, 100, 12, 8),
+        ] {
+            let idx = clustered_index(rows, dims, clusters, 13);
+            let cfg = IvfConfig {
+                min_rows: 1,
+                cells,
+                ..IvfConfig::default()
+            };
+            let base = IvfIndex::train_in(&idx, &cfg, 1, DotKernel::PER_PAIR).unwrap();
+            for kernel in [DotKernel::PER_PAIR, DotKernel::detect()] {
+                for threads in [1, 2, 3, 8] {
+                    if (threads, kernel) == (1, DotKernel::PER_PAIR) {
+                        continue;
+                    }
+                    let other = IvfIndex::train_in(&idx, &cfg, threads, kernel).unwrap();
+                    let what = format!("{rows}x{dims} threads={threads} {kernel:?}");
+                    assert_same_index(&base, &other, &what);
+                }
+            }
         }
+    }
+
+    /// Selecting the head equals sorting every cell: same cells, same
+    /// order, ties to the lower cell id, a NaN where `total_cmp` puts it
+    /// (above every number), for every probe width.
+    #[test]
+    fn best_cells_equal_the_full_sort() {
+        let scores = [
+            0.5,
+            0.25,
+            0.5,
+            -1.0,
+            f32::NAN,
+            0.25,
+            0.5,
+            0.0,
+            -0.0,
+            0.25,
+            0.75,
+            -1.0,
+            0.5,
+        ];
+        let mut sorted: Vec<(f32, u32)> = (scores.iter().enumerate())
+            .map(|(c, &s)| (s, c as u32))
+            .collect();
+        sorted.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        let want: Vec<u32> = sorted.iter().map(|&(_, c)| c).collect();
+        assert_eq!(&want[..6], &[4, 10, 0, 2, 6, 12]);
+        for n in 0..=scores.len() + 2 {
+            assert_eq!(best_cells(&scores, n), want[..n.min(scores.len())], "n={n}");
+        }
+        assert!(best_cells(&[], 3).is_empty());
     }
 }

@@ -14,14 +14,27 @@ use t2v_eval::{evaluate_set, EvalRun, Tally};
 use t2v_gred::{default_gred, GredConfig};
 use t2v_perturb::RobVariant;
 
-fn tiny_table4() -> Ctx {
-    let args = ["--profile", "tiny", "--seed", "7", "--only", "table4"].map(String::from);
+fn table4_at(profile: &str) -> Ctx {
+    let args = ["--profile", profile, "--seed", "7", "--only", "table4"].map(String::from);
     Ctx::new(parse_args(&args).unwrap())
 }
 
 #[test]
 fn table4_cells_equal_the_harness_and_the_file_reproduces() {
-    let mut ctx = tiny_table4();
+    table4_cells_equal_the_harness_at("tiny");
+}
+
+/// The same oracle at the profile CI's quality ruler commits
+/// (`BENCH_quality.json`); run with `--include-ignored` in the release
+/// profile.
+#[test]
+#[ignore = "paper(7): release profile, --include-ignored"]
+fn table4_cells_equal_the_harness_and_the_file_reproduces_at_paper_scale() {
+    table4_cells_equal_the_harness_at("paper");
+}
+
+fn table4_cells_equal_the_harness_at(profile: &str) {
+    let mut ctx = table4_at(profile);
     let mut file = Json::Obj(Default::default());
     snapshot(&mut ctx, &mut file);
 
@@ -151,6 +164,6 @@ fn table4_cells_equal_the_harness_and_the_file_reproduces() {
     let text = file.pretty();
     let mut again = Json::parse(&text).unwrap();
     assert_eq!(again, file);
-    snapshot(&mut tiny_table4(), &mut again);
+    snapshot(&mut table4_at(profile), &mut again);
     assert_eq!(again.pretty(), text);
 }

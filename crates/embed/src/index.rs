@@ -217,30 +217,53 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Portable fallback: 4 independent 8-lane accumulator blocks, shaped for
-/// auto-vectorisation.
+/// Portable fallback: [`dot_portable`].
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    dot_portable(a, b)
+}
+
+/// The x86 kernel's arithmetic in plain Rust, compiled on every target: the
+/// same 32 lane slots (eight 4-lane accumulators, one 32-wide block at a
+/// time), the same tail (4-lane chunks into the first accumulator before the
+/// reduction, the last `len % 4` products one at a time after it) and the
+/// same reduction tree, so a pair scores the same bits on every host. It is
+/// [`dot`] where SSE2 is not the baseline, and the reference the x86 kernels
+/// are tested against (their only use of it).
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+#[inline]
+pub(crate) fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = [[0.0f32; 8]; 4];
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut acc = [[0f32; 4]; 8];
     let mut ca = a.chunks_exact(32);
     let mut cb = b.chunks_exact(32);
     for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for (block, (ba, bb)) in xa.chunks_exact(8).zip(xb.chunks_exact(8)).enumerate() {
-            for lane in 0..8 {
-                acc[block][lane] += ba[lane] * bb[lane];
+        for (slot, (qa, qb)) in acc
+            .iter_mut()
+            .zip(xa.chunks_exact(4).zip(xb.chunks_exact(4)))
+        {
+            for lane in 0..4 {
+                slot[lane] += qa[lane] * qb[lane];
             }
         }
     }
-    let mut sum = 0.0;
-    for block in acc {
-        for lane in block {
-            sum += lane;
+    let mut qa = ca.remainder().chunks_exact(4);
+    let mut qb = cb.remainder().chunks_exact(4);
+    for (xa, xb) in (&mut qa).zip(&mut qb) {
+        for lane in 0..4 {
+            acc[0][lane] += xa[lane] * xb[lane];
         }
     }
-    for (xa, xb) in ca.remainder().iter().zip(cb.remainder()) {
-        sum += xa * xb;
+    let s: [f32; 4] = std::array::from_fn(|l| {
+        ((acc[0][l] + acc[4][l]) + (acc[1][l] + acc[5][l]))
+            + ((acc[2][l] + acc[6][l]) + (acc[3][l] + acc[7][l]))
+    });
+    let mut sum = (s[0] + s[2]) + (s[1] + s[3]);
+    for (x, y) in qa.remainder().iter().zip(qb.remainder()) {
+        sum += x * y;
     }
     sum
 }

@@ -6,10 +6,12 @@
 //! index. See [`embedder::TextEmbedder`] for the semantics-fidelity knob
 //! (`lexicon_coverage`) used in ablations.
 
+pub mod block;
 pub mod embedder;
 pub mod index;
 pub mod quant;
 
+pub use block::{dot_block, DotKernel, BLOCK_ROWS};
 pub use embedder::{cosine, l2_normalize, EmbedConfig, EmbedderParts, PhraseRow, TextEmbedder};
 pub use index::{best_first, dot as fused_dot, Hit, VectorIndex};
 
