@@ -633,6 +633,28 @@ mod tests {
         got.iter().filter(|h| want.contains(&h.id)).count() as f64 / oracle.len() as f64
     }
 
+    /// Two identical centroids score every row identically, bit for bit:
+    /// the row goes to the lower cell id, under either kernel. Cells 1 and 2
+    /// tie (cell 0 points away), so "first seen" and "lower id" disagree
+    /// with "last seen"; nine rows cover two full 4-row blocks and a tail.
+    #[test]
+    fn assignment_ties_go_to_the_lower_cell_id() {
+        for dims in [16, 100, 256] {
+            let v: Vec<f32> = (0..dims)
+                .map(|i| ((i * 7 % 11) as f32 - 5.0) / 5.0)
+                .collect();
+            let away: Vec<f32> = v.iter().map(|x| -x).collect();
+            let centroids = [away.clone(), v.clone(), v.clone(), away].concat();
+            let data: Vec<f32> = (0..9)
+                .flat_map(|r| v.iter().map(move |x| x * (1.0 + r as f32 / 8.0)))
+                .collect();
+            for kernel in [DotKernel::PER_PAIR, DotKernel::detect()] {
+                let assign = assign_rows(1, kernel, &data, dims, &centroids);
+                assert_eq!(assign, [1; 9], "dims {dims}, {kernel:?}");
+            }
+        }
+    }
+
     #[test]
     fn tiny_corpus_declines_to_train() {
         let idx = clustered_index(100, 16, 4, 1);

@@ -106,9 +106,11 @@ impl ObsEngine {
     }
 
     /// Start the background threads. The sampler sweeps `collector` into
-    /// the TSDB every `sample_ms` and evaluates SLOs; the profiler walks
-    /// exported stage stacks at `profile_hz`. Either is skipped when its
-    /// cadence knob is zero. Call at most once.
+    /// the TSDB every `sample_ms` and evaluates SLOs — the first sweep
+    /// here, before `start` returns, so every configured SLO has a status
+    /// from the moment the caller serves; the profiler walks exported
+    /// stage stacks at `profile_hz`. Either is skipped when its cadence
+    /// knob is zero. Call at most once.
     pub fn start(&self, collector: Collector, on_transition: Option<TransitionSink>) {
         let mut threads = lock(&self.threads);
         if self.sample_ms > 0 {
@@ -116,22 +118,27 @@ impl ObsEngine {
             let slo = self.slo.clone();
             let stop = Arc::clone(&self.stop);
             let sample_ms = self.sample_ms;
+            let sweep = move || {
+                let now = unix_ms();
+                tsdb.record(now, &collector());
+                if let Some(slo) = &slo {
+                    let (_, transitions) = slo.evaluate(&tsdb, now);
+                    if let Some(sink) = &on_transition {
+                        for t in &transitions {
+                            sink(t);
+                        }
+                    }
+                }
+            };
+            sweep();
             let handle = std::thread::Builder::new()
                 .name("t2v-obs-sampler".to_string())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let now = unix_ms();
-                        tsdb.record(now, &collector());
-                        if let Some(slo) = &slo {
-                            let (_, transitions) = slo.evaluate(&tsdb, now);
-                            if let Some(sink) = &on_transition {
-                                for t in &transitions {
-                                    sink(t);
-                                }
-                            }
-                        }
-                        sleep_until_stop(&stop, sample_ms);
+                .spawn(move || loop {
+                    sleep_until_stop(&stop, sample_ms);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
+                    sweep();
                 })
                 .expect("spawn obs sampler");
             threads.push(handle);

@@ -5,8 +5,10 @@
 //! per-stage milliseconds — so a slow request found in the log can be
 //! cross-referenced with `GET /v1/admin/trace/{id}` while it is still in
 //! the flight recorder. The writer is a single mutex around a buffered
-//! appender: the log line is rendered *outside* the lock and the hot path
-//! pays one short critical section per request. When the file passes its
+//! appender, and the log line is rendered *outside* the lock. A thread
+//! that must not touch a file (the event loop, a translation worker)
+//! [`AccessLog::post`]s the line instead: the log's own `t2v-access-log`
+//! thread writes it, and a slow disk delays only the log. When the file passes its
 //! size budget, generations shift `{path}.{i}` → `{path}.{i+1}` up to the
 //! `keep` budget of rotated files (older ones are pruned), the live
 //! file becomes `{path}.1`, and a fresh file is started — bounded disk
@@ -20,7 +22,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 use t2v_trace::FinishedTrace;
 
 struct Appender {
@@ -29,6 +31,12 @@ struct Appender {
 }
 
 pub struct AccessLog {
+    file: Arc<LogFile>,
+    /// To the writer thread, which ends once this is dropped.
+    posted: mpsc::Sender<String>,
+}
+
+struct LogFile {
     path: PathBuf,
     /// Rotate once `written` exceeds this many bytes; 0 = never.
     rotate_bytes: u64,
@@ -43,7 +51,7 @@ impl AccessLog {
     pub fn open(path: &str, rotate_mb: u64, keep: u64) -> std::io::Result<AccessLog> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let written = file.metadata()?.len();
-        Ok(AccessLog {
+        let file = Arc::new(LogFile {
             path: PathBuf::from(path),
             rotate_bytes: rotate_mb.saturating_mul(1024 * 1024),
             keep: keep.max(1),
@@ -51,9 +59,29 @@ impl AccessLog {
                 out: BufWriter::new(file),
                 written,
             }),
-        })
+        });
+        let (posted, lines) = mpsc::channel::<String>();
+        let writer = Arc::clone(&file);
+        std::thread::Builder::new()
+            .name("t2v-access-log".to_string())
+            .spawn(move || lines.iter().for_each(|line| writer.write_line(&line)))?;
+        Ok(AccessLog { file, posted })
     }
 
+    /// Append one pre-rendered line (no trailing newline) on this thread,
+    /// rotating first if the file is over budget. I/O errors are swallowed:
+    /// an access log must never take down serving.
+    pub fn write_line(&self, line: &str) {
+        self.file.write_line(line);
+    }
+
+    /// [`AccessLog::write_line`] on the log's writer thread; returns at once.
+    pub fn post(&self, line: String) {
+        let _ = self.posted.send(line);
+    }
+}
+
+impl LogFile {
     /// `{path}.{n}` as a `PathBuf`.
     fn generation(&self, n: u64) -> PathBuf {
         let mut p = self.path.clone().into_os_string();
@@ -61,10 +89,7 @@ impl AccessLog {
         PathBuf::from(p)
     }
 
-    /// Append one pre-rendered line (no trailing newline), rotating first
-    /// if the file is over budget. I/O errors are swallowed: an access log
-    /// must never take down serving.
-    pub fn write_line(&self, line: &str) {
+    fn write_line(&self, line: &str) {
         let mut inner = match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),

@@ -169,6 +169,23 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
     // count lookups (a fallback rung's), not items (a stream's miss).
     let [hits, misses] = [Scalar::CacheHits, Scalar::CacheMisses].map(|s| state.metrics.get(s));
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+    let mut pool = Json::obj([
+        (
+            "workers",
+            Json::Num(state.config.effective_workers() as f64),
+        ),
+        ("shards", Json::Num(state.config.effective_shards() as f64)),
+        ("queue_depth", Json::Num(shared.pool.queue_depth() as f64)),
+        (
+            "queue_capacity",
+            Json::Num(state.config.queue_capacity as f64),
+        ),
+    ]);
+    // Quiet, `submitted == completed + expired`: no job lost or counted twice.
+    for (name, n) in crate::pool::COUNTS.into_iter().zip(shared.pool.counts()) {
+        pool.set(name, Json::Num(n as f64));
+    }
+    pool.set("late_dropped", scalar(Scalar::LateRepliesDropped));
     let tenants: Vec<Json> = table
         .iter()
         .map(|t| {
@@ -211,21 +228,7 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
                 ),
             ]),
         ),
-        (
-            "pool",
-            Json::obj([
-                (
-                    "workers",
-                    Json::Num(state.config.effective_workers() as f64),
-                ),
-                ("shards", Json::Num(state.config.effective_shards() as f64)),
-                ("queue_depth", Json::Num(shared.pool.queue_depth() as f64)),
-                (
-                    "queue_capacity",
-                    Json::Num(state.config.queue_capacity as f64),
-                ),
-            ]),
-        ),
+        ("pool", pool),
         (
             "connections",
             Json::obj([

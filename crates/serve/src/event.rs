@@ -4,60 +4,68 @@
 //! bytes into pooled buffers, runs the incremental parser
 //! ([`crate::http::parse_request`]), and writes queued response segments
 //! out with vectored (`writev`) writes. What a request needs decides where
-//! it runs: a single translation's early stage (`routes::early`) waits on
-//! nothing, so its validation errors and cache hits are answered right here
-//! — a hit never leaves the loop thread; whatever may block goes to a small
-//! dispatch pool running `routes::resume`, and translation CPU belongs to
-//! the [`crate::pool::WorkerPool`] beyond that. The loop's contract: it
-//! never sleeps, never touches a file, never waits on the pool or a condvar,
-//! does a bounded amount of work per request, and cannot be killed by one.
-//! Its per-connection cost is a state enum, a read buffer and an output
-//! queue — how tens of thousands of keep-alive sockets fit where
-//! thread-per-connection runs out of stacks.
+//! it runs. A route that cannot block — `/healthz`, `/metrics`, the status
+//! pages, a single translation's early stage and admission — is answered
+//! by the loop itself, which parks a miss whose worker answers the
+//! connection: one hop each way. What may block (a stream, a batch, the
+//! tenant and snapshot admin routes, a body over [`INLINE_BODY_MAX`], a
+//! fired write stall) runs `routes::resume` on the dispatcher, one thread
+//! per pool worker: a stream or a batch holds its thread while the pool
+//! translates for it. The loop's contract: it never sleeps, never touches a
+//! file, never waits on the pool or a condvar, does a bounded amount of
+//! work per request, and cannot be killed by one. Its per-connection cost
+//! is a state enum, a read buffer and an output queue — how tens of
+//! thousands of keep-alive sockets fit where thread-per-connection runs
+//! out of stacks.
 //!
 //! Per-connection state machine:
 //!
 //! ```text
-//!            answered inline (hit / 4xx) ─────────────────────────┐
-//! Reading ──┤                                                     ▼
-//!    ▲       needs a blocking thread ──▶ Dispatched ── sealed ──▶ Writing
-//!    └────────── KeepAlive ◀── queue drained, keep-alive ◀───────────┘
+//!            answered on the loop (hit / 4xx / refusal) ──────────────┐
+//! Reading ──┤                                                         ▼
+//!    ▲       a parked miss, or a blocking route ──▶ Dispatched ─ sealed ─▶ Writing
+//!    └────────── KeepAlive ◀── queue drained, keep-alive ◀───────────────┘
 //! ```
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
 //! without progress — idle keep-alive peers and slow-loris drip-feeders
-//! alike. Shutdown drains: the listener closes immediately, idle
-//! connections close, in-flight requests finish their response (bounded by
-//! a drain budget), and only then does the loop exit.
+//! alike; a parked miss's deadline fires in the same sweep ([`Ticket`]).
+//! Shutdown drains: the listener closes immediately, idle connections
+//! close, in-flight requests finish their response (bounded by a drain
+//! budget), and only then does the loop exit.
 //!
-//! Dispatch threads hand response segments to the loop through a
-//! per-connection [`ConnOut`] queue, a shared ready list and a
+//! Workers and dispatch threads hand response segments to the loop
+//! through a per-connection [`ConnOut`] queue, a shared ready list and a
 //! [`t2v_net::Waker`] (an eventfd). A queue past [`OUT_HIGH_WATER`] blocks
-//! the *dispatch* thread (backpressure against a slow peer), never the loop.
+//! the *writing* thread (backpressure against a slow peer), never the loop.
+//! A dispatch thread that parsed an oversized single translation into a
+//! miss hands it back the same way, for the loop to admit and park.
 
-use crate::http::{self, Body, BodySink, Parse};
-use crate::metrics::Scalar;
+use crate::access_log::AccessLog;
+use crate::http::{self, Body, BodySink, Parse, Request, Response};
+use crate::metrics::{Route, Scalar};
 use crate::pool::contained;
-use crate::routes::{self, write_read_error, Handled};
+use crate::routes::{self, write_read_error, Begun, Handled, Routed};
 use crate::server::Shared;
-use crate::translate::Early;
+use crate::translate::{admit, Early, Miss, OnReply, Pending, Step};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use t2v_fault::{fire_delay, FaultPoint::ConnWriteStall};
 use t2v_net::{BufferPool, Event, Interest, Poller, Waker};
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Writer-side backpressure threshold: a dispatch thread producing
-/// response bytes faster than the peer drains them blocks once this many
-/// bytes are queued on the connection.
+/// Writer-side backpressure threshold: a thread producing response bytes
+/// faster than the peer drains them blocks once this many bytes are queued
+/// on the connection.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// Segments per `writev` call.
@@ -77,8 +85,8 @@ const SOFT_IN_CAP: usize = 256 * 1024;
 /// Requests served per connection per wake; then a pipelining client yields.
 const INLINE_PER_WAKE: usize = 32;
 
-/// Bodies above this always take the dispatch hop, whatever `max_body_bytes`
-/// allows — JSON parse time on the loop stays bounded.
+/// Bodies above this are parsed on a dispatch thread, whatever
+/// `max_body_bytes` allows — JSON parse time on the loop stays bounded.
 const INLINE_BODY_MAX: usize = 16 * 1024;
 
 /// How long shutdown waits for in-flight requests before force-closing.
@@ -88,7 +96,7 @@ const DRAIN_BUDGET: Duration = Duration::from_secs(5);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 // ---------------------------------------------------------------------------
-// Response segments: dispatch threads → loop
+// Response segments: workers and dispatch threads → loop
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
@@ -99,33 +107,87 @@ struct OutState {
     front_written: usize,
     /// Total queued-but-unwritten bytes (backpressure accounting).
     bytes: usize,
-    /// Set exactly once, when the dispatch job finished: keep-alive?
+    /// Set exactly once, when the response is sealed: keep-alive?
     done: Option<bool>,
     /// The loop closed the connection; writers fail fast from here on.
     closed: bool,
 }
 
-/// The per-connection output queue. The loop and the connection's dispatch
-/// thread share it; the condvar wakes a writer blocked on the high-water
-/// mark (or on `closed`).
+/// The per-connection output queue. The loop and the thread answering the
+/// connection (its miss's worker, or a dispatch thread) share it; the
+/// condvar wakes a writer blocked on the high-water mark (or on `closed`).
 #[derive(Default)]
 struct ConnOut {
     state: Mutex<OutState>,
     cv: Condvar,
 }
 
-/// What dispatch threads share with the loop: the wakeup fd plus the list
-/// of connections with fresh output. Wakes coalesce; duplicate tokens are
-/// harmless (pumping is idempotent).
+/// What answering threads share with the loop: the wakeup fd, the list
+/// of connections with fresh output, misses handed back for admission, and
+/// the dispatcher's queue. Wakes coalesce; duplicate tokens are harmless
+/// (pumping is idempotent).
 struct ReactorShared {
     waker: Waker,
     ready: Mutex<Vec<u64>>,
+    handed_back: Mutex<Vec<HandedBack>>,
+    jobs: mpsc::Sender<Job>,
+}
+
+/// A single translation a dispatch thread parsed into a miss, for the loop
+/// to admit on connection `token`.
+struct HandedBack {
+    token: u64,
+    req: Box<Request>,
+    begun: Begun,
+    route: Route,
+    miss: Miss,
 }
 
 impl ReactorShared {
     fn notify(&self, token: u64) {
         self.ready.lock().expect("ready list poisoned").push(token);
         self.waker.wake();
+    }
+
+    fn hand_back(&self, miss: HandedBack) {
+        lock(&self.handed_back).push(miss);
+        self.waker.wake();
+    }
+
+    /// Run `routes::resume` for a request on a dispatch thread, into `writer`.
+    fn dispatch(
+        &self,
+        shared: &Arc<Shared>,
+        req: Box<Request>,
+        begun: Begun,
+        routed: Option<Routed>,
+        mut writer: ConnWriter,
+    ) {
+        let shared = Arc::clone(shared);
+        shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
+        let job = move || {
+            shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
+            match routed.unwrap_or_else(|| routes::route(&shared, &req, &begun)) {
+                // Parsed here only for its size: the loop admits it.
+                (route, Early::Miss(miss), _) => {
+                    writer.disarm();
+                    let token = writer.token;
+                    let miss = HandedBack {
+                        token,
+                        req,
+                        begun,
+                        route,
+                        miss,
+                    };
+                    writer.reactor.hand_back(miss);
+                }
+                routed => {
+                    let keep = routes::resume(&shared, &req, begun, Some(routed), &mut writer);
+                    writer.finish(keep);
+                }
+            }
+        };
+        let _ = self.jobs.send(Box::new(job));
     }
 }
 
@@ -168,9 +230,10 @@ impl BodySink for SegSink {
     }
 }
 
-/// The [`BodySink`] of a dispatch thread: segments accumulate locally and
-/// ship on flush (a stream's lines), at a segment's worth, or — usually —
-/// with the verdict in `finish`; dropped without it (a panic), `done = close`.
+/// The [`BodySink`] of a thread answering off the loop: segments accumulate
+/// locally and ship on flush (a stream's lines), at a segment's worth, or —
+/// usually — with the verdict in `finish`; dropped without it (a panic),
+/// `done = close`.
 struct ConnWriter {
     out: Arc<ConnOut>,
     reactor: Arc<ReactorShared>,
@@ -180,6 +243,21 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
+    fn new(ctx: &Ctx<'_>, conn: &Conn) -> ConnWriter {
+        ConnWriter {
+            out: Arc::clone(&conn.out),
+            reactor: Arc::clone(ctx.reactor),
+            token: conn.token,
+            sink: SegSink::default(),
+            finished: false,
+        }
+    }
+
+    /// Drop a writer the loop answers for: no verdict, no wake.
+    fn disarm(&mut self) {
+        self.finished = true;
+    }
+
     /// Queue what has accumulated and/or the keep-alive verdict — one lock,
     /// one wake — blocking past the high-water mark. On a connection the loop
     /// already closed, bytes error and a verdict means close.
@@ -248,89 +326,104 @@ impl BodySink for ConnWriter {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch pool
+// A parked miss, and the fixed dispatcher
 // ---------------------------------------------------------------------------
+
+/// What the loop keeps of an admitted miss: what `routes::finish` needs,
+/// and the connection's writer. Its [`Ticket`] hands it to one side only —
+/// the job's reply, or the loop's deadline timer.
+struct Parked {
+    req: Box<Request>,
+    begun: Begun,
+    route: Route,
+    pending: Pending,
+    writer: ConnWriter,
+}
+
+type Ticket = Mutex<Option<Parked>>;
+
+/// The job's [`OnReply`]: the worker that ran the translation ends the
+/// request — conclude, `routes::finish` into the connection, one wake —
+/// unless the deadline took it first; then the reply is dropped, and
+/// counted. Nothing here blocks: the access-log line is posted, and a write
+/// stall that fires hands the reply to a dispatch thread to sleep.
+fn reply_to(ticket: &Arc<Ticket>, shared: &Arc<Shared>) -> OnReply {
+    let (ticket, shared) = (Arc::clone(ticket), Arc::clone(shared));
+    Box::new(move |reply| {
+        let Some(mut p) = lock(&ticket).take() else {
+            return shared.state.metrics.inc(Scalar::LateRepliesDropped);
+        };
+        let resp = p.pending.respond(&shared, Some(reply));
+        if let Some(stall) = fire_delay(ConnWriteStall) {
+            let routed = Some((p.route, Early::Reply(resp), Some(stall)));
+            let reactor = Arc::clone(&p.writer.reactor);
+            return reactor.dispatch(&shared, p.req, p.begun, routed, p.writer);
+        }
+        let (req, reply) = (&p.req, Handled::Reply(resp));
+        let post = |file: Arc<AccessLog>, line| file.post(line);
+        let keep = routes::finish(&shared, req, p.begun, p.route, reply, &mut p.writer, post);
+        p.writer.finish(keep);
+    })
+}
+
+/// Poison-transparent: a ticket is valid whatever unwound past it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// The request-execution pool behind the event loop. Deliberately *not*
-/// the translation [`crate::pool::WorkerPool`]: endpoint code blocks on
-/// worker-pool results, and running it inside that same pool would let
-/// enough concurrent requests deadlock it. Sized from the pool's
-/// in-system capacity (every admitted request can hold a dispatch thread
-/// while it waits), bounded by config — never by connection count.
+/// The threads behind the loop for what may block, one per pool worker:
+/// each stream or batch holds one while the pool translates for it, so
+/// that many keep the pool busy. Not the translation
+/// [`crate::pool::WorkerPool`] itself: a stream or a batch blocks on worker
+/// results, and running it inside that same pool would let enough of them
+/// deadlock it. Its queue is [`ReactorShared::jobs`].
 struct Dispatcher {
-    inner: Arc<DispatchInner>,
+    stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
 
-struct DispatchInner {
-    queue: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    stop: AtomicBool,
-}
-
 impl Dispatcher {
-    fn spawn(threads: usize, metrics: Arc<crate::metrics::Metrics>) -> Dispatcher {
-        let inner = Arc::new(DispatchInner {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let handles = (0..threads)
+    fn spawn(
+        count: usize,
+        metrics: &Arc<crate::metrics::Metrics>,
+        jobs: mpsc::Receiver<Job>,
+    ) -> Dispatcher {
+        let (jobs, stop) = (Arc::new(Mutex::new(jobs)), Arc::new(AtomicBool::new(false)));
+        let threads = (0..count.max(1))
             .map(|i| {
-                let inner = Arc::clone(&inner);
-                let metrics = Arc::clone(&metrics);
+                let (jobs, stop, metrics) =
+                    (Arc::clone(&jobs), Arc::clone(&stop), Arc::clone(metrics));
+                let run = move || loop {
+                    let Ok(job) = lock(&jobs).recv() else { return };
+                    // Undispatched at shutdown: dropped, its writer
+                    // resolves the connection as closed.
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    contained(&metrics, job);
+                };
+                let name = format!("t2v-dispatch-{i}");
                 std::thread::Builder::new()
-                    .name(format!("t2v-dispatch-{i}"))
-                    .spawn(move || dispatch_loop(&inner, &metrics))
+                    .name(name)
+                    .spawn(run)
                     .expect("spawn dispatch thread")
             })
             .collect();
-        Dispatcher {
-            inner,
-            threads: handles,
+        Dispatcher { stop, threads }
+    }
+
+    /// Drop undispatched jobs, finish running ones, join. Workers may still
+    /// hold the queue's sender, so each thread is woken with a no-op job.
+    fn shutdown(self, reactor: &ReactorShared) {
+        self.stop.store(true, Ordering::Release);
+        for _ in &self.threads {
+            let _ = reactor.jobs.send(Box::new(|| {}));
         }
-    }
-
-    fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut q = self.inner.queue.lock().expect("dispatch queue poisoned");
-        q.push_back(Box::new(job));
-        drop(q);
-        self.inner.cv.notify_one();
-    }
-
-    /// Stop accepting, drop undispatched jobs (their `ConnWriter`s resolve
-    /// the connections as closed), finish running ones, join.
-    fn shutdown(self) {
-        self.inner.stop.store(true, Ordering::Release);
-        self.inner
-            .queue
-            .lock()
-            .expect("dispatch queue poisoned")
-            .clear();
-        self.inner.cv.notify_all();
         for h in self.threads {
             let _ = h.join();
         }
-    }
-}
-
-fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
-    loop {
-        let job = {
-            let mut q = inner.queue.lock().expect("dispatch queue poisoned");
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if inner.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                q = inner.cv.wait(q).expect("dispatch queue poisoned");
-            }
-        };
-        contained(metrics, job);
     }
 }
 
@@ -342,7 +435,8 @@ fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
 enum ConnState {
     /// Accumulating request bytes (first request, or a partial one).
     Reading,
-    /// A parsed request is on (or queued for) a dispatch thread.
+    /// A parsed request is parked on the worker pool, or on (or queued
+    /// for) a dispatch thread.
     Dispatched,
     /// The response is sealed; the loop is draining the output queue.
     Writing,
@@ -370,6 +464,9 @@ struct Conn {
     /// flag is level-triggered and would re-fire every tick).
     rdhup: bool,
     interest: Interest,
+    /// A parked miss: when the loop stops waiting for its worker, and the
+    /// claim the two race for.
+    parked: Option<(Instant, Arc<Ticket>)>,
 }
 
 impl Conn {
@@ -401,14 +498,19 @@ impl EventDriver {
         let waker = Waker::new(&poller, TOKEN_WAKER)?;
         listener.set_nonblocking(true)?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        let (jobs, queued) = mpsc::channel::<Job>();
         let reactor = Arc::new(ReactorShared {
             waker,
             ready: Mutex::new(Vec::new()),
+            handed_back: Mutex::new(Vec::new()),
+            jobs,
         });
         let loop_reactor = Arc::clone(&reactor);
+        let workers = shared.state.config.effective_workers();
+        let dispatcher = Dispatcher::spawn(workers, &shared.state.metrics, queued);
         let handle = std::thread::Builder::new()
             .name("t2v-event".to_string())
-            .spawn(move || run_loop(&shared, listener, poller, &loop_reactor))?;
+            .spawn(move || run_loop(&shared, listener, poller, &loop_reactor, dispatcher))?;
         Ok(EventDriver { reactor, handle })
     }
 
@@ -424,7 +526,6 @@ impl EventDriver {
 struct Ctx<'a> {
     shared: &'a Arc<Shared>,
     poller: &'a Poller,
-    dispatcher: &'a Dispatcher,
     reactor: &'a Arc<ReactorShared>,
     max_body: usize,
     draining: bool,
@@ -435,17 +536,12 @@ fn run_loop(
     listener: TcpListener,
     mut poller: Poller,
     reactor: &Arc<ReactorShared>,
+    dispatcher: Dispatcher,
 ) {
     let config = &shared.state.config;
     let idle_after = config.effective_conn_idle();
     let max_connections = config.max_connections;
     let max_body = config.max_body_bytes;
-    // Every admitted request can park a dispatch thread on a worker-pool
-    // result, so capacity mirrors the pool's in-system bound.
-    let dispatch_threads = (config.effective_shards() * config.queue_capacity
-        + config.effective_workers())
-    .clamp(4, 128);
-    let dispatcher = Dispatcher::spawn(dispatch_threads, Arc::clone(&shared.state.metrics));
 
     let mut pool = BufferPool::new(16 * 1024, 1024);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -456,6 +552,8 @@ fn run_loop(
     let mut accept_rearm: Option<Instant> = None;
     let mut drain_deadline: Option<Instant> = None;
     let mut last_stats: Option<Instant> = None;
+    // The earliest deadline of a parked miss, as of the last sweep.
+    let mut next_deadline: Option<Instant> = None;
 
     loop {
         let now = Instant::now();
@@ -506,7 +604,7 @@ fn run_loop(
         if drain_deadline.is_some() {
             timeout = timeout.min(Duration::from_millis(25));
         }
-        if let Some(at) = accept_rearm {
+        for at in accept_rearm.into_iter().chain(next_deadline) {
             timeout = timeout.min(at.saturating_duration_since(now));
         }
         events.clear();
@@ -519,7 +617,6 @@ fn run_loop(
         let ctx = Ctx {
             shared,
             poller: &poller,
-            dispatcher: &dispatcher,
             reactor,
             max_body,
             draining: drain_deadline.is_some(),
@@ -589,16 +686,68 @@ fn run_loop(
             }
         }
 
-        // -- idle reaping: keep-alive peers gone quiet, slow-loris drips --
-        if drain_deadline.is_none() {
-            let now = Instant::now();
-            let expired: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| c.idle() && now.duration_since(c.last_activity) >= idle_after)
-                .map(|(&t, _)| t)
-                .collect();
-            for token in expired {
-                close_conn(&mut conns, &poller, &mut pool, shared, token, true);
+        // -- oversized single translations a dispatch thread parsed into
+        //    misses: admitted here, like any other --
+        let handed_back = std::mem::take(&mut *lock(&reactor.handed_back));
+        for h in handed_back {
+            let Some(conn) = conns.get_mut(&h.token) else {
+                continue;
+            };
+            let next = match admit_here(&ctx, conn, h.req, h.begun, h.route, h.miss) {
+                Next::Alive => try_advance(&ctx, conn),
+                close => close,
+            };
+            if next == Next::Close {
+                close_conn(&mut conns, &poller, &mut pool, shared, h.token, false);
+            }
+        }
+
+        // -- timers, one sweep: idle reaping (keep-alive peers gone quiet,
+        //    slow-loris drips; not while draining) and the deadlines of
+        //    parked misses, the earliest of which bounds the next wait --
+        let now = Instant::now();
+        let (mut reaped, mut expired) = (Vec::new(), Vec::new());
+        next_deadline = None;
+        for (&token, c) in &conns {
+            if drain_deadline.is_none()
+                && c.idle()
+                && now.duration_since(c.last_activity) >= idle_after
+            {
+                reaped.push(token);
+            }
+            match c.parked {
+                Some((at, _)) if at <= now => expired.push(token),
+                Some((at, _)) => next_deadline = Some(next_deadline.map_or(at, |n| n.min(at))),
+                None => {}
+            }
+        }
+        for token in reaped {
+            close_conn(&mut conns, &poller, &mut pool, shared, token, true);
+        }
+        for token in expired {
+            let Some(conn) = conns.get_mut(&token) else {
+                continue;
+            };
+            // Taken already: the worker's answer is on its way.
+            let Some(mut p) = conn.parked.take().and_then(|(_, t)| lock(&t).take()) else {
+                continue;
+            };
+            p.writer.disarm();
+            let scope = p.begun.trace.scope();
+            let resp = p.pending.respond(shared, None);
+            let stall = fire_delay(ConnWriteStall);
+            drop(scope);
+            // Answered here: a request pipelined behind it may be buffered,
+            // and may park with a deadline the sweep above did not see.
+            let next = match reply_here(&ctx, conn, p.req, p.begun, p.route, resp, stall) {
+                Next::Alive => try_advance(&ctx, conn),
+                close => close,
+            };
+            if let (Next::Alive, Some((at, _))) = (next, &conn.parked) {
+                next_deadline = Some(next_deadline.map_or(*at, |n| n.min(*at)));
+            }
+            if next == Next::Close {
+                close_conn(&mut conns, &poller, &mut pool, shared, token, false);
             }
         }
 
@@ -615,7 +764,7 @@ fn run_loop(
 
     publish_event_stats(shared, &conns, &pool, true);
     drop(listener);
-    dispatcher.shutdown();
+    dispatcher.shutdown(reactor);
 }
 
 /// Snapshot the loop's occupancy into [`Shared::event_stats`] — the status
@@ -718,6 +867,7 @@ fn accept_burst(
                 peer_eof: false,
                 rdhup: false,
                 interest: Interest::READ,
+                parked: None,
             },
         );
     }
@@ -822,53 +972,114 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
     next
 }
 
-/// Serve one parsed request. A single translation's validation errors and
-/// fresh hits go straight into the output queue and `pump`: nothing on that
-/// path sleeps, touches a file or waits on the pool or a condvar, and its
-/// work is bounded ([`INLINE_BODY_MAX`]). Everything else parks in
-/// `Dispatched` while a dispatch thread runs `routes::resume`.
-fn serve(ctx: &Ctx<'_>, conn: &mut Conn, req: Box<http::Request>, t0: Instant) -> Next {
+/// Serve one parsed request. What the loop can route ([`routes::early`]:
+/// no route that may block, no body over [`INLINE_BODY_MAX`]) goes straight
+/// into the output queue and `pump`: nothing on that path sleeps, touches a
+/// file or waits on the pool or a condvar, and its work is bounded. A
+/// single translation's miss is admitted here ([`admit_here`]); everything
+/// else parks in `Dispatched` while a dispatch thread runs `routes::resume`.
+fn serve(ctx: &Ctx<'_>, conn: &mut Conn, req: Box<Request>, t0: Instant) -> Next {
     let shared = ctx.shared;
     let begun = routes::begin(shared, &req, t0, t0.elapsed());
     let routed = (req.body.len() <= INLINE_BODY_MAX)
         .then(|| routes::early(shared, &req, &begun))
         .flatten();
     match routed {
-        Some((route, Early::Reply(resp), None)) => {
-            let mut sink = SegSink::default();
-            // The access-log line is file I/O: posted once the bytes are out.
-            let mut line = None;
-            let log = |file, text: String| line = Some((file, text));
-            let reply = Handled::Reply(resp);
-            let keep = routes::finish(shared, &req, begun, route, reply, &mut sink, log);
-            shared.state.metrics.inc(Scalar::InlineResponses);
-            queue_response(conn, sink.0, keep);
-            let next = pump(ctx, conn);
-            if let Some((file, text)) = line {
-                ctx.dispatcher.submit(move || file.write_line(&text));
-            }
-            next
+        Some((route, Early::Reply(resp), stall)) => {
+            reply_here(ctx, conn, req, begun, route, resp, stall)
         }
-        routed => {
-            conn.state = ConnState::Dispatched;
-            set_interest(ctx, conn, Interest::NONE);
-            let mut writer = ConnWriter {
-                out: Arc::clone(&conn.out),
-                reactor: Arc::clone(ctx.reactor),
-                token: conn.token,
-                sink: SegSink::default(),
-                finished: false,
-            };
-            let shared = Arc::clone(shared);
-            shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
-            ctx.dispatcher.submit(move || {
-                shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-                let keep = routes::resume(&shared, &req, begun, routed, &mut writer);
-                writer.finish(keep);
-            });
-            Next::Alive
-        }
+        Some((route, Early::Miss(miss), _)) => admit_here(ctx, conn, req, begun, route, miss),
+        routed => dispatch(ctx, conn, req, begun, routed),
     }
+}
+
+/// Frame a response produced on the loop into segments, queue them and
+/// pump — no lock, no wake. A write stall that fired is slept on a
+/// dispatch thread instead, never here.
+fn reply_here(
+    ctx: &Ctx<'_>,
+    conn: &mut Conn,
+    req: Box<Request>,
+    begun: Begun,
+    route: Route,
+    resp: Response,
+    stall: Option<Duration>,
+) -> Next {
+    if stall.is_some() {
+        let routed = Some((route, Early::Reply(resp), stall));
+        return dispatch(ctx, conn, req, begun, routed);
+    }
+    let shared = ctx.shared;
+    let mut sink = SegSink::default();
+    // The access-log line is posted once the bytes are out.
+    let mut line = None;
+    let log = |file, text: String| line = Some((file, text));
+    let reply = Handled::Reply(resp);
+    let keep = routes::finish(shared, &req, begun, route, reply, &mut sink, log);
+    if req.path.ends_with("/translate") {
+        shared.state.metrics.inc(Scalar::InlineResponses);
+    }
+    queue_response(conn, sink.0, keep);
+    let next = pump(ctx, conn);
+    if let Some((file, text)) = line {
+        AccessLog::post(&file, text);
+    }
+    next
+}
+
+/// Park the connection while a dispatch thread runs `routes::resume` into
+/// its [`ConnWriter`].
+fn dispatch(
+    ctx: &Ctx<'_>,
+    conn: &mut Conn,
+    req: Box<Request>,
+    begun: Begun,
+    routed: Option<Routed>,
+) -> Next {
+    conn.state = ConnState::Dispatched;
+    set_interest(ctx, conn, Interest::NONE);
+    let writer = ConnWriter::new(ctx, conn);
+    ctx.reactor.dispatch(ctx.shared, req, begun, routed, writer);
+    Next::Alive
+}
+
+/// A single translation's miss: breaker, pool and the refusal ladder run
+/// here, under the request's trace — none of them blocks. A refusal is
+/// answered here; an admitted miss is parked, and its worker answers it.
+/// The ticket stays locked until the request is parked, so a reply that
+/// comes first waits the few instructions it takes.
+fn admit_here(
+    ctx: &Ctx<'_>,
+    conn: &mut Conn,
+    req: Box<Request>,
+    begun: Begun,
+    route: Route,
+    miss: Miss,
+) -> Next {
+    let ticket = Arc::new(Ticket::default());
+    let mut parked = lock(&ticket);
+    let scope = begun.trace.scope();
+    let pending = match admit(ctx.shared, miss, true, &|| reply_to(&ticket, ctx.shared)) {
+        Step::Waiting(pending) => pending,
+        Step::Done(outcome) => {
+            let stall = fire_delay(ConnWriteStall);
+            drop(scope);
+            return reply_here(ctx, conn, req, begun, route, outcome.into_response(), stall);
+        }
+    };
+    drop(scope);
+    conn.state = ConnState::Dispatched;
+    set_interest(ctx, conn, Interest::NONE);
+    conn.parked = Some((pending.expires(), Arc::clone(&ticket)));
+    let writer = ConnWriter::new(ctx, conn);
+    *parked = Some(Parked {
+        req,
+        begun,
+        route,
+        pending,
+        writer,
+    });
+    Next::Alive
 }
 
 /// Queue a whole response produced on the loop itself; the caller pumps.
@@ -916,6 +1127,7 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                     }
                 }
                 Some(keep) => {
+                    conn.parked = None;
                     if !keep || ctx.draining || ctx.shared.shutdown.load(Ordering::Acquire) {
                         return Next::Close;
                     }
@@ -988,6 +1200,10 @@ fn close_conn(
         return;
     };
     let _ = poller.deregister(conn.stream.as_raw_fd());
+    // A worker that finishes after this drops its reply, counted.
+    if let Some(mut p) = conn.parked.and_then(|(_, ticket)| lock(&ticket).take()) {
+        p.writer.disarm();
+    }
     {
         // A contained panic may have poisoned it; closing is always valid.
         let mut st = conn.out.state.lock().unwrap_or_else(|e| e.into_inner());

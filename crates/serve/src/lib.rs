@@ -29,10 +29,11 @@
 //!   (request counters by route, per-backend translation/cache/error
 //!   counters and pool shares, cache shard count, library provenance).
 //!
-//! One epoll loop ([`event`]) is the only transport and answers cache hits
-//! itself; whatever may block takes the same staged path through `routes` on
-//! a dispatch thread, every cold translation the same admission stage in
-//! [`translate`] (breaker → pool → wait under the deadline; DESIGN.md §11).
+//! One epoll loop ([`event`]) is the only transport: it answers cache hits
+//! and every route that cannot block itself and admits misses, whose
+//! workers answer them; whatever else may block takes the same staged path
+//! through `routes` on a dispatch thread, one per pool worker. Every cold translation passes one admission stage in
+//! [`translate`] (breaker → pool → reply under the deadline; DESIGN.md §11).
 //!
 //! Backed by a sharded bounded worker pool (503 on overload, never an
 //! unbounded queue), a sharded LRU+TTL cache keyed by `(backend,

@@ -206,7 +206,7 @@ table! {
     /// Every unlabelled counter and gauge.
     Scalar, SCALARS;
     InlineResponses "t2v_inline_responses_total" "counter"
-        "Responses answered on the event-loop thread (no dispatch hop).",
+        "Single-translation responses framed on the event-loop thread (no thread hop before the write).",
     CacheHits "t2v_cache_hits_total" "counter" "Translation cache hits.",
     CacheMisses "t2v_cache_misses_total" "counter" "Translation cache misses.",
     Rejected "t2v_rejected_total" "counter"
@@ -222,6 +222,8 @@ table! {
         "Worker jobs that panicked (caught and answered 500).",
     DeadlineExceeded "t2v_deadline_exceeded_total" "counter"
         "Requests answered 504 after their deadline budget ran out.",
+    LateRepliesDropped "t2v_late_replies_dropped_total" "counter"
+        "Worker replies dropped because their request was answered (or closed) first.",
     Degraded "t2v_degraded_total" "counter"
         "Requests answered degraded (stale cache / fallback backend).",
     BreakerOpens "t2v_breaker_opens_total" "counter"

@@ -1,23 +1,31 @@
 //! A sharded worker pool with bounded queues — the CPU stage of the server.
 //!
-//! Connection threads do the blocking I/O; translation jobs are pushed here
-//! so the number of in-flight translations is bounded no matter how many
-//! sockets are open. Each shard owns an independent `Mutex<VecDeque>` +
-//! `Condvar` and a slice of the workers, so queue contention divides by the
-//! shard count. Submission round-robins across shards and probes every shard
+//! Translation jobs are pushed here so the number of in-flight translations
+//! is bounded no matter how many sockets are open. Each shard owns an
+//! independent `Mutex<VecDeque>` + `Condvar` and a slice of the workers, so
+//! queue contention divides by the shard count. Submission round-robins across shards and probes every shard
 //! once before giving up; a full pool returns [`SubmitError::Overloaded`]
 //! and the caller sheds load with a 503 instead of queueing unboundedly.
 
 use crate::metrics::{Metrics, Scalar};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() -> JobEnd + Send + 'static>;
 
-/// A one-value rendezvous between a connection thread and a worker.
+/// How a job ended, for the pool's counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JobEnd {
+    /// It ran (a panic that escaped it included).
+    Completed,
+    /// It found its deadline spent and answered without running.
+    Expired,
+}
+
+/// A one-value rendezvous between a waiting thread and a worker.
 pub struct OneShot<T> {
     inner: Arc<(Mutex<Option<T>>, Condvar)>,
 }
@@ -77,7 +85,17 @@ struct PoolInner {
     shards: Vec<Shard>,
     shutdown: AtomicBool,
     metrics: Arc<Metrics>,
+    /// Jobs `submitted`, `completed`, `rejected` by `submit` and `expired`,
+    /// in [`COUNTS`] order. Quiet, `submitted == completed + expired`.
+    counts: [AtomicU64; 4],
 }
+
+/// The names of the pool's job counts, as `/v1/admin/status` reports them.
+pub(crate) const COUNTS: [&str; 4] = ["submitted", "completed", "rejected", "expired"];
+const SUBMITTED: usize = 0;
+const COMPLETED: usize = 1;
+const REJECTED: usize = 2;
+const EXPIRED: usize = 3;
 
 /// The pool handle. Dropping it without [`WorkerPool::shutdown`] detaches
 /// the workers (they park on their condvars until process exit), so call
@@ -109,6 +127,7 @@ impl WorkerPool {
                 .collect(),
             shutdown: AtomicBool::new(false),
             metrics,
+            counts: Default::default(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -129,10 +148,27 @@ impl WorkerPool {
     /// Enqueue `job`, probing every shard once starting from the round-robin
     /// cursor. O(shards) worst case, lock-per-probe.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
+        self.submit_job(move || {
+            job();
+            JobEnd::Completed
+        })
+    }
+
+    /// [`WorkerPool::submit`] for a job that says how it ended.
+    pub(crate) fn submit_job(
+        &self,
+        job: impl FnOnce() -> JobEnd + Send + 'static,
+    ) -> Result<(), SubmitError> {
+        let refused = self.offer(Box::new(job));
+        let count = if refused.is_ok() { SUBMITTED } else { REJECTED };
+        self.shared.counts[count].fetch_add(1, Ordering::Relaxed);
+        refused
+    }
+
+    fn offer(&self, job: Job) -> Result<(), SubmitError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let job: Job = Box::new(job);
         let shards = self.shared.shards.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed);
         for probe in 0..shards {
@@ -156,6 +192,14 @@ impl WorkerPool {
             .iter()
             .map(|s| lock(&s.queue).len())
             .sum()
+    }
+
+    /// The job counts, named as in [`COUNTS`] (observational; racy).
+    pub(crate) fn counts(&self) -> [u64; 4] {
+        self.shared
+            .counts
+            .each_ref()
+            .map(|c| c.load(Ordering::Relaxed))
     }
 
     /// Stop accepting jobs and join the workers. Queued jobs that already
@@ -204,33 +248,25 @@ fn worker_loop(shared: &PoolInner, home: usize) {
         };
         let depth = shared.metrics.scalar(Scalar::QueueDepth);
         depth.fetch_sub(1, Ordering::Relaxed);
-        contained(&shared.metrics, job);
+        let end = contained(&shared.metrics, job);
+        let count = if end == Some(JobEnd::Expired) {
+            EXPIRED
+        } else {
+            COMPLETED
+        };
+        shared.counts[count].fetch_add(1, Ordering::Relaxed);
     }
-}
-
-thread_local! {
-    /// Set by [`count_panic`] while this thread unwinds inside [`contained`].
-    static PANIC_COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Run `f` so that a panic takes down neither the thread (nothing respawns
-/// one) nor the server: it is caught and counted once, here or earlier by
-/// [`count_panic`]. Pool and dispatch jobs and the loop's inline stage do.
+/// one) nor the server: it is caught and counted. Pool and dispatch jobs
+/// and the loop's inline stage run this way.
 pub(crate) fn contained<T>(metrics: &Metrics, f: impl FnOnce() -> T) -> Option<T> {
-    PANIC_COUNTED.set(false);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok();
-    if caught.is_none() && !PANIC_COUNTED.replace(false) {
+    if caught.is_none() {
         metrics.inc(Scalar::WorkerPanics);
     }
     caught
-}
-
-/// Count the panic unwinding this thread now: a guard that answers its
-/// caller mid-unwind calls this first, so no 500 is seen before its count.
-pub(crate) fn count_panic(metrics: &Metrics) {
-    if std::thread::panicking() && !PANIC_COUNTED.replace(true) {
-        metrics.inc(Scalar::WorkerPanics);
-    }
 }
 
 fn steal(shared: &PoolInner, home: usize, shards: usize) -> Option<Job> {
@@ -363,6 +399,38 @@ mod tests {
         assert_eq!(slot.recv_timeout(Duration::from_secs(5)), Some(42));
         assert_eq!(metrics.get(Scalar::WorkerPanics), 3);
         p.shutdown();
+    }
+
+    /// Every job the pool takes ends counted once, as run or as expired;
+    /// a refused one is counted apart and never runs.
+    #[test]
+    fn job_counts_conserve_what_was_submitted() {
+        let p = pool(1, 1, 1);
+        let gate = Arc::new(Barrier::new(2));
+        let started = OneShot::new();
+        {
+            let (gate, started) = (Arc::clone(&gate), started.clone());
+            p.submit(move || {
+                started.send(());
+                gate.wait();
+            })
+            .unwrap();
+        }
+        started.recv_timeout(Duration::from_secs(5)).unwrap();
+        p.submit_job(|| JobEnd::Expired).unwrap();
+        assert_eq!(p.submit(|| {}), Err(SubmitError::Overloaded));
+        gate.wait();
+        p.shutdown();
+        let counts: Vec<(&str, u64)> = COUNTS.into_iter().zip(p.counts()).collect();
+        assert_eq!(
+            counts,
+            [
+                ("submitted", 2),
+                ("completed", 1),
+                ("rejected", 1),
+                ("expired", 1)
+            ]
+        );
     }
 
     #[test]

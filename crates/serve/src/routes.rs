@@ -1,11 +1,13 @@
 //! One parsed request in, one response out, as ordered stages: [`begin`]
-//! (trace id, sampling, `conn.read` span) → [`early`] (routing, plus what a
+//! (trace id, sampling, `conn.read` span) → [`route`] (routing, plus what a
 //! single translation decides without waiting) → *either* [`finish`] (count,
 //! frame the bytes, seal and publish the trace), *or* [`resume`] on a thread
-//! that may block (admission → await → degrade → the same `finish`). The
-//! event loop runs the first branch in place, dispatch threads `resume`, the
-//! in-memory oracle `begin` + `resume` back to back: one `finish` keeps
-//! their bytes identical. Wire format: DESIGN.md §8.
+//! that may block (a stream, a batch, a route that builds or writes, the
+//! write stall → the same `finish`). The event loop routes every request
+//! whose handler cannot block ([`early`]) and answers it in place, admitting
+//! a miss itself, whose worker `finish`es it from the reply; dispatch threads
+//! `resume` the rest; the in-memory oracle runs `begin` + `resume` back to
+//! back: one `finish` keeps their bytes identical. Wire format: DESIGN.md §8.
 
 use crate::access_log::{render_line, AccessLog};
 use crate::admin::{
@@ -16,7 +18,9 @@ use crate::admin::{
 use crate::http::{self, BodySink, Request, Response};
 use crate::metrics::{Hist, Route};
 use crate::server::{ServerState, Shared, TenantRuntime};
-use crate::translate::{batch_endpoint, splice_field, translate_early, Early};
+use crate::translate::{
+    batch_endpoint, settle, splice_field, stream_endpoint, translate_early, Early,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use t2v_engine::Json;
@@ -38,9 +42,9 @@ pub(crate) fn write_read_error(shared: &Shared, err: &http::ReadError, out: &mut
     let _ = resp.write_to_sink(out, false);
 }
 
-/// A request between [`begin`] and [`finish`]; its trace rides dispatch hops.
+/// A request between [`begin`] and [`finish`]; its trace rides thread hops.
 pub(crate) struct Begun {
-    trace: Trace,
+    pub(crate) trace: Trace,
     force: bool,
     sampled: bool,
     t0: Instant,
@@ -74,24 +78,40 @@ pub(crate) fn begin(shared: &Shared, req: &Request, t0: Instant, read_dur: Durat
     }
 }
 
-/// The early stage as the event loop runs it; `None` for every route but
-/// the single-translate ones. A finished reply also *fires* the
-/// `conn.write_stall` seam (a counter, an RNG draw); [`resume`] sleeps it.
+/// Routes whose handler may block — wait on the pool (a batch), build or
+/// drop a tenant, write a file — or render more than a bounded page (the
+/// profile, a TSDB window). A stream shows only in its body
+/// ([`Early::Stream`]).
+fn may_block(path: &str) -> bool {
+    path.ends_with("/translate/batch")
+        || path.starts_with("/v1/admin/tenants/")
+        || matches!(
+            path,
+            "/v1/admin/snapshot" | "/v1/admin/profile" | "/v1/admin/tsdb"
+        )
+}
+
+/// The early stage as the event loop runs it: [`route`], or `None` for a
+/// route that [`may_block`].
 pub(crate) fn early(shared: &Shared, req: &Request, begun: &Begun) -> Option<Routed> {
-    let single = req.path.starts_with("/v1/") && req.path.ends_with("/translate");
-    if req.method != "POST" || !single {
-        return None;
-    }
+    (!may_block(&req.path)).then(|| route(shared, req, begun))
+}
+
+/// Route one request under its trace. A finished reply also *fires* the
+/// `conn.write_stall` seam (a counter, an RNG draw); [`resume`] sleeps it.
+/// A miss comes back unadmitted ([`Early::Miss`]).
+pub(crate) fn route(shared: &Shared, req: &Request, begun: &Begun) -> Routed {
     let _scope = begun.trace.scope();
     let (route, early, _) = respond(shared, req);
     let stall = matches!(early, Early::Reply(_))
         .then(|| fire_delay(ConnWriteStall))
         .flatten();
-    Some((route, early, stall))
+    (route, early, stall)
 }
 
-/// Everything after [`begin`], on a thread that may block: the early stage
-/// unless the loop ran it (`routed`), the late one, the stall, [`finish`].
+/// Everything after [`route`], on a thread that may block: routing unless
+/// done (`routed`), the late stage (a stream relayed; for the oracle, a
+/// miss admitted and awaited), the stall, [`finish`].
 pub(crate) fn resume(
     shared: &Shared,
     req: &Request,
@@ -99,17 +119,20 @@ pub(crate) fn resume(
     routed: Option<Routed>,
     writer: &mut dyn BodySink,
 ) -> bool {
+    let routed = routed.unwrap_or_else(|| route(shared, req, &begun));
     let scope = begun.trace.scope();
-    let (route, early, stall) = routed.unwrap_or_else(|| respond(shared, req));
-    let handled = match early {
-        Early::Reply(resp) => Handled::Reply(resp),
-        Early::Resume(late) => late(shared, writer),
+    let (route, early, stall) = routed;
+    let (handled, stall) = match early {
+        Early::Reply(resp) => (Handled::Reply(resp), stall),
+        Early::Miss(miss) => (
+            Handled::Reply(settle(shared, miss)),
+            fire_delay(ConnWriteStall),
+        ),
+        Early::Stream(miss) => (stream_endpoint(shared, miss, writer), None),
     };
-    if matches!(handled, Handled::Reply(_)) {
+    if let Some(delay) = stall {
         // Chaos seam: `conn.write_stall` models a peer draining us slowly.
-        if let Some(delay) = stall.or_else(|| fire_delay(ConnWriteStall)) {
-            std::thread::sleep(delay);
-        }
+        std::thread::sleep(delay);
     }
     drop(scope);
     let write_now = |log: Arc<AccessLog>, line: String| log.write_line(&line);
@@ -291,7 +314,7 @@ pub(crate) enum Handled {
 }
 
 /// Route one request. A single translation gets its early stage (errors and
-/// hits answered, a miss handed back as [`Early::Resume`]); every other
+/// hits answered, a miss handed back as [`Early::Miss`]); every other
 /// route is answered in full, so only threads that may block route those.
 /// Tenant-scoped traffic: `/v1/t/{tenant}/...`, same sub-routes as `/v1/*`.
 fn respond(shared: &Shared, req: &Request) -> Routed {

@@ -3,11 +3,11 @@
 //! stops.
 //!
 //! Thread model (DESIGN.md §7, §14): one epoll loop thread owns every
-//! socket ([`crate::event`]) and answers cache hits and validation errors
-//! of single translations itself; everything else runs `routes::resume` on
-//! a small dispatch pool, which sends translation misses through the
-//! admission stage in [`crate::translate`] into the sharded
-//! [`WorkerPool`]. Overload — full queues or too many sockets — answers
+//! socket ([`crate::event`]), answers cache hits and validation errors of
+//! single translations itself and admits their misses through
+//! [`crate::translate`] into the sharded [`WorkerPool`], whose worker
+//! answers the connection; what may block runs `routes::resume` on a
+//! dispatcher of one thread per worker. Overload — full queues or too many sockets — answers
 //! 503 immediately instead of queueing unboundedly.
 
 use crate::access_log::AccessLog;
@@ -617,7 +617,8 @@ pub(crate) struct Shared {
 pub(crate) struct EventStats {
     /// Connections currently accumulating request bytes.
     pub(crate) reading: AtomicU64,
-    /// Connections with a request in flight on a dispatch thread.
+    /// Connections with a request in flight: a parked miss, or a request
+    /// on a dispatch thread.
     pub(crate) dispatched: AtomicU64,
     /// Connections flushing a response under write backpressure.
     pub(crate) writing: AtomicU64,

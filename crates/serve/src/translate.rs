@@ -4,15 +4,18 @@
 //!
 //! Every item starts in `probe` (resolve → key → cache lookup → count).
 //! The single endpoint is split where waiting starts: `translate_early`
-//! answers errors and fresh hits on the event loop itself; the late stage
-//! (or the stream relay) continues on a dispatch thread.
+//! answers errors and fresh hits, and hands a miss back as a [`Miss`]
+//! whose admission never blocks — the event loop runs it, and the worker
+//! that runs the translation answers the connection (`crate::event`). A
+//! stream continues on a dispatch thread.
 //!
 //! Every cold translation enters the worker pool through
 //! `admit_and_submit` — breaker admission, pool submission, and the
-//! half-open probe released if the pool refuses. A non-streamed item then
-//! walks one path: `admit` (on refusal: stale cache → `gred` fallback →
-//! 503) and `settle` (await the reply; on timeout: stale cache → 504).
-//! Either ends in one `Outcome`, which the single endpoint frames, a batch
+//! half-open probe released if the pool refuses — with an [`OnReply`] that
+//! says where the job's reply goes. A non-streamed item then walks one
+//! path: `admit` (on refusal: stale cache → `gred` fallback → 503) and
+//! `conclude` (from the reply, or on timeout: stale cache → 504). Either
+//! ends in one `Outcome`, which the single endpoint frames, a batch
 //! appends as one result and a stream writes as its final line.
 //! DESIGN.md §11 has the table.
 
@@ -21,7 +24,7 @@ use crate::cache::Lookup;
 use crate::config::ServeConfig;
 use crate::http::{self, Body, BodySink, Request, Response};
 use crate::metrics::{Hist, Metrics, Scalar};
-use crate::pool::OneShot;
+use crate::pool::{JobEnd, OneShot};
 use crate::routes::Handled;
 use crate::server::{CacheKey, DbEntry, Shared, TenantRuntime};
 use std::collections::HashMap;
@@ -272,37 +275,34 @@ impl Item {
     }
 }
 
-/// Rides inside every pool job: if the job never answers — a worker panic
-/// (injected or real) unwinds the closure — dropping the guard fulfils the
-/// caller's slot with a structured 500 and records the failure on the
-/// backend's breaker, so the connection thread fails fast instead of
-/// waiting out its deadline on a reply that will never come.
-struct ReplyGuard {
-    slot: OneShot<Reply>,
-    breaker: Arc<CircuitBreaker>,
-    metrics: Arc<Metrics>,
-    answered: bool,
-}
+/// Where a pool job's reply goes: a waiting thread's slot, or the
+/// continuation of a request the event loop parked.
+pub(crate) type OnReply = Box<dyn FnOnce(Reply) + Send>;
 
-impl ReplyGuard {
-    fn answer(mut self, reply: Reply) {
-        self.answered = true;
-        self.slot.send(reply);
+/// The `reply_to` of a caller that blocks on `slot`.
+fn into_slot(slot: &OneShot<Reply>) -> impl Fn() -> OnReply + '_ {
+    move || {
+        let slot = slot.clone();
+        Box::new(move |reply| slot.send(reply))
     }
 }
 
-impl Drop for ReplyGuard {
-    fn drop(&mut self) {
-        if self.answered {
-            return;
+/// Run one translation so that a panic costs its request, not the worker:
+/// the panic is counted and recorded on the breaker first, and then the
+/// structured 500 that answers it is returned — so no client sees its 500
+/// before `/metrics` counts the panic.
+fn answer_contained(
+    metrics: &Metrics,
+    breaker: &CircuitBreaker,
+    translate: impl FnOnce() -> Reply,
+) -> Reply {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(translate)).unwrap_or_else(|_| {
+        metrics.inc(Scalar::WorkerPanics);
+        if breaker.record(false, 0) {
+            metrics.inc(Scalar::BreakerOpens);
         }
-        crate::pool::count_panic(&self.metrics);
-        if self.breaker.record(false, 0) {
-            self.metrics.inc(Scalar::BreakerOpens);
-        }
-        self.slot
-            .send(error_reply(500, "translation worker failed"));
-    }
+        error_reply(500, "translation worker failed")
+    })
 }
 
 /// A structured-error [`Reply`] (the body reuses the HTTP error envelope).
@@ -351,7 +351,7 @@ pub(crate) fn splice_field(body: &[u8], field: &str, raw: &str) -> Vec<u8> {
 /// a batch appends as one result, and a stream writes as its final line.
 /// `cache` is `hit`, `miss` or `stale` (unset on errors and on the `gred`
 /// fallback), `backend` the one that answered, `retry_after` in seconds.
-struct Outcome {
+pub(crate) struct Outcome {
     status: u16,
     body: Body,
     cache: Option<&'static str>,
@@ -390,7 +390,7 @@ impl Outcome {
 
     /// Frame the outcome as a response: the only code that sets the
     /// `x-t2v-*` and `Retry-After` headers on a translation.
-    fn into_response(self) -> Response {
+    pub(crate) fn into_response(self) -> Response {
         let headers = [
             ("x-t2v-cache", self.cache.map(String::from)),
             ("x-t2v-degraded", self.degraded.map(String::from)),
@@ -472,8 +472,8 @@ impl StageSink for JobObserver<'_> {
     }
 }
 
-/// Queue one item's cold translation on the pool. The returned slot
-/// resolves to a [`Reply`]; the worker also caches successful bodies and
+/// Queue one item's cold translation on the pool; its [`Reply`] goes to
+/// `on_reply`, on the worker. The worker also caches successful bodies and
 /// records per-backend, per-tenant, and breaker outcomes. A `deadline`
 /// already spent when a worker picks the job up short-circuits to 504
 /// without running the backend.
@@ -482,9 +482,8 @@ fn submit_translation(
     item: &Item,
     stage_tx: Option<mpsc::Sender<String>>,
     deadline: Option<Instant>,
-) -> Result<OneShot<Reply>, crate::pool::SubmitError> {
-    let slot: OneShot<Reply> = OneShot::new();
-    let job_slot = slot.clone();
+    on_reply: OnReply,
+) -> Result<(), crate::pool::SubmitError> {
     let state = Arc::clone(&shared.state);
     let tenant = Arc::clone(&item.tenant);
     let backend = Arc::clone(&item.backend);
@@ -494,18 +493,12 @@ fn submit_translation(
     let entry = Arc::clone(&item.entry);
     let key = item.key.clone();
     let enqueued = Instant::now();
-    // The request thread's trace rides into the job: the worker installs
-    // it as *its* current trace, so the backend span (and the embed/retrieve
-    // spans the job's observer opens) land in the same tree.
+    // The request's trace rides into the job: the worker installs it as
+    // *its* current trace, so the backend span, the embed/retrieve spans the
+    // job's observer opens and whatever `on_reply` records land in one tree.
     let trace = t2v_trace::current();
     let job = move || {
         let _trace_scope = trace.as_ref().map(Trace::scope);
-        let guard = ReplyGuard {
-            slot: job_slot,
-            breaker: Arc::clone(&breaker),
-            metrics: Arc::clone(&state.metrics),
-            answered: false,
-        };
         let metrics = &state.metrics;
         let queue_wait = enqueued.elapsed();
         if let Some(t) = &trace {
@@ -517,58 +510,69 @@ fn submit_translation(
         if deadline.is_some_and(|d| Instant::now() >= d) {
             // The budget died in the queue: don't burn a worker on a body
             // nobody is waiting for.
-            metrics.inc(Scalar::DeadlineExceeded);
-            let message = "deadline exceeded before translation started";
-            guard.answer(error_reply(504, message));
-            return;
+            on_reply(error_reply(
+                504,
+                "deadline exceeded before translation started",
+            ));
+            return JobEnd::Expired;
         }
-        let t0 = Instant::now();
-        let result = {
-            // The backend span covers fault firing + the translate call, so
-            // the embed/retrieve child spans (and any fault note) nest here.
-            let _span = t2v_trace::span(Stage::Backend);
-            // Chaos seams: an armed `backend.panic` unwinds here (the guard
-            // and the pool's catch_unwind turn it into a structured 500 +
-            // metrics); an armed `backend.error` swaps the translation for
-            // an internal error without touching the backend.
-            if t2v_fault::fire_for(FaultPoint::BackendPanic, &backend_id).is_some() {
-                panic!("injected fault: backend '{backend_id}' panic");
+        let reply = answer_contained(metrics, &breaker, || {
+            let t0 = Instant::now();
+            let result = {
+                // The backend span covers fault firing + the translate call,
+                // so the embed/retrieve child spans (and any fault note)
+                // nest here.
+                let _span = t2v_trace::span(Stage::Backend);
+                // Chaos seams: an armed `backend.panic` unwinds here (into a
+                // structured 500 + metrics); an armed `backend.error` swaps
+                // the translation for an internal error without touching
+                // the backend.
+                if t2v_fault::fire_for(FaultPoint::BackendPanic, &backend_id).is_some() {
+                    panic!("injected fault: backend '{backend_id}' panic");
+                }
+                let req = TranslateRequest::new(&key.2, &entry.db);
+                if t2v_fault::fire_for(FaultPoint::BackendError, &backend_id).is_some() {
+                    let message = format!("injected fault: backend '{backend_id}' error");
+                    Err(TranslateError::Internal { message })
+                } else {
+                    let mut observer = JobObserver {
+                        stage_tx: stage_tx.as_ref(),
+                        step_span: None,
+                    };
+                    backend.translate_streamed(&req, &mut observer)
+                }
+            };
+            let elapsed = t0.elapsed().as_nanos() as u64;
+            let error = result.is_err();
+            metrics.record_translation(&tenant.metrics, charged_backend, elapsed, error);
+            // Breaker accounting: `internal` failures (bugs, injected
+            // faults) say the *backend* is unhealthy. Input-level outcomes
+            // — including structured no_output/invalid_output — are
+            // properties of the query, not the backend, and must never
+            // trip it.
+            let internal_failure = matches!(result, Err(TranslateError::Internal { .. }));
+            if breaker.record(!internal_failure, elapsed) {
+                metrics.inc(Scalar::BreakerOpens);
             }
-            let req = TranslateRequest::new(&key.2, &entry.db);
-            if t2v_fault::fire_for(FaultPoint::BackendError, &backend_id).is_some() {
-                let message = format!("injected fault: backend '{backend_id}' error");
-                Err(TranslateError::Internal { message })
-            } else {
-                let mut observer = JobObserver {
-                    stage_tx: stage_tx.as_ref(),
-                    step_span: None,
-                };
-                backend.translate_streamed(&req, &mut observer)
+            let status = if internal_failure { 500 } else { 200 };
+            let body = Arc::new(render_translation(
+                &backend_id,
+                &key.2,
+                &entry,
+                key.4,
+                &result,
+            ));
+            if status == 200 {
+                // Transient internal failures are never cached — a retry
+                // (or the storm simply passing) must be able to succeed.
+                state.cache.insert(key, Arc::clone(&body));
             }
-        };
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        let error = result.is_err();
-        metrics.record_translation(&tenant.metrics, charged_backend, elapsed, error);
-        // Breaker accounting: `internal` failures (bugs, injected faults)
-        // say the *backend* is unhealthy. Input-level outcomes — including
-        // structured no_output/invalid_output — are properties of the
-        // query, not the backend, and must never trip it.
-        let internal_failure = matches!(result, Err(TranslateError::Internal { .. }));
-        if breaker.record(!internal_failure, elapsed) {
-            metrics.inc(Scalar::BreakerOpens);
-        }
-        let status = if internal_failure { 500 } else { 200 };
-        let body = render_translation(&backend_id, &key.2, &entry, key.4, &result);
-        let body = Arc::new(body);
-        if status == 200 {
-            // Transient internal failures are never cached — a retry (or
-            // the storm simply passing) must be able to succeed.
-            state.cache.insert(key, Arc::clone(&body));
-        }
-        guard.answer(Reply { status, body });
+            Reply { status, body }
+        });
+        on_reply(reply);
+        JobEnd::Completed
     };
-    shared.pool.submit(job)?;
-    Ok(slot)
+    shared.pool.submit_job(job)
 }
 
 /// Why the admission stage turned a translation away.
@@ -586,14 +590,15 @@ enum Refused {
 /// released here, so no caller can leave the breaker waiting on a probe
 /// that never ran. `span` records the breaker decision as the request's
 /// `breaker` span; only the single endpoint asks — a trace holds 24 spans
-/// and a batch up to [`MAX_BATCH_ITEMS`] items.
+/// and a batch up to [`MAX_BATCH_ITEMS`] items. Never blocks.
 fn admit_and_submit(
     shared: &Shared,
     item: &Item,
     stage_tx: Option<mpsc::Sender<String>>,
     deadline: Option<Instant>,
     span: bool,
-) -> Result<OneShot<Reply>, Refused> {
+    on_reply: OnReply,
+) -> Result<(), Refused> {
     let breaker = item.breaker();
     let admission = {
         let _span = span.then(|| t2v_trace::span(Stage::Breaker));
@@ -602,7 +607,7 @@ fn admit_and_submit(
     if let Admission::Reject { retry_after_ms } = admission {
         return Err(Refused::Open { retry_after_ms });
     }
-    submit_translation(shared, item, stage_tx, deadline).map_err(|_| {
+    submit_translation(shared, item, stage_tx, deadline, on_reply).map_err(|_| {
         if admission == Admission::Probe {
             breaker.probe_aborted();
         }
@@ -622,35 +627,65 @@ fn await_reply(slot: &OneShot<Reply>, deadline: Option<Instant>) -> Option<Reply
     slot.recv_timeout(wait)
 }
 
-/// An admitted translation, not yet collected.
-struct Pending {
-    slot: OneShot<Reply>,
+/// A counted miss: its item, resolved, keyed and looked up once, with
+/// the request's deadline and start.
+pub(crate) struct Miss {
     item: Item,
+    deadline: Option<Instant>,
+    started: Instant,
+}
+
+/// An admitted miss, not yet concluded.
+pub(crate) struct Pending {
+    miss: Miss,
     /// Set on the `gred` fallback of a refused item: the 503 that stands
     /// unless the fallback answers 200.
     unavailable: Option<Outcome>,
 }
 
-/// What [`admit`] made of an item: an end, or a translation to [`settle`].
-enum Step {
+/// What [`admit`] made of a miss: an end, or a translation to conclude.
+pub(crate) enum Step {
     Done(Outcome),
     Waiting(Pending),
+}
+
+impl Pending {
+    /// When a waiter gives up on the reply: the deadline, or
+    /// [`NO_DEADLINE_WAIT`] after the request began with deadlines off.
+    pub(crate) fn expires(&self) -> Instant {
+        let miss = &self.miss;
+        miss.deadline.unwrap_or(miss.started + NO_DEADLINE_WAIT)
+    }
+
+    /// A single translation's response, from its reply or — `None`, past
+    /// [`Pending::expires`] — from the timeout ladder.
+    pub(crate) fn respond(self, shared: &Shared, reply: Option<Reply>) -> Response {
+        let started = self.miss.started;
+        let outcome = conclude(shared, self, reply);
+        // Latency counts translations a backend answered, as for hits.
+        if outcome.cache == Some("miss") {
+            let latency = shared.state.metrics.hist(Hist::Request);
+            latency.observe_ns(started.elapsed().as_nanos() as u64);
+        }
+        outcome.into_response()
+    }
 }
 
 /// The first half of every non-streamed cold item: admission, and on
 /// refusal the one ladder. An open breaker serves the stale entry, else
 /// resubmits the item to `gred`, else answers 503 `backend_unavailable`;
-/// a full pool answers 503 `overload`.
-fn admit(shared: &Shared, mut item: Item, deadline: Option<Instant>, span: bool) -> Step {
-    let waiting = |slot, item, unavailable| {
-        Step::Waiting(Pending {
-            slot,
-            item,
-            unavailable,
-        })
-    };
-    let refusal = match admit_and_submit(shared, &item, None, deadline, span) {
-        Ok(slot) => return waiting(slot, item, None),
+/// a full pool answers 503 `overload`. The admitted job's reply goes to
+/// `reply_to()`. Never blocks: the event loop runs it.
+pub(crate) fn admit(
+    shared: &Shared,
+    mut miss: Miss,
+    span: bool,
+    reply_to: &dyn Fn() -> OnReply,
+) -> Step {
+    let waiting = |miss, unavailable| Step::Waiting(Pending { miss, unavailable });
+    let (item, deadline) = (&miss.item, miss.deadline);
+    let refusal = match admit_and_submit(shared, item, None, deadline, span, reply_to()) {
+        Ok(()) => return waiting(miss, None),
         Err(refusal) => refusal,
     };
     let unavailable = refused(shared, &refusal, &item.backend_id);
@@ -662,7 +697,8 @@ fn admit(shared: &Shared, mut item: Item, deadline: Option<Instant>, span: bool)
     let _span = t2v_trace::span(Stage::Degrade);
     t2v_trace::note(format!("breaker:open:{}", item.backend_id));
     if let Some(stale) = shared.state.cache.get_stale(&item.key) {
-        return Step::Done(degrade(shared, &stale, "stale_cache", item.backend_id));
+        let backend = miss.item.backend_id;
+        return Step::Done(degrade(shared, &stale, "stale_cache", backend));
     }
     // `gred` is the paper's system: the ladder falls back to it, never away
     // from it. It is the last rung: refused, it ends the ladder uncounted.
@@ -673,48 +709,63 @@ fn admit(shared: &Shared, mut item: Item, deadline: Option<Instant>, span: bool)
         return Step::Done(unavailable);
     };
     let (idx, id, backend) = (idx, id.to_string(), Arc::clone(backend));
+    let item = &mut miss.item;
     (item.backend_idx, item.backend_id, item.backend) = (idx, id, backend);
     item.key.1 = idx as u16;
     if let Lookup::Fresh(hit) = shared.state.cache.lookup(&item.key) {
-        return Step::Done(degrade(shared, &hit, "fallback:gred", item.backend_id));
+        let backend = miss.item.backend_id;
+        return Step::Done(degrade(shared, &hit, "fallback:gred", backend));
     }
-    match admit_and_submit(shared, &item, None, deadline, false) {
-        Ok(slot) => waiting(slot, item, Some(unavailable)),
+    match admit_and_submit(shared, item, None, deadline, false, reply_to()) {
+        Ok(()) => waiting(miss, Some(unavailable)),
         Err(_) => Step::Done(unavailable),
     }
 }
 
-/// The second half: await the reply until the deadline, then [`conclude`].
-fn settle(shared: &Shared, pending: Pending, deadline: Option<Instant>) -> Outcome {
-    let reply = await_reply(&pending.slot, deadline);
-    conclude(shared, pending, reply, deadline)
+/// Admit, then block until the reply or the deadline: the in-memory
+/// oracle's single miss (`Server::answer_in_memory`). A served one is
+/// parked on the loop and answered by its worker (`crate::event`).
+pub(crate) fn settle(shared: &Shared, miss: Miss) -> Response {
+    let slot = OneShot::new();
+    let step = admit(shared, miss, true, &into_slot(&slot));
+    match step {
+        Step::Done(outcome) => outcome.into_response(),
+        Step::Waiting(pending) => {
+            let reply = await_reply(&slot, pending.miss.deadline);
+            pending.respond(shared, reply)
+        }
+    }
 }
 
 /// End an admitted item from its reply. A fallback's 200 is marked
 /// degraded, any other reply leaves its item's 503 standing. A wait that
-/// ran out walks the one timeout ladder: stale cache, else 504
-/// `deadline_exceeded` — or a 500 with deadlines disabled.
-fn conclude(
-    shared: &Shared,
-    p: Pending,
-    reply: Option<Reply>,
-    deadline: Option<Instant>,
-) -> Outcome {
-    let backend = p.item.backend_id;
+/// ran out (`None`) walks the one timeout ladder: stale cache, else 504
+/// `deadline_exceeded` — or a 500 with deadlines disabled. Whichever 504
+/// answers, the job's or the ladder's, is counted here, once.
+fn conclude(shared: &Shared, p: Pending, reply: Option<Reply>) -> Outcome {
+    let Miss { item, deadline, .. } = p.miss;
+    let metrics = &shared.state.metrics;
     match (reply, p.unavailable) {
-        (Some(r), None) => Outcome::answered(r.status, r.body, "miss", backend),
-        (Some(r), Some(_)) if r.status == 200 => degrade(shared, &r.body, "fallback:gred", backend),
+        (Some(r), None) => {
+            if r.status == 504 {
+                metrics.inc(Scalar::DeadlineExceeded);
+            }
+            Outcome::answered(r.status, r.body, "miss", item.backend_id)
+        }
+        (Some(r), Some(_)) if r.status == 200 => {
+            degrade(shared, &r.body, "fallback:gred", item.backend_id)
+        }
         (Some(_), Some(unavailable)) => unavailable,
         (None, _) if deadline.is_none() => Outcome::error(500, "translation timed out"),
         (None, unavailable) => {
-            shared.state.metrics.inc(Scalar::DeadlineExceeded);
+            metrics.inc(Scalar::DeadlineExceeded);
             // The orphaned job's reply goes to nobody. A fallback's stale
             // rung already came up empty at admission.
             let stale = unavailable
                 .is_none()
-                .then(|| shared.state.cache.get_stale(&p.item.key));
+                .then(|| shared.state.cache.get_stale(&item.key));
             match stale.flatten() {
-                Some(stale) => degrade(shared, &stale, "stale_cache", backend),
+                Some(stale) => degrade(shared, &stale, "stale_cache", item.backend_id),
                 None => Outcome::error(504, "deadline exceeded before the translation finished"),
             }
         }
@@ -722,15 +773,13 @@ fn conclude(
 }
 
 /// What the early stage decided: answered without waiting (a validation
-/// error, a fresh hit), or a late stage for a thread that may block.
+/// error, a fresh hit), a counted miss to [`admit`], or a stream — for a
+/// thread that may block ([`stream_endpoint`]).
 pub(crate) enum Early {
     Reply(Response),
-    Resume(Late),
+    Miss(Miss),
+    Stream(Miss),
 }
-
-/// The late stage, a continuation over what [`translate_early`] resolved —
-/// nothing is parsed, keyed, looked up or counted twice. Blocks on the pool.
-pub(crate) type Late = Box<dyn FnOnce(&Shared, &mut dyn BodySink) -> Handled + Send>;
 
 /// The early stage of `POST /v1/translate` (and `/v1/t/{tenant}/translate`):
 /// all that is decided before admission. Waits on nothing: the loop runs it.
@@ -749,32 +798,22 @@ pub(crate) fn translate_early(
         Err(resp) => return Early::Reply(resp),
     };
     let deadline = request_deadline(&shared.state.config, req, started);
-    let late: Late = match probe(shared, tenant, &parsed, true, |_| stream) {
+    let miss = |item| Miss {
+        item,
+        deadline,
+        started,
+    };
+    match probe(shared, tenant, &parsed, true, |_| stream) {
         Probe::Done(outcome) => {
             if outcome.cache == Some("hit") {
                 let latency = shared.state.metrics.hist(Hist::Request);
                 latency.observe_ns(started.elapsed().as_nanos() as u64);
             }
-            return Early::Reply(outcome.into_response());
+            Early::Reply(outcome.into_response())
         }
-        Probe::Diverted(item) => {
-            Box::new(move |shared, writer| stream_endpoint(shared, item, writer, deadline))
-        }
-        // The late stage: admit → settle, on a thread that may block.
-        Probe::Miss(item) => Box::new(move |shared, _| {
-            let outcome = match admit(shared, item, deadline, true) {
-                Step::Done(outcome) => outcome,
-                Step::Waiting(pending) => settle(shared, pending, deadline),
-            };
-            // Latency counts translations a backend answered, as for hits.
-            if outcome.cache == Some("miss") {
-                let latency = shared.state.metrics.hist(Hist::Request);
-                latency.observe_ns(started.elapsed().as_nanos() as u64);
-            }
-            Handled::Reply(outcome.into_response())
-        }),
-    };
-    Early::Resume(late)
+        Probe::Diverted(item) => Early::Stream(miss(item)),
+        Probe::Miss(item) => Early::Miss(miss(item)),
+    }
 }
 
 /// How one item's early stage ended: a validation error or a fresh hit
@@ -825,22 +864,17 @@ fn probe(
 /// stages left to stream) but still populates the cache for later requests.
 /// The stream is counted and traced by its final line's status; a client
 /// that hung up mid-stream by the 200 head it got.
-fn stream_endpoint(
-    shared: &Shared,
-    item: Item,
-    writer: &mut dyn BodySink,
-    deadline: Option<Instant>,
-) -> Handled {
+pub(crate) fn stream_endpoint(shared: &Shared, miss: Miss, writer: &mut dyn BodySink) -> Handled {
+    let (item, deadline) = (&miss.item, miss.deadline);
     item.record_cache(&shared.state.metrics, false);
     // Stage lines come from the backend asked or not at all: a stream
     // cannot degrade, so a refusal is its 503.
     let (tx, rx) = mpsc::channel::<String>();
-    let slot = match admit_and_submit(shared, &item, Some(tx), deadline, false) {
-        Ok(slot) => slot,
-        Err(refusal) => {
-            return Handled::Reply(refused(shared, &refusal, &item.backend_id).into_response())
-        }
-    };
+    let slot = OneShot::new();
+    let on_reply = into_slot(&slot)();
+    if let Err(refusal) = admit_and_submit(shared, item, Some(tx), deadline, false, on_reply) {
+        return Handled::Reply(refused(shared, &refusal, &item.backend_id).into_response());
+    }
     let backend = item.backend_id.clone();
     if http::write_streaming_head(writer, 200, "application/x-ndjson").is_err() {
         return Handled::Streamed {
@@ -861,12 +895,12 @@ fn stream_endpoint(
             };
         }
     }
+    let reply = await_reply(&slot, deadline);
     let pending = Pending {
-        slot,
-        item,
+        miss,
         unavailable: None,
     };
-    let outcome = settle(shared, pending, deadline);
+    let outcome = conclude(shared, pending, reply);
     let _ = http::write_line(writer, outcome.body.as_slice());
     let status = outcome.status;
     Handled::Streamed { backend, status }
@@ -911,19 +945,26 @@ pub(crate) fn batch_endpoint(
     // first one's result instead of racing the cache.
     let deadline = request_deadline(&state.config, req, started);
     let mut first_of: HashMap<CacheKey, usize> = HashMap::new();
-    let steps: Vec<Result<Step, usize>> = requests
+    let steps: Vec<Result<(Step, OneShot<Reply>), usize>> = requests
         .iter()
         .enumerate()
-        .map(
-            |(i, obj)| match probe(shared, tenant, obj, false, |key| first_of.contains_key(key)) {
-                Probe::Done(outcome) => Ok(Step::Done(outcome)),
+        .map(|(i, obj)| {
+            let slot = OneShot::new();
+            match probe(shared, tenant, obj, false, |key| first_of.contains_key(key)) {
+                Probe::Done(outcome) => Ok((Step::Done(outcome), slot)),
                 Probe::Diverted(item) => Err(first_of[&item.key]),
                 Probe::Miss(item) => {
                     first_of.insert(item.key.clone(), i);
-                    Ok(admit(shared, item, deadline, false))
+                    let miss = Miss {
+                        item,
+                        deadline,
+                        started,
+                    };
+                    let step = admit(shared, miss, false, &into_slot(&slot));
+                    Ok((step, slot))
                 }
-            },
-        )
+            }
+        })
         .collect();
 
     // Phase 2: settle in order. A transient `internal` failure is retried
@@ -941,9 +982,9 @@ pub(crate) fn batch_endpoint(
         let at = out.len();
         match step {
             Err(first) => out.extend_from_within(placed[first].clone()),
-            Ok(Step::Done(outcome)) => out.extend_from_slice(outcome.body.as_slice()),
-            Ok(Step::Waiting(pending)) => {
-                let mut reply = await_reply(&pending.slot, deadline);
+            Ok((Step::Done(outcome), _)) => out.extend_from_slice(outcome.body.as_slice()),
+            Ok((Step::Waiting(pending), slot)) => {
+                let mut reply = await_reply(&slot, deadline);
                 let backoff = RETRY_BASE_MS + (i as u64 * 7 + 13) % RETRY_BASE_MS;
                 let backoff = Duration::from_millis(backoff);
                 let left = |d: Instant| d.saturating_duration_since(Instant::now());
@@ -951,13 +992,13 @@ pub(crate) fn batch_endpoint(
                     && deadline.is_none_or(|d| left(d) > backoff)
                 {
                     std::thread::sleep(backoff);
-                    let item = &pending.item;
-                    if let Ok(slot) = admit_and_submit(shared, item, None, deadline, false) {
+                    let (item, on_reply) = (&pending.miss.item, into_slot(&slot)());
+                    if admit_and_submit(shared, item, None, deadline, false, on_reply).is_ok() {
                         state.metrics.inc(Scalar::BatchRetries);
                         reply = await_reply(&slot, deadline);
                     }
                 }
-                let outcome = conclude(shared, pending, reply, deadline);
+                let outcome = conclude(shared, pending, reply);
                 out.extend_from_slice(outcome.body.as_slice());
             }
         }
@@ -977,32 +1018,24 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU64};
 
     /// A panicking job's 500 must not reach its caller before the panic is
-    /// counted: the guard answers mid-unwind, and a client that scrapes
-    /// `/metrics` right after its 500 used to find the panic uncounted.
+    /// counted: a client that scrapes `/metrics` right after its 500 used
+    /// to find the panic uncounted. The panic is caught inside the job, so
+    /// it is counted (and recorded on the breaker) before the 500 exists.
     #[test]
     fn a_panic_is_counted_before_its_reply_is_sent() {
-        let metrics = Arc::new(Metrics::with_backends(&[]));
-        let slot = OneShot::new();
-        let guard = ReplyGuard {
-            slot: slot.clone(),
-            breaker: Arc::new(CircuitBreaker::new(crate::breaker::BreakerConfig {
-                window: 0,
-                min_samples: 1,
-                threshold_pct: 50,
-                open_ms: 0,
-            })),
-            metrics: Arc::clone(&metrics),
-            answered: false,
-        };
-        let job = move || {
-            let _guard = guard;
-            panic!("job blew up");
-        };
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err());
-        let reply = slot
-            .recv_timeout(Duration::ZERO)
-            .expect("the guard answered");
+        let metrics = Metrics::with_backends(&[]);
+        let breaker = CircuitBreaker::new(crate::breaker::BreakerConfig {
+            window: 4,
+            min_samples: 1,
+            threshold_pct: 50,
+            open_ms: 60_000,
+        });
+        let reply = answer_contained(&metrics, &breaker, || panic!("job blew up"));
         assert_eq!(reply.status, 500);
+        assert_eq!(metrics.get(Scalar::WorkerPanics), 1);
+        assert_eq!(metrics.get(Scalar::BreakerOpens), 1, "the panic tripped it");
+        let ok = answer_contained(&metrics, &breaker, || error_reply(200, "fine"));
+        assert_eq!(ok.status, 200);
         assert_eq!(metrics.get(Scalar::WorkerPanics), 1);
     }
 
@@ -1044,7 +1077,7 @@ mod tests {
         let breaker = item.breaker();
         assert!(breaker.record(false, 0), "one failure trips the breaker");
 
-        let refused = admit_and_submit(&shared, &item, None, None, false);
+        let refused = admit_and_submit(&shared, &item, None, None, false, Box::new(|_| {}));
         assert_eq!(refused.err(), Some(Refused::Overloaded));
         assert_eq!(
             breaker.admit(),

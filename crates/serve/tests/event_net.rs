@@ -580,9 +580,9 @@ fn event_loop_answers_byte_identically_to_the_in_memory_oracle() {
     event.shutdown();
     oracle.shutdown();
 
-    // A stale entry behind an open breaker still degrades through the
-    // dispatch path: the early stage reports the expired entry as a miss,
-    // the late stage is refused admission and serves it marked.
+    // A stale entry behind an open breaker still degrades: the early stage
+    // reports the expired entry as a miss, admission is refused and serves
+    // it marked.
     let tweaks = [
         ("cache_ttl_secs", "1"),
         ("breaker_window", "4"),
@@ -612,6 +612,68 @@ fn event_loop_answers_byte_identically_to_the_in_memory_oracle() {
     assert_eq!(header_values(&a, "x-t2v-cache"), ["stale"]);
     event.shutdown();
     oracle.shutdown();
+}
+
+/// A miss whose deadline passes while its worker still translates is
+/// answered 504 by the loop's timer; a hit pipelined behind it on the same
+/// keep-alive connection follows the 504, and the worker's late reply never
+/// reaches the wire — it is dropped and counted.
+#[test]
+fn a_504_keeps_pipelined_order_and_the_late_reply_never_reaches_the_wire() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[]);
+    let db = db0(&corpus);
+    let hit = translate_raw("show all wages", &db, false);
+    assert_eq!(
+        status_of(&exchange(&server, std::slice::from_ref(&hit))),
+        200,
+        "warm the hit"
+    );
+
+    // The miss's two retrievals sleep 300 ms each; its budget is 60 ms.
+    t2v_fault::arm(&FaultPlan::parse("seed=5;retrieve.latency:ms=300,count=2").unwrap());
+    let body = Json::obj([
+        ("nlq", Json::str("list every salary")),
+        ("db", Json::str(&db)),
+    ])
+    .compact();
+    let slow = request_with("POST", "/v1/translate", "X-T2V-Deadline-Ms: 60\r\n", &body);
+    let mut stream = connect(&server);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(&[slow, hit].concat()).unwrap();
+    let first = read_response(&mut reader).expect("the miss's answer");
+    let second = read_response(&mut reader).expect("the hit's answer");
+    assert_eq!(
+        status_of(&first),
+        504,
+        "{}",
+        String::from_utf8_lossy(&first)
+    );
+    assert_eq!(status_of(&second), 200);
+    assert_eq!(header_values(&second, "x-t2v-cache"), ["hit"]);
+
+    let late = || metric(&server, "t2v_late_replies_dropped_total");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while late() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the late reply was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The worker has let go of its reply: whatever the connection carries
+    // next is one answer, to the next request.
+    stream
+        .write_all(&request_raw("GET", "/healthz", "", true))
+        .unwrap();
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("read to eof");
+    let text = String::from_utf8_lossy(&rest);
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    assert_eq!(status_of(&rest), 200, "{text}");
+    assert!(text.contains("\"status\":\"ok\""), "{text}");
+    assert_eq!(late(), 1);
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -738,8 +800,8 @@ fn an_inline_hit_still_reaches_the_access_log() {
     let a = exchange(&server, &[raw.clone(), raw]);
     assert_eq!(header_values(&a, "x-t2v-cache"), ["miss", "hit"]);
 
-    // The hit's line is written by a dispatch thread after the response
-    // left, so it may trail the response by a moment.
+    // The hit's line is posted to the log's writer thread once the
+    // response is framed, so it may trail the response by a moment.
     let deadline = Instant::now() + Duration::from_secs(10);
     let lines = loop {
         let text = std::fs::read_to_string(&log_path).unwrap_or_default();
@@ -788,6 +850,176 @@ fn oversized_bodies_skip_the_inline_attempt() {
         metric(&server, "t2v_inline_responses_total"),
         1,
         "the small hit was answered on the loop, the padded one hopped"
+    );
+    server.shutdown();
+}
+
+/// A single translation over the loop's inline bound is parsed on a
+/// dispatch thread and handed back: the loop admits and parks it like any
+/// other miss, so its deadline is the loop's timer and its late reply is
+/// dropped and counted — no dispatch thread waits on the pool for it.
+#[test]
+fn an_oversized_miss_is_handed_back_to_the_loop_and_parked() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[]);
+    let db = db0(&corpus);
+    let padded = |nlq: &str| {
+        Json::obj([
+            ("nlq", Json::str(nlq)),
+            ("db", Json::str(&db)),
+            ("pad", Json::str("x".repeat(20 * 1024))),
+        ])
+        .compact()
+    };
+    let fresh = request_raw("POST", "/v1/translate", &padded("show all wages"), false);
+    let a = exchange(&server, &[fresh]);
+    assert_eq!(status_of(&a), 200, "{}", String::from_utf8_lossy(&a));
+    assert_eq!(header_values(&a, "x-t2v-cache"), ["miss"]);
+
+    // The miss's two retrievals sleep 300 ms each; its budget is 60 ms.
+    t2v_fault::arm(&FaultPlan::parse("seed=5;retrieve.latency:ms=300,count=2").unwrap());
+    let headers = "X-T2V-Deadline-Ms: 60\r\n";
+    let slow = request_with(
+        "POST",
+        "/v1/translate",
+        headers,
+        &padded("list every salary"),
+    );
+    let b = exchange(&server, &[slow]);
+    assert_eq!(status_of(&b), 504, "{}", String::from_utf8_lossy(&b));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metric(&server, "t2v_late_replies_dropped_total") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the late reply was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
+}
+
+/// What may block runs on one dispatch thread per worker; what cannot is
+/// the loop's. Three slow streams on a two-worker server hold both
+/// dispatch threads and queue the third, and `/healthz`, `/metrics`, the
+/// status page and their access-log lines still come at once.
+#[test]
+fn slow_streams_leave_health_metrics_and_the_access_log_answering() {
+    let _session = FaultSession::begin();
+    let dir = std::env::temp_dir().join(format!("t2v-event-streams-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("access.log");
+    let log = log_path.to_str().unwrap();
+    let (corpus, server) = spawn_server(&[("workers", "2"), ("access_log", log)]);
+    let db = db0(&corpus);
+    // Every retrieval sleeps 800 ms: each stream runs for over 1.6 s.
+    let armed = t2v_fault::arm(&FaultPlan::parse("seed=9;retrieve.latency:ms=800").unwrap());
+    let streams: Vec<_> = ["show all wages", "list every salary", "count the staff"]
+        .into_iter()
+        .map(|nlq| {
+            let body = Json::obj([
+                ("nlq", Json::str(nlq)),
+                ("db", Json::str(&db)),
+                ("stream", Json::Bool(true)),
+            ])
+            .compact();
+            let raw = request_raw("POST", "/v1/translate", &body, true);
+            let addr = server.addr();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.write_all(&raw).expect("write");
+                let mut out = Vec::new();
+                stream.read_to_end(&mut out).expect("read");
+                out
+            })
+        })
+        .collect();
+    // Both workers sleep in a retrieval: both dispatch threads are relaying.
+    let t0 = Instant::now();
+    while armed.fired(t2v_fault::FaultPoint::RetrieveLatency) < 2 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the streams never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for path in ["/healthz", "/metrics", "/v1/admin/status"] {
+        let asked = Instant::now();
+        let raw = roundtrip_to_eof(&server, &request_raw("GET", path, "", true));
+        assert_eq!(status_of(&raw), 200, "{path}");
+        assert!(
+            asked.elapsed() < Duration::from_millis(500),
+            "{path} waited {:?} behind the streams",
+            asked.elapsed()
+        );
+    }
+    let logged = Instant::now();
+    loop {
+        let text = std::fs::read_to_string(&log_path).unwrap_or_default();
+        if text.contains("\"path\":\"/healthz\"") {
+            break;
+        }
+        assert!(
+            logged.elapsed() < Duration::from_millis(500),
+            "no /healthz line in {text:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        streams.iter().all(|s| !s.is_finished()),
+        "a stream ended before the probes: the bound above proves nothing"
+    );
+    for s in streams {
+        let out = s.join().expect("stream client");
+        let text = String::from_utf8_lossy(&out);
+        assert_eq!(status_of(&out), 200, "{text}");
+        assert!(text.trim_end().ends_with('}'), "{text}");
+        assert!(text.contains("\"dvq\":\""), "{text}");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A write stall that fires for a miss is slept on a dispatch thread, not
+/// on the worker that answered it: with one worker, the next miss is
+/// translated and answered while the first response still stalls.
+#[test]
+fn a_stalled_miss_leaves_its_worker_translating() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[("workers", "1")]);
+    let db = db0(&corpus);
+    let plan = FaultPlan::parse("seed=3;conn.write_stall:count=1,ms=3000").unwrap();
+    let armed = t2v_fault::arm(&plan);
+    let first = translate_raw("show all wages", &db, true);
+    let addr = server.addr();
+    let stalled = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let t0 = Instant::now();
+        stream.write_all(&first).expect("write");
+        let mut out = Vec::new();
+        stream.read_to_end(&mut out).expect("read");
+        (out, t0.elapsed())
+    });
+    let t0 = Instant::now();
+    while armed.fired(t2v_fault::FaultPoint::ConnWriteStall) == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the stall never fired"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let next = exchange(&server, &[translate_raw("list every salary", &db, false)]);
+    assert_eq!(status_of(&next), 200);
+    assert_eq!(header_values(&next, "x-t2v-cache"), ["miss"]);
+    assert!(
+        !stalled.is_finished(),
+        "the next miss was answered only after the stalled one"
+    );
+    let (out, took) = stalled.join().expect("stalled client");
+    assert_eq!(status_of(&out), 200);
+    assert_eq!(header_values(&out, "x-t2v-cache"), ["miss"]);
+    assert!(
+        took >= Duration::from_millis(3000),
+        "stall skipped: {took:?}"
     );
     server.shutdown();
 }

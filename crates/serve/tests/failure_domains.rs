@@ -206,6 +206,30 @@ fn counter(metrics: &str, name: &str) -> f64 {
         .unwrap_or_else(|| panic!("no {name} in:\n{metrics}"))
 }
 
+/// The worker pool's conservation identity, read from `/v1/admin/status`
+/// once the server is quiet: every job the pool took either ran
+/// (`completed`) or answered its spent deadline unrun (`expired`). A late
+/// job may still be translating when its request's 504 arrives, so the
+/// identity is given a few seconds to settle; a job lost or counted twice
+/// never settles.
+fn assert_pool_conserved(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = Client::connect(server).request("GET", "/v1/admin/status", "", "");
+        let pool = status.json().get("pool").cloned().expect("pool section");
+        let n = |k: &str| pool.get(k).and_then(Json::as_f64).expect(k);
+        let (submitted, completed, expired) = (n("submitted"), n("completed"), n("expired"));
+        if submitted == completed + expired {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "submitted {submitted} != completed {completed} + expired {expired}: {pool:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // the tests
 // ---------------------------------------------------------------------------
@@ -323,8 +347,56 @@ fn deadlines_turn_slow_translations_into_fast_504s() {
     assert_eq!(reply2.status, 504, "a header must not raise deadline_ms");
     let metrics = client2.metrics();
     assert!(metrics.contains("t2v_deadline_exceeded_total"));
+    assert_pool_conserved(&server);
+    assert_pool_conserved(&server2);
     server.shutdown();
     server2.shutdown();
+}
+
+/// A worker stalled past its request's deadline: the loop's timer answers
+/// the 504 at the deadline, the worker's late reply is dropped and counted
+/// instead of reaching the connection, and that one worker then serves the
+/// next request.
+#[test]
+fn a_stalled_worker_misses_its_deadline_and_its_late_reply_is_dropped() {
+    let _session = FaultSession::begin();
+    // One worker; one translation's two retrievals sleep 300 ms each.
+    let (corpus, server) = spawn_server(&[
+        ("workers", "1"),
+        ("fault_plan", "retrieve.latency:ms=300,count=2"),
+    ]);
+    let db = db0(&corpus);
+    let mut client = Client::connect(&server);
+    let late = |client: &mut Client| counter(&client.metrics(), "t2v_late_replies_dropped_total");
+
+    let t0 = Instant::now();
+    let reply =
+        client.translate_with_headers("show wages", &db, "gred", "X-T2V-Deadline-Ms: 80\r\n");
+    let took = t0.elapsed();
+    assert_eq!(reply.status, 504);
+    assert_eq!(reply.error_code(), "deadline_exceeded");
+    assert!(
+        took >= Duration::from_millis(80) && took < Duration::from_millis(550),
+        "the 504 must come at the deadline, not with the worker: {took:?}"
+    );
+    assert_eq!(late(&mut client), 0.0, "the worker is still translating");
+
+    // The worker finishes ~600 ms in; its reply finds the request answered.
+    let wait = Instant::now() + Duration::from_secs(10);
+    while late(&mut client) < 1.0 {
+        assert!(Instant::now() < wait, "the late reply was never counted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(late(&mut client), 1.0);
+    // The fault budget is spent: the same lone worker serves the next one.
+    let next = client.translate("show all wages", &db, "gred");
+    assert_eq!(next.status, 200, "{}", next.error_code());
+    assert_eq!(
+        next.headers.get("x-t2v-cache").map(String::as_str),
+        Some("miss")
+    );
+    assert_pool_conserved(&server);
+    server.shutdown();
 }
 
 /// A stream whose budget runs out mid-relay ends with the same 504 line a
@@ -416,6 +488,7 @@ fn overload_sheds_with_503_instead_of_queueing() {
             assert!(retry_after, "503 must carry Retry-After");
         }
     }
+    assert_pool_conserved(&server);
     server.shutdown();
 }
 
@@ -447,6 +520,7 @@ fn worker_panics_answer_structured_errors_instead_of_hanging() {
     assert_eq!(ok.status, 200);
     let metrics = client.metrics();
     assert!(metrics.contains("t2v_worker_panics_total 1"), "{metrics}");
+    assert_pool_conserved(&server);
     server.shutdown();
 }
 

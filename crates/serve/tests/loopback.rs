@@ -393,8 +393,8 @@ fn the_inline_counter_says_which_thread_answered() {
             .expect("t2v_inline_responses_total in /metrics")
     };
 
-    // Two identical requests: the miss takes the dispatch hop (as do the
-    // scrapes themselves), the hit is answered where it was parsed.
+    // Two identical requests: the miss is answered by its worker (the
+    // scrapes by a dispatch thread), the hit where it was parsed.
     let before = inline(&mut c);
     assert_eq!(c.translate(&ex.nlq, db).cache(), Some("miss"));
     assert_eq!(c.translate(&ex.nlq, db).cache(), Some("hit"));
@@ -887,5 +887,31 @@ fn multi_backend_registry_serves_every_backend_with_namespaced_caching() {
             "t2v_backend_cache_hits_total{{backend=\"{id}\"}} 1"
         )));
     }
+    server.shutdown();
+}
+
+/// What may block runs on one dispatch thread per pool worker, however
+/// large the worker pool's queues: a default boot used to start one
+/// dispatch thread per queue slot plus one per worker (66 on two cores).
+/// Other tests in this binary run servers of their own alongside, so the
+/// census counts distinct thread names, not threads.
+#[test]
+fn a_default_boot_runs_one_dispatch_thread_per_worker() {
+    let mut config = ServeConfig::default();
+    config.set("addr", "127.0.0.1:0").unwrap();
+    let workers = config.effective_workers();
+    let state = Arc::new(ServerState::build(config).expect("the default state builds"));
+    let server = Server::spawn(state).expect("bind loopback");
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|comm| comm.starts_with("t2v-dispatch-"))
+        .collect();
+    names.sort();
+    names.dedup();
+    let mut expected: Vec<String> = (0..workers).map(|i| format!("t2v-dispatch-{i}")).collect();
+    expected.sort();
+    assert_eq!(names, expected);
     server.shutdown();
 }

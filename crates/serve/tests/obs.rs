@@ -293,9 +293,9 @@ fn profile_under_embed_latency_fault_is_dominated_by_the_embed_stage() {
     }
     assert!(total > 0, "profiler sampled nothing:\n{folded}");
     // The worker's stack is `request;backend.translate;embed` for the whole
-    // injected stall; the only comparable occupancy is the dispatch thread
-    // parked at `request` waiting on the worker. Embed must hold a dominant
-    // share and be the deepest-stack leader.
+    // injected stall; no other thread holds the request's scope while it
+    // waits. Embed must hold a dominant share and be the deepest-stack
+    // leader.
     assert!(
         embed * 4 >= total,
         "embed stage should dominate the profile:\n{folded}"

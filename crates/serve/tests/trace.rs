@@ -307,8 +307,8 @@ fn traced_request_covers_every_stage_and_reaches_recorder_and_access_log() {
     );
 
     // (6) a second identical query is a cache hit — visible in its trace,
-    // which never left the loop thread (the miss above was resumed on a
-    // dispatch thread): the same arithmetic holds for its recorded copy.
+    // which never left the loop thread (the miss above was finished by its
+    // worker): the same arithmetic holds for its recorded copy.
     let reply = client.translate_traced(&ex.nlq, &db);
     assert_eq!(reply.status, 200);
     let hit = reply.json();
