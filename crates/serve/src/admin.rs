@@ -174,12 +174,8 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
             "workers",
             Json::Num(state.config.effective_workers() as f64),
         ),
-        ("shards", Json::Num(state.config.effective_shards() as f64)),
         ("queue_depth", Json::Num(shared.pool.queue_depth() as f64)),
-        (
-            "queue_capacity",
-            Json::Num(state.config.queue_capacity as f64),
-        ),
+        ("queue_capacity", Json::Num(shared.pool.capacity() as f64)),
     ]);
     // Quiet, `submitted == completed + expired`: no job lost or counted twice.
     for (name, n) in crate::pool::COUNTS.into_iter().zip(shared.pool.counts()) {
@@ -236,7 +232,10 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
                 ("max", Json::Num(state.config.max_connections as f64)),
                 ("reaped", scalar(Scalar::ConnReaped)),
                 ("accept_errors", scalar(Scalar::AcceptErrors)),
-                ("dispatch_queue_depth", load(&shared.dispatch_depth)),
+                (
+                    "dispatch_queue_depth",
+                    Json::Num(shared.dispatch.queue_depth() as f64),
+                ),
             ]),
         ),
         (

@@ -88,10 +88,10 @@ knobs! {
     addr: String = "127.0.0.1:7890", parse_text;
     /// Translation pool threads; 0 means the machine's parallelism.
     /// That is `t2v_parallel::thread_count()` (`available_parallelism`,
-    /// itself overridable with `T2V_THREADS`). The pool and cache shard
-    /// counts derive from this one.
+    /// itself overridable with `T2V_THREADS`). The pool's queue bound and
+    /// the cache shard count derive from this one.
     workers: usize = "0", parse_int;
-    /// Bounded queue capacity per pool shard; a full pool answers 503.
+    /// Jobs the pool queues per four workers; a full pool answers 503.
     queue_capacity: usize = "64", parse_int;
     /// Max open sockets; a connection beyond it gets a canned 503.
     max_connections: usize = "256", parse_int;
@@ -298,7 +298,8 @@ impl ServeConfig {
         }
     }
 
-    /// Worker-pool queue shards: one per 4 workers.
+    /// Groups of four workers, each adding `queue_capacity` jobs to the
+    /// pool's queue bound.
     pub fn effective_shards(&self) -> usize {
         self.effective_workers().div_ceil(4)
     }

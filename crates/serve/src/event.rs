@@ -9,11 +9,12 @@
 //! by the loop itself, which parks a miss whose worker answers the
 //! connection: one hop each way. What may block (a stream, a batch, the
 //! tenant and snapshot admin routes, a body over [`INLINE_BODY_MAX`], a
-//! fired write stall) runs `routes::resume` on the dispatcher, one thread
-//! per pool worker: a stream or a batch holds its thread while the pool
-//! translates for it. The loop's contract: it never sleeps, never touches a
-//! file, never waits on the pool or a condvar, does a bounded amount of
-//! work per request, and cannot be killed by one. Its per-connection cost
+//! fired write stall) runs `routes::resume` on the dispatch pool
+//! (`Shared::dispatch`, one thread per translation worker): a stream or a
+//! batch holds its thread while the translation pool works for it. The
+//! loop's contract: it never sleeps, never touches a file, never waits on
+//! the pool or a condvar, does a bounded amount of work per request, and
+//! cannot be killed by one. Its per-connection cost
 //! is a state enum, a read buffer and an output queue — how tens of
 //! thousands of keep-alive sockets fit where thread-per-connection runs
 //! out of stacks.
@@ -29,7 +30,9 @@
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
 //! without progress — idle keep-alive peers and slow-loris drip-feeders
-//! alike; a parked miss's deadline fires in the same sweep ([`Ticket`]).
+//! alike; a parked miss's deadline fires in the same sweep ([`Ticket`]),
+//! which runs only when a timer can be due: at the earliest parked deadline,
+//! or once per reaping tick.
 //! Shutdown drains: the listener closes immediately, idle connections
 //! close, in-flight requests finish their response (bounded by a drain
 //! budget), and only then does the loop exit.
@@ -48,12 +51,13 @@ use crate::pool::contained;
 use crate::routes::{self, write_read_error, Begun, Handled, Routed};
 use crate::server::Shared;
 use crate::translate::{admit, Early, Miss, OnReply, Pending, Step};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use t2v_fault::{fire_delay, FaultPoint::ConnWriteStall};
@@ -124,13 +128,15 @@ struct ConnOut {
 
 /// What answering threads share with the loop: the wakeup fd, the list
 /// of connections with fresh output, misses handed back for admission, and
-/// the dispatcher's queue. Wakes coalesce; duplicate tokens are harmless
-/// (pumping is idempotent).
+/// whether the loop has stopped. Wakes coalesce; duplicate tokens are
+/// harmless (pumping is idempotent).
 struct ReactorShared {
     waker: Waker,
     ready: Mutex<Vec<u64>>,
     handed_back: Mutex<Vec<HandedBack>>,
-    jobs: mpsc::Sender<Job>,
+    /// Raised when the loop exits: a dispatch job that starts after it is
+    /// dropped, and its writer resolves the connection as closed.
+    stopped: AtomicBool,
 }
 
 /// A single translation a dispatch thread parsed into a miss, for the loop
@@ -153,42 +159,44 @@ impl ReactorShared {
         lock(&self.handed_back).push(miss);
         self.waker.wake();
     }
+}
 
-    /// Run `routes::resume` for a request on a dispatch thread, into `writer`.
-    fn dispatch(
-        &self,
-        shared: &Arc<Shared>,
-        req: Box<Request>,
-        begun: Begun,
-        routed: Option<Routed>,
-        mut writer: ConnWriter,
-    ) {
-        let shared = Arc::clone(shared);
-        shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
-        let job = move || {
-            shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-            match routed.unwrap_or_else(|| routes::route(&shared, &req, &begun)) {
-                // Parsed here only for its size: the loop admits it.
-                (route, Early::Miss(miss), _) => {
-                    writer.disarm();
-                    let token = writer.token;
-                    let miss = HandedBack {
-                        token,
-                        req,
-                        begun,
-                        route,
-                        miss,
-                    };
-                    writer.reactor.hand_back(miss);
-                }
-                routed => {
-                    let keep = routes::resume(&shared, &req, begun, Some(routed), &mut writer);
-                    writer.finish(keep);
-                }
+/// Run `routes::resume` for a request on the dispatch pool, into `writer`.
+fn resume_on_dispatcher(
+    shared: &Arc<Shared>,
+    req: Box<Request>,
+    begun: Begun,
+    routed: Option<Routed>,
+    mut writer: ConnWriter,
+) {
+    let pool = &shared.dispatch;
+    let shared = Arc::clone(shared);
+    let job = move || {
+        if writer.reactor.stopped.load(Ordering::Acquire) {
+            return;
+        }
+        match routed.unwrap_or_else(|| routes::route(&shared, &req, &begun)) {
+            // Parsed here only for its size: the loop admits it.
+            (route, Early::Miss(miss), _) => {
+                writer.disarm();
+                let token = writer.token;
+                let miss = HandedBack {
+                    token,
+                    req,
+                    begun,
+                    route,
+                    miss,
+                };
+                writer.reactor.hand_back(miss);
             }
-        };
-        let _ = self.jobs.send(Box::new(job));
-    }
+            routed => {
+                let keep = routes::resume(&shared, &req, begun, Some(routed), &mut writer);
+                writer.finish(keep);
+            }
+        }
+    };
+    // Refused only at shutdown: the dropped job closes the connection.
+    let _ = pool.submit(job);
 }
 
 /// A response as the segments `pump` will `writev`: framing bytes run
@@ -326,7 +334,7 @@ impl BodySink for ConnWriter {
 }
 
 // ---------------------------------------------------------------------------
-// A parked miss, and the fixed dispatcher
+// A parked miss
 // ---------------------------------------------------------------------------
 
 /// What the loop keeps of an admitted miss: what `routes::finish` needs,
@@ -356,8 +364,7 @@ fn reply_to(ticket: &Arc<Ticket>, shared: &Arc<Shared>) -> OnReply {
         let resp = p.pending.respond(&shared, Some(reply));
         if let Some(stall) = fire_delay(ConnWriteStall) {
             let routed = Some((p.route, Early::Reply(resp), Some(stall)));
-            let reactor = Arc::clone(&p.writer.reactor);
-            return reactor.dispatch(&shared, p.req, p.begun, routed, p.writer);
+            return resume_on_dispatcher(&shared, p.req, p.begun, routed, p.writer);
         }
         let (req, reply) = (&p.req, Handled::Reply(resp));
         let post = |file: Arc<AccessLog>, line| file.post(line);
@@ -369,62 +376,6 @@ fn reply_to(ticket: &Arc<Ticket>, shared: &Arc<Shared>) -> OnReply {
 /// Poison-transparent: a ticket is valid whatever unwound past it.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-type Job = Box<dyn FnOnce() + Send>;
-
-/// The threads behind the loop for what may block, one per pool worker:
-/// each stream or batch holds one while the pool translates for it, so
-/// that many keep the pool busy. Not the translation
-/// [`crate::pool::WorkerPool`] itself: a stream or a batch blocks on worker
-/// results, and running it inside that same pool would let enough of them
-/// deadlock it. Its queue is [`ReactorShared::jobs`].
-struct Dispatcher {
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Dispatcher {
-    fn spawn(
-        count: usize,
-        metrics: &Arc<crate::metrics::Metrics>,
-        jobs: mpsc::Receiver<Job>,
-    ) -> Dispatcher {
-        let (jobs, stop) = (Arc::new(Mutex::new(jobs)), Arc::new(AtomicBool::new(false)));
-        let threads = (0..count.max(1))
-            .map(|i| {
-                let (jobs, stop, metrics) =
-                    (Arc::clone(&jobs), Arc::clone(&stop), Arc::clone(metrics));
-                let run = move || loop {
-                    let Ok(job) = lock(&jobs).recv() else { return };
-                    // Undispatched at shutdown: dropped, its writer
-                    // resolves the connection as closed.
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    contained(&metrics, job);
-                };
-                let name = format!("t2v-dispatch-{i}");
-                std::thread::Builder::new()
-                    .name(name)
-                    .spawn(run)
-                    .expect("spawn dispatch thread")
-            })
-            .collect();
-        Dispatcher { stop, threads }
-    }
-
-    /// Drop undispatched jobs, finish running ones, join. Workers may still
-    /// hold the queue's sender, so each thread is woken with a no-op job.
-    fn shutdown(self, reactor: &ReactorShared) {
-        self.stop.store(true, Ordering::Release);
-        for _ in &self.threads {
-            let _ = reactor.jobs.send(Box::new(|| {}));
-        }
-        for h in self.threads {
-            let _ = h.join();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,19 +449,16 @@ impl EventDriver {
         let waker = Waker::new(&poller, TOKEN_WAKER)?;
         listener.set_nonblocking(true)?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        let (jobs, queued) = mpsc::channel::<Job>();
         let reactor = Arc::new(ReactorShared {
             waker,
             ready: Mutex::new(Vec::new()),
             handed_back: Mutex::new(Vec::new()),
-            jobs,
+            stopped: AtomicBool::new(false),
         });
         let loop_reactor = Arc::clone(&reactor);
-        let workers = shared.state.config.effective_workers();
-        let dispatcher = Dispatcher::spawn(workers, &shared.state.metrics, queued);
         let handle = std::thread::Builder::new()
             .name("t2v-event".to_string())
-            .spawn(move || run_loop(&shared, listener, poller, &loop_reactor, dispatcher))?;
+            .spawn(move || run_loop(&shared, listener, poller, &loop_reactor))?;
         Ok(EventDriver { reactor, handle })
     }
 
@@ -529,6 +477,9 @@ struct Ctx<'a> {
     reactor: &'a Arc<ReactorShared>,
     max_body: usize,
     draining: bool,
+    /// No parked deadline is earlier than this (`None`: none is parked).
+    /// [`admit_here`] lowers it; the timer sweep recomputes it.
+    earliest: &'a Cell<Option<Instant>>,
 }
 
 fn run_loop(
@@ -536,10 +487,11 @@ fn run_loop(
     listener: TcpListener,
     mut poller: Poller,
     reactor: &Arc<ReactorShared>,
-    dispatcher: Dispatcher,
 ) {
     let config = &shared.state.config;
     let idle_after = config.effective_conn_idle();
+    // Idle reaping runs once per tick: at most this late.
+    let tick = (idle_after / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
     let max_connections = config.max_connections;
     let max_body = config.max_body_bytes;
 
@@ -552,8 +504,8 @@ fn run_loop(
     let mut accept_rearm: Option<Instant> = None;
     let mut drain_deadline: Option<Instant> = None;
     let mut last_stats: Option<Instant> = None;
-    // The earliest deadline of a parked miss, as of the last sweep.
-    let mut next_deadline: Option<Instant> = None;
+    let earliest = Cell::new(None);
+    let mut next_sweep = Instant::now();
 
     loop {
         let now = Instant::now();
@@ -598,13 +550,11 @@ fn run_loop(
 
         // -- wait --
         let mut timeout = Duration::from_millis(250);
-        if !conns.is_empty() {
-            timeout = timeout.min((idle_after / 4).max(Duration::from_millis(10)));
-        }
         if drain_deadline.is_some() {
             timeout = timeout.min(Duration::from_millis(25));
         }
-        for at in accept_rearm.into_iter().chain(next_deadline) {
+        let sweep = (!conns.is_empty()).then_some(next_sweep);
+        for at in accept_rearm.into_iter().chain(sweep).chain(earliest.get()) {
             timeout = timeout.min(at.saturating_duration_since(now));
         }
         events.clear();
@@ -620,6 +570,7 @@ fn run_loop(
             reactor,
             max_body,
             draining: drain_deadline.is_some(),
+            earliest: &earliest,
         };
 
         for &ev in &events {
@@ -702,12 +653,28 @@ fn run_loop(
             }
         }
 
-        // -- timers, one sweep: idle reaping (keep-alive peers gone quiet,
-        //    slow-loris drips; not while draining) and the deadlines of
-        //    parked misses, the earliest of which bounds the next wait --
         let now = Instant::now();
+        // -- connection-state census for /v1/admin/status, throttled so a
+        //    busy loop is not recounting tens of thousands of entries on
+        //    every wake --
+        let stale =
+            last_stats.is_none_or(|at| now.duration_since(at) >= Duration::from_millis(250));
+        if stale {
+            last_stats = Some(now);
+            publish_event_stats(shared, &conns, &pool, drain_deadline.is_some());
+        }
+
+        // -- timers, one sweep, only when one can be due: idle reaping
+        //    (keep-alive peers gone quiet, slow-loris drips; not while
+        //    draining) once per tick, and the deadlines of parked misses,
+        //    the earliest of which bounds the next wait --
+        let due = earliest.get().is_some_and(|at| at <= now);
+        if now < next_sweep && !due {
+            continue;
+        }
+        next_sweep = now + tick;
         let (mut reaped, mut expired) = (Vec::new(), Vec::new());
-        next_deadline = None;
+        earliest.set(None);
         for (&token, c) in &conns {
             if drain_deadline.is_none()
                 && c.idle()
@@ -717,7 +684,7 @@ fn run_loop(
             }
             match c.parked {
                 Some((at, _)) if at <= now => expired.push(token),
-                Some((at, _)) => next_deadline = Some(next_deadline.map_or(at, |n| n.min(at))),
+                Some((at, _)) => lower(&earliest, at),
                 None => {}
             }
         }
@@ -738,33 +705,20 @@ fn run_loop(
             let stall = fire_delay(ConnWriteStall);
             drop(scope);
             // Answered here: a request pipelined behind it may be buffered,
-            // and may park with a deadline the sweep above did not see.
+            // and parks through `admit_here`, which lowers `earliest`.
             let next = match reply_here(&ctx, conn, p.req, p.begun, p.route, resp, stall) {
                 Next::Alive => try_advance(&ctx, conn),
                 close => close,
             };
-            if let (Next::Alive, Some((at, _))) = (next, &conn.parked) {
-                next_deadline = Some(next_deadline.map_or(*at, |n| n.min(*at)));
-            }
             if next == Next::Close {
                 close_conn(&mut conns, &poller, &mut pool, shared, token, false);
             }
-        }
-
-        // -- connection-state census for /v1/admin/status, throttled so a
-        //    busy loop is not recounting tens of thousands of entries on
-        //    every wake --
-        let stale =
-            last_stats.is_none_or(|at| now.duration_since(at) >= Duration::from_millis(250));
-        if stale {
-            last_stats = Some(now);
-            publish_event_stats(shared, &conns, &pool, drain_deadline.is_some());
         }
     }
 
     publish_event_stats(shared, &conns, &pool, true);
     drop(listener);
-    dispatcher.shutdown(reactor);
+    reactor.stopped.store(true, Ordering::Release);
 }
 
 /// Snapshot the loop's occupancy into [`Shared::event_stats`] — the status
@@ -1039,7 +993,7 @@ fn dispatch(
     conn.state = ConnState::Dispatched;
     set_interest(ctx, conn, Interest::NONE);
     let writer = ConnWriter::new(ctx, conn);
-    ctx.reactor.dispatch(ctx.shared, req, begun, routed, writer);
+    resume_on_dispatcher(ctx.shared, req, begun, routed, writer);
     Next::Alive
 }
 
@@ -1070,7 +1024,9 @@ fn admit_here(
     drop(scope);
     conn.state = ConnState::Dispatched;
     set_interest(ctx, conn, Interest::NONE);
-    conn.parked = Some((pending.expires(), Arc::clone(&ticket)));
+    let at = pending.expires();
+    lower(ctx.earliest, at);
+    conn.parked = Some((at, Arc::clone(&ticket)));
     let writer = ConnWriter::new(ctx, conn);
     *parked = Some(Parked {
         req,
@@ -1080,6 +1036,11 @@ fn admit_here(
         writer,
     });
     Next::Alive
+}
+
+/// Bring the loop's earliest timer forward to `at`, if that is earlier.
+fn lower(earliest: &Cell<Option<Instant>>, at: Instant) {
+    earliest.set(Some(earliest.get().map_or(at, |e| e.min(at))));
 }
 
 /// Queue a whole response produced on the loop itself; the caller pumps.

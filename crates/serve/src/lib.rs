@@ -32,11 +32,13 @@
 //! One epoll loop ([`event`]) is the only transport: it answers cache hits
 //! and every route that cannot block itself and admits misses, whose
 //! workers answer them; whatever else may block takes the same staged path
-//! through `routes` on a dispatch thread, one per pool worker. Every cold translation passes one admission stage in
-//! [`translate`] (breaker → pool → reply under the deadline; DESIGN.md §11).
+//! through `routes` on the dispatcher, a second [`WorkerPool`] of one
+//! thread per translation worker. Every cold translation passes one
+//! admission stage in [`translate`] (breaker → pool → reply under the
+//! deadline; DESIGN.md §11).
 //!
-//! Backed by a sharded bounded worker pool (503 on overload, never an
-//! unbounded queue), a sharded LRU+TTL cache keyed by `(backend,
+//! Backed by a bounded worker pool with one queue (503 on overload, never
+//! an unbounded queue), a sharded LRU+TTL cache keyed by `(backend,
 //! normalised NLQ, db fingerprint, response shape)` whose hits are
 //! byte-identical to cold translations, and one retrieval route: the
 //! worker that runs a GRED translation runs its two exact top-k scans

@@ -217,7 +217,7 @@ table! {
         "Connections closed by the idle-timeout reaper.",
     AcceptErrors "t2v_accept_errors_total" "counter"
         "accept(2) failures (fd exhaustion, aborted handshakes).",
-    QueueDepth "t2v_queue_depth" "gauge" "Jobs queued in the worker pool (all shards).",
+    QueueDepth "t2v_queue_depth" "gauge" "Jobs queued in the worker pool.",
     WorkerPanics "t2v_worker_panics_total" "counter"
         "Worker jobs that panicked (caught and answered 500).",
     DeadlineExceeded "t2v_deadline_exceeded_total" "counter"

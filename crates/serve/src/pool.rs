@@ -1,15 +1,15 @@
-//! A sharded worker pool with bounded queues — the CPU stage of the server.
+//! A bounded worker pool — the CPU stage of the server.
 //!
-//! Translation jobs are pushed here so the number of in-flight translations
-//! is bounded no matter how many sockets are open. Each shard owns an
-//! independent `Mutex<VecDeque>` + `Condvar` and a slice of the workers, so
-//! queue contention divides by the shard count. Submission round-robins across shards and probes every shard
-//! once before giving up; a full pool returns [`SubmitError::Overloaded`]
-//! and the caller sheds load with a 503 instead of queueing unboundedly.
+//! Named threads run jobs from one `Mutex<VecDeque>` + `Condvar` queue,
+//! each job under [`contained`]. Translation jobs are pushed here so the
+//! number of in-flight translations is bounded no matter how many sockets
+//! are open: a full queue returns [`SubmitError::Overloaded`] and the
+//! caller sheds load with a 503 instead of queueing unboundedly. The
+//! server's dispatcher is a second pool of its own, unbounded (DESIGN.md §7).
 
 use crate::metrics::{Metrics, Scalar};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -69,21 +69,24 @@ impl<T> Default for OneShot<T> {
 
 #[derive(Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Every shard's queue is at capacity.
+    /// The queue is at capacity.
     Overloaded,
     /// The pool is shutting down.
     ShuttingDown,
 }
 
-struct Shard {
-    queue: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    capacity: usize,
+/// The queue and the shutdown flag, under one lock: a worker checks the
+/// flag and waits without a timeout, and cannot miss it being raised.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 struct PoolInner {
-    shards: Vec<Shard>,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    cv: Condvar,
+    capacity: usize,
     metrics: Arc<Metrics>,
     /// Jobs `submitted`, `completed`, `rejected` by `submit` and `expired`,
     /// in [`COUNTS`] order. Quiet, `submitted == completed + expired`.
@@ -98,17 +101,17 @@ const REJECTED: usize = 2;
 const EXPIRED: usize = 3;
 
 /// The pool handle. Dropping it without [`WorkerPool::shutdown`] detaches
-/// the workers (they park on their condvars until process exit), so call
+/// the workers (they park on the condvar until process exit), so call
 /// `shutdown` for an orderly stop.
 pub struct WorkerPool {
     shared: Arc<PoolInner>,
-    next: AtomicUsize,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
-    /// Spawn `workers` threads over `shards` queues of `queue_capacity`
-    /// each.
+    /// Spawn `workers` threads over one queue bounded at `shards` (clamped
+    /// to `1..=workers`) × `queue_capacity` jobs. The server passes
+    /// `ServeConfig::effective_shards`, one per four workers.
     pub fn new(
         workers: usize,
         shards: usize,
@@ -116,37 +119,43 @@ impl WorkerPool {
         metrics: Arc<Metrics>,
     ) -> WorkerPool {
         let workers = workers.max(1);
-        let shards = shards.clamp(1, workers);
+        let capacity = shards
+            .clamp(1, workers)
+            .saturating_mul(queue_capacity.max(1));
+        WorkerPool::named("t2v-worker", workers, capacity, metrics)
+    }
+
+    /// Spawn `workers` threads named `{prefix}-{i}` over one queue of at
+    /// most `capacity` jobs (`usize::MAX`: unbounded).
+    pub(crate) fn named(
+        prefix: &str,
+        workers: usize,
+        capacity: usize,
+        metrics: Arc<Metrics>,
+    ) -> WorkerPool {
         let shared = Arc::new(PoolInner {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    queue: Mutex::new(VecDeque::with_capacity(queue_capacity.max(1))),
-                    cv: Condvar::new(),
-                    capacity: queue_capacity.max(1),
-                })
-                .collect(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::default(),
+            cv: Condvar::new(),
+            capacity,
             metrics,
             counts: Default::default(),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("t2v-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w % shards))
-                    .expect("spawn worker thread")
+                    .name(format!("{prefix}-{w}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn pool thread")
             })
             .collect();
         WorkerPool {
             shared,
-            next: AtomicUsize::new(0),
             workers: Mutex::new(handles),
         }
     }
 
-    /// Enqueue `job`, probing every shard once starting from the round-robin
-    /// cursor. O(shards) worst case, lock-per-probe.
+    /// Enqueue `job`, or refuse it at once.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
         self.submit_job(move || {
             job();
@@ -166,32 +175,27 @@ impl WorkerPool {
     }
 
     fn offer(&self, job: Job) -> Result<(), SubmitError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
+        let mut queue = lock(&self.shared.queue);
+        if queue.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        let shards = self.shared.shards.len();
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        for probe in 0..shards {
-            let shard = &self.shared.shards[(start + probe) % shards];
-            let mut queue = lock(&shard.queue);
-            if queue.len() < shard.capacity {
-                queue.push_back(job);
-                drop(queue);
-                self.shared.metrics.inc(Scalar::QueueDepth);
-                shard.cv.notify_one();
-                return Ok(());
-            }
+        if queue.jobs.len() >= self.shared.capacity {
+            return Err(SubmitError::Overloaded);
         }
-        Err(SubmitError::Overloaded)
+        queue.jobs.push_back(job);
+        drop(queue);
+        self.shared.cv.notify_one();
+        Ok(())
     }
 
-    /// Jobs waiting across all shards (observational; racy by nature).
+    /// Jobs waiting (observational; racy by nature).
     pub fn queue_depth(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| lock(&s.queue).len())
-            .sum()
+        lock(&self.shared.queue).jobs.len()
+    }
+
+    /// The most jobs the queue holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.shared.capacity
     }
 
     /// The job counts, named as in [`COUNTS`] (observational; racy).
@@ -206,48 +210,28 @@ impl WorkerPool {
     /// made it in are still executed. `&self` so a pool shared behind an
     /// `Arc` can be stopped in place; idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for shard in &self.shared.shards {
-            shard.cv.notify_all();
-        }
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.cv.notify_all();
         for h in lock(&self.workers).drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolInner, home: usize) {
-    let shards = shared.shards.len();
-    let shard = &shared.shards[home];
+fn worker_loop(shared: &PoolInner) {
     loop {
-        // Fast path: wait on the home shard. If it stays empty briefly, steal
-        // a job from any other shard so one hot shard can't starve while
-        // other workers idle.
         let job = {
-            let mut queue = lock(&shard.queue);
+            let mut queue = lock(&shared.queue);
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some(job) = queue.jobs.pop_front() {
                     break job;
                 }
-                if shared.shutdown.load(Ordering::Acquire) {
+                if queue.shutdown {
                     return;
                 }
-                let (q, timeout) = shard
-                    .cv
-                    .wait_timeout(queue, Duration::from_millis(5))
-                    .unwrap_or_else(|e| e.into_inner());
-                queue = q;
-                if timeout.timed_out() {
-                    drop(queue);
-                    if let Some(job) = steal(shared, home, shards) {
-                        break job;
-                    }
-                    queue = lock(&shard.queue);
-                }
+                queue = shared.cv.wait(queue).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let depth = shared.metrics.scalar(Scalar::QueueDepth);
-        depth.fetch_sub(1, Ordering::Relaxed);
         let end = contained(&shared.metrics, job);
         let count = if end == Some(JobEnd::Expired) {
             EXPIRED
@@ -267,16 +251,6 @@ pub(crate) fn contained<T>(metrics: &Metrics, f: impl FnOnce() -> T) -> Option<T
         metrics.inc(Scalar::WorkerPanics);
     }
     caught
-}
-
-fn steal(shared: &PoolInner, home: usize, shards: usize) -> Option<Job> {
-    for probe in 1..shards {
-        let shard = &shared.shards[(home + probe) % shards];
-        if let Some(job) = lock(&shard.queue).pop_front() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Poison-transparent lock: a panicking job poisons nothing we can't use —
@@ -318,53 +292,53 @@ mod tests {
         p.shutdown();
     }
 
+    /// Gate every worker so nothing drains, then fill the queue: exactly
+    /// `shards.clamp(1, workers) × queue_capacity` jobs wait, and the next
+    /// is refused.
     #[test]
     fn overload_is_deterministic_when_workers_are_blocked() {
-        // 1 worker, 1 shard, queue of 2. Gate the worker so nothing drains.
-        let p = pool(1, 1, 2);
-        let gate = Arc::new(Barrier::new(2));
-        let started = OneShot::new();
-        {
-            let gate = Arc::clone(&gate);
-            let started = started.clone();
-            p.submit(move || {
-                started.send(());
-                gate.wait();
-            })
-            .unwrap();
+        // (workers, shards, queue_capacity) → jobs that queue.
+        for (workers, shards, cap, queued) in [(1, 1, 2, 2), (5, 2, 2, 4)] {
+            let p = pool(workers, shards, cap);
+            let gate = Arc::new(Barrier::new(workers + 1));
+            for _ in 0..workers {
+                let (gate, started) = (Arc::clone(&gate), OneShot::new());
+                let seen = started.clone();
+                p.submit(move || {
+                    started.send(());
+                    gate.wait();
+                })
+                .unwrap();
+                // Inside the gated job before the next one is offered.
+                seen.recv_timeout(Duration::from_secs(5)).unwrap();
+            }
+            for _ in 0..queued {
+                p.submit(|| {}).unwrap();
+            }
+            assert_eq!(p.queue_depth(), queued);
+            assert_eq!(p.submit(|| {}).unwrap_err(), SubmitError::Overloaded);
+            gate.wait(); // release the workers
+            p.shutdown();
         }
-        // Wait until the worker is inside the gated job, then fill the queue.
-        started.recv_timeout(Duration::from_secs(5)).unwrap();
-        p.submit(|| {}).unwrap();
-        p.submit(|| {}).unwrap();
-        assert_eq!(p.queue_depth(), 2);
-        assert_eq!(p.submit(|| {}).unwrap_err(), SubmitError::Overloaded);
-        gate.wait(); // release the worker
-        p.shutdown();
     }
 
+    /// Idle workers wait on the condvar without a timeout: `shutdown` must
+    /// wake every one of them.
     #[test]
-    fn workers_steal_across_shards() {
-        // 2 workers × 2 shards; saturate shard 0 only — worker 1 (home
-        // shard 1) must steal or the jobs take twice as long.
-        let p = pool(2, 2, 64);
-        let done = Arc::new(AtomicU64::new(0));
-        for _ in 0..32 {
-            let done = Arc::clone(&done);
-            // Both submissions round-robin, so both shards get work; the
-            // stealing path is exercised by the uneven finish order.
-            p.submit(move || {
-                std::thread::sleep(Duration::from_micros(200));
-                done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
+    fn shutdown_wakes_idle_workers() {
+        let p = Arc::new(pool(4, 1, 8));
+        // Let the workers reach their wait.
+        std::thread::sleep(Duration::from_millis(20));
+        let joined = OneShot::new();
+        {
+            let (p, joined) = (Arc::clone(&p), joined.clone());
+            std::thread::spawn(move || {
+                p.shutdown();
+                joined.send(());
+            });
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while done.load(Ordering::Relaxed) < 32 {
-            assert!(std::time::Instant::now() < deadline, "jobs never finished");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        p.shutdown();
+        let woke = joined.recv_timeout(Duration::from_secs(1));
+        assert!(woke.is_some(), "shutdown left an idle worker waiting");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! Thread model (DESIGN.md §7, §14): one epoll loop thread owns every
 //! socket ([`crate::event`]), answers cache hits and validation errors of
 //! single translations itself and admits their misses through
-//! [`crate::translate`] into the sharded [`WorkerPool`], whose worker
-//! answers the connection; what may block runs `routes::resume` on a
-//! dispatcher of one thread per worker. Overload — full queues or too many sockets — answers
-//! 503 immediately instead of queueing unboundedly.
+//! [`crate::translate`] into the bounded translation [`WorkerPool`], whose
+//! worker answers the connection; what may block runs `routes::resume` on
+//! a second, unbounded pool of one dispatch thread per worker. Overload —
+//! a full queue or too many sockets — answers 503 immediately instead of
+//! queueing unboundedly.
 
 use crate::access_log::AccessLog;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -596,12 +597,14 @@ pub fn db_fingerprint(db: &Database, store_seed: u64, store_rows: usize) -> u64 
 /// What the event loop shares with every in-flight request.
 pub(crate) struct Shared {
     pub(crate) state: Arc<ServerState>,
+    /// The translation pool: bounded, `t2v-worker-*`.
     pub(crate) pool: WorkerPool,
+    /// What may block (streams, batches, tenant and snapshot admin routes):
+    /// unbounded, `t2v-dispatch-*`, one thread per translation worker. Not
+    /// the translation pool itself: a stream or a batch blocks on worker
+    /// results, and enough of them there would deadlock it.
+    pub(crate) dispatch: WorkerPool,
     pub(crate) shutdown: AtomicBool,
-    /// Requests parsed by the event loop but not yet picked up by a
-    /// dispatch thread. Surfaced in `/v1/admin/status` as the accept-side
-    /// queue depth.
-    pub(crate) dispatch_depth: AtomicU64,
     /// The self-contained ops plane (ring-buffer TSDB, SLO burn-rate
     /// engine, stage profiler); `None` when `obs_sample_ms=0` and
     /// `obs_profile_hz=0`. See DESIGN.md §15.
@@ -656,18 +659,21 @@ impl Server {
                 t2v_fault::arm(&plan);
             }
         }
+        let workers = config.effective_workers();
+        let metrics = &state.metrics;
         let pool = WorkerPool::new(
-            config.effective_workers(),
+            workers,
             config.effective_shards(),
             config.queue_capacity,
-            Arc::clone(&state.metrics),
+            Arc::clone(metrics),
         );
+        let dispatch = WorkerPool::named("t2v-dispatch", workers, usize::MAX, Arc::clone(metrics));
         let obs = build_obs(&state);
         let shared = Arc::new(Shared {
             state,
             pool,
+            dispatch,
             shutdown: AtomicBool::new(false),
-            dispatch_depth: AtomicU64::new(0),
             obs,
             event_stats: EventStats::default(),
         });
@@ -689,11 +695,13 @@ impl Server {
     }
 
     /// Orderly stop: the event loop drains (idle sockets close at once,
-    /// in-flight requests finish their response), then the pool and the
-    /// ops plane stop.
+    /// in-flight requests finish their response), the dispatcher drops what
+    /// it had not started and finishes what it had, then the translation
+    /// pool and the ops plane stop.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.driver.shutdown();
+        self.shared.dispatch.shutdown();
         self.shared.pool.shutdown();
         if let Some(obs) = &self.shared.obs {
             obs.stop();

@@ -28,6 +28,7 @@ use crate::pool::{JobEnd, OneShot};
 use crate::routes::Handled;
 use crate::server::{CacheKey, DbEntry, Shared, TenantRuntime};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use t2v_core::{
@@ -497,9 +498,16 @@ fn submit_translation(
     // *its* current trace, so the backend span, the embed/retrieve spans the
     // job's observer opens and whatever `on_reply` records land in one tree.
     let trace = t2v_trace::current();
+    // Up before the job is queued, down when it starts or is refused: a
+    // worker that pops it at once cannot take the gauge below zero.
+    let depth = shared.state.metrics.scalar(Scalar::QueueDepth);
+    depth.fetch_add(1, Ordering::Relaxed);
     let job = move || {
         let _trace_scope = trace.as_ref().map(Trace::scope);
         let metrics = &state.metrics;
+        metrics
+            .scalar(Scalar::QueueDepth)
+            .fetch_sub(1, Ordering::Relaxed);
         let queue_wait = enqueued.elapsed();
         if let Some(t) = &trace {
             t.add_span(Stage::QueueWait, enqueued, queue_wait);
@@ -572,7 +580,11 @@ fn submit_translation(
         on_reply(reply);
         JobEnd::Completed
     };
-    shared.pool.submit_job(job)
+    let queued = shared.pool.submit_job(job);
+    if queued.is_err() {
+        depth.fetch_sub(1, Ordering::Relaxed);
+    }
+    queued
 }
 
 /// Why the admission stage turned a translation away.
@@ -1015,7 +1027,7 @@ mod tests {
     use super::*;
     use crate::pool::WorkerPool;
     use crate::server::{EventStats, ServerState};
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::AtomicBool;
 
     /// A panicking job's 500 must not reach its caller before the panic is
     /// counted: a client that scrapes `/metrics` right after its 500 used
@@ -1061,11 +1073,12 @@ mod tests {
         let pool = WorkerPool::new(1, 1, 4, Arc::clone(&state.metrics));
         // A pool that takes no more jobs, as during shutdown.
         pool.shutdown();
+        let dispatch = WorkerPool::named("t2v-dispatch", 1, usize::MAX, Arc::clone(&state.metrics));
         let shared = Shared {
             state,
             pool,
+            dispatch,
             shutdown: AtomicBool::new(false),
-            dispatch_depth: AtomicU64::new(0),
             obs: None,
             event_stats: EventStats::default(),
         };

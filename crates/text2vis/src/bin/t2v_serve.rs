@@ -54,11 +54,10 @@ fn main() {
     config.validate().unwrap_or_else(|e| die(&e.message));
 
     eprintln!(
-        "t2v-serve: preparing backends [{}] over the {:?} corpus ({} workers, {} shards, queue {} per shard, cache {} entries/{} shards/ttl {}s, library {})...",
+        "t2v-serve: preparing backends [{}] over the {:?} corpus ({} workers, queue {} per four workers, cache {} entries/{} shards/ttl {}s, library {})...",
         config.backends,
         config.corpus,
         config.effective_workers(),
-        config.effective_shards(),
         config.queue_capacity,
         config.cache_capacity,
         config.effective_cache_shards(),

@@ -19,12 +19,12 @@
 //! so spans nest into a real tree (embed/retrieve become children of the
 //! backend-translate span) without any explicit parent plumbing.
 //!
-//! Completed traces go to a [`Recorder`]: a sharded ring buffer keeping the
-//! last N traces. Each thread is assigned a shard round-robin, so the
-//! per-request `store` is an uncontended lock in the common case; admin
-//! reads scan all shards. Whether a finished trace is stored is the serving
-//! layer's decision (sampling knob + always-record-on-slow/error override);
-//! [`sample_hit`] gives the deterministic id-based sampling verdict.
+//! Completed traces go to a [`Recorder`]: one ring keeping exactly the last
+//! N traces, whichever thread stored them, behind one lock held for a push
+//! and a pop per request; admin reads scan the ring. Whether a finished
+//! trace is stored is the serving layer's decision (sampling knob +
+//! always-record-on-slow/error override); [`sample_hit`] gives the
+//! deterministic id-based sampling verdict.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -760,62 +760,40 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Shards in the flight recorder. Each thread stores into one shard
-/// (assigned round-robin at first use), so the once-per-request `store`
-/// lock is uncontended in the steady state.
-const SHARDS: usize = 8;
-
-/// The flight recorder: last-N completed traces in a sharded ring.
+/// The flight recorder: the last `capacity` completed traces in one ring.
 pub struct Recorder {
-    shards: Vec<Mutex<VecDeque<Arc<FinishedTrace>>>>,
-    per_shard: usize,
-}
-
-thread_local! {
-    static MY_SHARD: usize = {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) as usize % SHARDS
-    };
+    ring: Mutex<VecDeque<Arc<FinishedTrace>>>,
+    capacity: usize,
 }
 
 impl Recorder {
-    /// `capacity` is the total trace count kept across shards; 0 disables
-    /// storage entirely.
+    /// `capacity` is the trace count kept; 0 disables storage entirely.
     pub fn new(capacity: usize) -> Recorder {
-        let per_shard = capacity.div_ceil(SHARDS);
         Recorder {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(per_shard.min(1024))))
-                .collect(),
-            per_shard,
+            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            capacity,
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.per_shard * SHARDS
+        self.capacity
     }
 
-    /// Store a sealed trace, evicting the oldest in this thread's shard.
+    /// Store a sealed trace, evicting the oldest.
     pub fn store(&self, trace: Arc<FinishedTrace>) {
-        if self.per_shard == 0 {
+        if self.capacity == 0 {
             return;
         }
-        let shard = MY_SHARD.with(|&s| s);
-        let mut ring = lock(&self.shards[shard]);
-        if ring.len() >= self.per_shard {
+        let mut ring = lock(&self.ring);
+        if ring.len() >= self.capacity {
             ring.pop_front();
         }
         ring.push_back(trace);
     }
 
-    /// Look a trace up by id (scans every shard; rings are small).
+    /// Look a trace up by id (a scan; rings are small).
     pub fn get(&self, id: u128) -> Option<Arc<FinishedTrace>> {
-        for shard in &self.shards {
-            if let Some(t) = lock(shard).iter().find(|t| t.id == id) {
-                return Some(Arc::clone(t));
-            }
-        }
-        None
+        lock(&self.ring).iter().find(|t| t.id == id).cloned()
     }
 
     /// The most recent stored traces, newest first, optionally filtered by
@@ -826,24 +804,18 @@ impl Recorder {
         min_total_ns: u64,
         limit: usize,
     ) -> Vec<Arc<FinishedTrace>> {
-        let mut all: Vec<Arc<FinishedTrace>> = Vec::new();
-        for shard in &self.shards {
-            all.extend(
-                lock(shard)
-                    .iter()
-                    .filter(|t| {
-                        t.total_ns >= min_total_ns && tenant.is_none_or(|want| &*t.tenant == want)
-                    })
-                    .cloned(),
-            );
-        }
+        let mut all: Vec<Arc<FinishedTrace>> = lock(&self.ring)
+            .iter()
+            .filter(|t| t.total_ns >= min_total_ns && tenant.is_none_or(|want| &*t.tenant == want))
+            .cloned()
+            .collect();
         all.sort_by(|a, b| b.wall_ms.cmp(&a.wall_ms).then(b.id.cmp(&a.id)));
         all.truncate(limit);
         all
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
+        lock(&self.ring).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -1107,9 +1079,11 @@ mod tests {
         for i in 0..100u128 {
             r.store(stored(i, "default", 1, i as u64));
         }
-        assert!(r.len() <= r.capacity());
-        assert!(r.get(99).is_some(), "newest survives");
-        assert!(r.get(0).is_none(), "oldest evicted");
+        // Exactly the last 16, though one thread stored them all.
+        assert_eq!(r.len(), 16);
+        assert!((84..100).all(|id| r.get(id).is_some()), "newest 16 survive");
+        assert!(r.get(83).is_none(), "older evicted");
+        assert_eq!(Recorder::new(1).capacity(), 1);
         let off = Recorder::new(0);
         off.store(stored(1, "default", 1, 1));
         assert!(off.is_empty());
