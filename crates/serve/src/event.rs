@@ -30,9 +30,7 @@
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
 //! without progress — idle keep-alive peers and slow-loris drip-feeders
-//! alike; a parked miss's deadline fires in the same sweep ([`Ticket`]),
-//! which runs only when a timer can be due: at the earliest parked deadline,
-//! or once per reaping tick.
+//! alike; a parked miss's deadline fires in the same sweep ([`Ticket`]).
 //! Shutdown drains: the listener closes immediately, idle connections
 //! close, in-flight requests finish their response (bounded by a drain
 //! budget), and only then does the loop exit.
@@ -51,7 +49,6 @@ use crate::pool::contained;
 use crate::routes::{self, write_read_error, Begun, Handled, Routed};
 use crate::server::Shared;
 use crate::translate::{admit, Early, Miss, OnReply, Pending, Step};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -477,9 +474,6 @@ struct Ctx<'a> {
     reactor: &'a Arc<ReactorShared>,
     max_body: usize,
     draining: bool,
-    /// No parked deadline is earlier than this (`None`: none is parked).
-    /// [`admit_here`] lowers it; the timer sweep recomputes it.
-    earliest: &'a Cell<Option<Instant>>,
 }
 
 fn run_loop(
@@ -490,8 +484,6 @@ fn run_loop(
 ) {
     let config = &shared.state.config;
     let idle_after = config.effective_conn_idle();
-    // Idle reaping runs once per tick: at most this late.
-    let tick = (idle_after / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
     let max_connections = config.max_connections;
     let max_body = config.max_body_bytes;
 
@@ -504,8 +496,8 @@ fn run_loop(
     let mut accept_rearm: Option<Instant> = None;
     let mut drain_deadline: Option<Instant> = None;
     let mut last_stats: Option<Instant> = None;
-    let earliest = Cell::new(None);
-    let mut next_sweep = Instant::now();
+    // The earliest deadline of a parked miss, as of the last sweep.
+    let mut next_deadline: Option<Instant> = None;
 
     loop {
         let now = Instant::now();
@@ -550,11 +542,13 @@ fn run_loop(
 
         // -- wait --
         let mut timeout = Duration::from_millis(250);
+        if !conns.is_empty() {
+            timeout = timeout.min((idle_after / 4).max(Duration::from_millis(10)));
+        }
         if drain_deadline.is_some() {
             timeout = timeout.min(Duration::from_millis(25));
         }
-        let sweep = (!conns.is_empty()).then_some(next_sweep);
-        for at in accept_rearm.into_iter().chain(sweep).chain(earliest.get()) {
+        for at in accept_rearm.into_iter().chain(next_deadline) {
             timeout = timeout.min(at.saturating_duration_since(now));
         }
         events.clear();
@@ -570,7 +564,6 @@ fn run_loop(
             reactor,
             max_body,
             draining: drain_deadline.is_some(),
-            earliest: &earliest,
         };
 
         for &ev in &events {
@@ -653,28 +646,12 @@ fn run_loop(
             }
         }
 
+        // -- timers, one sweep: idle reaping (keep-alive peers gone quiet,
+        //    slow-loris drips; not while draining) and the deadlines of
+        //    parked misses, the earliest of which bounds the next wait --
         let now = Instant::now();
-        // -- connection-state census for /v1/admin/status, throttled so a
-        //    busy loop is not recounting tens of thousands of entries on
-        //    every wake --
-        let stale =
-            last_stats.is_none_or(|at| now.duration_since(at) >= Duration::from_millis(250));
-        if stale {
-            last_stats = Some(now);
-            publish_event_stats(shared, &conns, &pool, drain_deadline.is_some());
-        }
-
-        // -- timers, one sweep, only when one can be due: idle reaping
-        //    (keep-alive peers gone quiet, slow-loris drips; not while
-        //    draining) once per tick, and the deadlines of parked misses,
-        //    the earliest of which bounds the next wait --
-        let due = earliest.get().is_some_and(|at| at <= now);
-        if now < next_sweep && !due {
-            continue;
-        }
-        next_sweep = now + tick;
         let (mut reaped, mut expired) = (Vec::new(), Vec::new());
-        earliest.set(None);
+        next_deadline = None;
         for (&token, c) in &conns {
             if drain_deadline.is_none()
                 && c.idle()
@@ -684,7 +661,7 @@ fn run_loop(
             }
             match c.parked {
                 Some((at, _)) if at <= now => expired.push(token),
-                Some((at, _)) => lower(&earliest, at),
+                Some((at, _)) => next_deadline = Some(next_deadline.map_or(at, |n| n.min(at))),
                 None => {}
             }
         }
@@ -705,14 +682,27 @@ fn run_loop(
             let stall = fire_delay(ConnWriteStall);
             drop(scope);
             // Answered here: a request pipelined behind it may be buffered,
-            // and parks through `admit_here`, which lowers `earliest`.
+            // and may park with a deadline the sweep above did not see.
             let next = match reply_here(&ctx, conn, p.req, p.begun, p.route, resp, stall) {
                 Next::Alive => try_advance(&ctx, conn),
                 close => close,
             };
+            if let (Next::Alive, Some((at, _))) = (next, &conn.parked) {
+                next_deadline = Some(next_deadline.map_or(*at, |n| n.min(*at)));
+            }
             if next == Next::Close {
                 close_conn(&mut conns, &poller, &mut pool, shared, token, false);
             }
+        }
+
+        // -- connection-state census for /v1/admin/status, throttled so a
+        //    busy loop is not recounting tens of thousands of entries on
+        //    every wake --
+        let stale =
+            last_stats.is_none_or(|at| now.duration_since(at) >= Duration::from_millis(250));
+        if stale {
+            last_stats = Some(now);
+            publish_event_stats(shared, &conns, &pool, drain_deadline.is_some());
         }
     }
 
@@ -1024,9 +1014,7 @@ fn admit_here(
     drop(scope);
     conn.state = ConnState::Dispatched;
     set_interest(ctx, conn, Interest::NONE);
-    let at = pending.expires();
-    lower(ctx.earliest, at);
-    conn.parked = Some((at, Arc::clone(&ticket)));
+    conn.parked = Some((pending.expires(), Arc::clone(&ticket)));
     let writer = ConnWriter::new(ctx, conn);
     *parked = Some(Parked {
         req,
@@ -1036,11 +1024,6 @@ fn admit_here(
         writer,
     });
     Next::Alive
-}
-
-/// Bring the loop's earliest timer forward to `at`, if that is earlier.
-fn lower(earliest: &Cell<Option<Instant>>, at: Instant) {
-    earliest.set(Some(earliest.get().map_or(at, |e| e.min(at))));
 }
 
 /// Queue a whole response produced on the loop itself; the caller pumps.

@@ -602,7 +602,8 @@ pub(crate) struct Shared {
     /// What may block (streams, batches, tenant and snapshot admin routes):
     /// unbounded, `t2v-dispatch-*`, one thread per translation worker. Not
     /// the translation pool itself: a stream or a batch blocks on worker
-    /// results, and enough of them there would deadlock it.
+    /// results, and enough of them there would deadlock it. Only its
+    /// `queue_depth` is reported; its job counts are kept but never read.
     pub(crate) dispatch: WorkerPool,
     pub(crate) shutdown: AtomicBool,
     /// The self-contained ops plane (ring-buffer TSDB, SLO burn-rate

@@ -1074,6 +1074,7 @@ mod tests {
         // A pool that takes no more jobs, as during shutdown.
         pool.shutdown();
         let dispatch = WorkerPool::named("t2v-dispatch", 1, usize::MAX, Arc::clone(&state.metrics));
+        dispatch.shutdown();
         let shared = Shared {
             state,
             pool,
