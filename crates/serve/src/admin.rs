@@ -232,10 +232,6 @@ pub(crate) fn admin_status(shared: &Shared) -> Response {
                 ("max", Json::Num(state.config.max_connections as f64)),
                 ("reaped", scalar(Scalar::ConnReaped)),
                 ("accept_errors", scalar(Scalar::AcceptErrors)),
-                (
-                    "dispatch_queue_depth",
-                    Json::Num(shared.dispatch.queue_depth() as f64),
-                ),
             ]),
         ),
         (
@@ -479,9 +475,9 @@ pub(crate) fn admin_tenants_list(state: &ServerState) -> Response {
 
 /// `POST /v1/admin/tenants/attach` — load a tenant into the live server.
 /// Body: `{"id", "corpus", "snapshot"?, "backends"?}`. Builds the tenant's
-/// corpus + library + registry on this connection thread (attach is a rare
-/// admin action; blocking the admin's own connection is the honest cost),
-/// then RCU-swaps the table — translations in flight never stall.
+/// corpus + library + registry as a job on the translation pool (attach is
+/// a rare admin action; one worker is the honest cost), then RCU-swaps the
+/// table — translations in flight never stall.
 pub(crate) fn admin_tenants_attach(state: &ServerState, req: &Request) -> Response {
     let parsed = match req.json_body() {
         Ok(j) => j,

@@ -3,58 +3,55 @@
 //! One loop thread owns every socket: it accepts, accumulates request
 //! bytes into pooled buffers, runs the incremental parser
 //! ([`crate::http::parse_request`]), and writes queued response segments
-//! out with vectored (`writev`) writes. What a request needs decides where
-//! it runs. A route that cannot block — `/healthz`, `/metrics`, the status
-//! pages, a single translation's early stage and admission — is answered
-//! by the loop itself, which parks a miss whose worker answers the
-//! connection: one hop each way. What may block (a stream, a batch, the
-//! tenant and snapshot admin routes, a body over [`INLINE_BODY_MAX`], a
-//! fired write stall) runs `routes::resume` on the dispatch pool
-//! (`Shared::dispatch`, one thread per translation worker): a stream or a
-//! batch holds its thread while the translation pool works for it. The
-//! loop's contract: it never sleeps, never touches a file, never waits on
-//! the pool or a condvar, does a bounded amount of work per request, and
-//! cannot be killed by one. Its per-connection cost
-//! is a state enum, a read buffer and an output queue — how tens of
-//! thousands of keep-alive sockets fit where thread-per-connection runs
-//! out of stacks.
+//! out with vectored (`writev`) writes. It routes every request and
+//! answers what needs no wait in place — `/healthz`, `/metrics`, the
+//! status, TSDB and profile pages, every hit and validation error. What
+//! waits on the translation pool — a miss, a stream, a batch's misses — it
+//! admits and parks behind a [`Ticket`]; the worker whose reply completes
+//! it answers the connection, or the loop's deadline timer does: one hop
+//! each way. Admin jobs that build, drop or write run on the same pool and
+//! answer their connection too. The loop's contract: it never sleeps,
+//! never touches a file, never waits on the pool or a condvar, does a
+//! bounded amount of work per request, and cannot be killed by one. Its
+//! per-connection cost is a state enum, a read buffer and an output queue
+//! — how tens of thousands of keep-alive sockets fit where
+//! thread-per-connection runs out of stacks.
 //!
 //! Per-connection state machine:
 //!
 //! ```text
 //!            answered on the loop (hit / 4xx / refusal) ──────────────┐
 //! Reading ──┤                                                         ▼
-//!    ▲       a parked miss, or a blocking route ──▶ Dispatched ─ sealed ─▶ Writing
+//!    ▲       waiting on the pool (parked, or a job) ──▶ Dispatched ─ sealed ─▶ Writing
 //!    └────────── KeepAlive ◀── queue drained, keep-alive ◀───────────────┘
 //! ```
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
 //! without progress — idle keep-alive peers and slow-loris drip-feeders
-//! alike; a parked miss's deadline fires in the same sweep ([`Ticket`]).
-//! Shutdown drains: the listener closes immediately, idle connections
-//! close, in-flight requests finish their response (bounded by a drain
-//! budget), and only then does the loop exit.
+//! alike; a parked request's deadline fires in the same sweep ([`Ticket`]),
+//! and so does the end of a response held back by a fired
+//! `conn.write_stall`. Shutdown drains: the listener closes immediately,
+//! idle connections close, in-flight requests finish their response
+//! (bounded by a drain budget), and only then does the loop exit.
 //!
-//! Workers and dispatch threads hand response segments to the loop
-//! through a per-connection [`ConnOut`] queue, a shared ready list and a
-//! [`t2v_net::Waker`] (an eventfd). A queue past [`OUT_HIGH_WATER`] blocks
-//! the *writing* thread (backpressure against a slow peer), never the loop.
-//! A dispatch thread that parsed an oversized single translation into a
-//! miss hands it back the same way, for the loop to admit and park.
+//! Workers hand response segments to the loop through a per-connection
+//! [`ConnOut`] queue, a shared ready list and a [`t2v_net::Waker`] (an
+//! eventfd). Nothing that writes there blocks: every response is bounded
+//! and produced whole, a stream as a few bounded lines.
 
 use crate::access_log::AccessLog;
 use crate::http::{self, Body, BodySink, Parse, Request, Response};
 use crate::metrics::{Route, Scalar};
 use crate::pool::contained;
-use crate::routes::{self, write_read_error, Begun, Handled, Routed};
+use crate::routes::{self, write_read_error, Begun, Handled};
 use crate::server::Shared;
-use crate::translate::{admit, Early, Miss, OnReply, Pending, Step};
+use crate::translate::{self, AdminJob, Awaited, Early, OnLine, OnReply, Wait};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use t2v_fault::{fire_delay, FaultPoint::ConnWriteStall};
@@ -64,17 +61,8 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Writer-side backpressure threshold: a thread producing response bytes
-/// faster than the peer drains them blocks once this many bytes are queued
-/// on the connection.
-const OUT_HIGH_WATER: usize = 1 << 20;
-
 /// Segments per `writev` call.
 const MAX_IOVECS: usize = 16;
-
-/// Dispatch-side flush granularity: response bytes ship to the loop in
-/// segments of roughly this size instead of one final lump.
-const SEG_TARGET: usize = 64 * 1024;
 
 /// Read scratch size (one shared buffer, loop-local).
 const READ_CHUNK: usize = 64 * 1024;
@@ -86,10 +74,6 @@ const SOFT_IN_CAP: usize = 256 * 1024;
 /// Requests served per connection per wake; then a pipelining client yields.
 const INLINE_PER_WAKE: usize = 32;
 
-/// Bodies above this are parsed on a dispatch thread, whatever
-/// `max_body_bytes` allows — JSON parse time on the loop stays bounded.
-const INLINE_BODY_MAX: usize = 16 * 1024;
-
 /// How long shutdown waits for in-flight requests before force-closing.
 const DRAIN_BUDGET: Duration = Duration::from_secs(5);
 
@@ -97,7 +81,7 @@ const DRAIN_BUDGET: Duration = Duration::from_secs(5);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 // ---------------------------------------------------------------------------
-// Response segments: workers and dispatch threads → loop
+// Response segments: workers → loop
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
@@ -106,94 +90,31 @@ struct OutState {
     segs: VecDeque<Body>,
     /// Bytes of the front segment already written to the socket.
     front_written: usize,
-    /// Total queued-but-unwritten bytes (backpressure accounting).
-    bytes: usize,
     /// Set exactly once, when the response is sealed: keep-alive?
     done: Option<bool>,
+    /// A fired `conn.write_stall` holds the sealed response back until then.
+    hold: Option<Instant>,
     /// The loop closed the connection; writers fail fast from here on.
     closed: bool,
 }
 
-/// The per-connection output queue. The loop and the thread answering the
-/// connection (its miss's worker, or a dispatch thread) share it; the
-/// condvar wakes a writer blocked on the high-water mark (or on `closed`).
-#[derive(Default)]
-struct ConnOut {
-    state: Mutex<OutState>,
-    cv: Condvar,
-}
+/// The per-connection output queue, shared by the loop and the thread
+/// answering the connection.
+type ConnOut = Mutex<OutState>;
 
-/// What answering threads share with the loop: the wakeup fd, the list
-/// of connections with fresh output, misses handed back for admission, and
-/// whether the loop has stopped. Wakes coalesce; duplicate tokens are
+/// What answering threads share with the loop: the wakeup fd and the list
+/// of connections with fresh output. Wakes coalesce; duplicate tokens are
 /// harmless (pumping is idempotent).
 struct ReactorShared {
     waker: Waker,
     ready: Mutex<Vec<u64>>,
-    handed_back: Mutex<Vec<HandedBack>>,
-    /// Raised when the loop exits: a dispatch job that starts after it is
-    /// dropped, and its writer resolves the connection as closed.
-    stopped: AtomicBool,
-}
-
-/// A single translation a dispatch thread parsed into a miss, for the loop
-/// to admit on connection `token`.
-struct HandedBack {
-    token: u64,
-    req: Box<Request>,
-    begun: Begun,
-    route: Route,
-    miss: Miss,
 }
 
 impl ReactorShared {
     fn notify(&self, token: u64) {
-        self.ready.lock().expect("ready list poisoned").push(token);
+        lock(&self.ready).push(token);
         self.waker.wake();
     }
-
-    fn hand_back(&self, miss: HandedBack) {
-        lock(&self.handed_back).push(miss);
-        self.waker.wake();
-    }
-}
-
-/// Run `routes::resume` for a request on the dispatch pool, into `writer`.
-fn resume_on_dispatcher(
-    shared: &Arc<Shared>,
-    req: Box<Request>,
-    begun: Begun,
-    routed: Option<Routed>,
-    mut writer: ConnWriter,
-) {
-    let pool = &shared.dispatch;
-    let shared = Arc::clone(shared);
-    let job = move || {
-        if writer.reactor.stopped.load(Ordering::Acquire) {
-            return;
-        }
-        match routed.unwrap_or_else(|| routes::route(&shared, &req, &begun)) {
-            // Parsed here only for its size: the loop admits it.
-            (route, Early::Miss(miss), _) => {
-                writer.disarm();
-                let token = writer.token;
-                let miss = HandedBack {
-                    token,
-                    req,
-                    begun,
-                    route,
-                    miss,
-                };
-                writer.reactor.hand_back(miss);
-            }
-            routed => {
-                let keep = routes::resume(&shared, &req, begun, Some(routed), &mut writer);
-                writer.finish(keep);
-            }
-        }
-    };
-    // Refused only at shutdown: the dropped job closes the connection.
-    let _ = pool.submit(job);
 }
 
 /// A response as the segments `pump` will `writev`: framing bytes run
@@ -235,16 +156,15 @@ impl BodySink for SegSink {
     }
 }
 
-/// The [`BodySink`] of a thread answering off the loop: segments accumulate
-/// locally and ship on flush (a stream's lines), at a segment's worth, or —
-/// usually — with the verdict in `finish`; dropped without it (a panic),
-/// `done = close`.
+/// The handle of a thread answering off the loop: what it framed into a
+/// [`SegSink`] is queued with one lock and one wake, and never blocks.
+/// Dropped unsealed (a panic, a job dropped at shutdown), it resolves the
+/// connection as a close.
 struct ConnWriter {
     out: Arc<ConnOut>,
     reactor: Arc<ReactorShared>,
     token: u64,
-    sink: SegSink,
-    finished: bool,
+    sealed: bool,
 }
 
 impl ConnWriter {
@@ -253,121 +173,123 @@ impl ConnWriter {
             out: Arc::clone(&conn.out),
             reactor: Arc::clone(ctx.reactor),
             token: conn.token,
-            sink: SegSink::default(),
-            finished: false,
+            sealed: false,
         }
     }
 
     /// Drop a writer the loop answers for: no verdict, no wake.
     fn disarm(&mut self) {
-        self.finished = true;
+        self.sealed = true;
     }
 
-    /// Queue what has accumulated and/or the keep-alive verdict — one lock,
-    /// one wake — blocking past the high-water mark. On a connection the loop
-    /// already closed, bytes error and a verdict means close.
-    fn push(&mut self, done: Option<bool>) -> io::Result<()> {
-        let segs = std::mem::take(&mut self.sink.0);
-        let len: usize = segs.iter().map(Body::len).sum();
-        if len == 0 && done.is_none() {
-            return Ok(());
-        }
-        let mut st = self.out.state.lock().expect("conn out poisoned");
-        while !st.closed && len > 0 && st.bytes >= OUT_HIGH_WATER {
-            st = self.out.cv.wait(st).expect("conn out poisoned");
-        }
-        let closed = st.closed;
-        if !closed {
-            st.bytes += len;
+    /// Queue `segs` and/or the keep-alive verdict with its hold. On a
+    /// connection the loop already closed, bytes are dropped and a verdict
+    /// means close.
+    fn push(&self, segs: Vec<Body>, done: Option<bool>, stall: Option<Duration>) {
+        let mut st = lock(&self.out);
+        if !st.closed {
             st.segs.extend(segs);
         }
         if let Some(keep) = done {
-            st.done = Some(keep && !closed);
+            st.done = Some(keep && !st.closed);
+            st.hold = stall.map(|d| Instant::now() + d);
         }
         drop(st);
-        if closed && done.is_none() {
-            return Err(io::ErrorKind::BrokenPipe.into());
-        }
         self.reactor.notify(self.token);
-        Ok(())
     }
 
-    /// Seal the response: last bytes and verdict together, one wake.
-    fn finish(mut self, keep: bool) {
-        self.finished = true;
-        let _ = self.push(Some(keep));
+    /// Seal the response: last bytes and verdict together; a fired write
+    /// stall holds it back `stall` long.
+    fn finish(mut self, segs: Vec<Body>, keep: bool, stall: Option<Duration>) {
+        self.sealed = true;
+        self.push(segs, Some(keep), stall);
     }
 }
 
 impl Drop for ConnWriter {
     fn drop(&mut self) {
-        // A job that never called `finish` (panic, dropped queue entry at
-        // shutdown) still resolves the connection — as a close.
-        if !self.finished {
-            self.sink.0.clear();
-            let _ = self.push(Some(false));
+        if !self.sealed {
+            self.push(Vec::new(), Some(false), None);
         }
     }
 }
 
-impl Write for ConnWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.sink.write_all(data)?;
-        if matches!(self.sink.0.last(), Some(seg) if seg.len() >= SEG_TARGET) {
-            self.flush()?;
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.push(None)
-    }
-}
-
-impl BodySink for ConnWriter {
-    fn write_shared(&mut self, body: &Arc<Vec<u8>>) -> io::Result<()> {
-        self.sink.write_shared(body)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// A parked miss
+// A request answered off the loop
 // ---------------------------------------------------------------------------
 
-/// What the loop keeps of an admitted miss: what `routes::finish` needs,
-/// and the connection's writer. Its [`Ticket`] hands it to one side only —
-/// the job's reply, or the loop's deadline timer.
-struct Parked {
+/// What `routes::finish` needs of a request answered off the loop, and the
+/// connection's writer.
+struct Held {
     req: Box<Request>,
     begun: Begun,
     route: Route,
-    pending: Pending,
     writer: ConnWriter,
 }
 
-type Ticket = Mutex<Option<Parked>>;
+/// An admitted request the loop parked — how to answer it, and what it
+/// waits on — handed to one side only: the reply that completes it, or the
+/// loop's deadline timer.
+type Ticket = Mutex<Option<(Held, Awaited)>>;
 
-/// The job's [`OnReply`]: the worker that ran the translation ends the
-/// request — conclude, `routes::finish` into the connection, one wake —
+/// The [`OnReply`] of a parked request's job (`slot`: its batch item). The
+/// reply is recorded; the one that completes the request ends it on the
+/// worker — conclude, `routes::finish` into the connection, one wake —
 /// unless the deadline took it first; then the reply is dropped, and
-/// counted. Nothing here blocks: the access-log line is posted, and a write
-/// stall that fires hands the reply to a dispatch thread to sleep.
-fn reply_to(ticket: &Arc<Ticket>, shared: &Arc<Shared>) -> OnReply {
+/// counted. Nothing here blocks: a batch item's retry is queued at once,
+/// the access-log line is posted, and a write stall that fires becomes a
+/// hold the loop releases.
+fn reply_to(ticket: &Arc<Ticket>, shared: &Arc<Shared>, slot: usize) -> OnReply {
     let (ticket, shared) = (Arc::clone(ticket), Arc::clone(shared));
     Box::new(move |reply| {
-        let Some(mut p) = lock(&ticket).take() else {
+        let mut claim = lock(&ticket);
+        let Some((_, awaited)) = claim.as_mut() else {
             return shared.state.metrics.inc(Scalar::LateRepliesDropped);
         };
-        let resp = p.pending.respond(&shared, Some(reply));
-        if let Some(stall) = fire_delay(ConnWriteStall) {
-            let routed = Some((p.route, Early::Reply(resp), Some(stall)));
-            return resume_on_dispatcher(&shared, p.req, p.begun, routed, p.writer);
+        let again = |slot| reply_to(&ticket, &shared, slot);
+        if awaited.record(&shared, slot, reply, &again) {
+            let (held, awaited) = claim.take().expect("a parked request");
+            drop(claim);
+            end_parked(&shared, held, awaited);
         }
-        let (req, reply) = (&p.req, Handled::Reply(resp));
-        let post = |file: Arc<AccessLog>, line| file.post(line);
-        let keep = routes::finish(&shared, req, p.begun, p.route, reply, &mut p.writer, post);
-        p.writer.finish(keep);
     })
+}
+
+/// A parked stream's [`OnLine`]: each stage line goes straight into the
+/// connection; after the deadline took the stream, nowhere.
+fn lines_to(ticket: &Arc<Ticket>) -> OnLine {
+    let ticket = Arc::clone(ticket);
+    Box::new(move |line| {
+        if let Some((held, _)) = lock(&ticket).as_ref() {
+            let mut bytes = line.into_bytes();
+            bytes.push(b'\n');
+            held.writer.push(vec![bytes.into()], None, None);
+        }
+    })
+}
+
+/// End a parked request under its trace: on the worker whose reply
+/// completed it (its job runs in the request's trace), or on the loop's
+/// deadline timer, which enters the trace first.
+fn end_parked(shared: &Shared, mut held: Held, awaited: Awaited) {
+    let mut sink = SegSink::default();
+    let handled = awaited.end(shared, &mut sink);
+    if matches!(handled, Handled::Reply(_)) {
+        held.begun.stall = fire_delay(ConnWriteStall);
+    }
+    answer(shared, held, handled, sink);
+}
+
+/// Frame an answer off the loop after what `sink` holds, and seal it into
+/// the connection, held back by its write stall. The access-log line is
+/// posted, never written here.
+fn answer(shared: &Shared, held: Held, handled: Handled, mut sink: SegSink) {
+    let (req, stall) = (&held.req, held.begun.stall);
+    let post = |file: Arc<AccessLog>, line| file.post(line);
+    let keep = routes::finish(
+        shared, req, held.begun, held.route, handled, &mut sink, post,
+    );
+    held.writer.finish(sink.0, keep, stall);
 }
 
 /// Poison-transparent: a ticket is valid whatever unwound past it.
@@ -383,8 +305,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 enum ConnState {
     /// Accumulating request bytes (first request, or a partial one).
     Reading,
-    /// A parsed request is parked on the worker pool, or on (or queued
-    /// for) a dispatch thread.
+    /// A parsed request waits on the pool: parked behind its ticket, or an
+    /// admin job; or its sealed response is held back by a write stall.
     Dispatched,
     /// The response is sealed; the loop is draining the output queue.
     Writing,
@@ -412,9 +334,11 @@ struct Conn {
     /// flag is level-triggered and would re-fire every tick).
     rdhup: bool,
     interest: Interest,
-    /// A parked miss: when the loop stops waiting for its worker, and the
-    /// claim the two race for.
+    /// A parked request: when the loop stops waiting for its worker, and
+    /// the claim the two race for.
     parked: Option<(Instant, Arc<Ticket>)>,
+    /// When `pump` may write a response a fired write stall holds back.
+    held: Option<Instant>,
 }
 
 impl Conn {
@@ -449,8 +373,6 @@ impl EventDriver {
         let reactor = Arc::new(ReactorShared {
             waker,
             ready: Mutex::new(Vec::new()),
-            handed_back: Mutex::new(Vec::new()),
-            stopped: AtomicBool::new(false),
         });
         let loop_reactor = Arc::clone(&reactor);
         let handle = std::thread::Builder::new()
@@ -496,7 +418,8 @@ fn run_loop(
     let mut accept_rearm: Option<Instant> = None;
     let mut drain_deadline: Option<Instant> = None;
     let mut last_stats: Option<Instant> = None;
-    // The earliest deadline of a parked miss, as of the last sweep.
+    // The earliest timer — a parked deadline, a held response's release —
+    // as of the last sweep.
     let mut next_deadline: Option<Instant> = None;
 
     loop {
@@ -618,9 +541,9 @@ fn run_loop(
             }
         }
 
-        // -- connections whose dispatch jobs produced output or finished,
-        //    and pipelining ones that yielded their turn last wake --
-        let ready = std::mem::take(&mut *reactor.ready.lock().expect("ready list poisoned"));
+        // -- connections whose workers produced output or finished, and
+        //    pipelining ones that yielded their turn last wake --
+        let ready = std::mem::take(&mut *lock(&reactor.ready));
         for token in ready {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
@@ -630,27 +553,12 @@ fn run_loop(
             }
         }
 
-        // -- oversized single translations a dispatch thread parsed into
-        //    misses: admitted here, like any other --
-        let handed_back = std::mem::take(&mut *lock(&reactor.handed_back));
-        for h in handed_back {
-            let Some(conn) = conns.get_mut(&h.token) else {
-                continue;
-            };
-            let next = match admit_here(&ctx, conn, h.req, h.begun, h.route, h.miss) {
-                Next::Alive => try_advance(&ctx, conn),
-                close => close,
-            };
-            if next == Next::Close {
-                close_conn(&mut conns, &poller, &mut pool, shared, h.token, false);
-            }
-        }
-
         // -- timers, one sweep: idle reaping (keep-alive peers gone quiet,
-        //    slow-loris drips; not while draining) and the deadlines of
-        //    parked misses, the earliest of which bounds the next wait --
+        //    slow-loris drips; not while draining), the deadlines of parked
+        //    requests and the release of held responses, the earliest of
+        //    which bounds the next wait --
         let now = Instant::now();
-        let (mut reaped, mut expired) = (Vec::new(), Vec::new());
+        let (mut reaped, mut expired, mut released) = (Vec::new(), Vec::new(), Vec::new());
         next_deadline = None;
         for (&token, c) in &conns {
             if drain_deadline.is_none()
@@ -659,10 +567,13 @@ fn run_loop(
             {
                 reaped.push(token);
             }
-            match c.parked {
-                Some((at, _)) if at <= now => expired.push(token),
-                Some((at, _)) => next_deadline = Some(next_deadline.map_or(at, |n| n.min(at))),
-                None => {}
+            let parked = c.parked.as_ref().map(|(at, _)| *at);
+            for (at, due) in [(parked, &mut expired), (c.held, &mut released)] {
+                match at {
+                    Some(at) if at <= now => due.push(token),
+                    Some(at) => next_deadline = Some(next_deadline.map_or(at, |n| n.min(at))),
+                    None => {}
+                }
             }
         }
         for token in reaped {
@@ -672,25 +583,19 @@ fn run_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            // Taken already: the worker's answer is on its way.
-            let Some(mut p) = conn.parked.take().and_then(|(_, t)| lock(&t).take()) else {
+            // Ended here as its worker would end it; the seal's wake drives
+            // the connection on the next turn. Taken already: the worker's
+            // answer is on its way.
+            if let Some((held, awaited)) = conn.parked.take().and_then(|(_, t)| lock(&t).take()) {
+                let _scope = held.begun.trace.scope();
+                end_parked(shared, held, awaited);
+            }
+        }
+        for token in released {
+            let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            p.writer.disarm();
-            let scope = p.begun.trace.scope();
-            let resp = p.pending.respond(shared, None);
-            let stall = fire_delay(ConnWriteStall);
-            drop(scope);
-            // Answered here: a request pipelined behind it may be buffered,
-            // and may park with a deadline the sweep above did not see.
-            let next = match reply_here(&ctx, conn, p.req, p.begun, p.route, resp, stall) {
-                Next::Alive => try_advance(&ctx, conn),
-                close => close,
-            };
-            if let (Next::Alive, Some((at, _))) = (next, &conn.parked) {
-                next_deadline = Some(next_deadline.map_or(*at, |n| n.min(*at)));
-            }
-            if next == Next::Close {
+            if drive(&ctx, conn) == Next::Close {
                 close_conn(&mut conns, &poller, &mut pool, shared, token, false);
             }
         }
@@ -707,8 +612,6 @@ fn run_loop(
     }
 
     publish_event_stats(shared, &conns, &pool, true);
-    drop(listener);
-    reactor.stopped.store(true, Ordering::Release);
 }
 
 /// Snapshot the loop's occupancy into [`Shared::event_stats`] — the status
@@ -812,6 +715,7 @@ fn accept_burst(
                 rdhup: false,
                 interest: Interest::READ,
                 parked: None,
+                held: None,
             },
         );
     }
@@ -885,7 +789,7 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                     pos += consumed;
                     budget -= 1;
                     let t0 = conn.t0.take().unwrap_or_else(Instant::now);
-                    // Contained like a dispatch job: a panic costs this socket.
+                    // Contained like a pool job: a panic costs this socket.
                     let metrics = &ctx.shared.state.metrics;
                     if contained(metrics, || serve(ctx, conn, req, t0)) != Some(Next::Alive) {
                         break 'parse Next::Close;
@@ -916,30 +820,25 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
     next
 }
 
-/// Serve one parsed request. What the loop can route ([`routes::early`]:
-/// no route that may block, no body over [`INLINE_BODY_MAX`]) goes straight
-/// into the output queue and `pump`: nothing on that path sleeps, touches a
-/// file or waits on the pool or a condvar, and its work is bounded. A
-/// single translation's miss is admitted here ([`admit_here`]); everything
-/// else parks in `Dispatched` while a dispatch thread runs `routes::resume`.
+/// Serve one parsed request. The loop routes it: what needs no wait goes
+/// straight into the output queue and `pump` — nothing on that path
+/// sleeps, touches a file or waits on the pool or a condvar, and its work
+/// is bounded — what waits on the pool is admitted and parked
+/// ([`admit_here`]), and an admin job is queued on the pool ([`run_job`]).
 fn serve(ctx: &Ctx<'_>, conn: &mut Conn, req: Box<Request>, t0: Instant) -> Next {
     let shared = ctx.shared;
-    let begun = routes::begin(shared, &req, t0, t0.elapsed());
-    let routed = (req.body.len() <= INLINE_BODY_MAX)
-        .then(|| routes::early(shared, &req, &begun))
-        .flatten();
-    match routed {
-        Some((route, Early::Reply(resp), stall)) => {
-            reply_here(ctx, conn, req, begun, route, resp, stall)
-        }
-        Some((route, Early::Miss(miss), _)) => admit_here(ctx, conn, req, begun, route, miss),
-        routed => dispatch(ctx, conn, req, begun, routed),
+    let mut begun = routes::begin(shared, &req, t0, t0.elapsed());
+    let (route, early) = routes::route(shared, &req, &mut begun);
+    match early {
+        Early::Reply(resp) => reply_here(ctx, conn, req, begun, route, resp),
+        Early::Wait(wait) => admit_here(ctx, conn, req, begun, route, wait),
+        Early::Job(job) => run_job(ctx, conn, req, begun, route, job),
     }
 }
 
 /// Frame a response produced on the loop into segments, queue them and
-/// pump — no lock, no wake. A write stall that fired is slept on a
-/// dispatch thread instead, never here.
+/// pump — no lock, no wake. A write stall that fired holds the response
+/// back; the timer sweep releases it.
 fn reply_here(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
@@ -947,13 +846,9 @@ fn reply_here(
     begun: Begun,
     route: Route,
     resp: Response,
-    stall: Option<Duration>,
 ) -> Next {
-    if stall.is_some() {
-        let routed = Some((route, Early::Reply(resp), stall));
-        return dispatch(ctx, conn, req, begun, routed);
-    }
     let shared = ctx.shared;
+    let hold = begun.stall.map(|d| Instant::now() + d);
     let mut sink = SegSink::default();
     // The access-log line is posted once the bytes are out.
     let mut line = None;
@@ -963,7 +858,7 @@ fn reply_here(
     if req.path.ends_with("/translate") {
         shared.state.metrics.inc(Scalar::InlineResponses);
     }
-    queue_response(conn, sink.0, keep);
+    queue_response(conn, sink.0, keep, hold);
     let next = pump(ctx, conn);
     if let Some((file, text)) = line {
         AccessLog::post(&file, text);
@@ -971,67 +866,104 @@ fn reply_here(
     next
 }
 
-/// Park the connection while a dispatch thread runs `routes::resume` into
-/// its [`ConnWriter`].
-fn dispatch(
+/// Leave the connection to the pool until its answer is sealed.
+fn park(ctx: &Ctx<'_>, conn: &mut Conn) {
+    conn.state = ConnState::Dispatched;
+    set_interest(ctx, conn, Interest::NONE);
+}
+
+/// What waits on the pool — a single miss, a stream, a batch's misses: the
+/// breaker, the pool and the refusal ladder run here, under the request's
+/// trace, and none of them blocks. A refusal is answered here; what is
+/// admitted is parked, and the worker whose reply completes it answers it.
+/// The ticket stays locked until the request is parked, so a reply or a
+/// stage line that comes first waits the few instructions it takes.
+fn admit_here(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
     req: Box<Request>,
-    begun: Begun,
-    routed: Option<Routed>,
+    mut begun: Begun,
+    route: Route,
+    wait: Wait,
 ) -> Next {
-    conn.state = ConnState::Dispatched;
-    set_interest(ctx, conn, Interest::NONE);
+    let shared = ctx.shared;
+    let ticket = Arc::new(Ticket::default());
+    let mut claim = lock(&ticket);
+    let mut head = SegSink::default();
+    let scope = begun.trace.scope();
+    let reply = |slot| reply_to(&ticket, shared, slot);
+    let awaited = match translate::start(shared, wait, &mut head, &reply, &|| lines_to(&ticket)) {
+        Ok(awaited) => awaited,
+        Err(resp) => {
+            begun.stall = fire_delay(ConnWriteStall);
+            drop(scope);
+            return reply_here(ctx, conn, req, begun, route, resp);
+        }
+    };
+    drop(scope);
+    park(ctx, conn);
+    conn.parked = Some((awaited.expires(), Arc::clone(&ticket)));
+    // A stream's head goes out now, ahead of any stage line.
+    lock(&conn.out).segs.extend(head.0);
     let writer = ConnWriter::new(ctx, conn);
-    resume_on_dispatcher(ctx.shared, req, begun, routed, writer);
-    Next::Alive
+    let held = Held {
+        req,
+        begun,
+        route,
+        writer,
+    };
+    *claim = Some((held, awaited));
+    drop(claim);
+    pump(ctx, conn)
 }
 
-/// A single translation's miss: breaker, pool and the refusal ladder run
-/// here, under the request's trace — none of them blocks. A refusal is
-/// answered here; an admitted miss is parked, and its worker answers it.
-/// The ticket stays locked until the request is parked, so a reply that
-/// comes first waits the few instructions it takes.
-fn admit_here(
+/// An admin route that builds, drops or writes runs as a job on the
+/// translation pool, which answers the connection. Refused, it is the
+/// pool's 503, answered here.
+fn run_job(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
     req: Box<Request>,
     begun: Begun,
     route: Route,
-    miss: Miss,
+    job: AdminJob,
 ) -> Next {
-    let ticket = Arc::new(Ticket::default());
-    let mut parked = lock(&ticket);
-    let scope = begun.trace.scope();
-    let pending = match admit(ctx.shared, miss, true, &|| reply_to(&ticket, ctx.shared)) {
-        Step::Waiting(pending) => pending,
-        Step::Done(outcome) => {
-            let stall = fire_delay(ConnWriteStall);
-            drop(scope);
-            return reply_here(ctx, conn, req, begun, route, outcome.into_response(), stall);
-        }
-    };
-    drop(scope);
-    conn.state = ConnState::Dispatched;
-    set_interest(ctx, conn, Interest::NONE);
-    conn.parked = Some((pending.expires(), Arc::clone(&ticket)));
     let writer = ConnWriter::new(ctx, conn);
-    *parked = Some(Parked {
+    let held = Held {
         req,
         begun,
         route,
-        pending,
         writer,
+    };
+    // The job takes it; a refused job leaves it here.
+    let claim = Arc::new(Mutex::new(Some(held)));
+    let (taken, shared) = (Arc::clone(&claim), Arc::clone(ctx.shared));
+    park(ctx, conn);
+    let queued = ctx.shared.pool.submit(move || {
+        let Some(mut held) = lock(&taken).take() else {
+            return;
+        };
+        let _scope = held.begun.trace.scope();
+        let resp = job(&shared.state, &held.req);
+        held.begun.stall = fire_delay(ConnWriteStall);
+        answer(&shared, held, Handled::Reply(resp), SegSink::default());
     });
-    Next::Alive
+    let Some(mut held) = queued.is_err().then(|| lock(&claim).take()).flatten() else {
+        return Next::Alive;
+    };
+    held.writer.disarm();
+    let scope = held.begun.trace.scope();
+    held.begun.stall = fire_delay(ConnWriteStall);
+    drop(scope);
+    let resp = translate::overloaded(ctx.shared);
+    reply_here(ctx, conn, held.req, held.begun, held.route, resp)
 }
 
 /// Queue a whole response produced on the loop itself; the caller pumps.
-fn queue_response(conn: &mut Conn, segs: Vec<Body>, keep: bool) {
-    let mut st = conn.out.state.lock().expect("conn out poisoned");
-    st.bytes += segs.iter().map(Body::len).sum::<usize>();
+fn queue_response(conn: &mut Conn, segs: Vec<Body>, keep: bool, hold: Option<Instant>) {
+    let mut st = lock(&conn.out);
     st.segs.extend(segs);
-    st.done = Some(keep);
+    (st.done, st.hold) = (Some(keep), hold);
     drop(st);
     conn.state = ConnState::Writing;
 }
@@ -1040,7 +972,7 @@ fn queue_response(conn: &mut Conn, segs: Vec<Body>, keep: bool) {
 fn queue_error_close(ctx: &Ctx<'_>, conn: &mut Conn, err: &http::ReadError) -> Next {
     let mut bytes: Vec<u8> = Vec::new();
     write_read_error(ctx.shared, err, &mut bytes);
-    queue_response(conn, vec![bytes.into()], false);
+    queue_response(conn, vec![bytes.into()], false, None);
     pump(ctx, conn)
 }
 
@@ -1053,10 +985,18 @@ fn drive(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
 }
 
 /// Push queued output at the socket with vectored writes; on completion,
-/// apply the keep-alive verdict (the connection is idle again).
+/// apply the keep-alive verdict (the connection is idle again). A response
+/// held back by a write stall waits for the timer sweep.
 fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
     loop {
-        let mut st = conn.out.state.lock().expect("conn out poisoned");
+        let mut st = lock(&conn.out);
+        conn.held = st.hold.filter(|&at| at > Instant::now());
+        if conn.held.is_some() {
+            drop(st);
+            set_interest(ctx, conn, Interest::NONE);
+            return Next::Alive;
+        }
+        st.hold = None;
         if st.segs.is_empty() {
             // Consumed, not read: the verdict belongs to exactly one
             // request — a follower on the same connection starts clean.
@@ -1064,8 +1004,8 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             drop(st);
             match done {
                 None => {
-                    // Still executing (a stream mid-relay, or the job has
-                    // not finished); nothing to write right now.
+                    // Still executing (a stream between lines, or the job
+                    // has not finished); nothing to write right now.
                     if conn.state == ConnState::Dispatched {
                         set_interest(ctx, conn, Interest::NONE);
                     }
@@ -1102,7 +1042,6 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
         match written {
             Ok(0) => return Next::Close,
             Ok(mut n) => {
-                st.bytes -= n;
                 while n > 0 {
                     let front_left = st.segs[0].as_slice().len() - st.front_written;
                     if n >= front_left {
@@ -1114,9 +1053,6 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                         n = 0;
                     }
                 }
-                drop(st);
-                // Room freed below the high-water mark: unblock the writer.
-                conn.out.cv.notify_all();
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 drop(st);
@@ -1131,7 +1067,7 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
 }
 
 /// Tear one connection down: out of epoll, out of the map, buffer back to
-/// the pool, writers unblocked with an error, gauge decremented.
+/// the pool, writers failing from here on, gauge decremented.
 fn close_conn(
     conns: &mut HashMap<u64, Conn>,
     poller: &Poller,
@@ -1145,17 +1081,14 @@ fn close_conn(
     };
     let _ = poller.deregister(conn.stream.as_raw_fd());
     // A worker that finishes after this drops its reply, counted.
-    if let Some(mut p) = conn.parked.and_then(|(_, ticket)| lock(&ticket).take()) {
-        p.writer.disarm();
+    if let Some((mut held, _)) = conn.parked.and_then(|(_, ticket)| lock(&ticket).take()) {
+        held.writer.disarm();
     }
     {
-        // A contained panic may have poisoned it; closing is always valid.
-        let mut st = conn.out.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = lock(&conn.out);
         st.closed = true;
         st.segs.clear();
-        st.bytes = 0;
     }
-    conn.out.cv.notify_all();
     pool.put(conn.inbuf);
     let metrics = &shared.state.metrics;
     if reaped {
@@ -1171,7 +1104,7 @@ fn close_conn(
 mod tests {
     use super::*;
 
-    /// The containment the loop's inline stage and every dispatch job run
+    /// The containment the loop's inline stage and every pool job run
     /// under: a panicking handler is counted and reported, and the thread
     /// that ran it carries on with the next one.
     #[test]

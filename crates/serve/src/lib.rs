@@ -30,10 +30,10 @@
 //!   counters and pool shares, cache shard count, library provenance).
 //!
 //! One epoll loop ([`event`]) is the only transport: it answers cache hits
-//! and every route that cannot block itself and admits misses, whose
-//! workers answer them; whatever else may block takes the same staged path
-//! through `routes` on the dispatcher, a second [`WorkerPool`] of one
-//! thread per translation worker. Every cold translation passes one
+//! and every route that cannot block itself, and admits and parks what
+//! waits on the [`WorkerPool`] — a miss, a stream, a batch's misses — whose
+//! workers answer the connection; the admin routes that build, drop or
+//! write run as jobs on the same pool. Every cold translation passes one
 //! admission stage in [`translate`] (breaker → pool → reply under the
 //! deadline; DESIGN.md §11).
 //!

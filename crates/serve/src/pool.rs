@@ -4,8 +4,8 @@
 //! each job under [`contained`]. Translation jobs are pushed here so the
 //! number of in-flight translations is bounded no matter how many sockets
 //! are open: a full queue returns [`SubmitError::Overloaded`] and the
-//! caller sheds load with a 503 instead of queueing unboundedly. The
-//! server's dispatcher is a second pool of its own, unbounded (DESIGN.md §7).
+//! caller sheds load with a 503 instead of queueing unboundedly. The same
+//! workers run the admin routes that build, drop or write (DESIGN.md §7).
 
 use crate::metrics::{Metrics, Scalar};
 use std::collections::VecDeque;
@@ -25,7 +25,8 @@ pub(crate) enum JobEnd {
     Expired,
 }
 
-/// A one-value rendezvous between a waiting thread and a worker.
+/// A one-value rendezvous between a waiting thread and a worker. Nothing
+/// the server serves waits on one; tests and benchmark probes do.
 pub struct OneShot<T> {
     inner: Arc<(Mutex<Option<T>>, Condvar)>,
 }
@@ -109,9 +110,10 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn `workers` threads over one queue bounded at `shards` (clamped
-    /// to `1..=workers`) × `queue_capacity` jobs. The server passes
-    /// `ServeConfig::effective_shards`, one per four workers.
+    /// Spawn `workers` threads named `t2v-worker-{i}` over one queue
+    /// bounded at `shards` (clamped to `1..=workers`) × `queue_capacity`
+    /// jobs. The server passes `ServeConfig::effective_shards`, one per
+    /// four workers.
     pub fn new(
         workers: usize,
         shards: usize,
@@ -122,17 +124,6 @@ impl WorkerPool {
         let capacity = shards
             .clamp(1, workers)
             .saturating_mul(queue_capacity.max(1));
-        WorkerPool::named("t2v-worker", workers, capacity, metrics)
-    }
-
-    /// Spawn `workers` threads named `{prefix}-{i}` over one queue of at
-    /// most `capacity` jobs (`usize::MAX`: unbounded).
-    pub(crate) fn named(
-        prefix: &str,
-        workers: usize,
-        capacity: usize,
-        metrics: Arc<Metrics>,
-    ) -> WorkerPool {
         let shared = Arc::new(PoolInner {
             queue: Mutex::default(),
             cv: Condvar::new(),
@@ -140,11 +131,11 @@ impl WorkerPool {
             metrics,
             counts: Default::default(),
         });
-        let handles = (0..workers.max(1))
+        let handles = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("{prefix}-{w}"))
+                    .name(format!("t2v-worker-{w}"))
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn pool thread")
             })
@@ -243,8 +234,8 @@ fn worker_loop(shared: &PoolInner) {
 }
 
 /// Run `f` so that a panic takes down neither the thread (nothing respawns
-/// one) nor the server: it is caught and counted. Pool and dispatch jobs
-/// and the loop's inline stage run this way.
+/// one) nor the server: it is caught and counted. Pool jobs and the
+/// loop's inline stage run this way.
 pub(crate) fn contained<T>(metrics: &Metrics, f: impl FnOnce() -> T) -> Option<T> {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok();
     if caught.is_none() {

@@ -1,13 +1,12 @@
 //! One parsed request in, one response out, as ordered stages: [`begin`]
-//! (trace id, sampling, `conn.read` span) → [`route`] (routing, plus what a
-//! single translation decides without waiting) → *either* [`finish`] (count,
-//! frame the bytes, seal and publish the trace), *or* [`resume`] on a thread
-//! that may block (a stream, a batch, a route that builds or writes, the
-//! write stall → the same `finish`). The event loop routes every request
-//! whose handler cannot block ([`early`]) and answers it in place, admitting
-//! a miss itself, whose worker `finish`es it from the reply; dispatch threads
-//! `resume` the rest; the in-memory oracle runs `begin` + `resume` back to
-//! back: one `finish` keeps their bytes identical. Wire format: DESIGN.md §8.
+//! (trace id, sampling, `conn.read` span) → [`route`] (routing, and all a
+//! request decides before it waits) → [`finish`] (count, frame the bytes,
+//! seal and publish the trace). The event loop routes every request and
+//! answers what needs no wait in place; what waits on the pool is
+//! `finish`ed by the thread that ends it — the worker whose reply completes
+//! it, or the loop's deadline timer. The in-memory oracle runs the same
+//! stages on one thread: one `finish` keeps their bytes identical. Wire
+//! format: DESIGN.md §8.
 
 use crate::access_log::{render_line, AccessLog};
 use crate::admin::{
@@ -18,9 +17,7 @@ use crate::admin::{
 use crate::http::{self, BodySink, Request, Response};
 use crate::metrics::{Hist, Route};
 use crate::server::{ServerState, Shared, TenantRuntime};
-use crate::translate::{
-    batch_endpoint, settle, splice_field, stream_endpoint, translate_early, Early,
-};
+use crate::translate::{batch_early, splice_field, translate_early, Early};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use t2v_engine::Json;
@@ -48,10 +45,11 @@ pub(crate) struct Begun {
     force: bool,
     sampled: bool,
     t0: Instant,
+    /// The delay a fired `conn.write_stall` gave this request's framed
+    /// reply: its write counts that much longer, and the loop holds its
+    /// bytes back as long.
+    pub(crate) stall: Option<Duration>,
 }
-
-/// Route, the early stage's verdict, a fired-but-unslept write-stall delay.
-pub(crate) type Routed = (Route, Early, Option<Duration>);
 
 /// First stage: trace setup (DESIGN.md §12). Every request gets an id (the
 /// `x-t2v-trace-id` header); spans are recorded only when something could
@@ -75,68 +73,20 @@ pub(crate) fn begin(shared: &Shared, req: &Request, t0: Instant, read_dur: Durat
         force,
         sampled,
         t0,
+        stall: None,
     }
 }
 
-/// Routes whose handler may block — wait on the pool (a batch), build or
-/// drop a tenant, write a file — or render more than a bounded page (the
-/// profile, a TSDB window). A stream shows only in its body
-/// ([`Early::Stream`]).
-fn may_block(path: &str) -> bool {
-    path.ends_with("/translate/batch")
-        || path.starts_with("/v1/admin/tenants/")
-        || matches!(
-            path,
-            "/v1/admin/snapshot" | "/v1/admin/profile" | "/v1/admin/tsdb"
-        )
-}
-
-/// The early stage as the event loop runs it: [`route`], or `None` for a
-/// route that [`may_block`].
-pub(crate) fn early(shared: &Shared, req: &Request, begun: &Begun) -> Option<Routed> {
-    (!may_block(&req.path)).then(|| route(shared, req, begun))
-}
-
-/// Route one request under its trace. A finished reply also *fires* the
-/// `conn.write_stall` seam (a counter, an RNG draw); [`resume`] sleeps it.
-/// A miss comes back unadmitted ([`Early::Miss`]).
-pub(crate) fn route(shared: &Shared, req: &Request, begun: &Begun) -> Routed {
+/// Route one request under its trace. A reply also fires the
+/// `conn.write_stall` seam (a counter, an RNG draw) into `begun.stall`; a
+/// reply framed later fires it where it is framed.
+pub(crate) fn route(shared: &Shared, req: &Request, begun: &mut Begun) -> (Route, Early) {
     let _scope = begun.trace.scope();
-    let (route, early, _) = respond(shared, req);
-    let stall = matches!(early, Early::Reply(_))
-        .then(|| fire_delay(ConnWriteStall))
-        .flatten();
-    (route, early, stall)
-}
-
-/// Everything after [`route`], on a thread that may block: routing unless
-/// done (`routed`), the late stage (a stream relayed; for the oracle, a
-/// miss admitted and awaited), the stall, [`finish`].
-pub(crate) fn resume(
-    shared: &Shared,
-    req: &Request,
-    begun: Begun,
-    routed: Option<Routed>,
-    writer: &mut dyn BodySink,
-) -> bool {
-    let routed = routed.unwrap_or_else(|| route(shared, req, &begun));
-    let scope = begun.trace.scope();
-    let (route, early, stall) = routed;
-    let (handled, stall) = match early {
-        Early::Reply(resp) => (Handled::Reply(resp), stall),
-        Early::Miss(miss) => (
-            Handled::Reply(settle(shared, miss)),
-            fire_delay(ConnWriteStall),
-        ),
-        Early::Stream(miss) => (stream_endpoint(shared, miss, writer), None),
-    };
-    if let Some(delay) = stall {
-        // Chaos seam: `conn.write_stall` models a peer draining us slowly.
-        std::thread::sleep(delay);
+    let (route, early) = respond(shared, req);
+    if matches!(early, Early::Reply(_)) {
+        begun.stall = fire_delay(ConnWriteStall);
     }
-    drop(scope);
-    let write_now = |log: Arc<AccessLog>, line: String| log.write_line(&line);
-    finish(shared, req, begun, route, handled, writer, write_now)
+    (route, early)
 }
 
 /// Last stage, the same on every thread that answers: count, frame the
@@ -153,6 +103,7 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
     log: impl FnOnce(Arc<AccessLog>, String),
 ) -> bool {
     let (trace, force, t0) = (begun.trace, begun.force, begun.t0);
+    let stall = begun.stall.unwrap_or_default();
     let wanted = force || begun.sampled;
     let trace_id = trace.id();
     let keep = !req.wants_close();
@@ -185,8 +136,8 @@ pub(crate) fn finish<W: BodySink + ?Sized>(
             }
             let wstart = Instant::now();
             let ok = resp.write_to_sink(writer, keep);
-            let wdur = wstart.elapsed();
-            let total_ns = t0.elapsed().as_nanos() as u64;
+            let wdur = wstart.elapsed() + stall;
+            let total_ns = (t0.elapsed() + stall).as_nanos() as u64;
             let finished = if force {
                 forced
             } else if record_read(shared, wanted, resp.status, total_ns) {
@@ -313,12 +264,14 @@ pub(crate) enum Handled {
     Streamed { backend: String, status: u16 },
 }
 
-/// Route one request. A single translation gets its early stage (errors and
-/// hits answered, a miss handed back as [`Early::Miss`]); every other
-/// route is answered in full, so only threads that may block route those.
+/// Route one request. A translation gets its early stage (errors and hits
+/// answered, what waits left as [`Early::Wait`]); the admin routes that
+/// build, drop or write become [`Early::Job`]s; every other route — the
+/// TSDB and profile reads included, bounded by the ops plane's 900 s
+/// retention — is answered in full.
 /// Tenant-scoped traffic: `/v1/t/{tenant}/...`, same sub-routes as `/v1/*`.
-fn respond(shared: &Shared, req: &Request) -> Routed {
-    let reply = |route: Route, resp: Response| (route, Early::Reply(resp), None);
+fn respond(shared: &Shared, req: &Request) -> (Route, Early) {
+    let reply = |route: Route, resp: Response| (route, Early::Reply(resp));
     // Tenant-scoped routes first: /v1/t/{tenant}/{sub}.
     if let Some(rest) = req.path.strip_prefix("/v1/t/") {
         let Some((tenant_id, sub)) = rest.split_once('/') else {
@@ -339,10 +292,8 @@ fn respond(shared: &Shared, req: &Request) -> Routed {
             );
         };
         return match (req.method.as_str(), sub) {
-            ("POST", "translate") => (Route::Tenant, translate_early(shared, req, tenant), None),
-            ("POST", "translate/batch") => {
-                reply(Route::Tenant, batch_endpoint(shared, req, tenant))
-            }
+            ("POST", "translate") => (Route::Tenant, translate_early(shared, req, tenant)),
+            ("POST", "translate/batch") => (Route::Tenant, batch_early(shared, req, tenant)),
             ("GET", "backends") => reply(Route::Tenant, backends_endpoint(tenant, true)),
             _ => reply(Route::Tenant, Response::error(405, "method not allowed")),
         };
@@ -370,24 +321,17 @@ fn respond(shared: &Shared, req: &Request) -> Routed {
             Route::Backends,
             backends_endpoint(&shared.state.default_tenant, false),
         ),
-        ("POST", "/v1/admin/snapshot") => {
-            reply(Route::Admin, admin_snapshot_endpoint(&shared.state, req))
-        }
+        ("POST", "/v1/admin/snapshot") => (Route::Admin, Early::Job(admin_snapshot_endpoint)),
         ("GET", "/v1/admin/tenants") => reply(Route::Admin, admin_tenants_list(&shared.state)),
-        ("POST", "/v1/admin/tenants/attach") => {
-            reply(Route::Admin, admin_tenants_attach(&shared.state, req))
-        }
-        ("DELETE", "/v1/admin/tenants/detach") => {
-            reply(Route::Admin, admin_tenants_detach(&shared.state, req))
-        }
+        ("POST", "/v1/admin/tenants/attach") => (Route::Admin, Early::Job(admin_tenants_attach)),
+        ("DELETE", "/v1/admin/tenants/detach") => (Route::Admin, Early::Job(admin_tenants_detach)),
         ("POST", "/v1/translate") => (
             Route::Translate,
             translate_early(shared, req, &shared.state.default_tenant),
-            None,
         ),
-        ("POST", "/v1/translate/batch") => reply(
+        ("POST", "/v1/translate/batch") => (
             Route::TranslateBatch,
-            batch_endpoint(shared, req, &shared.state.default_tenant),
+            batch_early(shared, req, &shared.state.default_tenant),
         ),
         (
             _,

@@ -3,13 +3,13 @@
 //! stops.
 //!
 //! Thread model (DESIGN.md §7, §14): one epoll loop thread owns every
-//! socket ([`crate::event`]), answers cache hits and validation errors of
-//! single translations itself and admits their misses through
-//! [`crate::translate`] into the bounded translation [`WorkerPool`], whose
-//! worker answers the connection; what may block runs `routes::resume` on
-//! a second, unbounded pool of one dispatch thread per worker. Overload —
-//! a full queue or too many sockets — answers 503 immediately instead of
-//! queueing unboundedly.
+//! socket ([`crate::event`]), answers cache hits, validation errors and
+//! every route that cannot block itself, and admits what waits — a miss, a
+//! stream, a batch's misses — through [`crate::translate`] into the bounded
+//! translation [`WorkerPool`], whose worker answers the connection; the
+//! admin routes that build, drop or write run as jobs on the same pool.
+//! Overload — a full queue or too many sockets — answers 503 immediately
+//! instead of queueing unboundedly.
 
 use crate::access_log::AccessLog;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -19,7 +19,8 @@ use crate::event::EventDriver;
 use crate::http;
 use crate::metrics::{LabelledMetrics, Metrics, Scalar};
 use crate::pool::WorkerPool;
-use crate::routes::{begin, resume, write_read_error};
+use crate::routes::{begin, finish, route, write_read_error, Handled};
+use crate::translate::{settle, Early};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -30,6 +31,7 @@ use t2v_baselines::RgVisNet;
 use t2v_core::{BackendRegistry, Translator};
 use t2v_corpus::{generate, Corpus, Database};
 use t2v_engine::Store;
+use t2v_fault::{fire_delay, FaultPoint::ConnWriteStall};
 use t2v_gred::{Gred, GredConfig};
 use t2v_llm::{LlmConfig, SimulatedChatModel};
 use t2v_store::{EmbedderPool, LibrarySource, Provenance, SnapshotError};
@@ -597,14 +599,9 @@ pub fn db_fingerprint(db: &Database, store_seed: u64, store_rows: usize) -> u64 
 /// What the event loop shares with every in-flight request.
 pub(crate) struct Shared {
     pub(crate) state: Arc<ServerState>,
-    /// The translation pool: bounded, `t2v-worker-*`.
+    /// The translation pool: bounded, `t2v-worker-*`. It also runs the
+    /// admin routes that build, drop or write.
     pub(crate) pool: WorkerPool,
-    /// What may block (streams, batches, tenant and snapshot admin routes):
-    /// unbounded, `t2v-dispatch-*`, one thread per translation worker. Not
-    /// the translation pool itself: a stream or a batch blocks on worker
-    /// results, and enough of them there would deadlock it. Only its
-    /// `queue_depth` is reported; its job counts are kept but never read.
-    pub(crate) dispatch: WorkerPool,
     pub(crate) shutdown: AtomicBool,
     /// The self-contained ops plane (ring-buffer TSDB, SLO burn-rate
     /// engine, stage profiler); `None` when `obs_sample_ms=0` and
@@ -621,8 +618,8 @@ pub(crate) struct Shared {
 pub(crate) struct EventStats {
     /// Connections currently accumulating request bytes.
     pub(crate) reading: AtomicU64,
-    /// Connections with a request in flight: a parked miss, or a request
-    /// on a dispatch thread.
+    /// Connections with a request in flight: parked on the pool, or an
+    /// admin job.
     pub(crate) dispatched: AtomicU64,
     /// Connections flushing a response under write backpressure.
     pub(crate) writing: AtomicU64,
@@ -660,20 +657,16 @@ impl Server {
                 t2v_fault::arm(&plan);
             }
         }
-        let workers = config.effective_workers();
-        let metrics = &state.metrics;
         let pool = WorkerPool::new(
-            workers,
+            config.effective_workers(),
             config.effective_shards(),
             config.queue_capacity,
-            Arc::clone(metrics),
+            Arc::clone(&state.metrics),
         );
-        let dispatch = WorkerPool::named("t2v-dispatch", workers, usize::MAX, Arc::clone(metrics));
         let obs = build_obs(&state);
         let shared = Arc::new(Shared {
             state,
             pool,
-            dispatch,
             shutdown: AtomicBool::new(false),
             obs,
             event_stats: EventStats::default(),
@@ -696,13 +689,11 @@ impl Server {
     }
 
     /// Orderly stop: the event loop drains (idle sockets close at once,
-    /// in-flight requests finish their response), the dispatcher drops what
-    /// it had not started and finishes what it had, then the translation
+    /// in-flight requests finish their response), then the translation
     /// pool and the ops plane stop.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.driver.shutdown();
-        self.shared.dispatch.shutdown();
         self.shared.pool.shutdown();
         if let Some(obs) = &self.shared.obs {
             obs.stop();
@@ -711,20 +702,36 @@ impl Server {
 
     /// The differential oracle for the event loop (`tests/event_net.rs`):
     /// answer the request bytes of one connection with the blocking
-    /// one-shot parser and the same handler, no socket involved. Returns
-    /// every byte the connection would have received before it closed.
+    /// one-shot parser and the same stages, no socket involved — what
+    /// waits is started and ended as the loop does it, and only waited for
+    /// here ([`settle`]); an admin job runs here. A write stall fires where
+    /// the loop fires it, and holds nothing back. Returns every byte the
+    /// connection would have received before it closed.
     #[doc(hidden)]
     pub fn answer_in_memory(&self, raw: &[u8]) -> Vec<u8> {
+        let shared = &self.shared;
         let mut reader = raw;
         let mut out = Vec::new();
-        let max_body = self.shared.state.config.max_body_bytes;
+        let max_body = shared.state.config.max_body_bytes;
         // Running out of bytes is the peer's clean EOF between requests.
         while !reader.is_empty() {
             let t0 = Instant::now();
             match http::read_request(&mut reader, max_body) {
                 Ok(req) => {
-                    let begun = begin(&self.shared, &req, t0, t0.elapsed());
-                    if !resume(&self.shared, &req, begun, None, &mut out) {
+                    let mut begun = begin(shared, &req, t0, t0.elapsed());
+                    let (route, early) = route(shared, &req, &mut begun);
+                    let scope = begun.trace.scope();
+                    let (handled, late) = match early {
+                        Early::Reply(resp) => (Handled::Reply(resp), false),
+                        Early::Wait(wait) => (settle(shared, wait, &mut out), true),
+                        Early::Job(job) => (Handled::Reply(job(&shared.state, &req)), true),
+                    };
+                    if late && matches!(handled, Handled::Reply(_)) {
+                        begun.stall = fire_delay(ConnWriteStall);
+                    }
+                    drop(scope);
+                    let write_now = |log: Arc<AccessLog>, line: String| log.write_line(&line);
+                    if !finish(shared, &req, begun, route, handled, &mut out, write_now) {
                         break;
                     }
                 }

@@ -3,11 +3,13 @@
 //! `POST /v1/translate/batch`).
 //!
 //! Every item starts in `probe` (resolve → key → cache lookup → count).
-//! The single endpoint is split where waiting starts: `translate_early`
-//! answers errors and fresh hits, and hands a miss back as a [`Miss`]
-//! whose admission never blocks — the event loop runs it, and the worker
-//! that runs the translation answers the connection (`crate::event`). A
-//! stream continues on a dispatch thread.
+//! Each endpoint is split where waiting starts: the early stage
+//! ([`translate_early`], [`batch_early`]) answers errors and fresh hits and
+//! leaves what must wait as a [`Wait`], whose admission ([`start`]) never
+//! blocks. What it admits is an [`Awaited`]: the event loop parks it, and
+//! the worker whose reply completes it answers the connection
+//! (`crate::event`); the in-memory oracle waits on it on its own thread
+//! ([`settle`]). Either transport ends it with [`Awaited::end`].
 //!
 //! Every cold translation enters the worker pool through
 //! `admit_and_submit` — breaker admission, pool submission, and the
@@ -24,9 +26,9 @@ use crate::cache::Lookup;
 use crate::config::ServeConfig;
 use crate::http::{self, Body, BodySink, Request, Response};
 use crate::metrics::{Hist, Metrics, Scalar};
-use crate::pool::{JobEnd, OneShot};
+use crate::pool::JobEnd;
 use crate::routes::Handled;
-use crate::server::{CacheKey, DbEntry, Shared, TenantRuntime};
+use crate::server::{CacheKey, DbEntry, ServerState, Shared, TenantRuntime};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
@@ -276,17 +278,12 @@ impl Item {
     }
 }
 
-/// Where a pool job's reply goes: a waiting thread's slot, or the
-/// continuation of a request the event loop parked.
+/// Where a pool job's reply goes: the continuation of a request the event
+/// loop parked, or the in-memory oracle's channel.
 pub(crate) type OnReply = Box<dyn FnOnce(Reply) + Send>;
 
-/// The `reply_to` of a caller that blocks on `slot`.
-fn into_slot(slot: &OneShot<Reply>) -> impl Fn() -> OnReply + '_ {
-    move || {
-        let slot = slot.clone();
-        Box::new(move |reply| slot.send(reply))
-    }
-}
+/// Where a stream's NDJSON stage lines go, as the worker produces them.
+pub(crate) type OnLine = Box<dyn Fn(String) + Send>;
 
 /// Run one translation so that a panic costs its request, not the worker:
 /// the panic is counted and recorded on the breaker first, and then the
@@ -442,20 +439,20 @@ fn refused(shared: &Shared, refusal: &Refused, backend_id: &str) -> Outcome {
     outcome
 }
 
-/// The worker job's observer of one translation. It forwards each stage
-/// as an NDJSON line when the request streams, and wraps each of the
-/// pipeline's embeddings and retrievals in an `embed` / `retrieve` span,
-/// polling the matching latency fault point as the span opens.
+/// The worker job's observer of one translation. It hands each stage to
+/// `lines` as an NDJSON line when the request streams, and wraps each of
+/// the pipeline's embeddings and retrievals in an `embed` / `retrieve`
+/// span, polling the matching latency fault point as the span opens.
 struct JobObserver<'a> {
-    stage_tx: Option<&'a mpsc::Sender<String>>,
+    lines: Option<&'a OnLine>,
     /// The open step's span; steps never nest.
     step_span: Option<t2v_trace::SpanGuard>,
 }
 
 impl StageSink for JobObserver<'_> {
     fn stage(&mut self, stage: &StageRecord) {
-        if let Some(tx) = self.stage_tx {
-            let _ = tx.send(stage_line(stage));
+        if let Some(lines) = self.lines {
+            lines(stage_line(stage));
         }
     }
 
@@ -481,7 +478,7 @@ impl StageSink for JobObserver<'_> {
 fn submit_translation(
     shared: &Shared,
     item: &Item,
-    stage_tx: Option<mpsc::Sender<String>>,
+    lines: Option<OnLine>,
     deadline: Option<Instant>,
     on_reply: OnReply,
 ) -> Result<(), crate::pool::SubmitError> {
@@ -544,7 +541,7 @@ fn submit_translation(
                     Err(TranslateError::Internal { message })
                 } else {
                     let mut observer = JobObserver {
-                        stage_tx: stage_tx.as_ref(),
+                        lines: lines.as_ref(),
                         step_span: None,
                     };
                     backend.translate_streamed(&req, &mut observer)
@@ -606,7 +603,7 @@ enum Refused {
 fn admit_and_submit(
     shared: &Shared,
     item: &Item,
-    stage_tx: Option<mpsc::Sender<String>>,
+    lines: Option<OnLine>,
     deadline: Option<Instant>,
     span: bool,
     on_reply: OnReply,
@@ -619,7 +616,7 @@ fn admit_and_submit(
     if let Admission::Reject { retry_after_ms } = admission {
         return Err(Refused::Open { retry_after_ms });
     }
-    submit_translation(shared, item, stage_tx, deadline, on_reply).map_err(|_| {
+    submit_translation(shared, item, lines, deadline, on_reply).map_err(|_| {
         if admission == Admission::Probe {
             breaker.probe_aborted();
         }
@@ -630,14 +627,6 @@ fn admit_and_submit(
 /// How long a wait lasts when deadlines are disabled (`deadline_ms=0` and
 /// no `X-T2V-Deadline-Ms` header).
 const NO_DEADLINE_WAIT: Duration = Duration::from_secs(60);
-
-/// Wait for an admitted translation until the request's deadline.
-fn await_reply(slot: &OneShot<Reply>, deadline: Option<Instant>) -> Option<Reply> {
-    let wait = deadline.map_or(NO_DEADLINE_WAIT, |d| {
-        d.saturating_duration_since(Instant::now())
-    });
-    slot.recv_timeout(wait)
-}
 
 /// A counted miss: its item, resolved, keyed and looked up once, with
 /// the request's deadline and start.
@@ -653,33 +642,19 @@ pub(crate) struct Pending {
     /// Set on the `gred` fallback of a refused item: the 503 that stands
     /// unless the fallback answers 200.
     unavailable: Option<Outcome>,
-}
-
-/// What [`admit`] made of a miss: an end, or a translation to conclude.
-pub(crate) enum Step {
-    Done(Outcome),
-    Waiting(Pending),
+    /// The job's reply once it came; still `None` when it is concluded,
+    /// the wait ran out.
+    reply: Option<Reply>,
 }
 
 impl Pending {
-    /// When a waiter gives up on the reply: the deadline, or
-    /// [`NO_DEADLINE_WAIT`] after the request began with deadlines off.
-    pub(crate) fn expires(&self) -> Instant {
-        let miss = &self.miss;
-        miss.deadline.unwrap_or(miss.started + NO_DEADLINE_WAIT)
-    }
-
-    /// A single translation's response, from its reply or — `None`, past
-    /// [`Pending::expires`] — from the timeout ladder.
-    pub(crate) fn respond(self, shared: &Shared, reply: Option<Reply>) -> Response {
-        let started = self.miss.started;
-        let outcome = conclude(shared, self, reply);
-        // Latency counts translations a backend answered, as for hits.
-        if outcome.cache == Some("miss") {
-            let latency = shared.state.metrics.hist(Hist::Request);
-            latency.observe_ns(started.elapsed().as_nanos() as u64);
+    fn new(miss: Miss, unavailable: Option<Outcome>) -> Pending {
+        let reply = None;
+        Pending {
+            miss,
+            unavailable,
+            reply,
         }
-        outcome.into_response()
     }
 }
 
@@ -687,14 +662,14 @@ impl Pending {
 /// refusal the one ladder. An open breaker serves the stale entry, else
 /// resubmits the item to `gred`, else answers 503 `backend_unavailable`;
 /// a full pool answers 503 `overload`. The admitted job's reply goes to
-/// `reply_to()`. Never blocks: the event loop runs it.
-pub(crate) fn admit(
+/// `reply_to()`. Never blocks. `Err` is the end of a refused item.
+fn admit(
     shared: &Shared,
     mut miss: Miss,
     span: bool,
     reply_to: &dyn Fn() -> OnReply,
-) -> Step {
-    let waiting = |miss, unavailable| Step::Waiting(Pending { miss, unavailable });
+) -> Result<Pending, Outcome> {
+    let waiting = |miss, unavailable| Ok(Pending::new(miss, unavailable));
     let (item, deadline) = (&miss.item, miss.deadline);
     let refusal = match admit_and_submit(shared, item, None, deadline, span, reply_to()) {
         Ok(()) => return waiting(miss, None),
@@ -702,7 +677,7 @@ pub(crate) fn admit(
     };
     let unavailable = refused(shared, &refusal, &item.backend_id);
     if refusal == Refused::Overloaded {
-        return Step::Done(unavailable);
+        return Err(unavailable);
     }
     // The ladder is one degradation decision in the trace; notes say which
     // rung answered.
@@ -710,15 +685,15 @@ pub(crate) fn admit(
     t2v_trace::note(format!("breaker:open:{}", item.backend_id));
     if let Some(stale) = shared.state.cache.get_stale(&item.key) {
         let backend = miss.item.backend_id;
-        return Step::Done(degrade(shared, &stale, "stale_cache", backend));
+        return Err(degrade(shared, &stale, "stale_cache", backend));
     }
     // `gred` is the paper's system: the ladder falls back to it, never away
     // from it. It is the last rung: refused, it ends the ladder uncounted.
     if item.backend_id == "gred" {
-        return Step::Done(unavailable);
+        return Err(unavailable);
     }
     let Ok((idx, id, backend)) = item.tenant.registry.resolve(Some("gred")) else {
-        return Step::Done(unavailable);
+        return Err(unavailable);
     };
     let (idx, id, backend) = (idx, id.to_string(), Arc::clone(backend));
     let item = &mut miss.item;
@@ -726,38 +701,23 @@ pub(crate) fn admit(
     item.key.1 = idx as u16;
     if let Lookup::Fresh(hit) = shared.state.cache.lookup(&item.key) {
         let backend = miss.item.backend_id;
-        return Step::Done(degrade(shared, &hit, "fallback:gred", backend));
+        return Err(degrade(shared, &hit, "fallback:gred", backend));
     }
     match admit_and_submit(shared, item, None, deadline, false, reply_to()) {
         Ok(()) => waiting(miss, Some(unavailable)),
-        Err(_) => Step::Done(unavailable),
-    }
-}
-
-/// Admit, then block until the reply or the deadline: the in-memory
-/// oracle's single miss (`Server::answer_in_memory`). A served one is
-/// parked on the loop and answered by its worker (`crate::event`).
-pub(crate) fn settle(shared: &Shared, miss: Miss) -> Response {
-    let slot = OneShot::new();
-    let step = admit(shared, miss, true, &into_slot(&slot));
-    match step {
-        Step::Done(outcome) => outcome.into_response(),
-        Step::Waiting(pending) => {
-            let reply = await_reply(&slot, pending.miss.deadline);
-            pending.respond(shared, reply)
-        }
+        Err(_) => Err(unavailable),
     }
 }
 
 /// End an admitted item from its reply. A fallback's 200 is marked
 /// degraded, any other reply leaves its item's 503 standing. A wait that
-/// ran out (`None`) walks the one timeout ladder: stale cache, else 504
+/// ran out (no reply) walks the one timeout ladder: stale cache, else 504
 /// `deadline_exceeded` — or a 500 with deadlines disabled. Whichever 504
 /// answers, the job's or the ladder's, is counted here, once.
-fn conclude(shared: &Shared, p: Pending, reply: Option<Reply>) -> Outcome {
+fn conclude(shared: &Shared, p: Pending) -> Outcome {
     let Miss { item, deadline, .. } = p.miss;
     let metrics = &shared.state.metrics;
-    match (reply, p.unavailable) {
+    match (p.reply, p.unavailable) {
         (Some(r), None) => {
             if r.status == 504 {
                 metrics.inc(Scalar::DeadlineExceeded);
@@ -784,13 +744,32 @@ fn conclude(shared: &Shared, p: Pending, reply: Option<Reply>) -> Outcome {
     }
 }
 
+/// An admin route that builds, drops or writes (a tenant, a snapshot): it
+/// runs as a job on the translation pool.
+pub(crate) type AdminJob = fn(&ServerState, &Request) -> Response;
+
 /// What the early stage decided: answered without waiting (a validation
-/// error, a fresh hit), a counted miss to [`admit`], or a stream — for a
-/// thread that may block ([`stream_endpoint`]).
+/// error, a fresh hit, every route that cannot block), a translation to
+/// [`start`], or an admin job for the pool.
 pub(crate) enum Early {
     Reply(Response),
+    Wait(Wait),
+    Job(AdminJob),
+}
+
+/// What waits on the pool, before admission.
+pub(crate) enum Wait {
+    /// A single translation's counted miss.
     Miss(Miss),
+    /// The NDJSON streaming variant of `/v1/translate`: one line per
+    /// completed stage as the backend produces it, then the full
+    /// (non-streamed-identical) response object as the final line.
+    /// EOF-delimited: the connection closes when the stream ends. Bypasses
+    /// the cache read path (a cached body has no stages left to stream) but
+    /// still populates the cache for later requests.
     Stream(Miss),
+    /// A batch, every item probed.
+    Batch(Batch),
 }
 
 /// The early stage of `POST /v1/translate` (and `/v1/t/{tenant}/translate`):
@@ -823,8 +802,8 @@ pub(crate) fn translate_early(
             }
             Early::Reply(outcome.into_response())
         }
-        Probe::Diverted(item) => Early::Stream(miss(item)),
-        Probe::Miss(item) => Early::Miss(miss(item)),
+        Probe::Diverted(item) => Early::Wait(Wait::Stream(miss(item))),
+        Probe::Miss(item) => Early::Wait(Wait::Miss(miss(item))),
     }
 }
 
@@ -869,157 +848,296 @@ fn probe(
     }
 }
 
-/// The NDJSON streaming variant of `/v1/translate`: one line per completed
-/// stage as the backend produces it, then the full (non-streamed-identical)
-/// response object as the final line. EOF-delimited: the connection closes
-/// when the stream ends. Bypasses the cache read path (a cached body has no
-/// stages left to stream) but still populates the cache for later requests.
-/// The stream is counted and traced by its final line's status; a client
-/// that hung up mid-stream by the 200 head it got.
-pub(crate) fn stream_endpoint(shared: &Shared, miss: Miss, writer: &mut dyn BodySink) -> Handled {
-    let (item, deadline) = (&miss.item, miss.deadline);
-    item.record_cache(&shared.state.metrics, false);
-    // Stage lines come from the backend asked or not at all: a stream
-    // cannot degrade, so a refusal is its 503.
-    let (tx, rx) = mpsc::channel::<String>();
-    let slot = OneShot::new();
-    let on_reply = into_slot(&slot)();
-    if let Err(refusal) = admit_and_submit(shared, item, Some(tx), deadline, false, on_reply) {
-        return Handled::Reply(refused(shared, &refusal, &item.backend_id).into_response());
-    }
-    let backend = item.backend_id.clone();
-    if http::write_streaming_head(writer, 200, "application/x-ndjson").is_err() {
-        return Handled::Streamed {
-            backend,
-            status: 200,
-        };
-    }
-    // Relay stage lines until the worker hangs up the channel (it drops the
-    // sender when the job finishes) or the deadline (60 s with deadlines
-    // disabled) passes; a dead client ends the relay at once. The final
-    // line is the settled outcome — a 504 when the budget ran out.
-    let relay_until = deadline.unwrap_or_else(|| Instant::now() + NO_DEADLINE_WAIT);
-    while let Ok(line) = rx.recv_timeout(relay_until.saturating_duration_since(Instant::now())) {
-        if http::write_line(writer, line.as_bytes()).is_err() {
-            return Handled::Streamed {
-                backend,
-                status: 200,
-            };
-        }
-    }
-    let reply = await_reply(&slot, deadline);
-    let pending = Pending {
-        miss,
-        unavailable: None,
-    };
-    let outcome = conclude(shared, pending, reply);
-    let _ = http::write_line(writer, outcome.body.as_slice());
-    let status = outcome.status;
-    Handled::Streamed { backend, status }
-}
-
 /// Items allowed in one `/v1/translate/batch` request.
 const MAX_BATCH_ITEMS: usize = 64;
 
-/// The base of the jittered backoff before a batch item's one retry.
-const RETRY_BASE_MS: u64 = 10;
+/// A batch's items in request order, with the deadline and start they share.
+pub(crate) struct Batch {
+    slots: Vec<Slot>,
+    deadline: Option<Instant>,
+    started: Instant,
+    /// Admitted items whose reply has not come.
+    open: usize,
+}
 
-/// `POST /v1/translate/batch` — `{"requests": [{...}, ...]}` →
-/// `{"results": [...]}`, one result object per item in order. Item-level
-/// failures (unknown backend/database, overload) are inline structured
-/// error objects; only a malformed envelope fails the whole request.
-pub(crate) fn batch_endpoint(
-    shared: &Shared,
-    req: &Request,
-    tenant: &Arc<TenantRuntime>,
-) -> Response {
+/// One batch item.
+enum Slot {
+    /// Answered without a job: an error, a hit, a refusal.
+    Done(Outcome),
+    /// The same item as an earlier one, whose result it copies.
+    Copy(usize),
+    /// A counted miss, not yet admitted.
+    Miss(Miss),
+    /// Admitted; `true` once its one retry is spent.
+    Waiting(Pending, bool),
+}
+
+/// The early stage of `POST /v1/translate/batch` — `{"requests": [{...},
+/// ...]}` → `{"results": [...]}`, one result object per item in order.
+/// Item-level failures (unknown backend/database, overload) are inline
+/// structured error objects; only a malformed envelope fails the whole
+/// request. Every item is probed here, at most [`MAX_BATCH_ITEMS`]: a later
+/// identical item (same backend × NLQ × db × shape) copies the first one's
+/// result instead of racing the cache.
+pub(crate) fn batch_early(shared: &Shared, req: &Request, tenant: &Arc<TenantRuntime>) -> Early {
     let started = Instant::now();
-    let state = &shared.state;
     let parsed = match req.json_body() {
         Ok(j) => j,
-        Err(resp) => return resp,
+        Err(resp) => return Early::Reply(resp),
     };
     let Some(Json::Arr(requests)) = parsed.get("requests") else {
-        return Response::error(400, "missing array field 'requests'");
+        return Early::Reply(Response::error(400, "missing array field 'requests'"));
     };
     if requests.is_empty() {
-        return Response::error(400, "'requests' is empty");
+        return Early::Reply(Response::error(400, "'requests' is empty"));
     }
     if requests.len() > MAX_BATCH_ITEMS {
         let n = requests.len();
         let message = format!("'requests' has {n} items; a batch holds at most {MAX_BATCH_ITEMS}");
-        return Response::error(400, &message);
+        return Early::Reply(Response::error(400, &message));
     }
-
-    // Phase 1: resolve every item, serve cache hits, and `admit` every
-    // *distinct* miss, so the pool works on all of them concurrently. A
-    // later identical item (same backend × NLQ × db × shape) copies the
-    // first one's result instead of racing the cache.
-    let deadline = request_deadline(&state.config, req, started);
+    let deadline = request_deadline(&shared.state.config, req, started);
     let mut first_of: HashMap<CacheKey, usize> = HashMap::new();
-    let steps: Vec<Result<(Step, OneShot<Reply>), usize>> = requests
+    let slots = requests
         .iter()
         .enumerate()
-        .map(|(i, obj)| {
-            let slot = OneShot::new();
-            match probe(shared, tenant, obj, false, |key| first_of.contains_key(key)) {
-                Probe::Done(outcome) => Ok((Step::Done(outcome), slot)),
-                Probe::Diverted(item) => Err(first_of[&item.key]),
+        .map(
+            |(i, obj)| match probe(shared, tenant, obj, false, |key| first_of.contains_key(key)) {
+                Probe::Done(outcome) => Slot::Done(outcome),
+                Probe::Diverted(item) => Slot::Copy(first_of[&item.key]),
                 Probe::Miss(item) => {
                     first_of.insert(item.key.clone(), i);
-                    let miss = Miss {
+                    Slot::Miss(Miss {
                         item,
                         deadline,
                         started,
-                    };
-                    let step = admit(shared, miss, false, &into_slot(&slot));
-                    Ok((step, slot))
+                    })
                 }
-            }
-        })
+            },
+        )
         .collect();
+    Early::Wait(Wait::Batch(Batch {
+        slots,
+        deadline,
+        started,
+        open: 0,
+    }))
+}
 
-    // Phase 2: settle in order. A transient `internal` failure is retried
-    // once, after a deterministic jittered backoff — item-dependent so
-    // concurrent batches don't retry in lockstep, RNG-free so fault-plan
-    // replay holds — while the deadline allows. A refused retry leaves the
-    // 500 standing: an open breaker means the failures already tripped it.
-    let mut out = b"{\"results\": [".to_vec();
-    // Where each result sits in `out`: a duplicate copies its first's.
-    let mut placed: Vec<std::ops::Range<usize>> = Vec::with_capacity(steps.len());
-    for (i, step) in steps.into_iter().enumerate() {
-        if i > 0 {
-            out.extend_from_slice(b", ");
-        }
-        let at = out.len();
-        match step {
-            Err(first) => out.extend_from_within(placed[first].clone()),
-            Ok((Step::Done(outcome), _)) => out.extend_from_slice(outcome.body.as_slice()),
-            Ok((Step::Waiting(pending), slot)) => {
-                let mut reply = await_reply(&slot, deadline);
-                let backoff = RETRY_BASE_MS + (i as u64 * 7 + 13) % RETRY_BASE_MS;
-                let backoff = Duration::from_millis(backoff);
-                let left = |d: Instant| d.saturating_duration_since(Instant::now());
-                if reply.as_ref().is_some_and(|r| r.status == 500)
-                    && deadline.is_none_or(|d| left(d) > backoff)
-                {
-                    std::thread::sleep(backoff);
-                    let (item, on_reply) = (&pending.miss.item, into_slot(&slot)());
-                    if admit_and_submit(shared, item, None, deadline, false, on_reply).is_ok() {
-                        state.metrics.inc(Scalar::BatchRetries);
-                        reply = await_reply(&slot, deadline);
-                    }
+impl Batch {
+    /// Conclude every item in order — one still open as timed out — and
+    /// frame the results.
+    fn frame(self, shared: &Shared) -> Response {
+        let mut out = b"{\"results\": [".to_vec();
+        // Where each result sits in `out`: a duplicate copies its first's.
+        let mut placed: Vec<std::ops::Range<usize>> = Vec::with_capacity(self.slots.len());
+        for (i, slot) in self.slots.into_iter().enumerate() {
+            if i > 0 {
+                out.extend_from_slice(b", ");
+            }
+            let at = out.len();
+            match slot {
+                Slot::Copy(first) => out.extend_from_within(placed[first].clone()),
+                Slot::Done(outcome) => out.extend_from_slice(outcome.body.as_slice()),
+                Slot::Waiting(pending, _) => {
+                    out.extend_from_slice(conclude(shared, pending).body.as_slice())
                 }
-                let outcome = conclude(shared, pending, reply);
-                out.extend_from_slice(outcome.body.as_slice());
+                Slot::Miss(_) => unreachable!("a batch is framed after its admission"),
+            }
+            placed.push(at..out.len());
+        }
+        out.extend_from_slice(b"]}");
+        let latency = shared.state.metrics.hist(Hist::Request);
+        latency.observe_ns(self.started.elapsed().as_nanos() as u64);
+        Response::json(200, out)
+    }
+}
+
+/// Admit what `wait` waits on; never blocks. `reply_to(slot)` says where a
+/// job's reply goes (`slot`: the batch item, else 0), `lines` where a
+/// stream's stage lines go; an admitted stream's 200 NDJSON head is
+/// written to `head` at once. `Err` is the answer when nothing waits: a
+/// refusal, or a batch with no item admitted.
+pub(crate) fn start(
+    shared: &Shared,
+    wait: Wait,
+    head: &mut dyn BodySink,
+    reply_to: &dyn Fn(usize) -> OnReply,
+    lines: &dyn Fn() -> OnLine,
+) -> Result<Awaited, Response> {
+    match wait {
+        Wait::Miss(miss) => admit(shared, miss, true, &|| reply_to(0))
+            .map(Awaited::One)
+            .map_err(Outcome::into_response),
+        Wait::Stream(miss) => {
+            let (item, deadline) = (&miss.item, miss.deadline);
+            item.record_cache(&shared.state.metrics, false);
+            // Stage lines come from the backend asked or not at all: a
+            // stream cannot degrade, so a refusal is its 503.
+            let lines = Some(lines());
+            if let Err(refusal) =
+                admit_and_submit(shared, item, lines, deadline, false, reply_to(0))
+            {
+                return Err(refused(shared, &refusal, &item.backend_id).into_response());
+            }
+            let _ = http::write_streaming_head(head, 200, "application/x-ndjson");
+            Ok(Awaited::Stream(Pending::new(miss, None)))
+        }
+        Wait::Batch(mut batch) => {
+            // Every *distinct* miss is admitted, so the pool works on all
+            // of them concurrently.
+            let slots = std::mem::take(&mut batch.slots).into_iter().enumerate();
+            batch.slots = slots
+                .map(|(i, slot)| match slot {
+                    Slot::Miss(miss) => match admit(shared, miss, false, &|| reply_to(i)) {
+                        Err(outcome) => Slot::Done(outcome),
+                        Ok(pending) => {
+                            batch.open += 1;
+                            Slot::Waiting(pending, false)
+                        }
+                    },
+                    slot => slot,
+                })
+                .collect();
+            match batch.open {
+                0 => Err(batch.frame(shared)),
+                _ => Ok(Awaited::Batch(batch)),
             }
         }
-        placed.push(at..out.len());
     }
-    out.extend_from_slice(b"]}");
-    let latency = state.metrics.hist(Hist::Request);
-    latency.observe_ns(started.elapsed().as_nanos() as u64);
-    Response::json(200, out)
+}
+
+/// What an admitted request waits on: the one reply of a single miss or a
+/// stream, or one per admitted batch item. Whoever takes it ends it with
+/// [`Awaited::end`] — the reply that completes it, or a timer at
+/// [`Awaited::expires`].
+pub(crate) enum Awaited {
+    One(Pending),
+    Stream(Pending),
+    Batch(Batch),
+}
+
+impl Awaited {
+    /// When a waiter gives up: the deadline, or [`NO_DEADLINE_WAIT`] after
+    /// the request began with deadlines disabled.
+    pub(crate) fn expires(&self) -> Instant {
+        let (deadline, started) = match self {
+            Awaited::One(p) | Awaited::Stream(p) => (p.miss.deadline, p.miss.started),
+            Awaited::Batch(b) => (b.deadline, b.started),
+        };
+        deadline.unwrap_or(started + NO_DEADLINE_WAIT)
+    }
+
+    /// Take `slot`'s reply; true once nothing is left open. A batch item's
+    /// transient `internal` failure (500) is resubmitted once, at once,
+    /// while the deadline allows, its retry replying through `reply_to` as
+    /// for [`start`]. A refused retry leaves the 500 standing: an open
+    /// breaker means the failures already tripped it.
+    pub(crate) fn record(
+        &mut self,
+        shared: &Shared,
+        slot: usize,
+        reply: Reply,
+        reply_to: &dyn Fn(usize) -> OnReply,
+    ) -> bool {
+        let b = match self {
+            Awaited::Batch(b) => b,
+            Awaited::One(p) | Awaited::Stream(p) => {
+                p.reply = Some(reply);
+                return true;
+            }
+        };
+        let Slot::Waiting(pending, retried) = &mut b.slots[slot] else {
+            return false;
+        };
+        let live = b.deadline.is_none_or(|d| Instant::now() < d);
+        if reply.status == 500 && !*retried && live {
+            *retried = true;
+            let (item, deadline) = (&pending.miss.item, b.deadline);
+            if admit_and_submit(shared, item, None, deadline, false, reply_to(slot)).is_ok() {
+                shared.state.metrics.inc(Scalar::BatchRetries);
+                return false;
+            }
+        }
+        pending.reply = Some(reply);
+        b.open -= 1;
+        b.open == 0
+    }
+
+    /// Conclude what came in — what did not, as timed out — into what
+    /// `routes::finish` frames. A stream's final line, its settled outcome
+    /// (a 504 when the budget ran out), is written to `writer`, and the
+    /// stream is counted and traced by that line's status.
+    pub(crate) fn end(self, shared: &Shared, writer: &mut dyn BodySink) -> Handled {
+        match self {
+            Awaited::One(p) => {
+                let started = p.miss.started;
+                let outcome = conclude(shared, p);
+                // Latency counts translations a backend answered, as for hits.
+                if outcome.cache == Some("miss") {
+                    let latency = shared.state.metrics.hist(Hist::Request);
+                    latency.observe_ns(started.elapsed().as_nanos() as u64);
+                }
+                Handled::Reply(outcome.into_response())
+            }
+            Awaited::Stream(p) => {
+                let backend = p.miss.item.backend_id.clone();
+                let outcome = conclude(shared, p);
+                let _ = http::write_line(writer, outcome.body.as_slice());
+                let status = outcome.status;
+                Handled::Streamed { backend, status }
+            }
+            Awaited::Batch(b) => Handled::Reply(b.frame(shared)),
+        }
+    }
+}
+
+/// The pool's refusal of an admin job: the 503 of a full queue.
+pub(crate) fn overloaded(shared: &Shared) -> Response {
+    refused(shared, &Refused::Overloaded, "").into_response()
+}
+
+/// The in-memory oracle's transport (`Server::answer_in_memory`): [`start`]
+/// as the loop starts a request, then its replies and a stream's lines are
+/// taken on this thread from a channel until [`Awaited::record`] says all
+/// are in or the wait runs out, and [`Awaited::end`] ends it as the loop
+/// does.
+pub(crate) fn settle(shared: &Shared, wait: Wait, writer: &mut dyn BodySink) -> Handled {
+    enum Got {
+        Line(String),
+        Reply(usize, Reply),
+    }
+    let (tx, rx) = mpsc::channel();
+    let reply_to = |slot| -> OnReply {
+        let tx = tx.clone();
+        Box::new(move |reply| {
+            let _ = tx.send(Got::Reply(slot, reply));
+        })
+    };
+    let lines = || -> OnLine {
+        let tx = tx.clone();
+        Box::new(move |line| {
+            let _ = tx.send(Got::Line(line));
+        })
+    };
+    let mut awaited = match start(shared, wait, writer, &reply_to, &lines) {
+        Ok(awaited) => awaited,
+        Err(resp) => return Handled::Reply(resp),
+    };
+    let expires = awaited.expires();
+    while let Ok(got) = rx.recv_timeout(expires.saturating_duration_since(Instant::now())) {
+        match got {
+            Got::Line(line) => {
+                let _ = http::write_line(writer, line.as_bytes());
+            }
+            Got::Reply(slot, reply) => {
+                if awaited.record(shared, slot, reply, &reply_to) {
+                    break;
+                }
+            }
+        }
+    }
+    awaited.end(shared, writer)
 }
 
 #[cfg(test)]
@@ -1073,12 +1191,9 @@ mod tests {
         let pool = WorkerPool::new(1, 1, 4, Arc::clone(&state.metrics));
         // A pool that takes no more jobs, as during shutdown.
         pool.shutdown();
-        let dispatch = WorkerPool::named("t2v-dispatch", 1, usize::MAX, Arc::clone(&state.metrics));
-        dispatch.shutdown();
         let shared = Shared {
             state,
             pool,
-            dispatch,
             shutdown: AtomicBool::new(false),
             obs: None,
             event_stats: EventStats::default(),

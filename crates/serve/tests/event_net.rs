@@ -676,6 +676,107 @@ fn a_504_keeps_pipelined_order_and_the_late_reply_never_reaches_the_wire() {
     server.shutdown();
 }
 
+/// A batch's deadline is the loop's timer too: items still translating
+/// when it fires conclude as timed out, in order beside the item that hit,
+/// and each of their late replies is dropped and counted.
+#[test]
+fn a_batch_out_of_deadline_concludes_its_open_items_as_timed_out() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[("workers", "2")]);
+    let db = db0(&corpus);
+    let warm = exchange(&server, &[translate_raw("show all wages", &db, false)]);
+    assert_eq!(status_of(&warm), 200, "warm the hit");
+
+    // Every retrieval sleeps 300 ms; the batch's budget is 100 ms.
+    t2v_fault::arm(&FaultPlan::parse("seed=5;retrieve.latency:ms=300").unwrap());
+    let ask = |nlq: &str| Json::obj([("nlq", Json::str(nlq)), ("db", Json::str(&db))]);
+    let items = ["show all wages", "list every salary", "count the staff"];
+    let batch = Json::obj([("requests", Json::Arr(items.map(ask).to_vec()))]).compact();
+    let raw = request_with(
+        "POST",
+        "/v1/translate/batch",
+        "X-T2V-Deadline-Ms: 100\r\n",
+        &batch,
+    );
+    let answer = exchange(&server, &[raw]);
+    assert_eq!(
+        status_of(&answer),
+        200,
+        "{}",
+        String::from_utf8_lossy(&answer)
+    );
+    let doc = json_body(&answer);
+    let results = doc.get("results").and_then(Json::as_arr).expect("results");
+    let code = |r: &Json| {
+        let code = r.get("error").and_then(|e| e.get("code"));
+        code.and_then(Json::as_str).map(str::to_string)
+    };
+    let codes: Vec<Option<String>> = results.iter().map(code).collect();
+    let timed_out = Some("deadline_exceeded".to_string());
+    assert_eq!(codes, [None, timed_out.clone(), timed_out], "{results:?}");
+
+    let late = || metric(&server, "t2v_late_replies_dropped_total");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while late() < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "late replies counted: {}",
+            late()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(late(), 2);
+    server.shutdown();
+}
+
+/// The admin routes that build, drop or write are jobs on the translation
+/// pool: with the pool full, one is refused at once with the pool's 503,
+/// as a translation would be.
+#[test]
+fn a_full_pool_refuses_an_admin_job_with_its_503() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[("workers", "1"), ("queue_capacity", "1")]);
+    let db = db0(&corpus);
+    // Every retrieval sleeps 800 ms: one miss holds the worker, the next
+    // fills the one-job queue.
+    let armed = t2v_fault::arm(&FaultPlan::parse("seed=9;retrieve.latency:ms=800").unwrap());
+    let addr = server.addr();
+    let misses: Vec<_> = ["list every salary", "count the staff"]
+        .into_iter()
+        .map(|nlq| {
+            let raw = translate_raw(nlq, &db, true);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.write_all(&raw).expect("write");
+                let mut out = Vec::new();
+                stream.read_to_end(&mut out).expect("read");
+                out
+            })
+        })
+        .collect();
+    let queued = || server.state().metrics.get(Scalar::QueueDepth);
+    let t0 = Instant::now();
+    while armed.fired(t2v_fault::FaultPoint::RetrieveLatency) == 0 || queued() == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the pool never filled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let refused = roundtrip_to_eof(
+        &server,
+        &request_raw("POST", "/v1/admin/snapshot", "", true),
+    );
+    let text = String::from_utf8_lossy(&refused);
+    assert_eq!(status_of(&refused), 503, "{text}");
+    assert_eq!(header_values(&refused, "retry-after"), ["1"], "{text}");
+    assert!(text.contains("server overloaded"), "{text}");
+    for miss in misses {
+        assert_eq!(status_of(&miss.join().expect("miss client")), 200);
+    }
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // the loop-thread contract
 // ---------------------------------------------------------------------------
@@ -829,14 +930,16 @@ fn an_inline_hit_still_reaches_the_access_log() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The loop parses every body `max_body_bytes` lets in: a hit behind a
+/// large body is answered on the loop like any other.
 #[test]
-fn oversized_bodies_skip_the_inline_attempt() {
+fn oversized_bodies_are_answered_on_the_loop() {
     let _session = FaultSession::begin();
     let (corpus, server) = spawn_server(&[]);
     let db = db0(&corpus);
     let small = translate_raw("show all wages", &db, false);
     // The same question behind 20 KiB of ignored padding: inside
-    // `max_body_bytes`, above the loop's fixed inline bound.
+    // `max_body_bytes`.
     let padded = Json::obj([
         ("nlq", Json::str("show all wages")),
         ("db", Json::str(&db)),
@@ -848,18 +951,18 @@ fn oversized_bodies_skip_the_inline_attempt() {
     assert_eq!(header_values(&a, "x-t2v-cache"), ["miss", "hit", "hit"]);
     assert_eq!(
         metric(&server, "t2v_inline_responses_total"),
-        1,
-        "the small hit was answered on the loop, the padded one hopped"
+        2,
+        "both hits, the small and the padded one, were answered on the loop"
     );
     server.shutdown();
 }
 
-/// A single translation over the loop's inline bound is parsed on a
-/// dispatch thread and handed back: the loop admits and parks it like any
-/// other miss, so its deadline is the loop's timer and its late reply is
-/// dropped and counted — no dispatch thread waits on the pool for it.
+/// A single translation with a large body is parsed, admitted and parked on
+/// the loop like any other miss, so its deadline is the loop's timer and
+/// its late reply is dropped and counted — no thread waits on the pool for
+/// it.
 #[test]
-fn an_oversized_miss_is_handed_back_to_the_loop_and_parked() {
+fn an_oversized_miss_is_parked_on_the_loop() {
     let _session = FaultSession::begin();
     let (corpus, server) = spawn_server(&[]);
     let db = db0(&corpus);
@@ -898,10 +1001,11 @@ fn an_oversized_miss_is_handed_back_to_the_loop_and_parked() {
     server.shutdown();
 }
 
-/// What may block runs on one dispatch thread per worker; what cannot is
-/// the loop's. Three slow streams on a two-worker server hold both
-/// dispatch threads and queue the third, and `/healthz`, `/metrics`, the
-/// status page and their access-log lines still come at once.
+/// A stream holds no thread while it waits: it is parked, and the worker
+/// that translates it writes its lines. Four slow streams on a two-worker
+/// server hold both workers and queue two jobs on the pool, and `/healthz`,
+/// `/metrics`, the status page and their access-log lines still come at
+/// once.
 #[test]
 fn slow_streams_leave_health_metrics_and_the_access_log_answering() {
     let _session = FaultSession::begin();
@@ -911,9 +1015,16 @@ fn slow_streams_leave_health_metrics_and_the_access_log_answering() {
     let log = log_path.to_str().unwrap();
     let (corpus, server) = spawn_server(&[("workers", "2"), ("access_log", log)]);
     let db = db0(&corpus);
-    // Every retrieval sleeps 800 ms: each stream runs for over 1.6 s.
+    // Every retrieval sleeps 800 ms: each stream runs for over 1.6 s, the
+    // two queued ones for over 3.2 s.
     let armed = t2v_fault::arm(&FaultPlan::parse("seed=9;retrieve.latency:ms=800").unwrap());
-    let streams: Vec<_> = ["show all wages", "list every salary", "count the staff"]
+    let questions = [
+        "show all wages",
+        "list every salary",
+        "count the staff",
+        "show the budgets",
+    ];
+    let streams: Vec<_> = questions
         .into_iter()
         .map(|nlq| {
             let body = Json::obj([
@@ -933,7 +1044,7 @@ fn slow_streams_leave_health_metrics_and_the_access_log_answering() {
             })
         })
         .collect();
-    // Both workers sleep in a retrieval: both dispatch threads are relaying.
+    // Both workers sleep in a retrieval; the other two streams' jobs queue.
     let t0 = Instant::now();
     while armed.fired(t2v_fault::FaultPoint::RetrieveLatency) < 2 {
         assert!(
@@ -977,6 +1088,109 @@ fn slow_streams_leave_health_metrics_and_the_access_log_answering() {
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stream or a batch holds no thread while the pool works for it. With
+/// one worker held by a slow stream, a batch of cached questions is
+/// answered on the loop and a second stream's 200 head is written when it
+/// is admitted, its job queued behind the first: both come at once.
+#[test]
+fn a_stream_holding_the_only_worker_leaves_batches_and_stream_heads_answering() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[("workers", "1")]);
+    let db = db0(&corpus);
+    let ask = |nlq: &str| Json::obj([("nlq", Json::str(nlq)), ("db", Json::str(&db))]);
+    let stream_raw = |nlq: &str| {
+        let mut body = ask(nlq);
+        body.set("stream", Json::Bool(true));
+        request_raw("POST", "/v1/translate", &body.compact(), true)
+    };
+    let cached = ["show all wages", "count the staff"];
+    for nlq in cached {
+        let warm = exchange(&server, &[translate_raw(nlq, &db, false)]);
+        assert_eq!(status_of(&warm), 200, "warm {nlq}");
+    }
+
+    // Every retrieval sleeps 800 ms: the first stream holds the worker for
+    // over 1.6 s.
+    let armed = t2v_fault::arm(&FaultPlan::parse("seed=9;retrieve.latency:ms=800").unwrap());
+    let first = stream_raw("list every salary");
+    let addr = server.addr();
+    let slow = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&first).expect("write");
+        let mut out = Vec::new();
+        stream.read_to_end(&mut out).expect("read");
+        out
+    });
+    let t0 = Instant::now();
+    while armed.fired(t2v_fault::FaultPoint::RetrieveLatency) == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the stream never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let batch =
+        Json::obj([("requests", Json::Arr(cached.into_iter().map(ask).collect()))]).compact();
+    let asked = Instant::now();
+    let answer = roundtrip_to_eof(
+        &server,
+        &request_raw("POST", "/v1/translate/batch", &batch, true),
+    );
+    let batch_took = asked.elapsed();
+    assert_eq!(
+        status_of(&answer),
+        200,
+        "{}",
+        String::from_utf8_lossy(&answer)
+    );
+    let results = json_body(&answer);
+    let results = results
+        .get("results")
+        .and_then(Json::as_arr)
+        .expect("results");
+    assert_eq!(results.len(), 2);
+    assert!(
+        results.iter().all(|r| r.get("error").is_none()),
+        "{results:?}"
+    );
+
+    let asked = Instant::now();
+    let mut second = connect(&server);
+    second.write_all(&stream_raw("show the budgets")).unwrap();
+    let mut reader = BufReader::new(second);
+    let mut head = Vec::new();
+    while !head.ends_with(b"\r\n\r\n") {
+        assert!(reader.read_until(b'\n', &mut head).expect("read head") > 0);
+    }
+    let head_took = asked.elapsed();
+    let head = String::from_utf8_lossy(&head).into_owned();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("application/x-ndjson"), "{head}");
+
+    for (what, took) in [("the batch", batch_took), ("the stream head", head_took)] {
+        assert!(
+            took < Duration::from_millis(200),
+            "{what} waited {took:?} behind a stream"
+        );
+    }
+    assert!(
+        !slow.is_finished(),
+        "the first stream ended before the probes: the bounds above prove nothing"
+    );
+    let mut rest = String::new();
+    reader
+        .read_to_string(&mut rest)
+        .expect("read the second stream");
+    assert!(
+        rest.trim_end().ends_with('}') && rest.contains("\"dvq\":\""),
+        "{rest}"
+    );
+    let out = slow.join().expect("first stream client");
+    assert_eq!(status_of(&out), 200, "{}", String::from_utf8_lossy(&out));
+    server.shutdown();
 }
 
 /// A write stall that fires for a miss is slept on a dispatch thread, not

@@ -890,28 +890,33 @@ fn multi_backend_registry_serves_every_backend_with_namespaced_caching() {
     server.shutdown();
 }
 
-/// What may block runs on one dispatch thread per pool worker, however
-/// large the worker pool's queues: a default boot used to start one
-/// dispatch thread per queue slot plus one per worker (66 on two cores).
-/// Other tests in this binary run servers of their own alongside, so the
-/// census counts distinct thread names, not threads.
+/// Nothing waits on a thread of its own: streams, batches and admin jobs
+/// park like a single miss, so a default boot runs the loop and the
+/// translation workers and no dispatch pool beside them. Other tests in
+/// this binary run servers of their own alongside, so the census counts
+/// distinct thread names, not threads.
 #[test]
-fn a_default_boot_runs_one_dispatch_thread_per_worker() {
+fn a_default_boot_runs_no_dispatch_thread() {
     let mut config = ServeConfig::default();
     config.set("addr", "127.0.0.1:0").unwrap();
     let workers = config.effective_workers();
     let state = Arc::new(ServerState::build(config).expect("the default state builds"));
     let server = Server::spawn(state).expect("bind loopback");
-    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+    let names: std::collections::BTreeSet<String> = std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim_end().to_string())
-        .filter(|comm| comm.starts_with("t2v-dispatch-"))
         .collect();
-    names.sort();
-    names.dedup();
-    let mut expected: Vec<String> = (0..workers).map(|i| format!("t2v-dispatch-{i}")).collect();
-    expected.sort();
-    assert_eq!(names, expected);
+    let dispatch: Vec<&String> = names
+        .iter()
+        .filter(|n| n.starts_with("t2v-dispatch"))
+        .collect();
+    assert!(dispatch.is_empty(), "{dispatch:?}");
+    for name in ["t2v-event".to_string()]
+        .into_iter()
+        .chain((0..workers).map(|i| format!("t2v-worker-{i}")))
+    {
+        assert!(names.contains(&name), "no {name} in {names:?}");
+    }
     server.shutdown();
 }

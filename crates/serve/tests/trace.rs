@@ -372,13 +372,26 @@ fn streamed_request_keeps_its_backend_in_the_record() {
         traces[0].get("backend").and_then(Json::as_str),
         Some("gred")
     );
-    let text = std::fs::read_to_string(&log_path).expect("access log written");
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"path\":\"/v1/translate\""))
-        .expect("log line for the streamed request");
+    // The worker that ended the stream posts its line to the log's writer
+    // thread, so the line may trail the stream's EOF by a moment.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let line = loop {
+        let text = std::fs::read_to_string(&log_path).unwrap_or_default();
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"path\":\"/v1/translate\""))
+            .map(str::to_string);
+        if let Some(line) = line {
+            break line;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no log line for the streamed request in {text:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
     assert_eq!(
-        Json::parse(line)
+        Json::parse(&line)
             .expect("valid JSON")
             .get("backend")
             .and_then(Json::as_str),

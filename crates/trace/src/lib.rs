@@ -113,9 +113,12 @@ const OPEN: u64 = u64::MAX;
 
 /// One span slot: written with relaxed stores by whichever thread runs the
 /// stage, read once at finish. Readers after a finished request are ordered
-/// by the reply rendezvous (the serving layer's `OneShot` recv); a request
-/// that times out may snapshot a straggler's spans as still-open, which
-/// `finish` clamps — never a torn read, the fields are individually atomic.
+/// by the reply's hand-off: in the serving layer the worker that ran the
+/// job seals the trace itself, or the thread that takes the parked
+/// request's ticket (a `Mutex`) after it, or the in-memory oracle's channel
+/// receive. A request that times out may snapshot a straggler's spans as
+/// still-open, which `finish` clamps — never a torn read, the fields are
+/// individually atomic.
 struct SpanSlot {
     stage: AtomicU32,
     parent: AtomicU32,
