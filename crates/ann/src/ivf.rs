@@ -41,6 +41,32 @@ const KMEANS_ITERS: usize = 8;
 /// bounded while giving every centroid enough mass to stabilise.
 const SAMPLE_PER_CELL: usize = 64;
 
+/// How far ahead of the row it scores the SQ8 cell scan prefetches codes,
+/// in bytes: one 4 KiB page, sixteen rows at 256 dims. The scan is bound by
+/// memory latency, not by its dots (DESIGN.md §13); a cell's rows are
+/// contiguous, but the hardware's stream prefetcher stops at every page
+/// boundary, so the scan asks for the next page itself. The distance in
+/// rows follows the stride: `PREFETCH_BYTES / dims`, rounded up.
+const PREFETCH_BYTES: usize = 4096;
+
+/// Ask for every cache line of `row` ahead of its use. A hint: it changes
+/// no result, and it is a no-op off x86-64.
+#[inline]
+fn prefetch_row<T>(row: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let (start, bytes) = (row.as_ptr() as *const i8, std::mem::size_of_val(row));
+        for line in (0..bytes).step_by(64) {
+            // SAFETY: `line < bytes`, so the address lies inside `row`; a
+            // prefetch reads nothing architecturally and cannot fault.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.add(line)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 /// Training/search configuration. `Default` is tuned for embedding-shaped
 /// corpora: auto cell count (~√rows), auto probe width, SQ8 storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,6 +363,21 @@ impl IvfIndex {
     /// `nprobe == 0` uses the trained default. `flat` must be the store the
     /// index was trained on (same rows, same order).
     pub fn search(&self, flat: &VectorIndex, query: &[f32], k: usize, nprobe: usize) -> Vec<Hit> {
+        self.search_in(quant::Kernel::detect(), flat, query, k, nprobe)
+    }
+
+    /// [`IvfIndex::search`] with an explicit code-dot kernel, read once per
+    /// search. The hits are a pure function of the inputs, **not** of
+    /// `kernel`: every kernel returns the same exact integer dot (the test
+    /// seam that reaches each kernel the host has).
+    fn search_in(
+        &self,
+        kernel: quant::Kernel,
+        flat: &VectorIndex,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> Vec<Hit> {
         let (fdims, fdata) = flat.raw_rows();
         assert_eq!(fdims, self.dims, "ann/flat stride mismatch");
         assert_eq!(flat.len(), self.rows(), "ann/flat row count mismatch");
@@ -348,41 +389,69 @@ impl IvfIndex {
         if self.quantized {
             let mut qcodes = Vec::with_capacity(self.dims);
             let qscale = quant::encode_row(query, &mut qcodes);
+            let qcodes = quant::QueryCodes::new(&qcodes);
             let mut short = TopK::new(Self::shortlist_len(k));
-            for &c in &probes {
-                self.scan_cell_sq8(c as usize, &qcodes, qscale, &mut short);
+            let spans: Vec<(usize, usize)> = probes.iter().map(|&c| self.cell_span(c)).collect();
+            for (i, &span) in spans.iter().enumerate() {
+                let next = spans.get(i + 1).copied().unwrap_or((0, 0));
+                self.scan_cell_sq8(kernel, span, next, &qcodes, qscale, &mut short);
             }
             rescore(fdata, self.dims, query, short, k)
         } else {
             let mut top = TopK::new(k);
             for &c in &probes {
-                self.scan_cell_f32(c as usize, fdata, query, &mut top);
+                self.scan_cell_f32(self.cell_span(c), fdata, query, &mut top);
             }
             top.into_sorted()
         }
     }
 
-    fn scan_cell_f32(&self, cell: usize, fdata: &[f32], query: &[f32], top: &mut TopK) {
-        let (s, e) = (
-            self.cell_offsets[cell] as usize,
-            self.cell_offsets[cell + 1] as usize,
-        );
+    /// The slots `s..e` of one cell in `ids`, `scales` and (× dims) `codes`.
+    fn cell_span(&self, cell: u32) -> (usize, usize) {
+        let c = cell as usize;
+        (
+            self.cell_offsets[c] as usize,
+            self.cell_offsets[c + 1] as usize,
+        )
+    }
+
+    fn scan_cell_f32(&self, (s, e): (usize, usize), fdata: &[f32], query: &[f32], top: &mut TopK) {
         for &id in &self.ids[s..e] {
             let row = &fdata[id as usize * self.dims..(id as usize + 1) * self.dims];
             top.push(id as usize, fused_dot(query, row).clamp(-1.0, 1.0));
         }
     }
 
-    fn scan_cell_sq8(&self, cell: usize, qcodes: &[i8], qscale: f32, short: &mut TopK) {
-        let (s, e) = (
-            self.cell_offsets[cell] as usize,
-            self.cell_offsets[cell + 1] as usize,
-        );
+    /// Score the cell at slots `s..e` from its codes into the shortlist.
+    /// The scan streams: while it scores a row it prefetches the row
+    /// [`PREFETCH_BYTES`] on, which near the cell's end is one of the first
+    /// rows of `next`, the cell probed after this one (`(0, 0)` when there
+    /// is none).
+    fn scan_cell_sq8(
+        &self,
+        kernel: quant::Kernel,
+        (s, e): (usize, usize),
+        next: (usize, usize),
+        qcodes: &quant::QueryCodes,
+        qscale: f32,
+        short: &mut TopK,
+    ) {
+        let dims = self.dims;
+        let ahead = PREFETCH_BYTES.div_ceil(dims.max(1));
         for slot in s..e {
-            let id = self.ids[slot] as usize;
-            let codes = &self.codes[slot * self.dims..(slot + 1) * self.dims];
-            let approx = quant::dot_i8(qcodes, codes) as f32 * (qscale * self.scales[slot]);
-            short.push(id, approx);
+            let fetch = match slot + ahead {
+                f if f < e => Some(f),
+                f => Some(next.0 + (f - e)).filter(|&f| f < next.1),
+            };
+            if let Some(f) = fetch {
+                prefetch_row(&self.codes[f * dims..(f + 1) * dims]);
+            }
+            let codes = &self.codes[slot * dims..(slot + 1) * dims];
+            let code_dot = qcodes.dot_in(kernel, codes);
+            short.push(
+                self.ids[slot] as usize,
+                code_dot as f32 * (qscale * self.scales[slot]),
+            );
         }
     }
 }
@@ -410,14 +479,20 @@ fn best_cells(scores: &[f32], n: usize) -> Vec<u32> {
 
 /// Exact f32 rescore of an SQ8 shortlist: scores come from the same fused
 /// dot as the flat scan, so every hit callers see is exactly what the flat
-/// scan would report for that row.
+/// scan would report for that row. The shortlist's rows lie anywhere in
+/// the store, each a cold miss, so all of them are prefetched first and
+/// their misses overlap instead of queueing one by one.
 fn rescore(fdata: &[f32], dims: usize, query: &[f32], short: TopK, k: usize) -> Vec<Hit> {
+    let row = |id: usize| &fdata[id * dims..(id + 1) * dims];
+    let short = short.into_sorted();
+    for h in &short {
+        prefetch_row(row(h.id));
+    }
     let mut hits: Vec<Hit> = short
-        .into_sorted()
-        .into_iter()
+        .iter()
         .map(|h| Hit {
             id: h.id,
-            score: fused_dot(query, &fdata[h.id * dims..(h.id + 1) * dims]).clamp(-1.0, 1.0),
+            score: fused_dot(query, row(h.id)).clamp(-1.0, 1.0),
         })
         .collect();
     hits.sort_unstable_by(best_first);
@@ -430,8 +505,11 @@ fn rescore(fdata: &[f32], dims: usize, query: &[f32], short: TopK, k: usize) -> 
 struct TopK {
     k: usize,
     heap: BinaryHeap<WorstFirst>,
-    /// Score at or below which a new row cannot displace anything once the
-    /// heap is full (ids only grow within a cell scan, so ties lose).
+    /// The worst held score once the heap is full (`−∞` before): a new row
+    /// scoring strictly below it cannot displace anything, which settles
+    /// most pushes with one compare. A tie is settled by id, and ids need
+    /// not grow: each cell's ids ascend, but the next probed cell's may
+    /// start lower.
     floor: f32,
 }
 
@@ -477,14 +555,14 @@ impl TopK {
     #[inline]
     fn push(&mut self, id: usize, score: f32) {
         if self.heap.len() >= self.k {
-            let worst = self.heap.peek().expect("full heap is non-empty").0;
-            // A tie can still win eviction when the incoming id is lower, so
-            // only scores strictly below the floor — or ties against a
-            // lower-id incumbent — are skipped without heap traffic.
-            if score < self.floor || (score == worst.score && id > worst.id) {
+            if score < self.floor {
                 return;
             }
-            if worst.score.total_cmp(&score) == Ordering::Greater {
+            // Otherwise the row must rank before the worst held hit in the
+            // flat scan's order — `total_cmp`, which puts `+0.0` above
+            // `−0.0` where `==` calls them a tie, then the lower id.
+            let worst = &self.heap.peek().expect("full heap is non-empty").0;
+            if best_first(&Hit { id, score }, worst) != Ordering::Less {
                 return;
             }
         }
@@ -868,5 +946,74 @@ mod tests {
             assert_eq!(best_cells(&scores, n), want[..n.min(scores.len())], "n={n}");
         }
         assert!(best_cells(&[], 3).is_empty());
+    }
+
+    /// A trained SQ8 index returns the same hits — ids, order and score
+    /// bits — under every code-dot kernel this host has: the baseline,
+    /// AVX2 and AVX-512 VNNI. 256 lanes is `retrieve_large`'s width (whole
+    /// 64-code blocks); 100 leaves a 36-code tail for the masked load.
+    #[test]
+    fn search_hits_are_identical_under_every_kernel() {
+        for (rows, dims) in [(6000usize, 256usize), (3000, 100)] {
+            let idx = clustered_index(rows, dims, 40, 29);
+            let cfg = IvfConfig {
+                min_rows: 1,
+                ..IvfConfig::default()
+            };
+            let ivf = IvfIndex::train(&idx, &cfg).unwrap();
+            for qi in 0..12 {
+                let q = idx.get((qi * 389) % rows).unwrap().to_vec();
+                let bits = |hits: Vec<Hit>| -> Vec<(usize, u32)> {
+                    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                };
+                for nprobe in [0, 1, ivf.cells()] {
+                    let base = bits(ivf.search_in(quant::Kernel::BASELINE, &idx, &q, 10, nprobe));
+                    assert_eq!(base.len(), 10);
+                    for kernel in quant::Kernel::supported() {
+                        let got = bits(ivf.search_in(kernel, &idx, &q, 10, nprobe));
+                        assert_eq!(got, base, "{rows}x{dims} q={qi} nprobe={nprobe} {kernel:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The SQ8 shortlist keeps exactly the `k` best of everything pushed
+        /// — the head of a full sort under `best_first` — when scores tie
+        /// across cells and ids do not grow from one cell to the next: each
+        /// cell holds ascending ids drawn from a shuffled range, as the CSR
+        /// does, and the scores come from a small set that plants ties,
+        /// `±0`, `±∞` and NaN.
+        #[test]
+        fn shortlist_equals_a_sort_based_oracle(
+            cells in proptest::collection::vec(proptest::collection::vec(0usize..9, 0..12), 1..8),
+            keys in proptest::collection::vec(proptest::any::<u32>(), 96),
+            k in 1usize..20,
+        ) {
+            const SCORES: [f32; 9] =
+                [0.5, 0.5, 0.25, -0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.25];
+            let n: usize = cells.iter().map(Vec::len).sum();
+            let mut ids: Vec<usize> = (0..n).collect();
+            ids.sort_by_key(|&id| (keys[id], id));
+            let mut top = TopK::new(k);
+            let mut all = Vec::new();
+            let mut taken = 0;
+            for cell in &cells {
+                let mut cell_ids = ids[taken..taken + cell.len()].to_vec();
+                cell_ids.sort_unstable();
+                taken += cell.len();
+                for (&id, &s) in cell_ids.iter().zip(cell) {
+                    top.push(id, SCORES[s]);
+                    all.push(Hit { id, score: SCORES[s] });
+                }
+            }
+            all.sort_by(best_first);
+            all.truncate(k);
+            let bits = |hits: &[Hit]| -> Vec<(usize, u32)> {
+                hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&top.into_sorted()), bits(&all));
+        }
     }
 }

@@ -346,8 +346,8 @@ mod tests {
     }
 
     /// Run with `--nocapture` to see which paths this CPU exercised: a
-    /// host without AVX-512F (or AVX2) passes every kernel test having
-    /// checked only the fallback, and says so here.
+    /// host without AVX-512F (or AVX2, or AVX-512 VNNI) passes every kernel
+    /// test having checked only the paths it has, and says so here.
     #[test]
     fn kernel_paths_on_this_host() {
         let rows = vector(3, 5 * 259, &[(7, 4)]);
@@ -358,11 +358,7 @@ mod tests {
         } else {
             "AVX-512F 4x2 tile and per-pair fused_dot"
         };
-        let i8_path = if crate::quant::Kernel::detect() == crate::quant::Kernel::BASELINE {
-            "SSE2/portable only (no AVX2: the wide code dots went untested)"
-        } else {
-            "AVX2 and SSE2"
-        };
+        let i8_path = crate::quant::Kernel::paths_on_this_host();
         println!("kernel paths tested: f32 block = {f32_path}; i8 code dot = {i8_path}");
     }
 }

@@ -1,8 +1,9 @@
 //! 8-bit scalar quantization (SQ8) of L2-normalised rows, and the integer
 //! dot kernels every quantized scan in the workspace shares: [`dot_i8`] for
-//! one pair of code rows (IVF cells, [`bound_terms`]) and the tile kernel
-//! behind the flat scan, which scores 64 rows at once and reads only the
-//! lanes where the query's code is non-zero.
+//! one pair of code rows ([`bound_terms`]), [`QueryCodes`] for one query
+//! against many rows (the IVF cell scan), and the tile kernel behind the
+//! flat scan, which scores 64 rows at once and reads only the lanes where
+//! the query's code is non-zero.
 //!
 //! Each row gets one symmetric scale: `code = round(v / scale)` clamped to
 //! `[-127, 127]` with `scale = max|v| / 127`, so the decoded value
@@ -12,17 +13,19 @@
 //! every row the bound cannot rule out (see [`bound_terms`]); the IVF search
 //! in `t2v-ann` uses them to build a shortlist it rescores exactly.
 //!
-//! The kernels are dispatched at run time (AVX2 when the CPU has it, the
-//! x86-64 baseline otherwise). That is safe for determinism in a way it
-//! would not be for the f32 dot: integer arithmetic is exact and order-free,
-//! so every kernel — and every order of walking the lanes — returns the same
-//! `i32` for the same codes and the choice of ISA cannot change a single
-//! result across hosts.
+//! The kernels are dispatched at run time (AVX-512 VNNI for [`dot_i8`] and
+//! AVX2 for the tile when the CPU has them, AVX2 for both on a CPU with
+//! only that, the x86-64 baseline otherwise). That is safe for determinism
+//! in a way it would not be for the f32 dot: integer arithmetic is exact
+//! and order-free, so every kernel — and every order of walking the lanes —
+//! returns the same `i32` for the same codes and the choice of ISA cannot
+//! change a single result across hosts.
 
 /// Which integer kernel scores code rows. Values are only obtainable through
-/// [`Kernel::BASELINE`] and [`Kernel::detect`], so holding the wide variant
-/// is proof the CPU supports it — an explicit-kernel seam for tests, in the
-/// same spirit as `VectorIndex::top_k_prenormalized_in`.
+/// [`Kernel::BASELINE`], [`Kernel::detect`] and [`Kernel::supported`], so
+/// holding a wide variant is proof the CPU supports it — an explicit-kernel
+/// seam for scans that read the kernel once and for tests, in the same
+/// spirit as `VectorIndex::top_k_prenormalized_in`.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Kernel(Isa);
@@ -32,6 +35,10 @@ enum Isa {
     Baseline,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// AVX-512 VNNI for [`dot_i8`]; the tile kernel runs its AVX2 path
+    /// (this variant is only detected on a CPU that has AVX2 as well).
+    #[cfg(target_arch = "x86_64")]
+    Vnni,
 }
 
 impl Kernel {
@@ -43,9 +50,44 @@ impl Kernel {
     pub fn detect() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vnni")
+            {
+                return Kernel(Isa::Vnni);
+            }
             return Kernel(Isa::Avx2);
         }
         Kernel::BASELINE
+    }
+
+    /// Every kernel this CPU supports, narrowest first and
+    /// [`Kernel::detect`]'s last — the set the equivalence tests walk.
+    #[doc(hidden)]
+    pub fn supported() -> Vec<Kernel> {
+        let mut all = vec![Kernel::BASELINE];
+        #[cfg(target_arch = "x86_64")]
+        if Kernel::detect() != Kernel::BASELINE {
+            all.push(Kernel(Isa::Avx2));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if Kernel::detect() == Kernel(Isa::Vnni) {
+            all.push(Kernel(Isa::Vnni));
+        }
+        all
+    }
+
+    /// The code-dot paths the kernel tests exercise on this CPU, for the
+    /// log line that names them.
+    #[cfg(test)]
+    pub(crate) fn paths_on_this_host() -> &'static str {
+        match Kernel::detect().0 {
+            Isa::Baseline => "SSE2/portable only (no AVX2: the wide code dots went untested)",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "AVX2 and SSE2 (no AVX-512 VNNI: its code dot went untested)",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Vnni => "AVX-512 VNNI, AVX2 and SSE2",
+        }
     }
 }
 
@@ -150,21 +192,104 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     dot_i8_in(Kernel::detect(), a, b)
 }
 
-/// [`dot_i8`] with an explicit kernel — the test seam that reaches the
-/// fallback on any host.
+/// [`dot_i8`] with an explicit kernel — the seam through which tests reach
+/// every kernel the host has.
 #[doc(hidden)]
 #[inline]
 pub fn dot_i8_in(kernel: Kernel, a: &[i8], b: &[i8]) -> i32 {
+    debug_assert_eq!(a.len(), b.len());
     match kernel.0 {
         Isa::Baseline => dot_i8_baseline(a, b),
+        // SAFETY: `Isa::Avx2` is only constructed after the CPU reported
+        // AVX2 (`Kernel::detect`, `Kernel::supported`).
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => {
-            debug_assert_eq!(a.len(), b.len());
-            // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect`
-            // after the CPU reported AVX2.
-            unsafe { dot_i8_avx2(a, b) }
+        Isa::Avx2 => unsafe { dot_i8_avx2(a, b) },
+        // SAFETY: `Isa::Vnni` is only constructed after the CPU reported
+        // AVX-512F, AVX-512BW and AVX-512 VNNI.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Vnni => unsafe { dot_i8_vnni(a, b, code_sum(&b[..a.len().min(b.len())])) },
+    }
+}
+
+/// `Σ code`, wrapping — exact for any row shorter than 2²⁴ codes.
+fn code_sum(codes: &[i8]) -> i32 {
+    codes.iter().fold(0i32, |s, &c| s.wrapping_add(c as i32))
+}
+
+/// One code row that many stored rows are scored against: the query of a
+/// scan. The VNNI kernel needs the signed operand's `Σ code` for every
+/// dot, so the query takes that side and sums itself once, here, instead
+/// of once per row.
+#[derive(Debug)]
+pub struct QueryCodes<'a> {
+    codes: &'a [i8],
+    sum: i32,
+}
+
+impl<'a> QueryCodes<'a> {
+    pub fn new(codes: &'a [i8]) -> QueryCodes<'a> {
+        QueryCodes {
+            codes,
+            sum: code_sum(codes),
         }
     }
+
+    /// The code dot of `row` with the query: the same `i32` as
+    /// [`dot_i8_in`] on every kernel.
+    #[inline]
+    pub fn dot_in(&self, kernel: Kernel, row: &[i8]) -> i32 {
+        match kernel.0 {
+            // SAFETY: as in `dot_i8_in`; the query's sum covers exactly the
+            // codes the kernel reads because the lengths are equal.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Vnni if row.len() == self.codes.len() => unsafe {
+                dot_i8_vnni(row, self.codes, self.sum)
+            },
+            _ => dot_i8_in(kernel, row, self.codes),
+        }
+    }
+}
+
+/// AVX-512 VNNI kernel for one pair of code rows (over their common
+/// length), 64 codes per `vpdpbusd`, given `sum_b = Σ b`. That instruction
+/// multiplies *unsigned* bytes by signed ones, so `a` goes in flipped:
+/// `a ^ 0x80` read as `u8` is `a + 128`, and
+/// `Σ (a + 128)·b = Σ a·b + 128·Σ b`, from which the kernel subtracts
+/// `128·sum_b`. Every step is the non-saturating form, so the sum and the
+/// difference are exact modulo 2³²: wherever the true dot fits an `i32`
+/// (every realistic stride, see [`dot_i8`]) the result is that dot, `-128`
+/// codes included. The last `len % 64` codes are read through a masked
+/// load, which leaves the lanes past the end zero (a zero `b` adds nothing)
+/// and never touches memory past the rows.
+///
+/// # Safety
+/// The CPU must support AVX-512F, AVX-512BW and AVX-512 VNNI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+#[inline]
+unsafe fn dot_i8_vnni(a: &[i8], b: &[i8], sum_b: i32) -> i32 {
+    use std::arch::x86_64::*;
+    let n = a.len().min(b.len());
+    let flip = _mm512_set1_epi8(i8::MIN);
+    let mut dot = _mm512_setzero_si512();
+    let mut i = 0;
+    while i + 64 <= n {
+        // SAFETY: `i + 64 <= n`, and both rows hold at least `n` codes
+        // (`_mm512_loadu_si512` tolerates unaligned pointers).
+        let wa = _mm512_loadu_si512(a.as_ptr().add(i) as *const __m512i);
+        let wb = _mm512_loadu_si512(b.as_ptr().add(i) as *const __m512i);
+        dot = _mm512_dpbusd_epi32(dot, _mm512_xor_si512(wa, flip), wb);
+        i += 64;
+    }
+    if i < n {
+        let mask: __mmask64 = (1u64 << (n - i)) - 1;
+        // SAFETY: the mask selects bytes `i..n` only; a masked-off byte is
+        // neither read nor able to fault.
+        let wa = _mm512_maskz_loadu_epi8(mask, a.as_ptr().add(i));
+        let wb = _mm512_maskz_loadu_epi8(mask, b.as_ptr().add(i));
+        dot = _mm512_dpbusd_epi32(dot, _mm512_xor_si512(wa, flip), wb);
+    }
+    _mm512_reduce_add_epi32(dot).wrapping_sub(sum_b.wrapping_mul(128))
 }
 
 /// AVX2 kernel for one pair of code rows (over their common length).
@@ -340,8 +465,8 @@ pub(crate) fn tile_dots_in(
             }
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the variant proves AVX2 is present (see `dot_i8_in`).
-        Isa::Avx2 => unsafe { tile_dots_avx2(&q.lanes, tile, out) },
+        // SAFETY: either variant proves AVX2 is present (see `dot_i8_in`).
+        Isa::Avx2 | Isa::Vnni => unsafe { tile_dots_avx2(&q.lanes, tile, out) },
     }
 }
 
@@ -498,30 +623,57 @@ mod tests {
         assert_eq!(dot_i8(&a, &b), dot_i8_reference(&a, &b));
     }
 
-    /// Every kernel — the detected one and the fallback, reached through the
-    /// explicit seam — agrees with the scalar reference on lengths around
-    /// every vector-width boundary.
+    /// Every kernel this host has — the fallback, AVX2 and AVX-512 VNNI,
+    /// each reached through the explicit seam — agrees with the scalar
+    /// reference at every length from 0 to 300 (whole 16- and 64-code
+    /// blocks and every tail), on every code from −128 to 127, and on
+    /// `a == b` (the Σ code² of [`bound_terms`], whose −128s flip to 0 in
+    /// the VNNI kernel's unsigned operand).
     #[test]
     fn every_kernel_matches_the_scalar_reference() {
         let extremes = [i8::MIN, -127, -1, 0, 1, 127];
-        for kernel in [Kernel::BASELINE, Kernel::detect()] {
-            for n in [
-                0usize, 1, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 256, 300,
-            ] {
-                let q: Vec<i8> = (0..n).map(|i| ((i * 37 + 11) % 256) as u8 as i8).collect();
-                let rows: Vec<i8> = (0..5 * n)
+        // Every code, in an order that puts both signs next to each other.
+        let all: Vec<i8> = (0..256).map(|i| (i * 167 % 256) as u8 as i8).collect();
+        for kernel in Kernel::supported() {
+            for n in 0usize..=300 {
+                let q: Vec<i8> = (0..n).map(|i| all[(i * 37 + 11) % 256]).collect();
+                let rows: Vec<i8> = (0..6 * n)
                     .map(|i| match i / n.max(1) {
                         0 => 127,
                         1 => -127,
-                        2 => extremes[i % extremes.len()],
-                        _ => ((i * 73 + 5) % 256) as u8 as i8,
+                        2 => i8::MIN,
+                        3 => extremes[i % extremes.len()],
+                        _ => all[(i * 73 + 5) % 256],
                     })
                     .collect();
-                for r in rows.chunks_exact(n.max(1)) {
+                let query = QueryCodes::new(&q);
+                for r in rows.chunks_exact(n.max(1)).chain([q.as_slice()]) {
                     let want = dot_i8_reference(&q, r);
                     assert_eq!(dot_i8_in(kernel, &q, r), want, "{kernel:?} n={n}");
+                    assert_eq!(query.dot_in(kernel, r), want, "{kernel:?} n={n} query");
+                    assert_eq!(
+                        dot_i8_in(kernel, r, r),
+                        dot_i8_reference(r, r),
+                        "{kernel:?} n={n} a == b"
+                    );
                 }
             }
+            // The worst case of the i32 headroom: 300 × (−128)² and
+            // 300 × (−128 · 127), both ways round.
+            let (lo, hi) = ([i8::MIN; 300], [127i8; 300]);
+            assert_eq!(dot_i8_in(kernel, &lo, &lo), 300 * 128 * 128, "{kernel:?}");
+            assert_eq!(dot_i8_in(kernel, &lo, &hi), -300 * 128 * 127, "{kernel:?}");
+            assert_eq!(dot_i8_in(kernel, &hi, &lo), -300 * 128 * 127, "{kernel:?}");
+            assert_eq!(
+                QueryCodes::new(&lo).dot_in(kernel, &lo),
+                300 * 128 * 128,
+                "{kernel:?}"
+            );
+            assert_eq!(
+                QueryCodes::new(&lo).dot_in(kernel, &hi),
+                -300 * 128 * 127,
+                "{kernel:?}"
+            );
         }
     }
 
@@ -578,7 +730,7 @@ mod tests {
             proptest::prop_assert_eq!(lanes.lanes.len(), kept);
             let tile = tile_of(&rows, dims);
             let want: Vec<i32> = rows.chunks_exact(dims).map(|r| dot_i8_reference(&q, r)).collect();
-            for kernel in [Kernel::BASELINE, Kernel::detect()] {
+            for kernel in Kernel::supported() {
                 let mut got = [i32::MIN; TILE_ROWS];
                 tile_dots_in(kernel, &lanes, &tile, &mut got);
                 proptest::prop_assert_eq!(got.as_slice(), want.as_slice(), "{:?} dims={}", kernel, dims);

@@ -38,16 +38,23 @@ impl Ring {
     }
 
     /// Samples at or after `from_ms`, oldest first.
-    fn window(&self, from_ms: u64) -> Vec<(u64, u64)> {
+    fn window(&self, from_ms: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let cap = self.t_ms.len();
         let start = (self.head + cap - self.len) % cap;
         (0..self.len)
-            .map(|i| {
+            .map(move |i| {
                 let idx = (start + i) % cap;
                 (self.t_ms[idx], self.vals[idx])
             })
-            .filter(|&(t, _)| t >= from_ms)
-            .collect()
+            .filter(move |&(t, _)| t >= from_ms)
+    }
+
+    /// The first and last sample at or after `from_ms` — all a delta or a
+    /// rate reads — or `None` with fewer than two.
+    fn ends(&self, from_ms: u64) -> Option<[(u64, u64); 2]> {
+        let mut pts = self.window(from_ms);
+        let first = pts.next()?;
+        Some([first, pts.last()?])
     }
 
     fn latest(&self) -> Option<(u64, u64)> {
@@ -59,6 +66,11 @@ impl Ring {
         Some((self.t_ms[idx], self.vals[idx]))
     }
 }
+
+/// Most points one `Tsdb::points` query returns, whatever its window and
+/// step: a response renders on the serving loop, and at the 1 ms floor of
+/// the sample cadence a 900 s window holds 900 000 samples.
+const MAX_POINTS: usize = 1000;
 
 /// The store: a map of named rings behind one mutex. The only writer is
 /// the sampler thread (one lock per sweep); readers are admin queries and
@@ -116,28 +128,43 @@ impl Tsdb {
         names
     }
 
+    /// The spacing a [`Tsdb::points`] query over `window_ms` thins to when
+    /// asked for `step_ms`: never finer than the sample cadence, nor finer
+    /// than keeps the window within 1 000 points (points at least a step
+    /// apart, plus the newest sample).
+    pub fn step_ms(&self, window_ms: u64, step_ms: u64) -> u64 {
+        step_ms
+            .max(self.sample_ms)
+            .max(window_ms.div_ceil(MAX_POINTS as u64 - 2))
+    }
+
     /// Raw samples of `name` within the trailing window, oldest first,
-    /// thinned so consecutive points are at least `step_ms` apart (the
-    /// last sample is always kept).
+    /// thinned so consecutive points are at least [`Tsdb::step_ms`] apart,
+    /// and never more than 1 000 of them (the last sample is always kept).
+    /// Walks the ring once without copying it.
     pub fn points(&self, name: &str, window_ms: u64, step_ms: u64, now_ms: u64) -> Vec<(u64, u64)> {
         let from = now_ms.saturating_sub(window_ms);
-        let all = match lock(&self.series).get(name) {
-            Some(ring) => ring.window(from),
-            None => return Vec::new(),
+        let step = self.step_ms(window_ms, step_ms);
+        let series = lock(&self.series);
+        let Some(ring) = series.get(name) else {
+            return Vec::new();
         };
-        if step_ms <= self.sample_ms || all.len() < 2 {
-            return all;
-        }
         let mut out: Vec<(u64, u64)> = Vec::new();
-        let last = *all.last().expect("len >= 2");
-        for p in all {
-            match out.last() {
-                Some(&(t, _)) if p.0 < t.saturating_add(step_ms) => {}
-                _ => out.push(p),
+        let mut newest = None;
+        for p in ring.window(from) {
+            newest = Some(p);
+            let spaced = match out.last() {
+                Some(&(t, _)) => step <= self.sample_ms || p.0 >= t.saturating_add(step),
+                None => true,
+            };
+            // The cap leaves a slot for the newest sample; it only binds
+            // when samples crowd closer than the cadence.
+            if spaced && out.len() < MAX_POINTS - 1 {
+                out.push(p);
             }
         }
-        if out.last() != Some(&last) {
-            out.push(last);
+        if let Some(newest) = newest.filter(|&p| out.last() != Some(&p)) {
+            out.push(newest);
         }
         out
     }
@@ -149,12 +176,7 @@ impl Tsdb {
     pub fn delta(&self, name: &str, window_ms: u64, now_ms: u64) -> Option<u64> {
         let from = now_ms.saturating_sub(window_ms);
         let series = lock(&self.series);
-        let pts = series.get(name)?.window(from);
-        let (_, first) = *pts.first()?;
-        let (_, last) = *pts.last()?;
-        if pts.len() < 2 {
-            return None;
-        }
+        let [(_, first), (_, last)] = series.get(name)?.ends(from)?;
         Some(last.saturating_sub(first))
     }
 
@@ -162,10 +184,8 @@ impl Tsdb {
     pub fn rate(&self, name: &str, window_ms: u64, now_ms: u64) -> Option<f64> {
         let from = now_ms.saturating_sub(window_ms);
         let series = lock(&self.series);
-        let pts = series.get(name)?.window(from);
-        let (t0, v0) = *pts.first()?;
-        let (t1, v1) = *pts.last()?;
-        if pts.len() < 2 || t1 <= t0 {
+        let [(t0, v0), (t1, v1)] = series.get(name)?.ends(from)?;
+        if t1 <= t0 {
             return None;
         }
         Some(v1.saturating_sub(v0) as f64 / ((t1 - t0) as f64 / 1000.0))
@@ -241,6 +261,46 @@ mod tests {
         for pair in pts.windows(2) {
             assert!(pair[1].0 - pair[0].0 >= 300 || pair[1] == (900, 9));
         }
+    }
+
+    /// At the 1 ms floor of the sample cadence a full 900 s ring holds
+    /// 900 000 samples; a query over all of it, at the native step, comes
+    /// back thinned to at most `MAX_POINTS`, evenly spaced, from the
+    /// window's start to its newest sample.
+    #[test]
+    fn a_1ms_ring_answers_within_the_point_cap() {
+        let tsdb = Tsdb::new(1, 900);
+        assert_eq!(tsdb.capacity(), 900_000);
+        let name = vec![("s".to_string(), 0)];
+        for t in 1..=900_000u64 {
+            tsdb.record(t, &name);
+        }
+        let newest = (900_000, 0);
+        for window_ms in [900_000u64, 60_000, 1_000] {
+            let step = tsdb.step_ms(window_ms, 0);
+            let pts = tsdb.points("s", window_ms, 0, 900_000);
+            assert!(
+                pts.len() <= MAX_POINTS,
+                "{} points over {window_ms} ms",
+                pts.len()
+            );
+            assert_eq!(pts.last(), Some(&newest), "window {window_ms} ms");
+            assert_eq!(
+                pts[0].0,
+                (900_000 - window_ms).max(1),
+                "window {window_ms} ms"
+            );
+            let body = &pts[..pts.len() - 1];
+            assert!(
+                body.windows(2).all(|p| p[1].0 - p[0].0 == step),
+                "step {step}"
+            );
+        }
+        // A short window still answers at the native cadence.
+        assert_eq!(tsdb.step_ms(500, 0), 1);
+        assert_eq!(tsdb.points("s", 500, 0, 900_000).len(), 501);
+        assert_eq!(tsdb.delta("s", 900_000, 900_000), Some(0));
+        assert_eq!(tsdb.rate("s", 2, 900_000), Some(0.0));
     }
 
     #[test]

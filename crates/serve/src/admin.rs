@@ -285,7 +285,10 @@ fn obs_sampling(shared: &Shared) -> Option<&Arc<t2v_obs::ObsEngine>> {
 
 /// `GET /v1/admin/tsdb?series=&window=&step=` — the in-process ring-buffer
 /// TSDB. Without `series=`, lists what is retained; with it, returns the
-/// windowed points plus the delta and per-second rate over the window.
+/// windowed points plus the delta and per-second rate over the window. The
+/// step widens until the window fits a fixed number of points
+/// (`Tsdb::step_ms`), and the response's `step_ms` says to what: this
+/// renders on the loop thread.
 pub(crate) fn admin_tsdb(shared: &Shared, req: &Request) -> Response {
     let Some(obs) = obs_sampling(shared) else {
         return Response::error_code(
@@ -323,7 +326,7 @@ pub(crate) fn admin_tsdb(shared: &Shared, req: &Request) -> Response {
     };
     let now_ms = t2v_obs::unix_ms();
     let window_ms = window_s.saturating_mul(1000);
-    let step_ms = step_s.saturating_mul(1000).max(obs.sample_ms());
+    let step_ms = tsdb.step_ms(window_ms, step_s.saturating_mul(1000));
     let points = tsdb.points(&series, window_ms, step_ms, now_ms);
     if points.is_empty() {
         return Response::error_code(
